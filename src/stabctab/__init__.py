@@ -17,6 +17,7 @@ from .genfunc import (
     hilb_betti,
     stable_betti,
     stable_betti_from_perverse,
+    stable_betti_numbers,
     stable_perverse_series,
     stable_perverse_table,
 )
@@ -45,7 +46,7 @@ from .nslattice import (
     n_lower_bound,
 )
 from .perverse import RelHilbBettiTower, build_tower, oracle_check, solve_perverse
-from .series import TruncatedBiSeries, ZWSeries, substitute_z_t__w_q_over_t, truncated_product
+from .series import TruncatedBiSeries, ZWSeries, substitute_z_t__w_q_over_t
 
 __version__ = "0.1.0"
 
@@ -85,9 +86,9 @@ __all__ = [
     "solve_perverse",
     "stable_betti",
     "stable_betti_from_perverse",
+    "stable_betti_numbers",
     "stable_perverse_series",
     "stable_perverse_table",
     "substitute_z_t__w_q_over_t",
     "tjurina",
-    "truncated_product",
 ]

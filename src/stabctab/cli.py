@@ -3,7 +3,9 @@
 Every subcommand prints one machine-readable record, as TSV (default)
 or JSON (--format json), and is deterministic: identical invocations
 produce byte-identical output.  Exit codes: 0 success, 1 verification
-failure, 2 usage error.  The environment variable STABCTAB_MAX_ORDER
+failure, 2 usage error, 3 internal error (a coefficient that must be an
+exact nonnegative integer was not: always a bug, never bad input).  The
+environment variable STABCTAB_MAX_ORDER
 overrides the built-in default truncation order (12) used when an order
 flag is not given.
 """
@@ -17,7 +19,7 @@ import sys
 from fractions import Fraction
 
 from . import genfunc, germ as germ_mod, nslattice, perverse
-from .errors import StabctabError
+from .errors import InternalIdentityFailure, StabctabError
 from .surd import QuadSurd, format_exact
 
 
@@ -63,7 +65,7 @@ def _surface(args) -> genfunc.SurfaceTopology:
 
 def cmd_stable_betti(args) -> int:
     surface = _surface(args)
-    values = [(k, genfunc.stable_betti(surface, k)) for k in range(args.max_k + 1)]
+    values = list(enumerate(genfunc.stable_betti_numbers(surface, args.max_k)))
     record = {
         "command": "stable-betti",
         "parameters": {"b1": args.b1, "b2": args.b2, "max_k": args.max_k},
@@ -144,8 +146,12 @@ def cmd_germ(args) -> int:
     results: dict = {"mu": germ_mod.milnor(g), "tau": germ_mod.tjurina(g)}
     status = 0
     if args.branches:
-        with open(args.branches, "r", encoding="utf-8") as fh:
-            branches = germ_mod.parse_branch_file(fh.read())
+        try:
+            with open(args.branches, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise _usage(f"stabctab germ: {exc}")
+        branches = germ_mod.parse_branch_file(text)
         results["delta"] = germ_mod.delta(g, branches)
         results["r"] = germ_mod.branch_count(branches)
         ok = results["mu"] == 2 * results["delta"] - results["r"] + 1
@@ -345,6 +351,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit:
         raise
+    except InternalIdentityFailure as exc:
+        parser.exit(3, f"stabctab: internal error: {exc}\n")
     except StabctabError as exc:
         parser.exit(2, f"stabctab: {exc}\n")
     except ValueError as exc:

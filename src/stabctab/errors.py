@@ -15,10 +15,6 @@ class NotInvertible(StabctabError):
     """Inverse of a series with vanishing constant term."""
 
 
-class BadFactorBound(StabctabError):
-    """A product factor violates its declared minimal degree."""
-
-
 class OutOfOrder(StabctabError):
     """Coefficient query beyond the truncation order."""
 

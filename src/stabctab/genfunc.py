@@ -24,18 +24,33 @@ The stable Betti numbers are the coefficients of H(q,q), equivalently of
 and the two series are linked by the change of variables z = t, w = q/t:
 H(q,t)/(1-qt) = G(t, q/t) * (1 - q/t) / (1 - t^2).  That identity is the
 main internal cross-check (:func:`check_remark_identity`).
+
+All three products (Goettsche, Math. Ann. 286, 1990) are expanded by one
+integer kernel.  Each is a product of factors (1 + sign * x^a * s^g)^e
+with integer e, graded by a variable s (w for G; total degree for H,
+carrying x = q with t-exponent equal to the degree minus a, the (1-qt)
+prefactor being one more factor; q for the stable Betti series, with no
+x).  Its logarithmic derivative s F'/F is the series L with
+
+      L_n = sum_{j*g = n} e * g * (-1)^(j+1) * sign^j * x^(a*j),
+
+summed over the factors, and F is recovered by the Euler-transform
+(Newton-identity) recurrence
+
+      n * F_n = sum_{k=1..n} L_k * F_(n-k),      F_0 = 1,
+
+run on dense lists of Python ints.  Every division by n is checked to be
+exact; a remainder raises InternalIdentityFailure, since it would mean the
+factors do not multiply to an integer series.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import InternalIdentityFailure
-from .series import TruncatedBiSeries, ZWSeries, binomial_factor, truncated_product
+from .series import TruncatedBiSeries, ZWSeries
 
 #: Default truncation order for every user-facing computation.
 DEFAULT_ORDER = 12
@@ -102,40 +117,92 @@ class PerverseTable:
         return self.order == other.order and self.entries == other.entries
 
 
-def _merged_factors(families):
-    """Merge per-family factor streams into one nondecreasing-bound stream.
+# A factor (1 + sign * x^a * s^g)^e of an infinite product is the tuple
+# (sign, a, g, e): s is the grading variable, x the carried one.
+Factor = tuple[int, int, int, int]
 
-    Each family is an infinite generator of (factor, bound) with
-    nondecreasing bounds; heapq.merge keeps the combined stream sorted,
-    which is what truncated_product requires to cut off safely.
+
+def _log_derivative(factors, order: int) -> list[dict[int, int]]:
+    """Coefficients L_1..L_order of s d/ds log of the product of the factors.
+
+    L_n is a polynomial in x, stored as {x-exponent: integer coefficient}:
+    the sum over factors and j >= 1 with j*g = n of
+    e * g * (-1)^(j+1) * sign^j * x^(a*j).  L_0 is the empty polynomial.
     """
-    return heapq.merge(*families, key=lambda pair: pair[1])
+    terms: list[dict[int, int]] = [{} for _ in range(order + 1)]
+    for sign, a, g, e in factors:
+        for j in range(1, order // g + 1):
+            poly = terms[j * g]
+            poly[a * j] = poly.get(a * j, 0) + e * g * (-1) ** (j + 1) * sign ** j
+    return [{i: c for i, c in poly.items() if c} for poly in terms]
 
 
-def _goettsche_factories(surface: SurfaceTopology, order: int):
+def _euler_transform(log_derivative: list[dict[int, int]], order: int) -> list[list[int]]:
+    """Coefficients F_0..F_order of the series F with F_0 = 1 and log-derivative L.
+
+    F_n is a dense list of integers indexed by x-exponent, computed by
+    n * F_n = sum_{k=1..n} L_k * F_(n-k).  Every division by n is checked:
+    a remainder means L is not the log-derivative of an integer series,
+    and raises InternalIdentityFailure.
+    """
+    rows: list[list[int]] = [[1]]
+    for n in range(1, order + 1):
+        width = max(
+            (max(log_derivative[k]) + len(rows[n - k])
+             for k in range(1, n + 1) if log_derivative[k]),
+            default=1,
+        )
+        acc = [0] * width
+        for k in range(1, n + 1):
+            prev = rows[n - k]
+            for shift, c in log_derivative[k].items():
+                for i, f in enumerate(prev, shift):
+                    acc[i] += c * f
+        row = []
+        for i, c in enumerate(acc):
+            quotient, remainder = divmod(c, n)
+            if remainder:
+                raise InternalIdentityFailure(
+                    f"coefficient of x^{i} s^{n} in the product is {c}/{n}, "
+                    f"not an integer"
+                )
+            row.append(quotient)
+        rows.append(row)
+    return rows
+
+
+def _product(factors, order: int) -> list[list[int]]:
+    """The product of the factors modulo s^(order+1), as rows F_n[x-exponent]."""
+    return _euler_transform(_log_derivative(factors, order), order)
+
+
+def _goettsche_factors(surface: SurfaceTopology, order: int) -> list[Factor]:
+    """Factors of G graded by w, carrying z."""
     b1, b2 = surface.b1, surface.b2
-    for m in itertools.count(1):
-        if m > order:
-            return
-        if b1:
-            yield binomial_factor(ZWSeries, order, (2 * m - 1, m), 1, b1), m
-            yield binomial_factor(ZWSeries, order, (2 * m + 1, m), 1, b1), m
-        yield binomial_factor(ZWSeries, order, (2 * m - 2, m), -1, -1), m
-        yield binomial_factor(ZWSeries, order, (2 * m, m), -1, -b2), m
-        yield binomial_factor(ZWSeries, order, (2 * m + 2, m), -1, -1), m
+    return [
+        factor
+        for m in range(1, order + 1)
+        for factor in (
+            (1, 2 * m - 1, m, b1),
+            (1, 2 * m + 1, m, b1),
+            (-1, 2 * m - 2, m, -1),
+            (-1, 2 * m, m, -b2),
+            (-1, 2 * m + 2, m, -1),
+        )
+    ]
 
 
-@lru_cache(maxsize=None)
 def goettsche_series(surface: SurfaceTopology, order: int) -> ZWSeries:
     """The point-counting series G(z, w) truncated at w-degree <= order.
 
     The coefficient of z^i w^n is the i-th Betti number of the Hilbert
     scheme of n points; it vanishes unless 0 <= i <= 4n.
     """
-    return truncated_product(_goettsche_factories(surface, order), order, cls=ZWSeries)
+    rows = _product(_goettsche_factors(surface, order), order)
+    return ZWSeries(order, {(i, n): c for n, row in enumerate(rows) for i, c in enumerate(row)})
 
 
-def _as_betti(c: Fraction, what: str) -> int:
+def _as_betti(c: Fraction | int, what: str) -> int:
     if c.denominator != 1 or c < 0:
         raise InternalIdentityFailure(f"{what} = {c} is not a nonnegative integer")
     return int(c)
@@ -154,72 +221,63 @@ def hilb_betti(surface: SurfaceTopology, n: int, k: int) -> int:
     return _as_betti(g.coeff(k, n), f"b_{k} of the {n}-point Hilbert scheme")
 
 
-def _stable_betti_families(surface: SurfaceTopology, order: int):
+def _stable_betti_series(surface: SurfaceTopology, order: int) -> list[int]:
+    """Coefficients of q^0..q^order of the stable Betti product, graded by q."""
     b1, b2 = surface.b1, surface.b2
-
-    def family(offset: int, sign: int, exponent: int):
-        for m in itertools.count(1):
-            bound = 2 * m + offset
-            if bound > order:
-                return
-            yield binomial_factor(
-                TruncatedBiSeries, order, (bound, 0), sign, exponent
-            ), bound
-
-    fams = []
-    if b1:
-        fams.append(family(-1, 1, b1))
-        fams.append(family(1, 1, b1))
-    fams.append(family(0, -1, -(b2 + 1)))
-    fams.append(family(2, -1, -1))
-    return fams
+    factors = [
+        factor
+        for m in range(1, order + 1)
+        for factor in (
+            (1, 0, 2 * m - 1, b1),
+            (1, 0, 2 * m + 1, b1),
+            (-1, 0, 2 * m, -(b2 + 1)),
+            (-1, 0, 2 * m + 2, -1),
+        )
+    ]
+    return [row[0] for row in _product(factors, order)]
 
 
-@lru_cache(maxsize=None)
-def _stable_betti_series(surface: SurfaceTopology, order: int) -> TruncatedBiSeries:
-    return truncated_product(
-        _merged_factors(_stable_betti_families(surface, order)), order
-    )
+def stable_betti_numbers(surface: SurfaceTopology, max_k: int) -> list[int]:
+    """Stable Betti numbers b_0..b_max_k (none for max_k < 0), read from
+    one product series."""
+    series = _stable_betti_series(surface, max(max_k, DEFAULT_ORDER))
+    return [
+        _as_betti(series[k], f"stable Betti number b_{k}") for k in range(max_k + 1)
+    ]
 
 
 def stable_betti(surface: SurfaceTopology, k: int) -> int:
     """Coefficient of q^k in the stable Betti product series."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    f = _stable_betti_series(surface, max(k, DEFAULT_ORDER))
-    return _as_betti(f.coeff(k, 0), f"stable Betti number b_{k}")
+    return stable_betti_numbers(surface, k)[k]
 
 
-def _perverse_families(surface: SurfaceTopology, order: int):
+def _perverse_factors(surface: SurfaceTopology, order: int) -> list[Factor]:
+    """Factors of H graded by total degree, carrying q; (1 - qt) included.
+
+    The t-exponent of a key is its total degree minus its q-exponent.
+    """
     b1, b2 = surface.b1, surface.b2
-
-    def family(key_of_m, sign: int, exponent: int, bound_of_m):
-        for m in itertools.count(1):
-            bound = bound_of_m(m)
-            if bound > order:
-                return
-            yield binomial_factor(
-                TruncatedBiSeries, order, key_of_m(m), sign, exponent
-            ), bound
-
-    fams = []
-    if b1:
-        fams.append(family(lambda m: (m, m - 1), 1, b1, lambda m: 2 * m - 1))
-        fams.append(family(lambda m: (m, m + 1), 1, b1, lambda m: 2 * m + 1))
-    fams.append(family(lambda m: (m + 1, m - 1), -1, -1, lambda m: 2 * m))
-    fams.append(family(lambda m: (m, m), -1, -b2, lambda m: 2 * m))
-    fams.append(family(lambda m: (m - 1, m + 1), -1, -1, lambda m: 2 * m))
-    return fams
+    return [(-1, 1, 2, 1)] + [
+        factor
+        for m in range(1, order + 1)
+        for factor in (
+            (1, m, 2 * m - 1, b1),
+            (1, m, 2 * m + 1, b1),
+            (-1, m + 1, 2 * m, -1),
+            (-1, m, 2 * m, -b2),
+            (-1, m - 1, 2 * m, -1),
+        )
+    ]
 
 
-@lru_cache(maxsize=None)
 def stable_perverse_series(surface: SurfaceTopology, order: int) -> TruncatedBiSeries:
     """The series H(q, t) of stable perverse Hodge numbers, truncated."""
-    prod = truncated_product(
-        _merged_factors(_perverse_families(surface, order)), order
+    rows = _product(_perverse_factors(surface, order), order)
+    return TruncatedBiSeries(
+        order, {(a, n - a): c for n, row in enumerate(rows) for a, c in enumerate(row)}
     )
-    one_minus_qt = TruncatedBiSeries(order, {(0, 0): 1, (1, 1): -1})
-    return one_minus_qt * prod
 
 
 def stable_perverse_table(surface: SurfaceTopology, order: int) -> PerverseTable:

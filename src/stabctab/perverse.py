@@ -26,7 +26,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import InconsistentTower
-from .genfunc import PerverseTable, SurfaceTopology, hilb_betti, stable_perverse_table
+from .genfunc import (
+    PerverseTable,
+    SurfaceTopology,
+    _as_betti,
+    goettsche_series,
+    stable_perverse_table,
+)
 
 
 @dataclass(frozen=True)
@@ -52,16 +58,17 @@ def build_tower(surface: SurfaceTopology, order: int) -> RelHilbBettiTower:
     """Populate the tower for 0 <= l, m <= order.
 
     Each entry is the even-offset partial sum of surface Hilbert-scheme
-    Betti numbers, b_m = sum_{n=0}^{floor(m/2)} b_{m-2n}(l points).
+    Betti numbers, b_m = sum_{n=0}^{floor(m/2)} b_{m-2n}(l points), all
+    read from one point-counting series G at w-order ``order``.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
+    g = goettsche_series(surface, order)
     values: dict[tuple[int, int], int] = {}
     for ell in range(order + 1):
         for m in range(order + 1):
-            values[(ell, m)] = sum(
-                hilb_betti(surface, ell, m - 2 * n) for n in range(m // 2 + 1)
-            )
+            betti = _as_betti(g.coeff(m, ell), f"b_{m} of the {ell}-point Hilbert scheme")
+            values[(ell, m)] = betti + values.get((ell, m - 2), 0)
     return RelHilbBettiTower(surface, order, values)
 
 

@@ -27,19 +27,19 @@ coefficients (``fractions.Fraction``; no floating point anywhere):
     here; their z-degree is bounded by 4 times the w-degree, which makes
     the substitution z = t, w = q/t land inside the Laurent bound above.
 
-Infinite products are consumed through :func:`truncated_product`, which
-takes factors paired with a lower bound on the degree of their
-non-constant part and stops once the bounds exceed the truncation order.
+The infinite products G, H and the stable-Betti series are not expanded
+here: :mod:`stabctab.genfunc` computes them with an integer
+Euler-transform kernel and hands the coefficients to these classes.  The
+classes carry the ring operations the change-of-variables identity needs
+(sums, products, inverses) and truncated coefficient access.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
-from typing import Iterable, Iterator, Tuple
+from typing import Iterator, Tuple
 
 from .errors import (
-    BadFactorBound,
     LaurentBoundViolated,
     NotInvertible,
     OrderMismatch,
@@ -381,93 +381,6 @@ class ZWSeries:
         for _ in range(self.order):
             acc = ZWSeries.one(self.order) - u * acc
         return acc.scale(Fraction(1) / c0)
-
-
-def _generalized_binomial(e: int, j: int) -> int:
-    """C(e, j) for integer e of either sign and j >= 0."""
-    if j < 0:
-        return 0
-    if e >= 0:
-        return math.comb(e, j)
-    return (-1) ** j * math.comb(-e + j - 1, j)
-
-
-def binomial_factor(cls, order: int, key: Key, sign: int, exponent: int):
-    """Expansion of (1 + sign * M)^exponent for the monomial M = key.
-
-    ``cls`` is the series class (TruncatedBiSeries or ZWSeries); the
-    expansion is truncated by that class's grading.  ``sign`` is +1
-    or -1 and ``exponent`` any integer, so every (1 - M)^(-e) factor of
-    an infinite product is covered.
-    """
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    if cls is TruncatedBiSeries:
-        deg = key[0] + abs(key[1])
-    elif cls is ZWSeries:
-        deg = key[1]
-    else:
-        raise TypeError("unsupported series class")
-    if deg <= 0:
-        raise ValueError("factor monomial must have positive degree")
-    terms: dict[Key, int] = {}
-    j = 0
-    while j * deg <= order:
-        c = _generalized_binomial(exponent, j) * (sign ** j)
-        if c:
-            terms[(key[0] * j, key[1] * j)] = c
-        j += 1
-    return cls(order, terms)
-
-
-def truncated_product(factors: Iterable[tuple[object, int]], order: int, *, cls=TruncatedBiSeries):
-    """Product of a (possibly infinite) factor stream, truncated at order.
-
-    Parameters
-    ----------
-    factors : iterable of (series, min_degree)
-        Each series must be 1 + (terms of degree >= min_degree) in the
-        grading of its class.  The declared min_degree values must be
-        nondecreasing and eventually exceed any bound, so that the stream
-        can be cut off once min_degree > order: all later factors are
-        congruent to 1 modulo the truncation.
-    order : int
-        Truncation order; every factor must be built at this order.
-
-    Raises
-    ------
-    BadFactorBound
-        If a factor's content violates its declared minimal degree.
-    OrderMismatch
-        If a factor was built at a different truncation order.
-    """
-    acc = cls.one(order)
-    for f, min_deg in factors:
-        if min_deg > order:
-            break
-        if not isinstance(f, cls):
-            raise TypeError(f"factor is not a {cls.__name__}")
-        if f.order != order:
-            raise OrderMismatch(f"factor order {f.order} != product order {order}")
-        if f.constant_term() != 1:
-            raise BadFactorBound("factor does not have constant term 1")
-        nonconst = f - cls.one(order)
-        if cls is TruncatedBiSeries:
-            lowest = nonconst.min_total_degree()
-            # the cutoff argument needs total degree to add up along the
-            # factor content, which holds only for t-exponents >= 0
-            if any(b < 0 for _, b in nonconst.terms):
-                raise BadFactorBound(
-                    "product factors must not contain negative t-exponents"
-                )
-        else:
-            lowest = nonconst.min_w_degree()
-        if lowest is not None and lowest < min_deg:
-            raise BadFactorBound(
-                f"factor has content in degree {lowest} < declared bound {min_deg}"
-            )
-        acc = acc * f
-    return acc
 
 
 def substitute_z_t__w_q_over_t(g: ZWSeries, order: int) -> TruncatedBiSeries:

@@ -1,5 +1,6 @@
 """Command-line surface: documented invocations, exit codes, schema, determinism."""
 
+import hashlib
 import json
 from importlib import resources
 
@@ -120,6 +121,14 @@ def test_germ_with_branches(capsys, tmp_path):
     }
 
 
+def test_germ_missing_branch_file_is_usage_error(capsys, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["germ", "--poly", "y^2 - x^3", "--branches", str(tmp_path / "absent.br")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("stabctab germ: ") and err.count("\n") == 1
+
+
 def test_germ_bad_poly_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["germ", "--poly", "y^2 - z^3"])
@@ -234,6 +243,49 @@ def test_byte_determinism(capsys):
     _, first = run(capsys, *argv)
     _, second = run(capsys, *argv)
     assert first == second
+
+
+def test_internal_failure_exits_3(capsys, monkeypatch):
+    from stabctab import genfunc
+
+    # an L that is no integer series' log-derivative trips the kernel's guard
+    monkeypatch.setattr(
+        genfunc, "_log_derivative", lambda factors, order: [{}, {}, {0: 1}] + [{}] * (order - 2)
+    )
+    with pytest.raises(SystemExit) as exc:
+        main(["stable-betti", "--b1", "0", "--b2", "10", "--max-k", "4"])
+    assert exc.value.code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("stabctab: internal error: ") and err.count("\n") == 1
+
+
+#: sha256 of stdout, recorded with the factor-by-factor product expansion
+#: that preceded the integer kernel; the records must not change by a byte.
+PINNED_STDOUT_SHA256 = [
+    (("perverse", "--b1", "2", "--b2", "2", "--max-order", "14", "--oracle"),
+     "3a72ff2833be4af01ef88b5b99dec3b7b5da64bbd5160157176b86f978ee11f3",
+     "ea17aa80d117a41de3fda5083586b9c78555c0294780304f53a68ffe0bca0c34"),
+    (("perverse", "--b1", "0", "--b2", "10", "--max-order", "12"),
+     "aaab53a3c10918457520b28279283b30361b4a27aa13c9ad9ecb704e5522ceae",
+     "8edf845ec177e55a6d86e1c0046e90aa08498100287d85da599947b4df78e685"),
+    (("identity", "--b1", "4", "--b2", "6", "--order", "12"),
+     "b029a1c4892cf91382326dcc6013292d384646627694849c8635038a18c72a39",
+     "c07aa6ad1eac8876d43aefb8c855dd1156b5fd3aa64241f2af0493d9ee9c4258"),
+    (("stable-betti", "--b1", "0", "--b2", "10", "--max-k", "30"),
+     "b70d7eb52157dffce53daffcae5990506de7968e116b5c1c8a439e022c14ff41",
+     "6049c0b8491521542e2827233fd5acab3d8192f11c3541ce741120861797c61c"),
+    (("stable-betti", "--b1", "4", "--b2", "11", "--max-k", "40"),
+     "50c639c01a5745f05db811bfc633bc79bbb540d28acf2e8b460a9672cf8b6fb5",
+     "cb4a305ea43d6e97c4d6a3f484286b6b288d6b5ee88090876009444687d41942"),
+]
+
+
+def test_pinned_stdout_digests(capsys):
+    for argv, tsv_sha, json_sha in PINNED_STDOUT_SHA256:
+        for fmt, want in (("tsv", tsv_sha), ("json", json_sha)):
+            code, out = run(capsys, *argv, "--format", fmt)
+            assert code == 0, (argv, fmt)
+            assert hashlib.sha256(out.encode()).hexdigest() == want, (argv, fmt)
 
 
 def test_env_override_of_default_order(capsys, monkeypatch):

@@ -2,20 +2,27 @@
 
 import pytest
 
+from stabctab.errors import InternalIdentityFailure
 from stabctab.genfunc import (
     BIELLIPTIC,
     ENRIQUES,
     PerverseTable,
     SurfaceTopology,
+    _euler_transform,
+    _stable_betti_series,
     check_remark_identity,
     goettsche_series,
     hilb_betti,
     remark_identity_mismatch,
     stable_betti,
     stable_betti_from_perverse,
+    stable_betti_numbers,
     stable_perverse_series,
     stable_perverse_table,
 )
+from stabctab.series import TruncatedBiSeries, ZWSeries
+
+from product_oracle import goettsche_oracle, perverse_oracle, stable_betti_oracle
 
 SMALL_B2 = SurfaceTopology(0, 1, 0)
 B1_FOUR = SurfaceTopology(4, 6, 0)
@@ -54,6 +61,8 @@ def test_stable_betti_examples():
     assert [stable_betti(ENRIQUES, k) for k in range(5)] == [1, 0, 11, 0, 78]
     assert stable_betti(BIELLIPTIC, 1) == 2
     assert stable_betti(B1_FOUR, 0) == 1
+    assert stable_betti_numbers(ENRIQUES, 4) == [1, 0, 11, 0, 78]
+    assert stable_betti_numbers(ENRIQUES, -1) == []
 
 
 def test_stable_perverse_series_enriques():
@@ -173,3 +182,27 @@ def test_goettsche_against_partition_dp():
         for n in range(6):
             for k in range(4 * n + 1):
                 assert dp.get((k, n), 0) == g.coeff(k, n), (surface, k, n)
+
+
+def test_kernel_matches_product_oracle_and_partition_dp():
+    """The Euler-transform kernel against the factor-by-factor expansion
+    (G, H, stable Betti) and the integer DP (G), at every order 0..12."""
+    top = 12
+    for surface in (ENRIQUES, BIELLIPTIC, SMALL_B2, B1_FOUR):
+        g_ref = goettsche_oracle(surface, top)
+        h_ref = perverse_oracle(surface, top)
+        betti_ref = stable_betti_oracle(surface, top)
+        dp = _goettsche_partition_dp(surface.b1, surface.b2, top)
+        for order in range(top + 1):
+            g = goettsche_series(surface, order)
+            assert g == ZWSeries(order, g_ref.terms), (surface, order)
+            assert g == ZWSeries(order, dp), (surface, order)
+            h = stable_perverse_series(surface, order)
+            assert h == TruncatedBiSeries(order, h_ref.terms), (surface, order)
+            assert _stable_betti_series(surface, order) == betti_ref[: order + 1]
+
+
+def test_kernel_rejects_non_log_derivative():
+    # L = s^2 forces 2 * F_2 = 1: no integer series has this log-derivative
+    with pytest.raises(InternalIdentityFailure):
+        _euler_transform([{}, {}, {0: 1}], 2)
