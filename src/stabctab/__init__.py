@@ -45,8 +45,8 @@ from .nslattice import (
     load_lattice,
     n_lower_bound,
 )
-from .perverse import RelHilbBettiTower, build_tower, oracle_check, solve_perverse
-from .series import TruncatedBiSeries, ZWSeries, substitute_z_t__w_q_over_t
+from .perverse import RelHilbBettiTower, build_tower, solve_perverse
+from .series import TruncatedBiSeries
 
 __version__ = "0.1.0"
 
@@ -63,7 +63,6 @@ __all__ = [
     "RelHilbBettiTower",
     "SurfaceTopology",
     "TruncatedBiSeries",
-    "ZWSeries",
     "arithmetic_genus",
     "bielliptic_chi",
     "bielliptic_codim_bound",
@@ -82,13 +81,11 @@ __all__ = [
     "milnor",
     "milnor_formula_check",
     "n_lower_bound",
-    "oracle_check",
     "solve_perverse",
     "stable_betti",
     "stable_betti_from_perverse",
     "stable_betti_numbers",
     "stable_perverse_series",
     "stable_perverse_table",
-    "substitute_z_t__w_q_over_t",
     "tjurina",
 ]

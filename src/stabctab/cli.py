@@ -4,10 +4,17 @@ Every subcommand prints one machine-readable record, as TSV (default)
 or JSON (--format json), and is deterministic: identical invocations
 produce byte-identical output.  Exit codes: 0 success, 1 verification
 failure, 2 usage error, 3 internal error (a coefficient that must be an
-exact nonnegative integer was not: always a bug, never bad input).  The
-environment variable STABCTAB_MAX_ORDER
-overrides the built-in default truncation order (12) used when an order
-flag is not given.
+exact nonnegative integer was not, or the Betti tower the library built
+for ``perverse --oracle`` is inconsistent: always a bug, never bad
+input).  The environment variable STABCTAB_MAX_ORDER overrides the
+built-in default truncation order (12) used when an order flag is not
+given.
+
+``identity`` checks H(zw, z)(1 - z^2) = (1 - w)(1 - z^2 w) G(z, w), the
+change of variables z = t, w = q/t with denominators cleared; a
+``first_difference`` names the key q^n t^(i-n) of the differing z^i w^n
+coefficient and gives the integer coefficients of the two sides there
+(rendered as strings in JSON).
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ import sys
 from fractions import Fraction
 
 from . import genfunc, germ as germ_mod, nslattice, perverse
-from .errors import InternalIdentityFailure, StabctabError
+from .errors import InconsistentTower, InternalIdentityFailure, StabctabError
 from .surd import QuadSurd, format_exact
 
 
@@ -122,7 +129,7 @@ def cmd_identity(args) -> int:
     if mismatch is not None:
         (a, b), lhs, rhs = mismatch
         results["first_difference"] = {
-            "q": a, "t": b, "lhs": _render_value(lhs), "rhs": _render_value(rhs),
+            "q": a, "t": b, "lhs": str(lhs), "rhs": str(rhs),
         }
         tsv.append(("first_difference", f"q^{a} t^{b}: {lhs} != {rhs}"))
         status = 1
@@ -351,7 +358,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit:
         raise
-    except InternalIdentityFailure as exc:
+    except (InternalIdentityFailure, InconsistentTower) as exc:
         parser.exit(3, f"stabctab: internal error: {exc}\n")
     except StabctabError as exc:
         parser.exit(2, f"stabctab: {exc}\n")

@@ -19,11 +19,6 @@ class OutOfOrder(StabctabError):
     """Coefficient query beyond the truncation order."""
 
 
-class LaurentBoundViolated(StabctabError):
-    """A term q^a t^b with b < -a; such terms are never produced by the
-    supported substitutions and are rejected outright."""
-
-
 # --- generating functions ---------------------------------------------------
 
 class InternalIdentityFailure(StabctabError):

@@ -23,7 +23,17 @@ The stable Betti numbers are the coefficients of H(q,q), equivalently of
 
 and the two series are linked by the change of variables z = t, w = q/t:
 H(q,t)/(1-qt) = G(t, q/t) * (1 - q/t) / (1 - t^2).  That identity is the
-main internal cross-check (:func:`check_remark_identity`).
+main internal cross-check (:func:`check_remark_identity`).  It is checked
+with denominators cleared and q = zw, t = z substituted:
+
+      H(zw, z) * (1 - z^2) = (1 - w) * (1 - z^2 w) * G(z, w)
+
+modulo z^(K+1) and w^(K+1).  Every exponent is nonnegative, so this
+truncation is an honest ring quotient: the check compares integer
+coefficients read off the kernel rows of H and G at order K, with no
+inverse and no rational arithmetic.  A mismatch is reported at the key
+q^n t^(i-n) that z^i w^n came from, with the integer coefficients of the
+two sides there.
 
 All three products (Goettsche, Math. Ann. 286, 1990) are expanded by one
 integer kernel.  Each is a product of factors (1 + sign * x^a * s^g)^e
@@ -47,10 +57,9 @@ factors do not multiply to an integer series.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import InternalIdentityFailure
-from .series import TruncatedBiSeries, ZWSeries
+from .series import TruncatedBiSeries
 
 #: Default truncation order for every user-facing computation.
 DEFAULT_ORDER = 12
@@ -173,6 +182,8 @@ def _euler_transform(log_derivative: list[dict[int, int]], order: int) -> list[l
 
 def _product(factors, order: int) -> list[list[int]]:
     """The product of the factors modulo s^(order+1), as rows F_n[x-exponent]."""
+    if order < 0:
+        raise ValueError("truncation order must be nonnegative")
     return _euler_transform(_log_derivative(factors, order), order)
 
 
@@ -192,20 +203,21 @@ def _goettsche_factors(surface: SurfaceTopology, order: int) -> list[Factor]:
     ]
 
 
-def goettsche_series(surface: SurfaceTopology, order: int) -> ZWSeries:
+def goettsche_series(surface: SurfaceTopology, order: int) -> dict[tuple[int, int], int]:
     """The point-counting series G(z, w) truncated at w-degree <= order.
 
-    The coefficient of z^i w^n is the i-th Betti number of the Hilbert
-    scheme of n points; it vanishes unless 0 <= i <= 4n.
+    Returned as {(i, n): coefficient of z^i w^n}, zeros omitted.  The
+    coefficient is the i-th Betti number of the Hilbert scheme of n
+    points; it vanishes unless 0 <= i <= 4n.
     """
     rows = _product(_goettsche_factors(surface, order), order)
-    return ZWSeries(order, {(i, n): c for n, row in enumerate(rows) for i, c in enumerate(row)})
+    return {(i, n): c for n, row in enumerate(rows) for i, c in enumerate(row) if c}
 
 
-def _as_betti(c: Fraction | int, what: str) -> int:
-    if c.denominator != 1 or c < 0:
+def _as_betti(c: int, what: str) -> int:
+    if c < 0:
         raise InternalIdentityFailure(f"{what} = {c} is not a nonnegative integer")
-    return int(c)
+    return c
 
 
 def hilb_betti(surface: SurfaceTopology, n: int, k: int) -> int:
@@ -218,7 +230,7 @@ def hilb_betti(surface: SurfaceTopology, n: int, k: int) -> int:
     if k > 4 * n:
         return 0
     g = goettsche_series(surface, max(n, DEFAULT_ORDER))
-    return _as_betti(g.coeff(k, n), f"b_{k} of the {n}-point Hilbert scheme")
+    return _as_betti(g.get((k, n), 0), f"b_{k} of the {n}-point Hilbert scheme")
 
 
 def _stable_betti_series(surface: SurfaceTopology, order: int) -> list[int]:
@@ -283,68 +295,55 @@ def stable_perverse_series(surface: SurfaceTopology, order: int) -> TruncatedBiS
 def stable_perverse_table(surface: SurfaceTopology, order: int) -> PerverseTable:
     """Tabulate the q^i t^j coefficients of H(q, t) for i + j <= order.
 
-    Raises InternalIdentityFailure if any coefficient fails to be a
-    nonnegative integer; the coefficients are dimensions, so a failure
-    here is a bug, never bad input.
+    Raises InternalIdentityFailure if any coefficient is negative; the
+    coefficients are dimensions, so a failure here is a bug, never bad
+    input.
     """
-    h = stable_perverse_series(surface, order)
-    entries: dict[tuple[int, int], int] = {}
-    for (a, b), c in h.terms.items():
-        if b < 0:
-            raise InternalIdentityFailure(
-                f"perverse series has a negative t-exponent term q^{a} t^{b}"
-            )
-        entries[(a, b)] = _as_betti(c, f"table entry ({a}, {b})")
-    return PerverseTable(order, entries)
+    rows = _product(_perverse_factors(surface, order), order)
+    return PerverseTable(order, {
+        (a, n - a): _as_betti(c, f"table entry ({a}, {n - a})")
+        for n, row in enumerate(rows)
+        for a, c in enumerate(row)
+    })
 
 
-def _remark_sides(surface: SurfaceTopology, order: int):
-    """Both sides of the change-of-variables identity, exact to the order.
-
-    The left side lives in the power-series regime, so computing it at
-    the target order is exact.  The right side mixes negative and
-    positive t-exponents, where total degree is not additive, so it is
-    assembled at working order 4*order: the additive weight a + b/2 of
-    a valid key is at least a quarter of its total degree, hence any
-    key dropped beyond 4*order has weight > order and can never flow
-    back into a key of total degree <= order.  The substitution image
-    keeps exactly the source terms of w-degree <= order: deeper terms
-    have q-degree > order, and q-degrees only grow under products.
-    """
-    lhs = stable_perverse_series(surface, order) * TruncatedBiSeries(
-        order, {(0, 0): 1, (1, 1): -1}
-    ).inverse()
-    work = 4 * order
-    g = goettsche_series(surface, order)
-    image = TruncatedBiSeries(work, {(n, i - n): c for (i, n), c in g.terms.items()})
-    rhs_work = (
-        image
-        * TruncatedBiSeries(work, {(0, 0): 1, (1, -1): -1})
-        * TruncatedBiSeries(work, {(0, 0): 1, (0, 2): -1}).inverse()
-    )
-    return lhs, rhs_work.truncate(order)
+def _at(rows: list[list[int]], r: int, c: int) -> int:
+    """rows[r][c], read as 0 outside the rows."""
+    if 0 <= r < len(rows) and 0 <= c < len(rows[r]):
+        return rows[r][c]
+    return 0
 
 
 def remark_identity_mismatch(
     surface: SurfaceTopology, order: int, perturb: bool = False
 ):
-    """First differing (q, t) coefficient of the change-of-variables identity.
+    """First differing coefficient of the change-of-variables identity.
 
-    Compares H(q,t)/(1-qt) with the substituted point-counting series
-    times (1 - q/t)/(1 - t^2).  Returns None if they agree to the given
-    order, else ((a, b), lhs, rhs) for the first difference in order of
-    total degree.  With perturb=True the left side is deliberately
-    shifted by +1 in its constant term (negative-control hook).
+    Compares the two sides of H(zw, z)(1 - z^2) = (1 - w)(1 - z^2 w) G(z, w)
+    at every z^i w^n with 0 <= i, n <= order.  The H rows are graded by
+    total degree, so H's row i holds the z^i w^n coefficients at index n;
+    the G rows are graded by w, so G's row n holds them at index i.
+    Returns None if the sides agree, else ((n, i - n), lhs, rhs): the key
+    q^n t^(i-n) of the first difference in order of total degree, and the
+    integer coefficients of the two sides there.  With perturb=True the
+    left side is deliberately shifted by +1 in its constant term
+    (negative-control hook).
     """
-    lhs, rhs = _remark_sides(surface, order)
-    if perturb:
-        lhs = lhs + TruncatedBiSeries.one(order)
-    keys = set(lhs.terms) | set(rhs.terms)
-    for a, b in sorted(keys, key=lambda k: (k[0] + abs(k[1]), k)):
-        cl, cr = lhs.terms.get((a, b), Fraction(0)), rhs.terms.get((a, b), Fraction(0))
-        if cl != cr:
-            return (a, b), cl, cr
-    return None
+    h = _product(_perverse_factors(surface, order), order)
+    g = _product(_goettsche_factors(surface, order), order)
+    differences = []
+    for n in range(order + 1):
+        for i in range(order + 1):
+            lhs = _at(h, i, n) - _at(h, i - 2, n)
+            if perturb and i == n == 0:
+                lhs += 1
+            rhs = (_at(g, n, i) - _at(g, n - 1, i)
+                   - _at(g, n - 1, i - 2) + _at(g, n - 2, i - 2))
+            if lhs != rhs:
+                differences.append(((n, i - n), lhs, rhs))
+    if not differences:
+        return None
+    return min(differences, key=lambda d: (d[0][0] + abs(d[0][1]), d[0]))
 
 
 def check_remark_identity(surface: SurfaceTopology, order: int) -> bool:

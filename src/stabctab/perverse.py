@@ -67,7 +67,7 @@ def build_tower(surface: SurfaceTopology, order: int) -> RelHilbBettiTower:
     values: dict[tuple[int, int], int] = {}
     for ell in range(order + 1):
         for m in range(order + 1):
-            betti = _as_betti(g.coeff(m, ell), f"b_{m} of the {ell}-point Hilbert scheme")
+            betti = _as_betti(g.get((m, ell), 0), f"b_{m} of the {ell}-point Hilbert scheme")
             values[(ell, m)] = betti + values.get((ell, m - 2), 0)
     return RelHilbBettiTower(surface, order, values)
 
@@ -102,13 +102,6 @@ def solve_perverse(tower: RelHilbBettiTower) -> PerverseTable:
                 )
             solved[(i, m - i)] = val
     return PerverseTable(order, {k: v for k, v in solved.items() if v})
-
-
-def oracle_check(surface: SurfaceTopology, order: int) -> bool:
-    """True iff the recursion and coefficient extraction agree entrywise."""
-    recursed = solve_perverse(build_tower(surface, order))
-    extracted = stable_perverse_table(surface, order)
-    return recursed == extracted
 
 
 def first_oracle_mismatch(surface: SurfaceTopology, order: int):

@@ -134,12 +134,6 @@ class Poly1:
                 out[k] = out.get(k, Fraction(0)) + c1 * c2
         return Poly1(out)
 
-    def truncate(self, cutoff: int) -> "Poly1":
-        return Poly1({k: c for k, c in self.terms.items() if k < cutoff})
-
-    def coeffs_below(self, cutoff: int) -> list[Fraction]:
-        return [self.terms.get(k, Fraction(0)) for k in range(cutoff)]
-
 
 class Poly2:
     """Bivariate polynomial in (x, y) with exact rational coefficients."""
@@ -170,9 +164,6 @@ class Poly2:
     def at_origin(self) -> Fraction:
         return self.terms.get((0, 0), Fraction(0))
 
-    def total_degree(self) -> int | None:
-        return max((a + b for a, b in self.terms), default=None)
-
     def min_degree(self) -> int | None:
         return min((a + b for a, b in self.terms), default=None)
 
@@ -199,14 +190,6 @@ class Poly2:
     def scale(self, c) -> "Poly2":
         c = Fraction(c)
         return Poly2({k: c * v for k, v in self.terms.items()})
-
-    def shift(self, da: int, db: int) -> "Poly2":
-        """Multiply by the monomial x^da y^db."""
-        return Poly2({(a + da, b + db): c for (a, b), c in self.terms.items()})
-
-    def truncate_degree(self, cutoff: int) -> "Poly2":
-        """Keep terms of total degree < cutoff."""
-        return Poly2({k: c for k, c in self.terms.items() if k[0] + k[1] < cutoff})
 
     def dx(self) -> "Poly2":
         return Poly2({(a - 1, b): a * c for (a, b), c in self.terms.items() if a})

@@ -288,6 +288,48 @@ def test_pinned_stdout_digests(capsys):
             assert hashlib.sha256(out.encode()).hexdigest() == want, (argv, fmt)
 
 
+#: sha256 of the hidden --perturb negative control's stdout (exit 1),
+#: recorded before the identity moved to integer rows; its first
+#: difference keeps the old record format, "lhs"/"rhs" as JSON strings.
+PINNED_PERTURB_SHA256 = (
+    ("identity", "--b1", "0", "--b2", "10", "--order", "6", "--perturb"),
+    "d5c639b44928cbe2999e55127a4324d0371db43706aeb57c431cbe39c51c9a4a",
+    "0b753eccd359b82bb1ed16ca532b4f5086e8ba7671b704243cf821753370b7b0",
+)
+
+
+def test_pinned_perturb_digests(capsys):
+    argv, tsv_sha, json_sha = PINNED_PERTURB_SHA256
+    for fmt, want in (("tsv", tsv_sha), ("json", json_sha)):
+        code, out = run(capsys, *argv, "--format", fmt)
+        assert code == 1, fmt
+        assert hashlib.sha256(out.encode()).hexdigest() == want, fmt
+
+
+def test_negative_order_is_usage_error(capsys):
+    for argv in (("identity", "--b1", "0", "--b2", "10", "--order", "-1"),
+                 ("perverse", "--b1", "0", "--b2", "10", "--max-order", "-1")):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert captured.err == "stabctab: truncation order must be nonnegative\n", argv
+
+
+def test_inconsistent_tower_exits_3(capsys, monkeypatch):
+    from stabctab import perverse
+
+    # a tower whose base row holds 2, which no surface produces
+    monkeypatch.setattr(perverse, "build_tower",
+                        lambda s, k: perverse.RelHilbBettiTower(s, k, {(0, 0): 2}))
+    with pytest.raises(SystemExit) as exc:
+        main(["perverse", "--b1", "0", "--b2", "10", "--max-order", "2", "--oracle"])
+    assert exc.value.code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("stabctab: internal error: ") and err.count("\n") == 1
+
+
 def test_env_override_of_default_order(capsys, monkeypatch):
     monkeypatch.setenv("STABCTAB_MAX_ORDER", "3")
     _, out = run(capsys, "stable-betti", "--b1", "0", "--b2", "10")

@@ -2,6 +2,7 @@
 
 import pytest
 
+from stabctab import genfunc
 from stabctab.errors import InternalIdentityFailure
 from stabctab.genfunc import (
     BIELLIPTIC,
@@ -20,7 +21,7 @@ from stabctab.genfunc import (
     stable_perverse_series,
     stable_perverse_table,
 )
-from stabctab.series import TruncatedBiSeries, ZWSeries
+from stabctab.series import TruncatedBiSeries
 
 from product_oracle import goettsche_oracle, perverse_oracle, stable_betti_oracle
 
@@ -37,15 +38,17 @@ def test_surface_validation():
 
 def test_goettsche_low_coefficients():
     g = goettsche_series(ENRIQUES, 6)
-    assert g.coeff(2, 1) == 10  # b2 of the surface itself
-    assert g.coeff(2, 2) == 11
+    assert g[2, 1] == 10  # b2 of the surface itself
+    assert g[2, 2] == 11
     for n in range(7):
-        assert g.coeff(0, n) == 1
+        assert g[0, n] == 1
+    assert (1, 1) not in g  # zeros are omitted
+    assert all(type(c) is int and c > 0 for c in g.values())
 
 
 def test_goettsche_z_degree_bounded_by_4w():
     g = goettsche_series(BIELLIPTIC, 5)
-    assert all(i <= 4 * n for i, n in g.terms)
+    assert all(i <= 4 * n for i, n in g)
 
 
 def test_hilb_betti_examples():
@@ -110,6 +113,23 @@ def test_remark_identity_perturbed_control():
     assert mismatch is not None
     (a, b), lhs, rhs = mismatch
     assert (a, b) == (0, 0) and lhs == rhs + 1
+    assert mismatch == ((0, 0), 2, 1)
+
+
+def test_remark_identity_catches_dropped_b1_factor(monkeypatch):
+    """Dropping (1 + z^5 w^2)^b1 from G breaks the identity first at
+    z^5 w^2, i.e. at q^2 t^3 of total degree 5: caught at order 8,
+    invisible at order 4."""
+    original = genfunc._goettsche_factors
+    monkeypatch.setattr(
+        genfunc,
+        "_goettsche_factors",
+        lambda s, order: [f for f in original(s, order) if f != (1, 5, 2, s.b1)],
+    )
+    for surface in (BIELLIPTIC, B1_FOUR):
+        mismatch = remark_identity_mismatch(surface, 8)
+        assert mismatch is not None and mismatch[0] == (2, 3), (surface, mismatch)
+        assert remark_identity_mismatch(surface, 4) is None, surface
 
 
 def test_stable_betti_from_perverse():
@@ -181,7 +201,7 @@ def test_goettsche_against_partition_dp():
         g = goettsche_series(surface, 5)
         for n in range(6):
             for k in range(4 * n + 1):
-                assert dp.get((k, n), 0) == g.coeff(k, n), (surface, k, n)
+                assert dp.get((k, n), 0) == g.get((k, n), 0), (surface, k, n)
 
 
 def test_kernel_matches_product_oracle_and_partition_dp():
@@ -195,8 +215,8 @@ def test_kernel_matches_product_oracle_and_partition_dp():
         dp = _goettsche_partition_dp(surface.b1, surface.b2, top)
         for order in range(top + 1):
             g = goettsche_series(surface, order)
-            assert g == ZWSeries(order, g_ref.terms), (surface, order)
-            assert g == ZWSeries(order, dp), (surface, order)
+            assert g == {k: c for k, c in g_ref.items() if k[1] <= order}, (surface, order)
+            assert g == {k: c for k, c in dp.items() if k[1] <= order and c}, (surface, order)
             h = stable_perverse_series(surface, order)
             assert h == TruncatedBiSeries(order, h_ref.terms), (surface, order)
             assert _stable_betti_series(surface, order) == betti_ref[: order + 1]

@@ -8,7 +8,6 @@ from stabctab.perverse import (
     RelHilbBettiTower,
     build_tower,
     first_oracle_mismatch,
-    oracle_check,
     solve_perverse,
 )
 
@@ -36,10 +35,9 @@ def test_solve_single_step():
 
 
 def test_oracle_equivalence():
-    assert oracle_check(ENRIQUES, 10)
-    assert oracle_check(BIELLIPTIC, 10)
-    assert oracle_check(ENRIQUES, 0)
     assert first_oracle_mismatch(ENRIQUES, 10) is None
+    assert first_oracle_mismatch(BIELLIPTIC, 10) is None
+    assert first_oracle_mismatch(ENRIQUES, 0) is None
 
 
 def test_solved_base_row_is_binary():
