@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from . import genfunc, germ as germ_mod, nslattice, perverse
 from .errors import InconsistentTower, InternalIdentityFailure, StabctabError
-from .surd import QuadSurd, format_exact
+from .surd import QuadSurd, format_exact, parse_rational
 
 
 def _usage(msg: str) -> "SystemExit":
@@ -93,7 +93,7 @@ def cmd_perverse(args) -> int:
     tsv = [("i", "j", "n")] + rows
     status = 0
     if args.oracle:
-        mismatch = perverse.first_oracle_mismatch(surface, args.max_order)
+        mismatch = perverse.first_oracle_mismatch(surface, table)
         if mismatch is None:
             results["oracle"] = "AGREE"
             tsv.append(("oracle", "AGREE", ""))
@@ -223,7 +223,7 @@ def cmd_bounds(args) -> int:
             raise _usage("stabctab bounds: the d0 threshold is defined for enriques only")
         try:
             bp = nslattice.BiellipticParams(
-                args.a, args.b, Fraction(args.lam), Fraction(args.mu), args.gamma
+                args.a, args.b, parse_rational(args.lam), parse_rational(args.mu), args.gamma
             )
         except ValueError as exc:
             raise _usage(f"stabctab bounds: {exc}")

@@ -61,7 +61,9 @@ from dataclasses import dataclass, field
 from .errors import InternalIdentityFailure
 from .series import TruncatedBiSeries
 
-#: Default truncation order for every user-facing computation.
+#: Default truncation order of the CLI's order flags (--max-k, --max-order,
+#: --order).  The library builds every series at the order a call asks for:
+#: a coefficient of degree n is exact at any order >= n.
 DEFAULT_ORDER = 12
 
 
@@ -229,7 +231,7 @@ def hilb_betti(surface: SurfaceTopology, n: int, k: int) -> int:
         raise ValueError("n and k must be nonnegative")
     if k > 4 * n:
         return 0
-    g = goettsche_series(surface, max(n, DEFAULT_ORDER))
+    g = goettsche_series(surface, n)
     return _as_betti(g.get((k, n), 0), f"b_{k} of the {n}-point Hilbert scheme")
 
 
@@ -252,7 +254,7 @@ def _stable_betti_series(surface: SurfaceTopology, order: int) -> list[int]:
 def stable_betti_numbers(surface: SurfaceTopology, max_k: int) -> list[int]:
     """Stable Betti numbers b_0..b_max_k (none for max_k < 0), read from
     one product series."""
-    series = _stable_betti_series(surface, max(max_k, DEFAULT_ORDER))
+    series = _stable_betti_series(surface, max(max_k, 0))
     return [
         _as_betti(series[k], f"stable Betti number b_{k}") for k in range(max_k + 1)
     ]
@@ -359,5 +361,5 @@ def stable_betti_from_perverse(surface: SurfaceTopology, k: int) -> int:
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    table = stable_perverse_table(surface, max(k, DEFAULT_ORDER))
+    table = stable_perverse_table(surface, k)
     return sum(table.entry(i, k - i) for i in range(k + 1))

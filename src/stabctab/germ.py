@@ -34,7 +34,7 @@ from .errors import (
     NonIsolatedSingularity,
     TruncationTooSmall,
 )
-from .poly import Poly1, Poly2
+from .poly import Poly
 
 #: Hard cap on the power of the maximal ideal used for mu/tau stabilization.
 MAX_IDEAL_POWER = 64
@@ -44,17 +44,17 @@ MAX_IDEAL_POWER = 64
 class CurveGerm:
     """A bivariate polynomial germ vanishing at the origin."""
 
-    poly: Poly2
+    poly: Poly
 
     def __post_init__(self):
         if not self.poly:
             raise ValueError("zero polynomial does not define a curve germ")
-        if self.poly.at_origin() != 0:
+        if self.poly.constant() != 0:
             raise ValueError("germ must vanish at the origin")
 
     @classmethod
     def from_string(cls, s: str) -> "CurveGerm":
-        return cls(Poly2.parse(s))
+        return cls(Poly.parse(s, ("x", "y")))
 
 
 @dataclass(frozen=True)
@@ -66,12 +66,12 @@ class BranchSet:
     parametrizations (the composed polynomial must vanish identically).
     """
 
-    branches: tuple[tuple[Poly1, Poly1], ...]
+    branches: tuple[tuple[Poly, Poly], ...]
     declared_truncation: int | None = None
 
     def __post_init__(self):
         for xt, yt in self.branches:
-            if xt.at_zero() != 0 or yt.at_zero() != 0:
+            if xt.constant() != 0 or yt.constant() != 0:
                 raise ValueError("branch must pass through the origin")
             if not xt and not yt:
                 raise ValueError("branch must not be identically zero")
@@ -83,7 +83,7 @@ class BranchSet:
     @classmethod
     def from_strings(cls, pairs, declared_truncation: int | None = None) -> "BranchSet":
         return cls(
-            tuple((Poly1.parse(xs), Poly1.parse(ys)) for xs, ys in pairs),
+            tuple((Poly.parse(xs, ("t",)), Poly.parse(ys, ("t",))) for xs, ys in pairs),
             declared_truncation,
         )
 
@@ -125,12 +125,12 @@ def _monomial_index(cutoff: int) -> dict[tuple[int, int], int]:
     return idx
 
 
-def _quotient_dim(gens: list[Poly2], cutoff: int) -> int:
+def _quotient_dim(gens: list[Poly], cutoff: int) -> int:
     """dim of C[x,y] / (ideal(gens) + m^cutoff), supported at the origin."""
     idx = _monomial_index(cutoff)
     rows: list[dict[int, Fraction]] = []
     for g in gens:
-        low = g.min_degree()
+        low = g.low_degree()
         if low is None:
             continue
         for (ma, mb), col in list(idx.items()):
@@ -147,7 +147,7 @@ def _quotient_dim(gens: list[Poly2], cutoff: int) -> int:
     return len(idx) - _sparse_rank(rows)
 
 
-def _stable_local_dim(gens: list[Poly2]) -> int:
+def _stable_local_dim(gens: list[Poly]) -> int:
     gens = [g for g in gens if g]
     cutoff = 2
     while cutoff <= MAX_IDEAL_POWER:
@@ -167,12 +167,12 @@ def _stable_local_dim(gens: list[Poly2]) -> int:
 def milnor(germ: CurveGerm) -> int:
     """Milnor number mu; 0 at a smooth point, NonIsolatedSingularity if the
     Jacobian quotient is infinite-dimensional."""
-    return _stable_local_dim([germ.poly.dx(), germ.poly.dy()])
+    return _stable_local_dim([germ.poly.derivative(0), germ.poly.derivative(1)])
 
 
 def tjurina(germ: CurveGerm) -> int:
     """Tjurina number tau = dim of the quotient by (f, f_x, f_y)."""
-    return _stable_local_dim([germ.poly, germ.poly.dx(), germ.poly.dy()])
+    return _stable_local_dim([germ.poly, germ.poly.derivative(0), germ.poly.derivative(1)])
 
 
 def branch_count(branches: BranchSet) -> int:
@@ -189,14 +189,11 @@ def _validate_branches(germ: CurveGerm, branches: BranchSet, mu: int) -> None:
             f"declared truncation {t0} is below the conductor bound {2 * mu + 2}"
         )
     for k, (xt, yt) in enumerate(branches.branches):
-        if t0 is None:
-            composed = germ.poly.compose_branch(xt, yt, None)
-        else:
-            composed = germ.poly.compose_branch(xt, yt, t0 + 1)
+        composed = germ.poly.substitute((xt, yt), None if t0 is None else t0 + 1)
         if composed:
             raise InvalidBranch(
                 f"branch {k} does not lie on the germ "
-                f"(residual order {composed.order()})"
+                f"(residual order {composed.low_degree()})"
             )
 
 
@@ -207,8 +204,8 @@ def _delta_candidate(germ_branches, r: int, t_trunc: int) -> int:
         for b in range(t_trunc + 1 - a):
             row: dict[int, Fraction] = {}
             for i, (xpows, ypows) in enumerate(germ_branches):
-                img = xpows[a].mul_trunc(ypows[b], t_trunc)
-                for k, c in img.terms.items():
+                img = xpows[a].mul(ypows[b], t_trunc)
+                for (k,), c in img.terms.items():
                     row[i * t_trunc + k] = c
             if row:
                 rows.append(row)
@@ -243,14 +240,10 @@ def delta(germ: CurveGerm, branches: BranchSet) -> int:
     hits = 0
     t_trunc = 4
     while t_trunc <= cap:
-        pows = []
-        for xt, yt in branches.branches:
-            xpows = [Poly1({0: Fraction(1)})]
-            ypows = [Poly1({0: Fraction(1)})]
-            for _ in range(t_trunc):
-                xpows.append(xpows[-1].mul_trunc(xt, t_trunc))
-                ypows.append(ypows[-1].mul_trunc(yt, t_trunc))
-            pows.append((xpows, ypows))
+        pows = [
+            (xt.powers(t_trunc, t_trunc), yt.powers(t_trunc, t_trunc))
+            for xt, yt in branches.branches
+        ]
         cand = _delta_candidate(pows, r, t_trunc)
         # past the conductor bound the cokernel dimension is provably
         # exact (every branch conductor exponent is at most 2*delta and

@@ -37,7 +37,7 @@ from .errors import (
     InvalidSelfIntersection,
     NotEffectiveCandidate,
 )
-from .surd import QuadSurd, exact_ceil, exact_min, sqrt_rational
+from .surd import QuadSurd, exact_ceil, exact_min, parse_rational, sqrt_rational
 
 Vector = tuple[Fraction, ...]
 
@@ -487,7 +487,7 @@ def parse_lattice(text: str) -> LatticeModel:
             if rank is None:
                 raise ValueError("rank must come before ortho_basis")
             basis = tuple(
-                tuple(Fraction(x) for x in next_line().split()) for _ in range(rank)
+                tuple(parse_rational(x) for x in next_line().split()) for _ in range(rank)
             )
         elif word == "ample_tests":
             tests = tuple(int(x) for x in rest.split())

@@ -31,7 +31,6 @@ from .genfunc import (
     SurfaceTopology,
     _as_betti,
     goettsche_series,
-    stable_perverse_table,
 )
 
 
@@ -104,10 +103,10 @@ def solve_perverse(tower: RelHilbBettiTower) -> PerverseTable:
     return PerverseTable(order, {k: v for k, v in solved.items() if v})
 
 
-def first_oracle_mismatch(surface: SurfaceTopology, order: int):
-    """First (i, j) where the two table constructions differ, or None."""
-    recursed = solve_perverse(build_tower(surface, order))
-    extracted = stable_perverse_table(surface, order)
+def first_oracle_mismatch(surface: SurfaceTopology, extracted: PerverseTable):
+    """First (i, j) where the Betti-tower recursion differs from the table
+    extracted from H(q, t) (as stable_perverse_table builds it), or None."""
+    recursed = solve_perverse(build_tower(surface, extracted.order))
     keys = set(recursed.entries) | set(extracted.entries)
     for i, j in sorted(keys, key=lambda k: (k[0] + k[1], k)):
         if recursed.entry(i, j) != extracted.entry(i, j):

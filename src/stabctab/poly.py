@@ -1,17 +1,26 @@
-"""Sparse exact polynomials in one or two variables, plus the term grammar.
+"""Sparse exact polynomials in any number of variables, plus the term grammar.
+
+One class, ``Poly``, serves the branch parametrizations in t and the
+germs in (x, y): its terms map exponent tuples, one entry per variable,
+to nonzero ``Fraction`` coefficients.  Truncation (``cutoff``) always
+keeps the terms of total degree below the cutoff; in one variable that
+is the exponent itself.
 
 The accepted input grammar is deliberately small: a polynomial is a
 '+'/'-' separated list of terms, each term ``c*x^a*y^b`` where the
-rational coefficient ``c`` ("p/q" or an integer) and either variable
-part may be omitted.  Whitespace is ignored, '*' between factors is
-optional, exponents are nonnegative integers, and the Unicode minus
-sign is accepted alongside '-'.
+rational coefficient ``c`` ("p/q" with q >= 1, or an integer) and either
+variable part may be omitted.  Whitespace is ignored, '*' between
+factors is optional, exponents are nonnegative integers, and the Unicode
+minus sign is accepted alongside '-'.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import add
+
+from .surd import parse_rational
 
 _FACTOR = re.compile(r"(\d+/\d+|\d+|[a-zA-Z](?:\^\d+)?)")
 _COEF = re.compile(r"^\d+(/\d+)?$")
@@ -42,8 +51,8 @@ def _split_terms(s: str) -> list[tuple[int, str]]:
 def parse_polynomial(s: str, variables: tuple[str, ...]) -> dict[tuple[int, ...], Fraction]:
     """Parse the grammar above into an exponent-tuple -> coefficient map.
 
-    Raises ValueError for anything outside the grammar or a variable not
-    in ``variables``.
+    Raises ValueError for anything outside the grammar, a zero
+    denominator, or a variable not in ``variables``.
     """
     out: dict[tuple[int, ...], Fraction] = {}
     for sign, body in _split_terms(s):
@@ -62,7 +71,7 @@ def parse_polynomial(s: str, variables: tuple[str, ...]) -> dict[tuple[int, ...]
             if _COEF.match(piece):
                 if seen_coef:
                     raise ValueError(f"two coefficients in term {body!r}")
-                coef *= Fraction(piece)
+                coef *= parse_rational(piece)
                 seen_coef = True
                 continue
             m = _VAR.match(piece)
@@ -74,157 +83,101 @@ def parse_polynomial(s: str, variables: tuple[str, ...]) -> dict[tuple[int, ...]
     return {k: c for k, c in out.items() if c}
 
 
-class Poly1:
-    """Univariate polynomial in t with exact rational coefficients."""
+class Poly:
+    """Polynomial in ``nvars`` variables with exact rational coefficients.
 
-    __slots__ = ("terms",)
+    ``terms`` maps exponent tuples of length ``nvars`` to nonzero
+    Fractions.  The number of variables is stored, not read off the
+    keys, so the zero polynomial still knows its ring.
+    """
 
-    def __init__(self, terms: dict[int, Fraction] | None = None):
+    __slots__ = ("nvars", "terms")
+
+    def __init__(self, nvars: int, terms: dict[tuple[int, ...], Fraction] | None = None):
+        self.nvars = nvars
         self.terms = {k: Fraction(c) for k, c in (terms or {}).items() if c}
-        if any(k < 0 for k in self.terms):
-            raise ValueError("negative exponent in Poly1")
+        if any(len(k) != nvars or min(k) < 0 for k in self.terms):
+            raise ValueError(f"exponent keys must be {nvars} nonnegative integers")
 
     @classmethod
-    def parse(cls, s: str, var: str = "t") -> "Poly1":
-        return cls({k[0]: c for k, c in parse_polynomial(s, (var,)).items()})
+    def parse(cls, s: str, variables: tuple[str, ...]) -> "Poly":
+        return cls(len(variables), parse_polynomial(s, variables))
 
     def __bool__(self) -> bool:
         return bool(self.terms)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Poly1) and self.terms == other.terms
+        return (isinstance(other, Poly) and self.nvars == other.nvars
+                and self.terms == other.terms)
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash((self.nvars, frozenset(self.terms.items())))
 
     def __repr__(self):
-        return f"Poly1({self.terms!r})"
+        return f"Poly({self.nvars}, {self.terms!r})"
 
-    def at_zero(self) -> Fraction:
-        return self.terms.get(0, Fraction(0))
+    def constant(self) -> Fraction:
+        return self.terms.get((0,) * self.nvars, Fraction(0))
 
-    def order(self) -> int | None:
-        """Smallest exponent with nonzero coefficient (None for 0)."""
-        return min(self.terms) if self.terms else None
+    def low_degree(self) -> int | None:
+        """Smallest total degree of a term (None for 0)."""
+        return min((sum(k) for k in self.terms), default=None)
 
-    def __add__(self, other: "Poly1") -> "Poly1":
+    def __add__(self, other: "Poly") -> "Poly":
         out = dict(self.terms)
         for k, c in other.terms.items():
             out[k] = out.get(k, Fraction(0)) + c
-        return Poly1(out)
+        return Poly(self.nvars, out)
 
-    def __sub__(self, other: "Poly1") -> "Poly1":
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, Fraction(0)) - c
-        return Poly1(out)
+    def __sub__(self, other: "Poly") -> "Poly":
+        return self + other.scale(-1)
 
-    def scale(self, c) -> "Poly1":
+    def scale(self, c) -> "Poly":
         c = Fraction(c)
-        return Poly1({k: c * v for k, v in self.terms.items()})
+        return Poly(self.nvars, {k: c * v for k, v in self.terms.items()})
 
-    def mul_trunc(self, other: "Poly1", cutoff: int | None) -> "Poly1":
-        """Product, keeping exponents < cutoff (no cutoff if None)."""
-        out: dict[int, Fraction] = {}
+    def mul(self, other: "Poly", cutoff: int | None = None) -> "Poly":
+        """Product, keeping terms of total degree < cutoff (all if None)."""
+        right = [(k, sum(k), c) for k, c in other.terms.items()]
+        out: dict[tuple[int, ...], Fraction] = {}
         for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                k = k1 + k2
-                if cutoff is not None and k >= cutoff:
+            room = None if cutoff is None else cutoff - sum(k1)
+            for k2, d2, c2 in right:
+                if room is not None and d2 >= room:
                     continue
+                k = tuple(map(add, k1, k2))
                 out[k] = out.get(k, Fraction(0)) + c1 * c2
-        return Poly1(out)
+        return Poly(self.nvars, out)
 
+    def derivative(self, i: int) -> "Poly":
+        """Partial derivative in the i-th variable."""
+        return Poly(self.nvars, {
+            k[:i] + (k[i] - 1,) + k[i + 1:]: k[i] * c
+            for k, c in self.terms.items() if k[i]
+        })
 
-class Poly2:
-    """Bivariate polynomial in (x, y) with exact rational coefficients."""
+    def powers(self, n: int, cutoff: int | None = None) -> list["Poly"]:
+        """[1, self, ..., self^n], each truncated at total degree cutoff."""
+        out = [Poly(self.nvars, {(0,) * self.nvars: 1})]
+        for _ in range(n):
+            out.append(out[-1].mul(self, cutoff))
+        return out
 
-    __slots__ = ("terms",)
+    def substitute(self, images: tuple["Poly", ...], cutoff: int | None = None) -> "Poly":
+        """self(images[0], ..., images[nvars - 1]), truncated at total degree cutoff.
 
-    def __init__(self, terms: dict[tuple[int, int], Fraction] | None = None):
-        self.terms = {k: Fraction(c) for k, c in (terms or {}).items() if c}
-        if any(a < 0 or b < 0 for a, b in self.terms):
-            raise ValueError("negative exponent in Poly2")
-
-    @classmethod
-    def parse(cls, s: str) -> "Poly2":
-        return cls(parse_polynomial(s, ("x", "y")))
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Poly2) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __repr__(self):
-        return f"Poly2({self.terms!r})"
-
-    def at_origin(self) -> Fraction:
-        return self.terms.get((0, 0), Fraction(0))
-
-    def min_degree(self) -> int | None:
-        return min((a + b for a, b in self.terms), default=None)
-
-    def __add__(self, other: "Poly2") -> "Poly2":
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, Fraction(0)) + c
-        return Poly2(out)
-
-    def __sub__(self, other: "Poly2") -> "Poly2":
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, Fraction(0)) - c
-        return Poly2(out)
-
-    def __mul__(self, other: "Poly2") -> "Poly2":
-        out: dict[tuple[int, int], Fraction] = {}
-        for (a1, b1), c1 in self.terms.items():
-            for (a2, b2), c2 in other.terms.items():
-                k = (a1 + a2, b1 + b2)
-                out[k] = out.get(k, Fraction(0)) + c1 * c2
-        return Poly2(out)
-
-    def scale(self, c) -> "Poly2":
-        c = Fraction(c)
-        return Poly2({k: c * v for k, v in self.terms.items()})
-
-    def dx(self) -> "Poly2":
-        return Poly2({(a - 1, b): a * c for (a, b), c in self.terms.items() if a})
-
-    def dy(self) -> "Poly2":
-        return Poly2({(a, b - 1): b * c for (a, b), c in self.terms.items() if b})
-
-    def compose_branch(self, xt: Poly1, yt: Poly1, cutoff: int | None) -> Poly1:
-        """Evaluate at x = xt(t), y = yt(t), keeping t-exponents < cutoff."""
-        xpows: list[Poly1] = [Poly1({0: Fraction(1)})]
-        ypows: list[Poly1] = [Poly1({0: Fraction(1)})]
-        max_a = max((a for a, _ in self.terms), default=0)
-        max_b = max((b for _, b in self.terms), default=0)
-        for _ in range(max_a):
-            xpows.append(xpows[-1].mul_trunc(xt, cutoff))
-        for _ in range(max_b):
-            ypows.append(ypows[-1].mul_trunc(yt, cutoff))
-        acc = Poly1()
-        for (a, b), c in self.terms.items():
-            acc = acc + xpows[a].mul_trunc(ypows[b], cutoff).scale(c)
-        return acc
-
-    def substitute_linear(self, m00, m01, m10, m11) -> "Poly2":
-        """Precompose with the linear map (x, y) -> (m00 x + m01 y, m10 x + m11 y)."""
-        u = Poly2({(1, 0): Fraction(m00), (0, 1): Fraction(m01)})
-        v = Poly2({(1, 0): Fraction(m10), (0, 1): Fraction(m11)})
-        max_a = max((a for a, _ in self.terms), default=0)
-        max_b = max((b for _, b in self.terms), default=0)
-        upows = [Poly2({(0, 0): Fraction(1)})]
-        vpows = [Poly2({(0, 0): Fraction(1)})]
-        for _ in range(max_a):
-            upows.append(upows[-1] * u)
-        for _ in range(max_b):
-            vpows.append(vpows[-1] * v)
-        acc = Poly2()
-        for (a, b), c in self.terms.items():
-            acc = acc + (upows[a] * vpows[b]).scale(c)
+        The images share one ring, whose number of variables the result takes.
+        """
+        if len(images) != self.nvars:
+            raise ValueError(f"need {self.nvars} images, got {len(images)}")
+        tables = [
+            img.powers(max((k[i] for k in self.terms), default=0), cutoff)
+            for i, img in enumerate(images)
+        ]
+        acc = Poly(images[0].nvars)
+        for key, c in self.terms.items():
+            term = tables[0][key[0]]
+            for table, e in zip(tables[1:], key[1:]):
+                term = term.mul(table[e], cutoff)
+            acc = acc + term.scale(c)
         return acc

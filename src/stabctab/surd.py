@@ -212,3 +212,11 @@ def format_exact(x) -> str:
         return str(x)
     x = Fraction(x)
     return str(x)
+
+
+def parse_rational(text: str) -> Fraction:
+    """Fraction(text), reporting a zero denominator as bad input (ValueError)."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None

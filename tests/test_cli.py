@@ -76,6 +76,25 @@ def test_perverse_oracle_disagreement_exits_1(capsys, monkeypatch):
     assert "DISAGREE" in out and "(1,1)" in out
 
 
+def test_perverse_oracle_builds_each_series_once(capsys, monkeypatch):
+    from stabctab import genfunc
+
+    calls = []
+    product = genfunc._product
+
+    def counting_product(factors, order):
+        calls.append((list(factors), order))
+        return product(factors, order)
+
+    monkeypatch.setattr(genfunc, "_product", counting_product)
+    code, _ = run(capsys, "perverse", "--b1", "0", "--b2", "10",
+                  "--max-order", "12", "--oracle")
+    assert code == 0
+    surface = genfunc.ENRIQUES
+    assert calls == [(genfunc._perverse_factors(surface, 12), 12),
+                     (genfunc._goettsche_factors(surface, 12), 12)]
+
+
 def test_identity_pass(capsys):
     code, out = run(capsys, "identity", "--b1", "0", "--b2", "10", "--order", "12")
     assert code == 0
@@ -133,6 +152,33 @@ def test_germ_bad_poly_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["germ", "--poly", "y^2 - z^3"])
     assert exc.value.code == 2
+
+
+BIELLIPTIC_BOUNDS = ("bounds", "--surface", "bielliptic", "--a", "1", "--b", "1",
+                     "--gamma", "2", "--d", "3")
+ZERO_DENOMINATOR_LATTICE = (
+    "rank 2\ngram\n0 2\n2 0\nample_witness 1 1\n"
+    "ortho_basis\n1/0 1\n1 -1\nample_tests 2\n"
+)
+
+
+@pytest.mark.parametrize("argv, file_text", [
+    (("germ", "--poly", "x^2+1/0*y^3"), None),
+    (("germ", "--poly", "y^2 - x^3", "--branches", "FILE"), "t^2 ; 1/0\n"),
+    (("decompose", "--lattice", "FILE", "--beta", "1,1"), ZERO_DENOMINATOR_LATTICE),
+    (BIELLIPTIC_BOUNDS + ("--lambda", "1/0", "--mu", "1"), None),
+    (BIELLIPTIC_BOUNDS + ("--lambda", "1", "--mu", "1/0"), None),
+], ids=["poly", "branch-file", "lattice-file", "lambda", "mu"])
+def test_zero_denominator_is_usage_error(capsys, tmp_path, argv, file_text):
+    path = tmp_path / "input.txt"
+    if file_text is not None:
+        path.write_text(file_text)
+    with pytest.raises(SystemExit) as exc:
+        main([str(path) if a == "FILE" else a for a in argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "zero denominator" in captured.err
 
 
 def test_bounds_enriques_d0(capsys):
@@ -260,7 +306,8 @@ def test_internal_failure_exits_3(capsys, monkeypatch):
 
 
 #: sha256 of stdout, recorded with the factor-by-factor product expansion
-#: that preceded the integer kernel; the records must not change by a byte.
+#: that preceded the integer kernel (the germ entry: with the two-class
+#: polynomial layer); the records must not change by a byte.
 PINNED_STDOUT_SHA256 = [
     (("perverse", "--b1", "2", "--b2", "2", "--max-order", "14", "--oracle"),
      "3a72ff2833be4af01ef88b5b99dec3b7b5da64bbd5160157176b86f978ee11f3",
@@ -277,6 +324,9 @@ PINNED_STDOUT_SHA256 = [
     (("stable-betti", "--b1", "4", "--b2", "11", "--max-k", "40"),
      "50c639c01a5745f05db811bfc633bc79bbb540d28acf2e8b460a9672cf8b6fb5",
      "cb4a305ea43d6e97c4d6a3f484286b6b288d6b5ee88090876009444687d41942"),
+    (("germ", "--poly", "x^3*y - x*y^3"),
+     "d4f7a817ea494a60e4b3432450e625839bca0fa2c78b14075f7c950ed01e4699",
+     "9a6d046fd5cd245871e0211fa2f457cce52a2716fcc1d226410e9256351d86fe"),
 ]
 
 
@@ -286,6 +336,22 @@ def test_pinned_stdout_digests(capsys):
             code, out = run(capsys, *argv, "--format", fmt)
             assert code == 0, (argv, fmt)
             assert hashlib.sha256(out.encode()).hexdigest() == want, (argv, fmt)
+
+
+#: TSV sha256 of the tacnode germ with its shipped branch file, recorded
+#: with the two-class polynomial layer; the JSON record is not pinned
+#: because it holds the branch-file path.
+PINNED_TACNODE_TSV_SHA256 = (
+    "a020e730b37fb7c81eafe10a0e3007ecd0d49f5968e964e70191307eb674decf"
+)
+
+
+def test_pinned_germ_branches_digest(capsys):
+    path = resources.files("stabctab").joinpath("data/branches/tacnode.br")
+    with resources.as_file(path) as branch_file:
+        code, out = run(capsys, "germ", "--poly", "y^2 - x^4", "--branches", str(branch_file))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_TACNODE_TSV_SHA256
 
 
 #: sha256 of the hidden --perturb negative control's stdout (exit 1),

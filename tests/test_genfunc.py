@@ -60,6 +60,22 @@ def test_hilb_betti_examples():
     assert hilb_betti(ENRIQUES, 1, 5) == 0  # beyond cohomological range
 
 
+def test_library_builds_at_the_order_asked(monkeypatch):
+    orders = []
+    product = genfunc._product
+
+    def recording_product(factors, order):
+        orders.append(order)
+        return product(factors, order)
+
+    monkeypatch.setattr(genfunc, "_product", recording_product)
+    assert hilb_betti(ENRIQUES, 3, 2) == 11
+    assert stable_betti(ENRIQUES, 2) == 11
+    assert stable_betti_from_perverse(ENRIQUES, 4) == 78
+    assert stable_betti_numbers(ENRIQUES, -1) == []
+    assert orders == [3, 2, 4, 0]
+
+
 def test_stable_betti_examples():
     assert [stable_betti(ENRIQUES, k) for k in range(5)] == [1, 0, 11, 0, 78]
     assert stable_betti(BIELLIPTIC, 1) == 2

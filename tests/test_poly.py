@@ -1,0 +1,60 @@
+"""The polynomial grammar and the sparse Poly class, as properties."""
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from stabctab.poly import Poly, parse_polynomial
+
+#: deterministic runs and no example database on disk; each test bounds
+#: its own example count to keep the suite fast
+PROPERTY = settings(derandomize=True, database=None, deadline=None)
+
+GRAMMAR_TEXT = st.text(alphabet="xyzt0123456789/^*+- −\t", max_size=24)
+
+
+@settings(PROPERTY, max_examples=300)
+@given(GRAMMAR_TEXT)
+def test_any_grammar_text_parses_or_is_a_value_error(text):
+    for variables in (("x", "y"), ("t",)):
+        try:
+            parsed = parse_polynomial(text, variables)
+        except ValueError:
+            continue
+        assert all(len(k) == len(variables) and min(k) >= 0 for k in parsed)
+        assert all(type(c) is Fraction and c for c in parsed.values())
+
+
+def render(poly: Poly, variables, style) -> str:
+    """Write poly in the input grammar; style picks optional spellings."""
+    if not poly:
+        return "0"
+    star, space, minus = style
+    out = []
+    for key, c in sorted(poly.terms.items()):
+        factors = [str(abs(c))] + [
+            f"{v}^{e}" if e > 1 else v for v, e in zip(variables, key) if e
+        ]
+        sign = minus if c < 0 else "+"
+        out.append(f"{space}{sign}{space}" + ("*" if star else "").join(factors))
+    return "".join(out)
+
+
+@st.composite
+def sparse_polys(draw):
+    variables = draw(st.sampled_from([("t",), ("x", "y")]))
+    coefficients = st.builds(
+        Fraction, st.integers(-50, 50), st.integers(1, 12)
+    ).filter(bool)
+    keys = st.tuples(*[st.integers(0, 9)] * len(variables))
+    terms = draw(st.dictionaries(keys, coefficients, max_size=6))
+    return Poly(len(variables), terms), variables
+
+
+@settings(PROPERTY, max_examples=100)
+@given(sparse_polys(), st.tuples(st.booleans(), st.sampled_from(["", " ", "\t"]),
+                                 st.sampled_from(["-", "−"])))
+def test_rendered_poly_parses_back_equal(poly_and_variables, style):
+    poly, variables = poly_and_variables
+    assert Poly.parse(render(poly, variables, style), variables) == poly
