@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from . import genfunc, germ as germ_mod, nslattice, perverse
 from .errors import InconsistentTower, InternalIdentityFailure, StabctabError
-from .surd import QuadSurd, format_exact, parse_rational
+from .surd import QuadSurd, parse_rational
 
 
 def _usage(msg: str) -> "SystemExit":
@@ -51,10 +51,8 @@ def _default_order() -> int:
 def _render_value(x):
     """JSON-safe exact rendering: ints stay ints, rationals become 'p/q',
     surds become 'p+q*sqrt(n)'."""
-    if isinstance(x, bool) or isinstance(x, int):
-        return x
     if isinstance(x, (Fraction, QuadSurd)):
-        return format_exact(x)
+        return str(x)
     return x
 
 
@@ -202,12 +200,6 @@ def cmd_bounds(args) -> int:
             params["generic"] = bool(args.generic)
             terms = nslattice.enriques_codim_terms(args.beta_sq, args.d, args.generic)
             bound = nslattice.enriques_codim_bound(args.beta_sq, args.d, args.generic)
-            results["codim_bound"] = _render_value(bound)
-            results["n_bound"] = nslattice.n_lower_bound(bound)
-            results["governing_case"] = _governing_text(
-                nslattice.governing_cases(terms, bound)
-            )
-            results["case_bounds"] = [[label, _render_value(v)] for label, v in terms]
         else:
             params["i"], params["j"] = args.i, args.j
             results["d0"] = nslattice.enriques_d0(args.beta_sq, args.i, args.j)
@@ -233,17 +225,19 @@ def cmd_bounds(args) -> int:
         )
         terms = nslattice.bielliptic_codim_terms(bp, args.d)
         bound = nslattice.bielliptic_codim_bound(bp, args.d)
+        provenance = (
+            "three-case codimension bounds in the fiber-class basis of a "
+            "bielliptic surface"
+        )
+    if want_d:
         results["codim_bound"] = _render_value(bound)
         results["n_bound"] = nslattice.n_lower_bound(bound)
         results["governing_case"] = _governing_text(
             nslattice.governing_cases(terms, bound)
         )
         results["case_bounds"] = [[label, _render_value(v)] for label, v in terms]
+    if args.surface == "bielliptic":
         results["dim_ls"] = _render_value(nslattice.bielliptic_dim_ls(bp, args.d))
-        provenance = (
-            "three-case codimension bounds in the fiber-class basis of a "
-            "bielliptic surface"
-        )
     record = {
         "command": "bounds",
         "parameters": params,

@@ -36,7 +36,8 @@ from .errors import (
 )
 from .poly import Poly
 
-#: Hard cap on the power of the maximal ideal used for mu/tau stabilization.
+#: Hard cap on the power of the maximal ideal used for mu/tau stabilization;
+#: m^mu lies in an ideal of colength mu, so it caps mu and tau at 64.
 MAX_IDEAL_POWER = 64
 
 
@@ -157,7 +158,9 @@ def _stable_local_dim(gens: list[Poly]) -> int:
             return d_here
         cutoff *= 2
     raise NonIsolatedSingularity(
-        f"quotient dimension still growing at maximal-ideal power {MAX_IDEAL_POWER}"
+        f"quotient dimension still growing at maximal-ideal power {MAX_IDEAL_POWER}: "
+        "the singularity is non-isolated or its mu/tau exceeds the cap of "
+        f"{MAX_IDEAL_POWER}"
     )
 
 
@@ -166,7 +169,7 @@ def _stable_local_dim(gens: list[Poly]) -> int:
 
 def milnor(germ: CurveGerm) -> int:
     """Milnor number mu; 0 at a smooth point, NonIsolatedSingularity if the
-    Jacobian quotient is infinite-dimensional."""
+    Jacobian quotient is infinite-dimensional or mu exceeds MAX_IDEAL_POWER."""
     return _stable_local_dim([germ.poly.derivative(0), germ.poly.derivative(1)])
 
 
@@ -225,8 +228,9 @@ def delta(germ: CurveGerm, branches: BranchSet) -> int:
         A parametrization does not satisfy the germ equation to the
         declared precision.
     TruncationTooSmall
-        Declared precision below the conductor bound, or the cokernel
-        dimension failed to stabilize within the available precision.
+        Declared precision below the conductor bound, the cokernel
+        dimension exceeds mu past the conductor bound, or it failed to
+        stabilize within the available precision.
     EmptyBranchSet
         No branches supplied.
     """
@@ -248,9 +252,14 @@ def delta(germ: CurveGerm, branches: BranchSet) -> int:
         # past the conductor bound the cokernel dimension is provably
         # exact (every branch conductor exponent is at most 2*delta and
         # delta <= mu); cand > mu there means the branch data is bad,
-        # e.g. a reparametrized duplicate, so keep looping into the error
-        if t_trunc >= 2 * mu + 2 and cand <= mu:
-            return cand
+        # e.g. a reparametrized duplicate, and no larger T can mend it
+        if t_trunc >= 2 * mu + 2:
+            if cand <= mu:
+                return cand
+            raise TruncationTooSmall(
+                f"cokernel dimension {cand} at t-degree {t_trunc} exceeds "
+                f"mu = {mu} past the conductor bound; the branch data is inconsistent"
+            )
         if cand == prev:
             hits += 1
         else:

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
@@ -37,7 +38,7 @@ from .errors import (
     InvalidSelfIntersection,
     NotEffectiveCandidate,
 )
-from .surd import QuadSurd, exact_ceil, exact_min, parse_rational, sqrt_rational
+from .surd import parse_rational, sqrt_rational
 
 Vector = tuple[Fraction, ...]
 
@@ -151,21 +152,16 @@ class LatticeModel:
             out.extend([plus, minus])
         return out
 
-    def ortho_coords(self, v) -> list[Fraction]:
-        """Coordinates of v in the orthogonal basis (exact, per projection)."""
-        coords = []
-        for dvec in self.ortho_basis:
-            denom = _dot(self.gram, dvec, dvec)
-            coords.append(_dot(self.gram, v, dvec) / denom)
-        return coords
-
 
 def decompose(model: LatticeModel, beta) -> list[tuple[DivisorClass, DivisorClass]]:
     """All integer pairs (theta1, theta2) with theta1 + theta2 = beta passing
     every positivity test on both sides, in lexicographic order of theta1.
 
     Positivity means strictly positive pairing with D_1 and with every
-    declared ample test class.  The enumeration box comes from the same
+    declared ample test class T.  Each T is read as the integer linear
+    form f_T = c_T (T . gram), c_T > 0 the least integer that clears its
+    denominators, and theta1 is accepted exactly when 0 < f_T(theta1) <
+    f_T(beta) for every T.  The enumeration box comes from the same
     inequalities expressed in orthogonal coordinates: 0 < x_1 < a_1 and
     |x_l| < n_l x_1 D_1^2 / (-D_l^2) <= n_l a_1 D_1^2 / (-D_l^2).
 
@@ -177,23 +173,23 @@ def decompose(model: LatticeModel, beta) -> list[tuple[DivisorClass, DivisorClas
         raise NotEffectiveCandidate(
             "class pairs non-positively with the ample witness"
         )
-    a = model.ortho_coords(beta)
-    if a[0] <= 0:
-        return []
-    # integrality shortcut: theta.T takes values in (1/q)Z for integral
-    # theta, so both sides can pair positively with T only if beta.T
-    # admits two positive increments
+    forms = []
     for t in model.test_classes():
-        q = math.lcm(*(Fraction(c).denominator for c in t))
-        if model.ip(beta, t) * q < 2:
-            return []
+        row = [sum(map(operator.mul, t, gram_row)) for gram_row in model.gram]
+        scale = math.lcm(*(x.denominator for x in row))
+        forms.append([int(x * scale) for x in row])
+    f_beta = [sum(map(operator.mul, f, beta)) for f in forms]
+    # f_T(theta1) must be an integer strictly between 0 and f_T(beta)
+    if min(f_beta) < 2:
+        return []
     d = model.ortho_basis
     d1_sq = model.ip(d[0], d[0])
+    a1 = model.ip(beta, d[0]) / d1_sq
     # interval for each orthogonal coordinate of theta1
-    intervals: list[tuple[Fraction, Fraction]] = [(Fraction(0), a[0])]
+    intervals: list[tuple[Fraction, Fraction]] = [(Fraction(0), a1)]
     for ell, n in enumerate(model.ample_tests, start=2):
         neg_sq = -model.ip(d[ell - 1], d[ell - 1])
-        m = n * a[0] * d1_sq / neg_sq
+        m = n * a1 * d1_sq / neg_sq
         intervals.append((-m, m))
     # push the orthogonal box through the basis to bound gram coordinates
     lo = [Fraction(0)] * model.rank
@@ -206,8 +202,8 @@ def decompose(model: LatticeModel, beta) -> list[tuple[DivisorClass, DivisorClas
     ranges = []
     total = 1
     for i in range(model.rank):
-        lo_i = exact_ceil(lo[i])
-        hi_i = -exact_ceil(-hi[i])  # floor
+        lo_i = math.ceil(lo[i])
+        hi_i = math.floor(hi[i])
         if lo_i > hi_i:
             return []
         total *= hi_i - lo_i + 1
@@ -215,17 +211,10 @@ def decompose(model: LatticeModel, beta) -> list[tuple[DivisorClass, DivisorClas
             raise ValueError("decomposition enumeration region is too large")
         ranges.append(range(lo_i, hi_i + 1))
 
-    tests = model.test_classes()
-
-    def passes(v) -> bool:
-        return all(model.ip(t, v) > 0 for t in tests)
-
     out = []
     for theta1 in itertools.product(*ranges):
-        theta2 = tuple(b - t for b, t in zip(beta, theta1))
-        if passes(theta1) and passes(theta2):
-            out.append((theta1, theta2))
-    out.sort()
+        if all(0 < sum(map(operator.mul, f, theta1)) < fb for f, fb in zip(forms, f_beta)):
+            out.append((theta1, tuple(b - t for b, t in zip(beta, theta1))))
     return out
 
 
@@ -304,7 +293,7 @@ def enriques_codim_bound(beta_sq: int, d: int, generic: bool = False):
     forces its codimension above the minimum of the remaining cases.
     """
     terms = enriques_codim_terms(beta_sq, d, generic)
-    return exact_min(v for _, v in terms if v > 0)
+    return min(v for _, v in terms if v > 0)
 
 
 def governing_cases(terms, bound) -> list[str]:
@@ -318,7 +307,7 @@ def governing_cases(terms, bound) -> list[str]:
 
 def n_lower_bound(codim_bound) -> int:
     """N = 2*ceil(codim) - 2, floored at -2 (vacuous below that)."""
-    return max(2 * exact_ceil(codim_bound) - 2, -2)
+    return max(2 * math.ceil(codim_bound) - 2, -2)
 
 
 def enriques_d0(beta_sq: int, i: int, j: int) -> int:
@@ -334,17 +323,13 @@ def enriques_d0(beta_sq: int, i: int, j: int) -> int:
         )
     if i < 0 or j < 0:
         raise ValueError("i and j must be nonnegative")
-    s = sqrt_rational(2 * beta_sq)
-    if isinstance(s, QuadSurd):
-        inv_2s = QuadSurd(Fraction(0), Fraction(1, 2) / (s.coef * s.radicand), s.radicand)
-    else:
-        inv_2s = Fraction(1, 2) / s
     terms = [
         2,
         i + 1,
-        exact_ceil(Fraction(i + j + 2, 2)),
-        exact_ceil((i + j + 6) * inv_2s),
-        exact_ceil(sqrt_rational(Fraction(2 * i + 2 * j + 6, beta_sq))),
+        math.ceil(Fraction(i + j + 2, 2)),
+        # (i + j + 6) / (2 sqrt(2 beta^2))
+        math.ceil(sqrt_rational(Fraction((i + j + 6) ** 2, 8 * beta_sq))),
+        math.ceil(sqrt_rational(Fraction(2 * i + 2 * j + 6, beta_sq))),
     ]
     return max(terms)
 
@@ -434,7 +419,7 @@ def bielliptic_codim_bound(params: BiellipticParams, d: int):
     The minimum of the three case bounds, reported as-is even when
     vacuous (nonpositive).
     """
-    return exact_min(v for _, v in bielliptic_codim_terms(params, d))
+    return min(v for _, v in bielliptic_codim_terms(params, d))
 
 
 # --- lattice files ------------------------------------------------------------

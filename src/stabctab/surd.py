@@ -3,7 +3,9 @@
 The codimension bounds contain square roots of rational numbers; they
 are kept symbolic and compared, floored and ceiled exactly by integer
 arithmetic (math.isqrt plus sign analysis by squaring).  No floating
-point is involved anywhere.
+point is involved anywhere.  QuadSurd speaks Python's numeric protocol:
+math.floor and math.ceil, min and max over mixed lists with int and
+Fraction (whose comparisons reflect to it), and str.
 """
 
 from __future__ import annotations
@@ -11,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-Exact = "Fraction | QuadSurd"
 
 
 def _squarefree_split(n: int) -> tuple[int, int]:
@@ -164,7 +164,7 @@ class QuadSurd:
         return guess
 
     def __ceil__(self) -> int:
-        return -((-1 * self).__floor__())
+        return -math.floor(-self)
 
     def __neg__(self):
         return QuadSurd(-self.rat, -self.coef, self.radicand)
@@ -173,45 +173,6 @@ class QuadSurd:
         return f"{self.rat}+{self.coef}*sqrt({self.radicand})"
 
     __repr__ = __str__
-
-
-def exact_ceil(x) -> int:
-    """Ceiling of an int, Fraction or QuadSurd, computed exactly."""
-    if isinstance(x, int):
-        return x
-    if isinstance(x, Fraction):
-        return -((-x).__floor__())
-    if isinstance(x, QuadSurd):
-        return x.__ceil__()
-    raise TypeError(f"cannot take exact ceiling of {type(x).__name__}")
-
-
-def exact_min(values):
-    """Minimum of a mixed list of Fractions and QuadSurds."""
-    values = list(values)
-    if not values:
-        raise ValueError("empty minimum")
-    best = values[0]
-    for v in values[1:]:
-        if _less(v, best):
-            best = v
-    return best
-
-
-def _less(a, b) -> bool:
-    if isinstance(a, QuadSurd):
-        return a < b
-    if isinstance(b, QuadSurd):
-        return b > a
-    return a < b
-
-
-def format_exact(x) -> str:
-    """Render an exact value: integers plain, rationals p/q, surds p+q*sqrt(n)."""
-    if isinstance(x, QuadSurd):
-        return str(x)
-    x = Fraction(x)
-    return str(x)
 
 
 def parse_rational(text: str) -> Fraction:

@@ -148,6 +148,20 @@ def test_germ_missing_branch_file_is_usage_error(capsys, tmp_path):
     assert err.startswith("stabctab germ: ") and err.count("\n") == 1
 
 
+def test_germ_milnor_cap_boundary(capsys):
+    # A_64 has mu = 64, the largest the maximal-ideal power cap certifies
+    code, out = run(capsys, "germ", "--poly", "y^2 - x^65")
+    assert code == 0
+    assert tsv_rows(out) == [["mu", "64"], ["tau", "64"]]
+    with pytest.raises(SystemExit) as exc:
+        main(["germ", "--poly", "y^2 - x^66"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "non-isolated" in captured.err and "cap of 64" in captured.err
+
+
 def test_germ_bad_poly_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["germ", "--poly", "y^2 - z^3"])
@@ -247,6 +261,23 @@ def test_decompose_minimal_empty(capsys):
     assert tsv_rows(out) == [["theta1", "theta2"]]
 
 
+#: The test class D1 + D2 = (1/2, 1) has denominator 2, but its pairing
+#: form (4, -1) is already integral and reads 1 on beta = (400, 1599),
+#: so no theta1 splits beta, however large the enumeration box is.
+HALF_TEST_FORM_LATTICE = (
+    "rank 2\ngram\n4 2\n2 -2\nample_witness 1 0\n"
+    "ortho_basis\n1 0\n-1/2 1\nample_tests 1\n"
+)
+
+
+def test_decompose_small_test_form_value_is_empty(capsys, tmp_path):
+    path = tmp_path / "half.lat"
+    path.write_text(HALF_TEST_FORM_LATTICE)
+    code, out = run(capsys, "decompose", "--lattice", str(path), "--beta", "400,1599")
+    assert code == 0
+    assert tsv_rows(out) == [["theta1", "theta2"]]
+
+
 def test_decompose_bad_beta(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["decompose", "--lattice", "bielliptic-rank2", "--beta", "1,2,3"])
@@ -307,7 +338,9 @@ def test_internal_failure_exits_3(capsys, monkeypatch):
 
 #: sha256 of stdout, recorded with the factor-by-factor product expansion
 #: that preceded the integer kernel (the germ entry: with the two-class
-#: polynomial layer); the records must not change by a byte.
+#: polynomial layer; the decompose and bounds entries: with the
+#: Fraction-valued positivity tests and the surd helper functions);
+#: the records must not change by a byte.
 PINNED_STDOUT_SHA256 = [
     (("perverse", "--b1", "2", "--b2", "2", "--max-order", "14", "--oracle"),
      "3a72ff2833be4af01ef88b5b99dec3b7b5da64bbd5160157176b86f978ee11f3",
@@ -327,6 +360,19 @@ PINNED_STDOUT_SHA256 = [
     (("germ", "--poly", "x^3*y - x*y^3"),
      "d4f7a817ea494a60e4b3432450e625839bca0fa2c78b14075f7c950ed01e4699",
      "9a6d046fd5cd245871e0211fa2f457cce52a2716fcc1d226410e9256351d86fe"),
+    (("decompose", "--lattice", "bielliptic-rank2", "--beta", "12,12"),
+     "646ab6e8a3ba6f9f27aae9a1d9c55c30fa8d71f6d269c3fb1dacee41cd643ec1",
+     "f175a350cb858394e2c5cfd64257fd32cfd6d74bc56bc202cb072316e45c492b"),
+    (("bounds", "--surface", "bielliptic", "--a", "1", "--b", "2", "--lambda", "1",
+      "--mu", "1", "--gamma", "2", "--d", "3"),
+     "727c69d91adf42cd3dbe897f8062d26aa3201780daccedf6af21e438ac3b7490",
+     "6106ee441f9110ca50f2e2dee7181677317686be42caaa51baef2b7fdd772796"),
+    (("bounds", "--surface", "enriques", "--beta-sq", "10", "--d", "10"),
+     "0c389be4f5aad60872bbd3c7fdcafeb3632d0b526da66b2aa511ba3e8c098c0f",
+     "95d0237a0fe88c24d4ae423ba3809d40a1375c46a5f65bebc8abd3f854c94575"),
+    (("bounds", "--surface", "enriques", "--beta-sq", "6", "--i", "3", "--j", "4"),
+     "0a9f0603789fb88e05a4a309adb75a9d11e570bb6a1451751b71660121f4aa5c",
+     "20aba9a773e4dc0a55a88db588bd7e0166a3a7041c7d87622dee12a11c9c8a18"),
 ]
 
 

@@ -114,6 +114,26 @@ def test_truncation_too_small():
         delta(CUSP, branches([("t^2", "t^3 + t^12")], 4))
 
 
+def test_bad_branch_data_fails_at_the_conductor_bound(monkeypatch):
+    # the smooth germ y = x^2 has one branch; two parametrizations of it
+    # give a cokernel dimension above mu = 0 from the first t-degree on,
+    # and past the conductor bound no larger truncation can lower it
+    from stabctab import germ as germ_mod
+
+    rounds = []
+    candidate = germ_mod._delta_candidate
+
+    def counting_candidate(germ_branches, r, t_trunc):
+        rounds.append(t_trunc)
+        return candidate(germ_branches, r, t_trunc)
+
+    monkeypatch.setattr(germ_mod, "_delta_candidate", counting_candidate)
+    bset = parse_branch_file("truncation: 560\nt ; t^2\nt^2 ; t^4\n")
+    with pytest.raises(TruncationTooSmall, match="mu = 0"):
+        delta(germ("y - x^2"), bset)
+    assert rounds == [4]
+
+
 def test_corpus_expected_values():
     corpus = load_corpus()
     assert {r.name for r in corpus} == {"A1", "A2", "A3", "A4", "D4", "D5", "E6"}

@@ -31,7 +31,7 @@ from stabctab.nslattice import (
     n_lower_bound,
     parse_lattice,
 )
-from stabctab.surd import QuadSurd, exact_ceil, sqrt_rational
+from stabctab.surd import QuadSurd, sqrt_rational
 
 
 @pytest.fixture(scope="module")
@@ -150,6 +150,74 @@ def test_random_lattice_enumeration_oracle():
         done += 1
 
 
+def test_decompose_at_the_smallest_splittable_form_value():
+    # the integer form of 2*D1 + D2 reads 2 on beta, so every theta1 reads 1
+    model = LatticeModel(
+        2,
+        ((-3, 1), (1, 0)),
+        (-1, -2),
+        ((Fraction(-1), Fraction(-2)), (Fraction(1), Fraction(1))),
+        (2,),
+    )
+    pairs = decompose(model, (5, -2))
+    assert [t1 for t1, _ in pairs] == [(x, -1) for x in range(6)]
+    assert pairs == brute_force_pairs(model, (5, -2))
+
+
+def random_rank3_model(rng):
+    """Random signature-(1,2) rank-3 lattice whose D2, D3 come from
+    Gram-Schmidt against a small ample D1, so they have rational entries."""
+    while True:
+        a, b, c, d, e, f = (rng.randint(-4, 4) for _ in range(6))
+        gram = ((a, b, c), (b, d, e), (c, e, f))
+
+        def ip(u, v):
+            return sum(u[i] * gram[i][j] * v[j] for i in range(3) for j in range(3))
+
+        small = sorted(
+            itertools.product(range(-2, 3), repeat=3),
+            key=lambda v: (sum(map(abs, v)), v),
+        )
+        d1 = next((v for v in small if ip(v, v) > 0), None)
+        if d1 is None:
+            continue
+        basis = [tuple(map(Fraction, d1))]
+        for unit in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
+            v = tuple(map(Fraction, unit))
+            for w in basis:
+                scale = ip(v, w) / ip(w, w)
+                v = tuple(x - scale * y for x, y in zip(v, w))
+            if any(v) and len(basis) < 3:
+                if ip(v, v) >= 0:
+                    break
+                basis.append(v)
+        if len(basis) != 3 or any(ip(v, v) >= 0 for v in basis[1:]):
+            continue
+        if all(x.denominator == 1 for v in basis[1:] for x in v):
+            continue
+        tests = []
+        for v in basis[1:]:
+            n = 1
+            while n * n * ip(d1, d1) + ip(v, v) <= 0:
+                n += 1
+            tests.append(n)
+        return LatticeModel(3, gram, d1, tuple(basis), tuple(tests))
+
+
+def test_random_rank3_enumeration_oracle():
+    rng = random.Random(131313)
+    done = 0
+    while done < 12:
+        model = random_rank3_model(rng)
+        beta = tuple(rng.randint(-3, 3) for _ in range(3))
+        if model.ip(beta, model.ample_witness) <= 0:
+            continue
+        pairs = decompose(model, beta)
+        assert pairs == brute_force_pairs(model, beta, box=8)
+        assert pairs == brute_force_pairs(model, beta, box=11)
+        done += 1
+
+
 def test_rank10_preset_loads_and_validates():
     model = load_lattice("enriques-u-e8")
     assert model.rank == 10
@@ -258,7 +326,7 @@ def test_bound_growth_random_parameters():
         # vertex of the pure case d^2 X - d Y: monotone past Y / X
         x_coef = params.a * params.b * params.lam * params.mu * params.gamma
         y_coef = (params.b * params.mu + params.a * params.lam) * params.gamma
-        start = max(2, exact_ceil(y_coef / x_coef) + 1)
+        start = max(2, math.ceil(y_coef / x_coef) + 1)
         values = [bielliptic_codim_bound(params, d) for d in range(start, start + 150)]
         assert all(x <= y for x, y in zip(values, values[1:]))
         assert n_lower_bound(values[-1]) > 50
@@ -310,16 +378,16 @@ def test_arithmetic_genus():
 def test_surd_arithmetic():
     s = sqrt_rational(20)
     assert isinstance(s, QuadSurd) and str(s) == "0+2*sqrt(5)"
-    assert exact_ceil(s) == 5
-    assert exact_ceil(10 * s - 2) == 43
+    assert math.ceil(s) == 5
+    assert math.ceil(10 * s - 2) == 43
     assert sqrt_rational(4) == Fraction(2)
     assert sqrt_rational(Fraction(9, 4)) == Fraction(3, 2)
     two = sqrt_rational(2)
     assert two < Fraction(3, 2) or two > Fraction(7, 5)
     assert Fraction(7, 5) < two < Fraction(3, 2)
-    assert exact_ceil(-1 * two) == -1
+    assert math.ceil(-1 * two) == -1
     assert (-1 * two).__floor__() == -2
-    assert exact_ceil(QuadSurd(Fraction(1, 3), Fraction(-5), 7)) == -12
+    assert math.ceil(QuadSurd(Fraction(1, 3), Fraction(-5), 7)) == -12
 
 
 def test_surd_floor_matches_float():
@@ -334,5 +402,5 @@ def test_surd_floor_matches_float():
         approx = float(rat) + float(coef) * math.sqrt(n)
         if abs(approx - round(approx)) > 1e-6:
             assert s.__floor__() == math.floor(approx)
-            assert exact_ceil(s) == math.ceil(approx)
-        assert exact_ceil(s) - s.__floor__() == 1  # irrational, never integral
+            assert math.ceil(s) == math.ceil(approx)
+        assert math.ceil(s) - s.__floor__() == 1  # irrational, never integral
