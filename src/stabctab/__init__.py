@@ -4,88 +4,69 @@ Truncated-series arithmetic, stable Betti and perverse Hodge tables
 with an independent recursion oracle, plane-curve singularity
 invariants, and divisor-class codimension bounds, all in exact rational
 arithmetic.
+
+``import stabctab`` loads none of these layers: each public name is
+imported from its home module on first access (PEP 562), so a caller,
+and each subcommand of the command line, pays only for the layer it
+uses.
 """
 
-from .genfunc import (
-    BIELLIPTIC,
-    DEFAULT_ORDER,
-    ENRIQUES,
-    PerverseTable,
-    SurfaceTopology,
-    check_remark_identity,
-    goettsche_series,
-    hilb_betti,
-    stable_betti,
-    stable_betti_from_perverse,
-    stable_betti_numbers,
-    stable_perverse_series,
-    stable_perverse_table,
-)
-from .germ import (
-    BranchSet,
-    CurveGerm,
-    branch_count,
-    delta,
-    load_corpus,
-    milnor,
-    milnor_formula_check,
-    tjurina,
-)
-from .nslattice import (
-    BiellipticParams,
-    DivisorClass,
-    LatticeModel,
-    arithmetic_genus,
-    bielliptic_chi,
-    bielliptic_codim_bound,
-    decompose,
-    enriques_codim_bound,
-    enriques_d0,
-    enriques_dim_ls,
-    load_lattice,
-    n_lower_bound,
-)
-from .perverse import RelHilbBettiTower, build_tower, solve_perverse
-from .series import TruncatedBiSeries
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BIELLIPTIC",
-    "BiellipticParams",
-    "BranchSet",
-    "CurveGerm",
-    "DEFAULT_ORDER",
-    "DivisorClass",
-    "ENRIQUES",
-    "LatticeModel",
-    "PerverseTable",
-    "RelHilbBettiTower",
-    "SurfaceTopology",
-    "TruncatedBiSeries",
-    "arithmetic_genus",
-    "bielliptic_chi",
-    "bielliptic_codim_bound",
-    "branch_count",
-    "build_tower",
-    "check_remark_identity",
-    "decompose",
-    "delta",
-    "enriques_codim_bound",
-    "enriques_d0",
-    "enriques_dim_ls",
-    "goettsche_series",
-    "hilb_betti",
-    "load_corpus",
-    "load_lattice",
-    "milnor",
-    "milnor_formula_check",
-    "n_lower_bound",
-    "solve_perverse",
-    "stable_betti",
-    "stable_betti_from_perverse",
-    "stable_betti_numbers",
-    "stable_perverse_series",
-    "stable_perverse_table",
-    "tjurina",
-]
+#: The home module of every public name.
+_HOMES = {
+    "BIELLIPTIC": "genfunc",
+    "ENRIQUES": "genfunc",
+    "PerverseTable": "genfunc",
+    "SurfaceTopology": "genfunc",
+    "check_remark_identity": "genfunc",
+    "goettsche_series": "genfunc",
+    "hilb_betti": "genfunc",
+    "stable_betti": "genfunc",
+    "stable_betti_from_perverse": "genfunc",
+    "stable_betti_numbers": "genfunc",
+    "stable_perverse_series": "genfunc",
+    "stable_perverse_table": "genfunc",
+    "RelHilbBettiTower": "perverse",
+    "build_tower": "perverse",
+    "solve_perverse": "perverse",
+    "TruncatedBiSeries": "series",
+    "BranchSet": "germ",
+    "CurveGerm": "germ",
+    "branch_count": "germ",
+    "delta": "germ",
+    "load_corpus": "germ",
+    "milnor": "germ",
+    "milnor_formula_check": "germ",
+    "tjurina": "germ",
+    "BiellipticParams": "nslattice",
+    "DivisorClass": "nslattice",
+    "LatticeModel": "nslattice",
+    "arithmetic_genus": "nslattice",
+    "bielliptic_chi": "nslattice",
+    "bielliptic_codim_bound": "nslattice",
+    "decompose": "nslattice",
+    "enriques_codim_bound": "nslattice",
+    "enriques_d0": "nslattice",
+    "enriques_dim_ls": "nslattice",
+    "load_lattice": "nslattice",
+    "n_lower_bound": "nslattice",
+    "DEFAULT_ORDER": "cli",
+}
+
+__all__ = sorted(_HOMES)
+
+
+def __getattr__(name: str):
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{home}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -10,6 +10,16 @@ input).  The environment variable STABCTAB_MAX_ORDER overrides the
 built-in default truncation order (12) used when an order flag is not
 given.
 
+Orders are capped, and the caps are checked before any computation:
+``--max-order`` and ``--order`` at 64, ``--max-k`` at 384, and
+STABCTAB_MAX_ORDER, the default of all three, at 64 (the README gives
+the cost of a call at the caps).  A value above its cap exits 2 with
+one line on stderr.
+
+Each subcommand imports only the layer it runs: the parser and the
+dispatch load no computation module, so ``stable-betti`` and
+``identity`` load ``genfunc`` alone and ``perverse`` adds ``perverse``.
+
 ``identity`` checks H(zw, z)(1 - z^2) = (1 - w)(1 - z^2 w) G(z, w), the
 change of variables z = t, w = q/t with denominators cleared; a
 ``first_difference`` names the key q^n t^(i-n) of the differing z^i w^n
@@ -20,14 +30,21 @@ coefficient and gives the integer coefficients of the two sides there
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from fractions import Fraction
 
-from . import genfunc, germ as germ_mod, nslattice, perverse
 from .errors import InconsistentTower, InternalIdentityFailure, StabctabError
-from .surd import QuadSurd, parse_rational
+
+#: Default truncation order of the order flags (--max-k, --max-order,
+#: --order).  The library builds every series at the order a call asks for:
+#: a coefficient of degree n is exact at any order >= n.
+DEFAULT_ORDER = 12
+
+#: Largest --max-order and --order, and largest STABCTAB_MAX_ORDER.
+MAX_SERIES_ORDER = 64
+
+#: Largest value of each order flag.
+ORDER_CAPS = {"--max-k": 384, "--max-order": MAX_SERIES_ORDER, "--order": MAX_SERIES_ORDER}
 
 
 def _usage(msg: str) -> "SystemExit":
@@ -38,19 +55,34 @@ def _usage(msg: str) -> "SystemExit":
 def _default_order() -> int:
     env = os.environ.get("STABCTAB_MAX_ORDER")
     if env is None:
-        return genfunc.DEFAULT_ORDER
+        return DEFAULT_ORDER
     try:
         value = int(env)
     except ValueError:
         raise _usage(f"stabctab: STABCTAB_MAX_ORDER={env!r} is not an integer")
     if value < 0:
         raise _usage("stabctab: STABCTAB_MAX_ORDER must be nonnegative")
+    if value > MAX_SERIES_ORDER:
+        raise _usage(
+            f"stabctab: STABCTAB_MAX_ORDER={value} exceeds the cap of {MAX_SERIES_ORDER}"
+        )
     return value
+
+
+def _check_caps(args) -> None:
+    for flag, cap in ORDER_CAPS.items():
+        value = getattr(args, flag[2:].replace("-", "_"), None)
+        if value is not None and value > cap:
+            raise _usage(f"stabctab: {flag} {value} exceeds the cap of {cap}")
 
 
 def _render_value(x):
     """JSON-safe exact rendering: ints stay ints, rationals become 'p/q',
     surds become 'p+q*sqrt(n)'."""
+    from fractions import Fraction
+
+    from .surd import QuadSurd
+
     if isinstance(x, (Fraction, QuadSurd)):
         return str(x)
     return x
@@ -58,19 +90,24 @@ def _render_value(x):
 
 def _emit(args, record: dict, tsv_rows: list[tuple]) -> None:
     if args.format == "json":
+        import json
+
         sys.stdout.write(json.dumps(record, sort_keys=True, indent=2) + "\n")
     else:
         for row in tsv_rows:
-            sys.stdout.write("\t".join(str(_render_value(c)) for c in row) + "\n")
+            sys.stdout.write("\t".join(str(c) for c in row) + "\n")
 
 
-def _surface(args) -> genfunc.SurfaceTopology:
-    return genfunc.SurfaceTopology(args.b1, args.b2, 0)
+def _surface(args):
+    from .genfunc import SurfaceTopology
+
+    return SurfaceTopology(args.b1, args.b2, 0)
 
 
 def cmd_stable_betti(args) -> int:
-    surface = _surface(args)
-    values = list(enumerate(genfunc.stable_betti_numbers(surface, args.max_k)))
+    from .genfunc import stable_betti_numbers
+
+    values = list(enumerate(stable_betti_numbers(_surface(args), args.max_k)))
     record = {
         "command": "stable-betti",
         "parameters": {"b1": args.b1, "b2": args.b2, "max_k": args.max_k},
@@ -83,14 +120,18 @@ def cmd_stable_betti(args) -> int:
 
 
 def cmd_perverse(args) -> int:
+    from .genfunc import stable_perverse_table
+
     surface = _surface(args)
-    table = genfunc.stable_perverse_table(surface, args.max_order)
+    table = stable_perverse_table(surface, args.max_order)
     keys = sorted(table.entries, key=lambda k: (k[0] + k[1], k))
     rows = [(i, j, table.entry(i, j)) for i, j in keys]
     results: dict = {"table": [[i, j, v] for i, j, v in rows]}
     tsv = [("i", "j", "n")] + rows
     status = 0
     if args.oracle:
+        from . import perverse
+
         mismatch = perverse.first_oracle_mismatch(surface, table)
         if mismatch is None:
             results["oracle"] = "AGREE"
@@ -119,8 +160,9 @@ def cmd_perverse(args) -> int:
 
 
 def cmd_identity(args) -> int:
-    surface = _surface(args)
-    mismatch = genfunc.remark_identity_mismatch(surface, args.order, perturb=args.perturb)
+    from .genfunc import remark_identity_mismatch
+
+    mismatch = remark_identity_mismatch(_surface(args), args.order, perturb=args.perturb)
     results: dict = {"status": "PASS" if mismatch is None else "FAIL"}
     tsv = [("status", results["status"])]
     status = 0
@@ -144,6 +186,8 @@ def cmd_identity(args) -> int:
 
 
 def cmd_germ(args) -> int:
+    from . import germ as germ_mod
+
     try:
         g = germ_mod.CurveGerm.from_string(args.poly)
     except ValueError as exc:
@@ -182,6 +226,11 @@ def _governing_text(labels: list[str]) -> str:
 
 
 def cmd_bounds(args) -> int:
+    import json
+
+    from . import nslattice
+    from .surd import parse_rational
+
     want_d = args.d is not None
     want_ij = args.i is not None or args.j is not None
     if want_d == want_ij:
@@ -250,6 +299,8 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_decompose(args) -> int:
+    from . import nslattice
+
     try:
         model = nslattice.load_lattice(args.lattice)
         beta = tuple(int(c) for c in args.beta.split(","))
@@ -348,6 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    _check_caps(args)
     try:
         return args.func(args)
     except SystemExit:

@@ -56,36 +56,57 @@ factors do not multiply to an integer series.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import InternalIdentityFailure
-from .series import TruncatedBiSeries
-
-#: Default truncation order of the CLI's order flags (--max-k, --max-order,
-#: --order).  The library builds every series at the order a call asks for:
-#: a coefficient of degree n is exact at any order >= n.
-DEFAULT_ORDER = 12
 
 
-@dataclass(frozen=True)
-class SurfaceTopology:
+class _Record:
+    """An immutable value with named fields, as a frozen dataclass is.
+
+    The subclass constructor validates its arguments and passes them on as
+    keywords; they are stored in that order, compared (with the class) by
+    ==, printed as ``Name(field=value, ...)`` and never reassigned:
+    assigning or deleting an attribute raises AttributeError.  Plain
+    classes keep ``dataclasses``, whose import pulls in ``inspect``, off
+    the start-up of the table subcommands.
+    """
+
+    def __init__(self, **fields):
+        self.__dict__.update(fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in vars(self).items())
+        return f"{type(self).__name__}({fields})"
+
+
+class SurfaceTopology(_Record):
     """Topological input of the generating functions.
 
     b1 and b2 are the first and second Betti numbers of the surface;
     chi_o is the holomorphic Euler characteristic, carried along for the
     lattice-side dimension formulas.  b1 must be even (the surface is
-    compact Kaehler).
+    compact Kaehler).  Hashable.
     """
 
-    b1: int
-    b2: int
-    chi_o: int
+    def __init__(self, b1: int, b2: int, chi_o: int):
+        if b1 < 0 or b1 % 2 != 0:
+            raise ValueError(f"b1 must be a nonnegative even integer, got {b1}")
+        if b2 < 1:
+            raise ValueError(f"b2 must be a positive integer, got {b2}")
+        super().__init__(b1=b1, b2=b2, chi_o=chi_o)
 
-    def __post_init__(self):
-        if self.b1 < 0 or self.b1 % 2 != 0:
-            raise ValueError(f"b1 must be a nonnegative even integer, got {self.b1}")
-        if self.b2 < 1:
-            raise ValueError(f"b2 must be a positive integer, got {self.b2}")
+    def __hash__(self) -> int:
+        return hash(tuple(vars(self).values()))
 
 
 #: An Enriques surface: b1 = 0, b2 = 10, chi(O) = 1.
@@ -95,21 +116,17 @@ ENRIQUES = SurfaceTopology(0, 10, 1)
 BIELLIPTIC = SurfaceTopology(2, 2, 0)
 
 
-@dataclass(frozen=True)
-class PerverseTable:
+class PerverseTable(_Record):
     """Finite table (i, j) -> n^{i,j} of perverse Hodge numbers, i+j <= order.
 
     Entries are nonnegative integers; zero entries are not stored.  The
     i = 0 row always lies in {0, 1}.
     """
 
-    order: int
-    entries: dict[tuple[int, int], int] = field(default_factory=dict)
-
-    def __post_init__(self):
+    def __init__(self, order: int, entries: dict[tuple[int, int], int] | None = None):
         clean: dict[tuple[int, int], int] = {}
-        for (i, j), v in self.entries.items():
-            if i < 0 or j < 0 or i + j > self.order:
+        for (i, j), v in (entries or {}).items():
+            if i < 0 or j < 0 or i + j > order:
                 raise ValueError(f"entry ({i}, {j}) outside the table range")
             if not isinstance(v, int) or v < 0:
                 raise ValueError(f"entry ({i}, {j}) = {v!r} is not a nonnegative integer")
@@ -117,15 +134,10 @@ class PerverseTable:
                 raise ValueError(f"base-row entry (0, {j}) = {v} exceeds 1")
             if v:
                 clean[(i, j)] = v
-        object.__setattr__(self, "entries", clean)
+        super().__init__(order=order, entries=clean)
 
     def entry(self, i: int, j: int) -> int:
         return self.entries.get((i, j), 0)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PerverseTable):
-            return NotImplemented
-        return self.order == other.order and self.entries == other.entries
 
 
 # A factor (1 + sign * x^a * s^g)^e of an infinite product is the tuple
@@ -286,8 +298,11 @@ def _perverse_factors(surface: SurfaceTopology, order: int) -> list[Factor]:
     ]
 
 
-def stable_perverse_series(surface: SurfaceTopology, order: int) -> TruncatedBiSeries:
-    """The series H(q, t) of stable perverse Hodge numbers, truncated."""
+def stable_perverse_series(surface: SurfaceTopology, order: int):
+    """The series H(q, t) of stable perverse Hodge numbers, truncated, as a
+    :class:`~stabctab.series.TruncatedBiSeries`."""
+    from .series import TruncatedBiSeries
+
     rows = _product(_perverse_factors(surface, order), order)
     return TruncatedBiSeries(
         order, {(a, n - a): c for n, row in enumerate(rows) for a, c in enumerate(row)}

@@ -218,9 +218,10 @@ def _delta_candidate(germ_branches, r: int, t_trunc: int) -> int:
 def delta(germ: CurveGerm, branches: BranchSet) -> int:
     """Delta invariant: codimension of the germ's ring in its normalization.
 
-    The branch images of all monomials are truncated at t-degree T and
-    the cokernel dimension read off as r*T - rank; T doubles until the
-    value repeats twice and sits below the conductor bound delta <= mu.
+    The branch images of all monomials are truncated at the conductor
+    bound T = 2*mu + 2 and the cokernel dimension is read off as
+    r*T - rank, in one round.  At that T the value is exact: every
+    branch conductor exponent is at most 2*delta and delta <= mu.
 
     Raises
     ------
@@ -228,48 +229,28 @@ def delta(germ: CurveGerm, branches: BranchSet) -> int:
         A parametrization does not satisfy the germ equation to the
         declared precision.
     TruncationTooSmall
-        Declared precision below the conductor bound, the cokernel
-        dimension exceeds mu past the conductor bound, or it failed to
-        stabilize within the available precision.
+        Declared precision below the conductor bound, or a cokernel
+        dimension above mu, which only inconsistent branch data gives.
     EmptyBranchSet
         No branches supplied.
     """
     r = branch_count(branches)
     mu = milnor(germ)
     _validate_branches(germ, branches, mu)
-    t0 = branches.declared_truncation
-    cap = max(4 * mu + 8, 32) if t0 is None else t0 + 1
-
-    prev: int | None = None
-    hits = 0
-    t_trunc = 4
-    while t_trunc <= cap:
-        pows = [
-            (xt.powers(t_trunc, t_trunc), yt.powers(t_trunc, t_trunc))
-            for xt, yt in branches.branches
-        ]
-        cand = _delta_candidate(pows, r, t_trunc)
-        # past the conductor bound the cokernel dimension is provably
-        # exact (every branch conductor exponent is at most 2*delta and
-        # delta <= mu); cand > mu there means the branch data is bad,
-        # e.g. a reparametrized duplicate, and no larger T can mend it
-        if t_trunc >= 2 * mu + 2:
-            if cand <= mu:
-                return cand
-            raise TruncationTooSmall(
-                f"cokernel dimension {cand} at t-degree {t_trunc} exceeds "
-                f"mu = {mu} past the conductor bound; the branch data is inconsistent"
-            )
-        if cand == prev:
-            hits += 1
-        else:
-            prev, hits = cand, 0
-        if hits >= 2 and cand <= mu:
-            return cand
-        t_trunc *= 2
-    raise TruncationTooSmall(
-        f"cokernel dimension did not stabilize below t-degree {cap}"
-    )
+    t_trunc = 2 * mu + 2
+    pows = [
+        (xt.powers(t_trunc, t_trunc), yt.powers(t_trunc, t_trunc))
+        for xt, yt in branches.branches
+    ]
+    cand = _delta_candidate(pows, r, t_trunc)
+    # cand > mu means the branch data is bad, e.g. a reparametrized
+    # duplicate, and no larger T can mend it
+    if cand > mu:
+        raise TruncationTooSmall(
+            f"cokernel dimension {cand} at t-degree {t_trunc} exceeds "
+            f"mu = {mu} past the conductor bound; the branch data is inconsistent"
+        )
+    return cand
 
 
 def milnor_formula_check(germ: CurveGerm, branches: BranchSet) -> bool:

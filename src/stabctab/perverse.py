@@ -23,28 +23,27 @@ against coefficient extraction from the product series H(q, t).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import InconsistentTower
 from .genfunc import (
     PerverseTable,
     SurfaceTopology,
     _as_betti,
+    _Record,
     goettsche_series,
 )
 
 
-@dataclass(frozen=True)
-class RelHilbBettiTower:
+class RelHilbBettiTower(_Record):
     """Betti numbers b_m of the l-point relative Hilbert schemes.
 
     values maps (l, m) to b_m for 0 <= l <= order and 0 <= m <= order.
     Row l = 0 is the base of the induction: 1 for even m, 0 for odd m.
     """
 
-    surface: SurfaceTopology
-    order: int
-    values: dict[tuple[int, int], int] = field(default_factory=dict)
+    def __init__(self, surface: SurfaceTopology, order: int,
+                 values: dict[tuple[int, int], int] | None = None):
+        super().__init__(surface=surface, order=order,
+                         values={} if values is None else values)
 
     def value(self, ell: int, m: int) -> int:
         """b_m of the ell-point relative Hilbert scheme; 0 off the grid."""

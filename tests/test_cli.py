@@ -65,10 +65,10 @@ def test_perverse_oracle_agrees(capsys):
 
 
 def test_perverse_oracle_disagreement_exits_1(capsys, monkeypatch):
-    from stabctab import cli as cli_mod
+    from stabctab import perverse
 
     monkeypatch.setattr(
-        cli_mod.perverse, "first_oracle_mismatch", lambda s, k: ((1, 1), 8, 9)
+        perverse, "first_oracle_mismatch", lambda s, k: ((1, 1), 8, 9)
     )
     code, out = run(capsys, "perverse", "--b1", "0", "--b2", "10",
                     "--max-order", "2", "--oracle")
@@ -138,6 +138,16 @@ def test_germ_with_branches(capsys, tmp_path):
     assert record["results"] == {
         "mu": 3, "tau": 3, "delta": 2, "r": 2, "milnor_formula": "OK",
     }
+
+
+def test_germ_branches_at_the_conductor_bound(capsys, tmp_path):
+    # truncation 6 is the cusp's conductor bound 2*mu + 2: enough precision
+    branch_file = tmp_path / "cusp.br"
+    branch_file.write_text("truncation: 6\nt^2 ; t^3\n")
+    code, out = run(capsys, "germ", "--poly", "y^2 - x^3", "--branches", str(branch_file))
+    assert code == 0
+    assert tsv_rows(out) == [["mu", "2"], ["tau", "2"], ["delta", "1"], ["r", "1"],
+                             ["milnor_formula", "OK"]]
 
 
 def test_germ_missing_branch_file_is_usage_error(capsys, tmp_path):
@@ -450,3 +460,43 @@ def test_env_override_of_default_order(capsys, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         main(["stable-betti", "--b1", "0", "--b2", "10"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv, last_row", [
+    (("perverse", "--b1", "0", "--b2", "1", "--max-order", "64"), ["64", "0", "1"]),
+    (("identity", "--b1", "0", "--b2", "1", "--order", "64"), ["status", "PASS"]),
+    (("stable-betti", "--b1", "0", "--b2", "1", "--max-k", "384"), ["384", "2396527873254065426956"]),
+], ids=["perverse", "identity", "stable-betti"])
+def test_order_flags_at_their_cap_run(capsys, argv, last_row):
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert tsv_rows(out)[-1] == last_row
+
+
+@pytest.mark.parametrize("argv, err", [
+    (("perverse", "--b1", "0", "--b2", "1", "--max-order", "65", "--oracle"),
+     "stabctab: --max-order 65 exceeds the cap of 64\n"),
+    (("identity", "--b1", "0", "--b2", "1", "--order", "65"),
+     "stabctab: --order 65 exceeds the cap of 64\n"),
+    (("stable-betti", "--b1", "0", "--b2", "1", "--max-k", "385"),
+     "stabctab: --max-k 385 exceeds the cap of 384\n"),
+], ids=["perverse", "identity", "stable-betti"])
+def test_order_flags_above_their_cap_exit_2(capsys, argv, err):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == err
+
+
+def test_env_default_order_cap(capsys, monkeypatch):
+    monkeypatch.setenv("STABCTAB_MAX_ORDER", "64")
+    _, out = run(capsys, "stable-betti", "--b1", "0", "--b2", "1")
+    assert len(tsv_rows(out)) == 1 + 65  # header + k = 0..64
+    monkeypatch.setenv("STABCTAB_MAX_ORDER", "65")
+    with pytest.raises(SystemExit) as exc:
+        main(["stable-betti", "--b1", "0", "--b2", "1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "stabctab: STABCTAB_MAX_ORDER=65 exceeds the cap of 64\n"

@@ -131,7 +131,7 @@ def test_bad_branch_data_fails_at_the_conductor_bound(monkeypatch):
     bset = parse_branch_file("truncation: 560\nt ; t^2\nt^2 ; t^4\n")
     with pytest.raises(TruncationTooSmall, match="mu = 0"):
         delta(germ("y - x^2"), bset)
-    assert rounds == [4]
+    assert rounds == [2]
 
 
 def test_corpus_expected_values():

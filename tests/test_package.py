@@ -1,5 +1,7 @@
 """The package's public surface."""
 
+import pytest
+
 import stabctab
 
 
@@ -7,3 +9,117 @@ def test_every_exported_name_resolves():
     missing = [name for name in stabctab.__all__ if not hasattr(stabctab, name)]
     assert missing == []
     assert len(set(stabctab.__all__)) == len(stabctab.__all__)
+
+
+def test_dir_lists_every_exported_name():
+    assert set(stabctab.__all__) <= set(dir(stabctab))
+
+
+def test_record_classes_behave_as_pinned():
+    # recorded when SurfaceTopology, PerverseTable and RelHilbBettiTower
+    # were frozen dataclasses; the plain classes keep what callers observe
+    import copy
+    import pickle
+
+    from stabctab import PerverseTable, RelHilbBettiTower, SurfaceTopology
+
+    s = SurfaceTopology(b1=0, b2=10, chi_o=1)
+    assert repr(s) == "SurfaceTopology(b1=0, b2=10, chi_o=1)"
+    assert repr(stabctab.BIELLIPTIC) == "SurfaceTopology(b1=2, b2=2, chi_o=0)"
+    assert s == stabctab.ENRIQUES == SurfaceTopology(0, 10, 1)
+    assert s != SurfaceTopology(0, 10, 0) and s != (0, 10, 1)
+    assert hash(s) == hash(SurfaceTopology(0, 10, 1)) == hash((0, 10, 1))
+    assert len({s, stabctab.ENRIQUES, stabctab.BIELLIPTIC}) == 2
+    for args, message in (((1, 10, 0), "b1 must be a nonnegative even integer, got 1"),
+                          ((-2, 10, 0), "b1 must be a nonnegative even integer, got -2"),
+                          ((0, 0, 0), "b2 must be a positive integer, got 0")):
+        with pytest.raises(ValueError) as exc:
+            SurfaceTopology(*args)
+        assert str(exc.value) == message
+
+    t = PerverseTable(order=2, entries={(0, 0): 1, (1, 1): 0, (0, 2): 1, (1, 0): 3})
+    assert repr(t) == "PerverseTable(order=2, entries={(0, 0): 1, (0, 2): 1, (1, 0): 3})"
+    assert repr(PerverseTable(3)) == "PerverseTable(order=3, entries={})"
+    assert PerverseTable(3).entries is not PerverseTable(3).entries
+    assert t == PerverseTable(2, {(0, 0): 1, (0, 2): 1, (1, 0): 3})
+    assert t != PerverseTable(3, t.entries) and t != t.entries
+    for entries, message in (({(-1, 0): 1}, "entry (-1, 0) outside the table range"),
+                             ({(0, 3): 1}, "entry (0, 3) outside the table range"),
+                             ({(1, 1): -1}, "entry (1, 1) = -1 is not a nonnegative integer"),
+                             ({(1, 1): 1.0}, "entry (1, 1) = 1.0 is not a nonnegative integer"),
+                             ({(0, 1): 2}, "base-row entry (0, 1) = 2 exceeds 1")):
+        with pytest.raises(ValueError) as exc:
+            PerverseTable(2, entries)
+        assert str(exc.value) == message
+
+    tower = RelHilbBettiTower(surface=s, order=1, values={(0, 0): 1})
+    assert repr(tower) == ("RelHilbBettiTower(surface=SurfaceTopology(b1=0, b2=10, chi_o=1), "
+                           "order=1, values={(0, 0): 1})")
+    assert repr(RelHilbBettiTower(s, 0)) == (
+        "RelHilbBettiTower(surface=SurfaceTopology(b1=0, b2=10, chi_o=1), order=0, values={})")
+    assert tower == RelHilbBettiTower(SurfaceTopology(0, 10, 1), 1, {(0, 0): 1})
+    assert tower != RelHilbBettiTower(stabctab.BIELLIPTIC, 1, {(0, 0): 1})
+    assert stabctab.build_tower(s, 2) == stabctab.build_tower(s, 2)
+
+    for record, field in ((s, "b1"), (t, "order"), (tower, "values")):
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
+            setattr(record, field, 0)
+        with pytest.raises(AttributeError, match=f"cannot delete field '{field}'"):
+            delattr(record, field)
+        assert pickle.loads(pickle.dumps(record)) == record == copy.deepcopy(record)
+    for record in (t, tower):
+        with pytest.raises(TypeError):
+            hash(record)
+
+
+#: Prints, at exit, every module the run loaded; runs the command line as
+#: ``python -m stabctab`` does.
+PROBE = """
+import atexit, runpy, sys
+atexit.register(lambda: print(*sorted(sys.modules), file=sys.stderr))
+sys.argv[0] = "stabctab"
+runpy.run_module("stabctab", run_name="__main__", alter_sys=True)
+"""
+
+TABLES = {"stabctab", "stabctab.cli", "stabctab.errors", "stabctab.genfunc"}
+LATTICE = {"stabctab", "stabctab.cli", "stabctab.errors", "stabctab.nslattice", "stabctab.surd"}
+
+
+@pytest.mark.parametrize("argv, code, loaded", [
+    (None, 0, {"stabctab"}),
+    (("stable-betti", "--b1", "0", "--b2", "10", "--max-k", "4"), 0, TABLES),
+    (("identity", "--b1", "0", "--b2", "10", "--order", "4"), 0, TABLES),
+    (("perverse", "--b1", "0", "--b2", "10", "--max-order", "4", "--oracle"), 0,
+     TABLES | {"stabctab.perverse"}),
+    (("perverse", "--b1", "0", "--b2", "10", "--max-order", "65", "--oracle"), 2,
+     {"stabctab", "stabctab.cli", "stabctab.errors"}),
+    (("germ", "--poly", "y^2 - x^3", "--branches", "{cusp}"), 0,
+     {"stabctab", "stabctab.cli", "stabctab.errors", "stabctab.germ", "stabctab.poly",
+      "stabctab.surd"}),
+    (("bounds", "--surface", "enriques", "--beta-sq", "10", "--d", "10"), 0, LATTICE),
+    (("decompose", "--lattice", "bielliptic-rank2", "--beta", "2,2"), 0, LATTICE),
+], ids=["import", "stable-betti", "identity", "perverse", "perverse-above-cap", "germ",
+        "bounds", "decompose"])
+def test_each_subcommand_imports_only_its_layer(tmp_path, argv, code, loaded):
+    # a fresh interpreter per case, without site hooks, which may import
+    # modules of their own
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    cusp = tmp_path / "cusp.br"
+    cusp.write_text("t^2 ; t^3\n")
+    src = str(Path(stabctab.__file__).resolve().parent.parent)
+    if argv is None:
+        cmd = ["-c", "import sys, stabctab; print(*sorted(sys.modules), file=sys.stderr)"]
+    else:
+        cmd = ["-c", PROBE, *(arg.format(cusp=cusp) for arg in argv)]
+    env = {k: v for k, v in os.environ.items() if k != "STABCTAB_MAX_ORDER"}
+    proc = subprocess.run([sys.executable, "-S", *cmd], capture_output=True, text=True,
+                          env=dict(env, PYTHONPATH=src), timeout=60)
+    assert proc.returncode == code, proc.stderr
+    modules = set(proc.stderr.splitlines()[-1].split())
+    assert {m for m in modules if m.split(".")[0] == "stabctab"} == loaded
+    if argv is not None and argv[0] in ("stable-betti", "identity", "perverse"):
+        assert not modules & {"dataclasses", "fractions"}
