@@ -1,0 +1,48 @@
+"""Immutable value classes without ``dataclasses``.
+
+``dataclasses`` imports ``inspect``, which costs a subcommand more
+start-up than most of them spend computing.  These two plain bases give
+the package's value classes what callers use of a frozen dataclass.
+"""
+
+
+class Record:
+    """An immutable value with named fields, as a frozen dataclass is.
+
+    The subclass constructor validates its arguments and passes them on as
+    keywords; they are stored in that order, compared (with the class) by
+    ==, printed as ``Name(field=value, ...)`` and never reassigned:
+    assigning or deleting an attribute raises AttributeError.  A keyword
+    that starts with an underscore holds data the subclass derived from
+    its fields: it is stored alike, but == and repr ignore it.  Pickle and
+    deepcopy carry both.  A Record is unhashable, as a frozen dataclass
+    with an unhashable field is.
+    """
+
+    def __init__(self, **fields):
+        self.__dict__.update(fields)
+
+    def _fields(self) -> dict:
+        return {k: v for k, v in vars(self).items() if k[0] != "_"}
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in self._fields().items())
+        return f"{type(self).__name__}({fields})"
+
+
+class HashableRecord(Record):
+    """A Record that hashes as the tuple of its fields."""
+
+    def __hash__(self) -> int:
+        return hash(tuple(self._fields().values()))

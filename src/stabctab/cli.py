@@ -14,7 +14,9 @@ Orders are capped, and the caps are checked before any computation:
 ``--max-order`` and ``--order`` at 64, ``--max-k`` at 384, and
 STABCTAB_MAX_ORDER, the default of all three, at 64 (the README gives
 the cost of a call at the caps).  A value above its cap exits 2 with
-one line on stderr.
+one line on stderr.  ``bounds`` takes exact square roots by trial
+division and caps their radicand at 10^12 (``surd.MAX_RADICAND``); a
+larger one exits 2 with one line on stderr as well.
 
 Each subcommand imports only the layer it runs: the parser and the
 dispatch load no computation module, so ``stable-betti`` and

@@ -66,3 +66,9 @@ class InvalidSelfIntersection(StabctabError):
 
 class HodgeIndexViolation(StabctabError):
     """Orthogonal basis signature is not (1, rank-1)."""
+
+
+# --- exact square roots -----------------------------------------------------
+
+class RadicandTooLarge(StabctabError):
+    """A square root's radicand exceeds the cap on its trial division."""

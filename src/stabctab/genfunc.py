@@ -56,40 +56,11 @@ factors do not multiply to an integer series.
 
 from __future__ import annotations
 
+from ._record import HashableRecord, Record
 from .errors import InternalIdentityFailure
 
 
-class _Record:
-    """An immutable value with named fields, as a frozen dataclass is.
-
-    The subclass constructor validates its arguments and passes them on as
-    keywords; they are stored in that order, compared (with the class) by
-    ==, printed as ``Name(field=value, ...)`` and never reassigned:
-    assigning or deleting an attribute raises AttributeError.  Plain
-    classes keep ``dataclasses``, whose import pulls in ``inspect``, off
-    the start-up of the table subcommands.
-    """
-
-    def __init__(self, **fields):
-        self.__dict__.update(fields)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return vars(self) == vars(other)
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{k}={v!r}" for k, v in vars(self).items())
-        return f"{type(self).__name__}({fields})"
-
-
-class SurfaceTopology(_Record):
+class SurfaceTopology(HashableRecord):
     """Topological input of the generating functions.
 
     b1 and b2 are the first and second Betti numbers of the surface;
@@ -105,9 +76,6 @@ class SurfaceTopology(_Record):
             raise ValueError(f"b2 must be a positive integer, got {b2}")
         super().__init__(b1=b1, b2=b2, chi_o=chi_o)
 
-    def __hash__(self) -> int:
-        return hash(tuple(vars(self).values()))
-
 
 #: An Enriques surface: b1 = 0, b2 = 10, chi(O) = 1.
 ENRIQUES = SurfaceTopology(0, 10, 1)
@@ -116,7 +84,7 @@ ENRIQUES = SurfaceTopology(0, 10, 1)
 BIELLIPTIC = SurfaceTopology(2, 2, 0)
 
 
-class PerverseTable(_Record):
+class PerverseTable(Record):
     """Finite table (i, j) -> n^{i,j} of perverse Hodge numbers, i+j <= order.
 
     Entries are nonnegative integers; zero entries are not stored.  The

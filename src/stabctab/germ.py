@@ -23,11 +23,9 @@ corpus), never computed: Newton-Puiseux expansion is out of scope.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
 from fractions import Fraction
-from importlib import resources
 
+from ._record import HashableRecord, Record
 from .errors import (
     EmptyBranchSet,
     InvalidBranch,
@@ -41,25 +39,22 @@ from .poly import Poly
 MAX_IDEAL_POWER = 64
 
 
-@dataclass(frozen=True)
-class CurveGerm:
+class CurveGerm(HashableRecord):
     """A bivariate polynomial germ vanishing at the origin."""
 
-    poly: Poly
-
-    def __post_init__(self):
-        if not self.poly:
+    def __init__(self, poly: Poly):
+        if not poly:
             raise ValueError("zero polynomial does not define a curve germ")
-        if self.poly.constant() != 0:
+        if poly.constant() != 0:
             raise ValueError("germ must vanish at the origin")
+        super().__init__(poly=poly)
 
     @classmethod
     def from_string(cls, s: str) -> "CurveGerm":
         return cls(Poly.parse(s, ("x", "y")))
 
 
-@dataclass(frozen=True)
-class BranchSet:
+class BranchSet(HashableRecord):
     """Branch parametrizations (x_i(t), y_i(t)) of a germ.
 
     declared_truncation is the t-exponent up to which the
@@ -67,19 +62,18 @@ class BranchSet:
     parametrizations (the composed polynomial must vanish identically).
     """
 
-    branches: tuple[tuple[Poly, Poly], ...]
-    declared_truncation: int | None = None
-
-    def __post_init__(self):
-        for xt, yt in self.branches:
+    def __init__(self, branches: tuple[tuple[Poly, Poly], ...],
+                 declared_truncation: int | None = None):
+        for xt, yt in branches:
             if xt.constant() != 0 or yt.constant() != 0:
                 raise ValueError("branch must pass through the origin")
             if not xt and not yt:
                 raise ValueError("branch must not be identically zero")
-        if len(set(self.branches)) != len(self.branches):
+        if len(set(branches)) != len(branches):
             raise ValueError("duplicate branch parametrization")
-        if self.declared_truncation is not None and self.declared_truncation < 1:
+        if declared_truncation is not None and declared_truncation < 1:
             raise ValueError("declared truncation must be positive")
+        super().__init__(branches=branches, declared_truncation=declared_truncation)
 
     @classmethod
     def from_strings(cls, pairs, declared_truncation: int | None = None) -> "BranchSet":
@@ -261,12 +255,12 @@ def milnor_formula_check(germ: CurveGerm, branches: BranchSet) -> bool:
 # --- corpus ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CorpusRecord:
-    name: str
-    germ: CurveGerm
-    branches: BranchSet
-    expected: dict[str, int]
+class CorpusRecord(Record):
+    """One germ of a corpus with its branches and expected invariants."""
+
+    def __init__(self, name: str, germ: CurveGerm, branches: BranchSet,
+                 expected: dict[str, int]):
+        super().__init__(name=name, germ=germ, branches=branches, expected=expected)
 
 
 def load_corpus(path=None) -> list[CorpusRecord]:
@@ -276,7 +270,11 @@ def load_corpus(path=None) -> list[CorpusRecord]:
     (polynomial in x, y), ``branches`` (list of [x(t), y(t)] pairs) and
     ``expected`` (object with integer fields mu, tau, delta, r).
     """
+    import json
+
     if path is None:
+        from importlib import resources
+
         text = (
             resources.files("stabctab").joinpath("data/ade_corpus.jsonl").read_text()
         )

@@ -8,7 +8,14 @@ Three groups of operations:
   distinguished ample class and against every declared ample test
   class).  The enumeration region is derived exactly from those
   inequalities in the orthogonal coordinates of the model, so the
-  returned list is provably complete.
+  returned list is provably complete.  All of it runs in integers: the
+  model scales its orthogonal basis by the lcm L of its denominators
+  and keeps the integer rows L*D_k.gram, from which it checks itself and
+  reads the test forms.  The bounding box (at most ENUMERATION_CAP
+  points) is scanned over its first rank - 1 coordinates only; the last
+  coordinate is solved from the forms' inequalities as one integer
+  interval per prefix.  ``ip`` and ``test_classes`` stay in Fraction
+  arithmetic, as an independent route for checks.
 
 * codimension lower bounds for the locus of non-integral curves in the
   linear system of d*beta on Enriques and bielliptic surfaces, as the
@@ -21,6 +28,9 @@ Three groups of operations:
   canonical class is numerically trivial.
 
 Square roots are kept exact (:mod:`stabctab.surd`); no floating point.
+A radicand above ``surd.MAX_RADICAND`` (10^12), such as 2*beta^2 for
+beta^2 above 5 * 10^11, raises RadicandTooLarge instead of running a
+trial division of unbounded length.
 """
 
 from __future__ import annotations
@@ -28,10 +38,9 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
-from importlib import resources
 
+from ._record import HashableRecord
 from .errors import (
     BasisDenominatorError,
     HodgeIndexViolation,
@@ -45,7 +54,7 @@ Vector = tuple[Fraction, ...]
 #: Integer coordinate vector of a divisor class in the gram basis.
 DivisorClass = tuple[int, ...]
 
-#: Safety cap on the number of integer points decompose() will scan.
+#: Safety cap on the number of integer points in the box decompose() scans.
 ENUMERATION_CAP = 5_000_000
 
 
@@ -57,29 +66,33 @@ def _dot(gram, u, v) -> Fraction:
     )
 
 
-def _det(mat) -> Fraction:
-    mat = [list(map(Fraction, row)) for row in mat]
+def _times_gram(gram, v) -> tuple[int, ...]:
+    """The integer row v.gram of an integer vector v."""
+    return tuple(sum(map(operator.mul, v, column)) for column in zip(*gram))
+
+
+def _det(mat) -> int:
+    """Determinant of an integer matrix, by fraction-free (Bareiss) elimination."""
+    mat = [list(row) for row in mat]
     n = len(mat)
-    det = Fraction(1)
-    for col in range(n):
+    sign, prev = 1, 1
+    for col in range(n - 1):
         piv = next((r for r in range(col, n) if mat[r][col]), None)
         if piv is None:
-            return Fraction(0)
+            return 0
         if piv != col:
             mat[col], mat[piv] = mat[piv], mat[col]
-            det = -det
-        det *= mat[col][col]
-        inv = Fraction(1) / mat[col][col]
-        for r in range(col + 1, n):
-            f = mat[r][col] * inv
-            if f:
-                for c in range(col, n):
-                    mat[r][c] -= f * mat[col][c]
-    return det
+            sign = -sign
+        top = mat[col]
+        for row in mat[col + 1:]:
+            lead = row[col]
+            for c in range(col + 1, n):
+                row[c] = (row[c] * top[col] - lead * top[c]) // prev
+        prev = top[col]
+    return sign * mat[-1][-1]
 
 
-@dataclass(frozen=True)
-class LatticeModel:
+class LatticeModel(HashableRecord):
     """Intersection lattice with a distinguished ample class and test data.
 
     gram is the intersection form on an integral basis; ample_witness an
@@ -88,36 +101,43 @@ class LatticeModel:
     the integers n_l (one per l >= 2) for which both n_l D_1 + D_l and
     n_l D_1 - D_l are declared ample.  Signature (1, rho-1) on the
     orthogonal basis is checked at load.
+
+    The model checks itself in integers: with L the least common
+    multiple of all denominators of the basis, E_k = L*D_k is integral,
+    and so is the row R_k = E_k.gram, computed once here.  Then
+    L^2 D_i.D_j = R_i.E_j, and every square, orthogonality and
+    test-class square is decided by its sign.  L, the rows R and the
+    bounding-box weights of :func:`decompose` are kept with the model
+    but are not fields: == and repr see the five fields only.
     """
 
-    rank: int
-    gram: tuple[tuple[int, ...], ...]
-    ample_witness: tuple[int, ...]
-    ortho_basis: tuple[Vector, ...]
-    ample_tests: tuple[int, ...]
-
-    def __post_init__(self):
-        rho = self.rank
+    def __init__(self, rank: int, gram: tuple[tuple[int, ...], ...],
+                 ample_witness: tuple[int, ...], ortho_basis: tuple[Vector, ...],
+                 ample_tests: tuple[int, ...]):
+        rho = rank
         if rho < 1:
             raise ValueError("rank must be at least 1")
-        if len(self.gram) != rho or any(len(r) != rho for r in self.gram):
+        if len(gram) != rho or any(len(r) != rho for r in gram):
             raise ValueError("gram matrix has wrong shape")
         for i in range(rho):
             for j in range(rho):
-                if self.gram[i][j] != self.gram[j][i]:
+                if gram[i][j] != gram[j][i]:
                     raise ValueError("gram matrix is not symmetric")
-        if len(self.ample_witness) != rho:
+        if len(ample_witness) != rho:
             raise ValueError("ample witness has wrong length")
-        if len(self.ortho_basis) != rho or any(len(v) != rho for v in self.ortho_basis):
+        if len(ortho_basis) != rho or any(len(v) != rho for v in ortho_basis):
             raise ValueError("orthogonal basis has wrong shape")
-        if len(self.ample_tests) != max(rho - 1, 0):
+        if len(ample_tests) != max(rho - 1, 0):
             raise ValueError("expected one ample test integer per basis vector past the first")
-        if _det(self.gram) == 0:
+        if _det(gram) == 0:
             raise BasisDenominatorError(
                 "gram matrix is degenerate; no rational basis can diagonalize it"
             )
-        d = self.ortho_basis
-        squares = [_dot(self.gram, v, v) for v in d]
+        scale = math.lcm(*(x.denominator for v in ortho_basis for x in v))
+        scaled = [tuple(x.numerator * (scale // x.denominator) for x in v) for v in ortho_basis]
+        rows = [_times_gram(gram, e) for e in scaled]
+        # squares[k] = L^2 D_k^2: the signs are those of the squares
+        squares = [sum(map(operator.mul, r, e)) for r, e in zip(rows, scaled)]
         positives = sum(1 for s in squares if s > 0)
         if squares[0] <= 0 or positives != 1 or any(s >= 0 for s in squares[1:]):
             raise HodgeIndexViolation(
@@ -125,18 +145,24 @@ class LatticeModel:
             )
         for i in range(rho):
             for j in range(i + 1, rho):
-                if _dot(self.gram, d[i], d[j]) != 0:
+                if sum(map(operator.mul, rows[i], scaled[j])) != 0:
                     raise ValueError(f"basis vectors {i + 1} and {j + 1} are not orthogonal")
-        if _dot(self.gram, self.ample_witness, self.ample_witness) <= 0:
+        witness_row = _times_gram(gram, ample_witness)
+        if sum(map(operator.mul, witness_row, ample_witness)) <= 0:
             raise ValueError("ample witness must have positive self-intersection")
-        for ell, n in enumerate(self.ample_tests, start=2):
+        for ell, n in enumerate(ample_tests, start=2):
             if n < 1:
                 raise ValueError("ample test integers must be positive")
             a_sq = n * n * squares[0] + squares[ell - 1]
             if a_sq <= 0:
                 raise ValueError(
-                    f"test class {n}*D1 +/- D{ell} has nonpositive square {a_sq}"
+                    f"test class {n}*D1 +/- D{ell} has nonpositive square "
+                    f"{Fraction(a_sq, scale * scale)}"
                 )
+        super().__init__(rank=rank, gram=gram, ample_witness=ample_witness,
+                         ortho_basis=ortho_basis, ample_tests=ample_tests,
+                         _scale=scale, _rows=rows, _witness_row=witness_row,
+                         _box=_box_weights(scaled, squares, ample_tests))
 
     def ip(self, u, v) -> Fraction:
         """Intersection pairing of two coordinate vectors."""
@@ -152,6 +178,46 @@ class LatticeModel:
             out.extend([plus, minus])
         return out
 
+    def test_forms(self) -> list[tuple[int, ...]]:
+        """The integer form f_T of each test class T, in the order of
+        :meth:`test_classes`: the least positive integer multiple of T.gram.
+
+        With r_T = L*(T.gram), read off the integer rows R (R_1 for D_1,
+        n_l R_1 +/- R_l for n_l D_1 +/- D_l), f_T = r_T / gcd(L, r_T).
+        """
+        first, *rest = self._rows
+        rows = [first]
+        for n, row in zip(self.ample_tests, rest):
+            rows.append(tuple(n * x + y for x, y in zip(first, row)))
+            rows.append(tuple(n * x - y for x, y in zip(first, row)))
+        forms = []
+        for row in rows:
+            g = math.gcd(self._scale, *row)
+            forms.append(tuple(x // g for x in row))
+        return forms
+
+
+def _box_weights(scaled, squares, ample_tests):
+    """(Q, lows, highs) with the gram-coordinate box of decompose() for a
+    class beta equal to [ceil(p*lows[i]/Q), floor(p*highs[i]/Q)], where
+    p = R_1.beta > 0.
+
+    In orthogonal coordinates theta1 lies in 0 < x_1 < a_1 and |x_l| <
+    m_l = n_l a_1 D_1^2 / (-D_l^2), with a_1 = beta.D_1 / D_1^2 = p*L/s_1
+    for s_k = L^2 D_k^2.  Pushed through the basis, gram coordinate i
+    spans p*(min(0, E_1[i])/s_1 - sum_l n_l |E_l[i]| / (-s_l)) up to the
+    same with max and +; Q clears the denominators s_1 and -s_l.
+    """
+    first, *rest = scaled
+    q = math.lcm(squares[0], *(-s for s in squares[1:]))
+    per_l = [(n * q // -s, e) for n, s, e in zip(ample_tests, squares[1:], rest)]
+    lows, highs = [], []
+    for i, x in enumerate(first):
+        spread = sum(w * abs(e[i]) for w, e in per_l)
+        lows.append(min(0, x) * (q // squares[0]) - spread)
+        highs.append(max(0, x) * (q // squares[0]) + spread)
+    return q, lows, highs
+
 
 def decompose(model: LatticeModel, beta) -> list[tuple[DivisorClass, DivisorClass]]:
     """All integer pairs (theta1, theta2) with theta1 + theta2 = beta passing
@@ -159,51 +225,37 @@ def decompose(model: LatticeModel, beta) -> list[tuple[DivisorClass, DivisorClas
 
     Positivity means strictly positive pairing with D_1 and with every
     declared ample test class T.  Each T is read as the integer linear
-    form f_T = c_T (T . gram), c_T > 0 the least integer that clears its
-    denominators, and theta1 is accepted exactly when 0 < f_T(theta1) <
-    f_T(beta) for every T.  The enumeration box comes from the same
+    form f_T of :meth:`LatticeModel.test_forms`, the least positive
+    multiple of T.gram, and theta1 is accepted exactly when 0 < f_T(theta1)
+    < f_T(beta) for every T.  The enumeration box comes from the same
     inequalities expressed in orthogonal coordinates: 0 < x_1 < a_1 and
-    |x_l| < n_l x_1 D_1^2 / (-D_l^2) <= n_l a_1 D_1^2 / (-D_l^2).
+    |x_l| < n_l x_1 D_1^2 / (-D_l^2) <= n_l a_1 D_1^2 / (-D_l^2); it is
+    refused when it holds more than ENUMERATION_CAP points.  The first
+    rank - 1 gram coordinates run through the box; for each such prefix,
+    every form's inequality bounds the last coordinate to an integer
+    interval, and the intersection of these intervals with the box is
+    emitted whole.
 
     Raises NotEffectiveCandidate when beta pairs non-positively with the
     ample witness.
     """
     beta = tuple(int(c) for c in beta)
-    if model.ip(beta, model.ample_witness) <= 0:
+    if sum(map(operator.mul, model._witness_row, beta)) <= 0:
         raise NotEffectiveCandidate(
             "class pairs non-positively with the ample witness"
         )
-    forms = []
-    for t in model.test_classes():
-        row = [sum(map(operator.mul, t, gram_row)) for gram_row in model.gram]
-        scale = math.lcm(*(x.denominator for x in row))
-        forms.append([int(x * scale) for x in row])
+    forms = model.test_forms()
     f_beta = [sum(map(operator.mul, f, beta)) for f in forms]
     # f_T(theta1) must be an integer strictly between 0 and f_T(beta)
     if min(f_beta) < 2:
         return []
-    d = model.ortho_basis
-    d1_sq = model.ip(d[0], d[0])
-    a1 = model.ip(beta, d[0]) / d1_sq
-    # interval for each orthogonal coordinate of theta1
-    intervals: list[tuple[Fraction, Fraction]] = [(Fraction(0), a1)]
-    for ell, n in enumerate(model.ample_tests, start=2):
-        neg_sq = -model.ip(d[ell - 1], d[ell - 1])
-        m = n * a1 * d1_sq / neg_sq
-        intervals.append((-m, m))
-    # push the orthogonal box through the basis to bound gram coordinates
-    lo = [Fraction(0)] * model.rank
-    hi = [Fraction(0)] * model.rank
-    for (l, h), dvec in zip(intervals, d):
-        for i, c in enumerate(dvec):
-            cand = sorted((l * c, h * c))
-            lo[i] += cand[0]
-            hi[i] += cand[1]
+    p = sum(map(operator.mul, model._rows[0], beta))
+    q, lows, highs = model._box
     ranges = []
     total = 1
-    for i in range(model.rank):
-        lo_i = math.ceil(lo[i])
-        hi_i = math.floor(hi[i])
+    for low, high in zip(lows, highs):
+        lo_i = -(-p * low // q)
+        hi_i = p * high // q
         if lo_i > hi_i:
             return []
         total *= hi_i - lo_i + 1
@@ -211,10 +263,28 @@ def decompose(model: LatticeModel, beta) -> list[tuple[DivisorClass, DivisorClas
             raise ValueError("decomposition enumeration region is too large")
         ranges.append(range(lo_i, hi_i + 1))
 
+    *heads, last = ranges
+    tests = [(f, fb, f[-1]) for f, fb in zip(forms, f_beta)]
+    beta_last = beta[-1]
     out = []
-    for theta1 in itertools.product(*ranges):
-        if all(0 < sum(map(operator.mul, f, theta1)) < fb for f, fb in zip(forms, f_beta)):
-            out.append((theta1, tuple(b - t for b, t in zip(beta, theta1))))
+    for head in itertools.product(*heads):
+        lo, hi = last.start, last.stop - 1
+        for f, fb, c in tests:
+            s = sum(map(operator.mul, f, head))
+            # 0 < s + c*x < fb for the last coordinate x
+            if c > 0:
+                lo = max(lo, -s // c + 1)
+                hi = min(hi, (fb - s - 1) // c)
+            elif c < 0:
+                lo = max(lo, (s - fb) // -c + 1)
+                hi = min(hi, (s - 1) // -c)
+            elif not 0 < s < fb:
+                break
+            if lo > hi:
+                break
+        else:
+            rest = tuple(b - t for b, t in zip(beta, head))
+            out.extend((head + (x,), rest + (beta_last - x,)) for x in range(lo, hi + 1))
     return out
 
 
@@ -337,8 +407,7 @@ def enriques_d0(beta_sq: int, i: int, j: int) -> int:
 # --- bielliptic-side formulas -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BiellipticParams:
+class BiellipticParams(HashableRecord):
     """Numerical data of an ample class a*lambda*A + b*mu*B on a bielliptic
     surface with A^2 = B^2 = 0 and A.B = gamma.
 
@@ -348,24 +417,18 @@ class BiellipticParams:
     an integer.
     """
 
-    a: int
-    b: int
-    lam: Fraction
-    mu: Fraction
-    gamma: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "lam", Fraction(self.lam))
-        object.__setattr__(self, "mu", Fraction(self.mu))
-        if self.a < 1 or self.b < 1:
+    def __init__(self, a: int, b: int, lam: Fraction, mu: Fraction, gamma: int):
+        lam, mu = Fraction(lam), Fraction(mu)
+        if a < 1 or b < 1:
             raise ValueError("a and b must be positive integers")
-        if self.lam <= 0 or self.mu <= 0:
+        if lam <= 0 or mu <= 0:
             raise ValueError("lambda and mu must be positive")
-        if self.gamma < 1:
+        if gamma < 1:
             raise ValueError("gamma must be a positive integer")
-        chi = self.a * self.b * self.lam * self.mu * self.gamma
+        chi = a * b * lam * mu * gamma
         if chi.denominator != 1:
             raise ValueError(f"chi = {chi} must be an integer")
+        super().__init__(a=a, b=b, lam=lam, mu=mu, gamma=gamma)
 
     def beta_sq(self) -> Fraction:
         return 2 * self.a * self.b * self.lam * self.mu * self.gamma
@@ -486,6 +549,8 @@ def parse_lattice(text: str) -> LatticeModel:
 def load_lattice(source: str) -> LatticeModel:
     """Load a lattice from a preset name or a file path."""
     if source in PRESET_LATTICES:
+        from importlib import resources
+
         text = (
             resources.files("stabctab")
             .joinpath(f"data/lattices/{source}.lat")

@@ -23,17 +23,17 @@ against coefficient extraction from the product series H(q, t).
 
 from __future__ import annotations
 
+from ._record import Record
 from .errors import InconsistentTower
 from .genfunc import (
     PerverseTable,
     SurfaceTopology,
     _as_betti,
-    _Record,
     goettsche_series,
 )
 
 
-class RelHilbBettiTower(_Record):
+class RelHilbBettiTower(Record):
     """Betti numbers b_m of the l-point relative Hilbert schemes.
 
     values maps (l, m) to b_m for 0 <= l <= order and 0 <= m <= order.

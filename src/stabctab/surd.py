@@ -6,25 +6,39 @@ arithmetic (math.isqrt plus sign analysis by squaring).  No floating
 point is involved anywhere.  QuadSurd speaks Python's numeric protocol:
 math.floor and math.ceil, min and max over mixed lists with int and
 Fraction (whose comparisons reflect to it), and str.
+
+The square root of p/q (in lowest terms) is taken apart by trial division
+of p*q, so its cost grows as sqrt(p*q); MAX_RADICAND caps p*q, and a
+larger one raises RadicandTooLarge before any division.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+
+from ._record import Record
+from .errors import RadicandTooLarge
+
+#: Largest radicand (numerator times denominator of the rational under the
+#: root) that is taken apart: trial division then ends within 5 * 10^5
+#: odd divisors.
+MAX_RADICAND = 10**12
 
 
 def _squarefree_split(n: int) -> tuple[int, int]:
     """n = s^2 * m with m squarefree; returns (s, m)."""
     if n <= 0:
         raise ValueError("expected a positive integer under the square root")
+    if n > MAX_RADICAND:
+        raise RadicandTooLarge(f"radicand {n} exceeds the cap of {MAX_RADICAND}")
     s, m, d = 1, n, 2
     while d * d <= m:
         while m % (d * d) == 0:
             m //= d * d
             s *= d
-        d += 1
+        # once the factors 4 are gone, d*d divides m for no even d
+        d += 1 if d == 2 else 2
     return s, m
 
 
@@ -43,29 +57,25 @@ def sqrt_rational(r) -> "Fraction | QuadSurd":
     s, m = _squarefree_split(r.numerator * r.denominator)
     if m == 1:
         return Fraction(s, r.denominator)
-    return QuadSurd(Fraction(0), Fraction(s, r.denominator), m)
+    return _surd(Fraction(0), Fraction(s, r.denominator), m)
 
 
-@dataclass(frozen=True)
-class QuadSurd:
+class QuadSurd(Record):
     """The exact real number rat + coef*sqrt(radicand), radicand squarefree >= 2."""
 
-    rat: Fraction
-    coef: Fraction
-    radicand: int
-
-    def __post_init__(self):
-        if self.radicand < 2:
+    def __init__(self, rat: Fraction, coef: Fraction, radicand: int):
+        if radicand < 2:
             raise ValueError("radicand must be >= 2 (use Fraction otherwise)")
-        s, m = _squarefree_split(self.radicand)
+        s, m = _squarefree_split(radicand)
         if s != 1:
             raise ValueError("radicand must be squarefree")
-        if self.coef == 0:
+        if coef == 0:
             raise ValueError("coefficient zero: use a plain Fraction")
+        super().__init__(rat=rat, coef=coef, radicand=radicand)
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
-            return QuadSurd(self.rat + Fraction(other), self.coef, self.radicand)
+            return _surd(self.rat + Fraction(other), self.coef, self.radicand)
         return NotImplemented
 
     __radd__ = __add__
@@ -80,7 +90,7 @@ class QuadSurd:
             c = Fraction(other)
             if c == 0:
                 return Fraction(0)
-            return QuadSurd(self.rat * c, self.coef * c, self.radicand)
+            return _surd(self.rat * c, self.coef * c, self.radicand)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -110,9 +120,7 @@ class QuadSurd:
                 diff_rat = self.rat - other.rat
                 if diff_coef == 0:
                     return (diff_rat > 0) - (diff_rat < 0)
-                return QuadSurd(diff_rat, diff_coef, self.radicand)._cmp_rational(
-                    Fraction(0)
-                )
+                return _surd(diff_rat, diff_coef, self.radicand)._cmp_rational(Fraction(0))
             raise TypeError("cannot compare surds with different radicands")
         raise TypeError(f"cannot compare QuadSurd with {type(other).__name__}")
 
@@ -167,12 +175,20 @@ class QuadSurd:
         return -math.floor(-self)
 
     def __neg__(self):
-        return QuadSurd(-self.rat, -self.coef, self.radicand)
+        return _surd(-self.rat, -self.coef, self.radicand)
 
     def __str__(self) -> str:
         return f"{self.rat}+{self.coef}*sqrt({self.radicand})"
 
     __repr__ = __str__
+
+
+def _surd(rat: Fraction, coef: Fraction, radicand: int) -> QuadSurd:
+    """QuadSurd(rat, coef, radicand) for a radicand known to be squarefree
+    and a nonzero coef, without taking the radicand apart again."""
+    value = object.__new__(QuadSurd)
+    Record.__init__(value, rat=rat, coef=coef, radicand=radicand)
+    return value
 
 
 def parse_rational(text: str) -> Fraction:

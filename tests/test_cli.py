@@ -243,6 +243,42 @@ def test_bounds_enriques_cases(capsys):
     assert ["1.1", "-2+20*sqrt(5)"] in record["results"]["case_bounds"]
 
 
+@pytest.mark.parametrize("argv, radicand", [
+    (("--surface", "enriques", "--beta-sq", "2000000000000000014", "--d", "1"),
+     4000000000000000028),
+    (("--surface", "enriques", "--beta-sq", "500000000002", "--d", "1"), 1000000000004),
+    (("--surface", "bielliptic", "--a", "1", "--b", "1", "--lambda", "1000000000039/3",
+      "--mu", "3", "--gamma", "1", "--d", "1"), 2000000000078),
+], ids=["enriques-huge", "enriques-above-cap", "bielliptic-lambda"])
+def test_bounds_radicand_above_the_cap_exits_2(argv, radicand):
+    # a fresh interpreter with a timeout: trial division of these
+    # radicands, uncapped, takes seconds to hours
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import stabctab
+
+    src = str(Path(stabctab.__file__).resolve().parent.parent)
+    env = {k: v for k, v in os.environ.items() if k != "STABCTAB_MAX_ORDER"}
+    proc = subprocess.run([sys.executable, "-m", "stabctab", "bounds", *argv],
+                          capture_output=True, text=True, env=dict(env, PYTHONPATH=src),
+                          timeout=20)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        f"stabctab: radicand {radicand} exceeds the cap of 1000000000000\n")
+
+
+def test_bounds_radicand_at_the_cap_runs(capsys):
+    # 2 * beta^2 = 10^12 is the largest radicand taken apart
+    code, record = run_json(
+        capsys, "bounds", "--surface", "enriques", "--beta-sq", "500000000000", "--d", "1")
+    assert code == 0
+    assert ["1.1", "999998"] in record["results"]["case_bounds"]
+
+
 def test_bounds_usage_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bounds", "--surface", "enriques", "--beta-sq", "10"])
@@ -286,6 +322,67 @@ def test_decompose_small_test_form_value_is_empty(capsys, tmp_path):
     code, out = run(capsys, "decompose", "--lattice", str(path), "--beta", "400,1599")
     assert code == 0
     assert tsv_rows(out) == [["theta1", "theta2"]]
+
+
+def _lattice(gram="0 2\n2 0", witness="1 1", basis="1 1\n1 -1", tests="2", rank=2):
+    return (f"rank {rank}\ngram\n{gram}\nample_witness {witness}\n"
+            f"ortho_basis\n{basis}\nample_tests {tests}\n")
+
+
+#: One lattice file per validation failure of the lattice model, each
+#: varying the bielliptic preset, with the stderr line the command line
+#: printed when the model checked itself in Fraction arithmetic.
+INVALID_LATTICES = {
+    "rank": ("rank 0\ngram\nample_witness\northo_basis\nample_tests\n",
+             "rank must be at least 1"),
+    "gram-shape": (_lattice(gram="0 2 1\n2 0"), "gram matrix has wrong shape"),
+    "gram-symmetry": (_lattice(gram="0 2\n1 0"), "gram matrix is not symmetric"),
+    "witness-length": (_lattice(witness="1 1 1"), "ample witness has wrong length"),
+    "basis-shape": (_lattice(basis="1 1 0\n1 -1"), "orthogonal basis has wrong shape"),
+    "tests-length": (_lattice(tests="2 2"),
+                     "expected one ample test integer per basis vector past the first"),
+    "degenerate": (_lattice(gram="1 1\n1 1", basis="1 0\n0 1"),
+                   "gram matrix is degenerate; no rational basis can diagonalize it"),
+    "signature": (_lattice(gram="2 0\n0 2", witness="1 0", basis="1 0\n0 1"),
+                  "orthogonal basis must have exactly one positive square, first"),
+    "orthogonality": (_lattice(gram="2 0\n0 -2", witness="1 0", basis="1 0\n1/2 1"),
+                      "basis vectors 1 and 2 are not orthogonal"),
+    "witness-square": (_lattice(witness="1 0"),
+                       "ample witness must have positive self-intersection"),
+    "test-integer": (_lattice(tests="0"), "ample test integers must be positive"),
+    "test-square-rational": (
+        _lattice(gram="2 0\n0 -8", witness="1 0", basis="1/2 0\n0 1", tests="1"),
+        "test class 1*D1 +/- D2 has nonpositive square -15/2"),
+    "test-square-zero": (_lattice(tests="1"),
+                         "test class 1*D1 +/- D2 has nonpositive square 0"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INVALID_LATTICES))
+def test_invalid_lattice_file_exits_2_as_pinned(capsys, tmp_path, name):
+    text, message = INVALID_LATTICES[name]
+    path = tmp_path / "model.lat"
+    path.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        main(["decompose", "--lattice", str(path), "--beta", "1,1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"stabctab decompose: {message}\n"
+
+
+@pytest.mark.parametrize("lattice, beta, message", [
+    ("enriques-u-e8", "1,1,0,0,0,0,0,0,0,0", "decomposition enumeration region is too large"),
+    ("bielliptic-rank2", "3000,3000", "decomposition enumeration region is too large"),
+    ("bielliptic-rank2", "-1,-1", "class pairs non-positively with the ample witness"),
+], ids=["enriques-box-cap", "bielliptic-box-cap", "not-effective"])
+def test_decompose_refusals_as_pinned(capsys, lattice, beta, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["decompose", "--lattice", lattice, "--beta=" + beta])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"stabctab decompose: {message}\n"
 
 
 def test_decompose_bad_beta(capsys):
@@ -383,10 +480,29 @@ PINNED_STDOUT_SHA256 = [
     (("bounds", "--surface", "enriques", "--beta-sq", "6", "--i", "3", "--j", "4"),
      "0a9f0603789fb88e05a4a309adb75a9d11e570bb6a1451751b71660121f4aa5c",
      "20aba9a773e4dc0a55a88db588bd7e0166a3a7041c7d87622dee12a11c9c8a18"),
+    # these two with the lattice model checked in Fraction arithmetic and
+    # the last gram coordinate scanned point by point
+    (("decompose", "--lattice", "rank3.lat", "--beta=10,2,-5"),
+     "6008b09f0cf11bf343d77049897a552e0d927af1dac79d1e9aef82c98b875c82",
+     "82bfa18282e8bf7120ae28a2953051b96a3e34178daf786f7031b06dd43465bc"),
+    (("decompose", "--lattice", "enriques-u-e8", "--beta", "1,2,0,1,-1,0,0,0,0,0"),
+     "aa574b29b0e7ea1dca1a471c4554d38350410f07cd9a09402971db7ffbcacf97",
+     "692b9c48e63b35e381eda6190bacc3ff7cdab600a115b2c29db9584b875ca4e4"),
 ]
 
 
-def test_pinned_stdout_digests(capsys):
+#: A rank-3 lattice whose D2, D3 come from Gram-Schmidt, so its basis is
+#: rational; the pinned record reads it as ``rank3.lat`` from the working
+#: directory, so that the JSON record holds no temporary path.
+RANK3_RATIONAL_LATTICE = (
+    "rank 3\ngram\n-2 -2 1\n-2 -1 -3\n1 -3 -3\nample_witness -1 1 0\n"
+    "ortho_basis\n-1 1 0\n1 0 0\n-7/2 4 1\nample_tests 2 5\n"
+)
+
+
+def test_pinned_stdout_digests(capsys, tmp_path, monkeypatch):
+    (tmp_path / "rank3.lat").write_text(RANK3_RATIONAL_LATTICE)
+    monkeypatch.chdir(tmp_path)
     for argv, tsv_sha, json_sha in PINNED_STDOUT_SHA256:
         for fmt, want in (("tsv", tsv_sha), ("json", json_sha)):
             code, out = run(capsys, *argv, "--format", fmt)

@@ -39,26 +39,33 @@ def bielliptic_model():
     return load_lattice("bielliptic-rank2")
 
 
-def brute_force_pairs(model, beta, box=20):
-    """Independent oracle: scan the whole coordinate box with the same
-    positivity filter, as integer linear functionals."""
-    functionals = []
+def fraction_forms(model):
+    """Oracle for LatticeModel.test_forms: each test class T, paired with
+    every gram basis vector in Fraction arithmetic, scaled by the least
+    common multiple of the row's denominators."""
+    forms = []
     for t in model.test_classes():
         f = [
             sum(Fraction(t[i]) * model.gram[i][col] for i in range(model.rank))
             for col in range(model.rank)
         ]
         den = math.lcm(*(x.denominator for x in f))
-        functionals.append(tuple(int(x * den) for x in f))
+        forms.append(tuple(int(x * den) for x in f))
+    return forms
 
-    def ok(v):
-        return all(sum(f[i] * v[i] for i in range(len(v))) > 0 for f in functionals)
+
+def brute_force_pairs(model, beta, box=20):
+    """Independent oracle: scan the whole coordinate box with the same
+    positivity filter, as integer linear functionals."""
+    functionals = fraction_forms(model)
+    at_beta = [sum(f[i] * beta[i] for i in range(len(beta))) for f in functionals]
 
     pairs = []
     for t1 in itertools.product(range(-box, box + 1), repeat=model.rank):
-        t2 = tuple(b - x for b, x in zip(beta, t1))
-        if ok(t1) and ok(t2):
-            pairs.append((t1, t2))
+        # f(theta2) = f(beta) - f(theta1) for each linear functional f
+        if all(0 < sum(f[i] * t1[i] for i in range(len(t1))) < fb
+               for f, fb in zip(functionals, at_beta)):
+            pairs.append((t1, tuple(b - x for b, x in zip(beta, t1))))
     return sorted(pairs)
 
 
@@ -164,34 +171,38 @@ def test_decompose_at_the_smallest_splittable_form_value():
     assert pairs == brute_force_pairs(model, (5, -2))
 
 
-def random_rank3_model(rng):
-    """Random signature-(1,2) rank-3 lattice whose D2, D3 come from
+def random_gram_schmidt_model(rng, rank):
+    """Random signature-(1, rank-1) lattice whose D2, ... come from
     Gram-Schmidt against a small ample D1, so they have rational entries."""
     while True:
-        a, b, c, d, e, f = (rng.randint(-4, 4) for _ in range(6))
-        gram = ((a, b, c), (b, d, e), (c, e, f))
+        entries = iter([rng.randint(-4, 4) for _ in range(rank * (rank + 1) // 2)])
+        gram = [[0] * rank for _ in range(rank)]
+        for i in range(rank):
+            for j in range(i, rank):
+                gram[i][j] = gram[j][i] = next(entries)
+        gram = tuple(map(tuple, gram))
 
         def ip(u, v):
-            return sum(u[i] * gram[i][j] * v[j] for i in range(3) for j in range(3))
+            return sum(u[i] * gram[i][j] * v[j] for i in range(rank) for j in range(rank))
 
         small = sorted(
-            itertools.product(range(-2, 3), repeat=3),
+            itertools.product(range(-2, 3), repeat=rank),
             key=lambda v: (sum(map(abs, v)), v),
         )
         d1 = next((v for v in small if ip(v, v) > 0), None)
         if d1 is None:
             continue
         basis = [tuple(map(Fraction, d1))]
-        for unit in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
-            v = tuple(map(Fraction, unit))
+        for k in range(rank):
+            v = tuple(Fraction(int(i == k)) for i in range(rank))
             for w in basis:
                 scale = ip(v, w) / ip(w, w)
                 v = tuple(x - scale * y for x, y in zip(v, w))
-            if any(v) and len(basis) < 3:
+            if any(v) and len(basis) < rank:
                 if ip(v, v) >= 0:
                     break
                 basis.append(v)
-        if len(basis) != 3 or any(ip(v, v) >= 0 for v in basis[1:]):
+        if len(basis) != rank or any(ip(v, v) >= 0 for v in basis[1:]):
             continue
         if all(x.denominator == 1 for v in basis[1:] for x in v):
             continue
@@ -201,14 +212,14 @@ def random_rank3_model(rng):
             while n * n * ip(d1, d1) + ip(v, v) <= 0:
                 n += 1
             tests.append(n)
-        return LatticeModel(3, gram, d1, tuple(basis), tuple(tests))
+        return LatticeModel(rank, gram, d1, tuple(basis), tuple(tests))
 
 
 def test_random_rank3_enumeration_oracle():
     rng = random.Random(131313)
     done = 0
     while done < 12:
-        model = random_rank3_model(rng)
+        model = random_gram_schmidt_model(rng, 3)
         beta = tuple(rng.randint(-3, 3) for _ in range(3))
         if model.ip(beta, model.ample_witness) <= 0:
             continue
@@ -216,6 +227,56 @@ def test_random_rank3_enumeration_oracle():
         assert pairs == brute_force_pairs(model, beta, box=8)
         assert pairs == brute_force_pairs(model, beta, box=11)
         done += 1
+
+
+def test_random_rank4_enumeration_oracle():
+    rng = random.Random(4443)
+    done = 0
+    last_signs = set()
+    while done < 3:
+        model = random_gram_schmidt_model(rng, 4)
+        beta = tuple(rng.randint(-1, 2) for _ in range(4))
+        if model.ip(beta, model.ample_witness) <= 0:
+            continue
+        pairs = decompose(model, beta)
+        assert pairs == brute_force_pairs(model, beta, box=5)
+        if pairs:
+            assert pairs == brute_force_pairs(model, beta, box=7)
+            last_signs |= {(f[-1] > 0) - (f[-1] < 0) for f in model.test_forms()}
+            done += 1
+    assert last_signs >= {-1, 1}
+
+
+def test_last_coordinate_coefficients_of_every_sign():
+    # forms (2, 0), (4, -2) and (4, 2): the last coordinate of theta1 is
+    # bounded by a form with a negative last coefficient and by one with a
+    # positive one, while the form with a zero last coefficient is decided
+    # on the first coordinate alone
+    model = LatticeModel(
+        2, ((2, 0), (0, -2)), (1, 0),
+        ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))), (2,),
+    )
+    assert model.test_forms() == [(2, 0), (4, -2), (4, 2)]
+    for beta in ((2, 0), (3, 1), (5, -2), (6, 0), (7, 3), (9, -4)):
+        pairs = decompose(model, beta)
+        assert pairs == brute_force_pairs(model, beta, box=12)
+        assert pairs
+    rank3 = LatticeModel(
+        3, ((2, 0, 0), (0, -2, 0), (0, 0, -2)), (1, 0, 0),
+        tuple(tuple(Fraction(int(i == j)) for j in range(3)) for i in range(3)), (2, 2),
+    )
+    assert [f[-1] for f in rank3.test_forms()] == [0, 0, 0, -2, 2]
+    for beta in ((3, 0, 0), (4, 1, -1), (5, -1, 2)):
+        assert decompose(rank3, beta) == brute_force_pairs(rank3, beta, box=8)
+
+
+def test_integer_forms_equal_the_fraction_oracle():
+    models = [load_lattice("bielliptic-rank2"), load_lattice("enriques-u-e8")]
+    rng = random.Random(8080)
+    models += [random_rank2_model(rng) for _ in range(10)]
+    models += [random_gram_schmidt_model(rng, rank) for rank in (3, 4) for _ in range(10)]
+    for model in models:
+        assert model.test_forms() == fraction_forms(model)
 
 
 def test_rank10_preset_loads_and_validates():

@@ -72,6 +72,89 @@ def test_record_classes_behave_as_pinned():
             hash(record)
 
 
+def test_lattice_record_classes_behave_as_pinned():
+    # recorded when LatticeModel, BiellipticParams and QuadSurd were frozen
+    # dataclasses; the plain classes keep what callers observe
+    import copy
+    import pickle
+    from fractions import Fraction
+
+    from stabctab.nslattice import BiellipticParams, LatticeModel, load_lattice
+    from stabctab.surd import QuadSurd, sqrt_rational
+
+    one = Fraction(1)
+    fields = (2, ((0, 2), (2, 0)), (1, 1), ((one, one), (one, -one)), (2,))
+    m = load_lattice("bielliptic-rank2")
+    assert repr(m) == (
+        "LatticeModel(rank=2, gram=((0, 2), (2, 0)), ample_witness=(1, 1), "
+        "ortho_basis=((Fraction(1, 1), Fraction(1, 1)), (Fraction(1, 1), Fraction(-1, 1))), "
+        "ample_tests=(2,))")
+    assert m == LatticeModel(*fields) == LatticeModel(
+        rank=2, gram=fields[1], ample_witness=(1, 1), ortho_basis=fields[3], ample_tests=(2,))
+    assert m != LatticeModel(2, fields[1], (1, 2), fields[3], (2,)) and m != fields
+    assert hash(m) == hash(LatticeModel(*fields)) == hash(fields)
+    assert len({m, LatticeModel(*fields), load_lattice("enriques-u-e8")}) == 2
+
+    p = BiellipticParams(1, 2, 1, Fraction(3, 2), 2)
+    assert repr(p) == "BiellipticParams(a=1, b=2, lam=Fraction(1, 1), mu=Fraction(3, 2), gamma=2)"
+    assert p == BiellipticParams(a=1, b=2, lam=one, mu=Fraction(3, 2), gamma=2)
+    assert p != BiellipticParams(2, 1, 1, Fraction(3, 2), 2) and p != m
+    assert hash(p) == hash((1, 2, one, Fraction(3, 2), 2))
+
+    q = sqrt_rational(20)
+    assert repr(q) == str(q) == "0+2*sqrt(5)"
+    assert q == QuadSurd(Fraction(0), Fraction(2), 5) and q != QuadSurd(one, Fraction(2), 5)
+    assert q != 0 and q != Fraction(1) and q.__eq__("x") is NotImplemented
+    assert hash(q) == hash((Fraction(0), Fraction(2), 5))
+    for args, message in (((one, one, 1), "radicand must be >= 2 (use Fraction otherwise)"),
+                          ((one, one, 8), "radicand must be squarefree"),
+                          ((one, Fraction(0), 5), "coefficient zero: use a plain Fraction")):
+        with pytest.raises(ValueError) as exc:
+            QuadSurd(*args)
+        assert str(exc.value) == message
+
+    for record, field in ((m, "rank"), (p, "lam"), (q, "rat")):
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
+            setattr(record, field, 0)
+        with pytest.raises(AttributeError, match=f"cannot delete field '{field}'"):
+            delattr(record, field)
+        assert pickle.loads(pickle.dumps(record)) == record == copy.deepcopy(record)
+
+
+def test_germ_record_classes_behave_as_pinned():
+    # recorded when CurveGerm, BranchSet and CorpusRecord were frozen
+    # dataclasses
+    import copy
+    import pickle
+
+    from stabctab.germ import BranchSet, CorpusRecord, CurveGerm, load_corpus
+
+    g = CurveGerm.from_string("y^2 - x^3")
+    assert repr(g) == "CurveGerm(poly=Poly(2, {(0, 2): Fraction(1, 1), (3, 0): Fraction(-1, 1)}))"
+    assert g == CurveGerm(poly=g.poly) and g != CurveGerm.from_string("y^2 - x^5")
+    assert hash(g) == hash((g.poly,))
+    b = BranchSet.from_strings([("t^2", "t^3")])
+    assert repr(b) == ("BranchSet(branches=((Poly(1, {(2,): Fraction(1, 1)}), "
+                       "Poly(1, {(3,): Fraction(1, 1)})),), declared_truncation=None)")
+    assert b == BranchSet(b.branches) == BranchSet(branches=b.branches, declared_truncation=None)
+    assert b != BranchSet(b.branches, 5) and hash(b) == hash((b.branches, None))
+    c = load_corpus()[0]
+    assert repr(c) == (
+        "CorpusRecord(name='A1', germ=CurveGerm(poly=Poly(2, {(1, 1): Fraction(1, 1)})), "
+        "branches=BranchSet(branches=((Poly(1, {(1,): Fraction(1, 1)}), Poly(1, {})), "
+        "(Poly(1, {}), Poly(1, {(1,): Fraction(1, 1)}))), declared_truncation=None), "
+        "expected={'mu': 1, 'tau': 1, 'delta': 1, 'r': 2})")
+    assert c == CorpusRecord(name="A1", germ=c.germ, branches=c.branches, expected=c.expected)
+    with pytest.raises(TypeError):
+        hash(c)
+    for record, field in ((g, "poly"), (b, "declared_truncation"), (c, "name")):
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
+            setattr(record, field, 0)
+        with pytest.raises(AttributeError, match=f"cannot delete field '{field}'"):
+            delattr(record, field)
+        assert pickle.loads(pickle.dumps(record)) == record == copy.deepcopy(record)
+
+
 #: Prints, at exit, every module the run loaded; runs the command line as
 #: ``python -m stabctab`` does.
 PROBE = """
@@ -81,8 +164,9 @@ sys.argv[0] = "stabctab"
 runpy.run_module("stabctab", run_name="__main__", alter_sys=True)
 """
 
-TABLES = {"stabctab", "stabctab.cli", "stabctab.errors", "stabctab.genfunc"}
-LATTICE = {"stabctab", "stabctab.cli", "stabctab.errors", "stabctab.nslattice", "stabctab.surd"}
+TABLES = {"stabctab", "stabctab._record", "stabctab.cli", "stabctab.errors", "stabctab.genfunc"}
+LATTICE = {"stabctab", "stabctab._record", "stabctab.cli", "stabctab.errors",
+           "stabctab.nslattice", "stabctab.surd"}
 
 
 @pytest.mark.parametrize("argv, code, loaded", [
@@ -94,8 +178,8 @@ LATTICE = {"stabctab", "stabctab.cli", "stabctab.errors", "stabctab.nslattice", 
     (("perverse", "--b1", "0", "--b2", "10", "--max-order", "65", "--oracle"), 2,
      {"stabctab", "stabctab.cli", "stabctab.errors"}),
     (("germ", "--poly", "y^2 - x^3", "--branches", "{cusp}"), 0,
-     {"stabctab", "stabctab.cli", "stabctab.errors", "stabctab.germ", "stabctab.poly",
-      "stabctab.surd"}),
+     {"stabctab", "stabctab._record", "stabctab.cli", "stabctab.errors", "stabctab.germ",
+      "stabctab.poly", "stabctab.surd"}),
     (("bounds", "--surface", "enriques", "--beta-sq", "10", "--d", "10"), 0, LATTICE),
     (("decompose", "--lattice", "bielliptic-rank2", "--beta", "2,2"), 0, LATTICE),
 ], ids=["import", "stable-betti", "identity", "perverse", "perverse-above-cap", "germ",
@@ -121,5 +205,9 @@ def test_each_subcommand_imports_only_its_layer(tmp_path, argv, code, loaded):
     assert proc.returncode == code, proc.stderr
     modules = set(proc.stderr.splitlines()[-1].split())
     assert {m for m in modules if m.split(".")[0] == "stabctab"} == loaded
+    assert not modules & {"dataclasses", "inspect"}
     if argv is not None and argv[0] in ("stable-betti", "identity", "perverse"):
-        assert not modules & {"dataclasses", "fractions"}
+        assert "fractions" not in modules
+    if argv is not None and argv[0] == "germ":
+        # only load_corpus, which no subcommand calls, reads JSON resources
+        assert not modules & {"json", "importlib.resources"}
