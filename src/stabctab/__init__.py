@@ -41,18 +41,18 @@ _HOMES = {
     "milnor": "germ",
     "milnor_formula_check": "germ",
     "tjurina": "germ",
-    "BiellipticParams": "nslattice",
+    "BiellipticParams": "codim",
     "DivisorClass": "nslattice",
     "LatticeModel": "nslattice",
-    "arithmetic_genus": "nslattice",
-    "bielliptic_chi": "nslattice",
-    "bielliptic_codim_bound": "nslattice",
+    "arithmetic_genus": "codim",
+    "bielliptic_chi": "codim",
+    "bielliptic_codim_bound": "codim",
     "decompose": "nslattice",
-    "enriques_codim_bound": "nslattice",
-    "enriques_d0": "nslattice",
-    "enriques_dim_ls": "nslattice",
+    "enriques_codim_bound": "codim",
+    "enriques_d0": "codim",
+    "enriques_dim_ls": "codim",
     "load_lattice": "nslattice",
-    "n_lower_bound": "nslattice",
+    "n_lower_bound": "codim",
     "DEFAULT_ORDER": "cli",
 }
 

@@ -1,0 +1,38 @@
+"""The germ subcommand."""
+
+from __future__ import annotations
+
+from . import germ as germ_mod
+from .cli import _emit, _usage
+
+
+def cmd_germ(args) -> int:
+    try:
+        g = germ_mod.CurveGerm.from_string(args.poly)
+    except ValueError as exc:
+        raise _usage(f"stabctab germ: {exc}")
+    results: dict = {"mu": germ_mod.milnor(g), "tau": germ_mod.tjurina(g)}
+    status = 0
+    if args.branches:
+        try:
+            with open(args.branches, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise _usage(f"stabctab germ: {exc}")
+        branches = germ_mod.parse_branch_file(text)
+        results["delta"] = germ_mod.delta(g, branches)
+        results["r"] = germ_mod.branch_count(branches)
+        ok = results["mu"] == 2 * results["delta"] - results["r"] + 1
+        results["milnor_formula"] = "OK" if ok else "FAIL"
+        if not ok:
+            status = 1
+    tsv = [(k, v) for k, v in results.items()]
+    record = {
+        "command": "germ",
+        "parameters": {"poly": args.poly, "branches": args.branches or ""},
+        "results": results,
+        "provenance": "local quotient-algebra dimensions; delta from the "
+                      "normalization cokernel of the branch parametrizations",
+    }
+    _emit(args, record, tsv)
+    return status

@@ -1,8 +1,10 @@
-"""Immutable value classes without ``dataclasses``.
+"""Immutable value classes without ``dataclasses``, and the rational parser.
 
 ``dataclasses`` imports ``inspect``, which costs a subcommand more
 start-up than most of them spend computing.  These two plain bases give
 the package's value classes what callers use of a frozen dataclass.
+Every layer loads this module, so ``parse_rational``, which the
+polynomial, lattice-file and bounds parsers share, lives here too.
 """
 
 
@@ -46,3 +48,13 @@ class HashableRecord(Record):
 
     def __hash__(self) -> int:
         return hash(tuple(self._fields().values()))
+
+
+def parse_rational(text: str):
+    """Fraction(text), reporting a zero denominator as bad input (ValueError)."""
+    from fractions import Fraction
+
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None

@@ -6,21 +6,44 @@ produce byte-identical output.  Exit codes: 0 success, 1 verification
 failure, 2 usage error, 3 internal error (a coefficient that must be an
 exact nonnegative integer was not, or the Betti tower the library built
 for ``perverse --oracle`` is inconsistent: always a bug, never bad
-input).  The environment variable STABCTAB_MAX_ORDER overrides the
-built-in default truncation order (12) used when an order flag is not
-given.
+input), 141 when the reader closes stdout before the record is written
+(128 + SIGPIPE, as a shell reports a process killed by that signal; the
+rest of the record is dropped and nothing is printed on stderr).  The
+environment variable STABCTAB_MAX_ORDER overrides the built-in default
+truncation order (12) used when an order flag is not given.
+
+The command line is read by one table, COMMANDS, that gives each
+subcommand's flags once; ``-h``/``--help``, top-level or after a
+subcommand, prints help built from it to stdout and exits 0 (the
+testing flag ``--perturb`` is not shown).  A flag takes its value as
+``--flag value`` or ``--flag=value``; the value is the next argument
+whatever it is, so it may start with '-'; when a flag is repeated the
+last one wins; flags are not abbreviated.  A usage error (an unknown
+subcommand or flag, a missing value, a value that is not an integer or
+not one of the flag's choices, a missing required flag, a stray
+argument) exits 2 with one line on stderr that names the subcommand and
+the flag.
 
 Orders are capped, and the caps are checked before any computation:
 ``--max-order`` and ``--order`` at 64, ``--max-k`` at 384, and
 STABCTAB_MAX_ORDER, the default of all three, at 64 (the README gives
-the cost of a call at the caps).  A value above its cap exits 2 with
-one line on stderr.  ``bounds`` takes exact square roots by trial
-division and caps their radicand at 10^12 (``surd.MAX_RADICAND``); a
-larger one exits 2 with one line on stderr as well.
+the cost of a call at the caps); STABCTAB_MAX_ORDER is checked before
+the flags are read.  A value above its cap exits 2 with one line on
+stderr.  The codimension bounds of ``bounds --d`` take exact square
+roots by trial division and cap their radicand at 10^12
+(``surd.MAX_RADICAND``); a larger one exits 2 with one line on stderr
+as well.  The threshold of ``bounds --i --j`` needs only ceilings of
+square roots, which it takes by ``math.isqrt`` at any size.
 
 Each subcommand imports only the layer it runs: the parser and the
-dispatch load no computation module, so ``stable-betti`` and
-``identity`` load ``genfunc`` alone and ``perverse`` adds ``perverse``.
+dispatch load no computation module, nor ``argparse``, ``gettext`` or
+``locale``, and each handler lives with the others of its layer
+(``_cmd_tables``, ``_cmd_germ``, ``_cmd_lattice``), so that a call
+compiles only those (a checkout run without cached bytecode compiles
+every module it imports on every call).  ``stable-betti`` and
+``identity`` load ``genfunc`` alone, ``perverse`` adds ``perverse``,
+``germ`` loads ``poly`` and ``germ``, ``decompose`` loads ``nslattice``
+and ``bounds`` loads ``codim``; only ``bounds --d`` adds ``surd``.
 
 ``identity`` checks H(zw, z)(1 - z^2) = (1 - w)(1 - z^2 w) G(z, w), the
 change of variables z = t, w = q/t with denominators cleared; a
@@ -31,9 +54,10 @@ coefficient and gives the integer coefficients of the two sides there
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
+from importlib import import_module
+from types import SimpleNamespace
 
 from .errors import InconsistentTower, InternalIdentityFailure, StabctabError
 
@@ -78,18 +102,6 @@ def _check_caps(args) -> None:
             raise _usage(f"stabctab: {flag} {value} exceeds the cap of {cap}")
 
 
-def _render_value(x):
-    """JSON-safe exact rendering: ints stay ints, rationals become 'p/q',
-    surds become 'p+q*sqrt(n)'."""
-    from fractions import Fraction
-
-    from .surd import QuadSurd
-
-    if isinstance(x, (Fraction, QuadSurd)):
-        return str(x)
-    return x
-
-
 def _emit(args, record: dict, tsv_rows: list[tuple]) -> None:
     if args.format == "json":
         import json
@@ -100,318 +112,203 @@ def _emit(args, record: dict, tsv_rows: list[tuple]) -> None:
             sys.stdout.write("\t".join(str(c) for c in row) + "\n")
 
 
-def _surface(args):
-    from .genfunc import SurfaceTopology
+#: The default of an order flag in COMMANDS: STABCTAB_MAX_ORDER, else
+#: DEFAULT_ORDER, read when the parser is built.
+ORDER = "ORDER"
 
-    return SurfaceTopology(args.b1, args.b2, 0)
+_SURFACE = {
+    "--b1": {"type": int, "required": True, "help": "first Betti number of the surface"},
+    "--b2": {"type": int, "required": True, "help": "second Betti number of the surface"},
+}
+_FORMAT = {"--format": {"choices": ("tsv", "json"), "default": "tsv",
+                        "help": "TSV rows or one JSON record"}}
 
+#: Subcommand -> (help, home, flags).  The handler is the function
+#: cmd_<subcommand> of the module stabctab.<home>, imported only when the
+#: subcommand runs, so that a call compiles the handlers of its layer
+#: alone.  Each flag maps to its spec:
+#: "type" int (str when absent), or "switch", a flag without a value that
+#: sets True; "required", or a "default" (ORDER, or None when absent);
+#: "choices"; "help"; "dest" when the attribute is not named after the
+#: flag; "hidden" for a flag that --help leaves out.
+COMMANDS = {
+    "stable-betti": ("table of stable Betti numbers", "_cmd_tables", {
+        **_SURFACE,
+        "--max-k": {"type": int, "default": ORDER, "help": "largest k of the table"},
+        **_FORMAT,
+    }),
+    "perverse": ("table of stable perverse numbers", "_cmd_tables", {
+        **_SURFACE,
+        "--max-order": {"type": int, "default": ORDER, "help": "truncation order of the table"},
+        "--oracle": {"switch": True, "help": "cross-check against the Betti-tower recursion"},
+        **_FORMAT,
+    }),
+    "identity": ("verify the change-of-variables identity", "_cmd_tables", {
+        **_SURFACE,
+        "--order": {"type": int, "default": ORDER, "help": "truncation order of the check"},
+        "--perturb": {"switch": True, "hidden": True},
+        **_FORMAT,
+    }),
+    "germ": ("plane-curve singularity invariants", "_cmd_germ", {
+        "--poly": {"required": True, "help": "polynomial in x and y"},
+        "--branches": {"help": "branch file: 'x(t) ; y(t)' per line"},
+        **_FORMAT,
+    }),
+    "bounds": ("codimension bounds and thresholds", "_cmd_lattice", {
+        "--surface": {"choices": ("enriques", "bielliptic"), "required": True,
+                      "help": "surface type"},
+        "--beta-sq": {"type": int, "help": "self-intersection beta^2 (enriques)"},
+        "--a": {"type": int, "help": "coefficient a of beta = a*lambda*A + b*mu*B (bielliptic)"},
+        "--b": {"type": int, "help": "coefficient b of beta (bielliptic)"},
+        "--lambda": {"dest": "lam", "help": "rational scale lambda of A (bielliptic)"},
+        "--mu": {"help": "rational scale mu of B (bielliptic)"},
+        "--gamma": {"type": int, "help": "intersection number A.B (bielliptic)"},
+        "--d": {"type": int, "help": "the codimension bounds in |d*beta|"},
+        "--i": {"type": int, "help": "with --j: the threshold d0 of entry (i, j) (enriques)"},
+        "--j": {"type": int, "help": "with --i: see --i"},
+        "--generic": {"switch": True,
+                      "help": "generic Enriques surface: drop the rigid-curve cases"},
+        **_FORMAT,
+    }),
+    "decompose": ("candidate divisor-class splittings", "_cmd_lattice", {
+        "--lattice": {"required": True,
+                      "help": "preset name (bielliptic-rank2, enriques-u-e8) or file path"},
+        "--beta": {"required": True, "help": "comma-separated integer coordinates"},
+        **_FORMAT,
+    }),
+}
 
-def cmd_stable_betti(args) -> int:
-    from .genfunc import stable_betti_numbers
-
-    values = list(enumerate(stable_betti_numbers(_surface(args), args.max_k)))
-    record = {
-        "command": "stable-betti",
-        "parameters": {"b1": args.b1, "b2": args.b2, "max_k": args.max_k},
-        "results": [[k, v] for k, v in values],
-        "provenance": "stable Betti numbers: coefficients of the infinite "
-                      "product in q attached to (b1, b2)",
-    }
-    _emit(args, record, [("k", "b_k")] + values)
-    return 0
-
-
-def cmd_perverse(args) -> int:
-    from .genfunc import stable_perverse_table
-
-    surface = _surface(args)
-    table = stable_perverse_table(surface, args.max_order)
-    keys = sorted(table.entries, key=lambda k: (k[0] + k[1], k))
-    rows = [(i, j, table.entry(i, j)) for i, j in keys]
-    results: dict = {"table": [[i, j, v] for i, j, v in rows]}
-    tsv = [("i", "j", "n")] + rows
-    status = 0
-    if args.oracle:
-        from . import perverse
-
-        mismatch = perverse.first_oracle_mismatch(surface, table)
-        if mismatch is None:
-            results["oracle"] = "AGREE"
-            tsv.append(("oracle", "AGREE", ""))
-        else:
-            (i, j), recursed, extracted = mismatch
-            results["oracle"] = "DISAGREE"
-            results["first_difference"] = {
-                "i": i, "j": j, "recursion": recursed, "series": extracted,
-            }
-            tsv.append(("oracle", "DISAGREE", f"({i},{j}) {recursed}!={extracted}"))
-            status = 1
-    record = {
-        "command": "perverse",
-        "parameters": {"b1": args.b1, "b2": args.b2, "max_order": args.max_order,
-                       "oracle": bool(args.oracle)},
-        "results": results,
-        "provenance": "stable perverse numbers: coefficients of the product "
-                      "series H(q, t)" + (
-                          "; cross-checked against the Betti-tower recursion"
-                          if args.oracle else ""
-                      ),
-    }
-    _emit(args, record, tsv)
-    return status
-
-
-def cmd_identity(args) -> int:
-    from .genfunc import remark_identity_mismatch
-
-    mismatch = remark_identity_mismatch(_surface(args), args.order, perturb=args.perturb)
-    results: dict = {"status": "PASS" if mismatch is None else "FAIL"}
-    tsv = [("status", results["status"])]
-    status = 0
-    if mismatch is not None:
-        (a, b), lhs, rhs = mismatch
-        results["first_difference"] = {
-            "q": a, "t": b, "lhs": str(lhs), "rhs": str(rhs),
-        }
-        tsv.append(("first_difference", f"q^{a} t^{b}: {lhs} != {rhs}"))
-        status = 1
-    record = {
-        "command": "identity",
-        "parameters": {"b1": args.b1, "b2": args.b2, "order": args.order,
-                       "perturb": bool(args.perturb)},
-        "results": results,
-        "provenance": "change of variables z = t, w = q/t linking the "
-                      "point-counting series to H(q, t)/(1 - qt)",
-    }
-    _emit(args, record, tsv)
-    return status
+DESCRIPTION = ("Exact stable Betti / perverse tables, plane-curve singularity "
+               "invariants, and divisor-class bounds.")
 
 
-def cmd_germ(args) -> int:
-    from . import germ as germ_mod
-
-    try:
-        g = germ_mod.CurveGerm.from_string(args.poly)
-    except ValueError as exc:
-        raise _usage(f"stabctab germ: {exc}")
-    results: dict = {"mu": germ_mod.milnor(g), "tau": germ_mod.tjurina(g)}
-    status = 0
-    if args.branches:
-        try:
-            with open(args.branches, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise _usage(f"stabctab germ: {exc}")
-        branches = germ_mod.parse_branch_file(text)
-        results["delta"] = germ_mod.delta(g, branches)
-        results["r"] = germ_mod.branch_count(branches)
-        ok = results["mu"] == 2 * results["delta"] - results["r"] + 1
-        results["milnor_formula"] = "OK" if ok else "FAIL"
-        if not ok:
-            status = 1
-    tsv = [(k, v) for k, v in results.items()]
-    record = {
-        "command": "germ",
-        "parameters": {"poly": args.poly, "branches": args.branches or ""},
-        "results": results,
-        "provenance": "local quotient-algebra dimensions; delta from the "
-                      "normalization cokernel of the branch parametrizations",
-    }
-    _emit(args, record, tsv)
-    return status
+def _dest(flag: str, spec: dict) -> str:
+    return spec.get("dest", flag[2:].replace("-", "_"))
 
 
-def _governing_text(labels: list[str]) -> str:
-    if len(labels) == 1:
-        return labels[0]
-    return " or ".join(labels) + " (tie)"
+class Parser:
+    """Reads argv by COMMANDS: a subcommand, then flags in any order, each
+    as ``--flag value`` or ``--flag=value``; the last repeat wins."""
 
+    def __init__(self, order: int):
+        self.order = order
 
-def cmd_bounds(args) -> int:
-    import json
+    def _default(self, spec: dict):
+        if spec.get("switch"):
+            return False
+        default = spec.get("default")
+        return self.order if default is ORDER else default
 
-    from . import nslattice
-    from .surd import parse_rational
-
-    want_d = args.d is not None
-    want_ij = args.i is not None or args.j is not None
-    if want_d == want_ij:
-        raise _usage("stabctab bounds: give exactly one of --d or --i/--j")
-    if want_ij and (args.i is None or args.j is None):
-        raise _usage("stabctab bounds: --i and --j go together")
-
-    params: dict = {"surface": args.surface}
-    results: dict = {}
-    if args.surface == "enriques":
-        if args.beta_sq is None:
-            raise _usage("stabctab bounds: enriques needs --beta-sq")
-        params["beta_sq"] = args.beta_sq
-        if want_d:
-            params["d"] = args.d
-            params["generic"] = bool(args.generic)
-            terms = nslattice.enriques_codim_terms(args.beta_sq, args.d, args.generic)
-            bound = nslattice.enriques_codim_bound(args.beta_sq, args.d, args.generic)
-        else:
-            params["i"], params["j"] = args.i, args.j
-            results["d0"] = nslattice.enriques_d0(args.beta_sq, args.i, args.j)
-        provenance = (
-            "five-case codimension bounds for non-integral members of |d*beta| "
-            "on an Enriques surface; d0 is the max of five explicit terms"
-        )
-    else:
-        missing = [f for f in ("a", "b", "lam", "mu", "gamma") if getattr(args, f) is None]
+    def parse_args(self, argv=None) -> SimpleNamespace:
+        argv = sys.argv[1:] if argv is None else list(argv)
+        if argv[:1] in (["-h"], ["--help"]):
+            self._print_help(None)
+        if not argv or argv[0] not in COMMANDS:
+            what = f"unknown subcommand {argv[0]!r}" if argv else "missing subcommand"
+            raise _usage(f"stabctab: {what}; choose from {', '.join(COMMANDS)}")
+        name, *rest = argv
+        where = f"stabctab {name}"
+        flags = COMMANDS[name][2]
+        values = {}
+        tokens = iter(rest)
+        for token in tokens:
+            if token in ("-h", "--help"):
+                self._print_help(name)
+            flag, eq, value = token.partition("=")
+            spec = flags.get(flag)
+            if spec is None:
+                what = "unknown flag" if token.startswith("-") else "unexpected argument"
+                raise _usage(f"{where}: {what} {token!r}")
+            if spec.get("switch"):
+                if eq:
+                    raise _usage(f"{where}: {flag} takes no value")
+                values[flag] = True
+                continue
+            if not eq:
+                value = next(tokens, None)
+                if value is None:
+                    raise _usage(f"{where}: {flag} needs a value")
+            if spec.get("type") is int:
+                try:
+                    value = int(value)
+                except ValueError:
+                    raise _usage(f"{where}: {flag} needs an integer, got {value!r}")
+            choices = spec.get("choices")
+            if choices and value not in choices:
+                raise _usage(f"{where}: {flag} must be one of {', '.join(choices)}, "
+                             f"got {value!r}")
+            values[flag] = value
+        missing = [f for f, spec in flags.items() if spec.get("required") and f not in values]
         if missing:
-            raise _usage("stabctab bounds: bielliptic needs --a --b --lambda --mu --gamma")
-        if not want_d:
-            raise _usage("stabctab bounds: the d0 threshold is defined for enriques only")
-        try:
-            bp = nslattice.BiellipticParams(
-                args.a, args.b, parse_rational(args.lam), parse_rational(args.mu), args.gamma
-            )
-        except ValueError as exc:
-            raise _usage(f"stabctab bounds: {exc}")
-        params.update(
-            {"a": args.a, "b": args.b, "lambda": args.lam, "mu": args.mu,
-             "gamma": args.gamma, "d": args.d}
-        )
-        terms = nslattice.bielliptic_codim_terms(bp, args.d)
-        bound = nslattice.bielliptic_codim_bound(bp, args.d)
-        provenance = (
-            "three-case codimension bounds in the fiber-class basis of a "
-            "bielliptic surface"
-        )
-    if want_d:
-        results["codim_bound"] = _render_value(bound)
-        results["n_bound"] = nslattice.n_lower_bound(bound)
-        results["governing_case"] = _governing_text(
-            nslattice.governing_cases(terms, bound)
-        )
-        results["case_bounds"] = [[label, _render_value(v)] for label, v in terms]
-    if args.surface == "bielliptic":
-        results["dim_ls"] = _render_value(nslattice.bielliptic_dim_ls(bp, args.d))
-    record = {
-        "command": "bounds",
-        "parameters": params,
-        "results": results,
-        "provenance": provenance,
-    }
-    tsv = [(k, json.dumps(v) if isinstance(v, list) else v) for k, v in results.items()]
-    _emit(args, record, tsv)
-    return 0
+            raise _usage(f"{where}: missing required {', '.join(missing)}")
+        return SimpleNamespace(subcommand=name, **{
+            _dest(f, spec): values[f] if f in values else self._default(spec)
+            for f, spec in flags.items()
+        })
+
+    def format_help(self, name=None) -> str:
+        """The help of the command line (name None) or of one subcommand."""
+        if name is None:
+            width = max(map(len, COMMANDS))
+            return "\n".join([
+                "usage: stabctab SUBCOMMAND [FLAGS]", "", DESCRIPTION, "", "subcommands:",
+                *(f"  {n:<{width}}  {COMMANDS[n][0]}" for n in COMMANDS), "",
+                "Run 'stabctab SUBCOMMAND --help' for the flags of one subcommand.",
+            ]) + "\n"
+        about, _, flags = COMMANDS[name]
+        usage, rows = [], [("-h, --help", "print this help and exit")]
+        for flag, spec in flags.items():
+            if spec.get("hidden"):
+                continue
+            if spec.get("switch"):
+                shown = flag
+            elif "choices" in spec:
+                shown = f"{flag} {{{','.join(spec['choices'])}}}"
+            else:
+                shown = f"{flag} {_dest(flag, spec).upper()}"
+            usage.append(shown if spec.get("required") else f"[{shown}]")
+            notes = [spec.get("help", "")]
+            if spec.get("required"):
+                notes.append("(required)")
+            elif self._default(spec) not in (None, False):
+                notes.append(f"(default: {self._default(spec)})")
+            rows.append((shown, " ".join(filter(None, notes))))
+        width = max(len(shown) for shown, _ in rows)
+        return "\n".join([
+            f"usage: stabctab {name} {' '.join(usage)}", "", about, "", "flags:",
+            *(f"  {shown:<{width}}  {note}".rstrip() for shown, note in rows),
+        ]) + "\n"
+
+    def _print_help(self, name) -> None:
+        sys.stdout.write(self.format_help(name))
+        raise SystemExit(0)
 
 
-def cmd_decompose(args) -> int:
-    from . import nslattice
-
-    try:
-        model = nslattice.load_lattice(args.lattice)
-        beta = tuple(int(c) for c in args.beta.split(","))
-        if len(beta) != model.rank:
-            raise ValueError(
-                f"beta has {len(beta)} coordinates, lattice has rank {model.rank}"
-            )
-        pairs = nslattice.decompose(model, beta)
-    except (ValueError, OSError, StabctabError) as exc:
-        raise _usage(f"stabctab decompose: {exc}")
-    rows = [
-        (",".join(map(str, t1)), ",".join(map(str, t2))) for t1, t2 in pairs
-    ]
-    record = {
-        "command": "decompose",
-        "parameters": {"lattice": args.lattice, "beta": args.beta},
-        "results": {
-            "count": len(pairs),
-            "pairs": [[list(t1), list(t2)] for t1, t2 in pairs],
-        },
-        "provenance": "candidate splittings passing every declared "
-                      "ample-positivity test, enumerated from exact bounds "
-                      "in orthogonal coordinates",
-    }
-    _emit(args, record, [("theta1", "theta2")] + rows)
-    return 0
-
-
-def build_parser() -> argparse.ArgumentParser:
-    order_default = _default_order()
-    parser = argparse.ArgumentParser(
-        prog="stabctab",
-        description="Exact stable Betti / perverse tables, plane-curve "
-                    "singularity invariants, and divisor-class bounds.",
-    )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def add_format(p):
-        p.add_argument("--format", choices=("tsv", "json"), default="tsv")
-
-    p = sub.add_parser("stable-betti", help="table of stable Betti numbers")
-    p.add_argument("--b1", type=int, required=True)
-    p.add_argument("--b2", type=int, required=True)
-    p.add_argument("--max-k", type=int, default=order_default)
-    add_format(p)
-    p.set_defaults(func=cmd_stable_betti)
-
-    p = sub.add_parser("perverse", help="table of stable perverse numbers")
-    p.add_argument("--b1", type=int, required=True)
-    p.add_argument("--b2", type=int, required=True)
-    p.add_argument("--max-order", type=int, default=order_default)
-    p.add_argument("--oracle", action="store_true",
-                   help="cross-check against the Betti-tower recursion")
-    add_format(p)
-    p.set_defaults(func=cmd_perverse)
-
-    p = sub.add_parser("identity", help="verify the change-of-variables identity")
-    p.add_argument("--b1", type=int, required=True)
-    p.add_argument("--b2", type=int, required=True)
-    p.add_argument("--order", type=int, default=order_default)
-    p.add_argument("--perturb", action="store_true", help=argparse.SUPPRESS)
-    add_format(p)
-    p.set_defaults(func=cmd_identity)
-
-    p = sub.add_parser("germ", help="plane-curve singularity invariants")
-    p.add_argument("--poly", required=True, help="polynomial in x and y")
-    p.add_argument("--branches", help="branch file: 'x(t) ; y(t)' per line")
-    add_format(p)
-    p.set_defaults(func=cmd_germ)
-
-    p = sub.add_parser("bounds", help="codimension bounds and thresholds")
-    p.add_argument("--surface", choices=("enriques", "bielliptic"), required=True)
-    p.add_argument("--beta-sq", type=int, dest="beta_sq")
-    p.add_argument("--a", type=int)
-    p.add_argument("--b", type=int)
-    p.add_argument("--lambda", dest="lam")
-    p.add_argument("--mu", dest="mu")
-    p.add_argument("--gamma", type=int)
-    p.add_argument("--d", type=int)
-    p.add_argument("--i", type=int)
-    p.add_argument("--j", type=int)
-    p.add_argument("--generic", action="store_true",
-                   help="generic Enriques surface: drop the rigid-curve cases")
-    add_format(p)
-    p.set_defaults(func=cmd_bounds)
-
-    p = sub.add_parser("decompose", help="candidate divisor-class splittings")
-    p.add_argument("--lattice", required=True,
-                   help="preset name (bielliptic-rank2, enriques-u-e8) or file path")
-    p.add_argument("--beta", required=True, help="comma-separated integer coordinates")
-    add_format(p)
-    p.set_defaults(func=cmd_decompose)
-    return parser
+def build_parser() -> Parser:
+    """The parser of the command line, with the default order read from
+    STABCTAB_MAX_ORDER (checked here, before any flag)."""
+    return Parser(_default_order())
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     _check_caps(args)
+    home = import_module(f".{COMMANDS[args.subcommand][1]}", __package__)
+    handler = getattr(home, "cmd_" + args.subcommand.replace("-", "_"))
     try:
-        return args.func(args)
-    except SystemExit:
-        raise
+        status = handler(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: send what is left, and the final flush
+        # at exit, to devnull, and exit as a process killed by SIGPIPE would
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise SystemExit(141)
     except (InternalIdentityFailure, InconsistentTower) as exc:
-        parser.exit(3, f"stabctab: internal error: {exc}\n")
-    except StabctabError as exc:
-        parser.exit(2, f"stabctab: {exc}\n")
-    except ValueError as exc:
-        parser.exit(2, f"stabctab: {exc}\n")
+        sys.stderr.write(f"stabctab: internal error: {exc}\n")
+        raise SystemExit(3)
+    except (StabctabError, ValueError) as exc:
+        raise _usage(f"stabctab: {exc}")
+    return status
 
 
 if __name__ == "__main__":

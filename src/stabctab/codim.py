@@ -1,0 +1,270 @@
+r"""Codimension bounds for non-integral curves on Enriques and bielliptic
+surfaces.
+
+These lived in :mod:`stabctab.nslattice`, which still exports their
+public names; apart, ``decompose`` does not load them and ``bounds`` does
+not load the lattice model.  Two groups of operations:
+
+* codimension lower bounds for the locus of non-integral curves in the
+  linear system of d*beta on Enriques and bielliptic surfaces, as the
+  minimum of explicit per-case bounds, together with the stabilization
+  threshold d0(beta^2, i, j) on Enriques surfaces and the translation
+  N = 2*ceil(codim) - 2.
+
+* small exact helpers: linear-system dimensions on an Enriques surface,
+  chi of a bielliptic divisor class, arithmetic genus when the
+  canonical class is numerically trivial.
+
+Square roots are kept exact (:mod:`stabctab.surd`, imported only by
+the two case-term functions that take them); no floating point.  A
+radicand above ``surd.MAX_RADICAND`` (10^12), such as 2*beta^2 for
+beta^2 above 5 * 10^11, raises RadicandTooLarge instead of running a
+trial division of unbounded length.  The threshold d0 needs only
+ceilings of square roots, which ``math.isqrt`` gives at any size.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+
+from ._record import HashableRecord
+from .errors import InvalidSelfIntersection
+
+__all__ = [
+    "BiellipticParams",
+    "arithmetic_genus",
+    "bielliptic_chi",
+    "bielliptic_codim_bound",
+    "bielliptic_codim_terms",
+    "bielliptic_dim_ls",
+    "bielliptic_minimum",
+    "enriques_codim_bound",
+    "enriques_codim_terms",
+    "enriques_d0",
+    "enriques_dim_ls",
+    "enriques_minimum",
+    "governing_cases",
+    "n_lower_bound",
+]
+
+
+# --- Enriques-side formulas ---------------------------------------------------
+
+
+def enriques_dim_ls(dsq: int, k: int | None = None, with_ks: bool = False) -> int:
+    """Dimension of the linear system of a nonzero nef effective divisor
+    on an Enriques surface.
+
+    For dsq > 0 (necessarily even) the dimension is dsq/2.  For dsq = 0
+    the divisor is k times a primitive isotropic class, possibly shifted
+    by the canonical class: pass k and with_ks and get floor(k/2) or
+    floor((k-1)/2) respectively.
+    """
+    if dsq < 0:
+        raise InvalidSelfIntersection("a nef divisor has nonnegative self-intersection")
+    if dsq > 0:
+        if dsq % 2:
+            raise InvalidSelfIntersection(
+                f"odd self-intersection {dsq} is impossible in an even lattice"
+            )
+        return dsq // 2
+    if k is None or k < 1:
+        raise ValueError("the square-zero case needs the multiple k >= 1")
+    return (k - 1) // 2 if with_ks else k // 2
+
+
+def arithmetic_genus(beta_sq: int) -> int:
+    """Arithmetic genus beta^2/2 + 1 (numerically trivial canonical class)."""
+    if beta_sq % 2:
+        raise InvalidSelfIntersection(
+            f"odd self-intersection {beta_sq} is impossible in an even lattice"
+        )
+    return beta_sq // 2 + 1
+
+
+def _check_enriques_args(beta_sq: int, d: int) -> None:
+    if beta_sq < 2 or beta_sq % 2:
+        raise InvalidSelfIntersection(
+            "beta^2 must be a positive even integer for an ample class"
+        )
+    if d < 1:
+        raise ValueError("d must be a positive integer")
+
+
+def enriques_codim_terms(beta_sq: int, d: int, generic: bool = False):
+    """The per-case lower bounds, labelled, as exact values.
+
+    Cases 1.1-1.3 split both summands by the signs of their squares;
+    cases 2.1-2.2 cover a summand supported on rigid components.  On a
+    generic Enriques surface there are no rigid curves, so generic=True
+    drops cases 2.1-2.2; the stabilization threshold enriques_d0 is
+    calibrated against that restricted minimum.
+    """
+    from .surd import sqrt_rational
+
+    _check_enriques_args(beta_sq, d)
+    half = Fraction(1, 2)
+    terms = [
+        ("1.1", d * sqrt_rational(2 * beta_sq) - 2),
+        ("1.2", d - half),
+        ("1.3", Fraction(d * d * beta_sq - 2, 4)),
+    ]
+    if not generic:
+        terms += [("2.1", Fraction(d, 2)), ("2.2", d - half)]
+    return terms
+
+
+def enriques_codim_bound(beta_sq: int, d: int, generic: bool = False):
+    """Exact lower bound for the codimension of non-integral members of
+    the linear system of d*beta, beta^2 = beta_sq, on an Enriques surface.
+
+    The bound is :func:`enriques_minimum` of :func:`enriques_codim_terms`.
+    """
+    return enriques_minimum(enriques_codim_terms(beta_sq, d, generic))
+
+
+def enriques_minimum(terms):
+    """The Enriques bound from its case terms: the minimum over cases that
+    give positive (non-vacuous) values.
+
+    A case bound <= 0 carries no information since every nonempty case
+    has positive codimension, and whenever a displayed case value drops
+    to 0 the geometry of that case forces its codimension above the
+    minimum of the remaining cases.
+    """
+    return min(v for _, v in terms if v > 0)
+
+
+def governing_cases(terms, bound) -> list[str]:
+    """Labels of the case terms that attain the bound, in order."""
+    labels = []
+    for label, v in terms:
+        if v == bound and label not in labels:
+            labels.append(label)
+    return labels
+
+
+def n_lower_bound(codim_bound) -> int:
+    """N = 2*ceil(codim) - 2, floored at -2 (vacuous below that)."""
+    return max(2 * math.ceil(codim_bound) - 2, -2)
+
+
+def enriques_d0(beta_sq: int, i: int, j: int) -> int:
+    """Stabilization threshold d0(beta^2, i, j) on an Enriques surface.
+
+    The maximum of five exact terms; past this multiple, the codimension
+    bound N dominates i + j and the dimension condition 2 dim >= 3i + j
+    holds, so the stable table applies at the entry (i, j).
+    """
+    if beta_sq < 2 or beta_sq % 2:
+        raise InvalidSelfIntersection(
+            "beta^2 must be a positive even integer for an ample class"
+        )
+    if i < 0 or j < 0:
+        raise ValueError("i and j must be nonnegative")
+    terms = [
+        2,
+        i + 1,
+        (i + j + 3) // 2,  # ceil((i + j + 2) / 2)
+        # (i + j + 6) / (2 sqrt(2 beta^2))
+        _ceil_sqrt((i + j + 6) ** 2, 8 * beta_sq),
+        _ceil_sqrt(2 * i + 2 * j + 6, beta_sq),
+    ]
+    return max(terms)
+
+
+def _ceil_sqrt(p: int, q: int) -> int:
+    """ceil(sqrt(p/q)) for p >= 0 and q > 0: the least n with n^2 >= p/q,
+    that is with n^2 >= ceil(p/q), since n^2 is an integer."""
+    m = -(-p // q)
+    return math.isqrt(m - 1) + 1 if m else 0
+
+
+# --- bielliptic-side formulas -------------------------------------------------
+
+
+class BiellipticParams(HashableRecord):
+    """Numerical data of an ample class a*lambda*A + b*mu*B on a bielliptic
+    surface with A^2 = B^2 = 0 and A.B = gamma.
+
+    lambda and mu are the rational scales making lambda*A, mu*B an
+    integral basis; their values depend on the surface type and are
+    caller input.  chi of the class is a*b*lambda*mu*gamma and must be
+    an integer.
+    """
+
+    def __init__(self, a: int, b: int, lam: Fraction, mu: Fraction, gamma: int):
+        lam, mu = Fraction(lam), Fraction(mu)
+        if a < 1 or b < 1:
+            raise ValueError("a and b must be positive integers")
+        if lam <= 0 or mu <= 0:
+            raise ValueError("lambda and mu must be positive")
+        if gamma < 1:
+            raise ValueError("gamma must be a positive integer")
+        chi = a * b * lam * mu * gamma
+        if chi.denominator != 1:
+            raise ValueError(f"chi = {chi} must be an integer")
+        super().__init__(a=a, b=b, lam=lam, mu=mu, gamma=gamma)
+
+    def beta_sq(self) -> Fraction:
+        return 2 * self.a * self.b * self.lam * self.mu * self.gamma
+
+
+def bielliptic_chi(s, t, gamma: int) -> Fraction:
+    """chi of a divisor class s*A + t*B on a bielliptic surface: s*t*gamma."""
+    return Fraction(s) * Fraction(t) * gamma
+
+
+def bielliptic_dim_ls(params: BiellipticParams, d: int) -> Fraction:
+    """dim of the linear system of d*beta: chi - 1 = d^2 a b lambda mu gamma - 1."""
+    return bielliptic_chi(d * params.a * params.lam, d * params.b * params.mu, params.gamma) - 1
+
+
+def _mixed_case_bound(da_side: Fraction, coeff: Fraction, top: int):
+    """min over k in [1, max(1, top)] of k*coeff*(da_side - 1) + 1."""
+    lo, hi = 1, max(1, top)
+    vals = [k * coeff * (da_side - 1) + 1 for k in (lo, hi)]
+    return min(vals)
+
+
+def bielliptic_codim_terms(params: BiellipticParams, d: int):
+    """The three per-case lower bounds, labelled, as exact values.
+
+    Case 1: both summands pair positively with both fibrations; the
+    bound is d*sqrt(beta^2) - 1.  Case 2 (mixed): one coordinate of one
+    summand vanishes while the opposite one does not; the raw bound
+    k*mu*gamma*(d*a*lambda - 1) + 1 is minimized over the admissible
+    range of the nonzero coordinate (and symmetrically with the roles of
+    the two fibrations swapped).  Case 2 (pure): the summands are
+    numerically multiples of the two fibers; the bound is
+    d^2 a b lambda mu gamma - d b mu gamma - d a lambda gamma.
+    """
+    from .surd import sqrt_rational
+
+    if d < 1:
+        raise ValueError("d must be a positive integer")
+    a, b, lam, mu, gamma = params.a, params.b, params.lam, params.mu, params.gamma
+    case1 = d * sqrt_rational(params.beta_sq()) - 1
+    mixed = min(
+        _mixed_case_bound(d * a * lam, mu * gamma, d * b - 1),
+        _mixed_case_bound(d * b * mu, lam * gamma, d * a - 1),
+    )
+    pure = d * d * a * b * lam * mu * gamma - d * b * mu * gamma - d * a * lam * gamma
+    return [("1", case1), ("2", mixed), ("2", pure)]
+
+
+def bielliptic_codim_bound(params: BiellipticParams, d: int):
+    """Exact lower bound for the codimension of non-integral members of
+    the linear system of d*beta on a bielliptic surface.
+
+    The bound is :func:`bielliptic_minimum` of
+    :func:`bielliptic_codim_terms`.
+    """
+    return bielliptic_minimum(bielliptic_codim_terms(params, d))
+
+
+def bielliptic_minimum(terms):
+    """The bielliptic bound from its case terms: the minimum of the three,
+    reported as-is even when vacuous (nonpositive)."""
+    return min(v for _, v in terms)

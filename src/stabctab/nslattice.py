@@ -1,36 +1,23 @@
 r"""Numerical lattice computations for divisor classes on surfaces.
 
-Three groups of operations:
+:func:`decompose` enumerates all candidate splittings beta = theta1 +
+theta2 of an integral divisor class into classes that pass the
+necessary positivity tests of the model (positive pairing against the
+distinguished ample class and against every declared ample test class).
+The enumeration region is derived exactly from those inequalities in the
+orthogonal coordinates of the model, so the returned list is provably
+complete.  All of it runs in integers: the model scales its orthogonal
+basis by the lcm L of its denominators and keeps the integer rows
+L*D_k.gram, from which it checks itself and reads the test forms.  The
+bounding box (at most ENUMERATION_CAP points) is scanned over its first
+rank - 1 coordinates only; the last coordinate is solved from the forms'
+inequalities as one integer interval per prefix.  ``ip`` and
+``test_classes`` stay in Fraction arithmetic, as an independent route
+for checks.  No floating point.
 
-* :func:`decompose` enumerates all candidate splittings beta = theta1 +
-  theta2 of an integral divisor class into classes that pass the
-  necessary positivity tests of the model (positive pairing against the
-  distinguished ample class and against every declared ample test
-  class).  The enumeration region is derived exactly from those
-  inequalities in the orthogonal coordinates of the model, so the
-  returned list is provably complete.  All of it runs in integers: the
-  model scales its orthogonal basis by the lcm L of its denominators
-  and keeps the integer rows L*D_k.gram, from which it checks itself and
-  reads the test forms.  The bounding box (at most ENUMERATION_CAP
-  points) is scanned over its first rank - 1 coordinates only; the last
-  coordinate is solved from the forms' inequalities as one integer
-  interval per prefix.  ``ip`` and ``test_classes`` stay in Fraction
-  arithmetic, as an independent route for checks.
-
-* codimension lower bounds for the locus of non-integral curves in the
-  linear system of d*beta on Enriques and bielliptic surfaces, as the
-  minimum of explicit per-case bounds, together with the stabilization
-  threshold d0(beta^2, i, j) on Enriques surfaces and the translation
-  N = 2*ceil(codim) - 2.
-
-* small exact helpers: linear-system dimensions on an Enriques surface,
-  chi of a bielliptic divisor class, arithmetic genus when the
-  canonical class is numerically trivial.
-
-Square roots are kept exact (:mod:`stabctab.surd`); no floating point.
-A radicand above ``surd.MAX_RADICAND`` (10^12), such as 2*beta^2 for
-beta^2 above 5 * 10^11, raises RadicandTooLarge instead of running a
-trial division of unbounded length.
+The codimension bounds, the threshold d0 and the linear-system helpers
+live in :mod:`stabctab.codim`, so that ``decompose`` does not load them;
+their public names stay importable from here (module ``__getattr__``).
 """
 
 from __future__ import annotations
@@ -40,14 +27,8 @@ import math
 import operator
 from fractions import Fraction
 
-from ._record import HashableRecord
-from .errors import (
-    BasisDenominatorError,
-    HodgeIndexViolation,
-    InvalidSelfIntersection,
-    NotEffectiveCandidate,
-)
-from .surd import parse_rational, sqrt_rational
+from ._record import HashableRecord, parse_rational
+from .errors import BasisDenominatorError, HodgeIndexViolation, NotEffectiveCandidate
 
 Vector = tuple[Fraction, ...]
 
@@ -288,203 +269,6 @@ def decompose(model: LatticeModel, beta) -> list[tuple[DivisorClass, DivisorClas
     return out
 
 
-# --- Enriques-side formulas ---------------------------------------------------
-
-
-def enriques_dim_ls(dsq: int, k: int | None = None, with_ks: bool = False) -> int:
-    """Dimension of the linear system of a nonzero nef effective divisor
-    on an Enriques surface.
-
-    For dsq > 0 (necessarily even) the dimension is dsq/2.  For dsq = 0
-    the divisor is k times a primitive isotropic class, possibly shifted
-    by the canonical class: pass k and with_ks and get floor(k/2) or
-    floor((k-1)/2) respectively.
-    """
-    if dsq < 0:
-        raise InvalidSelfIntersection("a nef divisor has nonnegative self-intersection")
-    if dsq > 0:
-        if dsq % 2:
-            raise InvalidSelfIntersection(
-                f"odd self-intersection {dsq} is impossible in an even lattice"
-            )
-        return dsq // 2
-    if k is None or k < 1:
-        raise ValueError("the square-zero case needs the multiple k >= 1")
-    return (k - 1) // 2 if with_ks else k // 2
-
-
-def arithmetic_genus(beta_sq: int) -> int:
-    """Arithmetic genus beta^2/2 + 1 (numerically trivial canonical class)."""
-    if beta_sq % 2:
-        raise InvalidSelfIntersection(
-            f"odd self-intersection {beta_sq} is impossible in an even lattice"
-        )
-    return beta_sq // 2 + 1
-
-
-def _check_enriques_args(beta_sq: int, d: int) -> None:
-    if beta_sq < 2 or beta_sq % 2:
-        raise InvalidSelfIntersection(
-            "beta^2 must be a positive even integer for an ample class"
-        )
-    if d < 1:
-        raise ValueError("d must be a positive integer")
-
-
-def enriques_codim_terms(beta_sq: int, d: int, generic: bool = False):
-    """The per-case lower bounds, labelled, as exact values.
-
-    Cases 1.1-1.3 split both summands by the signs of their squares;
-    cases 2.1-2.2 cover a summand supported on rigid components.  On a
-    generic Enriques surface there are no rigid curves, so generic=True
-    drops cases 2.1-2.2; the stabilization threshold enriques_d0 is
-    calibrated against that restricted minimum.
-    """
-    _check_enriques_args(beta_sq, d)
-    half = Fraction(1, 2)
-    terms = [
-        ("1.1", d * sqrt_rational(2 * beta_sq) - 2),
-        ("1.2", d - half),
-        ("1.3", Fraction(d * d * beta_sq - 2, 4)),
-    ]
-    if not generic:
-        terms += [("2.1", Fraction(d, 2)), ("2.2", d - half)]
-    return terms
-
-
-def enriques_codim_bound(beta_sq: int, d: int, generic: bool = False):
-    """Exact lower bound for the codimension of non-integral members of
-    the linear system of d*beta, beta^2 = beta_sq, on an Enriques surface.
-
-    The bound is the minimum of the per-case bounds over cases that give
-    positive (non-vacuous) values: a case bound <= 0 carries no
-    information since every nonempty case has positive codimension, and
-    whenever a displayed case value drops to 0 the geometry of that case
-    forces its codimension above the minimum of the remaining cases.
-    """
-    terms = enriques_codim_terms(beta_sq, d, generic)
-    return min(v for _, v in terms if v > 0)
-
-
-def governing_cases(terms, bound) -> list[str]:
-    """Labels of the case terms that attain the bound, in order."""
-    labels = []
-    for label, v in terms:
-        if v == bound and label not in labels:
-            labels.append(label)
-    return labels
-
-
-def n_lower_bound(codim_bound) -> int:
-    """N = 2*ceil(codim) - 2, floored at -2 (vacuous below that)."""
-    return max(2 * math.ceil(codim_bound) - 2, -2)
-
-
-def enriques_d0(beta_sq: int, i: int, j: int) -> int:
-    """Stabilization threshold d0(beta^2, i, j) on an Enriques surface.
-
-    The maximum of five exact terms; past this multiple, the codimension
-    bound N dominates i + j and the dimension condition 2 dim >= 3i + j
-    holds, so the stable table applies at the entry (i, j).
-    """
-    if beta_sq < 2 or beta_sq % 2:
-        raise InvalidSelfIntersection(
-            "beta^2 must be a positive even integer for an ample class"
-        )
-    if i < 0 or j < 0:
-        raise ValueError("i and j must be nonnegative")
-    terms = [
-        2,
-        i + 1,
-        math.ceil(Fraction(i + j + 2, 2)),
-        # (i + j + 6) / (2 sqrt(2 beta^2))
-        math.ceil(sqrt_rational(Fraction((i + j + 6) ** 2, 8 * beta_sq))),
-        math.ceil(sqrt_rational(Fraction(2 * i + 2 * j + 6, beta_sq))),
-    ]
-    return max(terms)
-
-
-# --- bielliptic-side formulas -------------------------------------------------
-
-
-class BiellipticParams(HashableRecord):
-    """Numerical data of an ample class a*lambda*A + b*mu*B on a bielliptic
-    surface with A^2 = B^2 = 0 and A.B = gamma.
-
-    lambda and mu are the rational scales making lambda*A, mu*B an
-    integral basis; their values depend on the surface type and are
-    caller input.  chi of the class is a*b*lambda*mu*gamma and must be
-    an integer.
-    """
-
-    def __init__(self, a: int, b: int, lam: Fraction, mu: Fraction, gamma: int):
-        lam, mu = Fraction(lam), Fraction(mu)
-        if a < 1 or b < 1:
-            raise ValueError("a and b must be positive integers")
-        if lam <= 0 or mu <= 0:
-            raise ValueError("lambda and mu must be positive")
-        if gamma < 1:
-            raise ValueError("gamma must be a positive integer")
-        chi = a * b * lam * mu * gamma
-        if chi.denominator != 1:
-            raise ValueError(f"chi = {chi} must be an integer")
-        super().__init__(a=a, b=b, lam=lam, mu=mu, gamma=gamma)
-
-    def beta_sq(self) -> Fraction:
-        return 2 * self.a * self.b * self.lam * self.mu * self.gamma
-
-
-def bielliptic_chi(s, t, gamma: int) -> Fraction:
-    """chi of a divisor class s*A + t*B on a bielliptic surface: s*t*gamma."""
-    return Fraction(s) * Fraction(t) * gamma
-
-
-def bielliptic_dim_ls(params: BiellipticParams, d: int) -> Fraction:
-    """dim of the linear system of d*beta: chi - 1 = d^2 a b lambda mu gamma - 1."""
-    return bielliptic_chi(d * params.a * params.lam, d * params.b * params.mu, params.gamma) - 1
-
-
-def _mixed_case_bound(da_side: Fraction, coeff: Fraction, top: int):
-    """min over k in [1, max(1, top)] of k*coeff*(da_side - 1) + 1."""
-    lo, hi = 1, max(1, top)
-    vals = [k * coeff * (da_side - 1) + 1 for k in (lo, hi)]
-    return min(vals)
-
-
-def bielliptic_codim_terms(params: BiellipticParams, d: int):
-    """The three per-case lower bounds, labelled, as exact values.
-
-    Case 1: both summands pair positively with both fibrations; the
-    bound is d*sqrt(beta^2) - 1.  Case 2 (mixed): one coordinate of one
-    summand vanishes while the opposite one does not; the raw bound
-    k*mu*gamma*(d*a*lambda - 1) + 1 is minimized over the admissible
-    range of the nonzero coordinate (and symmetrically with the roles of
-    the two fibrations swapped).  Case 2 (pure): the summands are
-    numerically multiples of the two fibers; the bound is
-    d^2 a b lambda mu gamma - d b mu gamma - d a lambda gamma.
-    """
-    if d < 1:
-        raise ValueError("d must be a positive integer")
-    a, b, lam, mu, gamma = params.a, params.b, params.lam, params.mu, params.gamma
-    case1 = d * sqrt_rational(params.beta_sq()) - 1
-    mixed = min(
-        _mixed_case_bound(d * a * lam, mu * gamma, d * b - 1),
-        _mixed_case_bound(d * b * mu, lam * gamma, d * a - 1),
-    )
-    pure = d * d * a * b * lam * mu * gamma - d * b * mu * gamma - d * a * lam * gamma
-    return [("1", case1), ("2", mixed), ("2", pure)]
-
-
-def bielliptic_codim_bound(params: BiellipticParams, d: int):
-    """Exact lower bound for the codimension of non-integral members of
-    the linear system of d*beta on a bielliptic surface.
-
-    The minimum of the three case bounds, reported as-is even when
-    vacuous (nonpositive).
-    """
-    return min(v for _, v in bielliptic_codim_terms(params, d))
-
-
 # --- lattice files ------------------------------------------------------------
 
 PRESET_LATTICES = ("bielliptic-rank2", "enriques-u-e8")
@@ -560,3 +344,12 @@ def load_lattice(source: str) -> LatticeModel:
         with open(source, "r", encoding="utf-8") as fh:
             text = fh.read()
     return parse_lattice(text)
+
+
+def __getattr__(name: str):
+    """The public names of :mod:`stabctab.codim`, which lived here."""
+    from . import codim
+
+    if name in codim.__all__:
+        return getattr(codim, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

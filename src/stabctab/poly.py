@@ -20,7 +20,7 @@ import re
 from fractions import Fraction
 from operator import add
 
-from .surd import parse_rational
+from ._record import parse_rational
 
 _FACTOR = re.compile(r"(\d+/\d+|\d+|[a-zA-Z](?:\^\d+)?)")
 _COEF = re.compile(r"^\d+(/\d+)?$")

@@ -190,10 +190,3 @@ def _surd(rat: Fraction, coef: Fraction, radicand: int) -> QuadSurd:
     Record.__init__(value, rat=rat, coef=coef, radicand=radicand)
     return value
 
-
-def parse_rational(text: str) -> Fraction:
-    """Fraction(text), reporting a zero denominator as bad input (ValueError)."""
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text!r}") from None

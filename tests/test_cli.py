@@ -279,6 +279,33 @@ def test_bounds_radicand_at_the_cap_runs(capsys):
     assert ["1.1", "999998"] in record["results"]["case_bounds"]
 
 
+def test_bounds_d0_above_the_radicand_cap(capsys):
+    # d0 takes ceilings of square roots by math.isqrt, so the radicand cap
+    # of the --d bounds does not apply: 2 * beta^2 here is above it
+    code, record = run_json(
+        capsys, "bounds", "--surface", "enriques", "--beta-sq", "499999999946",
+        "--i", "3", "--j", "4")
+    assert code == 0
+    assert record["results"] == {"d0": 5}
+
+
+@pytest.mark.parametrize("argv", [
+    ("--surface", "enriques", "--beta-sq", "10", "--d", "3"),
+    ("--surface", "enriques", "--beta-sq", "10", "--d", "3", "--generic"),
+    ("--surface", "bielliptic", "--a", "1", "--b", "2", "--lambda", "1", "--mu", "3/2",
+     "--gamma", "2", "--d", "2"),
+], ids=["enriques", "enriques-generic", "bielliptic"])
+def test_bounds_takes_each_radicand_apart_once(capsys, monkeypatch, argv):
+    from stabctab import surd
+
+    calls = []
+    split = surd._squarefree_split
+    monkeypatch.setattr(surd, "_squarefree_split", lambda n: calls.append(n) or split(n))
+    code, _ = run(capsys, "bounds", *argv)
+    assert code == 0
+    assert len(calls) == 1, calls
+
+
 def test_bounds_usage_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bounds", "--surface", "enriques", "--beta-sq", "10"])
@@ -398,6 +425,38 @@ def test_bad_flags_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv, first_line", [
+    # the record (about 250 kB) outgrows the pipe, so the reader, which
+    # takes one line and closes its end, is gone before the last write
+    (("decompose", "--lattice", "bielliptic-rank2", "--beta=100,100"), b"theta1\ttheta2\n"),
+    # the reader is gone before the first write: the record fails at the
+    # final flush, which must not be tried again at exit
+    (("stable-betti", "--b1", "0", "--b2", "10", "--max-k", "4"), None),
+], ids=["mid-record", "before-record"])
+def test_closed_stdout_exits_141_quietly(argv, first_line):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import stabctab
+
+    src = str(Path(stabctab.__file__).resolve().parent.parent)
+    env = {k: v for k, v in os.environ.items() if k != "STABCTAB_MAX_ORDER"}
+    proc = subprocess.Popen([sys.executable, "-m", "stabctab", *argv], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=dict(env, PYTHONPATH=src))
+    try:
+        if first_line is not None:
+            assert proc.stdout.readline() == first_line
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141
+    finally:
+        proc.kill()
+        proc.wait()
+    assert err == b""
 
 
 def test_json_records_validate_against_schema(capsys):

@@ -406,6 +406,32 @@ def test_enriques_d0_examples():
     assert enriques_d0(10, 0, 0) == 2
 
 
+def test_enriques_d0_equals_the_sqrt_rational_route():
+    # d0 as it was computed through sqrt_rational, which keeps each root exact
+    def by_surds(beta_sq, i, j):
+        return max(2, i + 1, math.ceil(Fraction(i + j + 2, 2)),
+                   math.ceil(sqrt_rational(Fraction((i + j + 6) ** 2, 8 * beta_sq))),
+                   math.ceil(sqrt_rational(Fraction(2 * i + 2 * j + 6, beta_sq))))
+
+    for beta_sq in range(2, 401, 2):
+        for i in range(9):
+            for j in range(9):
+                assert enriques_d0(beta_sq, i, j) == by_surds(beta_sq, i, j), (beta_sq, i, j)
+
+
+def test_ceil_sqrt_equals_the_sqrt_rational_route():
+    # the square-root terms of d0 never exceed its other terms for even
+    # beta^2 >= 2, so they are checked on their own
+    from stabctab.codim import _ceil_sqrt
+
+    for q in range(1, 41):
+        for p in range(300):
+            assert _ceil_sqrt(p, q) == math.ceil(sqrt_rational(Fraction(p, q))), (p, q)
+    big = 10**40 + 1
+    assert _ceil_sqrt(big * big, 1) == big and _ceil_sqrt(big * big + 1, 1) == big + 1
+    assert _ceil_sqrt(1, big) == 1 and _ceil_sqrt(0, big) == 0
+
+
 def test_enriques_d0_monotone():
     for i in range(10):
         for j in range(10):

@@ -164,9 +164,9 @@ sys.argv[0] = "stabctab"
 runpy.run_module("stabctab", run_name="__main__", alter_sys=True)
 """
 
-TABLES = {"stabctab", "stabctab._record", "stabctab.cli", "stabctab.errors", "stabctab.genfunc"}
-LATTICE = {"stabctab", "stabctab._record", "stabctab.cli", "stabctab.errors",
-           "stabctab.nslattice", "stabctab.surd"}
+CLI = {"stabctab", "stabctab.cli", "stabctab.errors"}
+TABLES = CLI | {"stabctab._record", "stabctab._cmd_tables", "stabctab.genfunc"}
+LATTICE = CLI | {"stabctab._record", "stabctab._cmd_lattice"}
 
 
 @pytest.mark.parametrize("argv, code, loaded", [
@@ -176,14 +176,18 @@ LATTICE = {"stabctab", "stabctab._record", "stabctab.cli", "stabctab.errors",
     (("perverse", "--b1", "0", "--b2", "10", "--max-order", "4", "--oracle"), 0,
      TABLES | {"stabctab.perverse"}),
     (("perverse", "--b1", "0", "--b2", "10", "--max-order", "65", "--oracle"), 2,
-     {"stabctab", "stabctab.cli", "stabctab.errors"}),
+     CLI),
     (("germ", "--poly", "y^2 - x^3", "--branches", "{cusp}"), 0,
-     {"stabctab", "stabctab._record", "stabctab.cli", "stabctab.errors", "stabctab.germ",
-      "stabctab.poly", "stabctab.surd"}),
-    (("bounds", "--surface", "enriques", "--beta-sq", "10", "--d", "10"), 0, LATTICE),
-    (("decompose", "--lattice", "bielliptic-rank2", "--beta", "2,2"), 0, LATTICE),
+     CLI | {"stabctab._record", "stabctab._cmd_germ", "stabctab.germ", "stabctab.poly"}),
+    (("bounds", "--surface", "enriques", "--beta-sq", "10", "--d", "10"), 0,
+     LATTICE | {"stabctab.codim", "stabctab.surd"}),
+    (("bounds", "--surface", "enriques", "--beta-sq", "10", "--i", "2", "--j", "3"), 0,
+     LATTICE | {"stabctab.codim"}),
+    (("decompose", "--lattice", "bielliptic-rank2", "--beta", "2,2"), 0,
+     LATTICE | {"stabctab.nslattice"}),
+    (("--help",), 0, CLI),
 ], ids=["import", "stable-betti", "identity", "perverse", "perverse-above-cap", "germ",
-        "bounds", "decompose"])
+        "bounds", "bounds-d0", "decompose", "help"])
 def test_each_subcommand_imports_only_its_layer(tmp_path, argv, code, loaded):
     # a fresh interpreter per case, without site hooks, which may import
     # modules of their own
@@ -205,7 +209,7 @@ def test_each_subcommand_imports_only_its_layer(tmp_path, argv, code, loaded):
     assert proc.returncode == code, proc.stderr
     modules = set(proc.stderr.splitlines()[-1].split())
     assert {m for m in modules if m.split(".")[0] == "stabctab"} == loaded
-    assert not modules & {"dataclasses", "inspect"}
+    assert not modules & {"dataclasses", "inspect", "argparse", "gettext", "locale"}
     if argv is not None and argv[0] in ("stable-betti", "identity", "perverse"):
         assert "fractions" not in modules
     if argv is not None and argv[0] == "germ":
