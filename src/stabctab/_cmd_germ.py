@@ -3,23 +3,16 @@
 from __future__ import annotations
 
 from . import germ as germ_mod
-from .cli import _emit, _usage
+from ._record import read_text
+from .cli import _emit
 
 
 def cmd_germ(args) -> int:
-    try:
-        g = germ_mod.CurveGerm.from_string(args.poly)
-    except ValueError as exc:
-        raise _usage(f"stabctab germ: {exc}")
+    g = germ_mod.CurveGerm.from_string(args.poly)
     results: dict = {"mu": germ_mod.milnor(g), "tau": germ_mod.tjurina(g)}
     status = 0
     if args.branches:
-        try:
-            with open(args.branches, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise _usage(f"stabctab germ: {exc}")
-        branches = germ_mod.parse_branch_file(text)
+        branches = germ_mod.parse_branch_file(read_text(args.branches))
         results["delta"] = germ_mod.delta(g, branches)
         results["r"] = germ_mod.branch_count(branches)
         ok = results["mu"] == 2 * results["delta"] - results["r"] + 1

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-from .cli import _emit, _usage
-from .errors import StabctabError
+from ._record import parse_int, parse_rational
+from .cli import _emit
+from .errors import BadInput
 
 
 def _render_value(x):
@@ -18,24 +19,30 @@ def _governing_text(labels: list[str]) -> str:
     return " or ".join(labels) + " (tie)"
 
 
-def cmd_bounds(args) -> int:
-    import json
+def _tsv_value(v):
+    """A TSV cell: lists as JSON (``json`` is loaded only for them)."""
+    if isinstance(v, list):
+        import json
 
+        return json.dumps(v)
+    return v
+
+
+def cmd_bounds(args) -> int:
     from . import codim
-    from ._record import parse_rational
 
     want_d = args.d is not None
     want_ij = args.i is not None or args.j is not None
     if want_d == want_ij:
-        raise _usage("stabctab bounds: give exactly one of --d or --i/--j")
+        raise BadInput("give exactly one of --d or --i/--j")
     if want_ij and (args.i is None or args.j is None):
-        raise _usage("stabctab bounds: --i and --j go together")
+        raise BadInput("--i and --j go together")
 
     params: dict = {"surface": args.surface}
     results: dict = {}
     if args.surface == "enriques":
         if args.beta_sq is None:
-            raise _usage("stabctab bounds: enriques needs --beta-sq")
+            raise BadInput("enriques needs --beta-sq")
         params["beta_sq"] = args.beta_sq
         if want_d:
             params["d"] = args.d
@@ -52,15 +59,12 @@ def cmd_bounds(args) -> int:
     else:
         missing = [f for f in ("a", "b", "lam", "mu", "gamma") if getattr(args, f) is None]
         if missing:
-            raise _usage("stabctab bounds: bielliptic needs --a --b --lambda --mu --gamma")
+            raise BadInput("bielliptic needs --a --b --lambda --mu --gamma")
         if not want_d:
-            raise _usage("stabctab bounds: the d0 threshold is defined for enriques only")
-        try:
-            bp = codim.BiellipticParams(
-                args.a, args.b, parse_rational(args.lam), parse_rational(args.mu), args.gamma
-            )
-        except ValueError as exc:
-            raise _usage(f"stabctab bounds: {exc}")
+            raise BadInput("the d0 threshold is defined for enriques only")
+        bp = codim.BiellipticParams(
+            args.a, args.b, parse_rational(args.lam), parse_rational(args.mu), args.gamma
+        )
         params.update(
             {"a": args.a, "b": args.b, "lambda": args.lam, "mu": args.mu,
              "gamma": args.gamma, "d": args.d}
@@ -86,7 +90,7 @@ def cmd_bounds(args) -> int:
         "results": results,
         "provenance": provenance,
     }
-    tsv = [(k, json.dumps(v) if isinstance(v, list) else v) for k, v in results.items()]
+    tsv = [(k, _tsv_value(v)) for k, v in results.items()]
     _emit(args, record, tsv)
     return 0
 
@@ -94,16 +98,11 @@ def cmd_bounds(args) -> int:
 def cmd_decompose(args) -> int:
     from . import nslattice
 
-    try:
-        model = nslattice.load_lattice(args.lattice)
-        beta = tuple(int(c) for c in args.beta.split(","))
-        if len(beta) != model.rank:
-            raise ValueError(
-                f"beta has {len(beta)} coordinates, lattice has rank {model.rank}"
-            )
-        pairs = nslattice.decompose(model, beta)
-    except (ValueError, OSError, StabctabError) as exc:
-        raise _usage(f"stabctab decompose: {exc}")
+    model = nslattice.load_lattice(args.lattice)
+    beta = tuple(map(parse_int, args.beta.split(",")))
+    if len(beta) != model.rank:
+        raise BadInput(f"beta has {len(beta)} coordinates, lattice has rank {model.rank}")
+    pairs = nslattice.decompose(model, beta)
     rows = [
         (",".join(map(str, t1)), ",".join(map(str, t2))) for t1, t2 in pairs
     ]

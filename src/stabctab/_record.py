@@ -1,11 +1,16 @@
-"""Immutable value classes without ``dataclasses``, and the rational parser.
+"""Immutable value classes without ``dataclasses``, and the input readers.
 
 ``dataclasses`` imports ``inspect``, which costs a subcommand more
 start-up than most of them spend computing.  These two plain bases give
 the package's value classes what callers use of a frozen dataclass.
-Every layer loads this module, so ``parse_rational``, which the
-polynomial, lattice-file and bounds parsers share, lives here too.
+Every layer loads this module, so the readers of outside input that
+the polynomial, branch-file, lattice-file and bounds parsers share live
+here too: ``parse_rational``, ``parse_int`` and ``read_text``.  Each
+reports what it rejects as BadInput, with the message of the exception
+it replaces.
 """
+
+from .errors import BadInput
 
 
 class Record:
@@ -51,10 +56,30 @@ class HashableRecord(Record):
 
 
 def parse_rational(text: str):
-    """Fraction(text), reporting a zero denominator as bad input (ValueError)."""
+    """Fraction(text); a malformed literal or a zero denominator is BadInput."""
     from fractions import Fraction
 
     try:
         return Fraction(text)
     except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text!r}") from None
+        raise BadInput(f"zero denominator in {text!r}") from None
+    except ValueError as exc:
+        raise BadInput(str(exc)) from None
+
+
+def parse_int(text: str) -> int:
+    """int(text); a malformed literal is BadInput."""
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise BadInput(str(exc)) from None
+
+
+def read_text(path: str) -> str:
+    """The UTF-8 text of the file at path; a file that cannot be opened,
+    read or decoded is BadInput."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise BadInput(str(exc)) from None

@@ -2,15 +2,27 @@
 
 Every subcommand prints one machine-readable record, as TSV (default)
 or JSON (--format json), and is deterministic: identical invocations
-produce byte-identical output.  Exit codes: 0 success, 1 verification
-failure, 2 usage error, 3 internal error (a coefficient that must be an
-exact nonnegative integer was not, or the Betti tower the library built
-for ``perverse --oracle`` is inconsistent: always a bug, never bad
-input), 141 when the reader closes stdout before the record is written
-(128 + SIGPIPE, as a shell reports a process killed by that signal; the
-rest of the record is dropped and nothing is printed on stderr).  The
-environment variable STABCTAB_MAX_ORDER overrides the built-in default
-truncation order (12) used when an order flag is not given.
+produce byte-identical output.  Exit codes:
+
+* 0 success, 1 verification failure;
+* 2 the input was rejected: a usage error (below), or a flag value,
+  polynomial, branch file, lattice file or class beta that is not
+  admissible, or a named file that cannot be read.  The layer that reads
+  the input raises ``errors.BadInput``, and stderr gets one line,
+  ``stabctab <subcommand>: <message>``;
+* 3 any other failure, for instance a coefficient that must be an exact
+  nonnegative integer was not, or the Betti tower the library built for
+  ``perverse --oracle`` is inconsistent: always a bug, never bad input.
+  stderr gets one line, ``stabctab: internal error: <class>: <message>``,
+  and no traceback;
+* 141 when the reader closes stdout before the record is written (128 +
+  SIGPIPE, as a shell reports a process killed by that signal; the rest
+  of the record is dropped and nothing is printed on stderr).
+
+``main`` alone maps an exception raised after dispatch to its exit code;
+the handlers catch nothing.  The environment variable STABCTAB_MAX_ORDER
+overrides the built-in default truncation order (12) used when an order
+flag is not given.
 
 The command line is read by one table, COMMANDS, that gives each
 subcommand's flags once; ``-h``/``--help``, top-level or after a
@@ -59,7 +71,7 @@ import sys
 from importlib import import_module
 from types import SimpleNamespace
 
-from .errors import InconsistentTower, InternalIdentityFailure, StabctabError
+from .errors import BadInput
 
 #: Default truncation order of the order flags (--max-k, --max-order,
 #: --order).  The library builds every series at the order a call asks for:
@@ -73,9 +85,10 @@ MAX_SERIES_ORDER = 64
 ORDER_CAPS = {"--max-k": 384, "--max-order": MAX_SERIES_ORDER, "--order": MAX_SERIES_ORDER}
 
 
-def _usage(msg: str) -> "SystemExit":
-    sys.stderr.write(msg.rstrip("\n") + "\n")
-    return SystemExit(2)
+def _usage(msg: str, code: int = 2) -> "SystemExit":
+    """Write msg to stderr as one line; the SystemExit that exits with code."""
+    sys.stderr.write(" ".join(msg.splitlines()) + "\n")
+    return SystemExit(code)
 
 
 def _default_order() -> int:
@@ -293,21 +306,20 @@ def build_parser() -> Parser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     _check_caps(args)
-    home = import_module(f".{COMMANDS[args.subcommand][1]}", __package__)
-    handler = getattr(home, "cmd_" + args.subcommand.replace("-", "_"))
     try:
-        status = handler(args)
+        home = import_module(f".{COMMANDS[args.subcommand][1]}", __package__)
+        status = getattr(home, "cmd_" + args.subcommand.replace("-", "_"))(args)
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader closed stdout: send what is left, and the final flush
         # at exit, to devnull, and exit as a process killed by SIGPIPE would
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         raise SystemExit(141)
-    except (InternalIdentityFailure, InconsistentTower) as exc:
-        sys.stderr.write(f"stabctab: internal error: {exc}\n")
-        raise SystemExit(3)
-    except (StabctabError, ValueError) as exc:
-        raise _usage(f"stabctab: {exc}")
+    except BadInput as exc:
+        raise _usage(f"stabctab {args.subcommand}: {exc}")
+    except Exception as exc:
+        # not bad input, so a fault of this package, whatever the input
+        raise _usage(f"stabctab: internal error: {type(exc).__name__}: {exc}", 3)
     return status
 
 

@@ -20,16 +20,18 @@ the two case-term functions that take them); no floating point.  A
 radicand above ``surd.MAX_RADICAND`` (10^12), such as 2*beta^2 for
 beta^2 above 5 * 10^11, raises RadicandTooLarge instead of running a
 trial division of unbounded length.  The threshold d0 needs only
-ceilings of square roots, which ``math.isqrt`` gives at any size.
+ceilings of square roots, which ``math.isqrt`` gives at any size, and
+is pure ``int``: ``fractions`` too is imported only by the functions
+that build a Fraction.  An argument outside a formula's domain raises
+BadInput.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from ._record import HashableRecord
-from .errors import InvalidSelfIntersection
+from .errors import BadInput, InvalidSelfIntersection
 
 __all__ = [
     "BiellipticParams",
@@ -70,7 +72,7 @@ def enriques_dim_ls(dsq: int, k: int | None = None, with_ks: bool = False) -> in
             )
         return dsq // 2
     if k is None or k < 1:
-        raise ValueError("the square-zero case needs the multiple k >= 1")
+        raise BadInput("the square-zero case needs the multiple k >= 1")
     return (k - 1) // 2 if with_ks else k // 2
 
 
@@ -89,7 +91,7 @@ def _check_enriques_args(beta_sq: int, d: int) -> None:
             "beta^2 must be a positive even integer for an ample class"
         )
     if d < 1:
-        raise ValueError("d must be a positive integer")
+        raise BadInput("d must be a positive integer")
 
 
 def enriques_codim_terms(beta_sq: int, d: int, generic: bool = False):
@@ -101,6 +103,8 @@ def enriques_codim_terms(beta_sq: int, d: int, generic: bool = False):
     drops cases 2.1-2.2; the stabilization threshold enriques_d0 is
     calibrated against that restricted minimum.
     """
+    from fractions import Fraction
+
     from .surd import sqrt_rational
 
     _check_enriques_args(beta_sq, d)
@@ -162,7 +166,7 @@ def enriques_d0(beta_sq: int, i: int, j: int) -> int:
             "beta^2 must be a positive even integer for an ample class"
         )
     if i < 0 or j < 0:
-        raise ValueError("i and j must be nonnegative")
+        raise BadInput("i and j must be nonnegative")
     terms = [
         2,
         i + 1,
@@ -195,16 +199,18 @@ class BiellipticParams(HashableRecord):
     """
 
     def __init__(self, a: int, b: int, lam: Fraction, mu: Fraction, gamma: int):
+        from fractions import Fraction
+
         lam, mu = Fraction(lam), Fraction(mu)
         if a < 1 or b < 1:
-            raise ValueError("a and b must be positive integers")
+            raise BadInput("a and b must be positive integers")
         if lam <= 0 or mu <= 0:
-            raise ValueError("lambda and mu must be positive")
+            raise BadInput("lambda and mu must be positive")
         if gamma < 1:
-            raise ValueError("gamma must be a positive integer")
+            raise BadInput("gamma must be a positive integer")
         chi = a * b * lam * mu * gamma
         if chi.denominator != 1:
-            raise ValueError(f"chi = {chi} must be an integer")
+            raise BadInput(f"chi = {chi} must be an integer")
         super().__init__(a=a, b=b, lam=lam, mu=mu, gamma=gamma)
 
     def beta_sq(self) -> Fraction:
@@ -213,6 +219,8 @@ class BiellipticParams(HashableRecord):
 
 def bielliptic_chi(s, t, gamma: int) -> Fraction:
     """chi of a divisor class s*A + t*B on a bielliptic surface: s*t*gamma."""
+    from fractions import Fraction
+
     return Fraction(s) * Fraction(t) * gamma
 
 
@@ -243,7 +251,7 @@ def bielliptic_codim_terms(params: BiellipticParams, d: int):
     from .surd import sqrt_rational
 
     if d < 1:
-        raise ValueError("d must be a positive integer")
+        raise BadInput("d must be a positive integer")
     a, b, lam, mu, gamma = params.a, params.b, params.lam, params.mu, params.gamma
     case1 = d * sqrt_rational(params.beta_sq()) - 1
     mixed = min(

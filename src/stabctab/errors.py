@@ -1,8 +1,25 @@
-"""Exception hierarchy shared by all stabctab modules."""
+"""Exception hierarchy shared by all stabctab modules.
+
+``BadInput`` is the one class for rejected outside input: a flag value,
+a polynomial, a branch file, a lattice file or a class beta that is not
+admissible, or a named file that cannot be read.  It is a ValueError, so
+callers that catch ValueError still catch it, and the command line exits
+2 on it and 3 on any other exception.  These classes are BadInput:
+NonIsolatedSingularity, InvalidBranch, TruncationTooSmall,
+EmptyBranchSet, NotEffectiveCandidate, BasisDenominatorError,
+InvalidSelfIntersection, HodgeIndexViolation and RadicandTooLarge.  The
+others (the series errors, InternalIdentityFailure, InconsistentTower)
+are not, and neither is a plain ValueError raised on a value the
+library computed itself.
+"""
 
 
 class StabctabError(Exception):
     """Base class for every error raised by this package."""
+
+
+class BadInput(StabctabError, ValueError):
+    """Outside input that is not admissible, raised where it is read."""
 
 
 # --- truncated series -------------------------------------------------------
@@ -34,41 +51,41 @@ class InconsistentTower(StabctabError):
 
 # --- curve germs ------------------------------------------------------------
 
-class NonIsolatedSingularity(StabctabError):
+class NonIsolatedSingularity(BadInput):
     """Local quotient dimension failed to stabilize below the cap."""
 
 
-class InvalidBranch(StabctabError):
+class InvalidBranch(BadInput):
     """A branch parametrization does not lie on the curve germ."""
 
 
-class TruncationTooSmall(StabctabError):
+class TruncationTooSmall(BadInput):
     """Branch truncation is insufficient to certify the requested invariant."""
 
 
-class EmptyBranchSet(StabctabError):
+class EmptyBranchSet(BadInput):
     """Branch data is required but no branches were supplied."""
 
 
 # --- lattice computations ---------------------------------------------------
 
-class NotEffectiveCandidate(StabctabError):
+class NotEffectiveCandidate(BadInput):
     """The class pairs non-positively against the ample witness."""
 
 
-class BasisDenominatorError(StabctabError):
+class BasisDenominatorError(BadInput):
     """The declared orthogonal basis does not span the lattice over Q."""
 
 
-class InvalidSelfIntersection(StabctabError):
+class InvalidSelfIntersection(BadInput):
     """Self-intersection number incompatible with an even lattice."""
 
 
-class HodgeIndexViolation(StabctabError):
+class HodgeIndexViolation(BadInput):
     """Orthogonal basis signature is not (1, rank-1)."""
 
 
 # --- exact square roots -----------------------------------------------------
 
-class RadicandTooLarge(StabctabError):
+class RadicandTooLarge(BadInput):
     """A square root's radicand exceeds the cap on its trial division."""

@@ -57,7 +57,7 @@ factors do not multiply to an integer series.
 from __future__ import annotations
 
 from ._record import HashableRecord, Record
-from .errors import InternalIdentityFailure
+from .errors import BadInput, InternalIdentityFailure
 
 
 class SurfaceTopology(HashableRecord):
@@ -66,14 +66,14 @@ class SurfaceTopology(HashableRecord):
     b1 and b2 are the first and second Betti numbers of the surface;
     chi_o is the holomorphic Euler characteristic, carried along for the
     lattice-side dimension formulas.  b1 must be even (the surface is
-    compact Kaehler).  Hashable.
+    compact Kaehler); other values raise BadInput.  Hashable.
     """
 
     def __init__(self, b1: int, b2: int, chi_o: int):
         if b1 < 0 or b1 % 2 != 0:
-            raise ValueError(f"b1 must be a nonnegative even integer, got {b1}")
+            raise BadInput(f"b1 must be a nonnegative even integer, got {b1}")
         if b2 < 1:
-            raise ValueError(f"b2 must be a positive integer, got {b2}")
+            raise BadInput(f"b2 must be a positive integer, got {b2}")
         super().__init__(b1=b1, b2=b2, chi_o=chi_o)
 
 
@@ -165,7 +165,7 @@ def _euler_transform(log_derivative: list[dict[int, int]], order: int) -> list[l
 def _product(factors, order: int) -> list[list[int]]:
     """The product of the factors modulo s^(order+1), as rows F_n[x-exponent]."""
     if order < 0:
-        raise ValueError("truncation order must be nonnegative")
+        raise BadInput("truncation order must be nonnegative")
     return _euler_transform(_log_derivative(factors, order), order)
 
 

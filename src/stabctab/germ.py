@@ -25,8 +25,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ._record import HashableRecord, Record
+from ._record import HashableRecord, Record, parse_int
 from .errors import (
+    BadInput,
     EmptyBranchSet,
     InvalidBranch,
     NonIsolatedSingularity,
@@ -44,9 +45,9 @@ class CurveGerm(HashableRecord):
 
     def __init__(self, poly: Poly):
         if not poly:
-            raise ValueError("zero polynomial does not define a curve germ")
+            raise BadInput("zero polynomial does not define a curve germ")
         if poly.constant() != 0:
-            raise ValueError("germ must vanish at the origin")
+            raise BadInput("germ must vanish at the origin")
         super().__init__(poly=poly)
 
     @classmethod
@@ -66,13 +67,13 @@ class BranchSet(HashableRecord):
                  declared_truncation: int | None = None):
         for xt, yt in branches:
             if xt.constant() != 0 or yt.constant() != 0:
-                raise ValueError("branch must pass through the origin")
+                raise BadInput("branch must pass through the origin")
             if not xt and not yt:
-                raise ValueError("branch must not be identically zero")
+                raise BadInput("branch must not be identically zero")
         if len(set(branches)) != len(branches):
-            raise ValueError("duplicate branch parametrization")
+            raise BadInput("duplicate branch parametrization")
         if declared_truncation is not None and declared_truncation < 1:
-            raise ValueError("declared truncation must be positive")
+            raise BadInput("declared truncation must be positive")
         super().__init__(branches=branches, declared_truncation=declared_truncation)
 
     @classmethod
@@ -303,7 +304,7 @@ def parse_branch_file(text: str) -> BranchSet:
 
     Blank lines and lines starting with '#' are skipped.  An optional
     leading line ``truncation: N`` declares the precision of inexact
-    parametrizations.
+    parametrizations.  Malformed text raises BadInput.
     """
     truncation: int | None = None
     pairs: list[tuple[str, str]] = []
@@ -312,10 +313,10 @@ def parse_branch_file(text: str) -> BranchSet:
         if not line or line.startswith("#"):
             continue
         if line.lower().startswith("truncation:"):
-            truncation = int(line.split(":", 1)[1])
+            truncation = parse_int(line.split(":", 1)[1])
             continue
         if ";" not in line:
-            raise ValueError(f"branch line {line!r} is not 'x(t) ; y(t)'")
+            raise BadInput(f"branch line {line!r} is not 'x(t) ; y(t)'")
         xs, ys = line.split(";", 1)
         pairs.append((xs.strip(), ys.strip()))
     return BranchSet.from_strings(pairs, truncation)

@@ -27,8 +27,8 @@ import math
 import operator
 from fractions import Fraction
 
-from ._record import HashableRecord, parse_rational
-from .errors import BasisDenominatorError, HodgeIndexViolation, NotEffectiveCandidate
+from ._record import HashableRecord, parse_int, parse_rational, read_text
+from .errors import BadInput, BasisDenominatorError, HodgeIndexViolation, NotEffectiveCandidate
 
 Vector = tuple[Fraction, ...]
 
@@ -81,7 +81,8 @@ class LatticeModel(HashableRecord):
     ..., D_rho with D_1 ample and D_i.D_j = 0 for i != j; ample_tests
     the integers n_l (one per l >= 2) for which both n_l D_1 + D_l and
     n_l D_1 - D_l are declared ample.  Signature (1, rho-1) on the
-    orthogonal basis is checked at load.
+    orthogonal basis is checked at load; a model that fails a check
+    raises BadInput.
 
     The model checks itself in integers: with L the least common
     multiple of all denominators of the basis, E_k = L*D_k is integral,
@@ -97,19 +98,19 @@ class LatticeModel(HashableRecord):
                  ample_tests: tuple[int, ...]):
         rho = rank
         if rho < 1:
-            raise ValueError("rank must be at least 1")
+            raise BadInput("rank must be at least 1")
         if len(gram) != rho or any(len(r) != rho for r in gram):
-            raise ValueError("gram matrix has wrong shape")
+            raise BadInput("gram matrix has wrong shape")
         for i in range(rho):
             for j in range(rho):
                 if gram[i][j] != gram[j][i]:
-                    raise ValueError("gram matrix is not symmetric")
+                    raise BadInput("gram matrix is not symmetric")
         if len(ample_witness) != rho:
-            raise ValueError("ample witness has wrong length")
+            raise BadInput("ample witness has wrong length")
         if len(ortho_basis) != rho or any(len(v) != rho for v in ortho_basis):
-            raise ValueError("orthogonal basis has wrong shape")
+            raise BadInput("orthogonal basis has wrong shape")
         if len(ample_tests) != max(rho - 1, 0):
-            raise ValueError("expected one ample test integer per basis vector past the first")
+            raise BadInput("expected one ample test integer per basis vector past the first")
         if _det(gram) == 0:
             raise BasisDenominatorError(
                 "gram matrix is degenerate; no rational basis can diagonalize it"
@@ -127,16 +128,16 @@ class LatticeModel(HashableRecord):
         for i in range(rho):
             for j in range(i + 1, rho):
                 if sum(map(operator.mul, rows[i], scaled[j])) != 0:
-                    raise ValueError(f"basis vectors {i + 1} and {j + 1} are not orthogonal")
+                    raise BadInput(f"basis vectors {i + 1} and {j + 1} are not orthogonal")
         witness_row = _times_gram(gram, ample_witness)
         if sum(map(operator.mul, witness_row, ample_witness)) <= 0:
-            raise ValueError("ample witness must have positive self-intersection")
+            raise BadInput("ample witness must have positive self-intersection")
         for ell, n in enumerate(ample_tests, start=2):
             if n < 1:
-                raise ValueError("ample test integers must be positive")
+                raise BadInput("ample test integers must be positive")
             a_sq = n * n * squares[0] + squares[ell - 1]
             if a_sq <= 0:
-                raise ValueError(
+                raise BadInput(
                     f"test class {n}*D1 +/- D{ell} has nonpositive square "
                     f"{Fraction(a_sq, scale * scale)}"
                 )
@@ -218,7 +219,7 @@ def decompose(model: LatticeModel, beta) -> list[tuple[DivisorClass, DivisorClas
     emitted whole.
 
     Raises NotEffectiveCandidate when beta pairs non-positively with the
-    ample witness.
+    ample witness, and BadInput when the box is refused.
     """
     beta = tuple(int(c) for c in beta)
     if sum(map(operator.mul, model._witness_row, beta)) <= 0:
@@ -241,7 +242,7 @@ def decompose(model: LatticeModel, beta) -> list[tuple[DivisorClass, DivisorClas
             return []
         total *= hi_i - lo_i + 1
         if total > ENUMERATION_CAP:
-            raise ValueError("decomposition enumeration region is too large")
+            raise BadInput("decomposition enumeration region is too large")
         ranges.append(range(lo_i, hi_i + 1))
 
     *heads, last = ranges
@@ -284,6 +285,8 @@ def parse_lattice(text: str) -> LatticeModel:
     * ``ample_witness`` plus N integers on the same line
     * ``ortho_basis`` followed by N lines of N rationals (``p/q`` or integers)
     * ``ample_tests`` plus N-1 integers on the same line
+
+    Malformed text, and a model that fails its checks, raise BadInput.
     """
     lines = [
         ln.strip()
@@ -295,7 +298,7 @@ def parse_lattice(text: str) -> LatticeModel:
     def next_line() -> str:
         nonlocal pos
         if pos >= len(lines):
-            raise ValueError("unexpected end of lattice file")
+            raise BadInput("unexpected end of lattice file")
         ln = lines[pos]
         pos += 1
         return ln
@@ -306,32 +309,33 @@ def parse_lattice(text: str) -> LatticeModel:
         ln = next_line()
         word, _, rest = ln.partition(" ")
         if word == "rank":
-            rank = int(rest)
+            rank = parse_int(rest)
         elif word == "gram":
             if rank is None:
-                raise ValueError("rank must come before gram")
+                raise BadInput("rank must come before gram")
             gram = tuple(
-                tuple(int(x) for x in next_line().split()) for _ in range(rank)
+                tuple(map(parse_int, next_line().split())) for _ in range(rank)
             )
         elif word == "ample_witness":
-            witness = tuple(int(x) for x in rest.split())
+            witness = tuple(map(parse_int, rest.split()))
         elif word == "ortho_basis":
             if rank is None:
-                raise ValueError("rank must come before ortho_basis")
+                raise BadInput("rank must come before ortho_basis")
             basis = tuple(
-                tuple(parse_rational(x) for x in next_line().split()) for _ in range(rank)
+                tuple(map(parse_rational, next_line().split())) for _ in range(rank)
             )
         elif word == "ample_tests":
-            tests = tuple(int(x) for x in rest.split())
+            tests = tuple(map(parse_int, rest.split()))
         else:
-            raise ValueError(f"unknown lattice file keyword {word!r}")
+            raise BadInput(f"unknown lattice file keyword {word!r}")
     if rank is None or gram is None or witness is None or basis is None or tests is None:
-        raise ValueError("lattice file is missing a required field")
+        raise BadInput("lattice file is missing a required field")
     return LatticeModel(rank, gram, witness, basis, tests)
 
 
 def load_lattice(source: str) -> LatticeModel:
-    """Load a lattice from a preset name or a file path."""
+    """Load a lattice from a preset name or a file path (read by
+    :func:`stabctab._record.read_text`)."""
     if source in PRESET_LATTICES:
         from importlib import resources
 
@@ -341,8 +345,7 @@ def load_lattice(source: str) -> LatticeModel:
             .read_text()
         )
     else:
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        text = read_text(source)
     return parse_lattice(text)
 
 

@@ -20,7 +20,8 @@ import re
 from fractions import Fraction
 from operator import add
 
-from ._record import parse_rational
+from ._record import parse_int, parse_rational
+from .errors import BadInput
 
 _FACTOR = re.compile(r"(\d+/\d+|\d+|[a-zA-Z](?:\^\d+)?)")
 _COEF = re.compile(r"^\d+(/\d+)?$")
@@ -30,7 +31,7 @@ _VAR = re.compile(r"^([a-zA-Z])(?:\^(\d+))?$")
 def _split_terms(s: str) -> list[tuple[int, str]]:
     s = s.replace("\u2212", "-").replace(" ", "").replace("\t", "")
     if not s:
-        raise ValueError("empty polynomial string")
+        raise BadInput("empty polynomial string")
     terms: list[tuple[int, str]] = []
     sign, buf = 1, ""
     for ch in s:
@@ -43,7 +44,7 @@ def _split_terms(s: str) -> list[tuple[int, str]]:
         else:
             buf += ch
     if not buf:
-        raise ValueError(f"dangling sign in polynomial {s!r}")
+        raise BadInput(f"dangling sign in polynomial {s!r}")
     terms.append((sign, buf))
     return terms
 
@@ -51,18 +52,18 @@ def _split_terms(s: str) -> list[tuple[int, str]]:
 def parse_polynomial(s: str, variables: tuple[str, ...]) -> dict[tuple[int, ...], Fraction]:
     """Parse the grammar above into an exponent-tuple -> coefficient map.
 
-    Raises ValueError for anything outside the grammar, a zero
-    denominator, or a variable not in ``variables``.
+    Raises BadInput (a ValueError) for anything outside the grammar, a
+    zero denominator, or a variable not in ``variables``.
     """
     out: dict[tuple[int, ...], Fraction] = {}
     for sign, body in _split_terms(s):
         pieces: list[str] = []
         for chunk in body.split("*"):
             if not chunk:
-                raise ValueError(f"empty factor in term {body!r}")
+                raise BadInput(f"empty factor in term {body!r}")
             found = _FACTOR.findall(chunk)
             if "".join(found) != chunk:
-                raise ValueError(f"cannot parse term {body!r}")
+                raise BadInput(f"cannot parse term {body!r}")
             pieces.extend(found)
         coef = Fraction(sign)
         expo = [0] * len(variables)
@@ -70,14 +71,14 @@ def parse_polynomial(s: str, variables: tuple[str, ...]) -> dict[tuple[int, ...]
         for piece in pieces:
             if _COEF.match(piece):
                 if seen_coef:
-                    raise ValueError(f"two coefficients in term {body!r}")
+                    raise BadInput(f"two coefficients in term {body!r}")
                 coef *= parse_rational(piece)
                 seen_coef = True
                 continue
             m = _VAR.match(piece)
             if not m or m.group(1) not in variables:
-                raise ValueError(f"unknown factor {piece!r} in term {body!r}")
-            expo[variables.index(m.group(1))] += int(m.group(2) or 1)
+                raise BadInput(f"unknown factor {piece!r} in term {body!r}")
+            expo[variables.index(m.group(1))] += parse_int(m.group(2) or "1")
         key = tuple(expo)
         out[key] = out.get(key, Fraction(0)) + coef
     return {k: c for k, c in out.items() if c}

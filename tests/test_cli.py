@@ -268,7 +268,7 @@ def test_bounds_radicand_above_the_cap_exits_2(argv, radicand):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == (
-        f"stabctab: radicand {radicand} exceeds the cap of 1000000000000\n")
+        f"stabctab bounds: radicand {radicand} exceeds the cap of 1000000000000\n")
 
 
 def test_bounds_radicand_at_the_cap_runs(capsys):
@@ -502,6 +502,76 @@ def test_internal_failure_exits_3(capsys, monkeypatch):
     assert err.startswith("stabctab: internal error: ") and err.count("\n") == 1
 
 
+def _raise(exc_type):
+    def stray(*args, **kwargs):
+        raise exc_type("stray")
+    return stray
+
+
+def _broken_table(surface, order):
+    from stabctab.genfunc import PerverseTable
+
+    # a base-row entry of 2 breaks a PerverseTable invariant
+    return PerverseTable(order, {(0, 1): 2})
+
+
+@pytest.mark.parametrize("module, name, stray, argv, exc_type", [
+    ("genfunc", "_log_derivative", _raise(ValueError),
+     ("stable-betti", "--b1", "0", "--b2", "10", "--max-k", "4"), "ValueError"),
+    ("_cmd_tables", "stable_perverse_table", _broken_table,
+     ("perverse", "--b1", "0", "--b2", "10", "--max-order", "4"), "ValueError"),
+    ("germ", "milnor", _raise(ZeroDivisionError),
+     ("germ", "--poly", "y^2 - x^3"), "ZeroDivisionError"),
+    ("nslattice", "decompose", _raise(TypeError),
+     ("decompose", "--lattice", "bielliptic-rank2", "--beta", "2,2"), "TypeError"),
+    ("codim", "enriques_d0", _raise(ValueError),
+     ("bounds", "--surface", "enriques", "--beta-sq", "10", "--i", "2", "--j", "3"),
+     "ValueError"),
+], ids=["genfunc-value", "perverse-table", "germ-zero-division", "nslattice-type",
+        "codim-value"])
+def test_stray_exception_exits_3(capsys, monkeypatch, module, name, stray, argv, exc_type):
+    from importlib import import_module
+
+    monkeypatch.setattr(import_module(f"stabctab.{module}"), name, stray)
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"stabctab: internal error: {exc_type}: ")
+    assert captured.err.count("\n") == 1
+
+
+TACNODE = ("germ", "--poly", "y^2 - x^4", "--branches", "FILE")
+
+
+@pytest.mark.parametrize("argv, file_bytes, err", [
+    (TACNODE, b"truncation: x\nt ; t^2\nt ; -t^2\n",
+     "stabctab germ: invalid literal for int() with base 10: ' x'\n"),
+    (TACNODE, b"# no branches\n", "stabctab germ: a germ has at least one branch\n"),
+    (TACNODE, b"t ; t^2\n\xff ; -t^2\n",
+     "stabctab germ: 'utf-8' codec can't decode byte 0xff in position 8: "
+     "invalid start byte\n"),
+    (("bounds", "--surface", "enriques", "--beta-sq", "10", "--d", "0"), None,
+     "stabctab bounds: d must be a positive integer\n"),
+    (("bounds", "--surface", "enriques", "--beta-sq", "9", "--d", "1"), None,
+     "stabctab bounds: beta^2 must be a positive even integer for an ample class\n"),
+    (("perverse", "--b1", "1", "--b2", "10"), None,
+     "stabctab perverse: b1 must be a nonnegative even integer, got 1\n"),
+], ids=["truncation-literal", "no-branches", "not-utf-8", "bounds-d-zero", "odd-beta-sq",
+        "odd-b1"])
+def test_rejected_input_names_its_subcommand(capsys, tmp_path, argv, file_bytes, err):
+    path = tmp_path / "input.txt"
+    if file_bytes is not None:
+        path.write_bytes(file_bytes)
+    with pytest.raises(SystemExit) as exc:
+        main([str(path) if a == "FILE" else a for a in argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == err
+
+
 #: sha256 of stdout, recorded with the factor-by-factor product expansion
 #: that preceded the integer kernel (the germ entry: with the two-class
 #: polynomial layer; the decompose and bounds entries: with the
@@ -611,7 +681,8 @@ def test_negative_order_is_usage_error(capsys):
         assert exc.value.code == 2, argv
         captured = capsys.readouterr()
         assert captured.out == "", argv
-        assert captured.err == "stabctab: truncation order must be nonnegative\n", argv
+        assert captured.err == (
+            f"stabctab {argv[0]}: truncation order must be nonnegative\n"), argv
 
 
 def test_inconsistent_tower_exits_3(capsys, monkeypatch):

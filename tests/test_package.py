@@ -212,6 +212,9 @@ def test_each_subcommand_imports_only_its_layer(tmp_path, argv, code, loaded):
     assert not modules & {"dataclasses", "inspect", "argparse", "gettext", "locale"}
     if argv is not None and argv[0] in ("stable-betti", "identity", "perverse"):
         assert "fractions" not in modules
+    if argv is not None and "--i" in argv:
+        # d0 is pure int, and its record holds no list for JSON to render
+        assert not modules & {"fractions", "json"}
     if argv is not None and argv[0] == "germ":
         # only load_corpus, which no subcommand calls, reads JSON resources
         assert not modules & {"json", "importlib.resources"}
