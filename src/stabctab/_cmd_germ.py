@@ -13,7 +13,7 @@ def cmd_germ(args) -> int:
     status = 0
     if args.branches:
         branches = germ_mod.parse_branch_file(read_text(args.branches))
-        results["delta"] = germ_mod.delta(g, branches)
+        results["delta"] = germ_mod._delta(g, branches, results["mu"])
         results["r"] = germ_mod.branch_count(branches)
         ok = results["mu"] == 2 * results["delta"] - results["r"] + 1
         results["milnor_formula"] = "OK" if ok else "FAIL"

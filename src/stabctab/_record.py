@@ -56,11 +56,17 @@ class HashableRecord(Record):
 
 
 def parse_rational(text: str):
-    """Fraction(text); a malformed literal or a zero denominator is BadInput."""
+    """The Fraction of an integer or ``p/q`` literal, with an optional sign;
+    any other literal (a decimal, an exponent, spaces) or a zero
+    denominator is BadInput."""
+    import re
     from fractions import Fraction
 
+    if not re.fullmatch(r"[+-]?\d+(/\d+)?", text):
+        raise BadInput(f"Invalid literal for Fraction: {text!r}")
+    num, _, den = text.partition("/")
     try:
-        return Fraction(text)
+        return Fraction(int(num), int(den or 1))
     except ZeroDivisionError:
         raise BadInput(f"zero denominator in {text!r}") from None
     except ValueError as exc:

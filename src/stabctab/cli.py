@@ -20,9 +20,9 @@ produce byte-identical output.  Exit codes:
   of the record is dropped and nothing is printed on stderr).
 
 ``main`` alone maps an exception raised after dispatch to its exit code;
-the handlers catch nothing.  The environment variable STABCTAB_MAX_ORDER
-overrides the built-in default truncation order (12) used when an order
-flag is not given.
+the handlers catch nothing.  A call's output depends only on its argv
+and the files it names: no environment variable is read, and an order
+flag that is not given takes its default, 12.
 
 The command line is read by one table, COMMANDS, that gives each
 subcommand's flags once; ``-h``/``--help``, top-level or after a
@@ -36,16 +36,15 @@ not one of the flag's choices, a missing required flag, a stray
 argument) exits 2 with one line on stderr that names the subcommand and
 the flag.
 
-Orders are capped, and the caps are checked before any computation:
-``--max-order`` and ``--order`` at 64, ``--max-k`` at 384, and
-STABCTAB_MAX_ORDER, the default of all three, at 64 (the README gives
-the cost of a call at the caps); STABCTAB_MAX_ORDER is checked before
-the flags are read.  A value above its cap exits 2 with one line on
-stderr.  The codimension bounds of ``bounds --d`` take exact square
-roots by trial division and cap their radicand at 10^12
-(``surd.MAX_RADICAND``); a larger one exits 2 with one line on stderr
-as well.  The threshold of ``bounds --i --j`` needs only ceilings of
-square roots, which it takes by ``math.isqrt`` at any size.
+Orders are capped, and the caps are checked after the usage errors and
+before any computation: ``--max-order`` and ``--order`` at 64 and
+``--max-k`` at 384 (the README gives the cost of a call at the caps).
+A value above its cap exits 2 with one line on stderr.  The codimension
+bounds of ``bounds --d`` take exact square roots by trial division and
+cap their radicand at 10^12 (``surd.MAX_RADICAND``); a larger one exits
+2 with one line on stderr as well.  The threshold of ``bounds --i --j``
+needs only ceilings of square roots, which it takes by ``math.isqrt`` at
+any size.
 
 Each subcommand imports only the layer it runs: the parser and the
 dispatch load no computation module, nor ``argparse``, ``gettext`` or
@@ -78,41 +77,11 @@ from .errors import BadInput
 #: a coefficient of degree n is exact at any order >= n.
 DEFAULT_ORDER = 12
 
-#: Largest --max-order and --order, and largest STABCTAB_MAX_ORDER.
-MAX_SERIES_ORDER = 64
-
-#: Largest value of each order flag.
-ORDER_CAPS = {"--max-k": 384, "--max-order": MAX_SERIES_ORDER, "--order": MAX_SERIES_ORDER}
-
 
 def _usage(msg: str, code: int = 2) -> "SystemExit":
     """Write msg to stderr as one line; the SystemExit that exits with code."""
     sys.stderr.write(" ".join(msg.splitlines()) + "\n")
     return SystemExit(code)
-
-
-def _default_order() -> int:
-    env = os.environ.get("STABCTAB_MAX_ORDER")
-    if env is None:
-        return DEFAULT_ORDER
-    try:
-        value = int(env)
-    except ValueError:
-        raise _usage(f"stabctab: STABCTAB_MAX_ORDER={env!r} is not an integer")
-    if value < 0:
-        raise _usage("stabctab: STABCTAB_MAX_ORDER must be nonnegative")
-    if value > MAX_SERIES_ORDER:
-        raise _usage(
-            f"stabctab: STABCTAB_MAX_ORDER={value} exceeds the cap of {MAX_SERIES_ORDER}"
-        )
-    return value
-
-
-def _check_caps(args) -> None:
-    for flag, cap in ORDER_CAPS.items():
-        value = getattr(args, flag[2:].replace("-", "_"), None)
-        if value is not None and value > cap:
-            raise _usage(f"stabctab: {flag} {value} exceeds the cap of {cap}")
 
 
 def _emit(args, record: dict, tsv_rows: list[tuple]) -> None:
@@ -124,10 +93,6 @@ def _emit(args, record: dict, tsv_rows: list[tuple]) -> None:
         for row in tsv_rows:
             sys.stdout.write("\t".join(str(c) for c in row) + "\n")
 
-
-#: The default of an order flag in COMMANDS: STABCTAB_MAX_ORDER, else
-#: DEFAULT_ORDER, read when the parser is built.
-ORDER = "ORDER"
 
 _SURFACE = {
     "--b1": {"type": int, "required": True, "help": "first Betti number of the surface"},
@@ -141,24 +106,28 @@ _FORMAT = {"--format": {"choices": ("tsv", "json"), "default": "tsv",
 #: subcommand runs, so that a call compiles the handlers of its layer
 #: alone.  Each flag maps to its spec:
 #: "type" int (str when absent), or "switch", a flag without a value that
-#: sets True; "required", or a "default" (ORDER, or None when absent);
-#: "choices"; "help"; "dest" when the attribute is not named after the
-#: flag; "hidden" for a flag that --help leaves out.
+#: sets True; "required", or a "default" (None when absent); "cap", the
+#: largest value of an int flag; "choices"; "help"; "dest" when the
+#: attribute is not named after the flag; "hidden" for a flag that
+#: --help leaves out.
 COMMANDS = {
     "stable-betti": ("table of stable Betti numbers", "_cmd_tables", {
         **_SURFACE,
-        "--max-k": {"type": int, "default": ORDER, "help": "largest k of the table"},
+        "--max-k": {"type": int, "default": DEFAULT_ORDER, "cap": 384,
+                    "help": "largest k of the table"},
         **_FORMAT,
     }),
     "perverse": ("table of stable perverse numbers", "_cmd_tables", {
         **_SURFACE,
-        "--max-order": {"type": int, "default": ORDER, "help": "truncation order of the table"},
+        "--max-order": {"type": int, "default": DEFAULT_ORDER, "cap": 64,
+                        "help": "truncation order of the table"},
         "--oracle": {"switch": True, "help": "cross-check against the Betti-tower recursion"},
         **_FORMAT,
     }),
     "identity": ("verify the change-of-variables identity", "_cmd_tables", {
         **_SURFACE,
-        "--order": {"type": int, "default": ORDER, "help": "truncation order of the check"},
+        "--order": {"type": int, "default": DEFAULT_ORDER, "cap": 64,
+                    "help": "truncation order of the check"},
         "--perturb": {"switch": True, "hidden": True},
         **_FORMAT,
     }),
@@ -199,18 +168,13 @@ def _dest(flag: str, spec: dict) -> str:
     return spec.get("dest", flag[2:].replace("-", "_"))
 
 
+def _default(spec: dict):
+    return False if spec.get("switch") else spec.get("default")
+
+
 class Parser:
     """Reads argv by COMMANDS: a subcommand, then flags in any order, each
     as ``--flag value`` or ``--flag=value``; the last repeat wins."""
-
-    def __init__(self, order: int):
-        self.order = order
-
-    def _default(self, spec: dict):
-        if spec.get("switch"):
-            return False
-        default = spec.get("default")
-        return self.order if default is ORDER else default
 
     def parse_args(self, argv=None) -> SimpleNamespace:
         argv = sys.argv[1:] if argv is None else list(argv)
@@ -254,8 +218,12 @@ class Parser:
         missing = [f for f, spec in flags.items() if spec.get("required") and f not in values]
         if missing:
             raise _usage(f"{where}: missing required {', '.join(missing)}")
+        for flag, spec in flags.items():
+            cap = spec.get("cap")
+            if cap is not None and values.get(flag, cap) > cap:
+                raise _usage(f"stabctab: {flag} {values[flag]} exceeds the cap of {cap}")
         return SimpleNamespace(subcommand=name, **{
-            _dest(f, spec): values[f] if f in values else self._default(spec)
+            _dest(f, spec): values[f] if f in values else _default(spec)
             for f, spec in flags.items()
         })
 
@@ -283,8 +251,8 @@ class Parser:
             notes = [spec.get("help", "")]
             if spec.get("required"):
                 notes.append("(required)")
-            elif self._default(spec) not in (None, False):
-                notes.append(f"(default: {self._default(spec)})")
+            elif _default(spec) not in (None, False):
+                notes.append(f"(default: {_default(spec)})")
             rows.append((shown, " ".join(filter(None, notes))))
         width = max(len(shown) for shown, _ in rows)
         return "\n".join([
@@ -298,14 +266,12 @@ class Parser:
 
 
 def build_parser() -> Parser:
-    """The parser of the command line, with the default order read from
-    STABCTAB_MAX_ORDER (checked here, before any flag)."""
-    return Parser(_default_order())
+    """The parser of the command line."""
+    return Parser()
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    _check_caps(args)
     try:
         home = import_module(f".{COMMANDS[args.subcommand][1]}", __package__)
         status = getattr(home, "cmd_" + args.subcommand.replace("-", "_"))(args)

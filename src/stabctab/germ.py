@@ -229,8 +229,14 @@ def delta(germ: CurveGerm, branches: BranchSet) -> int:
     EmptyBranchSet
         No branches supplied.
     """
+    return _delta(germ, branches, None)
+
+
+def _delta(germ: CurveGerm, branches: BranchSet, mu: int | None) -> int:
+    """delta, given mu = milnor(germ) when the caller has it already."""
     r = branch_count(branches)
-    mu = milnor(germ)
+    if mu is None:
+        mu = milnor(germ)
     _validate_branches(germ, branches, mu)
     t_trunc = 2 * mu + 2
     pows = [
@@ -250,7 +256,8 @@ def delta(germ: CurveGerm, branches: BranchSet) -> int:
 
 def milnor_formula_check(germ: CurveGerm, branches: BranchSet) -> bool:
     """True iff mu = 2*delta - r + 1 for this germ and branch data."""
-    return milnor(germ) == 2 * delta(germ, branches) - branch_count(branches) + 1
+    mu = milnor(germ)
+    return mu == 2 * _delta(germ, branches, mu) - branch_count(branches) + 1
 
 
 # --- corpus ------------------------------------------------------------------

@@ -150,6 +150,25 @@ def test_germ_branches_at_the_conductor_bound(capsys, tmp_path):
                              ["milnor_formula", "OK"]]
 
 
+def test_germ_with_branches_computes_mu_once(capsys, tmp_path, monkeypatch):
+    from stabctab import germ
+
+    calls, milnor = [], germ.milnor
+
+    def counting_milnor(g):
+        calls.append(g)
+        return milnor(g)
+
+    monkeypatch.setattr(germ, "milnor", counting_milnor)
+    branch_file = tmp_path / "a11.br"
+    branch_file.write_text("t ; t^6\nt ; -t^6\n")
+    code, record = run_json(capsys, "germ", "--poly", "y^2 - x^12", "--branches",
+                            str(branch_file))
+    assert code == 0
+    assert record["results"]["milnor_formula"] == "OK"
+    assert len(calls) == 1
+
+
 def test_germ_missing_branch_file_is_usage_error(capsys, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["germ", "--poly", "y^2 - x^3", "--branches", str(tmp_path / "absent.br")])
@@ -261,14 +280,33 @@ def test_bounds_radicand_above_the_cap_exits_2(argv, radicand):
     import stabctab
 
     src = str(Path(stabctab.__file__).resolve().parent.parent)
-    env = {k: v for k, v in os.environ.items() if k != "STABCTAB_MAX_ORDER"}
     proc = subprocess.run([sys.executable, "-m", "stabctab", "bounds", *argv],
-                          capture_output=True, text=True, env=dict(env, PYTHONPATH=src),
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
                           timeout=20)
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == (
         f"stabctab bounds: radicand {radicand} exceeds the cap of 1000000000000\n")
+
+
+def test_exponent_literal_is_rejected_at_once():
+    # a fresh interpreter with a timeout: Fraction reads this literal as
+    # 10^-10000000, which takes seconds to build
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import stabctab
+
+    src = str(Path(stabctab.__file__).resolve().parent.parent)
+    argv = ["bounds", "--surface", "bielliptic", "--a", "1", "--b", "1",
+            "--lambda", "1e-10000000", "--mu", "1", "--gamma", "2", "--d", "1"]
+    proc = subprocess.run([sys.executable, "-m", "stabctab", *argv], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src), timeout=1)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "stabctab bounds: Invalid literal for Fraction: '1e-10000000'\n"
 
 
 def test_bounds_radicand_at_the_cap_runs(capsys):
@@ -444,9 +482,8 @@ def test_closed_stdout_exits_141_quietly(argv, first_line):
     import stabctab
 
     src = str(Path(stabctab.__file__).resolve().parent.parent)
-    env = {k: v for k, v in os.environ.items() if k != "STABCTAB_MAX_ORDER"}
     proc = subprocess.Popen([sys.executable, "-m", "stabctab", *argv], stdout=subprocess.PIPE,
-                            stderr=subprocess.PIPE, env=dict(env, PYTHONPATH=src))
+                            stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=src))
     try:
         if first_line is not None:
             assert proc.stdout.readline() == first_line
@@ -558,8 +595,13 @@ TACNODE = ("germ", "--poly", "y^2 - x^4", "--branches", "FILE")
      "stabctab bounds: beta^2 must be a positive even integer for an ample class\n"),
     (("perverse", "--b1", "1", "--b2", "10"), None,
      "stabctab perverse: b1 must be a nonnegative even integer, got 1\n"),
+    (BIELLIPTIC_BOUNDS + ("--lambda", "0.5", "--mu", "1"), None,
+     "stabctab bounds: Invalid literal for Fraction: '0.5'\n"),
+    (("decompose", "--lattice", "FILE", "--beta", "1,1"),
+     ZERO_DENOMINATOR_LATTICE.replace("1/0", "1e-9").encode(),
+     "stabctab decompose: Invalid literal for Fraction: '1e-9'\n"),
 ], ids=["truncation-literal", "no-branches", "not-utf-8", "bounds-d-zero", "odd-beta-sq",
-        "odd-b1"])
+        "odd-b1", "decimal-lambda", "exponent-in-lattice-file"])
 def test_rejected_input_names_its_subcommand(capsys, tmp_path, argv, file_bytes, err):
     path = tmp_path / "input.txt"
     if file_bytes is not None:
@@ -699,13 +741,12 @@ def test_inconsistent_tower_exits_3(capsys, monkeypatch):
 
 
 def test_env_override_of_default_order(capsys, monkeypatch):
-    monkeypatch.setenv("STABCTAB_MAX_ORDER", "3")
-    _, out = run(capsys, "stable-betti", "--b1", "0", "--b2", "10")
-    assert len(tsv_rows(out)) == 1 + 4  # header + k = 0..3
-    monkeypatch.setenv("STABCTAB_MAX_ORDER", "frog")
-    with pytest.raises(SystemExit) as exc:
-        main(["stable-betti", "--b1", "0", "--b2", "10"])
-    assert exc.value.code == 2
+    # STABCTAB_MAX_ORDER once overrode the default order; it is ignored
+    for value in ("3", "frog"):
+        monkeypatch.setenv("STABCTAB_MAX_ORDER", value)
+        code, out = run(capsys, "stable-betti", "--b1", "0", "--b2", "10")
+        assert code == 0
+        assert len(tsv_rows(out)) == 1 + 13  # header + k = 0..12
 
 
 @pytest.mark.parametrize("argv, last_row", [
@@ -736,13 +777,23 @@ def test_order_flags_above_their_cap_exit_2(capsys, argv, err):
 
 
 def test_env_default_order_cap(capsys, monkeypatch):
-    monkeypatch.setenv("STABCTAB_MAX_ORDER", "64")
-    _, out = run(capsys, "stable-betti", "--b1", "0", "--b2", "1")
-    assert len(tsv_rows(out)) == 1 + 65  # header + k = 0..64
+    # the caps are the flags' own, whatever STABCTAB_MAX_ORDER holds
     monkeypatch.setenv("STABCTAB_MAX_ORDER", "65")
-    with pytest.raises(SystemExit) as exc:
-        main(["stable-betti", "--b1", "0", "--b2", "1"])
-    assert exc.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "stabctab: STABCTAB_MAX_ORDER=65 exceeds the cap of 64\n"
+    code, out = run(capsys, "stable-betti", "--b1", "0", "--b2", "1")
+    assert code == 0
+    assert len(tsv_rows(out)) == 1 + 13  # header + k = 0..12
+    code, out = run(capsys, "stable-betti", "--b1", "0", "--b2", "1", "--max-k", "384")
+    assert code == 0
+    assert len(tsv_rows(out)) == 1 + 385  # header + k = 0..384
+    monkeypatch.setenv("STABCTAB_MAX_ORDER", "1")
+    for argv, err in [
+        (("identity", "--b1", "0", "--b2", "1", "--order", "65"),
+         "stabctab: --order 65 exceeds the cap of 64\n"),
+        (("stable-betti", "--b1", "0", "--b2", "1", "--max-k", "385"),
+         "stabctab: --max-k 385 exceeds the cap of 384\n"),
+    ]:
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == err

@@ -11,11 +11,6 @@ from hypothesis import strategies as st
 from stabctab.cli import COMMANDS, build_parser, main
 
 
-@pytest.fixture(autouse=True)
-def no_env_order(monkeypatch):
-    monkeypatch.delenv("STABCTAB_MAX_ORDER", raising=False)
-
-
 def parsed(argv):
     return vars(build_parser().parse_args(argv))
 
@@ -50,10 +45,12 @@ def test_parsed_values(argv, values):
 
 
 def test_order_defaults_come_from_the_environment(monkeypatch):
+    # they do not: STABCTAB_MAX_ORDER, which once set them, is exported
+    # here to show that it changes nothing
     monkeypatch.setenv("STABCTAB_MAX_ORDER", "7")
-    assert parsed(["stable-betti", "--b1", "0", "--b2", "1"])["max_k"] == 7
-    assert parsed(["perverse", "--b1", "0", "--b2", "1"])["max_order"] == 7
-    assert parsed(["identity", "--b1", "0", "--b2", "1"])["order"] == 7
+    assert parsed(["stable-betti", "--b1", "0", "--b2", "1"])["max_k"] == 12
+    assert parsed(["perverse", "--b1", "0", "--b2", "1"])["max_order"] == 12
+    assert parsed(["identity", "--b1", "0", "--b2", "1"])["order"] == 12
     assert parsed(["identity", "--b1", "0", "--b2", "1", "--order", "3"])["order"] == 3
 
 
@@ -124,11 +121,11 @@ def test_subcommand_help_lists_every_flag(capsys, name):
 
 
 def test_help_shows_the_default_order(capsys, monkeypatch):
-    monkeypatch.setenv("STABCTAB_MAX_ORDER", "9")
+    monkeypatch.setenv("STABCTAB_MAX_ORDER", "9")  # ignored
     with pytest.raises(SystemExit):
         main(["perverse", "--help"])
     out = capsys.readouterr().out
-    assert "(default: 9)" in out and "--b1 B1" in out and "(required)" in out
+    assert "(default: 12)" in out and "--b1 B1" in out and "(required)" in out
 
 
 VALUES = st.one_of(
@@ -179,3 +176,26 @@ def test_any_argv_returns_or_exits_0_or_2(argv):
             assert exc.code in (0, 2), (argv, err.getvalue())
             if exc.code == 2:
                 assert out.getvalue() == "" and err.getvalue().count("\n") == 1
+
+
+def outcome(argv):
+    """(exit code, stdout, stderr) of main(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(argvs(), st.sampled_from(["frog", "-1", "65", "3"]))
+def test_any_argv_ignores_the_old_order_variable(argv, value):
+    # STABCTAB_MAX_ORDER once set the default order; no value of it may
+    # change a call
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delenv("STABCTAB_MAX_ORDER", raising=False)
+        unset = outcome(argv)
+        mp.setenv("STABCTAB_MAX_ORDER", value)
+        assert outcome(argv) == unset, argv
