@@ -2,12 +2,13 @@
 
 ``dataclasses`` imports ``inspect``, which costs a subcommand more
 start-up than most of them spend computing.  These two plain bases give
-the package's value classes what callers use of a frozen dataclass.
-Every layer loads this module, so the readers of outside input that
-the polynomial, branch-file, lattice-file and bounds parsers share live
-here too: ``parse_rational``, ``parse_int`` and ``read_text``.  Each
-reports what it rejects as BadInput, with the message of the exception
-it replaces.
+the package's value classes, the exact ring ``poly.Poly`` and its
+``series.TruncatedBiSeries`` among them, what callers use of a frozen
+dataclass.  Every layer loads this module, so the readers of outside
+input that the polynomial, branch-file, corpus, lattice-file and bounds
+parsers share live here too: ``parse_rational``, ``parse_int`` and
+``read_text``.  Each reports what it rejects as BadInput, with the
+message of the exception it replaces.
 """
 
 from .errors import BadInput
@@ -23,7 +24,8 @@ class Record:
     that starts with an underscore holds data the subclass derived from
     its fields: it is stored alike, but == and repr ignore it.  Pickle and
     deepcopy carry both.  A Record is unhashable, as a frozen dataclass
-    with an unhashable field is.
+    with an unhashable field is, unless its class defines ``__hash__``:
+    HashableRecord does, and ``poly.Poly`` hashes its term map.
     """
 
     def __init__(self, **fields):

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ._record import HashableRecord, Record, parse_int
+from ._record import HashableRecord, Record, parse_int, read_text
 from .errors import (
     BadInput,
     EmptyBranchSet,
@@ -276,7 +276,8 @@ def load_corpus(path=None) -> list[CorpusRecord]:
 
     Each record is an object with fields ``name`` (string), ``poly``
     (polynomial in x, y), ``branches`` (list of [x(t), y(t)] pairs) and
-    ``expected`` (object with integer fields mu, tau, delta, r).
+    ``expected`` (object with integer fields mu, tau, delta, r).  A
+    file that cannot be read or is not UTF-8 is BadInput.
     """
     import json
 
@@ -287,8 +288,7 @@ def load_corpus(path=None) -> list[CorpusRecord]:
             resources.files("stabctab").joinpath("data/ade_corpus.jsonl").read_text()
         )
     else:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        text = read_text(path)
     records = []
     for line in text.splitlines():
         line = line.strip()

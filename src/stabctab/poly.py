@@ -1,10 +1,13 @@
 """Sparse exact polynomials in any number of variables, plus the term grammar.
 
-One class, ``Poly``, serves the branch parametrizations in t and the
-germs in (x, y): its terms map exponent tuples, one entry per variable,
-to nonzero ``Fraction`` coefficients.  Truncation (``cutoff``) always
-keeps the terms of total degree below the cutoff; in one variable that
-is the exponent itself.
+One class, ``Poly``, serves the branch parametrizations in t, the
+germs in (x, y) and, as its subclass ``series.TruncatedBiSeries``, the
+power series in (q, t): its terms map exponent tuples, one entry per
+variable, to nonzero ``Fraction`` coefficients; an ``int`` coefficient
+is converted, and any other (a float) is a TypeError.  A Poly is an
+immutable ``_record.Record``.  Truncation (``cutoff``) always keeps the
+terms of total degree below the cutoff; in one variable that is the
+exponent itself.
 
 The accepted input grammar is deliberately small: a polynomial is a
 '+'/'-' separated list of terms, each term ``c*x^a*y^b`` where the
@@ -20,7 +23,7 @@ import re
 from fractions import Fraction
 from operator import add
 
-from ._record import parse_int, parse_rational
+from ._record import Record, parse_int, parse_rational
 from .errors import BadInput
 
 _FACTOR = re.compile(r"(\d+/\d+|\d+|[a-zA-Z](?:\^\d+)?)")
@@ -84,21 +87,41 @@ def parse_polynomial(s: str, variables: tuple[str, ...]) -> dict[tuple[int, ...]
     return {k: c for k, c in out.items() if c}
 
 
-class Poly:
+def _checked_terms(nvars: int, terms: dict) -> dict[tuple[int, ...], Fraction]:
+    """terms without its zero coefficients, each kept as a Fraction.
+
+    A key that is not ``nvars`` nonnegative exponents is a ValueError, and
+    a coefficient that is not an int or a Fraction (a float, say) is a
+    TypeError.
+    """
+    out = {}
+    for k, c in terms.items():
+        if len(k) != nvars or min(k) < 0:
+            raise ValueError(f"exponent keys must be {nvars} nonnegative integers, got {k}")
+        if not isinstance(c, (int, Fraction)):
+            raise TypeError(f"coefficient must be rational, got {type(c).__name__}")
+        if c:
+            out[k] = c if isinstance(c, Fraction) else Fraction(c)
+    return out
+
+
+class Poly(Record):
     """Polynomial in ``nvars`` variables with exact rational coefficients.
 
     ``terms`` maps exponent tuples of length ``nvars`` to nonzero
     Fractions.  The number of variables is stored, not read off the
-    keys, so the zero polynomial still knows its ring.
+    keys, so the zero polynomial still knows its ring.  A Poly is an
+    immutable Record that hashes by its terms; sums, multiples and
+    products are built by ``_like``, which a subclass overrides to keep
+    its own ring.
     """
 
-    __slots__ = ("nvars", "terms")
-
     def __init__(self, nvars: int, terms: dict[tuple[int, ...], Fraction] | None = None):
-        self.nvars = nvars
-        self.terms = {k: Fraction(c) for k, c in (terms or {}).items() if c}
-        if any(len(k) != nvars or min(k) < 0 for k in self.terms):
-            raise ValueError(f"exponent keys must be {nvars} nonnegative integers")
+        super().__init__(nvars=nvars, terms=_checked_terms(nvars, terms or {}))
+
+    def _like(self, terms: dict) -> "Poly":
+        """A value of this ring with these terms."""
+        return Poly(self.nvars, terms)
 
     @classmethod
     def parse(cls, s: str, variables: tuple[str, ...]) -> "Poly":
@@ -106,10 +129,6 @@ class Poly:
 
     def __bool__(self) -> bool:
         return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, Poly) and self.nvars == other.nvars
-                and self.terms == other.terms)
 
     def __hash__(self):
         return hash((self.nvars, frozenset(self.terms.items())))
@@ -128,14 +147,13 @@ class Poly:
         out = dict(self.terms)
         for k, c in other.terms.items():
             out[k] = out.get(k, Fraction(0)) + c
-        return Poly(self.nvars, out)
+        return self._like(out)
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + other.scale(-1)
 
     def scale(self, c) -> "Poly":
-        c = Fraction(c)
-        return Poly(self.nvars, {k: c * v for k, v in self.terms.items()})
+        return self._like({k: c * v for k, v in self.terms.items()})
 
     def mul(self, other: "Poly", cutoff: int | None = None) -> "Poly":
         """Product, keeping terms of total degree < cutoff (all if None)."""
@@ -148,7 +166,7 @@ class Poly:
                     continue
                 k = tuple(map(add, k1, k2))
                 out[k] = out.get(k, Fraction(0)) + c1 * c2
-        return Poly(self.nvars, out)
+        return self._like(out)
 
     def derivative(self, i: int) -> "Poly":
         """Partial derivative in the i-th variable."""

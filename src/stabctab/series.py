@@ -2,9 +2,12 @@ r"""Exact truncated bivariate series arithmetic.
 
 ``TruncatedBiSeries`` holds a power series in (q, t) with exact
 rational coefficients (``fractions.Fraction``; no floating point
-anywhere), kept modulo total degree a + b > K.  Both exponents are
-nonnegative, so total degree is additive, truncation is a genuine ring
-quotient, and all ring laws hold exactly.
+anywhere), kept modulo total degree a + b > K.  It is a two-variable
+:class:`~stabctab.poly.Poly` with an ``order`` field, so it shares that
+class's sums, products and validation, and like every Record it is
+immutable, picklable and copyable.  Both exponents are nonnegative, so
+total degree is additive, truncation is a genuine ring quotient, and
+all ring laws hold exactly.
 
 The infinite products G, H and the stable-Betti series are not expanded
 here: :mod:`stabctab.genfunc` computes them with an integer
@@ -19,51 +22,35 @@ inverses and truncated coefficient access.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator, Tuple
 
+from ._record import Record
 from .errors import NotInvertible, OrderMismatch, OutOfOrder
+from .poly import Poly, _checked_terms
 
-Key = Tuple[int, int]
-Rational = Fraction | int
-
-
-def _as_fraction(c: Rational) -> Fraction:
-    if isinstance(c, Fraction):
-        return c
-    if isinstance(c, int):
-        return Fraction(c)
-    raise TypeError(f"coefficient must be rational, got {type(c).__name__}")
+Key = tuple[int, int]
 
 
-class TruncatedBiSeries:
+class TruncatedBiSeries(Poly):
     """Bivariate power series in (q, t) modulo total degree > order.
 
-    Values are immutable after construction; every operation returns a
-    new series.  Two series are equal iff their orders and canonical
-    term maps are equal.
+    Terms beyond the order are dropped at construction, after the keys
+    and coefficients are checked.  Every operation returns a new series;
+    two series are equal iff their orders and term maps are, and a
+    series never equals a Poly.
     """
 
-    __slots__ = ("order", "terms")
-
-    def __init__(self, order: int, terms: dict[Key, Rational] | None = None):
+    def __init__(self, order: int, terms: dict[Key, Fraction | int] | None = None):
         if order < 0:
             raise ValueError("truncation order must be nonnegative")
-        canon: dict[Key, Fraction] = {}
-        for (a, b), c in (terms or {}).items():
-            if a < 0 or b < 0:
-                raise ValueError(f"negative exponent in key ({a}, {b})")
-            if a + b > order:
-                continue
-            c = _as_fraction(c)
-            if c:
-                canon[(a, b)] = c
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "terms", canon)
+        terms = _checked_terms(2, terms or {})
+        Record.__init__(self, nvars=2, order=order,
+                        terms={k: c for k, c in terms.items() if k[0] + k[1] <= order})
 
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
-        raise AttributeError("TruncatedBiSeries is immutable")
+    def _like(self, terms: dict) -> "TruncatedBiSeries":
+        return TruncatedBiSeries(self.order, terms)
 
-    # --- constructors ---------------------------------------------------
+    def __repr__(self) -> str:
+        return f"TruncatedBiSeries({self.order}, {self.terms!r})"
 
     @classmethod
     def zero(cls, order: int) -> "TruncatedBiSeries":
@@ -73,11 +60,6 @@ class TruncatedBiSeries:
     def one(cls, order: int) -> "TruncatedBiSeries":
         return cls(order, {(0, 0): 1})
 
-    # --- inspection -----------------------------------------------------
-
-    def items(self) -> Iterator[tuple[Key, Fraction]]:
-        return iter(sorted(self.terms.items()))
-
     def coeff(self, a: int, b: int) -> Fraction:
         """Coefficient of q^a t^b; raises OutOfOrder beyond the truncation."""
         if a + b > self.order:
@@ -86,84 +68,27 @@ class TruncatedBiSeries:
             )
         return self.terms.get((a, b), Fraction(0))
 
-    def constant_term(self) -> Fraction:
-        return self.terms.get((0, 0), Fraction(0))
+    constant_term = Poly.constant
+    min_total_degree = Poly.low_degree
 
-    def min_total_degree(self) -> int | None:
-        """Smallest total degree with a nonzero coefficient (None if zero)."""
-        if not self.terms:
-            return None
-        return min(a + b for a, b in self.terms)
-
-    def __eq__(self, other) -> bool:
+    def _same_ring(self, other) -> bool:
+        """Whether other is a series; OrderMismatch if of another order."""
         if not isinstance(other, TruncatedBiSeries):
-            return NotImplemented
-        return self.order == other.order and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.order, frozenset(self.terms.items())))
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return f"<0 + O(deg>{self.order})>"
-        bits = []
-        for (a, b), c in sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0])):
-            mon = []
-            if a:
-                mon.append(f"q^{a}" if a != 1 else "q")
-            if b:
-                mon.append(f"t^{b}" if b != 1 else "t")
-            body = "*".join(mon) if mon else "1"
-            bits.append(f"{c}*{body}" if mon else f"{c}")
-        shown = " + ".join(bits[:8]) + (" + ..." if len(bits) > 8 else "")
-        return f"<{shown} + O(deg>{self.order})>"
-
-    # --- ring operations ------------------------------------------------
-
-    def _check_order(self, other: "TruncatedBiSeries") -> None:
+            return False
         if self.order != other.order:
             raise OrderMismatch(f"orders differ: {self.order} != {other.order}")
+        return True
 
-    def __add__(self, other: "TruncatedBiSeries") -> "TruncatedBiSeries":
-        if not isinstance(other, TruncatedBiSeries):
-            return NotImplemented
-        self._check_order(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, Fraction(0)) + c
-        return TruncatedBiSeries(self.order, out)
+    def __add__(self, other):
+        return super().__add__(other) if self._same_ring(other) else NotImplemented
 
-    def __neg__(self) -> "TruncatedBiSeries":
-        return TruncatedBiSeries(self.order, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other: "TruncatedBiSeries") -> "TruncatedBiSeries":
-        if not isinstance(other, TruncatedBiSeries):
-            return NotImplemented
-        return self + (-other)
-
-    def scale(self, c: Rational) -> "TruncatedBiSeries":
-        c = _as_fraction(c)
-        return TruncatedBiSeries(self.order, {k: c * v for k, v in self.terms.items()})
+    def __sub__(self, other):
+        return super().__sub__(other) if self._same_ring(other) else NotImplemented
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        if not isinstance(other, TruncatedBiSeries):
-            return NotImplemented
-        self._check_order(other)
-        order = self.order
-        out: dict[Key, Fraction] = {}
-        left, right = self.terms, other.terms
-        if len(left) > len(right):
-            left, right = right, left
-        for (a1, b1), c1 in left.items():
-            room = order - a1 - b1
-            for (a2, b2), c2 in right.items():
-                if a2 + b2 > room:
-                    continue
-                k = (a1 + a2, b1 + b2)
-                out[k] = out.get(k, Fraction(0)) + c1 * c2
-        return TruncatedBiSeries(order, out)
+        return self.mul(other, self.order + 1) if self._same_ring(other) else NotImplemented
 
     __rmul__ = __mul__
 
@@ -177,8 +102,9 @@ class TruncatedBiSeries:
         c0 = self.constant_term()
         if c0 == 0:
             raise NotInvertible("series has zero constant term")
-        u = self.scale(Fraction(1) / c0) - TruncatedBiSeries.one(self.order)
-        acc = TruncatedBiSeries.one(self.order)
+        one = TruncatedBiSeries.one(self.order)
+        u = self.scale(1 / c0) - one
+        acc = one
         for _ in range(self.order):
-            acc = TruncatedBiSeries.one(self.order) - u * acc
-        return acc.scale(Fraction(1) / c0)
+            acc = one - u * acc
+        return acc.scale(1 / c0)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from ._record import Record
+from ._record import HashableRecord, Record
 from .errors import RadicandTooLarge
 
 #: Largest radicand (numerator times denominator of the rational under the
@@ -60,7 +60,7 @@ def sqrt_rational(r) -> "Fraction | QuadSurd":
     return _surd(Fraction(0), Fraction(s, r.denominator), m)
 
 
-class QuadSurd(Record):
+class QuadSurd(HashableRecord):
     """The exact real number rat + coef*sqrt(radicand), radicand squarefree >= 2."""
 
     def __init__(self, rat: Fraction, coef: Fraction, radicand: int):
@@ -135,20 +135,6 @@ class QuadSurd(Record):
 
     def __ge__(self, other):
         return self._coerce_cmp(other) >= 0
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return False  # irrational
-        if isinstance(other, QuadSurd):
-            return (
-                self.radicand == other.radicand
-                and self.rat == other.rat
-                and self.coef == other.coef
-            )
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.rat, self.coef, self.radicand))
 
     def __floor__(self) -> int:
         # floor((A + sqrt(B)) / C) with integer A, B and C > 0

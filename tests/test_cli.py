@@ -482,17 +482,17 @@ def test_closed_stdout_exits_141_quietly(argv, first_line):
     import stabctab
 
     src = str(Path(stabctab.__file__).resolve().parent.parent)
-    proc = subprocess.Popen([sys.executable, "-m", "stabctab", *argv], stdout=subprocess.PIPE,
-                            stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=src))
-    try:
-        if first_line is not None:
-            assert proc.stdout.readline() == first_line
-        proc.stdout.close()
-        err = proc.stderr.read()
-        assert proc.wait(timeout=60) == 141
-    finally:
-        proc.kill()
-        proc.wait()
+    # leaving the with block closes both pipes and reaps the child
+    with subprocess.Popen([sys.executable, "-m", "stabctab", *argv], stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=src)) as proc:
+        try:
+            if first_line is not None:
+                assert proc.stdout.readline() == first_line
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 141
+        finally:
+            proc.kill()
     assert err == b""
 
 

@@ -149,6 +149,21 @@ def test_corpus_expected_values():
         assert mu == 2 * dlt - r + 1, rec.name
 
 
+def test_corpus_file_that_cannot_be_read_is_bad_input(tmp_path):
+    from importlib import resources
+
+    from stabctab.errors import BadInput
+
+    shipped = tmp_path / "ade.jsonl"
+    shipped.write_bytes(resources.files("stabctab").joinpath("data/ade_corpus.jsonl").read_bytes())
+    assert load_corpus(shipped) == load_corpus()
+    latin1 = tmp_path / "latin1.jsonl"
+    latin1.write_bytes('{"name": "\u00e9"}\n'.encode("latin-1"))
+    for path in (tmp_path / "missing.jsonl", tmp_path, latin1):
+        with pytest.raises(BadInput):
+            load_corpus(path)
+
+
 def test_corpus_inequalities():
     for rec in load_corpus():
         mu = milnor(rec.germ)

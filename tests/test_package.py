@@ -155,6 +155,45 @@ def test_germ_record_classes_behave_as_pinned():
         assert pickle.loads(pickle.dumps(record)) == record == copy.deepcopy(record)
 
 
+def test_ring_record_classes_behave_as_pinned():
+    # Poly and TruncatedBiSeries are Records: immutable, picklable and
+    # copyable, hashed by their terms, with floats refused
+    import copy
+    import pickle
+
+    from stabctab.poly import Poly
+    from stabctab.series import TruncatedBiSeries
+
+    p = Poly(2, {(0, 2): 1, (3, 0): -1, (1, 1): 0})
+    assert repr(p) == "Poly(2, {(0, 2): Fraction(1, 1), (3, 0): Fraction(-1, 1)})"
+    h = stabctab.stable_perverse_series(stabctab.ENRIQUES, 2)
+    assert repr(h) == ("TruncatedBiSeries(2, {(0, 0): Fraction(1, 1), (0, 2): Fraction(1, 1), "
+                       "(1, 1): Fraction(9, 1), (2, 0): Fraction(1, 1)})")
+    twin = TruncatedBiSeries(2, {(0, 0): 1, (0, 2): 1, (1, 1): 9, (2, 0): 1, (3, 0): 7})
+    assert twin == h and hash(twin) == hash(h)
+    assert h != TruncatedBiSeries(3, h.terms) and h != Poly(2, h.terms) != h
+
+    for value, fields in ((p, ("nvars", "terms")), (h, ("nvars", "order", "terms"))):
+        for field in fields:
+            with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
+                setattr(value, field, {})
+            with pytest.raises(AttributeError, match=f"cannot delete field '{field}'"):
+                delattr(value, field)
+        for other in (pickle.loads(pickle.dumps(value)), copy.copy(value),
+                      copy.deepcopy(value)):
+            assert other == value and hash(other) == hash(value)
+
+    for make in (lambda: Poly(1, {(1,): 0.1}), lambda: p.scale(0.5),
+                 lambda: TruncatedBiSeries(2, {(1, 0): 0.5}),
+                 lambda: TruncatedBiSeries(1, {(2, 0): 0.5})):
+        with pytest.raises(TypeError, match="coefficient must be rational, got float"):
+            make()
+    for make in (lambda: Poly(1, {(-1,): 0}), lambda: Poly(2, {(1,): 1}),
+                 lambda: TruncatedBiSeries(1, {(3, -1): 1})):
+        with pytest.raises(ValueError, match="exponent keys must be"):
+            make()
+
+
 #: Prints, at exit, every module the run loaded; runs the command line as
 #: ``python -m stabctab`` does.
 PROBE = """
