@@ -4,10 +4,9 @@ from __future__ import annotations
 
 from . import germ as germ_mod
 from ._record import read_text
-from .cli import _emit
 
 
-def cmd_germ(args) -> int:
+def cmd_germ(args) -> tuple[int, dict, list]:
     g = germ_mod.CurveGerm.from_string(args.poly)
     results: dict = {"mu": germ_mod.milnor(g), "tau": germ_mod.tjurina(g)}
     status = 0
@@ -19,13 +18,10 @@ def cmd_germ(args) -> int:
         results["milnor_formula"] = "OK" if ok else "FAIL"
         if not ok:
             status = 1
-    tsv = [(k, v) for k, v in results.items()]
     record = {
-        "command": "germ",
         "parameters": {"poly": args.poly, "branches": args.branches or ""},
         "results": results,
         "provenance": "local quotient-algebra dimensions; delta from the "
                       "normalization cokernel of the branch parametrizations",
     }
-    _emit(args, record, tsv)
-    return status
+    return status, record, list(results.items())

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from ._record import parse_int, parse_rational
-from .cli import _emit
 from .errors import BadInput
 
 
@@ -28,7 +27,7 @@ def _tsv_value(v):
     return v
 
 
-def cmd_bounds(args) -> int:
+def cmd_bounds(args) -> tuple[int, dict, list]:
     from . import codim
 
     want_d = args.d is not None
@@ -84,18 +83,11 @@ def cmd_bounds(args) -> int:
         results["case_bounds"] = [[label, _render_value(v)] for label, v in terms]
     if args.surface == "bielliptic":
         results["dim_ls"] = _render_value(codim.bielliptic_dim_ls(bp, args.d))
-    record = {
-        "command": "bounds",
-        "parameters": params,
-        "results": results,
-        "provenance": provenance,
-    }
-    tsv = [(k, _tsv_value(v)) for k, v in results.items()]
-    _emit(args, record, tsv)
-    return 0
+    record = {"parameters": params, "results": results, "provenance": provenance}
+    return 0, record, [(k, _tsv_value(v)) for k, v in results.items()]
 
 
-def cmd_decompose(args) -> int:
+def cmd_decompose(args) -> tuple[int, dict, list]:
     from . import nslattice
 
     model = nslattice.load_lattice(args.lattice)
@@ -107,7 +99,6 @@ def cmd_decompose(args) -> int:
         (",".join(map(str, t1)), ",".join(map(str, t2))) for t1, t2 in pairs
     ]
     record = {
-        "command": "decompose",
         "parameters": {"lattice": args.lattice, "beta": args.beta},
         "results": {
             "count": len(pairs),
@@ -117,5 +108,4 @@ def cmd_decompose(args) -> int:
                       "ample-positivity test, enumerated from exact bounds "
                       "in orthogonal coordinates",
     }
-    _emit(args, record, [("theta1", "theta2")] + rows)
-    return 0
+    return 0, record, [("theta1", "theta2")] + rows

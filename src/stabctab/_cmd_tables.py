@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from .cli import _emit
 from .genfunc import (
     SurfaceTopology,
     remark_identity_mismatch,
@@ -15,20 +14,18 @@ def _surface(args):
     return SurfaceTopology(args.b1, args.b2, 0)
 
 
-def cmd_stable_betti(args) -> int:
+def cmd_stable_betti(args) -> tuple[int, dict, list]:
     values = list(enumerate(stable_betti_numbers(_surface(args), args.max_k)))
     record = {
-        "command": "stable-betti",
         "parameters": {"b1": args.b1, "b2": args.b2, "max_k": args.max_k},
         "results": [[k, v] for k, v in values],
         "provenance": "stable Betti numbers: coefficients of the infinite "
                       "product in q attached to (b1, b2)",
     }
-    _emit(args, record, [("k", "b_k")] + values)
-    return 0
+    return 0, record, [("k", "b_k")] + values
 
 
-def cmd_perverse(args) -> int:
+def cmd_perverse(args) -> tuple[int, dict, list]:
     surface = _surface(args)
     table = stable_perverse_table(surface, args.max_order)
     keys = sorted(table.entries, key=lambda k: (k[0] + k[1], k))
@@ -52,7 +49,6 @@ def cmd_perverse(args) -> int:
             tsv.append(("oracle", "DISAGREE", f"({i},{j}) {recursed}!={extracted}"))
             status = 1
     record = {
-        "command": "perverse",
         "parameters": {"b1": args.b1, "b2": args.b2, "max_order": args.max_order,
                        "oracle": bool(args.oracle)},
         "results": results,
@@ -62,11 +58,10 @@ def cmd_perverse(args) -> int:
                           if args.oracle else ""
                       ),
     }
-    _emit(args, record, tsv)
-    return status
+    return status, record, tsv
 
 
-def cmd_identity(args) -> int:
+def cmd_identity(args) -> tuple[int, dict, list]:
     mismatch = remark_identity_mismatch(_surface(args), args.order, perturb=args.perturb)
     results: dict = {"status": "PASS" if mismatch is None else "FAIL"}
     tsv = [("status", results["status"])]
@@ -79,12 +74,10 @@ def cmd_identity(args) -> int:
         tsv.append(("first_difference", f"q^{a} t^{b}: {lhs} != {rhs}"))
         status = 1
     record = {
-        "command": "identity",
         "parameters": {"b1": args.b1, "b2": args.b2, "order": args.order,
                        "perturb": bool(args.perturb)},
         "results": results,
         "provenance": "change of variables z = t, w = q/t linking the "
                       "point-counting series to H(q, t)/(1 - qt)",
     }
-    _emit(args, record, tsv)
-    return status
+    return status, record, tsv

@@ -83,11 +83,21 @@ def parse_int(text: str) -> int:
         raise BadInput(str(exc)) from None
 
 
+#: Most characters of a named file that read_text accepts: no input file
+#: comes near it, and a longer one (a device such as /dev/zero that never
+#: ends, say) is read no further than one character past it.
+MAX_FILE_CHARS = 2**20
+
+
 def read_text(path: str) -> str:
     """The UTF-8 text of the file at path; a file that cannot be opened,
-    read or decoded is BadInput."""
+    read or decoded, or that is longer than MAX_FILE_CHARS characters, is
+    BadInput."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+            text = fh.read(MAX_FILE_CHARS + 1)
     except (OSError, UnicodeDecodeError) as exc:
         raise BadInput(str(exc)) from None
+    if len(text) > MAX_FILE_CHARS:
+        raise BadInput(f"{path}: file longer than {MAX_FILE_CHARS} characters")
+    return text

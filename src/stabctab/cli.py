@@ -19,10 +19,14 @@ produce byte-identical output.  Exit codes:
   SIGPIPE, as a shell reports a process killed by that signal; the rest
   of the record is dropped and nothing is printed on stderr).
 
-``main`` alone maps an exception raised after dispatch to its exit code;
-the handlers catch nothing.  A call's output depends only on its argv
-and the files it names: no environment variable is read, and an order
-flag that is not given takes its default, 12.
+Each handler ``cmd_<subcommand>`` returns ``(status, record, rows)``
+and writes nothing: the record's ``parameters``, ``results`` and
+``provenance``, and its TSV rows.  ``main`` alone adds ``command`` and
+writes the record in the chosen format, and alone maps an exception
+raised after dispatch to its exit code; the handlers catch nothing.  A
+call's output depends only on its argv and the files it names: no
+environment variable is read, and an order flag that is not given takes
+its default, 12.
 
 The command line is read by one table, COMMANDS, that gives each
 subcommand's flags once; ``-h``/``--help``, top-level or after a
@@ -82,16 +86,6 @@ def _usage(msg: str, code: int = 2) -> "SystemExit":
     """Write msg to stderr as one line; the SystemExit that exits with code."""
     sys.stderr.write(" ".join(msg.splitlines()) + "\n")
     return SystemExit(code)
-
-
-def _emit(args, record: dict, tsv_rows: list[tuple]) -> None:
-    if args.format == "json":
-        import json
-
-        sys.stdout.write(json.dumps(record, sort_keys=True, indent=2) + "\n")
-    else:
-        for row in tsv_rows:
-            sys.stdout.write("\t".join(str(c) for c in row) + "\n")
 
 
 _SURFACE = {
@@ -274,7 +268,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         home = import_module(f".{COMMANDS[args.subcommand][1]}", __package__)
-        status = getattr(home, "cmd_" + args.subcommand.replace("-", "_"))(args)
+        status, record, rows = getattr(home, "cmd_" + args.subcommand.replace("-", "_"))(args)
+        if args.format == "json":
+            import json
+
+            record = {"command": args.subcommand, **record}
+            sys.stdout.write(json.dumps(record, sort_keys=True, indent=2) + "\n")
+        else:
+            sys.stdout.writelines("\t".join(map(str, row)) + "\n" for row in rows)
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader closed stdout: send what is left, and the final flush

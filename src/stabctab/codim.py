@@ -85,13 +85,11 @@ def arithmetic_genus(beta_sq: int) -> int:
     return beta_sq // 2 + 1
 
 
-def _check_enriques_args(beta_sq: int, d: int) -> None:
+def _check_beta_sq(beta_sq: int) -> None:
     if beta_sq < 2 or beta_sq % 2:
         raise InvalidSelfIntersection(
             "beta^2 must be a positive even integer for an ample class"
         )
-    if d < 1:
-        raise BadInput("d must be a positive integer")
 
 
 def enriques_codim_terms(beta_sq: int, d: int, generic: bool = False):
@@ -107,7 +105,9 @@ def enriques_codim_terms(beta_sq: int, d: int, generic: bool = False):
 
     from .surd import sqrt_rational
 
-    _check_enriques_args(beta_sq, d)
+    _check_beta_sq(beta_sq)
+    if d < 1:
+        raise BadInput("d must be a positive integer")
     half = Fraction(1, 2)
     terms = [
         ("1.1", d * sqrt_rational(2 * beta_sq) - 2),
@@ -161,10 +161,7 @@ def enriques_d0(beta_sq: int, i: int, j: int) -> int:
     bound N dominates i + j and the dimension condition 2 dim >= 3i + j
     holds, so the stable table applies at the entry (i, j).
     """
-    if beta_sq < 2 or beta_sq % 2:
-        raise InvalidSelfIntersection(
-            "beta^2 must be a positive even integer for an ample class"
-        )
+    _check_beta_sq(beta_sq)
     if i < 0 or j < 0:
         raise BadInput("i and j must be nonnegative")
     terms = [

@@ -277,7 +277,9 @@ def load_corpus(path=None) -> list[CorpusRecord]:
     Each record is an object with fields ``name`` (string), ``poly``
     (polynomial in x, y), ``branches`` (list of [x(t), y(t)] pairs) and
     ``expected`` (object with integer fields mu, tau, delta, r).  A
-    file that cannot be read or is not UTF-8 is BadInput.
+    file that cannot be read or is not UTF-8, and a record that is not
+    such an object, is BadInput; the message of a malformed record names
+    its line.
     """
     import json
 
@@ -290,19 +292,25 @@ def load_corpus(path=None) -> list[CorpusRecord]:
     else:
         text = read_text(path)
     records = []
-    for line in text.splitlines():
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        obj = json.loads(line)
-        records.append(
-            CorpusRecord(
-                name=obj["name"],
-                germ=CurveGerm.from_string(obj["poly"]),
-                branches=BranchSet.from_strings(obj["branches"]),
-                expected={k: int(v) for k, v in obj["expected"].items()},
+        try:
+            obj = json.loads(line)
+            records.append(
+                CorpusRecord(
+                    name=obj["name"],
+                    germ=CurveGerm.from_string(obj["poly"]),
+                    branches=BranchSet.from_strings(obj["branches"]),
+                    expected={k: int(v) for k, v in obj["expected"].items()},
+                )
             )
-        )
+        except BadInput as exc:
+            raise type(exc)(f"corpus line {lineno}: {exc}") from None
+        except (ValueError, LookupError, TypeError, AttributeError) as exc:
+            # a line that is not JSON, a missing field, a field of the wrong shape
+            raise BadInput(f"corpus line {lineno}: {type(exc).__name__}: {exc}") from None
     return records
 
 

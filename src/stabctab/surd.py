@@ -1,11 +1,16 @@
 """Exact values of the form a + b*sqrt(n) with rational a, b.
 
 The codimension bounds contain square roots of rational numbers; they
-are kept symbolic and compared, floored and ceiled exactly by integer
-arithmetic (math.isqrt plus sign analysis by squaring).  No floating
-point is involved anywhere.  QuadSurd speaks Python's numeric protocol:
-math.floor and math.ceil, min and max over mixed lists with int and
-Fraction (whose comparisons reflect to it), and str.
+are kept symbolic and decided exactly by integer arithmetic, with no
+floating point anywhere.  Every order is the sign of a difference
+a + b*sqrt(n), found by squaring; floor is closed form through
+math.isqrt, and ceil is floor + 1, since the value is never an integer.
+QuadSurd speaks Python's numeric protocol: <, <=, > and >= against an
+int, a Fraction or a surd with the same radicand (any other operand is
+a TypeError), math.floor and math.ceil, min and max over mixed lists
+with int and Fraction (whose comparisons reflect to it), and str.  It
+adds and subtracts rationals and multiplies by them, and has no unary
+minus: write -1 * x.
 
 The square root of p/q (in lowest terms) is taken apart by trial division
 of p*q, so its cost grows as sqrt(p*q); MAX_RADICAND caps p*q, and a
@@ -95,73 +100,49 @@ class QuadSurd(HashableRecord):
 
     __rmul__ = __mul__
 
-    def _cmp_rational(self, q: Fraction) -> int:
-        """Sign of self - q, decided by squaring."""
-        lhs = self.coef  # coef*sqrt(n) vs q - rat
-        rhs = q - self.rat
-        if lhs > 0 and rhs <= 0:
-            return 1
-        if lhs < 0 and rhs >= 0:
-            return -1
-        # both sides share a sign; square (reversing for negatives)
-        l2 = lhs * lhs * self.radicand
-        r2 = rhs * rhs
-        if l2 == r2:
-            return 0
-        bigger = 1 if l2 > r2 else -1
-        return bigger if lhs > 0 else -bigger
-
-    def _coerce_cmp(self, other) -> int:
+    def _sign_of_difference(self, other) -> int:
+        """The sign of self - other = a + b*sqrt(n), decided by squaring;
+        other is an int, a Fraction or a surd with the same radicand."""
         if isinstance(other, (int, Fraction)):
-            return self._cmp_rational(Fraction(other))
-        if isinstance(other, QuadSurd):
-            if other.radicand == self.radicand:
-                diff_coef = self.coef - other.coef
-                diff_rat = self.rat - other.rat
-                if diff_coef == 0:
-                    return (diff_rat > 0) - (diff_rat < 0)
-                return _surd(diff_rat, diff_coef, self.radicand)._cmp_rational(Fraction(0))
-            raise TypeError("cannot compare surds with different radicands")
-        raise TypeError(f"cannot compare QuadSurd with {type(other).__name__}")
+            a, b = self.rat - other, self.coef
+        elif isinstance(other, QuadSurd) and other.radicand == self.radicand:
+            a, b = self.rat - other.rat, self.coef - other.coef
+        else:
+            raise TypeError(f"cannot compare {self} with {other!r}")
+        sign_a, sign_b = (a > 0) - (a < 0), (b > 0) - (b < 0)
+        if sign_a * sign_b >= 0:
+            return sign_a or sign_b
+        # opposite signs: the larger square wins, and a^2 = b^2*n would
+        # make sqrt(n) rational
+        return sign_a if a * a > b * b * self.radicand else sign_b
 
     def __lt__(self, other):
-        return self._coerce_cmp(other) < 0
+        return self._sign_of_difference(other) < 0
 
     def __le__(self, other):
-        return self._coerce_cmp(other) <= 0
+        return self._sign_of_difference(other) <= 0
 
     def __gt__(self, other):
-        return self._coerce_cmp(other) > 0
+        return self._sign_of_difference(other) > 0
 
     def __ge__(self, other):
-        return self._coerce_cmp(other) >= 0
+        return self._sign_of_difference(other) >= 0
 
     def __floor__(self) -> int:
-        # floor((A + sqrt(B)) / C) with integer A, B and C > 0
-        rat, coef, n = self.rat, self.coef, self.radicand
-        c_den = rat.denominator * coef.denominator
-        a_int = rat.numerator * coef.denominator
-        w = coef.numerator * rat.denominator  # self = (a_int + w*sqrt(n)) / c_den
-        if w >= 0:
-            root = math.isqrt(w * w * n)  # floor of w*sqrt(n)
-            guess = (a_int + root) // c_den
-        else:
-            root = math.isqrt(w * w * n)
-            # -w*sqrt(n) has floor -root-1 (w*w*n is never a perfect
-            # square times... the radicand is squarefree >= 2, so
-            # w*sqrt(n) is irrational and floor(-x) = -floor(x)-1)
-            guess = (a_int - root - 1) // c_den
-        while self._cmp_rational(Fraction(guess + 1)) >= 0:
-            guess += 1
-        while self._cmp_rational(Fraction(guess)) < 0:
-            guess -= 1
-        return guess
+        # self = (A + W*sqrt(n)) / C with integers A, W and C > 0, and
+        # floor(self) = floor((A + floor(W*sqrt(n))) / C); W*sqrt(n) is
+        # irrational, so its floor is isqrt(W^2*n), or -isqrt(W^2*n) - 1
+        # for W < 0
+        rat, coef = self.rat, self.coef
+        w = coef.numerator * rat.denominator
+        root = math.isqrt(w * w * self.radicand)
+        if w < 0:
+            root = -root - 1
+        return (rat.numerator * coef.denominator + root) // (rat.denominator * coef.denominator)
 
     def __ceil__(self) -> int:
-        return -math.floor(-self)
-
-    def __neg__(self):
-        return _surd(-self.rat, -self.coef, self.radicand)
+        # never an integer
+        return math.floor(self) + 1
 
     def __str__(self) -> str:
         return f"{self.rat}+{self.coef}*sqrt({self.radicand})"

@@ -525,6 +525,55 @@ def test_byte_determinism(capsys):
     assert first == second
 
 
+#: One small call of each subcommand, for the handler contract below.
+SMALL_CALLS = {
+    "stable-betti": ("--b1", "0", "--b2", "10", "--max-k", "3"),
+    "perverse": ("--b1", "2", "--b2", "2", "--max-order", "4", "--oracle"),
+    "identity": ("--b1", "0", "--b2", "1", "--order", "4"),
+    "germ": ("--poly", "x*y"),
+    "bounds": ("--surface", "enriques", "--beta-sq", "10", "--d", "3"),
+    "decompose": ("--lattice", "bielliptic-rank2", "--beta", "2,2"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_CALLS))
+def test_handlers_return_the_record_and_write_nothing(capsys, name):
+    from importlib import import_module
+
+    from stabctab.cli import COMMANDS, build_parser
+
+    assert set(SMALL_CALLS) == set(COMMANDS)
+    args = build_parser().parse_args([name, *SMALL_CALLS[name]])
+    handler = getattr(import_module(f"stabctab.{COMMANDS[name][1]}"),
+                      "cmd_" + name.replace("-", "_"))
+    result = handler(args)
+    assert capsys.readouterr().out == ""
+    status, record, rows = result
+    assert status == 0
+    assert sorted(record) == ["parameters", "provenance", "results"]
+    assert rows and all(isinstance(row, tuple) for row in rows)
+    # main adds the command and writes what the handler returned
+    assert run_json(capsys, name, *SMALL_CALLS[name]) == (0, {"command": name, **record})
+    tsv = "".join("\t".join(map(str, row)) + "\n" for row in rows)
+    assert run(capsys, name, *SMALL_CALLS[name]) == (0, tsv)
+
+
+@pytest.mark.parametrize("argv", [
+    ("decompose", "--lattice", "FILE", "--beta", "1,1"),
+    ("germ", "--poly", "y^2 - x^3", "--branches", "FILE"),
+], ids=["lattice-file", "branch-file"])
+def test_file_longer_than_the_cap_exits_2(capsys, tmp_path, argv):
+    # a comment line one character longer than the cap of 2^20
+    path = tmp_path / "long.txt"
+    path.write_text("#" * (2**20 + 1))
+    with pytest.raises(SystemExit) as exc:
+        main([str(path) if a == "FILE" else a for a in argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"stabctab {argv[0]}: {path}: file longer than 1048576 characters\n"
+
+
 def test_internal_failure_exits_3(capsys, monkeypatch):
     from stabctab import genfunc
 

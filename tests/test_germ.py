@@ -164,6 +164,21 @@ def test_corpus_file_that_cannot_be_read_is_bad_input(tmp_path):
             load_corpus(path)
 
 
+@pytest.mark.parametrize("line", [
+    '{"name": "A1", "branches": [], "expected": {}}',
+    'name: A1',
+    '{"name": "A1", "poly": "y^2 - x^2", "branches": [["t"]], "expected": {}}',
+    '["A1", "y^2 - x^2"]',
+], ids=["no-poly", "not-json", "one-element-branch", "json-array"])
+def test_malformed_corpus_record_is_bad_input_naming_its_line(tmp_path, line):
+    from stabctab.errors import BadInput
+
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(line + "\n")
+    with pytest.raises(BadInput, match="^corpus line 1: "):
+        load_corpus(path)
+
+
 def test_corpus_inequalities():
     for rec in load_corpus():
         mu = milnor(rec.germ)

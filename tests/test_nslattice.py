@@ -491,3 +491,41 @@ def test_surd_floor_matches_float():
             assert s.__floor__() == math.floor(approx)
             assert math.ceil(s) == math.ceil(approx)
         assert math.ceil(s) - s.__floor__() == 1  # irrational, never integral
+
+
+def test_surd_order_matches_float():
+    import operator
+
+    rng = random.Random(11)
+    ops = (operator.lt, operator.le, operator.gt, operator.ge)
+
+    def value(x):
+        if isinstance(x, QuadSurd):
+            return float(x.rat) + float(x.coef) * math.sqrt(x.radicand)
+        return float(x)
+
+    def surd(n):
+        coef = Fraction(rng.choice((-1, 1)) * rng.randint(1, 30), rng.randint(1, 7))
+        return QuadSurd(Fraction(rng.randint(-60, 60), rng.randint(1, 7)), coef, n)
+
+    checked = 0
+    for _ in range(2000):
+        n = rng.choice((2, 3, 5, 6, 7, 10))
+        x = surd(n)
+        for y in (surd(n), Fraction(rng.randint(-90, 90), rng.randint(1, 5)),
+                  rng.randint(-20, 20)):
+            if abs(value(x) - value(y)) < 1e-9:
+                continue
+            for op in ops:
+                assert op(x, y) == op(value(x), value(y)), (op, x, y)
+                assert op(y, x) == op(value(y), value(x)), (op, y, x)
+                checked += 2
+        # a surd equals itself, and an equal surd under every order
+        twin = QuadSurd(x.rat, x.coef, n)
+        assert x <= twin and x >= twin and not x < twin and not x > twin
+    assert checked > 40000
+    for op in ops:
+        with pytest.raises(TypeError):
+            op(sqrt_rational(2), sqrt_rational(3))
+        with pytest.raises(TypeError):
+            op(sqrt_rational(2), 1.5)
