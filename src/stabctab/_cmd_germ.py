@@ -6,7 +6,7 @@ from . import germ as germ_mod
 from ._record import read_text
 
 
-def cmd_germ(args) -> tuple[int, dict, list]:
+def cmd_germ(args) -> tuple:
     g = germ_mod.CurveGerm.from_string(args.poly)
     results: dict = {"mu": germ_mod.milnor(g), "tau": germ_mod.tjurina(g)}
     status = 0
@@ -24,4 +24,4 @@ def cmd_germ(args) -> tuple[int, dict, list]:
         "provenance": "local quotient-algebra dimensions; delta from the "
                       "normalization cokernel of the branch parametrizations",
     }
-    return status, record, list(results.items())
+    return status, record, results.items()

@@ -6,28 +6,7 @@ from ._record import parse_int, parse_rational
 from .errors import BadInput
 
 
-def _render_value(x):
-    """JSON-safe exact rendering: ints stay ints, rationals become 'p/q',
-    surds become 'p+q*sqrt(n)'."""
-    return x if isinstance(x, int) else str(x)
-
-
-def _governing_text(labels: list[str]) -> str:
-    if len(labels) == 1:
-        return labels[0]
-    return " or ".join(labels) + " (tie)"
-
-
-def _tsv_value(v):
-    """A TSV cell: lists as JSON (``json`` is loaded only for them)."""
-    if isinstance(v, list):
-        import json
-
-        return json.dumps(v)
-    return v
-
-
-def cmd_bounds(args) -> tuple[int, dict, list]:
+def cmd_bounds(args) -> tuple:
     from . import codim
 
     want_d = args.d is not None
@@ -75,19 +54,20 @@ def cmd_bounds(args) -> tuple[int, dict, list]:
             "bielliptic surface"
         )
     if want_d:
-        results["codim_bound"] = _render_value(bound)
+        results["codim_bound"] = bound
         results["n_bound"] = codim.n_lower_bound(bound)
-        results["governing_case"] = _governing_text(
-            codim.governing_cases(terms, bound)
-        )
-        results["case_bounds"] = [[label, _render_value(v)] for label, v in terms]
+        labels = codim.governing_cases(terms, bound)
+        results["governing_case"] = " or ".join(labels) + (" (tie)" if labels[1:] else "")
+        results["case_bounds"] = terms
     if args.surface == "bielliptic":
-        results["dim_ls"] = _render_value(codim.bielliptic_dim_ls(bp, args.d))
+        results["dim_ls"] = codim.bielliptic_dim_ls(bp, args.d)
     record = {"parameters": params, "results": results, "provenance": provenance}
-    return 0, record, [(k, _tsv_value(v)) for k, v in results.items()]
+    return 0, record, results.items()
 
 
-def cmd_decompose(args) -> tuple[int, dict, list]:
+def cmd_decompose(args) -> tuple:
+    from itertools import chain
+
     from . import nslattice
 
     model = nslattice.load_lattice(args.lattice)
@@ -95,17 +75,13 @@ def cmd_decompose(args) -> tuple[int, dict, list]:
     if len(beta) != model.rank:
         raise BadInput(f"beta has {len(beta)} coordinates, lattice has rank {model.rank}")
     pairs = nslattice.decompose(model, beta)
-    rows = [
-        (",".join(map(str, t1)), ",".join(map(str, t2))) for t1, t2 in pairs
-    ]
+    rows = chain([("theta1", "theta2")],
+                 ((",".join(map(str, t1)), ",".join(map(str, t2))) for t1, t2 in pairs))
     record = {
         "parameters": {"lattice": args.lattice, "beta": args.beta},
-        "results": {
-            "count": len(pairs),
-            "pairs": [[list(t1), list(t2)] for t1, t2 in pairs],
-        },
+        "results": {"count": len(pairs), "pairs": pairs},
         "provenance": "candidate splittings passing every declared "
                       "ample-positivity test, enumerated from exact bounds "
                       "in orthogonal coordinates",
     }
-    return 0, record, [("theta1", "theta2")] + rows
+    return 0, record, rows

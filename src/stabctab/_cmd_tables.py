@@ -14,24 +14,24 @@ def _surface(args):
     return SurfaceTopology(args.b1, args.b2, 0)
 
 
-def cmd_stable_betti(args) -> tuple[int, dict, list]:
+def cmd_stable_betti(args) -> tuple:
     values = list(enumerate(stable_betti_numbers(_surface(args), args.max_k)))
     record = {
         "parameters": {"b1": args.b1, "b2": args.b2, "max_k": args.max_k},
-        "results": [[k, v] for k, v in values],
+        "results": values,
         "provenance": "stable Betti numbers: coefficients of the infinite "
                       "product in q attached to (b1, b2)",
     }
-    return 0, record, [("k", "b_k")] + values
+    return 0, record, [("k", "b_k"), *values]
 
 
-def cmd_perverse(args) -> tuple[int, dict, list]:
+def cmd_perverse(args) -> tuple:
     surface = _surface(args)
     table = stable_perverse_table(surface, args.max_order)
     keys = sorted(table.entries, key=lambda k: (k[0] + k[1], k))
     rows = [(i, j, table.entry(i, j)) for i, j in keys]
-    results: dict = {"table": [[i, j, v] for i, j, v in rows]}
-    tsv = [("i", "j", "n")] + rows
+    results: dict = {"table": rows}
+    tsv = [("i", "j", "n"), *rows]
     status = 0
     if args.oracle:
         from . import perverse
@@ -61,7 +61,7 @@ def cmd_perverse(args) -> tuple[int, dict, list]:
     return status, record, tsv
 
 
-def cmd_identity(args) -> tuple[int, dict, list]:
+def cmd_identity(args) -> tuple:
     mismatch = remark_identity_mismatch(_surface(args), args.order, perturb=args.perturb)
     results: dict = {"status": "PASS" if mismatch is None else "FAIL"}
     tsv = [("status", results["status"])]

@@ -21,9 +21,12 @@ produce byte-identical output.  Exit codes:
 
 Each handler ``cmd_<subcommand>`` returns ``(status, record, rows)``
 and writes nothing: the record's ``parameters``, ``results`` and
-``provenance``, and its TSV rows.  ``main`` alone adds ``command`` and
-writes the record in the chosen format, and alone maps an exception
-raised after dispatch to its exit code; the handlers catch nothing.  A
+``provenance`` hold the library's values as they are, and ``rows``, the
+TSV rows, is any iterable of tuples, which ``main`` reads once.  ``main``
+alone turns values into text: it adds ``command`` and writes the record
+as JSON, a Fraction or a QuadSurd by its str, or each row with a cell as
+its str and a list cell as JSON.  It alone maps an exception raised
+after dispatch to its exit code; the handlers catch nothing.  A
 call's output depends only on its argv and the files it names: no
 environment variable is read, and an order flag that is not given takes
 its default, 12.
@@ -264,6 +267,24 @@ def build_parser() -> Parser:
     return Parser()
 
 
+def _exact_text(value) -> str:
+    """A Fraction or a QuadSurd as JSON: its str, the class matched by name
+    so that neither module is imported; any other value is a TypeError."""
+    name = f"{type(value).__module__}.{type(value).__name__}"
+    if name in ("fractions.Fraction", f"{__package__}.surd.QuadSurd"):
+        return str(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _cell(value) -> str:
+    """A TSV cell: str(value), but a list as JSON (``json`` loads only then)."""
+    if isinstance(value, list):
+        import json
+
+        return json.dumps(value, default=_exact_text)
+    return str(value)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -273,9 +294,10 @@ def main(argv=None) -> int:
             import json
 
             record = {"command": args.subcommand, **record}
-            sys.stdout.write(json.dumps(record, sort_keys=True, indent=2) + "\n")
+            sys.stdout.write(json.dumps(record, sort_keys=True, indent=2,
+                                        default=_exact_text) + "\n")
         else:
-            sys.stdout.writelines("\t".join(map(str, row)) + "\n" for row in rows)
+            sys.stdout.writelines("\t".join(map(_cell, row)) + "\n" for row in rows)
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader closed stdout: send what is left, and the final flush

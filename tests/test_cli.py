@@ -536,11 +536,29 @@ SMALL_CALLS = {
 }
 
 
+def rendered(value):
+    """value as main writes it to JSON: a Fraction or a QuadSurd as its str,
+    a tuple as a list."""
+    from fractions import Fraction
+
+    from stabctab.surd import QuadSurd
+
+    if isinstance(value, (Fraction, QuadSurd)):
+        return str(value)
+    if isinstance(value, (list, tuple)):
+        return [rendered(v) for v in value]
+    if isinstance(value, dict):
+        return {k: rendered(v) for k, v in value.items()}
+    return value
+
+
 @pytest.mark.parametrize("name", sorted(SMALL_CALLS))
 def test_handlers_return_the_record_and_write_nothing(capsys, name):
+    from fractions import Fraction
     from importlib import import_module
 
     from stabctab.cli import COMMANDS, build_parser
+    from stabctab.surd import QuadSurd
 
     assert set(SMALL_CALLS) == set(COMMANDS)
     args = build_parser().parse_args([name, *SMALL_CALLS[name]])
@@ -549,13 +567,41 @@ def test_handlers_return_the_record_and_write_nothing(capsys, name):
     result = handler(args)
     assert capsys.readouterr().out == ""
     status, record, rows = result
+    # rows may be any iterable, a generator among them: read it once
+    rows = list(rows)
     assert status == 0
     assert sorted(record) == ["parameters", "provenance", "results"]
     assert rows and all(isinstance(row, tuple) for row in rows)
-    # main adds the command and writes what the handler returned
-    assert run_json(capsys, name, *SMALL_CALLS[name]) == (0, {"command": name, **record})
-    tsv = "".join("\t".join(map(str, row)) + "\n" for row in rows)
+    if name == "bounds":
+        # the record holds the library's exact values, not their text
+        results = record["results"]
+        assert isinstance(results["codim_bound"], Fraction)
+        assert any(isinstance(v, QuadSurd) for _, v in results["case_bounds"])
+    # main alone renders: it adds the command and writes the record with
+    # each exact value as its str, or each row with a cell as its str and a
+    # list cell as JSON
+    assert run_json(capsys, name, *SMALL_CALLS[name]) == (
+        0, rendered({"command": name, **record}))
+    tsv = "".join(
+        "\t".join(json.dumps(rendered(c)) if isinstance(c, list) else str(c) for c in row)
+        + "\n" for row in rows
+    )
     assert run(capsys, name, *SMALL_CALLS[name]) == (0, tsv)
+
+
+def test_value_json_cannot_write_exits_3(capsys, monkeypatch):
+    from stabctab import _cmd_germ
+
+    # only a Fraction or a QuadSurd is written by its str
+    record = {"parameters": {}, "results": {"mu": object()}, "provenance": ""}
+    monkeypatch.setattr(_cmd_germ, "cmd_germ", lambda args: (0, record, []))
+    with pytest.raises(SystemExit) as exc:
+        main(["germ", "--poly", "x*y", "--format", "json"])
+    assert exc.value.code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("stabctab: internal error: TypeError: "
+                            "Object of type object is not JSON serializable\n")
 
 
 @pytest.mark.parametrize("argv", [
