@@ -6,6 +6,14 @@ from ._record import parse_int, parse_rational
 from .errors import BadInput
 
 
+def _reject(scope: str, *given) -> None:
+    """BadInput naming the first of the (flag, value) pairs whose value is
+    set: the flag is read by the calls of scope only, and not ignored."""
+    for flag, value in given:
+        if value is not None:
+            raise BadInput(f"{flag} applies to {scope} only")
+
+
 def cmd_bounds(args) -> tuple:
     from . import codim
 
@@ -21,6 +29,8 @@ def cmd_bounds(args) -> tuple:
     if args.surface == "enriques":
         if args.beta_sq is None:
             raise BadInput("enriques needs --beta-sq")
+        _reject("--surface bielliptic", ("--a", args.a), ("--b", args.b),
+                ("--lambda", args.lam), ("--mu", args.mu), ("--gamma", args.gamma))
         params["beta_sq"] = args.beta_sq
         if want_d:
             params["d"] = args.d
@@ -28,6 +38,7 @@ def cmd_bounds(args) -> tuple:
             terms = codim.enriques_codim_terms(args.beta_sq, args.d, args.generic)
             bound = codim.enriques_minimum(terms)
         else:
+            _reject("--surface enriques --d", ("--generic", args.generic or None))
             params["i"], params["j"] = args.i, args.j
             results["d0"] = codim.enriques_d0(args.beta_sq, args.i, args.j)
         provenance = (
@@ -40,6 +51,8 @@ def cmd_bounds(args) -> tuple:
             raise BadInput("bielliptic needs --a --b --lambda --mu --gamma")
         if not want_d:
             raise BadInput("the d0 threshold is defined for enriques only")
+        _reject("--surface enriques", ("--beta-sq", args.beta_sq))
+        _reject("--surface enriques --d", ("--generic", args.generic or None))
         bp = codim.BiellipticParams(
             args.a, args.b, parse_rational(args.lam), parse_rational(args.mu), args.gamma
         )

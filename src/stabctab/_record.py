@@ -6,8 +6,8 @@ the package's value classes, the exact ring ``poly.Poly`` and its
 ``series.TruncatedBiSeries`` among them, what callers use of a frozen
 dataclass.  Every layer loads this module, so the readers of outside
 input that the polynomial, branch-file, corpus, lattice-file and bounds
-parsers share live here too: ``parse_rational``, ``parse_int`` and
-``read_text``.  Each reports what it rejects as BadInput, with the
+parsers share live here too: ``parse_rational``, ``parse_int``,
+``read_text`` and ``content_lines``.  Each reports what it rejects as BadInput, with the
 message of the exception it replaces.
 """
 
@@ -101,3 +101,11 @@ def read_text(path: str) -> str:
     if len(text) > MAX_FILE_CHARS:
         raise BadInput(f"{path}: file longer than {MAX_FILE_CHARS} characters")
     return text
+
+
+def content_lines(text: str) -> list[str]:
+    """The lines of a lattice or branch file, each stripped of its '#'
+    comment, which runs to the end of the line, and of surrounding spaces;
+    a line left empty is dropped."""
+    return [line for line in (raw.partition("#")[0].strip() for raw in text.splitlines())
+            if line]

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ._record import HashableRecord, Record, parse_int, read_text
+from ._record import HashableRecord, Record, content_lines, parse_int, read_text
 from .errors import (
     BadInput,
     EmptyBranchSet,
@@ -38,6 +38,12 @@ from .poly import Poly
 #: Hard cap on the power of the maximal ideal used for mu/tau stabilization;
 #: m^mu lies in an ideal of colength mu, so it caps mu and tau at 64.
 MAX_IDEAL_POWER = 64
+
+#: Cap on the t-degree to which a branch is composed with the germ: the
+#: degree of f(x(t), y(t)), or the declared truncation when that is lower.
+#: The time of the composition grows with it, as the square or faster,
+#: whatever the length of the input; a larger degree is BadInput.
+MAX_COMPOSED_DEGREE = 1024
 
 
 class CurveGerm(HashableRecord):
@@ -187,6 +193,13 @@ def _validate_branches(germ: CurveGerm, branches: BranchSet, mu: int) -> None:
             f"declared truncation {t0} is below the conductor bound {2 * mu + 2}"
         )
     for k, (xt, yt) in enumerate(branches.branches):
+        dx, dy = (max((e for (e,) in p.terms), default=0) for p in (xt, yt))
+        degree = max(i * dx + j * dy for i, j in germ.poly.terms)
+        if t0 is not None:
+            degree = min(degree, t0)
+        if degree > MAX_COMPOSED_DEGREE:
+            raise BadInput(f"branch {k} composes with the germ to t-degree "
+                           f"{degree}, above the cap of {MAX_COMPOSED_DEGREE}")
         composed = germ.poly.substitute((xt, yt), None if t0 is None else t0 + 1)
         if composed:
             raise InvalidBranch(
@@ -276,10 +289,10 @@ def load_corpus(path=None) -> list[CorpusRecord]:
 
     Each record is an object with fields ``name`` (string), ``poly``
     (polynomial in x, y), ``branches`` (list of [x(t), y(t)] pairs) and
-    ``expected`` (object with integer fields mu, tau, delta, r).  A
-    file that cannot be read or is not UTF-8, and a record that is not
-    such an object, is BadInput; the message of a malformed record names
-    its line.
+    ``expected`` (object with fields mu, tau, delta, r, each a JSON
+    integer: not a float, a bool or a string).  A file that cannot be read
+    or is not UTF-8, and a record that is not such an object, is BadInput;
+    the message of a malformed record names its line.
     """
     import json
 
@@ -298,12 +311,16 @@ def load_corpus(path=None) -> list[CorpusRecord]:
             continue
         try:
             obj = json.loads(line)
+            expected = obj["expected"]
+            for key, value in expected.items():
+                if type(value) is not int:  # a float, a bool or a string
+                    raise BadInput(f"expected {key} must be an integer, got {json.dumps(value)}")
             records.append(
                 CorpusRecord(
                     name=obj["name"],
                     germ=CurveGerm.from_string(obj["poly"]),
                     branches=BranchSet.from_strings(obj["branches"]),
-                    expected={k: int(v) for k, v in obj["expected"].items()},
+                    expected=expected,
                 )
             )
         except BadInput as exc:
@@ -317,16 +334,13 @@ def load_corpus(path=None) -> list[CorpusRecord]:
 def parse_branch_file(text: str) -> BranchSet:
     """Parse a branch file: one ``x(t) ; y(t)`` pair per line.
 
-    Blank lines and lines starting with '#' are skipped.  An optional
-    leading line ``truncation: N`` declares the precision of inexact
-    parametrizations.  Malformed text raises BadInput.
+    '#' starts a comment that runs to the end of the line, and blank lines
+    are skipped.  An optional leading line ``truncation: N`` declares the
+    precision of inexact parametrizations.  Malformed text raises BadInput.
     """
     truncation: int | None = None
     pairs: list[tuple[str, str]] = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line in content_lines(text):
         if line.lower().startswith("truncation:"):
             truncation = parse_int(line.split(":", 1)[1])
             continue

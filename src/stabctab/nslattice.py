@@ -27,7 +27,7 @@ import math
 import operator
 from fractions import Fraction
 
-from ._record import HashableRecord, parse_int, parse_rational, read_text
+from ._record import HashableRecord, content_lines, parse_int, parse_rational, read_text
 from .errors import BadInput, BasisDenominatorError, HodgeIndexViolation, NotEffectiveCandidate
 
 Vector = tuple[Fraction, ...]
@@ -278,7 +278,8 @@ PRESET_LATTICES = ("bielliptic-rank2", "enriques-u-e8")
 def parse_lattice(text: str) -> LatticeModel:
     """Parse the lattice file format.
 
-    Line-oriented plain text; '#' starts a comment.  Keywords:
+    Line-oriented plain text; '#' starts a comment that runs to the end of
+    the line.  Keywords:
 
     * ``rank N``
     * ``gram`` followed by N lines of N integers
@@ -288,11 +289,7 @@ def parse_lattice(text: str) -> LatticeModel:
 
     Malformed text, and a model that fails its checks, raise BadInput.
     """
-    lines = [
-        ln.strip()
-        for ln in text.splitlines()
-        if ln.strip() and not ln.strip().startswith("#")
-    ]
+    lines = content_lines(text)
     pos = 0
 
     def next_line() -> str:

@@ -186,15 +186,26 @@ class Poly(Record):
         """self(images[0], ..., images[nvars - 1]), truncated at total degree cutoff.
 
         The images share one ring, whose number of variables the result takes.
+        The table of powers of an image ends at its first power that is 0,
+        since every higher one is 0 as well, and a term with an exponent past
+        the end of a table is skipped.  With a cutoff, an image without
+        constant term reaches 0 by the power cutoff, so the cost follows the
+        cutoff and not the exponents of self.
         """
         if len(images) != self.nvars:
             raise ValueError(f"need {self.nvars} images, got {len(images)}")
-        tables = [
-            img.powers(max((k[i] for k in self.terms), default=0), cutoff)
-            for i, img in enumerate(images)
-        ]
+        tables = []
+        for i, img in enumerate(images):
+            table = [Poly(img.nvars, {(0,) * img.nvars: 1})]
+            for _ in range(max((k[i] for k in self.terms), default=0)):
+                if not table[-1]:
+                    break
+                table.append(table[-1].mul(img, cutoff))
+            tables.append(table)
         acc = Poly(images[0].nvars)
         for key, c in self.terms.items():
+            if any(e >= len(table) for e, table in zip(key, tables)):
+                continue
             term = tables[0][key[0]]
             for table, e in zip(tables[1:], key[1:]):
                 term = term.mul(table[e], cutoff)

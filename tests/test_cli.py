@@ -20,6 +20,21 @@ def run_json(capsys, *argv):
     return code, json.loads(out)
 
 
+def run_fresh(*argv, timeout):
+    """The completed process of ``python -m stabctab *argv``, run in a fresh
+    interpreter that is killed after timeout seconds."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import stabctab
+
+    src = str(Path(stabctab.__file__).resolve().parent.parent)
+    return subprocess.run([sys.executable, "-m", "stabctab", *argv], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src), timeout=timeout)
+
+
 def tsv_rows(out):
     return [line.split("\t") for line in out.strip().splitlines()]
 
@@ -272,17 +287,7 @@ def test_bounds_enriques_cases(capsys):
 def test_bounds_radicand_above_the_cap_exits_2(argv, radicand):
     # a fresh interpreter with a timeout: trial division of these
     # radicands, uncapped, takes seconds to hours
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import stabctab
-
-    src = str(Path(stabctab.__file__).resolve().parent.parent)
-    proc = subprocess.run([sys.executable, "-m", "stabctab", "bounds", *argv],
-                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
-                          timeout=20)
+    proc = run_fresh("bounds", *argv, timeout=20)
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == (
@@ -292,21 +297,27 @@ def test_bounds_radicand_above_the_cap_exits_2(argv, radicand):
 def test_exponent_literal_is_rejected_at_once():
     # a fresh interpreter with a timeout: Fraction reads this literal as
     # 10^-10000000, which takes seconds to build
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import stabctab
-
-    src = str(Path(stabctab.__file__).resolve().parent.parent)
-    argv = ["bounds", "--surface", "bielliptic", "--a", "1", "--b", "1",
-            "--lambda", "1e-10000000", "--mu", "1", "--gamma", "2", "--d", "1"]
-    proc = subprocess.run([sys.executable, "-m", "stabctab", *argv], capture_output=True,
-                          text=True, env=dict(os.environ, PYTHONPATH=src), timeout=1)
+    proc = run_fresh("bounds", "--surface", "bielliptic", "--a", "1", "--b", "1",
+                     "--lambda", "1e-10000000", "--mu", "1", "--gamma", "2", "--d", "1",
+                     timeout=1)
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == "stabctab bounds: Invalid literal for Fraction: '1e-10000000'\n"
+
+
+@pytest.mark.parametrize("truncation, code, out, err", [
+    ("truncation: 4\n", 0, "mu\t1\ntau\t1\ndelta\t1\nr\t2\nmilnor_formula\tOK\n", ""),
+    ("", 2, "", "stabctab germ: branch 0 composes with the germ to t-degree 100000000, "
+                "above the cap of 1024\n"),
+], ids=["truncated", "exact"])
+def test_huge_exponent_composes_with_branches_at_once(tmp_path, truncation, code, out, err):
+    # a fresh interpreter with a timeout: powers of x(t) built up to the
+    # exponent take minutes and gigabytes
+    path = tmp_path / "axes.br"
+    path.write_text(truncation + "t ; 0\n0 ; t\n")
+    proc = run_fresh("germ", "--poly", "x*y + x^100000000*y", "--branches", str(path),
+                     timeout=1)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
 
 
 def test_bounds_radicand_at_the_cap_runs(capsys):
@@ -695,8 +706,19 @@ TACNODE = ("germ", "--poly", "y^2 - x^4", "--branches", "FILE")
     (("decompose", "--lattice", "FILE", "--beta", "1,1"),
      ZERO_DENOMINATOR_LATTICE.replace("1/0", "1e-9").encode(),
      "stabctab decompose: Invalid literal for Fraction: '1e-9'\n"),
+    # a bounds flag that the call would not read
+    (BIELLIPTIC_BOUNDS + ("--lambda", "1", "--mu", "1", "--generic"), None,
+     "stabctab bounds: --generic applies to --surface enriques --d only\n"),
+    (BIELLIPTIC_BOUNDS + ("--lambda", "1", "--mu", "1", "--beta-sq", "10"), None,
+     "stabctab bounds: --beta-sq applies to --surface enriques only\n"),
+    (("bounds", "--surface", "enriques", "--beta-sq", "10", "--d", "3", "--a", "3"), None,
+     "stabctab bounds: --a applies to --surface bielliptic only\n"),
+    (("bounds", "--surface", "enriques", "--beta-sq", "10", "--i", "2", "--j", "3",
+      "--generic"), None,
+     "stabctab bounds: --generic applies to --surface enriques --d only\n"),
 ], ids=["truncation-literal", "no-branches", "not-utf-8", "bounds-d-zero", "odd-beta-sq",
-        "odd-b1", "decimal-lambda", "exponent-in-lattice-file"])
+        "odd-b1", "decimal-lambda", "exponent-in-lattice-file", "bielliptic-generic",
+        "bielliptic-beta-sq", "enriques-a", "enriques-ij-generic"])
 def test_rejected_input_names_its_subcommand(capsys, tmp_path, argv, file_bytes, err):
     path = tmp_path / "input.txt"
     if file_bytes is not None:

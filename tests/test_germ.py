@@ -169,7 +169,12 @@ def test_corpus_file_that_cannot_be_read_is_bad_input(tmp_path):
     'name: A1',
     '{"name": "A1", "poly": "y^2 - x^2", "branches": [["t"]], "expected": {}}',
     '["A1", "y^2 - x^2"]',
-], ids=["no-poly", "not-json", "one-element-branch", "json-array"])
+    '{"name": "A1", "poly": "y^2 - x^2", "branches": [], "expected": {"mu": 1.9}}',
+    '{"name": "A1", "poly": "y^2 - x^2", "branches": [], "expected": {"tau": true}}',
+    '{"name": "A1", "poly": "y^2 - x^2", "branches": [], "expected": {"delta": "1"}}',
+    '{"name": "A1", "poly": "y^2 - x^2", "branches": [], "expected": [["mu", 1]]}',
+], ids=["no-poly", "not-json", "one-element-branch", "json-array", "float-value",
+        "bool-value", "string-value", "expected-not-an-object"])
 def test_malformed_corpus_record_is_bad_input_naming_its_line(tmp_path, line):
     from stabctab.errors import BadInput
 

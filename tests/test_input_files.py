@@ -5,6 +5,7 @@ with a few characters or lines changed is read, or rejected as bad input
 import contextlib
 import io
 from importlib import resources
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -88,3 +89,21 @@ def test_mutated_branch_file_checks_or_exits_2(scratch, text):
     code, out, err = run_on(scratch, text,
                             ["germ", "--poly", "y^2 - x^4", "--branches", "FILE"])
     check_outcome(code, out, err, "germ")
+
+
+def test_readme_lattice_example_loads(tmp_path):
+    # its '#' comments run to the end of their lines
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    example = readme.split("**Lattice model**", 1)[1].split("```")[1]
+    assert "ample_tests 2   # one integer" in example
+    code, out, err = run_on(tmp_path / "example.lat", example.encode(),
+                            ["decompose", "--lattice", "FILE", "--beta", "2,2"])
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == 1 + 7
+
+
+def test_comment_runs_to_the_end_of_a_branch_line(tmp_path):
+    text = b"# the tacnode\nt ; t^2  # upper\nt ; -t^2#lower\n"
+    code, out, err = run_on(tmp_path / "tacnode.br", text,
+                            ["germ", "--poly", "y^2 - x^4", "--branches", "FILE"])
+    assert (code, out, err) == (0, "mu\t3\ntau\t3\ndelta\t2\nr\t2\nmilnor_formula\tOK\n", "")

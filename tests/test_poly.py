@@ -58,3 +58,13 @@ def sparse_polys(draw):
 def test_rendered_poly_parses_back_equal(poly_and_variables, style):
     poly, variables = poly_and_variables
     assert Poly.parse(render(poly, variables, style), variables) == poly
+
+
+def test_substitution_skips_the_powers_that_vanish():
+    # t^(10^5) truncates to 0 at cutoff 5, and so does every power of 0;
+    # the terms past either are 0 and skipped
+    t, zero = Poly(1, {(1,): 1}), Poly(1)
+    f = Poly(2, {(1, 1): 2, (10**5, 1): 1, (10**5, 0): 3, (0, 2): -1})
+    assert f.substitute((t, t), 5) == Poly(1, {(2,): 1})
+    assert f.substitute((t, zero), 5) == zero
+    assert f.substitute((zero, t)) == Poly(1, {(2,): -1})
