@@ -7,8 +7,8 @@ the package's value classes, the exact ring ``poly.Poly`` and its
 dataclass.  Every layer loads this module, so the readers of outside
 input that the polynomial, branch-file, corpus, lattice-file and bounds
 parsers share live here too: ``parse_rational``, ``parse_int``,
-``read_text`` and ``content_lines``.  Each reports what it rejects as BadInput, with the
-message of the exception it replaces.
+``read_text`` and ``content_lines``.  Each reports what it rejects as
+BadInput, with the message of the exception it replaces.
 """
 
 from .errors import BadInput
