@@ -46,6 +46,10 @@ the flag.
 Orders are capped, and the caps are checked after the usage errors and
 before any computation: ``--max-order`` and ``--order`` at 64 and
 ``--max-k`` at 384 (the README gives the cost of a call at the caps).
+``--b1`` and ``--b2`` are capped at 10^12, and the integer flags of
+``bounds`` at 10^600, so that no value a record or a message prints has
+more digits than Python turns into a string (4,300); ``bounds`` bounds
+the numerator and the denominator of ``--lambda`` and ``--mu`` alike.
 A value above its cap exits 2 with one line on stderr.  The codimension
 bounds of ``bounds --d`` take exact square roots by trial division and
 cap their radicand at 10^12 (``surd.MAX_RADICAND``); a larger one exits
@@ -91,9 +95,19 @@ def _usage(msg: str, code: int = 2) -> "SystemExit":
     return SystemExit(code)
 
 
+#: Caps of the integer flags that are not orders (see the module
+#: docstring).  At --b1 = --b2 = 10^12 the largest value printed, a stable
+#: Betti number at --max-k 384, has 3,781 digits; a bounds value is at most
+#: a product of seven arguments (d^2 a b gamma and the numerators and
+#: denominators of lambda and mu, which codim.MAX_ARGUMENT bounds alike).
+_SURFACE_CAP = 10**12
+_BOUNDS_CAP = 10**600
+
 _SURFACE = {
-    "--b1": {"type": int, "required": True, "help": "first Betti number of the surface"},
-    "--b2": {"type": int, "required": True, "help": "second Betti number of the surface"},
+    "--b1": {"type": int, "required": True, "cap": _SURFACE_CAP,
+             "help": "first Betti number of the surface"},
+    "--b2": {"type": int, "required": True, "cap": _SURFACE_CAP,
+             "help": "second Betti number of the surface"},
 }
 _FORMAT = {"--format": {"choices": ("tsv", "json"), "default": "tsv",
                         "help": "TSV rows or one JSON record"}}
@@ -136,15 +150,19 @@ COMMANDS = {
     "bounds": ("codimension bounds and thresholds", "_cmd_lattice", {
         "--surface": {"choices": ("enriques", "bielliptic"), "required": True,
                       "help": "surface type"},
-        "--beta-sq": {"type": int, "help": "self-intersection beta^2 (enriques)"},
-        "--a": {"type": int, "help": "coefficient a of beta = a*lambda*A + b*mu*B (bielliptic)"},
-        "--b": {"type": int, "help": "coefficient b of beta (bielliptic)"},
+        "--beta-sq": {"type": int, "cap": _BOUNDS_CAP,
+                      "help": "self-intersection beta^2 (enriques)"},
+        "--a": {"type": int, "cap": _BOUNDS_CAP,
+                "help": "coefficient a of beta = a*lambda*A + b*mu*B (bielliptic)"},
+        "--b": {"type": int, "cap": _BOUNDS_CAP, "help": "coefficient b of beta (bielliptic)"},
         "--lambda": {"dest": "lam", "help": "rational scale lambda of A (bielliptic)"},
         "--mu": {"help": "rational scale mu of B (bielliptic)"},
-        "--gamma": {"type": int, "help": "intersection number A.B (bielliptic)"},
-        "--d": {"type": int, "help": "the codimension bounds in |d*beta|"},
-        "--i": {"type": int, "help": "with --j: the threshold d0 of entry (i, j) (enriques)"},
-        "--j": {"type": int, "help": "with --i: see --i"},
+        "--gamma": {"type": int, "cap": _BOUNDS_CAP,
+                    "help": "intersection number A.B (bielliptic)"},
+        "--d": {"type": int, "cap": _BOUNDS_CAP, "help": "the codimension bounds in |d*beta|"},
+        "--i": {"type": int, "cap": _BOUNDS_CAP,
+                "help": "with --j: the threshold d0 of entry (i, j) (enriques)"},
+        "--j": {"type": int, "cap": _BOUNDS_CAP, "help": "with --i: see --i"},
         "--generic": {"switch": True,
                       "help": "generic Enriques surface: drop the rigid-curve cases"},
         **_FORMAT,

@@ -185,14 +185,20 @@ def _ceil_sqrt(p: int, q: int) -> int:
 # --- bielliptic-side formulas -------------------------------------------------
 
 
+#: Largest numerator or denominator of lambda and mu: the cap of the
+#: integer flags of ``bounds``, so that every case bound, at most a product
+#: of seven arguments, stays under Python's 4,300 digits of int-to-str.
+MAX_ARGUMENT = 10**600
+
+
 class BiellipticParams(HashableRecord):
     """Numerical data of an ample class a*lambda*A + b*mu*B on a bielliptic
     surface with A^2 = B^2 = 0 and A.B = gamma.
 
     lambda and mu are the rational scales making lambda*A, mu*B an
     integral basis; their values depend on the surface type and are
-    caller input.  chi of the class is a*b*lambda*mu*gamma and must be
-    an integer.
+    caller input, each with numerator and denominator at most MAX_ARGUMENT.
+    chi of the class is a*b*lambda*mu*gamma and must be an integer.
     """
 
     def __init__(self, a: int, b: int, lam: Fraction, mu: Fraction, gamma: int):
@@ -203,6 +209,9 @@ class BiellipticParams(HashableRecord):
             raise BadInput("a and b must be positive integers")
         if lam <= 0 or mu <= 0:
             raise BadInput("lambda and mu must be positive")
+        if max(lam.numerator, lam.denominator, mu.numerator, mu.denominator) > MAX_ARGUMENT:
+            raise BadInput("lambda and mu must have numerator and denominator at most "
+                           f"{MAX_ARGUMENT}")
         if gamma < 1:
             raise BadInput("gamma must be a positive integer")
         chi = a * b * lam * mu * gamma

@@ -29,11 +29,11 @@ with denominators cleared and q = zw, t = z substituted:
       H(zw, z) * (1 - z^2) = (1 - w) * (1 - z^2 w) * G(z, w)
 
 modulo z^(K+1) and w^(K+1).  Every exponent is nonnegative, so this
-truncation is an honest ring quotient: the check compares integer
-coefficients read off the kernel rows of H and G at order K, with no
-inverse and no rational arithmetic.  A mismatch is reported at the key
-q^n t^(i-n) that z^i w^n came from, with the integer coefficients of the
-two sides there.
+truncation is an honest ring quotient: each side is one kernel product
+at order K, its cleared denominators being extra factors, and the check
+compares their integer coefficients, with no inverse and no rational
+arithmetic.  A mismatch is reported at the key q^n t^(i-n) that z^i w^n
+came from, with the integer coefficients of the two sides there.
 
 All three products (Goettsche, Math. Ann. 286, 1990) are expanded by one
 integer kernel.  Each is a product of factors (1 + sign * x^a * s^g)^e
@@ -266,15 +266,18 @@ def _perverse_factors(surface: SurfaceTopology, order: int) -> list[Factor]:
     ]
 
 
+def _perverse_coefficients(surface: SurfaceTopology, order: int) -> dict[tuple[int, int], int]:
+    """{(i, j): coefficient of q^i t^j in H(q, t)} for i + j <= order."""
+    rows = _product(_perverse_factors(surface, order), order)
+    return {(a, n - a): c for n, row in enumerate(rows) for a, c in enumerate(row)}
+
+
 def stable_perverse_series(surface: SurfaceTopology, order: int):
     """The series H(q, t) of stable perverse Hodge numbers, truncated, as a
     :class:`~stabctab.series.TruncatedBiSeries`."""
     from .series import TruncatedBiSeries
 
-    rows = _product(_perverse_factors(surface, order), order)
-    return TruncatedBiSeries(
-        order, {(a, n - a): c for n, row in enumerate(rows) for a, c in enumerate(row)}
-    )
+    return TruncatedBiSeries(order, _perverse_coefficients(surface, order))
 
 
 def stable_perverse_table(surface: SurfaceTopology, order: int) -> PerverseTable:
@@ -284,11 +287,9 @@ def stable_perverse_table(surface: SurfaceTopology, order: int) -> PerverseTable
     coefficients are dimensions, so a failure here is a bug, never bad
     input.
     """
-    rows = _product(_perverse_factors(surface, order), order)
     return PerverseTable(order, {
-        (a, n - a): _as_betti(c, f"table entry ({a}, {n - a})")
-        for n, row in enumerate(rows)
-        for a, c in enumerate(row)
+        (i, j): _as_betti(c, f"table entry ({i}, {j})")
+        for (i, j), c in _perverse_coefficients(surface, order).items()
     })
 
 
@@ -305,25 +306,25 @@ def remark_identity_mismatch(
     """First differing coefficient of the change-of-variables identity.
 
     Compares the two sides of H(zw, z)(1 - z^2) = (1 - w)(1 - z^2 w) G(z, w)
-    at every z^i w^n with 0 <= i, n <= order.  The H rows are graded by
-    total degree, so H's row i holds the z^i w^n coefficients at index n;
-    the G rows are graded by w, so G's row n holds them at index i.
-    Returns None if the sides agree, else ((n, i - n), lhs, rhs): the key
-    q^n t^(i-n) of the first difference in order of total degree, and the
-    integer coefficients of the two sides there.  With perturb=True the
-    left side is deliberately shifted by +1 in its constant term
-    (negative-control hook).
+    at every z^i w^n with 0 <= i, n <= order.  Each side is one kernel
+    product: (1 - t^2) H, graded by total degree, holds the z^i w^n
+    coefficient at row i, index n, and (1 - w)(1 - z^2 w) G, graded by w,
+    at row n, index i.  Returns None if the sides agree, else
+    ((n, i - n), lhs, rhs): the key q^n t^(i-n) of the first difference in
+    order of total degree, and the integer coefficients of the two sides
+    there.  With perturb=True the left side is deliberately shifted by +1
+    in its constant term (negative-control hook).
     """
-    h = _product(_perverse_factors(surface, order), order)
-    g = _product(_goettsche_factors(surface, order), order)
+    lhs_rows = _product(_perverse_factors(surface, order) + [(-1, 0, 2, 1)], order)
+    rhs_rows = _product(_goettsche_factors(surface, order) + [(-1, 0, 1, 1), (-1, 2, 1, 1)],
+                        order)
     differences = []
     for n in range(order + 1):
         for i in range(order + 1):
-            lhs = _at(h, i, n) - _at(h, i - 2, n)
+            lhs = _at(lhs_rows, i, n)
             if perturb and i == n == 0:
                 lhs += 1
-            rhs = (_at(g, n, i) - _at(g, n - 1, i)
-                   - _at(g, n - 1, i - 2) + _at(g, n - 2, i - 2))
+            rhs = _at(rhs_rows, n, i)
             if lhs != rhs:
                 differences.append(((n, i - n), lhs, rhs))
     if not differences:

@@ -40,9 +40,13 @@ from .poly import Poly
 MAX_IDEAL_POWER = 64
 
 #: Cap on the t-degree to which a branch is composed with the germ: the
-#: degree of f(x(t), y(t)), or the declared truncation when that is lower.
-#: The time of the composition grows with it, as the square or faster,
-#: whatever the length of the input; a larger degree is BadInput.
+#: degree of f(x(t), y(t)) over the terms of f without a positive exponent
+#: on an image that is 0 (the others compose to 0 and are dropped), or the
+#: declared truncation when that is lower.  The composition, by Horner's
+#: rule in y (``Poly.substitute``), forms the powers of x(t) and y(t) and
+#: one product per exponent of y, so its time grows with the square of
+#: this degree or faster, but not with the number of terms of f; a larger
+#: degree is BadInput.
 MAX_COMPOSED_DEGREE = 1024
 
 
@@ -128,24 +132,19 @@ def _monomial_index(cutoff: int) -> dict[tuple[int, int], int]:
 
 
 def _quotient_dim(gens: list[Poly], cutoff: int) -> int:
-    """dim of C[x,y] / (ideal(gens) + m^cutoff), supported at the origin."""
+    """dim of C[x,y] / (ideal(gens) + m^cutoff), supported at the origin.
+
+    No generator is 0, and a monomial shift sends distinct terms to
+    distinct monomials, so each row is the shifted generator, truncated.
+    """
     idx = _monomial_index(cutoff)
     rows: list[dict[int, Fraction]] = []
     for g in gens:
         low = g.low_degree()
-        if low is None:
-            continue
-        for (ma, mb), col in list(idx.items()):
-            if ma + mb + low >= cutoff:
-                continue
-            row: dict[int, Fraction] = {}
-            for (ga, gb), c in g.terms.items():
-                a, b = ga + ma, gb + mb
-                if a + b < cutoff:
-                    row[idx[(a, b)]] = row.get(idx[(a, b)], Fraction(0)) + c
-            row = {k: v for k, v in row.items() if v}
-            if row:
-                rows.append(row)
+        for ma, mb in idx:
+            if ma + mb + low < cutoff:
+                rows.append({idx[(ga + ma, gb + mb)]: c for (ga, gb), c in g.terms.items()
+                             if ga + gb + ma + mb < cutoff})
     return len(idx) - _sparse_rank(rows)
 
 
@@ -193,14 +192,17 @@ def _validate_branches(germ: CurveGerm, branches: BranchSet, mu: int) -> None:
             f"declared truncation {t0} is below the conductor bound {2 * mu + 2}"
         )
     for k, (xt, yt) in enumerate(branches.branches):
+        # a term with a positive exponent on an image that is 0 composes to 0
+        f = Poly(2, {key: c for key, c in germ.poly.terms.items()
+                     if all(img or not e for e, img in zip(key, (xt, yt)))})
         dx, dy = (max((e for (e,) in p.terms), default=0) for p in (xt, yt))
-        degree = max(i * dx + j * dy for i, j in germ.poly.terms)
+        degree = max((i * dx + j * dy for i, j in f.terms), default=0)
         if t0 is not None:
             degree = min(degree, t0)
         if degree > MAX_COMPOSED_DEGREE:
             raise BadInput(f"branch {k} composes with the germ to t-degree "
                            f"{degree}, above the cap of {MAX_COMPOSED_DEGREE}")
-        composed = germ.poly.substitute((xt, yt), None if t0 is None else t0 + 1)
+        composed = f.substitute((xt, yt), None if t0 is None else t0 + 1)
         if composed:
             raise InvalidBranch(
                 f"branch {k} does not lie on the germ "
@@ -215,9 +217,10 @@ def _delta_candidate(germ_branches, r: int, t_trunc: int) -> int:
         for b in range(t_trunc + 1 - a):
             row: dict[int, Fraction] = {}
             for i, (xpows, ypows) in enumerate(germ_branches):
-                img = xpows[a].mul(ypows[b], t_trunc)
-                for (k,), c in img.terms.items():
-                    row[i * t_trunc + k] = c
+                # a table ends before its first power that is 0
+                if a < len(xpows) and b < len(ypows):
+                    for (k,), c in xpows[a].mul(ypows[b], t_trunc).terms.items():
+                        row[i * t_trunc + k] = c
             if row:
                 rows.append(row)
     return r * t_trunc - _sparse_rank(rows)

@@ -231,6 +231,7 @@ def decompose(model: LatticeModel, beta) -> list[tuple[DivisorClass, DivisorClas
     # f_T(theta1) must be an integer strictly between 0 and f_T(beta)
     if min(f_beta) < 2:
         return []
+    # p > 0 is a multiple of f_D1(beta), and low <= 0 <= high: no range is empty
     p = sum(map(operator.mul, model._rows[0], beta))
     q, lows, highs = model._box
     ranges = []
@@ -238,8 +239,6 @@ def decompose(model: LatticeModel, beta) -> list[tuple[DivisorClass, DivisorClas
     for low, high in zip(lows, highs):
         lo_i = -(-p * low // q)
         hi_i = p * high // q
-        if lo_i > hi_i:
-            return []
         total *= hi_i - lo_i + 1
         if total > ENUMERATION_CAP:
             raise BadInput("decomposition enumeration region is too large")

@@ -19,6 +19,7 @@ minus sign is accepted alongside '-'.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from operator import add
@@ -155,18 +156,28 @@ class Poly(Record):
     def scale(self, c) -> "Poly":
         return self._like({k: c * v for k, v in self.terms.items()})
 
+    def _numerators(self) -> tuple[int, dict[tuple[int, ...], int]]:
+        """(d, terms times d), d the least common denominator: integers."""
+        d = math.lcm(*(c.denominator for c in self.terms.values()))
+        return d, {k: c.numerator * (d // c.denominator) for k, c in self.terms.items()}
+
     def mul(self, other: "Poly", cutoff: int | None = None) -> "Poly":
-        """Product, keeping terms of total degree < cutoff (all if None)."""
-        right = [(k, sum(k), c) for k, c in other.terms.items()]
-        out: dict[tuple[int, ...], Fraction] = {}
-        for k1, c1 in self.terms.items():
+        """Product, keeping terms of total degree < cutoff (all if None).
+
+        The pairs are multiplied as integers, over the least common
+        denominator of each side, and each sum is divided back once.
+        """
+        (d1, left), (d2, right) = self._numerators(), other._numerators()
+        right = [(k, sum(k), c) for k, c in right.items()]
+        out: dict[tuple[int, ...], int] = {}
+        for k1, c1 in left.items():
             room = None if cutoff is None else cutoff - sum(k1)
-            for k2, d2, c2 in right:
-                if room is not None and d2 >= room:
+            for k2, deg, c2 in right:
+                if room is not None and deg >= room:
                     continue
                 k = tuple(map(add, k1, k2))
-                out[k] = out.get(k, Fraction(0)) + c1 * c2
-        return self._like(out)
+                out[k] = out.get(k, 0) + c1 * c2
+        return self._like({k: Fraction(c, d1 * d2) for k, c in out.items() if c})
 
     def derivative(self, i: int) -> "Poly":
         """Partial derivative in the i-th variable."""
@@ -176,38 +187,47 @@ class Poly(Record):
         })
 
     def powers(self, n: int, cutoff: int | None = None) -> list["Poly"]:
-        """[1, self, ..., self^n], each truncated at total degree cutoff."""
+        """[1, self, ..., self^n], each truncated at total degree cutoff, ended
+        before its first power that is 0, since every higher one is 0 as well."""
         out = [Poly(self.nvars, {(0,) * self.nvars: 1})]
         for _ in range(n):
-            out.append(out[-1].mul(self, cutoff))
+            power = out[-1].mul(self, cutoff)
+            if not power:
+                break
+            out.append(power)
         return out
 
     def substitute(self, images: tuple["Poly", ...], cutoff: int | None = None) -> "Poly":
         """self(images[0], ..., images[nvars - 1]), truncated at total degree cutoff.
 
         The images share one ring, whose number of variables the result takes.
-        The table of powers of an image ends at its first power that is 0,
-        since every higher one is 0 as well, and a term with an exponent past
-        the end of a table is skipped.  With a cutoff, an image without
-        constant term reaches 0 by the power cutoff, so the cost follows the
-        cutoff and not the exponents of self.
+        It is formed by Horner's rule in the last variable y: the terms with
+        one exponent of y are summed as products of the other images' powers,
+        and the sum so far is multiplied by one power of y's image per such
+        exponent, so the products formed do not grow with the number of
+        terms.  The tables of powers come from ``powers``, so a term or a
+        power of y past the end of a table is 0.  With a cutoff, an image
+        without constant term reaches 0 by the power cutoff, so the cost
+        follows the cutoff and not the exponents of self.
         """
         if len(images) != self.nvars:
             raise ValueError(f"need {self.nvars} images, got {len(images)}")
-        tables = []
-        for i, img in enumerate(images):
-            table = [Poly(img.nvars, {(0,) * img.nvars: 1})]
-            for _ in range(max((k[i] for k in self.terms), default=0)):
-                if not table[-1]:
-                    break
-                table.append(table[-1].mul(img, cutoff))
-            tables.append(table)
-        acc = Poly(images[0].nvars)
+        *heads, last = images
+        tables = [img.powers(max((k[i] for k in self.terms), default=0), cutoff)
+                  for i, img in enumerate(heads)]
+        groups: dict[int, Poly] = {}
         for key, c in self.terms.items():
             if any(e >= len(table) for e, table in zip(key, tables)):
                 continue
-            term = tables[0][key[0]]
-            for table, e in zip(tables[1:], key[1:]):
+            term = Poly(last.nvars, {(0,) * last.nvars: c})
+            for table, e in zip(tables, key):
                 term = term.mul(table[e], cutoff)
-            acc = acc + term.scale(c)
+            groups[key[-1]] = groups[key[-1]] + term if key[-1] in groups else term
+        exps = sorted(groups, reverse=True)
+        gaps = [e - below for e, below in zip(exps, exps[1:] + [0])]
+        ypows = last.powers(max(gaps, default=0), cutoff)
+        acc = Poly(last.nvars)
+        for e, gap in zip(exps, gaps):
+            acc = acc + groups[e]
+            acc = acc.mul(ypows[gap], cutoff) if gap < len(ypows) else Poly(last.nvars)
         return acc

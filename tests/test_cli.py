@@ -305,19 +305,39 @@ def test_exponent_literal_is_rejected_at_once():
     assert proc.stderr == "stabctab bounds: Invalid literal for Fraction: '1e-10000000'\n"
 
 
-@pytest.mark.parametrize("truncation, code, out, err", [
-    ("truncation: 4\n", 0, "mu\t1\ntau\t1\ndelta\t1\nr\t2\nmilnor_formula\tOK\n", ""),
-    ("", 2, "", "stabctab germ: branch 0 composes with the germ to t-degree 100000000, "
-                "above the cap of 1024\n"),
-], ids=["truncated", "exact"])
-def test_huge_exponent_composes_with_branches_at_once(tmp_path, truncation, code, out, err):
+AXES_RECORD = "mu\t1\ntau\t1\ndelta\t1\nr\t2\nmilnor_formula\tOK\n"
+
+
+@pytest.mark.parametrize("truncation", ["truncation: 4\n", ""], ids=["truncated", "exact"])
+def test_huge_exponent_composes_with_branches_at_once(tmp_path, truncation):
     # a fresh interpreter with a timeout: powers of x(t) built up to the
-    # exponent take minutes and gigabytes
+    # exponent take minutes and gigabytes; each term has a factor whose
+    # image is 0, so both compositions are 0, exact or truncated
     path = tmp_path / "axes.br"
     path.write_text(truncation + "t ; 0\n0 ; t\n")
     proc = run_fresh("germ", "--poly", "x*y + x^100000000*y", "--branches", str(path),
                      timeout=1)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, AXES_RECORD, "")
+
+
+def test_term_with_a_zero_image_builds_no_powers(tmp_path):
+    # x^128*y composes to 0 on both branches: no power of x(t) is formed
+    path = tmp_path / "axes.br"
+    path.write_text(" + ".join(f"t^{k}" for k in range(1, 9)) + " ; 0\n0 ; t\n")
+    proc = run_fresh("germ", "--poly", "x*y + x^128*y", "--branches", str(path), timeout=1)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, AXES_RECORD, "")
+
+
+def test_composition_work_does_not_grow_with_the_terms(tmp_path):
+    # 171 terms of t-degree at most 850 each, a product apiece when composed
+    # term by term; Horner's rule in y forms one product by a power of y(t)
+    # per exponent of y
+    path = tmp_path / "branch.br"
+    path.write_text("t + t^2 + t^3 + t^4 ; t + t^3 + t^5\n")
+    poly = "y^2 - x^3 + " + " + ".join(f"x^{i}*y^{170 - i}" for i in range(171))
+    proc = run_fresh("germ", "--poly", poly, "--branches", str(path), timeout=2)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "stabctab germ: branch 0 does not lie on the germ (residual order 2)\n"
 
 
 def test_bounds_radicand_at_the_cap_runs(capsys):
@@ -688,6 +708,14 @@ def test_stray_exception_exits_3(capsys, monkeypatch, module, name, stray, argv,
 TACNODE = ("germ", "--poly", "y^2 - x^4", "--branches", "FILE")
 
 
+def _int_error(text):
+    """The message of the ValueError that int(text) raises."""
+    try:
+        int(text)
+    except ValueError as exc:
+        return str(exc)
+
+
 @pytest.mark.parametrize("argv, file_bytes, err", [
     (TACNODE, b"truncation: x\nt ; t^2\nt ; -t^2\n",
      "stabctab germ: invalid literal for int() with base 10: ' x'\n"),
@@ -716,9 +744,33 @@ TACNODE = ("germ", "--poly", "y^2 - x^4", "--branches", "FILE")
     (("bounds", "--surface", "enriques", "--beta-sq", "10", "--i", "2", "--j", "3",
       "--generic"), None,
      "stabctab bounds: --generic applies to --surface enriques --d only\n"),
+    # the rejections of bounds, a branch file and a lattice file, each once
+    (("bounds", "--surface", "enriques", "--beta-sq", "10", "--i", "2"), None,
+     "stabctab bounds: --i and --j go together\n"),
+    (("bounds", "--surface", "enriques", "--d", "2"), None,
+     "stabctab bounds: enriques needs --beta-sq\n"),
+    (BIELLIPTIC_BOUNDS[:-2] + ("--lambda", "1", "--mu", "1", "--i", "1", "--j", "1"), None,
+     "stabctab bounds: the d0 threshold is defined for enriques only\n"),
+    (("bounds", "--surface", "enriques", "--beta-sq", "10", "--i", "-1", "--j", "0"), None,
+     "stabctab bounds: i and j must be nonnegative\n"),
+    (BIELLIPTIC_BOUNDS + ("--lambda", "0", "--mu", "1"), None,
+     "stabctab bounds: lambda and mu must be positive\n"),
+    (BIELLIPTIC_BOUNDS + ("--lambda", "1", "--mu", "1", "--gamma", "0"), None,
+     "stabctab bounds: gamma must be a positive integer\n"),
+    (BIELLIPTIC_BOUNDS + ("--lambda", "1", "--mu", "1", "--d", "0"), None,
+     "stabctab bounds: d must be a positive integer\n"),
+    (BIELLIPTIC_BOUNDS + ("--lambda", "1" * 4400, "--mu", "1"), None,
+     f"stabctab bounds: {_int_error('1' * 4400)}\n"),
+    (TACNODE, b"truncation: 0\nt ; t^2\nt ; -t^2\n",
+     "stabctab germ: declared truncation must be positive\n"),
+    (("decompose", "--lattice", "FILE", "--beta", "1,1"), b"ortho_basis\n1 0\n0 1\nrank 2\n",
+     "stabctab decompose: rank must come before ortho_basis\n"),
 ], ids=["truncation-literal", "no-branches", "not-utf-8", "bounds-d-zero", "odd-beta-sq",
         "odd-b1", "decimal-lambda", "exponent-in-lattice-file", "bielliptic-generic",
-        "bielliptic-beta-sq", "enriques-a", "enriques-ij-generic"])
+        "bielliptic-beta-sq", "enriques-a", "enriques-ij-generic", "i-without-j",
+        "enriques-without-beta-sq", "bielliptic-d0", "negative-i", "zero-lambda",
+        "zero-gamma", "bielliptic-d-zero", "lambda-too-long-for-int", "zero-truncation",
+        "ortho-basis-before-rank"])
 def test_rejected_input_names_its_subcommand(capsys, tmp_path, argv, file_bytes, err):
     path = tmp_path / "input.txt"
     if file_bytes is not None:
@@ -891,6 +943,51 @@ def test_order_flags_above_their_cap_exit_2(capsys, argv, err):
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == err
+
+
+SURFACE_CAP, BOUNDS_CAP = str(10**12), str(10**600)
+
+
+@pytest.mark.parametrize("argv", [
+    ("stable-betti", "--b1", "0", "--b2", "9" * 1000),
+    ("perverse", "--b1", "0", "--b2", "9" * 1000),
+    ("bounds", "--surface", "enriques", "--beta-sq", "10", "--d", "9" * 4000),
+    ("bounds", "--surface", "bielliptic", "--a", "1", "--b", "1", "--lambda", "7" * 3000,
+     "--mu", "1/" + "7" * 3000, "--gamma", "2", "--d", "1"),
+    ("bounds", "--surface", "enriques", "--beta-sq", "8" * 4300, "--d", "1"),
+], ids=["stable-betti-b2", "perverse-b2", "enriques-d", "bielliptic-lambda-mu",
+        "enriques-beta-sq"])
+def test_integers_too_large_to_print_exit_2(capsys, argv):
+    # Python prints no int of more than 4,300 digits: these values, or a
+    # value built from them, once exited 3 when the record was written
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "internal error" not in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ("stable-betti", "--b1", SURFACE_CAP, "--b2", SURFACE_CAP, "--max-k", "384"),
+    ("perverse", "--b1", SURFACE_CAP, "--b2", SURFACE_CAP, "--max-order", "64"),
+    ("identity", "--b1", SURFACE_CAP, "--b2", SURFACE_CAP, "--order", "64", "--perturb"),
+    ("bounds", "--surface", "enriques", "--beta-sq", "10", "--d", BOUNDS_CAP),
+    ("bounds", "--surface", "enriques", "--beta-sq", BOUNDS_CAP, "--i", BOUNDS_CAP,
+     "--j", BOUNDS_CAP),
+    ("bounds", "--surface", "bielliptic", "--a", BOUNDS_CAP, "--b", BOUNDS_CAP,
+     "--lambda", "1/" + BOUNDS_CAP, "--mu", "1/" + BOUNDS_CAP, "--gamma", "2",
+     "--d", BOUNDS_CAP),
+], ids=["stable-betti", "perverse", "identity", "enriques-d", "enriques-d0", "bielliptic"])
+def test_records_at_the_integer_caps_print(capsys, argv):
+    from stabctab import codim
+    from stabctab.cli import COMMANDS
+
+    assert COMMANDS["bounds"][2]["--d"]["cap"] == codim.MAX_ARGUMENT == int(BOUNDS_CAP)
+    for fmt in ("tsv", "json"):
+        code, out = run(capsys, *argv, "--format", fmt)
+        assert code == (1 if "--perturb" in argv else 0)
+        assert out
 
 
 def test_env_default_order_cap(capsys, monkeypatch):

@@ -68,3 +68,44 @@ def test_substitution_skips_the_powers_that_vanish():
     assert f.substitute((t, t), 5) == Poly(1, {(2,): 1})
     assert f.substitute((t, zero), 5) == zero
     assert f.substitute((zero, t)) == Poly(1, {(2,): -1})
+
+
+def naive_mul(f: Poly, g: Poly, cutoff=None) -> dict:
+    """The product's terms, pair by pair in Fraction arithmetic."""
+    out: dict = {}
+    for k1, c1 in f.terms.items():
+        for k2, c2 in g.terms.items():
+            k = tuple(a + b for a, b in zip(k1, k2))
+            if cutoff is None or sum(k) < cutoff:
+                out[k] = out.get(k, 0) + c1 * c2
+    return {k: c for k, c in out.items() if c}
+
+
+@settings(PROPERTY, max_examples=100)
+@given(sparse_polys(), sparse_polys(), st.sampled_from([None, 3, 9]))
+def test_product_matches_the_pairwise_product(left, right, cutoff):
+    (f, _), (g, _) = left, right
+    if f.nvars == g.nvars:
+        assert f.mul(g, cutoff).terms == naive_mul(f, g, cutoff)
+
+
+@settings(PROPERTY, max_examples=40)
+@given(sparse_polys(), st.lists(sparse_polys(), min_size=2, max_size=2),
+       st.sampled_from([None, 4, 12]))
+def test_substitution_matches_term_by_term(poly_and_variables, images, cutoff):
+    # Horner's rule in the last variable forms the same sum as composing
+    # each term on its own
+    f, _ = poly_and_variables
+    images = [img for img, _ in images]
+    if len({img.nvars for img in images}) != 1:
+        return
+    images = [Poly(img.nvars, {k: c for k, c in img.terms.items() if sum(k)})
+              for img in images][:f.nvars]
+    want = Poly(images[0].nvars)
+    for key, c in f.terms.items():
+        term = Poly(images[0].nvars, {(0,) * images[0].nvars: c})
+        for img, e in zip(images, key):
+            for _ in range(e):
+                term = Poly(term.nvars, naive_mul(term, img, cutoff))
+        want = want + term
+    assert f.substitute(tuple(images), cutoff) == want

@@ -42,6 +42,10 @@ def test_add_order_mismatch():
 
 def test_mul_difference_of_squares():
     assert (T.one(4) + q(4, 1)) * (T.one(4) - q(4, 1)) == T(4, {(0, 0): 1, (2, 0): -1})
+    # a series times an int or a Fraction, on either side, scales it
+    f = T.one(4) + q(4, 1)
+    assert 2 * f == f * Fraction(2) == f + f
+    assert Fraction(1, 2) * f == T(4, {(0, 0): Fraction(1, 2), (1, 0): Fraction(1, 2)})
 
 
 def test_mul_geometric_telescope():
