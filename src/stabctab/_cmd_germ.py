@@ -10,7 +10,9 @@ def cmd_germ(args) -> tuple:
     g = germ_mod.CurveGerm.from_string(args.poly)
     results: dict = {"mu": germ_mod.milnor(g), "tau": germ_mod.tjurina(g)}
     status = 0
+    provenance = "local quotient-algebra dimensions"
     if args.branches:
+        provenance += "; delta from the normalization cokernel of the branch parametrizations"
         branches = germ_mod.parse_branch_file(read_text(args.branches))
         results["delta"] = germ_mod._delta(g, branches, results["mu"])
         results["r"] = germ_mod.branch_count(branches)
@@ -21,7 +23,6 @@ def cmd_germ(args) -> tuple:
     record = {
         "parameters": {"poly": args.poly, "branches": args.branches or ""},
         "results": results,
-        "provenance": "local quotient-algebra dimensions; delta from the "
-                      "normalization cokernel of the branch parametrizations",
+        "provenance": provenance,
     }
     return status, record, results.items()

@@ -18,7 +18,7 @@ not load the lattice model.  Two groups of operations:
 Square roots are kept exact (:mod:`stabctab.surd`, imported only by
 the two case-term functions that take them); no floating point.  A
 radicand above ``surd.MAX_RADICAND`` (10^12), such as 2*beta^2 for
-beta^2 above 5 * 10^11, raises RadicandTooLarge instead of running a
+beta^2 above 5 * 10^11, raises BadInput instead of running a
 trial division of unbounded length.  The threshold d0 needs only
 ceilings of square roots, which ``math.isqrt`` gives at any size, and
 is pure ``int``: ``fractions`` too is imported only by the functions
@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 
 from ._record import HashableRecord
-from .errors import BadInput, InvalidSelfIntersection
+from .errors import BadInput
 
 __all__ = [
     "BiellipticParams",
@@ -64,12 +64,10 @@ def enriques_dim_ls(dsq: int, k: int | None = None, with_ks: bool = False) -> in
     floor((k-1)/2) respectively.
     """
     if dsq < 0:
-        raise InvalidSelfIntersection("a nef divisor has nonnegative self-intersection")
+        raise BadInput("a nef divisor has nonnegative self-intersection")
     if dsq > 0:
         if dsq % 2:
-            raise InvalidSelfIntersection(
-                f"odd self-intersection {dsq} is impossible in an even lattice"
-            )
+            raise BadInput(f"odd self-intersection {dsq} is impossible in an even lattice")
         return dsq // 2
     if k is None or k < 1:
         raise BadInput("the square-zero case needs the multiple k >= 1")
@@ -79,17 +77,13 @@ def enriques_dim_ls(dsq: int, k: int | None = None, with_ks: bool = False) -> in
 def arithmetic_genus(beta_sq: int) -> int:
     """Arithmetic genus beta^2/2 + 1 (numerically trivial canonical class)."""
     if beta_sq % 2:
-        raise InvalidSelfIntersection(
-            f"odd self-intersection {beta_sq} is impossible in an even lattice"
-        )
+        raise BadInput(f"odd self-intersection {beta_sq} is impossible in an even lattice")
     return beta_sq // 2 + 1
 
 
 def _check_beta_sq(beta_sq: int) -> None:
     if beta_sq < 2 or beta_sq % 2:
-        raise InvalidSelfIntersection(
-            "beta^2 must be a positive even integer for an ample class"
-        )
+        raise BadInput("beta^2 must be a positive even integer for an ample class")
 
 
 def enriques_codim_terms(beta_sq: int, d: int, generic: bool = False):

@@ -4,13 +4,11 @@
 a polynomial, a branch file, a lattice file or a class beta that is not
 admissible, or a named file that cannot be read.  It is a ValueError, so
 callers that catch ValueError still catch it, and the command line exits
-2 on it and 3 on any other exception.  These classes are BadInput:
-NonIsolatedSingularity, InvalidBranch, TruncationTooSmall,
-EmptyBranchSet, NotEffectiveCandidate, BasisDenominatorError,
-InvalidSelfIntersection, HodgeIndexViolation and RadicandTooLarge.  The
-others (the series errors, InternalIdentityFailure, InconsistentTower)
-are not, and neither is a plain ValueError raised on a value the
-library computed itself.
+2 on it and 3 on any other exception.  Its message says what was
+rejected; it has no subclasses.  The other classes (the series errors,
+InternalIdentityFailure, InconsistentTower) mark a broken invariant or a
+misuse, not bad input, and so does a plain ValueError raised on a value
+the library computed itself.
 """
 
 
@@ -48,44 +46,3 @@ class InternalIdentityFailure(StabctabError):
 class InconsistentTower(StabctabError):
     """The Betti-number tower does not come from a valid surface."""
 
-
-# --- curve germs ------------------------------------------------------------
-
-class NonIsolatedSingularity(BadInput):
-    """Local quotient dimension failed to stabilize below the cap."""
-
-
-class InvalidBranch(BadInput):
-    """A branch parametrization does not lie on the curve germ."""
-
-
-class TruncationTooSmall(BadInput):
-    """Branch truncation is insufficient to certify the requested invariant."""
-
-
-class EmptyBranchSet(BadInput):
-    """Branch data is required but no branches were supplied."""
-
-
-# --- lattice computations ---------------------------------------------------
-
-class NotEffectiveCandidate(BadInput):
-    """The class pairs non-positively against the ample witness."""
-
-
-class BasisDenominatorError(BadInput):
-    """The declared orthogonal basis does not span the lattice over Q."""
-
-
-class InvalidSelfIntersection(BadInput):
-    """Self-intersection number incompatible with an even lattice."""
-
-
-class HodgeIndexViolation(BadInput):
-    """Orthogonal basis signature is not (1, rank-1)."""
-
-
-# --- exact square roots -----------------------------------------------------
-
-class RadicandTooLarge(BadInput):
-    """A square root's radicand exceeds the cap on its trial division."""

@@ -28,7 +28,7 @@ import operator
 from fractions import Fraction
 
 from ._record import HashableRecord, content_lines, parse_int, parse_rational, read_text
-from .errors import BadInput, BasisDenominatorError, HodgeIndexViolation, NotEffectiveCandidate
+from .errors import BadInput
 
 Vector = tuple[Fraction, ...]
 
@@ -112,9 +112,7 @@ class LatticeModel(HashableRecord):
         if len(ample_tests) != max(rho - 1, 0):
             raise BadInput("expected one ample test integer per basis vector past the first")
         if _det(gram) == 0:
-            raise BasisDenominatorError(
-                "gram matrix is degenerate; no rational basis can diagonalize it"
-            )
+            raise BadInput("gram matrix is degenerate; no rational basis can diagonalize it")
         scale = math.lcm(*(x.denominator for v in ortho_basis for x in v))
         scaled = [tuple(x.numerator * (scale // x.denominator) for x in v) for v in ortho_basis]
         rows = [_times_gram(gram, e) for e in scaled]
@@ -122,9 +120,7 @@ class LatticeModel(HashableRecord):
         squares = [sum(map(operator.mul, r, e)) for r, e in zip(rows, scaled)]
         positives = sum(1 for s in squares if s > 0)
         if squares[0] <= 0 or positives != 1 or any(s >= 0 for s in squares[1:]):
-            raise HodgeIndexViolation(
-                "orthogonal basis must have exactly one positive square, first"
-            )
+            raise BadInput("orthogonal basis must have exactly one positive square, first")
         for i in range(rho):
             for j in range(i + 1, rho):
                 if sum(map(operator.mul, rows[i], scaled[j])) != 0:
@@ -137,10 +133,11 @@ class LatticeModel(HashableRecord):
                 raise BadInput("ample test integers must be positive")
             a_sq = n * n * squares[0] + squares[ell - 1]
             if a_sq <= 0:
-                raise BadInput(
-                    f"test class {n}*D1 +/- D{ell} has nonpositive square "
-                    f"{Fraction(a_sq, scale * scale)}"
-                )
+                try:
+                    square = str(Fraction(a_sq, scale * scale))
+                except ValueError:  # more digits than Python turns into a string
+                    square = "too long to print"
+                raise BadInput(f"test class {n}*D1 +/- D{ell} has nonpositive square {square}")
         super().__init__(rank=rank, gram=gram, ample_witness=ample_witness,
                          ortho_basis=ortho_basis, ample_tests=ample_tests,
                          _scale=scale, _rows=rows, _witness_row=witness_row,
@@ -218,14 +215,12 @@ def decompose(model: LatticeModel, beta) -> list[tuple[DivisorClass, DivisorClas
     interval, and the intersection of these intervals with the box is
     emitted whole.
 
-    Raises NotEffectiveCandidate when beta pairs non-positively with the
-    ample witness, and BadInput when the box is refused.
+    Raises BadInput when beta pairs non-positively with the ample witness
+    or when the box is refused.
     """
     beta = tuple(int(c) for c in beta)
     if sum(map(operator.mul, model._witness_row, beta)) <= 0:
-        raise NotEffectiveCandidate(
-            "class pairs non-positively with the ample witness"
-        )
+        raise BadInput("class pairs non-positively with the ample witness")
     forms = model.test_forms()
     f_beta = [sum(map(operator.mul, f, beta)) for f in forms]
     # f_T(theta1) must be an integer strictly between 0 and f_T(beta)

@@ -209,6 +209,8 @@ class Poly(Record):
         power of y past the end of a table is 0.  With a cutoff, an image
         without constant term reaches 0 by the power cutoff, so the cost
         follows the cutoff and not the exponents of self.
+        ``germ._composition_work`` bounds this work step by step, so the two
+        change together.
         """
         if len(images) != self.nvars:
             raise ValueError(f"need {self.nvars} images, got {len(images)}")

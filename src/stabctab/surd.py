@@ -14,7 +14,7 @@ minus: write -1 * x.
 
 The square root of p/q (in lowest terms) is taken apart by trial division
 of p*q, so its cost grows as sqrt(p*q); MAX_RADICAND caps p*q, and a
-larger one raises RadicandTooLarge before any division.
+larger one raises BadInput before any division.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import math
 from fractions import Fraction
 
 from ._record import HashableRecord, Record
-from .errors import RadicandTooLarge
+from .errors import BadInput
 
 #: Largest radicand (numerator times denominator of the rational under the
 #: root) that is taken apart: trial division then ends within 5 * 10^5
@@ -36,7 +36,7 @@ def _squarefree_split(n: int) -> tuple[int, int]:
     if n <= 0:
         raise ValueError("expected a positive integer under the square root")
     if n > MAX_RADICAND:
-        raise RadicandTooLarge(f"radicand {n} exceeds the cap of {MAX_RADICAND}")
+        raise BadInput(f"radicand {n} exceeds the cap of {MAX_RADICAND}")
     s, m, d = 1, n, 2
     while d * d <= m:
         while m % (d * d) == 0:

@@ -340,6 +340,32 @@ def test_composition_work_does_not_grow_with_the_terms(tmp_path):
     assert proc.stderr == "stabctab germ: branch 0 does not lie on the germ (residual order 2)\n"
 
 
+def test_composition_work_is_capped_before_it_is_done(tmp_path):
+    # below the degree cap: x(t)^1 .. x(t)^1000 of a dense branch, each
+    # truncated past t^1024, would take about half a billion term pairs
+    from stabctab.germ import MAX_COMPOSITION_WORK
+
+    path = tmp_path / "dense.br"
+    path.write_text("truncation: 1024\n" + " + ".join(f"t^{k}" for k in range(1, 1025))
+                    + " ; t^3\n")
+    proc = run_fresh("germ", "--poly", "y^2 - x^3 + x^1000", "--branches", str(path),
+                     timeout=2)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("stabctab germ: branch 0 composes with the germ in up to ")
+    assert proc.stderr.endswith(f" term operations, above the cap of {MAX_COMPOSITION_WORK}\n")
+    assert proc.stderr.count("\n") == 1
+
+
+def test_germ_provenance_names_delta_only_with_branches(capsys, tmp_path):
+    _, record = run_json(capsys, "germ", "--poly", "y^2 - x^3")
+    assert record["provenance"] == "local quotient-algebra dimensions"
+    path = tmp_path / "cusp.br"
+    path.write_text("t^2 ; t^3\n")
+    _, record = run_json(capsys, "germ", "--poly", "y^2 - x^3", "--branches", str(path))
+    assert record["provenance"] == ("local quotient-algebra dimensions; delta from the "
+                                    "normalization cokernel of the branch parametrizations")
+
+
 def test_bounds_radicand_at_the_cap_runs(capsys):
     # 2 * beta^2 = 10^12 is the largest radicand taken apart
     code, record = run_json(
@@ -452,6 +478,22 @@ INVALID_LATTICES = {
     "test-square-zero": (_lattice(tests="1"),
                          "test class 1*D1 +/- D2 has nonpositive square 0"),
 }
+
+
+def test_test_square_too_long_to_print_exits_2(capsys, tmp_path):
+    # the square, 2 - N^3 for N of 4,300 nines, has more digits than Python
+    # turns into a string
+    big = "9" * 4300
+    path = tmp_path / "model.lat"
+    path.write_text(_lattice(gram=f"2 0\n0 -{big}", witness="1 0", basis=f"1 0\n0 {big}",
+                             tests="1"))
+    with pytest.raises(SystemExit) as exc:
+        main(["decompose", "--lattice", str(path), "--beta=2,0"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("stabctab decompose: test class 1*D1 +/- D2 has nonpositive "
+                            "square too long to print\n")
 
 
 @pytest.mark.parametrize("name", sorted(INVALID_LATTICES))
@@ -785,9 +827,10 @@ def test_rejected_input_names_its_subcommand(capsys, tmp_path, argv, file_bytes,
 
 #: sha256 of stdout, recorded with the factor-by-factor product expansion
 #: that preceded the integer kernel (the germ entry: with the two-class
-#: polynomial layer; the decompose and bounds entries: with the
-#: Fraction-valued positivity tests and the surd helper functions);
-#: the records must not change by a byte.
+#: polynomial layer, its JSON re-pinned once its provenance stopped naming
+#: a delta that a call without branches does not compute; the decompose
+#: and bounds entries: with the Fraction-valued positivity tests and the
+#: surd helper functions); the records must not change by a byte.
 PINNED_STDOUT_SHA256 = [
     (("perverse", "--b1", "2", "--b2", "2", "--max-order", "14", "--oracle"),
      "3a72ff2833be4af01ef88b5b99dec3b7b5da64bbd5160157176b86f978ee11f3",
@@ -806,7 +849,7 @@ PINNED_STDOUT_SHA256 = [
      "cb4a305ea43d6e97c4d6a3f484286b6b288d6b5ee88090876009444687d41942"),
     (("germ", "--poly", "x^3*y - x*y^3"),
      "d4f7a817ea494a60e4b3432450e625839bca0fa2c78b14075f7c950ed01e4699",
-     "9a6d046fd5cd245871e0211fa2f457cce52a2716fcc1d226410e9256351d86fe"),
+     "28bbd880f74744b19d1eea3c6f032d9cfd9f0da4d1eed7cc28aebce53aef09ff"),
     (("decompose", "--lattice", "bielliptic-rank2", "--beta", "12,12"),
      "646ab6e8a3ba6f9f27aae9a1d9c55c30fa8d71f6d269c3fb1dacee41cd643ec1",
      "f175a350cb858394e2c5cfd64257fd32cfd6d74bc56bc202cb072316e45c492b"),

@@ -256,3 +256,11 @@ def test_each_subcommand_imports_only_its_layer(tmp_path, argv, code, loaded):
     if argv is not None and argv[0] == "germ":
         # only load_corpus, which no subcommand calls, reads JSON resources
         assert not modules & {"json", "importlib.resources"}
+
+
+def test_rejected_input_has_one_class():
+    # every layer raises BadInput itself; its message says what was rejected
+    from stabctab import cli, codim, germ, nslattice, surd  # noqa: F401
+    from stabctab.errors import BadInput
+
+    assert BadInput.__subclasses__() == []

@@ -3,7 +3,7 @@
 import pytest
 
 from stabctab.errors import InconsistentTower
-from stabctab.genfunc import BIELLIPTIC, ENRIQUES, stable_perverse_table
+from stabctab.genfunc import BIELLIPTIC, ENRIQUES, PerverseTable, stable_perverse_table
 from stabctab.perverse import (
     RelHilbBettiTower,
     build_tower,
@@ -38,6 +38,24 @@ def test_oracle_equivalence():
     for surface, order in ((ENRIQUES, 10), (BIELLIPTIC, 10), (ENRIQUES, 0)):
         table = stable_perverse_table(surface, order)
         assert first_oracle_mismatch(surface, table) is None
+
+
+def tampered(table, changes):
+    return PerverseTable(table.order, {**table.entries, **changes})
+
+
+def test_oracle_reports_a_tampered_entry():
+    table = stable_perverse_table(ENRIQUES, 4)
+    assert table.entry(1, 1) == 9
+    assert first_oracle_mismatch(ENRIQUES, tampered(table, {(1, 1): 8})) == ((1, 1), 9, 8)
+
+
+def test_oracle_reports_the_mismatch_of_lowest_total_degree():
+    # (1, 3) comes first lexicographically, (2, 0) by total degree
+    table = stable_perverse_table(ENRIQUES, 4)
+    assert (table.entry(1, 3), table.entry(2, 0)) == (10, 1)
+    changed = tampered(table, {(1, 3): 11, (2, 0): 2})
+    assert first_oracle_mismatch(ENRIQUES, changed) == ((2, 0), 1, 2)
 
 
 def test_solved_base_row_is_binary():
