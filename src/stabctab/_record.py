@@ -8,7 +8,10 @@ dataclass.  Every layer loads this module, so the readers of outside
 input that the polynomial, branch-file, corpus, lattice-file and bounds
 parsers share live here too: ``parse_rational``, ``parse_int``,
 ``read_text`` and ``content_lines``.  Each reports what it rejects as
-BadInput, with the message of the exception it replaces.
+BadInput, with the message of the exception it replaces.  An integer, in
+every reader of outside input and in the command line's integer flags,
+is an optional sign and ASCII digits, ``[+-]?[0-9]+``: not ``int``'s
+wider grammar, which takes underscores and the digits of other scripts.
 """
 
 from .errors import BadInput
@@ -64,7 +67,7 @@ def parse_rational(text: str):
     import re
     from fractions import Fraction
 
-    if not re.fullmatch(r"[+-]?\d+(/\d+)?", text):
+    if not re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", text):
         raise BadInput(f"Invalid literal for Fraction: {text!r}")
     num, _, den = text.partition("/")
     try:
@@ -76,7 +79,12 @@ def parse_rational(text: str):
 
 
 def parse_int(text: str) -> int:
-    """int(text); a malformed literal is BadInput."""
+    """The int of an integer literal with optional surrounding whitespace;
+    any other text, or more digits than Python reads, is BadInput."""
+    import re
+
+    if not re.fullmatch(r"\s*[+-]?[0-9]+\s*", text):
+        raise BadInput(f"invalid literal for int() with base 10: {text!r}")
     try:
         return int(text)
     except ValueError as exc:

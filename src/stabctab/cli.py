@@ -41,7 +41,8 @@ last one wins; flags are not abbreviated.  A usage error (an unknown
 subcommand or flag, a missing value, a value that is not an integer or
 not one of the flag's choices, a missing required flag, a stray
 argument) exits 2 with one line on stderr that names the subcommand and
-the flag.
+the flag.  An integer is an optional sign and ASCII digits, as in every
+file the package reads: ``1_0`` and the digits of other scripts are not.
 
 Orders are capped, and the caps are checked after the usage errors and
 before any computation: ``--max-order`` and ``--order`` at 64 and
@@ -58,7 +59,8 @@ needs only ceilings of square roots, which it takes by ``math.isqrt`` at
 any size.
 
 Each subcommand imports only the layer it runs: the parser and the
-dispatch load no computation module, nor ``argparse``, ``gettext`` or
+dispatch load no computation module (only ``_record``, whose
+``parse_int`` reads the integer flags), nor ``argparse``, ``gettext`` or
 ``locale``, and each handler lives with the others of its layer
 (``_cmd_tables``, ``_cmd_germ``, ``_cmd_lattice``), so that a call
 compiles only those (a checkout run without cached bytecode compiles
@@ -81,6 +83,7 @@ import sys
 from importlib import import_module
 from types import SimpleNamespace
 
+from ._record import parse_int
 from .errors import BadInput
 
 #: Default truncation order of the order flags (--max-k, --max-order,
@@ -222,8 +225,8 @@ class Parser:
                     raise _usage(f"{where}: {flag} needs a value")
             if spec.get("type") is int:
                 try:
-                    value = int(value)
-                except ValueError:
+                    value = parse_int(value)
+                except BadInput:
                     raise _usage(f"{where}: {flag} needs an integer, got {value!r}")
             choices = spec.get("choices")
             if choices and value not in choices:

@@ -45,10 +45,17 @@ MAX_COMPOSED_DEGREE = 1024
 
 #: Cap on the term operations of composing a germ with one branch, as
 #: ``_composition_work`` bounds them before any is done: a product p*q
-#: counts |p|*|q| term pairs and a sum p + q counts |p| + |q| terms.  Below
-#: the degree cap a dense branch can still ask for half a billion; a larger
-#: bound is BadInput.  At 0.7 to 1.3 million operations a second (2-vCPU
-#: Xeon, CPython 3.11), a composition at the cap takes 1.5 to 3 s.
+#: counts its |p|*|q| term pairs and the terms it builds, a sum p + q its
+#: |p| + |q| terms, and each such operation on coefficients of a and b
+#: bits counts (1 + a // 1024) * (1 + b // 1024) times, a and b being
+#: bounds on the bits of each side's integer numerators and common
+#: denominator.  Below the degree cap a dense branch can still ask for
+#: billions, and so can large coefficients: on the README's branch
+#: c*t + ... + c*t^32 of y^32 - x^3 + x^32, c of 100 digits needs 7.8
+#: million; a larger bound than the cap is BadInput.  At 0.7 to 1.7
+#: million operations a second (2-vCPU Xeon, CPython 3.11), a composition
+#: at the cap takes at most about 3 s, whatever the size of the
+#: coefficients.
 MAX_COMPOSITION_WORK = 2_000_000
 
 
@@ -187,47 +194,66 @@ def branch_count(branches: BranchSet) -> int:
     return len(branches.branches)
 
 
+class _Span:
+    """A polynomial in t as ``_composition_work`` sees it: at most n terms,
+    of t-degrees lo..hi, whose integer numerators over one common
+    denominator (as ``Poly.mul`` forms them) have at most num bits and that
+    denominator at most den bits.  ``Poly.substitute`` runs on spans as on
+    polynomials, and each product and sum adds its operations, weighted as
+    MAX_COMPOSITION_WORK says, to the count work[0] that the spans of one
+    run share."""
+
+    nvars = 1
+    powers = Poly.powers
+
+    def __init__(self, work: list[int], lo: int, hi: int, n: int, num: int, den: int):
+        self.work, self.lo, self.hi = work, lo, hi
+        self.n, self.num, self.den = max(min(n, hi - lo + 1), 0), num, den
+
+    def _like(self, terms: dict) -> "_Span":
+        d, nums = Poly(1, terms)._numerators()
+        return _Span(self.work, min((e for (e,) in nums), default=0),
+                     max((e for (e,) in nums), default=-1), len(nums),
+                     max((abs(c).bit_length() for c in nums.values()), default=0),
+                     (d - 1).bit_length())
+
+    def __bool__(self) -> bool:
+        return self.n > 0
+
+    def _count(self, other: "_Span", terms: int) -> None:
+        size = (1 + (self.num + self.den) // 1024) * (1 + (other.num + other.den) // 1024)
+        self.work[0] += terms * size
+
+    def __add__(self, other: "_Span") -> "_Span":
+        self._count(other, self.n + other.n)
+        if not (self and other):
+            return self if self else other
+        # p/d1 + q/d2 = (p*d2 + q*d1)/(d1*d2), at worst
+        return _Span(self.work, min(self.lo, other.lo), max(self.hi, other.hi),
+                     self.n + other.n, max(self.num + other.den, other.num + self.den) + 1,
+                     self.den + other.den)
+
+    def mul(self, other: "_Span", cutoff: int | None = None) -> "_Span":
+        hi = self.hi + other.hi if cutoff is None else min(self.hi + other.hi, cutoff - 1)
+        # each coefficient sums at most min(|p|, |q|) products
+        out = _Span(self.work, self.lo + other.lo, hi, self.n * other.n,
+                    self.num + other.num + min(self.n, other.n).bit_length(),
+                    self.den + other.den)
+        # every pair is multiplied, and every term of the product built
+        self._count(other, self.n * other.n + out.n)
+        return out
+
+
 def _composition_work(f: Poly, xt: Poly, yt: Poly, top: int) -> int:
     """An upper bound on the term operations of ``f.substitute((xt, yt),
-    cutoff)`` that keeps no t-degree above top, read off the t-degrees that
-    each polynomial it forms can span, step by step as it forms them.
-
-    A polynomial of t-degrees lo..hi has at most min(hi, top) - lo + 1
-    terms; the e-th power of an image of t-degrees l..h spans e*l..e*h, a
-    sum the union of its summands' spans, and a product by a power of y(t)
-    the sums of the ends.  Every image has no constant term, so l >= 1 and
-    x(t)^i is 0 exactly when i*l > top.
-    """
-    def size(lo, hi):
-        return max(min(hi, top) - lo + 1, 0)
-
-    def table(p, lo, hi, n):
-        # p^1 .. p^n, one product by p per power; a power past top is 0
-        return len(p.terms) * sum(size(e * lo, e * hi) for e in range(min(n, top + 1)))
-
-    (xl, xh), (yl, yh) = ((p.low_degree(), max(e for (e,) in p.terms)) if p else (0, 0)
-                          for p in (xt, yt))
-    work = table(xt, xl, xh, max((i for i, _ in f.terms), default=0))
-    # per term c*x^i*y^j: one product by x(t)^i, one sum into the group of j
-    groups: dict[int, tuple[int, int]] = {}
-    for i, j in f.terms:
-        if i * xl > top:
-            continue
-        lo, hi = groups.get(j, (i * xl, i * xh))
-        work += 2 * size(i * xl, i * xh) + (size(lo, hi) if j in groups else 0)
-        groups[j] = (min(lo, i * xl), max(hi, i * xh))
-    exps = sorted(groups, reverse=True)
-    gaps = [e - below for e, below in zip(exps, exps[1:] + [0])]
-    work += table(yt, yl, yh, max(gaps, default=0))
-    # Horner's rule: (sum so far + group) * y(t)^gap per exponent of y
-    lo, hi = top + 1, 0
-    for e, gap in zip(exps, gaps):
-        glo, ghi = groups[e]
-        work += size(lo, hi) + size(glo, ghi)
-        lo, hi = min(lo, glo), max(hi, ghi)
-        work += size(lo, hi) * size(gap * yl, gap * yh)
-        lo, hi = lo + gap * yl, hi + gap * yh
-    return work
+    cutoff)`` that keeps no t-degree above top, weighted as
+    MAX_COMPOSITION_WORK says: substitute itself, run on the spans of the
+    images.  A span bounds every size its polynomial can reach, so each
+    count is at least the true one."""
+    work = [0]
+    zero = _Span(work, 0, -1, 0, 0, 0)
+    f.substitute((zero._like(xt.terms), zero._like(yt.terms)), top + 1)
+    return work[0]
 
 
 def _validate_branches(germ: CurveGerm, branches: BranchSet, mu: int) -> None:

@@ -38,6 +38,20 @@ DivisorClass = tuple[int, ...]
 #: Safety cap on the number of integer points in the box decompose() scans.
 ENUMERATION_CAP = 5_000_000
 
+#: Cap on the rank of a lattice model.  Its checks take O(rank^3) integer
+#: operations (the Bareiss determinant, the pairwise orthogonality), on
+#: integers that grow with the rank: below the file-size cap, a dense gram
+#: of rank 250 with three-digit entries took 29 s to be rejected and a
+#: diagonal one of rank 400 7.4 s (2-vCPU Xeon, CPython 3.11).  The
+#: presets have rank 2 and 10; a larger rank is BadInput, in a file as
+#: soon as its ``rank`` line is read.
+MAX_RANK = 32
+
+
+def _check_rank(rank: int) -> None:
+    if rank > MAX_RANK:
+        raise BadInput(f"lattice rank {rank} is above the cap of {MAX_RANK}")
+
 
 def _dot(gram, u, v) -> Fraction:
     return sum(
@@ -99,6 +113,7 @@ class LatticeModel(HashableRecord):
         rho = rank
         if rho < 1:
             raise BadInput("rank must be at least 1")
+        _check_rank(rho)
         if len(gram) != rho or any(len(r) != rho for r in gram):
             raise BadInput("gram matrix has wrong shape")
         for i in range(rho):
@@ -275,7 +290,7 @@ def parse_lattice(text: str) -> LatticeModel:
     Line-oriented plain text; '#' starts a comment that runs to the end of
     the line.  Keywords:
 
-    * ``rank N``
+    * ``rank N``, with N at most MAX_RANK
     * ``gram`` followed by N lines of N integers
     * ``ample_witness`` plus N integers on the same line
     * ``ortho_basis`` followed by N lines of N rationals (``p/q`` or integers)
@@ -301,6 +316,7 @@ def parse_lattice(text: str) -> LatticeModel:
         word, _, rest = ln.partition(" ")
         if word == "rank":
             rank = parse_int(rest)
+            _check_rank(rank)
         elif word == "gram":
             if rank is None:
                 raise BadInput("rank must come before gram")

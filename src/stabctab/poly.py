@@ -13,8 +13,8 @@ The accepted input grammar is deliberately small: a polynomial is a
 '+'/'-' separated list of terms, each term ``c*x^a*y^b`` where the
 rational coefficient ``c`` ("p/q" with q >= 1, or an integer) and either
 variable part may be omitted.  Whitespace is ignored, '*' between
-factors is optional, exponents are nonnegative integers, and the Unicode
-minus sign is accepted alongside '-'.
+factors is optional, exponents are nonnegative integers, every integer
+is ASCII digits, and the Unicode minus sign is accepted alongside '-'.
 """
 
 from __future__ import annotations
@@ -27,9 +27,9 @@ from operator import add
 from ._record import Record, parse_int, parse_rational
 from .errors import BadInput
 
-_FACTOR = re.compile(r"(\d+/\d+|\d+|[a-zA-Z](?:\^\d+)?)")
-_COEF = re.compile(r"^\d+(/\d+)?$")
-_VAR = re.compile(r"^([a-zA-Z])(?:\^(\d+))?$")
+_FACTOR = re.compile(r"([0-9]+/[0-9]+|[0-9]+|[a-zA-Z](?:\^[0-9]+)?)")
+_COEF = re.compile(r"^[0-9]+(/[0-9]+)?$")
+_VAR = re.compile(r"^([a-zA-Z])(?:\^([0-9]+))?$")
 
 
 def _split_terms(s: str) -> list[tuple[int, str]]:
@@ -189,7 +189,7 @@ class Poly(Record):
     def powers(self, n: int, cutoff: int | None = None) -> list["Poly"]:
         """[1, self, ..., self^n], each truncated at total degree cutoff, ended
         before its first power that is 0, since every higher one is 0 as well."""
-        out = [Poly(self.nvars, {(0,) * self.nvars: 1})]
+        out = [self._like({(0,) * self.nvars: 1})]
         for _ in range(n):
             power = out[-1].mul(self, cutoff)
             if not power:
@@ -208,9 +208,9 @@ class Poly(Record):
         terms.  The tables of powers come from ``powers``, so a term or a
         power of y past the end of a table is 0.  With a cutoff, an image
         without constant term reaches 0 by the power cutoff, so the cost
-        follows the cutoff and not the exponents of self.
-        ``germ._composition_work`` bounds this work step by step, so the two
-        change together.
+        follows the cutoff and not the exponents of self.  Constants and
+        zeros are built by the images' ``_like``, so ``germ._composition_work``
+        runs this on stand-ins of the images to bound its work.
         """
         if len(images) != self.nvars:
             raise ValueError(f"need {self.nvars} images, got {len(images)}")
@@ -221,15 +221,15 @@ class Poly(Record):
         for key, c in self.terms.items():
             if any(e >= len(table) for e, table in zip(key, tables)):
                 continue
-            term = Poly(last.nvars, {(0,) * last.nvars: c})
+            term = last._like({(0,) * last.nvars: c})
             for table, e in zip(tables, key):
                 term = term.mul(table[e], cutoff)
             groups[key[-1]] = groups[key[-1]] + term if key[-1] in groups else term
         exps = sorted(groups, reverse=True)
         gaps = [e - below for e, below in zip(exps, exps[1:] + [0])]
         ypows = last.powers(max(gaps, default=0), cutoff)
-        acc = Poly(last.nvars)
+        acc = last._like({})
         for e, gap in zip(exps, gaps):
             acc = acc + groups[e]
-            acc = acc.mul(ypows[gap], cutoff) if gap < len(ypows) else Poly(last.nvars)
+            acc = acc.mul(ypows[gap], cutoff) if gap < len(ypows) else last._like({})
         return acc

@@ -356,6 +356,64 @@ def test_composition_work_is_capped_before_it_is_done(tmp_path):
     assert proc.stderr.count("\n") == 1
 
 
+def test_large_coefficients_count_toward_the_work_cap(tmp_path):
+    # README's y^32 - x^3 + x^32 on c*t + ... + c*t^32 twice, c of 400
+    # digits: as many term operations as with c = 1, each on numbers of up
+    # to 13,000 digits; it ran for over a minute before they were counted
+    from stabctab.germ import MAX_COMPOSITION_WORK
+
+    image = " + ".join(f"{'9' * 400}*t^{k}" for k in range(1, 33))
+    path = tmp_path / "big.br"
+    path.write_text(f"{image} ; {image}\n")
+    proc = run_fresh("germ", "--poly", "y^32 - x^3 + x^32", "--branches", str(path),
+                     timeout=2)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("stabctab germ: branch 0 composes with the germ in up to ")
+    assert proc.stderr.endswith(f" term operations, above the cap of {MAX_COMPOSITION_WORK}\n")
+    assert proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("poly, branch_file, err", [
+    ("y - x^1025", "t ; t^1025\n",
+     "stabctab germ: branch 0 composes with the germ to t-degree 1025, above the cap of 1024\n"),
+    ("y - x^1025", "truncation: 2048\nt ; t^1025\n",
+     "stabctab germ: branch 0 composes with the germ to t-degree 1025, above the cap of 1024\n"),
+    ("y - x^1024", "t ; t^1024\n", ""),
+], ids=["above-the-cap", "truncation-above-the-cap", "at-the-cap"])
+def test_composed_degree_cap(capsys, tmp_path, poly, branch_file, err):
+    path = tmp_path / "branch.br"
+    path.write_text(branch_file)
+    try:
+        code = main(["germ", "--poly", poly, "--branches", str(path)])
+    except SystemExit as exc:
+        code = exc.code
+    assert (code, capsys.readouterr().err) == (2 if err else 0, err)
+
+
+def test_lattice_rank_is_capped_before_the_gram_is_read(tmp_path):
+    # a dense symmetric gram of rank 250, under the file-size cap, took
+    # seconds of determinant and basis checks before it was rejected
+    import random
+
+    rng = random.Random(5)
+    rank = 250
+    gram = [[0] * rank for _ in range(rank)]
+    for i in range(rank):
+        for j in range(i, rank):
+            gram[i][j] = gram[j][i] = rng.randint(-999, 999)
+    path = tmp_path / "dense.lat"
+    path.write_text("\n".join([
+        f"rank {rank}", "gram", *(" ".join(map(str, row)) for row in gram),
+        "ample_witness " + " ".join(["1"] + ["0"] * (rank - 1)), "ortho_basis",
+        *(" ".join("1" if i == j else "0" for j in range(rank)) for i in range(rank)),
+        "ample_tests " + " ".join(["1"] * (rank - 1)),
+    ]) + "\n")
+    proc = run_fresh("decompose", "--lattice", str(path), "--beta", ",".join(["1"] * rank),
+                     timeout=2)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "stabctab decompose: lattice rank 250 is above the cap of 32\n"
+
+
 def test_germ_provenance_names_delta_only_with_branches(capsys, tmp_path):
     _, record = run_json(capsys, "germ", "--poly", "y^2 - x^3")
     assert record["provenance"] == "local quotient-algebra dimensions"
@@ -807,12 +865,28 @@ def _int_error(text):
      "stabctab germ: declared truncation must be positive\n"),
     (("decompose", "--lattice", "FILE", "--beta", "1,1"), b"ortho_basis\n1 0\n0 1\nrank 2\n",
      "stabctab decompose: rank must come before ortho_basis\n"),
+    # an integer is an optional sign and ASCII digits, wherever it is read
+    (("decompose", "--lattice", "bielliptic-rank2", "--beta", "1_0,1"), None,
+     "stabctab decompose: invalid literal for int() with base 10: '1_0'\n"),
+    (("decompose", "--lattice", "bielliptic-rank2", "--beta", "\u0661,1"), None,
+     "stabctab decompose: invalid literal for int() with base 10: '\u0661'\n"),
+    (BIELLIPTIC_BOUNDS + ("--lambda", "\u0661/\u0662", "--mu", "1"), None,
+     "stabctab bounds: Invalid literal for Fraction: '\u0661/\u0662'\n"),
+    (("germ", "--poly", "x^\u0661 + y^2"), None,
+     "stabctab germ: cannot parse term 'x^\u0661'\n"),
+    (TACNODE, b"truncation: 1_0\nt ; t^2\nt ; -t^2\n",
+     "stabctab germ: invalid literal for int() with base 10: ' 1_0'\n"),
+    (("decompose", "--lattice", "FILE", "--beta", "1,1"),
+     ZERO_DENOMINATOR_LATTICE.replace("1/0", "1").replace("ample_tests 2",
+                                                          "ample_tests \u0662").encode(),
+     "stabctab decompose: invalid literal for int() with base 10: '\u0662'\n"),
 ], ids=["truncation-literal", "no-branches", "not-utf-8", "bounds-d-zero", "odd-beta-sq",
         "odd-b1", "decimal-lambda", "exponent-in-lattice-file", "bielliptic-generic",
         "bielliptic-beta-sq", "enriques-a", "enriques-ij-generic", "i-without-j",
         "enriques-without-beta-sq", "bielliptic-d0", "negative-i", "zero-lambda",
         "zero-gamma", "bielliptic-d-zero", "lambda-too-long-for-int", "zero-truncation",
-        "ortho-basis-before-rank"])
+        "ortho-basis-before-rank", "beta-underscore", "beta-arabic-indic", "lambda-arabic-indic",
+        "exponent-arabic-indic", "truncation-underscore", "ample-tests-arabic-indic"])
 def test_rejected_input_names_its_subcommand(capsys, tmp_path, argv, file_bytes, err):
     path = tmp_path / "input.txt"
     if file_bytes is not None:

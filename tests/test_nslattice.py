@@ -301,6 +301,17 @@ def test_model_validation_errors():
         )
 
 
+def test_rank_is_capped():
+    from stabctab.nslattice import MAX_RANK
+
+    rank = MAX_RANK + 1
+    with pytest.raises(BadInput, match=f"lattice rank {rank} is above the cap of {MAX_RANK}"):
+        parse_lattice(f"rank {rank}\n")
+    one = tuple(tuple(Fraction(int(i == j)) for j in range(rank)) for i in range(rank))
+    with pytest.raises(BadInput, match=f"lattice rank {rank} is above the cap of {MAX_RANK}"):
+        LatticeModel(rank, one, (1,) * rank, one, (1,) * (rank - 1))
+
+
 def test_parse_lattice_rejects_garbage():
     with pytest.raises(ValueError):
         parse_lattice("rank 2\nwhatever 1 2\n")

@@ -203,9 +203,10 @@ sys.argv[0] = "stabctab"
 runpy.run_module("stabctab", run_name="__main__", alter_sys=True)
 """
 
-CLI = {"stabctab", "stabctab.cli", "stabctab.errors"}
-TABLES = CLI | {"stabctab._record", "stabctab._cmd_tables", "stabctab.genfunc"}
-LATTICE = CLI | {"stabctab._record", "stabctab._cmd_lattice"}
+#: the command line reads its integer flags with the readers of _record
+CLI = {"stabctab", "stabctab.cli", "stabctab.errors", "stabctab._record"}
+TABLES = CLI | {"stabctab._cmd_tables", "stabctab.genfunc"}
+LATTICE = CLI | {"stabctab._cmd_lattice"}
 
 
 @pytest.mark.parametrize("argv, code, loaded", [
@@ -217,7 +218,7 @@ LATTICE = CLI | {"stabctab._record", "stabctab._cmd_lattice"}
     (("perverse", "--b1", "0", "--b2", "10", "--max-order", "65", "--oracle"), 2,
      CLI),
     (("germ", "--poly", "y^2 - x^3", "--branches", "{cusp}"), 0,
-     CLI | {"stabctab._record", "stabctab._cmd_germ", "stabctab.germ", "stabctab.poly"}),
+     CLI | {"stabctab._cmd_germ", "stabctab.germ", "stabctab.poly"}),
     (("bounds", "--surface", "enriques", "--beta-sq", "10", "--d", "10"), 0,
      LATTICE | {"stabctab.codim", "stabctab.surd"}),
     (("bounds", "--surface", "enriques", "--beta-sq", "10", "--i", "2", "--j", "3"), 0,

@@ -69,6 +69,10 @@ def test_order_defaults_come_from_the_environment(monkeypatch):
     (["identity", "--b1", "0", "--b2", "1", "--order"], "stabctab identity: --order needs a value"),
     (["stable-betti", "--b1", "0", "--b2", "ten"],
      "stabctab stable-betti: --b2 needs an integer, got 'ten'"),
+    (["stable-betti", "--b1", "0", "--b2", "1_0"],
+     "stabctab stable-betti: --b2 needs an integer, got '1_0'"),
+    (["stable-betti", "--b1", "0", "--b2", "\u0661"],
+     "stabctab stable-betti: --b2 needs an integer, got '\u0661'"),
     (["decompose", "--lattice", "x", "--beta", "1", "--format", "xml"],
      "stabctab decompose: --format must be one of tsv, json, got 'xml'"),
     (["bounds", "--surface=k3"],
@@ -78,7 +82,8 @@ def test_order_defaults_come_from_the_environment(monkeypatch):
     (["perverse", "--b1", "0", "--b2", "1", "--oracle=yes"],
      "stabctab perverse: --oracle takes no value"),
 ], ids=["no-subcommand", "unknown-subcommand", "flag-first", "unknown-flag", "hidden-elsewhere",
-        "stray-argument", "missing-value", "non-integer", "format-choice", "surface-choice",
+        "stray-argument", "missing-value", "non-integer", "underscore-integer",
+        "arabic-indic-integer", "format-choice", "surface-choice",
         "missing-required", "missing-two", "switch-value"])
 def test_usage_errors_exit_2_with_one_line(capsys, argv, err):
     with pytest.raises(SystemExit) as exc:
