@@ -19,6 +19,15 @@ produce byte-identical output.  Exit codes:
   SIGPIPE, as a shell reports a process killed by that signal; the rest
   of the record is dropped and nothing is printed on stderr).
 
+The process entry point is ``run``: ``python -m stabctab``, the
+``stabctab`` console script and ``python -m stabctab.cli`` all call it.
+``run`` calls ``main`` and, as the call ends, ``gc.freeze()``, so that
+the interpreter's exit-time collections, which no caller can observe,
+skip every object still alive.  ``main`` never freezes: tests and
+library callers run it in-process and keep a normal collector.  ``run``
+exits by ``SystemExit``, so ``atexit`` handlers, the final flush of
+stdout and the exit code are as ``main`` leaves them.
+
 Each handler ``cmd_<subcommand>`` returns ``(status, record, rows)``
 and writes nothing: the record's ``parameters``, ``results`` and
 ``provenance`` hold the library's values as they are, and ``rows``, the
@@ -78,6 +87,7 @@ coefficient and gives the integer coefficients of the two sides there
 
 from __future__ import annotations
 
+import gc
 import os
 import sys
 from importlib import import_module
@@ -333,5 +343,14 @@ def main(argv=None) -> int:
     return status
 
 
+def run():
+    """The process entry point: exit with ``main``'s status, freezing the
+    collector first (see the module docstring)."""
+    try:
+        sys.exit(main())
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

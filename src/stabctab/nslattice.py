@@ -39,12 +39,11 @@ DivisorClass = tuple[int, ...]
 ENUMERATION_CAP = 5_000_000
 
 #: Cap on the rank of a lattice model.  Its checks take O(rank^3) integer
-#: operations (the Bareiss determinant, the pairwise orthogonality), on
-#: integers that grow with the rank: below the file-size cap, a dense gram
-#: of rank 250 with three-digit entries took 29 s to be rejected and a
-#: diagonal one of rank 400 7.4 s (2-vCPU Xeon, CPython 3.11).  The
-#: presets have rank 2 and 10; a larger rank is BadInput, in a file as
-#: soon as its ``rank`` line is read.
+#: operations (the rows L*D_k.gram and the pairwise orthogonality): below
+#: the file-size cap, a dense gram of rank 250 with three-digit entries
+#: took 29 s to be rejected and a diagonal one of rank 400 7.4 s (2-vCPU
+#: Xeon, CPython 3.11).  The presets have rank 2 and 10; a larger rank is
+#: BadInput, in a file as soon as its ``rank`` line is read.
 MAX_RANK = 32
 
 
@@ -66,27 +65,6 @@ def _times_gram(gram, v) -> tuple[int, ...]:
     return tuple(sum(map(operator.mul, v, column)) for column in zip(*gram))
 
 
-def _det(mat) -> int:
-    """Determinant of an integer matrix, by fraction-free (Bareiss) elimination."""
-    mat = [list(row) for row in mat]
-    n = len(mat)
-    sign, prev = 1, 1
-    for col in range(n - 1):
-        piv = next((r for r in range(col, n) if mat[r][col]), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            mat[col], mat[piv] = mat[piv], mat[col]
-            sign = -sign
-        top = mat[col]
-        for row in mat[col + 1:]:
-            lead = row[col]
-            for c in range(col + 1, n):
-                row[c] = (row[c] * top[col] - lead * top[c]) // prev
-        prev = top[col]
-    return sign * mat[-1][-1]
-
-
 class LatticeModel(HashableRecord):
     """Intersection lattice with a distinguished ample class and test data.
 
@@ -96,7 +74,9 @@ class LatticeModel(HashableRecord):
     the integers n_l (one per l >= 2) for which both n_l D_1 + D_l and
     n_l D_1 - D_l are declared ample.  Signature (1, rho-1) on the
     orthogonal basis is checked at load; a model that fails a check
-    raises BadInput.
+    raises BadInput.  A degenerate gram always fails one: rho pairwise
+    orthogonal vectors with nonzero squares form a basis B with B.gram.B^T
+    diagonal and nonsingular, so det(gram) != 0.
 
     The model checks itself in integers: with L the least common
     multiple of all denominators of the basis, E_k = L*D_k is integral,
@@ -126,8 +106,6 @@ class LatticeModel(HashableRecord):
             raise BadInput("orthogonal basis has wrong shape")
         if len(ample_tests) != max(rho - 1, 0):
             raise BadInput("expected one ample test integer per basis vector past the first")
-        if _det(gram) == 0:
-            raise BadInput("gram matrix is degenerate; no rational basis can diagonalize it")
         scale = math.lcm(*(x.denominator for v in ortho_basis for x in v))
         scaled = [tuple(x.numerator * (scale // x.denominator) for x in v) for v in ortho_basis]
         rows = [_times_gram(gram, e) for e in scaled]

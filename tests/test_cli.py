@@ -20,9 +20,10 @@ def run_json(capsys, *argv):
     return code, json.loads(out)
 
 
-def run_fresh(*argv, timeout):
+def run_fresh(*argv, timeout, text=True):
     """The completed process of ``python -m stabctab *argv``, run in a fresh
-    interpreter that is killed after timeout seconds."""
+    interpreter that is killed after timeout seconds; its output as str, or
+    as bytes when text is false."""
     import os
     import subprocess
     import sys
@@ -32,7 +33,7 @@ def run_fresh(*argv, timeout):
 
     src = str(Path(stabctab.__file__).resolve().parent.parent)
     return subprocess.run([sys.executable, "-m", "stabctab", *argv], capture_output=True,
-                          text=True, env=dict(os.environ, PYTHONPATH=src), timeout=timeout)
+                          text=text, env=dict(os.environ, PYTHONPATH=src), timeout=timeout)
 
 
 def tsv_rows(out):
@@ -390,28 +391,45 @@ def test_composed_degree_cap(capsys, tmp_path, poly, branch_file, err):
     assert (code, capsys.readouterr().err) == (2 if err else 0, err)
 
 
-def test_lattice_rank_is_capped_before_the_gram_is_read(tmp_path):
-    # a dense symmetric gram of rank 250, under the file-size cap, took
-    # seconds of determinant and basis checks before it was rejected
-    import random
-
-    rng = random.Random(5)
-    rank = 250
+def run_dense_lattice(path, rank, entry):
+    """``decompose`` in a fresh interpreter (2 s timeout) on a lattice file
+    with a dense symmetric gram of entry() values and the identity basis."""
     gram = [[0] * rank for _ in range(rank)]
     for i in range(rank):
         for j in range(i, rank):
-            gram[i][j] = gram[j][i] = rng.randint(-999, 999)
-    path = tmp_path / "dense.lat"
+            gram[i][j] = gram[j][i] = entry()
     path.write_text("\n".join([
         f"rank {rank}", "gram", *(" ".join(map(str, row)) for row in gram),
         "ample_witness " + " ".join(["1"] + ["0"] * (rank - 1)), "ortho_basis",
         *(" ".join("1" if i == j else "0" for j in range(rank)) for i in range(rank)),
         "ample_tests " + " ".join(["1"] * (rank - 1)),
     ]) + "\n")
-    proc = run_fresh("decompose", "--lattice", str(path), "--beta", ",".join(["1"] * rank),
+    return run_fresh("decompose", "--lattice", str(path), "--beta", ",".join(["1"] * rank),
                      timeout=2)
+
+
+def test_lattice_rank_is_capped_before_the_gram_is_read(tmp_path):
+    # a dense symmetric gram of rank 250, under the file-size cap, took
+    # seconds of determinant and basis checks before it was rejected
+    import random
+
+    rng = random.Random(5)
+    proc = run_dense_lattice(tmp_path / "dense.lat", 250, lambda: rng.randint(-999, 999))
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == "stabctab decompose: lattice rank 250 is above the cap of 32\n"
+
+
+def test_large_gram_entries_are_checked_at_once(tmp_path):
+    # rank 32 with 900-digit entries (925 kB, under the file-size cap): a
+    # determinant of the gram took 25-30 s before the basis check failed
+    import random
+
+    rng = random.Random(32)
+    proc = run_dense_lattice(tmp_path / "digits.lat", 32,
+                             lambda: rng.randrange(10**899, 10**900) * rng.choice((-1, 1)))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == ("stabctab decompose: orthogonal basis must have exactly one "
+                           "positive square, first\n")
 
 
 def test_germ_provenance_names_delta_only_with_branches(capsys, tmp_path):
@@ -521,8 +539,9 @@ INVALID_LATTICES = {
     "basis-shape": (_lattice(basis="1 1 0\n1 -1"), "orthogonal basis has wrong shape"),
     "tests-length": (_lattice(tests="2 2"),
                      "expected one ample test integer per basis vector past the first"),
+    # a degenerate gram fails the basis checks
     "degenerate": (_lattice(gram="1 1\n1 1", basis="1 0\n0 1"),
-                   "gram matrix is degenerate; no rational basis can diagonalize it"),
+                   "orthogonal basis must have exactly one positive square, first"),
     "signature": (_lattice(gram="2 0\n0 2", witness="1 0", basis="1 0\n0 1"),
                   "orthogonal basis must have exactly one positive square, first"),
     "orthogonality": (_lattice(gram="2 0\n0 -2", witness="1 0", basis="1 0\n1/2 1"),
@@ -594,6 +613,44 @@ def test_bad_flags_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+
+
+#: One call per exit code of a completed record: 0, 1 and 2.
+EXIT_CALLS = {
+    0: ("stable-betti", "--b1", "0", "--b2", "10", "--max-k", "4"),
+    1: ("identity", "--b1", "0", "--b2", "10", "--order", "4", "--perturb"),
+    2: ("decompose", "--lattice", "bielliptic-rank2", "--beta", "1,2,3"),
+}
+
+
+def main_exit(argv):
+    """main(argv)'s exit status, whether it returns it or raises SystemExit."""
+    try:
+        return main(list(argv))
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("argv", [
+    EXIT_CALLS[0], EXIT_CALLS[2], ("stable-betti", "--b1", "0"),
+], ids=["success", "bad-input", "usage"])
+def test_main_leaves_the_collector_unfrozen(capsys, argv):
+    # only the process entry point freezes; in-process callers keep a
+    # normal collector
+    import gc
+
+    before = gc.get_freeze_count()
+    main_exit(argv)
+    assert gc.get_freeze_count() == before
+
+
+@pytest.mark.parametrize("code", sorted(EXIT_CALLS))
+def test_entry_point_prints_what_main_prints(capsysbinary, code):
+    argv = EXIT_CALLS[code]
+    assert main_exit(argv) == code
+    captured = capsysbinary.readouterr()
+    proc = run_fresh(*argv, timeout=60, text=False)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, captured.out, captured.err)
 
 
 @pytest.mark.parametrize("argv, first_line", [

@@ -194,14 +194,17 @@ def test_ring_record_classes_behave_as_pinned():
             make()
 
 
-#: Prints, at exit, every module the run loaded; runs the command line as
-#: ``python -m stabctab`` does.
-PROBE = """
-import atexit, runpy, sys
-atexit.register(lambda: print(*sorted(sys.modules), file=sys.stderr))
+#: Runs the command line as ``python -m stabctab`` does and prints
+#: {report} to stderr at exit.
+PROBE_AT_EXIT = """
+import atexit, gc, runpy, sys
+atexit.register(lambda: print({report}, file=sys.stderr))
 sys.argv[0] = "stabctab"
 runpy.run_module("stabctab", run_name="__main__", alter_sys=True)
 """
+
+#: Prints, at exit, every module the run loaded.
+PROBE = PROBE_AT_EXIT.format(report="*sorted(sys.modules)")
 
 #: the command line reads its integer flags with the readers of _record
 CLI = {"stabctab", "stabctab.cli", "stabctab.errors", "stabctab._record"}
@@ -257,6 +260,26 @@ def test_each_subcommand_imports_only_its_layer(tmp_path, argv, code, loaded):
     if argv is not None and argv[0] == "germ":
         # only load_corpus, which no subcommand calls, reads JSON resources
         assert not modules & {"json", "importlib.resources"}
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("stable-betti", "--b1", "0", "--b2", "10", "--max-k", "4"), 0),
+    (("identity", "--b1", "0", "--b2", "10", "--order", "4", "--perturb"), 1),
+    (("decompose", "--lattice", "bielliptic-rank2", "--beta", "1,2,3"), 2),
+], ids=["success", "verification-failure", "bad-input"])
+def test_entry_point_freezes_the_collector_before_atexit(argv, code):
+    # the exit-time collections skip what is frozen, and atexit still runs
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(stabctab.__file__).resolve().parent.parent)
+    probe = PROBE_AT_EXIT.format(report="'frozen', gc.get_freeze_count() > 0")
+    proc = subprocess.run([sys.executable, "-S", "-c", probe, *argv], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert proc.returncode == code, proc.stderr
+    assert proc.stderr.splitlines()[-1] == "frozen True"
 
 
 def test_rejected_input_has_one_class():
