@@ -11,10 +11,18 @@ parsers share live here too: ``parse_rational``, ``parse_int``,
 BadInput, with the message of the exception it replaces.  An integer, in
 every reader of outside input and in the command line's integer flags,
 is an optional sign and ASCII digits, ``[+-]?[0-9]+``: not ``int``'s
-wider grammar, which takes underscores and the digits of other scripts.
+wider grammar, which takes underscores and the digits of other scripts,
+and one predicate, ``is_integer``, decides it without ``re``.  The
+package's own data files, the preset lattices and the ADE corpus, are
+read by ``read_data`` as plain files in DATA_DIR, next to this module.
 """
 
+import os
+
 from .errors import BadInput
+
+#: The directory of the data files shipped with the package.
+DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
 
 class Record:
@@ -60,16 +68,21 @@ class HashableRecord(Record):
         return hash(tuple(self._fields().values()))
 
 
+def is_integer(text: str) -> bool:
+    """Whether text is an optional sign and ASCII digits, ``[+-]?[0-9]+``."""
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    return digits.isascii() and digits.isdigit()
+
+
 def parse_rational(text: str):
     """The Fraction of an integer or ``p/q`` literal, with an optional sign;
     any other literal (a decimal, an exponent, spaces) or a zero
     denominator is BadInput."""
-    import re
     from fractions import Fraction
 
-    if not re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", text):
+    num, slash, den = text.partition("/")
+    if not (is_integer(num) and (not slash or den.isascii() and den.isdigit())):
         raise BadInput(f"Invalid literal for Fraction: {text!r}")
-    num, _, den = text.partition("/")
     try:
         return Fraction(int(num), int(den or 1))
     except ZeroDivisionError:
@@ -81,9 +94,7 @@ def parse_rational(text: str):
 def parse_int(text: str) -> int:
     """The int of an integer literal with optional surrounding whitespace;
     any other text, or more digits than Python reads, is BadInput."""
-    import re
-
-    if not re.fullmatch(r"\s*[+-]?[0-9]+\s*", text):
+    if not is_integer(text.strip()):
         raise BadInput(f"invalid literal for int() with base 10: {text!r}")
     try:
         return int(text)
@@ -117,3 +128,10 @@ def content_lines(text: str) -> list[str]:
     a line left empty is dropped."""
     return [line for line in (raw.partition("#")[0].strip() for raw in text.splitlines())
             if line]
+
+
+def read_data(name: str) -> str:
+    """The UTF-8 text of the package's file ``data/<name>``; a missing one
+    is a fault of the package, not of the input, and raises its OSError."""
+    with open(os.path.join(DATA_DIR, name), encoding="utf-8") as fh:
+        return fh.read()

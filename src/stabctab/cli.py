@@ -52,6 +52,8 @@ not one of the flag's choices, a missing required flag, a stray
 argument) exits 2 with one line on stderr that names the subcommand and
 the flag.  An integer is an optional sign and ASCII digits, as in every
 file the package reads: ``1_0`` and the digits of other scripts are not.
+One predicate, ``_record.is_integer``, decides it, with str methods and
+not ``re``.
 
 Orders are capped, and the caps are checked after the usage errors and
 before any computation: ``--max-order`` and ``--order`` at 64 and
@@ -69,13 +71,15 @@ any size.
 
 Each subcommand imports only the layer it runs: the parser and the
 dispatch load no computation module (only ``_record``, whose
-``parse_int`` reads the integer flags), nor ``argparse``, ``gettext`` or
-``locale``, and each handler lives with the others of its layer
+``parse_int`` reads the integer flags), nor ``argparse``, ``gettext``,
+``locale`` or ``re``, and each handler lives with the others of its layer
 (``_cmd_tables``, ``_cmd_germ``, ``_cmd_lattice``), so that a call
 compiles only those (a checkout run without cached bytecode compiles
 every module it imports on every call).  ``stable-betti`` and
 ``identity`` load ``genfunc`` alone, ``perverse`` adds ``perverse``,
-``germ`` loads ``poly`` and ``germ``, ``decompose`` loads ``nslattice``
+``germ`` loads ``poly`` and ``germ`` (and ``re``, for the term grammar),
+``decompose`` loads ``nslattice``, which reads a preset by
+``_record.read_data`` as a plain file, without ``importlib.resources``,
 and ``bounds`` loads ``codim``; only ``bounds --d`` adds ``surd``.
 
 ``identity`` checks H(zw, z)(1 - z^2) = (1 - w)(1 - z^2 w) G(z, w), the

@@ -128,27 +128,31 @@ def _log_derivative(factors, order: int) -> list[dict[int, int]]:
     return [{i: c for i, c in poly.items() if c} for poly in terms]
 
 
-def _euler_transform(log_derivative: list[dict[int, int]], order: int) -> list[list[int]]:
-    """Coefficients F_0..F_order of the series F with F_0 = 1 and log-derivative L.
+def _euler_transform(log_derivative: list[dict[int, int]], order: int,
+                     top: int) -> list[list[int]]:
+    """Coefficients F_0..F_order of the series F with F_0 = 1 and log-derivative L,
+    each up to x-degree top.
 
     F_n is a dense list of integers indexed by x-exponent, computed by
-    n * F_n = sum_{k=1..n} L_k * F_(n-k).  Every division by n is checked:
-    a remainder means L is not the log-derivative of an integer series,
-    and raises InternalIdentityFailure.
+    n * F_n = sum_{k=1..n} L_k * F_(n-k) and cut at x^top: every
+    x-exponent is nonnegative, so the cut rows are the full rows up to
+    x^top.  Every division by n is checked: a remainder means L is not the
+    log-derivative of an integer series, and raises InternalIdentityFailure.
     """
     rows: list[list[int]] = [[1]]
     for n in range(1, order + 1):
-        width = max(
+        width = min(top + 1, max(
             (max(log_derivative[k]) + len(rows[n - k])
              for k in range(1, n + 1) if log_derivative[k]),
             default=1,
-        )
+        ))
         acc = [0] * width
         for k in range(1, n + 1):
             prev = rows[n - k]
             for shift, c in log_derivative[k].items():
-                for i, f in enumerate(prev, shift):
-                    acc[i] += c * f
+                if shift < width:
+                    for i, f in enumerate(prev[:width - shift], shift):
+                        acc[i] += c * f
         row = []
         for i, c in enumerate(acc):
             quotient, remainder = divmod(c, n)
@@ -162,11 +166,19 @@ def _euler_transform(log_derivative: list[dict[int, int]], order: int) -> list[l
     return rows
 
 
-def _product(factors, order: int) -> list[list[int]]:
-    """The product of the factors modulo s^(order+1), as rows F_n[x-exponent]."""
+def _product(factors, order: int, top: int) -> list[list[int]]:
+    """The product of the factors modulo s^(order+1) and x^(top+1), as rows
+    F_n[x-exponent]: top is the highest x-degree the caller reads."""
     if order < 0:
         raise BadInput("truncation order must be nonnegative")
-    return _euler_transform(_log_derivative(factors, order), order)
+    return _euler_transform(_log_derivative(factors, order), order, top)
+
+
+def _at(rows: list[list[int]], r: int, c: int) -> int:
+    """rows[r][c], read as 0 outside the rows."""
+    if 0 <= r < len(rows) and 0 <= c < len(rows[r]):
+        return rows[r][c]
+    return 0
 
 
 def _goettsche_factors(surface: SurfaceTopology, order: int) -> list[Factor]:
@@ -192,8 +204,13 @@ def goettsche_series(surface: SurfaceTopology, order: int) -> dict[tuple[int, in
     coefficient is the i-th Betti number of the Hilbert scheme of n
     points; it vanishes unless 0 <= i <= 4n.
     """
-    rows = _product(_goettsche_factors(surface, order), order)
+    rows = _goettsche_rows(surface, order, 4 * order)
     return {(i, n): c for n, row in enumerate(rows) for i, c in enumerate(row) if c}
+
+
+def _goettsche_rows(surface: SurfaceTopology, order: int, top: int) -> list[list[int]]:
+    """G's rows G_n[z-exponent] for w-degree n <= order, up to z-degree top."""
+    return _product(_goettsche_factors(surface, order), order, top)
 
 
 def _as_betti(c: int, what: str) -> int:
@@ -211,8 +228,8 @@ def hilb_betti(surface: SurfaceTopology, n: int, k: int) -> int:
         raise ValueError("n and k must be nonnegative")
     if k > 4 * n:
         return 0
-    g = goettsche_series(surface, n)
-    return _as_betti(g.get((k, n), 0), f"b_{k} of the {n}-point Hilbert scheme")
+    rows = _goettsche_rows(surface, n, k)
+    return _as_betti(_at(rows, n, k), f"b_{k} of the {n}-point Hilbert scheme")
 
 
 def _stable_betti_series(surface: SurfaceTopology, order: int) -> list[int]:
@@ -228,7 +245,7 @@ def _stable_betti_series(surface: SurfaceTopology, order: int) -> list[int]:
             (-1, 0, 2 * m + 2, -1),
         )
     ]
-    return [row[0] for row in _product(factors, order)]
+    return [row[0] for row in _product(factors, order, 0)]
 
 
 def stable_betti_numbers(surface: SurfaceTopology, max_k: int) -> list[int]:
@@ -268,7 +285,7 @@ def _perverse_factors(surface: SurfaceTopology, order: int) -> list[Factor]:
 
 def _perverse_coefficients(surface: SurfaceTopology, order: int) -> dict[tuple[int, int], int]:
     """{(i, j): coefficient of q^i t^j in H(q, t)} for i + j <= order."""
-    rows = _product(_perverse_factors(surface, order), order)
+    rows = _product(_perverse_factors(surface, order), order, order)
     return {(a, n - a): c for n, row in enumerate(rows) for a, c in enumerate(row)}
 
 
@@ -293,13 +310,6 @@ def stable_perverse_table(surface: SurfaceTopology, order: int) -> PerverseTable
     })
 
 
-def _at(rows: list[list[int]], r: int, c: int) -> int:
-    """rows[r][c], read as 0 outside the rows."""
-    if 0 <= r < len(rows) and 0 <= c < len(rows[r]):
-        return rows[r][c]
-    return 0
-
-
 def remark_identity_mismatch(
     surface: SurfaceTopology, order: int, perturb: bool = False
 ):
@@ -315,9 +325,9 @@ def remark_identity_mismatch(
     there.  With perturb=True the left side is deliberately shifted by +1
     in its constant term (negative-control hook).
     """
-    lhs_rows = _product(_perverse_factors(surface, order) + [(-1, 0, 2, 1)], order)
+    lhs_rows = _product(_perverse_factors(surface, order) + [(-1, 0, 2, 1)], order, order)
     rhs_rows = _product(_goettsche_factors(surface, order) + [(-1, 0, 1, 1), (-1, 2, 1, 1)],
-                        order)
+                        order, order)
     differences = []
     for n in range(order + 1):
         for i in range(order + 1):

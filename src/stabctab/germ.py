@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ._record import HashableRecord, Record, content_lines, parse_int, read_text
+from ._record import HashableRecord, Record, content_lines, parse_int, read_data, read_text
 from .errors import BadInput
 from .poly import Poly
 
@@ -367,14 +367,7 @@ def load_corpus(path=None) -> list[CorpusRecord]:
     """
     import json
 
-    if path is None:
-        from importlib import resources
-
-        text = (
-            resources.files("stabctab").joinpath("data/ade_corpus.jsonl").read_text()
-        )
-    else:
-        text = read_text(path)
+    text = read_data("ade_corpus.jsonl") if path is None else read_text(path)
     records = []
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
@@ -407,12 +400,15 @@ def parse_branch_file(text: str) -> BranchSet:
 
     '#' starts a comment that runs to the end of the line, and blank lines
     are skipped.  An optional leading line ``truncation: N`` declares the
-    precision of inexact parametrizations.  Malformed text raises BadInput.
+    precision of inexact parametrizations; a second one is BadInput, as
+    is any other malformed text.
     """
     truncation: int | None = None
     pairs: list[tuple[str, str]] = []
     for line in content_lines(text):
         if line.lower().startswith("truncation:"):
+            if truncation is not None:
+                raise BadInput("branch file keyword 'truncation' is repeated")
             truncation = parse_int(line.split(":", 1)[1])
             continue
         if ";" not in line:

@@ -27,7 +27,7 @@ import math
 import operator
 from fractions import Fraction
 
-from ._record import HashableRecord, content_lines, parse_int, parse_rational, read_text
+from ._record import HashableRecord, content_lines, parse_int, parse_rational, read_data, read_text
 from .errors import BadInput
 
 Vector = tuple[Fraction, ...]
@@ -274,7 +274,8 @@ def parse_lattice(text: str) -> LatticeModel:
     * ``ortho_basis`` followed by N lines of N rationals (``p/q`` or integers)
     * ``ample_tests`` plus N-1 integers on the same line
 
-    Malformed text, and a model that fails its checks, raise BadInput.
+    Malformed text, a repeated keyword, and a model that fails its checks
+    raise BadInput.
     """
     lines = content_lines(text)
     pos = 0
@@ -289,9 +290,13 @@ def parse_lattice(text: str) -> LatticeModel:
 
     rank = None
     gram = witness = basis = tests = None
+    seen = set()
     while pos < len(lines):
         ln = next_line()
         word, _, rest = ln.partition(" ")
+        if word in seen:
+            raise BadInput(f"lattice file keyword {word!r} is repeated")
+        seen.add(word)
         if word == "rank":
             rank = parse_int(rest)
             _check_rank(rank)
@@ -319,19 +324,12 @@ def parse_lattice(text: str) -> LatticeModel:
 
 
 def load_lattice(source: str) -> LatticeModel:
-    """Load a lattice from a preset name or a file path (read by
+    """Load a lattice from a preset name (read by
+    :func:`stabctab._record.read_data`) or a file path (read by
     :func:`stabctab._record.read_text`)."""
     if source in PRESET_LATTICES:
-        from importlib import resources
-
-        text = (
-            resources.files("stabctab")
-            .joinpath(f"data/lattices/{source}.lat")
-            .read_text()
-        )
-    else:
-        text = read_text(source)
-    return parse_lattice(text)
+        return parse_lattice(read_data(f"lattices/{source}.lat"))
+    return parse_lattice(read_text(source))
 
 
 def __getattr__(name: str):

@@ -29,7 +29,8 @@ from .genfunc import (
     PerverseTable,
     SurfaceTopology,
     _as_betti,
-    goettsche_series,
+    _at,
+    _goettsche_rows,
 )
 
 
@@ -57,15 +58,16 @@ def build_tower(surface: SurfaceTopology, order: int) -> RelHilbBettiTower:
 
     Each entry is the even-offset partial sum of surface Hilbert-scheme
     Betti numbers, b_m = sum_{n=0}^{floor(m/2)} b_{m-2n}(l points), all
-    read from one point-counting series G at w-order ``order``.
+    read from one point-counting series G at w-order ``order``, built up to
+    z-degree ``order``, the highest it reads.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    g = goettsche_series(surface, order)
+    g = _goettsche_rows(surface, order, order)
     values: dict[tuple[int, int], int] = {}
     for ell in range(order + 1):
         for m in range(order + 1):
-            betti = _as_betti(g.get((m, ell), 0), f"b_{m} of the {ell}-point Hilbert scheme")
+            betti = _as_betti(_at(g, ell, m), f"b_{m} of the {ell}-point Hilbert scheme")
             values[(ell, m)] = betti + values.get((ell, m - 2), 0)
     return RelHilbBettiTower(surface, order, values)
 

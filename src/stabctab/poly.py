@@ -27,9 +27,8 @@ from operator import add
 from ._record import Record, parse_int, parse_rational
 from .errors import BadInput
 
+#: A factor of a term: a coefficient p/q or digits, or a variable v or v^n.
 _FACTOR = re.compile(r"([0-9]+/[0-9]+|[0-9]+|[a-zA-Z](?:\^[0-9]+)?)")
-_COEF = re.compile(r"^[0-9]+(/[0-9]+)?$")
-_VAR = re.compile(r"^([a-zA-Z])(?:\^([0-9]+))?$")
 
 
 def _split_terms(s: str) -> list[tuple[int, str]]:
@@ -73,16 +72,16 @@ def parse_polynomial(s: str, variables: tuple[str, ...]) -> dict[tuple[int, ...]
         expo = [0] * len(variables)
         seen_coef = False
         for piece in pieces:
-            if _COEF.match(piece):
+            if piece[0].isdigit():
                 if seen_coef:
                     raise BadInput(f"two coefficients in term {body!r}")
                 coef *= parse_rational(piece)
                 seen_coef = True
                 continue
-            m = _VAR.match(piece)
-            if not m or m.group(1) not in variables:
+            name, _, power = piece.partition("^")
+            if name not in variables:
                 raise BadInput(f"unknown factor {piece!r} in term {body!r}")
-            expo[variables.index(m.group(1))] += parse_int(m.group(2) or "1")
+            expo[variables.index(name)] += parse_int(power or "1")
         key = tuple(expo)
         out[key] = out.get(key, Fraction(0)) + coef
     return {k: c for k, c in out.items() if c}

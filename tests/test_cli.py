@@ -98,9 +98,9 @@ def test_perverse_oracle_builds_each_series_once(capsys, monkeypatch):
     calls = []
     product = genfunc._product
 
-    def counting_product(factors, order):
+    def counting_product(factors, order, top):
         calls.append((list(factors), order))
-        return product(factors, order)
+        return product(factors, order, top)
 
     monkeypatch.setattr(genfunc, "_product", counting_product)
     code, _ = run(capsys, "perverse", "--b1", "0", "--b2", "10",
@@ -529,7 +529,8 @@ def _lattice(gram="0 2\n2 0", witness="1 1", basis="1 1\n1 -1", tests="2", rank=
 
 #: One lattice file per validation failure of the lattice model, each
 #: varying the bielliptic preset, with the stderr line the command line
-#: printed when the model checked itself in Fraction arithmetic.
+#: printed when the model checked itself in Fraction arithmetic; then one
+#: per keyword given twice, the second gram block the same as the first.
 INVALID_LATTICES = {
     "rank": ("rank 0\ngram\nample_witness\northo_basis\nample_tests\n",
              "rank must be at least 1"),
@@ -554,6 +555,14 @@ INVALID_LATTICES = {
         "test class 1*D1 +/- D2 has nonpositive square -15/2"),
     "test-square-zero": (_lattice(tests="1"),
                          "test class 1*D1 +/- D2 has nonpositive square 0"),
+    "repeated-rank": (_lattice() + "rank 2\n", "lattice file keyword 'rank' is repeated"),
+    "repeated-gram": (_lattice() + "gram\n0 2\n2 0\n", "lattice file keyword 'gram' is repeated"),
+    "repeated-witness": (_lattice() + "ample_witness 1 2\n",
+                         "lattice file keyword 'ample_witness' is repeated"),
+    "repeated-basis": (_lattice() + "ortho_basis\n1 1\n1 -1\n",
+                       "lattice file keyword 'ortho_basis' is repeated"),
+    "repeated-tests": (_lattice() + "ample_tests 3\n",
+                       "lattice file keyword 'ample_tests' is repeated"),
 }
 
 
@@ -584,6 +593,17 @@ def test_invalid_lattice_file_exits_2_as_pinned(capsys, tmp_path, name):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"stabctab decompose: {message}\n"
+
+
+def test_repeated_branch_file_truncation_exits_2(capsys, tmp_path):
+    path = tmp_path / "cusp.br"
+    path.write_text("truncation: 8\nt^2 ; t^3\ntruncation: 12\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["germ", "--poly", "y^2 - x^3", "--branches", str(path)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "stabctab germ: branch file keyword 'truncation' is repeated\n"
 
 
 @pytest.mark.parametrize("lattice, beta, message", [
@@ -847,8 +867,12 @@ def _broken_table(surface, order):
     ("codim", "enriques_d0", _raise(ValueError),
      ("bounds", "--surface", "enriques", "--beta-sq", "10", "--i", "2", "--j", "3"),
      "ValueError"),
+    # a data file the package ships is not input: without it the package
+    # is broken, whatever the call
+    ("_record", "DATA_DIR", "no-such-data-directory",
+     ("decompose", "--lattice", "bielliptic-rank2", "--beta", "2,2"), "FileNotFoundError"),
 ], ids=["genfunc-value", "perverse-table", "germ-zero-division", "nslattice-type",
-        "codim-value"])
+        "codim-value", "missing-data-file"])
 def test_stray_exception_exits_3(capsys, monkeypatch, module, name, stray, argv, exc_type):
     from importlib import import_module
 

@@ -64,9 +64,9 @@ def test_library_builds_at_the_order_asked(monkeypatch):
     orders = []
     product = genfunc._product
 
-    def recording_product(factors, order):
+    def recording_product(factors, order, top):
         orders.append(order)
-        return product(factors, order)
+        return product(factors, order, top)
 
     monkeypatch.setattr(genfunc, "_product", recording_product)
     assert hilb_betti(ENRIQUES, 3, 2) == 11
@@ -241,4 +241,16 @@ def test_kernel_matches_product_oracle_and_partition_dp():
 def test_kernel_rejects_non_log_derivative():
     # L = s^2 forces 2 * F_2 = 1: no integer series has this log-derivative
     with pytest.raises(InternalIdentityFailure):
-        _euler_transform([{}, {}, {0: 1}], 2)
+        _euler_transform([{}, {}, {0: 1}], 2, 0)
+
+
+def test_rows_cut_at_top_are_the_full_rows_cut():
+    # every x-exponent is nonnegative, so cutting at x^top drops only the
+    # coefficients above it, whatever the order and the top
+    for surface in (ENRIQUES, BIELLIPTIC, B1_FOUR):
+        for order in (0, 1, 5, 9):
+            full = genfunc._goettsche_rows(surface, order, 4 * order)
+            assert [len(row) for row in full] == [4 * n + 1 for n in range(order + 1)]
+            for top in (0, 1, order, 2 * order + 1, 4 * order + 7):
+                cut = genfunc._goettsche_rows(surface, order, top)
+                assert cut == [row[: top + 1] for row in full], (surface, order, top)

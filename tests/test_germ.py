@@ -305,6 +305,8 @@ def test_parse_branch_file():
     assert b2.declared_truncation == 12
     with pytest.raises(ValueError):
         parse_branch_file("t, t^2\n")
+    with pytest.raises(BadInput, match="branch file keyword 'truncation' is repeated"):
+        parse_branch_file("truncation: 12\nTRUNCATION: 12\nt^2 ; t^3\n")
 
 
 def test_germ_validation():

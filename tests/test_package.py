@@ -206,6 +206,9 @@ runpy.run_module("stabctab", run_name="__main__", alter_sys=True)
 #: Prints, at exit, every module the run loaded.
 PROBE = PROBE_AT_EXIT.format(report="*sorted(sys.modules)")
 
+#: Prints every module loaded so far.
+PRINT_MODULES = "print(*sorted(sys.modules), file=sys.stderr)"
+
 #: the command line reads its integer flags with the readers of _record
 CLI = {"stabctab", "stabctab.cli", "stabctab.errors", "stabctab._record"}
 TABLES = CLI | {"stabctab._cmd_tables", "stabctab.genfunc"}
@@ -213,7 +216,9 @@ LATTICE = CLI | {"stabctab._cmd_lattice"}
 
 
 @pytest.mark.parametrize("argv, code, loaded", [
-    (None, 0, {"stabctab"}),
+    (("-c", f"import sys, stabctab; {PRINT_MODULES}"), 0, {"stabctab"}),
+    (("-c", f"import sys; from stabctab.germ import load_corpus; load_corpus(); {PRINT_MODULES}"),
+     0, {"stabctab", "stabctab.errors", "stabctab._record", "stabctab.germ", "stabctab.poly"}),
     (("stable-betti", "--b1", "0", "--b2", "10", "--max-k", "4"), 0, TABLES),
     (("identity", "--b1", "0", "--b2", "10", "--order", "4"), 0, TABLES),
     (("perverse", "--b1", "0", "--b2", "10", "--max-order", "4", "--oracle"), 0,
@@ -229,8 +234,8 @@ LATTICE = CLI | {"stabctab._cmd_lattice"}
     (("decompose", "--lattice", "bielliptic-rank2", "--beta", "2,2"), 0,
      LATTICE | {"stabctab.nslattice"}),
     (("--help",), 0, CLI),
-], ids=["import", "stable-betti", "identity", "perverse", "perverse-above-cap", "germ",
-        "bounds", "bounds-d0", "decompose", "help"])
+], ids=["import", "load-corpus", "stable-betti", "identity", "perverse", "perverse-above-cap",
+        "germ", "bounds", "bounds-d0", "decompose", "help"])
 def test_each_subcommand_imports_only_its_layer(tmp_path, argv, code, loaded):
     # a fresh interpreter per case, without site hooks, which may import
     # modules of their own
@@ -242,8 +247,8 @@ def test_each_subcommand_imports_only_its_layer(tmp_path, argv, code, loaded):
     cusp = tmp_path / "cusp.br"
     cusp.write_text("t^2 ; t^3\n")
     src = str(Path(stabctab.__file__).resolve().parent.parent)
-    if argv is None:
-        cmd = ["-c", "import sys, stabctab; print(*sorted(sys.modules), file=sys.stderr)"]
+    if argv[0] == "-c":
+        cmd = list(argv)
     else:
         cmd = ["-c", PROBE, *(arg.format(cusp=cusp) for arg in argv)]
     proc = subprocess.run([sys.executable, "-S", *cmd], capture_output=True, text=True,
@@ -252,14 +257,20 @@ def test_each_subcommand_imports_only_its_layer(tmp_path, argv, code, loaded):
     modules = set(proc.stderr.splitlines()[-1].split())
     assert {m for m in modules if m.split(".")[0] == "stabctab"} == loaded
     assert not modules & {"dataclasses", "inspect", "argparse", "gettext", "locale"}
-    if argv is not None and argv[0] in ("stable-betti", "identity", "perverse"):
+    if argv[0] in ("stable-betti", "identity", "perverse"):
         assert "fractions" not in modules
-    if argv is not None and "--i" in argv:
+    if "--i" in argv:
         # d0 is pure int, and its record holds no list for JSON to render
         assert not modules & {"fractions", "json"}
-    if argv is not None and argv[0] == "germ":
-        # only load_corpus, which no subcommand calls, reads JSON resources
-        assert not modules & {"json", "importlib.resources"}
+    if argv[0] in ("stable-betti", "identity", "perverse") or "--i" in argv:
+        # an integer is read without re
+        assert "re" not in modules
+    if argv[0] == "germ":
+        # only load_corpus, which no subcommand calls, reads JSON
+        assert "json" not in modules
+    if argv[0] in ("germ", "decompose") or "load_corpus" in argv[-1]:
+        # the package's data files are read as plain files
+        assert not modules & {"importlib.resources", "pathlib", "zipfile"}
 
 
 @pytest.mark.parametrize("argv, code", [
