@@ -360,12 +360,21 @@ def load_corpus(path=None) -> list[CorpusRecord]:
 
     Each record is an object with fields ``name`` (string), ``poly``
     (polynomial in x, y), ``branches`` (list of [x(t), y(t)] pairs) and
-    ``expected`` (object with fields mu, tau, delta, r, each a JSON
-    integer: not a float, a bool or a string).  A file that cannot be read
-    or is not UTF-8, and a record that is not such an object, is BadInput;
-    the message of a malformed record names its line.
+    ``expected`` (object with exactly the fields mu, tau, delta, r, each a
+    JSON integer: not a float, a bool or a string).  A file that cannot be
+    read or is not UTF-8, a record that is not such an object, and a key
+    repeated in any object of a record are BadInput; the message of a
+    malformed record names its line.
     """
     import json
+
+    def unique_keys(pairs):
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise BadInput(f"key {key!r} is repeated")
+            obj[key] = value
+        return obj
 
     text = read_data("ade_corpus.jsonl") if path is None else read_text(path)
     records = []
@@ -374,11 +383,14 @@ def load_corpus(path=None) -> list[CorpusRecord]:
         if not line or line.startswith("#"):
             continue
         try:
-            obj = json.loads(line)
+            obj = json.loads(line, object_pairs_hook=unique_keys)
             expected = obj["expected"]
             for key, value in expected.items():
                 if type(value) is not int:  # a float, a bool or a string
                     raise BadInput(f"expected {key} must be an integer, got {json.dumps(value)}")
+            if expected.keys() != {"mu", "tau", "delta", "r"}:
+                raise BadInput(f"expected has keys {', '.join(sorted(expected))}, "
+                               "not exactly mu, tau, delta, r")
             records.append(
                 CorpusRecord(
                     name=obj["name"],
@@ -399,18 +411,17 @@ def parse_branch_file(text: str) -> BranchSet:
     """Parse a branch file: one ``x(t) ; y(t)`` pair per line.
 
     '#' starts a comment that runs to the end of the line, and blank lines
-    are skipped.  An optional leading line ``truncation: N`` declares the
-    precision of inexact parametrizations; a second one is BadInput, as
-    is any other malformed text.
+    are skipped.  The first line may be ``truncation: N``, declaring the
+    precision of inexact parametrizations; every later line is a pair, so
+    a second ``truncation:`` line is BadInput, as is any other malformed
+    text.
     """
+    lines = content_lines(text)
     truncation: int | None = None
+    if lines and lines[0].lower().startswith("truncation:"):
+        truncation = parse_int(lines.pop(0).split(":", 1)[1])
     pairs: list[tuple[str, str]] = []
-    for line in content_lines(text):
-        if line.lower().startswith("truncation:"):
-            if truncation is not None:
-                raise BadInput("branch file keyword 'truncation' is repeated")
-            truncation = parse_int(line.split(":", 1)[1])
-            continue
+    for line in lines:
         if ";" not in line:
             raise BadInput(f"branch line {line!r} is not 'x(t) ; y(t)'")
         xs, ys = line.split(";", 1)

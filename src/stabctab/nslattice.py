@@ -274,53 +274,37 @@ def parse_lattice(text: str) -> LatticeModel:
     * ``ortho_basis`` followed by N lines of N rationals (``p/q`` or integers)
     * ``ample_tests`` plus N-1 integers on the same line
 
-    Malformed text, a repeated keyword, and a model that fails its checks
-    raise BadInput.
+    Each keyword is the name of the :class:`LatticeModel` argument it
+    gives.  Malformed text, a repeated keyword, and a model that fails its
+    checks raise BadInput.
     """
-    lines = content_lines(text)
-    pos = 0
-
-    def next_line() -> str:
-        nonlocal pos
-        if pos >= len(lines):
-            raise BadInput("unexpected end of lattice file")
-        ln = lines[pos]
-        pos += 1
-        return ln
-
-    rank = None
-    gram = witness = basis = tests = None
-    seen = set()
-    while pos < len(lines):
-        ln = next_line()
-        word, _, rest = ln.partition(" ")
-        if word in seen:
+    lines = iter(content_lines(text))
+    fields = {}
+    for line in lines:
+        word, _, rest = line.partition(" ")
+        if word in fields:
             raise BadInput(f"lattice file keyword {word!r} is repeated")
-        seen.add(word)
         if word == "rank":
-            rank = parse_int(rest)
-            _check_rank(rank)
-        elif word == "gram":
-            if rank is None:
-                raise BadInput("rank must come before gram")
-            gram = tuple(
-                tuple(map(parse_int, next_line().split())) for _ in range(rank)
-            )
-        elif word == "ample_witness":
-            witness = tuple(map(parse_int, rest.split()))
-        elif word == "ortho_basis":
-            if rank is None:
-                raise BadInput("rank must come before ortho_basis")
-            basis = tuple(
-                tuple(map(parse_rational, next_line().split())) for _ in range(rank)
-            )
-        elif word == "ample_tests":
-            tests = tuple(map(parse_int, rest.split()))
+            fields[word] = parse_int(rest)
+            _check_rank(fields[word])
+        elif word in ("gram", "ortho_basis"):
+            if "rank" not in fields:
+                raise BadInput(f"rank must come before {word}")
+            parse = parse_int if word == "gram" else parse_rational
+            rows = []
+            for _ in range(fields["rank"]):
+                row = next(lines, None)
+                if row is None:
+                    raise BadInput("unexpected end of lattice file")
+                rows.append(tuple(map(parse, row.split())))
+            fields[word] = tuple(rows)
+        elif word in ("ample_witness", "ample_tests"):
+            fields[word] = tuple(map(parse_int, rest.split()))
         else:
             raise BadInput(f"unknown lattice file keyword {word!r}")
-    if rank is None or gram is None or witness is None or basis is None or tests is None:
+    if len(fields) < 5:
         raise BadInput("lattice file is missing a required field")
-    return LatticeModel(rank, gram, witness, basis, tests)
+    return LatticeModel(**fields)
 
 
 def load_lattice(source: str) -> LatticeModel:

@@ -530,7 +530,8 @@ def _lattice(gram="0 2\n2 0", witness="1 1", basis="1 1\n1 -1", tests="2", rank=
 #: One lattice file per validation failure of the lattice model, each
 #: varying the bielliptic preset, with the stderr line the command line
 #: printed when the model checked itself in Fraction arithmetic; then one
-#: per keyword given twice, the second gram block the same as the first.
+#: per keyword given twice, the second gram block the same as the first;
+#: then one per fault of the reader itself.
 INVALID_LATTICES = {
     "rank": ("rank 0\ngram\nample_witness\northo_basis\nample_tests\n",
              "rank must be at least 1"),
@@ -563,6 +564,16 @@ INVALID_LATTICES = {
                        "lattice file keyword 'ortho_basis' is repeated"),
     "repeated-tests": (_lattice() + "ample_tests 3\n",
                        "lattice file keyword 'ample_tests' is repeated"),
+    "end-in-gram": ("rank 2\ngram\n0 2\n", "unexpected end of lattice file"),
+    "end-in-basis": ("rank 2\ngram\n0 2\n2 0\nample_witness 1 1\northo_basis\n1 1\n",
+                     "unexpected end of lattice file"),
+    "gram-before-rank": ("gram\n0 2\n2 0\nrank 2\n", "rank must come before gram"),
+    "unknown-keyword": (_lattice() + "foo 1\n", "unknown lattice file keyword 'foo'"),
+    "missing-field": (_lattice().replace("ample_tests 2\n", ""),
+                      "lattice file is missing a required field"),
+    # a bad row is reported before the block is found cut short
+    "first-fault": ("rank 3\ngram\n0 x 1\n0 2 1\n",
+                    "invalid literal for int() with base 10: 'x'"),
 }
 
 
@@ -596,14 +607,17 @@ def test_invalid_lattice_file_exits_2_as_pinned(capsys, tmp_path, name):
 
 
 def test_repeated_branch_file_truncation_exits_2(capsys, tmp_path):
+    # truncation: is read on a branch file's first line only: a second or
+    # trailing one is a line that is not a pair
     path = tmp_path / "cusp.br"
-    path.write_text("truncation: 8\nt^2 ; t^3\ntruncation: 12\n")
-    with pytest.raises(SystemExit) as exc:
-        main(["germ", "--poly", "y^2 - x^3", "--branches", str(path)])
-    assert exc.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "stabctab germ: branch file keyword 'truncation' is repeated\n"
+    for text in ("truncation: 8\nt^2 ; t^3\ntruncation: 12\n", "t^2 ; t^3\ntruncation: 12\n"):
+        path.write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            main(["germ", "--poly", "y^2 - x^3", "--branches", str(path)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "stabctab germ: branch line 'truncation: 12' is not 'x(t) ; y(t)'\n"
 
 
 @pytest.mark.parametrize("lattice, beta, message", [

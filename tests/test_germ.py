@@ -157,6 +157,11 @@ def test_corpus_file_that_cannot_be_read_is_bad_input(tmp_path):
             load_corpus(path)
 
 
+#: A well-formed corpus record, without its braces.
+A1 = ('"name": "A1", "poly": "y^2 - x^2", "branches": [["t", "t"], ["t", "-t"]], '
+      '"expected": {"mu": 1, "tau": 1, "delta": 1, "r": 2}')
+
+
 @pytest.mark.parametrize("line", [
     '{"name": "A1", "branches": [], "expected": {}}',
     'name: A1',
@@ -166,8 +171,15 @@ def test_corpus_file_that_cannot_be_read_is_bad_input(tmp_path):
     '{"name": "A1", "poly": "y^2 - x^2", "branches": [], "expected": {"tau": true}}',
     '{"name": "A1", "poly": "y^2 - x^2", "branches": [], "expected": {"delta": "1"}}',
     '{"name": "A1", "poly": "y^2 - x^2", "branches": [], "expected": [["mu", 1]]}',
+    '{"name": "B7", ' + A1 + '}',
+    '{' + A1 + ', "expected": {"mu": 5}}',
+    '{' + A1.replace('"r": 2', '"r": 2, "r": 3') + '}',
+    '{' + A1.replace(', "r": 2', '') + '}',
+    '{' + A1.replace('"r": 2', '"r": 2, "kappa": 0') + '}',
 ], ids=["no-poly", "not-json", "one-element-branch", "json-array", "float-value",
-        "bool-value", "string-value", "expected-not-an-object"])
+        "bool-value", "string-value", "expected-not-an-object", "repeated-name",
+        "repeated-expected", "repeated-expected-key", "expected-key-missing",
+        "expected-key-extra"])
 def test_malformed_corpus_record_is_bad_input_naming_its_line(tmp_path, line):
     path = tmp_path / "corpus.jsonl"
     path.write_text(line + "\n")
@@ -305,8 +317,11 @@ def test_parse_branch_file():
     assert b2.declared_truncation == 12
     with pytest.raises(ValueError):
         parse_branch_file("t, t^2\n")
-    with pytest.raises(BadInput, match="branch file keyword 'truncation' is repeated"):
+    # truncation: is read on the first line only
+    with pytest.raises(BadInput, match="branch line 'TRUNCATION: 12' is not 'x"):
         parse_branch_file("truncation: 12\nTRUNCATION: 12\nt^2 ; t^3\n")
+    with pytest.raises(BadInput, match="branch line 'truncation: 12' is not 'x"):
+        parse_branch_file("t^2 ; t^3\ntruncation: 12\n")
 
 
 def test_germ_validation():
