@@ -37,14 +37,19 @@ def cmd_bounds(args) -> tuple:
             params["generic"] = bool(args.generic)
             terms = codim.enriques_codim_terms(args.beta_sq, args.d, args.generic)
             bound = codim.enriques_minimum(terms)
+            provenance = (
+                "cases 1.1-1.3 of the codimension bounds for non-integral members of "
+                "|d*beta| on a generic Enriques surface, which has no rigid curves"
+                if args.generic else
+                "five-case codimension bounds for non-integral members of |d*beta| "
+                "on an Enriques surface"
+            )
         else:
             _reject("--surface enriques --d", ("--generic", args.generic or None))
             params["i"], params["j"] = args.i, args.j
             results["d0"] = codim.enriques_d0(args.beta_sq, args.i, args.j)
-        provenance = (
-            "five-case codimension bounds for non-integral members of |d*beta| "
-            "on an Enriques surface; d0 is the max of five explicit terms"
-        )
+            provenance = ("stabilization threshold d0 of an Enriques surface: "
+                          "the max of five explicit terms")
     else:
         missing = [f for f in ("a", "b", "lam", "mu", "gamma") if getattr(args, f) is None]
         if missing:

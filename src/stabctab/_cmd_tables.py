@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from .genfunc import (
     SurfaceTopology,
+    _table_order,
     remark_identity_mismatch,
     stable_betti_numbers,
     stable_perverse_table,
@@ -28,8 +29,7 @@ def cmd_stable_betti(args) -> tuple:
 def cmd_perverse(args) -> tuple:
     surface = _surface(args)
     table = stable_perverse_table(surface, args.max_order)
-    keys = sorted(table.entries, key=lambda k: (k[0] + k[1], k))
-    rows = [(i, j, table.entry(i, j)) for i, j in keys]
+    rows = [(i, j, table.entry(i, j)) for i, j in sorted(table.entries, key=_table_order)]
     results: dict = {"table": rows}
     tsv = [("i", "j", "n"), *rows]
     status = 0

@@ -310,6 +310,20 @@ def stable_perverse_table(surface: SurfaceTopology, order: int) -> PerverseTable
     })
 
 
+def _table_order(key: tuple[int, int]) -> tuple:
+    """Sort key of a table key (i, j): by total degree i + |j|, then by key."""
+    return key[0] + abs(key[1]), key
+
+
+def _first_difference(left: dict, right: dict):
+    """(key, left value, right value) at the first key, in :func:`_table_order`,
+    where two coefficient maps differ, a missing key read as 0; None if
+    they agree."""
+    key = min((k for k in left.keys() | right.keys() if left.get(k, 0) != right.get(k, 0)),
+              key=_table_order, default=None)
+    return None if key is None else (key, left.get(key, 0), right.get(key, 0))
+
+
 def remark_identity_mismatch(
     surface: SurfaceTopology, order: int, perturb: bool = False
 ):
@@ -328,18 +342,11 @@ def remark_identity_mismatch(
     lhs_rows = _product(_perverse_factors(surface, order) + [(-1, 0, 2, 1)], order, order)
     rhs_rows = _product(_goettsche_factors(surface, order) + [(-1, 0, 1, 1), (-1, 2, 1, 1)],
                         order, order)
-    differences = []
-    for n in range(order + 1):
-        for i in range(order + 1):
-            lhs = _at(lhs_rows, i, n)
-            if perturb and i == n == 0:
-                lhs += 1
-            rhs = _at(rhs_rows, n, i)
-            if lhs != rhs:
-                differences.append(((n, i - n), lhs, rhs))
-    if not differences:
-        return None
-    return min(differences, key=lambda d: (d[0][0] + abs(d[0][1]), d[0]))
+    lhs = {(n, i - n): c for i, row in enumerate(lhs_rows) for n, c in enumerate(row)}
+    rhs = {(n, i - n): c for n, row in enumerate(rhs_rows) for i, c in enumerate(row)}
+    if perturb:
+        lhs[(0, 0)] = lhs.get((0, 0), 0) + 1
+    return _first_difference(lhs, rhs)
 
 
 def check_remark_identity(surface: SurfaceTopology, order: int) -> bool:

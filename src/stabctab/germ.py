@@ -29,8 +29,10 @@ from ._record import HashableRecord, Record, content_lines, parse_int, read_data
 from .errors import BadInput
 from .poly import Poly
 
-#: Hard cap on the power of the maximal ideal used for mu/tau stabilization;
-#: m^mu lies in an ideal of colength mu, so it caps mu and tau at 64.
+#: Cap on mu and tau, and on the power of the maximal ideal at which their
+#: quotients must stop growing: an ideal of colength d contains m^d, so
+#: any d up to the cap is reached by then.  A quotient still growing there,
+#: or one that stops above the cap, is BadInput.
 MAX_IDEAL_POWER = 64
 
 #: Cap on the t-degree to which a branch is composed with the germ: the
@@ -164,6 +166,9 @@ def _stable_local_dim(gens: list[Poly]) -> int:
         d_here = _quotient_dim(gens, cutoff)
         d_next = _quotient_dim(gens, cutoff + 1)
         if d_here == d_next:
+            if d_here > MAX_IDEAL_POWER:
+                raise BadInput(f"quotient dimension {d_here} exceeds the cap of "
+                               f"{MAX_IDEAL_POWER} on mu and tau")
             return d_here
         cutoff *= 2
     raise BadInput(
@@ -391,9 +396,12 @@ def load_corpus(path=None) -> list[CorpusRecord]:
             if expected.keys() != {"mu", "tau", "delta", "r"}:
                 raise BadInput(f"expected has keys {', '.join(sorted(expected))}, "
                                "not exactly mu, tau, delta, r")
+            name = obj["name"]
+            if type(name) is not str:
+                raise BadInput(f"name must be a string, got {json.dumps(name)}")
             records.append(
                 CorpusRecord(
-                    name=obj["name"],
+                    name=name,
                     germ=CurveGerm.from_string(obj["poly"]),
                     branches=BranchSet.from_strings(obj["branches"]),
                     expected=expected,

@@ -261,6 +261,9 @@ def decompose(model: LatticeModel, beta) -> list[tuple[DivisorClass, DivisorClas
 
 PRESET_LATTICES = ("bielliptic-rank2", "enriques-u-e8")
 
+#: The keywords of a lattice file, the names of the LatticeModel arguments.
+_KEYWORDS = ("rank", "gram", "ample_witness", "ortho_basis", "ample_tests")
+
 
 def parse_lattice(text: str) -> LatticeModel:
     """Parse the lattice file format.
@@ -275,8 +278,8 @@ def parse_lattice(text: str) -> LatticeModel:
     * ``ample_tests`` plus N-1 integers on the same line
 
     Each keyword is the name of the :class:`LatticeModel` argument it
-    gives.  Malformed text, a repeated keyword, and a model that fails its
-    checks raise BadInput.
+    gives.  Malformed text, a block cut short by a keyword line, a
+    repeated keyword, and a model that fails its checks raise BadInput.
     """
     lines = iter(content_lines(text))
     fields = {}
@@ -296,13 +299,17 @@ def parse_lattice(text: str) -> LatticeModel:
                 row = next(lines, None)
                 if row is None:
                     raise BadInput("unexpected end of lattice file")
+                first = row.partition(" ")[0]
+                if first in _KEYWORDS:
+                    raise BadInput(f"{word} has {len(rows)} of {fields['rank']} rows "
+                                   f"before {first!r}")
                 rows.append(tuple(map(parse, row.split())))
             fields[word] = tuple(rows)
         elif word in ("ample_witness", "ample_tests"):
             fields[word] = tuple(map(parse_int, rest.split()))
         else:
             raise BadInput(f"unknown lattice file keyword {word!r}")
-    if len(fields) < 5:
+    if len(fields) < len(_KEYWORDS):
         raise BadInput("lattice file is missing a required field")
     return LatticeModel(**fields)
 

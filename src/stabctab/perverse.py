@@ -30,6 +30,7 @@ from .genfunc import (
     SurfaceTopology,
     _as_betti,
     _at,
+    _first_difference,
     _goettsche_rows,
 )
 
@@ -101,15 +102,11 @@ def solve_perverse(tower: RelHilbBettiTower) -> PerverseTable:
                     f"entry ({i}, {m - i}) came out negative ({val})"
                 )
             solved[(i, m - i)] = val
-    return PerverseTable(order, {k: v for k, v in solved.items() if v})
+    return PerverseTable(order, solved)
 
 
 def first_oracle_mismatch(surface: SurfaceTopology, extracted: PerverseTable):
     """First (i, j) where the Betti-tower recursion differs from the table
     extracted from H(q, t) (as stable_perverse_table builds it), or None."""
     recursed = solve_perverse(build_tower(surface, extracted.order))
-    keys = set(recursed.entries) | set(extracted.entries)
-    for i, j in sorted(keys, key=lambda k: (k[0] + k[1], k)):
-        if recursed.entry(i, j) != extracted.entry(i, j):
-            return (i, j), recursed.entry(i, j), extracted.entry(i, j)
-    return None
+    return _first_difference(recursed.entries, extracted.entries)

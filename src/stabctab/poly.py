@@ -30,26 +30,17 @@ from .errors import BadInput
 #: A factor of a term: a coefficient p/q or digits, or a variable v or v^n.
 _FACTOR = re.compile(r"([0-9]+/[0-9]+|[0-9]+|[a-zA-Z](?:\^[0-9]+)?)")
 
+#: A term: its run of signs, odd in '-' for a negative term, and its body.
+_TERM = re.compile(r"([+-]*)([^+-]+)")
+
 
 def _split_terms(s: str) -> list[tuple[int, str]]:
     s = s.replace("\u2212", "-").replace(" ", "").replace("\t", "")
     if not s:
         raise BadInput("empty polynomial string")
-    terms: list[tuple[int, str]] = []
-    sign, buf = 1, ""
-    for ch in s:
-        if ch in "+-":
-            if buf:
-                terms.append((sign, buf))
-                sign, buf = 1, ""
-            if ch == "-":
-                sign = -sign
-        else:
-            buf += ch
-    if not buf:
+    if s[-1] in "+-":
         raise BadInput(f"dangling sign in polynomial {s!r}")
-    terms.append((sign, buf))
-    return terms
+    return [(-1 if signs.count("-") % 2 else 1, body) for signs, body in _TERM.findall(s)]
 
 
 def parse_polynomial(s: str, variables: tuple[str, ...]) -> dict[tuple[int, ...], Fraction]:

@@ -442,6 +442,25 @@ def test_germ_provenance_names_delta_only_with_branches(capsys, tmp_path):
                                     "normalization cokernel of the branch parametrizations")
 
 
+@pytest.mark.parametrize("argv, provenance", [
+    (("--surface", "enriques", "--beta-sq", "10", "--d", "3"),
+     "five-case codimension bounds for non-integral members of |d*beta| on an "
+     "Enriques surface"),
+    (("--surface", "enriques", "--beta-sq", "10", "--d", "3", "--generic"),
+     "cases 1.1-1.3 of the codimension bounds for non-integral members of |d*beta| "
+     "on a generic Enriques surface, which has no rigid curves"),
+    (("--surface", "enriques", "--beta-sq", "10", "--i", "3", "--j", "4"),
+     "stabilization threshold d0 of an Enriques surface: the max of five explicit terms"),
+    (("--surface", "bielliptic", "--a", "1", "--b", "2", "--lambda", "1", "--mu", "1",
+      "--gamma", "2", "--d", "3"),
+     "three-case codimension bounds in the fiber-class basis of a bielliptic surface"),
+], ids=["enriques-d", "enriques-d-generic", "enriques-i-j", "bielliptic"])
+def test_bounds_provenance_names_what_ran(capsys, argv, provenance):
+    code, record = run_json(capsys, "bounds", *argv)
+    assert code == 0
+    assert record["provenance"] == provenance
+
+
 def test_bounds_radicand_at_the_cap_runs(capsys):
     # 2 * beta^2 = 10^12 is the largest radicand taken apart
     code, record = run_json(
@@ -574,6 +593,9 @@ INVALID_LATTICES = {
     # a bad row is reported before the block is found cut short
     "first-fault": ("rank 3\ngram\n0 x 1\n0 2 1\n",
                     "invalid literal for int() with base 10: 'x'"),
+    # a block cut short by a keyword line is reported as short
+    "short-gram": (_lattice(gram="0 2"), "gram has 1 of 2 rows before 'ample_witness'"),
+    "short-basis": (_lattice(basis="1 1"), "ortho_basis has 1 of 2 rows before 'ample_tests'"),
 }
 
 
@@ -999,7 +1021,9 @@ def test_rejected_input_names_its_subcommand(capsys, tmp_path, argv, file_bytes,
 #: polynomial layer, its JSON re-pinned once its provenance stopped naming
 #: a delta that a call without branches does not compute; the decompose
 #: and bounds entries: with the Fraction-valued positivity tests and the
-#: surd helper functions); the records must not change by a byte.
+#: surd helper functions; the JSON of the two Enriques bounds entries
+#: re-pinned once each mode's provenance named what it computes); the
+#: records must not change by a byte.
 PINNED_STDOUT_SHA256 = [
     (("perverse", "--b1", "2", "--b2", "2", "--max-order", "14", "--oracle"),
      "3a72ff2833be4af01ef88b5b99dec3b7b5da64bbd5160157176b86f978ee11f3",
@@ -1028,10 +1052,10 @@ PINNED_STDOUT_SHA256 = [
      "6106ee441f9110ca50f2e2dee7181677317686be42caaa51baef2b7fdd772796"),
     (("bounds", "--surface", "enriques", "--beta-sq", "10", "--d", "10"),
      "0c389be4f5aad60872bbd3c7fdcafeb3632d0b526da66b2aa511ba3e8c098c0f",
-     "95d0237a0fe88c24d4ae423ba3809d40a1375c46a5f65bebc8abd3f854c94575"),
+     "8306bb3426a840caf4970532eff919e1206132e93cc9b61fb89e403b9db3da36"),
     (("bounds", "--surface", "enriques", "--beta-sq", "6", "--i", "3", "--j", "4"),
      "0a9f0603789fb88e05a4a309adb75a9d11e570bb6a1451751b71660121f4aa5c",
-     "20aba9a773e4dc0a55a88db588bd7e0166a3a7041c7d87622dee12a11c9c8a18"),
+     "43e0a27f9ca06302b759c9a2cace0400d8c31184fba6fe6ee4c7b6e1c7fa320d"),
     # these two with the lattice model checked in Fraction arithmetic and
     # the last gram coordinate scanned point by point
     (("decompose", "--lattice", "rank3.lat", "--beta=10,2,-5"),

@@ -60,6 +60,28 @@ def test_non_isolated():
         milnor(germ("x^2 + 2*x*y + y^2"))
 
 
+def ordinary_point(m):
+    """The ordinary m-fold point, the product of the lines y = i*x for i = 1..m."""
+    f = Poly.parse("1", ("x", "y"))
+    for i in range(1, m + 1):
+        f = f.mul(Poly.parse(f"y - {i}*x", ("x", "y")))
+    return CurveGerm(f)
+
+
+@pytest.mark.parametrize("g, mu", [
+    (germ("x^6 + y^14"), 65),
+    (germ("x^33 + y^33"), 1024),
+    (ordinary_point(14), 169),
+], ids=["x^6+y^14", "x^33+y^33", "14-fold-point"])
+def test_quotient_that_stops_above_the_cap_is_bad_input(g, mu):
+    # each quotient stops growing below m^64, at a dimension above the cap
+    message = f"^quotient dimension {mu} exceeds the cap of 64 on mu and tau$"
+    with pytest.raises(BadInput, match=message):
+        milnor(g)
+    with pytest.raises(BadInput, match=message):
+        tjurina(g)
+
+
 def test_delta_small_germs():
     assert delta(NODE, NODE_BRANCHES) == 1
     assert delta(CUSP, CUSP_BRANCHES) == 1
@@ -176,10 +198,11 @@ A1 = ('"name": "A1", "poly": "y^2 - x^2", "branches": [["t", "t"], ["t", "-t"]],
     '{' + A1.replace('"r": 2', '"r": 2, "r": 3') + '}',
     '{' + A1.replace(', "r": 2', '') + '}',
     '{' + A1.replace('"r": 2', '"r": 2, "kappa": 0') + '}',
+    '{' + A1.replace('"A1"', '5') + '}',
 ], ids=["no-poly", "not-json", "one-element-branch", "json-array", "float-value",
         "bool-value", "string-value", "expected-not-an-object", "repeated-name",
         "repeated-expected", "repeated-expected-key", "expected-key-missing",
-        "expected-key-extra"])
+        "expected-key-extra", "name-not-a-string"])
 def test_malformed_corpus_record_is_bad_input_naming_its_line(tmp_path, line):
     path = tmp_path / "corpus.jsonl"
     path.write_text(line + "\n")
