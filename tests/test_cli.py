@@ -20,10 +20,11 @@ def run_json(capsys, *argv):
     return code, json.loads(out)
 
 
-def run_fresh(*argv, timeout, text=True):
+def run_fresh(*argv, timeout, text=True, preexec_fn=None):
     """The completed process of ``python -m stabctab *argv``, run in a fresh
-    interpreter that is killed after timeout seconds; its output as str, or
-    as bytes when text is false."""
+    interpreter that is killed after timeout seconds (preexec_fn, if given,
+    runs in the child before it starts); its output as str, or as bytes when
+    text is false."""
     import os
     import subprocess
     import sys
@@ -33,7 +34,8 @@ def run_fresh(*argv, timeout, text=True):
 
     src = str(Path(stabctab.__file__).resolve().parent.parent)
     return subprocess.run([sys.executable, "-m", "stabctab", *argv], capture_output=True,
-                          text=text, env=dict(os.environ, PYTHONPATH=src), timeout=timeout)
+                          text=text, env=dict(os.environ, PYTHONPATH=src), timeout=timeout,
+                          preexec_fn=preexec_fn)
 
 
 def tsv_rows(out):
@@ -205,6 +207,12 @@ def test_germ_milnor_cap_boundary(capsys):
     assert captured.out == ""
     assert captured.err.count("\n") == 1
     assert "non-isolated" in captured.err and "cap of 64" in captured.err
+    # a quotient that stops growing above the cap is refused, not printed
+    with pytest.raises(SystemExit) as exc:
+        main(["germ", "--poly", "x^6 + y^14"])
+    assert exc.value.code == 2
+    assert capsys.readouterr() == (
+        "", "stabctab germ: quotient dimension 65 exceeds the cap of 64 on mu and tau\n")
 
 
 def test_germ_bad_poly_is_usage_error(capsys):
@@ -433,8 +441,11 @@ def test_large_gram_entries_are_checked_at_once(tmp_path):
 
 
 def test_germ_provenance_names_delta_only_with_branches(capsys, tmp_path):
-    _, record = run_json(capsys, "germ", "--poly", "y^2 - x^3")
-    assert record["provenance"] == "local quotient-algebra dimensions"
+    code, out = run(capsys, "germ", "--poly", "y^2 - x^3", "--format", "json")
+    assert code == 0
+    # neither the results nor the provenance mention delta
+    assert "delta" not in out
+    assert json.loads(out)["provenance"] == "local quotient-algebra dimensions"
     path = tmp_path / "cusp.br"
     path.write_text("t^2 ; t^3\n")
     _, record = run_json(capsys, "germ", "--poly", "y^2 - x^3", "--branches", str(path))
@@ -497,12 +508,16 @@ def test_bounds_takes_each_radicand_apart_once(capsys, monkeypatch, argv):
 
 
 def test_bounds_usage_errors(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["bounds", "--surface", "enriques", "--beta-sq", "10"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["bounds", "--surface", "bielliptic", "--a", "1", "--d", "2"])
-    assert exc.value.code == 2
+    for argv, err in [
+        (("bounds", "--surface", "enriques", "--beta-sq", "10"),
+         "give exactly one of --d or --i/--j"),
+        (("bounds", "--surface", "bielliptic", "--a", "1", "--d", "2"),
+         "bielliptic needs --a --b --lambda --mu --gamma"),
+    ]:
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert capsys.readouterr() == ("", f"stabctab bounds: {err}\n")
 
 
 def test_decompose_preset(capsys):
@@ -660,6 +675,8 @@ def test_decompose_bad_beta(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["decompose", "--lattice", "bielliptic-rank2", "--beta", "1,2,3"])
     assert exc.value.code == 2
+    assert capsys.readouterr() == (
+        "", "stabctab decompose: beta has 3 coordinates, lattice has rank 2\n")
 
 
 def test_bad_flags_exit_2(capsys):
@@ -700,12 +717,40 @@ def test_main_leaves_the_collector_unfrozen(capsys, argv):
     assert gc.get_freeze_count() == before
 
 
-@pytest.mark.parametrize("code", sorted(EXIT_CALLS))
-def test_entry_point_prints_what_main_prints(capsysbinary, code):
-    argv = EXIT_CALLS[code]
+#: Rejected calls, each with the text of its FILE (None when it names
+#: none); each exits 2 in a fresh interpreter within 5 s, and its message is
+#: pinned in-process by its own test.
+FRESH_REJECTIONS = {
+    "beta-underscore": (("decompose", "--lattice", "bielliptic-rank2", "--beta=1_0,1"), None),
+    "test-square-too-long-to-print": (
+        ("decompose", "--lattice", "FILE", "--beta=2,0"),
+        _lattice(gram=f"2 0\n0 -{'9' * 4300}", witness="1 0", basis=f"1 0\n0 {'9' * 4300}",
+                 tests="1")),
+    "trailing-truncation": (("germ", "--poly", "y^2 - x^3", "--branches", "FILE"),
+                            "t^2 ; t^3\ntruncation: 12\n"),
+    "b2-too-large-to-print": (("stable-betti", "--b1", "0", "--b2", "9" * 1000), None),
+    "bielliptic-generic": (BIELLIPTIC_BOUNDS + ("--lambda", "1", "--mu", "1", "--generic"), None),
+    "mu-above-the-cap": (("germ", "--poly", "x^6 + y^14"), None),
+    "short-gram": (("decompose", "--lattice", "FILE", "--beta", "1,1"), _lattice(gram="0 2")),
+}
+
+
+@pytest.mark.parametrize("name", [*sorted(EXIT_CALLS), *FRESH_REJECTIONS])
+def test_entry_point_prints_what_main_prints(capsysbinary, tmp_path, name):
+    if name in EXIT_CALLS:
+        code, argv, file_text = name, EXIT_CALLS[name], None
+    else:
+        code, (argv, file_text) = 2, FRESH_REJECTIONS[name]
+    path = tmp_path / "input.txt"
+    if file_text is not None:
+        path.write_text(file_text)
+    argv = [str(path) if a == "FILE" else a for a in argv]
     assert main_exit(argv) == code
     captured = capsysbinary.readouterr()
-    proc = run_fresh(*argv, timeout=60, text=False)
+    if code == 2:
+        # a rejection writes nothing on stdout and one line on stderr
+        assert (captured.out, captured.err.count(b"\n")) == (b"", 1)
+    proc = run_fresh(*argv, timeout=5, text=False)
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, captured.out, captured.err)
 
 
@@ -862,6 +907,18 @@ def test_file_longer_than_the_cap_exits_2(capsys, tmp_path, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"stabctab {argv[0]}: {path}: file longer than 1048576 characters\n"
+    # a file that never ends, read in a fresh interpreter whose address space
+    # is capped, is read no further than the cap
+    import resource
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (10**9, 10**9))
+
+    proc = run_fresh(*("/dev/zero" if a == "FILE" else a for a in argv), timeout=5,
+                     preexec_fn=cap_address_space)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (
+        f"stabctab {argv[0]}: /dev/zero: file longer than 1048576 characters\n")
 
 
 def test_internal_failure_exits_3(capsys, monkeypatch):
@@ -1122,7 +1179,8 @@ def test_pinned_perturb_digests(capsys):
 
 def test_negative_order_is_usage_error(capsys):
     for argv in (("identity", "--b1", "0", "--b2", "10", "--order", "-1"),
-                 ("perverse", "--b1", "0", "--b2", "10", "--max-order", "-1")):
+                 ("perverse", "--b1", "0", "--b2", "10", "--max-order", "-1"),
+                 ("stable-betti", "--b1", "0", "--b2", "10", "--max-k", "-1")):
         with pytest.raises(SystemExit) as exc:
             main(list(argv))
         assert exc.value.code == 2, argv

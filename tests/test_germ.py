@@ -184,30 +184,39 @@ A1 = ('"name": "A1", "poly": "y^2 - x^2", "branches": [["t", "t"], ["t", "-t"]],
       '"expected": {"mu": 1, "tau": 1, "delta": 1, "r": 2}')
 
 
-@pytest.mark.parametrize("line", [
-    '{"name": "A1", "branches": [], "expected": {}}',
-    'name: A1',
-    '{"name": "A1", "poly": "y^2 - x^2", "branches": [["t"]], "expected": {}}',
-    '["A1", "y^2 - x^2"]',
-    '{"name": "A1", "poly": "y^2 - x^2", "branches": [], "expected": {"mu": 1.9}}',
-    '{"name": "A1", "poly": "y^2 - x^2", "branches": [], "expected": {"tau": true}}',
-    '{"name": "A1", "poly": "y^2 - x^2", "branches": [], "expected": {"delta": "1"}}',
-    '{"name": "A1", "poly": "y^2 - x^2", "branches": [], "expected": [["mu", 1]]}',
-    '{"name": "B7", ' + A1 + '}',
-    '{' + A1 + ', "expected": {"mu": 5}}',
-    '{' + A1.replace('"r": 2', '"r": 2, "r": 3') + '}',
-    '{' + A1.replace(', "r": 2', '') + '}',
-    '{' + A1.replace('"r": 2', '"r": 2, "kappa": 0') + '}',
-    '{' + A1.replace('"A1"', '5') + '}',
+@pytest.mark.parametrize("line, message", [
+    ('{"name": "A1", "branches": [], "expected": {}}',
+     "expected has keys , not exactly mu, tau, delta, r"),
+    ('name: A1', "JSONDecodeError: Expecting value: line 1 column 1 (char 0)"),
+    ('{"name": "A1", "poly": "y^2 - x^2", "branches": [["t"]], "expected": {}}',
+     "expected has keys , not exactly mu, tau, delta, r"),
+    ('["A1", "y^2 - x^2"]', "TypeError: list indices must be integers or slices, not str"),
+    ('{"name": "A1", "poly": "y^2 - x^2", "branches": [], "expected": {"mu": 1.9}}',
+     "expected mu must be an integer, got 1.9"),
+    ('{"name": "A1", "poly": "y^2 - x^2", "branches": [], "expected": {"tau": true}}',
+     "expected tau must be an integer, got true"),
+    ('{"name": "A1", "poly": "y^2 - x^2", "branches": [], "expected": {"delta": "1"}}',
+     'expected delta must be an integer, got "1"'),
+    ('{"name": "A1", "poly": "y^2 - x^2", "branches": [], "expected": [["mu", 1]]}',
+     "AttributeError: 'list' object has no attribute 'items'"),
+    ('{' + A1.replace('"A1"', '"A1", "name": "B7"') + '}', "key 'name' is repeated"),
+    ('{' + A1 + ', "expected": {"mu": 5}}', "key 'expected' is repeated"),
+    ('{' + A1.replace('"r": 2', '"r": 2, "r": 3') + '}', "key 'r' is repeated"),
+    ('{' + A1.replace(', "r": 2', '') + '}',
+     "expected has keys delta, mu, tau, not exactly mu, tau, delta, r"),
+    ('{' + A1.replace('"r": 2', '"r": 2, "kappa": 0') + '}',
+     "expected has keys delta, kappa, mu, r, tau, not exactly mu, tau, delta, r"),
+    ('{' + A1.replace('"A1"', '5') + '}', "name must be a string, got 5"),
 ], ids=["no-poly", "not-json", "one-element-branch", "json-array", "float-value",
         "bool-value", "string-value", "expected-not-an-object", "repeated-name",
         "repeated-expected", "repeated-expected-key", "expected-key-missing",
         "expected-key-extra", "name-not-a-string"])
-def test_malformed_corpus_record_is_bad_input_naming_its_line(tmp_path, line):
+def test_malformed_corpus_record_is_bad_input_naming_its_line(tmp_path, line, message):
     path = tmp_path / "corpus.jsonl"
     path.write_text(line + "\n")
-    with pytest.raises(BadInput, match="^corpus line 1: "):
+    with pytest.raises(BadInput) as exc:
         load_corpus(path)
+    assert str(exc.value) == f"corpus line 1: {message}"
 
 
 def test_corpus_inequalities():
