@@ -1,13 +1,14 @@
 """Equivalence sweeps: fixed grids of command-line calls, each hashed to one digest.
 
 Usage: ``PYTHONPATH=src python bench/sweep.py GRID [GRID ...]``, GRID one of
-``tables`` and ``germ``.  Each call runs ``stabctab.cli.main`` in-process,
-on whichever ``stabctab`` is first on the path; for each grid the script
+``tables``, ``germ``, ``decompose`` and ``bounds``.  Each call runs
+``stabctab.cli.main`` in-process, on whichever ``stabctab`` is first on the
+path, and takes the exit status it returns; for each grid the script
 prints the grid, its call count and one sha256 over the (argv, exit code,
 stdout, stderr) of its calls in order.  A refactor that claims unchanged
 records runs the grids at the parent and at the change (point PYTHONPATH
-at each checkout's ``src``) and gives both digests.  The grids are not
-seeded: every call is fixed.
+at each checkout's ``src``) and gives both digests.  Every call is fixed;
+the random draws are seeded.
 
 * ``tables``: ``perverse --oracle``, ``identity`` and ``identity --perturb``
   at orders 0..20, then ``stable-betti --max-k 0..48``, each at
@@ -16,11 +17,31 @@ seeded: every call is fixed.
   each without and with its branch file, as TSV and as JSON.  Branch files
   are written to a temporary working directory and named relative to it,
   since a JSON record holds the path it was given.
+* ``decompose``: ``bielliptic-rank2`` at every beta in -1..12 x -1..12, at
+  (40,40), (60,25) and (200,200) (a JSON record of 79,801 pairs, written
+  in several batches), and at a box too large, a beta of the wrong length
+  and three that are not integers; ``enriques-u-e8`` at four named classes
+  and twenty drawn from ``random.Random(10)``; a file that does not
+  exist; then twelve rank-2 and eight
+  rank-3 lattice files drawn from ``random.Random(2)`` and
+  ``random.Random(3)``, each at six classes that pair positively with its
+  ample witness and one that may not.  Each as TSV and as JSON; the files
+  are written to the working directory, as for ``germ``.
+* ``bounds``: ``--surface enriques --d`` (with and without ``--generic``)
+  and ``--i --j`` over even beta^2 in 2..20, and ``--surface bielliptic
+  --d`` over a grid of a, b, lambda, mu, gamma and d, then every rejection
+  of the subcommand's handler and of the bounds it calls, each as TSV and
+  as JSON.
 
-Digests at this revision (CPython 3.11; 16 s for both on a 2-vCPU Xeon):
+Digests (CPython 3.11; 25 s for all four on a 2-vCPU Xeon), the same at
+the revision that made ``main`` return every exit status and at its
+parent, where ``main`` raised SystemExit for exits 2 and 3 and a copy of
+this script caught it:
 
-    tables  14784 calls  d420e71be84b291f47970e1b928ca5b5b56350599e4b68ed8c1ea02068ae0299
-    germ      184 calls  c54044cd94f491e838ea9cd97dc7e72af82056efcb863114dced40b0568174c4
+    tables     14784 calls  d420e71be84b291f47970e1b928ca5b5b56350599e4b68ed8c1ea02068ae0299
+    germ         184 calls  c54044cd94f491e838ea9cd97dc7e72af82056efcb863114dced40b0568174c4
+    decompose    736 calls  8ebd1899a10f36123340d33c8f0927cc87d699f7fce2f3d0aca5192233c9466a
+    bounds      1448 calls  d291e022c5cdf5ee997cc7131fb71ee9c143639fb8657b09cd5df23b65a50a2d
 """
 
 from __future__ import annotations
@@ -28,10 +49,14 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import itertools
 import json
+import operator
 import os
+import random
 import sys
 import tempfile
+from fractions import Fraction
 from importlib import resources
 
 from stabctab.cli import main
@@ -85,10 +110,7 @@ def run(argv):
     """main(argv)'s exit code, stdout and stderr."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(list(argv))
-        except SystemExit as exc:
-            code = exc.code
+        code = main(list(argv))
     return code, out.getvalue(), err.getvalue()
 
 
@@ -102,7 +124,130 @@ def sweep(calls):
     return count, digest.hexdigest()
 
 
-GRIDS = {"tables": tables_calls, "germ": germ_calls}
+def random_lattice(rng, rank):
+    """A lattice file of the given rank and the pairing of its ample witness
+    with each unit vector, or None when the draw fails: a symmetric gram of
+    entries in -4..4, the witness and D1 its first small vector of positive
+    square, D2, ... from Gram-Schmidt on the unit vectors, each test integer
+    the least that makes its test class ample."""
+    gram = [[0] * rank for _ in range(rank)]
+    for i in range(rank):
+        for j in range(i, rank):
+            gram[i][j] = gram[j][i] = rng.randint(-4, 4)
+
+    def ip(u, v):
+        return sum(u[i] * gram[i][j] * v[j] for i in range(rank) for j in range(rank))
+
+    small = sorted(itertools.product(range(-2, 3), repeat=rank),
+                   key=lambda v: (sum(map(abs, v)), v))
+    d1 = next((v for v in small if ip(v, v) > 0), None)
+    if d1 is None:
+        return None
+    basis = [tuple(map(Fraction, d1))]
+    for k in range(rank):
+        v = tuple(Fraction(int(i == k)) for i in range(rank))
+        for w in basis:
+            scale = ip(v, w) / ip(w, w)
+            v = tuple(x - scale * y for x, y in zip(v, w))
+        if any(v) and len(basis) < rank:
+            if ip(v, v) >= 0:
+                return None
+            basis.append(v)
+    if len(basis) != rank:
+        return None
+    tests = [next(n for n in itertools.count(1) if n * n * ip(d1, d1) + ip(v, v) > 0)
+             for v in basis[1:]]
+    text = "\n".join([f"rank {rank}", "gram", *(" ".join(map(str, row)) for row in gram),
+                      "ample_witness " + " ".join(map(str, d1)), "ortho_basis",
+                      *(" ".join(map(str, v)) for v in basis),
+                      "ample_tests " + " ".join(map(str, tests))]) + "\n"
+    return text, [sum(d1[i] * gram[i][j] for i in range(rank)) for j in range(rank)]
+
+
+def decompose_calls():
+    """Calls of decompose; the caller's working directory receives the
+    lattice files."""
+    classes = [("bielliptic-rank2", f"{a},{b}") for a in range(-1, 13) for b in range(-1, 13)]
+    classes += [("bielliptic-rank2", beta) for beta in
+                ("40,40", "60,25", "200,200", "3000,3000", "1,2,3", "1_0,1", "1,x", "")]
+    e8 = random.Random(10)
+    classes += [("enriques-u-e8", ",".join(map(str, beta))) for beta in [
+        (1, 0, 0, 0, 0, 0, 0, 0, 0, 0), (1, 1, 0, 0, 0, 0, 0, 0, 0, 0),
+        (1, 2, 0, 1, -1, 0, 0, 0, 0, 0), (2, 1, 0, 0, 0, 0, 0, 0, 0, 0),
+        *(tuple(e8.randint(-1, 2) for _ in range(10)) for _ in range(20))]]
+    classes.append(("no-such-file.lat", "1,1"))
+    for rank, seed, models in ((2, 2, 12), (3, 3, 8)):
+        rng = random.Random(seed)
+        for k in range(models):
+            drawn = None
+            while drawn is None:
+                drawn = random_lattice(rng, rank)
+            text, witness = drawn
+            path = f"rank{rank}-{k}.lat"
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            # six classes that pair positively with the witness, and one
+            # drawn from the same box that may not
+            betas = (tuple(rng.randint(-4, 6) for _ in range(rank)) for _ in itertools.count())
+            positive = (beta for beta in betas if sum(map(operator.mul, beta, witness)) > 0)
+            for beta in [*itertools.islice(positive, 6), next(betas)]:
+                classes.append((path, ",".join(map(str, beta))))
+    for lattice, beta in classes:
+        for fmt in FORMATS:
+            yield ("decompose", "--lattice", lattice, "--beta=" + beta, "--format", fmt)
+
+
+BIELLIPTIC = ("bounds", "--surface", "bielliptic")
+
+
+def bounds_calls():
+    """Calls of bounds: each mode over a grid of its flags, then each
+    rejection of the subcommand."""
+    calls = []
+    for beta_sq in range(2, 22, 2):
+        for d in range(1, 7):
+            for generic in ((), ("--generic",)):
+                calls.append(("bounds", "--surface", "enriques", "--beta-sq", str(beta_sq),
+                              "--d", str(d), *generic))
+        for i in range(5):
+            for j in range(5):
+                calls.append(("bounds", "--surface", "enriques", "--beta-sq", str(beta_sq),
+                              "--i", str(i), "--j", str(j)))
+    for a, b in itertools.product((1, 2, 3), repeat=2):
+        for lam, mu in itertools.product(("1", "1/2", "3/2"), ("1", "2/3")):
+            for gamma in ("1", "2"):
+                for d in ("1", "2", "3"):
+                    calls.append((*BIELLIPTIC, "--a", str(a), "--b", str(b), "--lambda", lam,
+                                  "--mu", mu, "--gamma", gamma, "--d", d))
+    enriques = ("bounds", "--surface", "enriques", "--beta-sq", "10")
+    full = (*BIELLIPTIC, "--a", "1", "--b", "1", "--lambda", "1", "--mu", "1", "--gamma", "2")
+    calls += [
+        enriques, (*enriques, "--d", "2", "--i", "1", "--j", "1"), (*enriques, "--i", "2"),
+        (*enriques, "--j", "2"), ("bounds", "--surface", "enriques", "--d", "2"),
+        *((*enriques, "--d", "2", flag, "1") for flag in ("--a", "--b", "--lambda", "--mu",
+                                                           "--gamma")),
+        (*enriques, "--i", "1", "--j", "1", "--generic"), (*full[:-2], "--d", "2"),
+        (*full, "--i", "1", "--j", "1"), (*full, "--d", "2", "--beta-sq", "10"),
+        (*full, "--d", "2", "--generic"), (*enriques, "--d", "0"), (*enriques, "--d", "-3"),
+        ("bounds", "--surface", "enriques", "--beta-sq", "9", "--d", "1"),
+        ("bounds", "--surface", "enriques", "--beta-sq", "0", "--d", "1"),
+        (*enriques, "--i", "-1", "--j", "0"),
+        ("bounds", "--surface", "enriques", "--beta-sq", "500000000002", "--d", "1"),
+        *((*BIELLIPTIC, "--a", "1", "--b", "1", "--lambda", lam, "--mu", mu, "--gamma", gamma,
+           "--d", d) for lam, mu, gamma, d in (
+               ("0", "1", "2", "1"), ("1", "-1", "2", "1"), ("1/0", "1", "2", "1"),
+               ("0.5", "1", "2", "1"), ("1e3", "1", "2", "1"), ("1", "1", "0", "1"),
+               ("1", "1", "2", "0"), ("1000000000039/3", "3", "1", "1"))),
+        (*BIELLIPTIC, "--a", "0", "--b", "1", "--lambda", "1", "--mu", "1", "--gamma", "2",
+         "--d", "1"),
+    ]
+    for call in calls:
+        for fmt in FORMATS:
+            yield (*call, "--format", fmt)
+
+
+GRIDS = {"tables": tables_calls, "germ": germ_calls, "decompose": decompose_calls,
+         "bounds": bounds_calls}
 
 
 def cli(argv):

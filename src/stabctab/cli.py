@@ -15,17 +15,18 @@ produce byte-identical output.  Exit codes:
   ``perverse --oracle`` is inconsistent: always a bug, never bad input.
   stderr gets one line, ``stabctab: internal error: <class>: <message>``,
   and no traceback;
-* 141 when the reader closes stdout before the record is written (128 +
-  SIGPIPE, as a shell reports a process killed by that signal; the rest
-  of the record is dropped and nothing is printed on stderr).
+* 141 when the reader closes stdout before the record or the help is
+  written (128 + SIGPIPE, as a shell reports a process killed by that
+  signal; the rest is dropped and nothing is printed on stderr).
 
 The process entry point is ``run``: ``python -m stabctab``, the
 ``stabctab`` console script and ``python -m stabctab.cli`` all call it.
 ``run`` calls ``main`` and, as the call ends, ``gc.freeze()``, so that
 the interpreter's exit-time collections, which no caller can observe,
 skip every object still alive.  ``main`` never freezes: tests and
-library callers run it in-process and keep a normal collector.  ``run``
-exits by ``SystemExit``, so ``atexit`` handlers, the final flush of
+library callers run it in-process and keep a normal collector.  ``main``
+returns the exit status of every call and raises nothing; ``run`` alone
+exits, by ``SystemExit``, so ``atexit`` handlers, the final flush of
 stdout and the exit code are as ``main`` leaves them.
 
 Each handler ``cmd_<subcommand>`` returns ``(status, record, rows)``
@@ -34,11 +35,11 @@ and writes nothing: the record's ``parameters``, ``results`` and
 TSV rows, is any iterable of tuples, which ``main`` reads once.  ``main``
 alone turns values into text: it adds ``command`` and writes the record
 as JSON, a Fraction or a QuadSurd by its str, or each row with a cell as
-its str and a list cell as JSON.  It alone maps an exception raised
-after dispatch to its exit code; the handlers catch nothing.  A
-call's output depends only on its argv and the files it names: no
-environment variable is read, and an order flag that is not given takes
-its default, 12.
+its str and a list cell as JSON.  It alone maps an exception to its
+exit status, the parser's SystemExit for help or a usage error among
+them; the handlers catch nothing.  A call's output depends only on its
+argv and the files it names: no environment variable is read, and an
+order flag that is not given takes its default, 12.
 
 The command line is read by one table, COMMANDS, that gives each
 subcommand's flags once; ``-h``/``--help``, top-level or after a
@@ -294,6 +295,7 @@ class Parser:
 
     def _print_help(self, name) -> None:
         sys.stdout.write(self.format_help(name))
+        sys.stdout.flush()
         raise SystemExit(0)
 
 
@@ -321,29 +323,35 @@ def _cell(value) -> str:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         home = import_module(f".{COMMANDS[args.subcommand][1]}", __package__)
         status, record, rows = getattr(home, "cmd_" + args.subcommand.replace("-", "_"))(args)
         if args.format == "json":
             import json
+            from itertools import islice
 
-            record = {"command": args.subcommand, **record}
-            sys.stdout.write(json.dumps(record, sort_keys=True, indent=2,
-                                        default=_exact_text) + "\n")
+            chunks = json.JSONEncoder(sort_keys=True, indent=2, default=_exact_text).iterencode(
+                {"command": args.subcommand, **record})
+            # batches of chunks: a large record is never held as one string
+            sys.stdout.writelines(iter(lambda: "".join(islice(chunks, 65536)), ""))
+            sys.stdout.write("\n")
         else:
             sys.stdout.writelines("\t".join(map(_cell, row)) + "\n" for row in rows)
         sys.stdout.flush()
+    except SystemExit as exc:
+        # help (0) or a usage error (2), written by the parser
+        return exc.code
     except BrokenPipeError:
         # the reader closed stdout: send what is left, and the final flush
         # at exit, to devnull, and exit as a process killed by SIGPIPE would
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        raise SystemExit(141)
+        return 141
     except BadInput as exc:
-        raise _usage(f"stabctab {args.subcommand}: {exc}")
+        return _usage(f"stabctab {args.subcommand}: {exc}").code
     except Exception as exc:
         # not bad input, so a fault of this package, whatever the input
-        raise _usage(f"stabctab: internal error: {type(exc).__name__}: {exc}", 3)
+        return _usage(f"stabctab: internal error: {type(exc).__name__}: {exc}", 3).code
     return status
 
 

@@ -108,10 +108,11 @@ class BranchSet(HashableRecord):
 # --- exact linear algebra ----------------------------------------------------
 
 
-def _sparse_rank(rows: list[dict[int, Fraction]]) -> int:
-    """Rank over Q of a sparse row list, by elimination on leading columns."""
+def _pivot_columns(rows: list[dict[int, Fraction]]) -> list[int]:
+    """The pivot columns of a sparse row list, by elimination on leading
+    columns, each lead the row's lowest column; their number is the rank
+    over Q."""
     pivots: dict[int, dict[int, Fraction]] = {}
-    rank = 0
     for row in rows:
         work = dict(row)
         while work:
@@ -120,7 +121,6 @@ def _sparse_rank(rows: list[dict[int, Fraction]]) -> int:
             if piv is None:
                 c = work[lead]
                 pivots[lead] = {k: v / c for k, v in work.items()}
-                rank += 1
                 break
             c = work.pop(lead)
             for k, v in piv.items():
@@ -131,7 +131,7 @@ def _sparse_rank(rows: list[dict[int, Fraction]]) -> int:
                     work[k] = nv
                 elif k in work:
                     del work[k]
-    return rank
+    return list(pivots)
 
 
 def _monomial_index(cutoff: int) -> dict[tuple[int, int], int]:
@@ -142,11 +142,15 @@ def _monomial_index(cutoff: int) -> dict[tuple[int, int], int]:
     return idx
 
 
-def _quotient_dim(gens: list[Poly], cutoff: int) -> int:
-    """dim of C[x,y] / (ideal(gens) + m^cutoff), supported at the origin.
+def _quotient_dims(gens: list[Poly], cutoff: int) -> tuple[int, int]:
+    """dim of C[x,y] / (ideal(gens) + m^N), supported at the origin, at
+    N = cutoff - 1 and at N = cutoff, from one elimination.
 
     No generator is 0, and a monomial shift sends distinct terms to
     distinct monomials, so each row is the shifted generator, truncated.
+    The rows at N = cutoff - 1 are these truncated below degree N; as the
+    columns are ordered by degree and each lead is a row's lowest column,
+    their rank is the number of pivots below degree N.
     """
     idx = _monomial_index(cutoff)
     rows: list[dict[int, Fraction]] = []
@@ -156,15 +160,16 @@ def _quotient_dim(gens: list[Poly], cutoff: int) -> int:
             if ma + mb + low < cutoff:
                 rows.append({idx[(ga + ma, gb + mb)]: c for (ga, gb), c in g.terms.items()
                              if ga + gb + ma + mb < cutoff})
-    return len(idx) - _sparse_rank(rows)
+    pivots = _pivot_columns(rows)
+    below = (cutoff - 1) * cutoff // 2  # the monomials of degree < cutoff - 1
+    return below - sum(1 for c in pivots if c < below), len(idx) - len(pivots)
 
 
 def _stable_local_dim(gens: list[Poly]) -> int:
     gens = [g for g in gens if g]
     cutoff = 2
     while cutoff <= MAX_IDEAL_POWER:
-        d_here = _quotient_dim(gens, cutoff)
-        d_next = _quotient_dim(gens, cutoff + 1)
+        d_here, d_next = _quotient_dims(gens, cutoff + 1)
         if d_here == d_next:
             if d_here > MAX_IDEAL_POWER:
                 raise BadInput(f"quotient dimension {d_here} exceeds the cap of "
@@ -301,7 +306,7 @@ def _delta_candidate(germ_branches, r: int, t_trunc: int) -> int:
                         row[i * t_trunc + k] = c
             if row:
                 rows.append(row)
-    return r * t_trunc - _sparse_rank(rows)
+    return r * t_trunc - len(_pivot_columns(rows))
 
 
 def delta(germ: CurveGerm, branches: BranchSet) -> int:
@@ -360,16 +365,49 @@ class CorpusRecord(Record):
         super().__init__(name=name, germ=germ, branches=branches, expected=expected)
 
 
+def _corpus_record(obj) -> CorpusRecord:
+    """The record of one decoded corpus line; BadInput names what is wrong."""
+    from json import dumps
+
+    if type(obj) is not dict:
+        raise BadInput(f"record must be an object, got {dumps(obj)}")
+    if obj.keys() != {"name", "poly", "branches", "expected"}:
+        raise BadInput(f"record has keys {', '.join(sorted(obj))}, "
+                       "not exactly name, poly, branches, expected")
+    expected = obj["expected"]
+    if type(expected) is not dict:
+        raise BadInput(f"expected must be an object, got {dumps(expected)}")
+    for key, value in expected.items():
+        if type(value) is not int:  # a float, a bool or a string
+            raise BadInput(f"expected {key} must be an integer, got {dumps(value)}")
+    if expected.keys() != {"mu", "tau", "delta", "r"}:
+        raise BadInput(f"expected has keys {', '.join(sorted(expected))}, "
+                       "not exactly mu, tau, delta, r")
+    for key in ("name", "poly"):
+        if type(obj[key]) is not str:
+            raise BadInput(f"{key} must be a string, got {dumps(obj[key])}")
+    branches = obj["branches"]
+    if type(branches) is not list or not all(
+            type(pair) is list and len(pair) == 2 and all(type(s) is str for s in pair)
+            for pair in branches):
+        raise BadInput(f"branches must be a list of [x(t), y(t)] pairs of strings, "
+                       f"got {dumps(branches)}")
+    return CorpusRecord(name=obj["name"], germ=CurveGerm.from_string(obj["poly"]),
+                        branches=BranchSet.from_strings(branches), expected=expected)
+
+
 def load_corpus(path=None) -> list[CorpusRecord]:
     """Load a germ corpus (JSON Lines; the shipped ADE corpus by default).
 
-    Each record is an object with fields ``name`` (string), ``poly``
-    (polynomial in x, y), ``branches`` (list of [x(t), y(t)] pairs) and
-    ``expected`` (object with exactly the fields mu, tau, delta, r, each a
-    JSON integer: not a float, a bool or a string).  A file that cannot be
-    read or is not UTF-8, a record that is not such an object, and a key
-    repeated in any object of a record are BadInput; the message of a
-    malformed record names its line.
+    Each record is an object with exactly the fields ``name`` (string),
+    ``poly`` (string, a polynomial in x, y), ``branches`` (list of
+    [x(t), y(t)] pairs of strings) and ``expected`` (object with exactly
+    the fields mu, tau, delta, r, each a JSON integer: not a float, a bool
+    or a string).  A file that cannot be read or is not UTF-8, a record
+    that is not such an object, and a key repeated in any object of a
+    record are BadInput; the message of a malformed record names its line
+    and what is wrong.  Only the decoding of a line is caught: any other
+    exception is a fault of this package and propagates.
     """
     import json
 
@@ -388,30 +426,13 @@ def load_corpus(path=None) -> list[CorpusRecord]:
         if not line or line.startswith("#"):
             continue
         try:
-            obj = json.loads(line, object_pairs_hook=unique_keys)
-            expected = obj["expected"]
-            for key, value in expected.items():
-                if type(value) is not int:  # a float, a bool or a string
-                    raise BadInput(f"expected {key} must be an integer, got {json.dumps(value)}")
-            if expected.keys() != {"mu", "tau", "delta", "r"}:
-                raise BadInput(f"expected has keys {', '.join(sorted(expected))}, "
-                               "not exactly mu, tau, delta, r")
-            name = obj["name"]
-            if type(name) is not str:
-                raise BadInput(f"name must be a string, got {json.dumps(name)}")
-            records.append(
-                CorpusRecord(
-                    name=name,
-                    germ=CurveGerm.from_string(obj["poly"]),
-                    branches=BranchSet.from_strings(obj["branches"]),
-                    expected=expected,
-                )
-            )
+            # an integer too long for Python to read is BadInput from parse_int
+            obj = json.loads(line, object_pairs_hook=unique_keys, parse_int=parse_int)
+            records.append(_corpus_record(obj))
+        except json.JSONDecodeError as exc:
+            raise BadInput(f"corpus line {lineno}: JSONDecodeError: {exc}") from None
         except BadInput as exc:
             raise BadInput(f"corpus line {lineno}: {exc}") from None
-        except (ValueError, LookupError, TypeError, AttributeError) as exc:
-            # a line that is not JSON, a missing field, a field of the wrong shape
-            raise BadInput(f"corpus line {lineno}: {type(exc).__name__}: {exc}") from None
     return records
 
 

@@ -185,12 +185,12 @@ A1 = ('"name": "A1", "poly": "y^2 - x^2", "branches": [["t", "t"], ["t", "-t"]],
 
 
 @pytest.mark.parametrize("line, message", [
-    ('{"name": "A1", "branches": [], "expected": {}}',
-     "expected has keys , not exactly mu, tau, delta, r"),
+    ('{' + A1.replace('"poly": "y^2 - x^2", ', '') + '}',
+     "record has keys branches, expected, name, not exactly name, poly, branches, expected"),
     ('name: A1', "JSONDecodeError: Expecting value: line 1 column 1 (char 0)"),
-    ('{"name": "A1", "poly": "y^2 - x^2", "branches": [["t"]], "expected": {}}',
-     "expected has keys , not exactly mu, tau, delta, r"),
-    ('["A1", "y^2 - x^2"]', "TypeError: list indices must be integers or slices, not str"),
+    ('{' + A1.replace('[["t", "t"], ["t", "-t"]]', '[["t"]]') + '}',
+     'branches must be a list of [x(t), y(t)] pairs of strings, got [["t"]]'),
+    ('["A1", "y^2 - x^2"]', 'record must be an object, got ["A1", "y^2 - x^2"]'),
     ('{"name": "A1", "poly": "y^2 - x^2", "branches": [], "expected": {"mu": 1.9}}',
      "expected mu must be an integer, got 1.9"),
     ('{"name": "A1", "poly": "y^2 - x^2", "branches": [], "expected": {"tau": true}}',
@@ -198,7 +198,7 @@ A1 = ('"name": "A1", "poly": "y^2 - x^2", "branches": [["t", "t"], ["t", "-t"]],
     ('{"name": "A1", "poly": "y^2 - x^2", "branches": [], "expected": {"delta": "1"}}',
      'expected delta must be an integer, got "1"'),
     ('{"name": "A1", "poly": "y^2 - x^2", "branches": [], "expected": [["mu", 1]]}',
-     "AttributeError: 'list' object has no attribute 'items'"),
+     'expected must be an object, got [["mu", 1]]'),
     ('{' + A1.replace('"A1"', '"A1", "name": "B7"') + '}', "key 'name' is repeated"),
     ('{' + A1 + ', "expected": {"mu": 5}}', "key 'expected' is repeated"),
     ('{' + A1.replace('"r": 2', '"r": 2, "r": 3') + '}', "key 'r' is repeated"),
@@ -207,10 +207,11 @@ A1 = ('"name": "A1", "poly": "y^2 - x^2", "branches": [["t", "t"], ["t", "-t"]],
     ('{' + A1.replace('"r": 2', '"r": 2, "kappa": 0') + '}',
      "expected has keys delta, kappa, mu, r, tau, not exactly mu, tau, delta, r"),
     ('{' + A1.replace('"A1"', '5') + '}', "name must be a string, got 5"),
+    ('{' + A1.replace('"y^2 - x^2"', '5') + '}', "poly must be a string, got 5"),
 ], ids=["no-poly", "not-json", "one-element-branch", "json-array", "float-value",
         "bool-value", "string-value", "expected-not-an-object", "repeated-name",
         "repeated-expected", "repeated-expected-key", "expected-key-missing",
-        "expected-key-extra", "name-not-a-string"])
+        "expected-key-extra", "name-not-a-string", "poly-not-a-string"])
 def test_malformed_corpus_record_is_bad_input_naming_its_line(tmp_path, line, message):
     path = tmp_path / "corpus.jsonl"
     path.write_text(line + "\n")
@@ -275,6 +276,19 @@ def test_random_isolated_germs():
         mu = milnor(g)
         assert mu == expected_mu
         assert tjurina(g) <= mu
+
+
+def test_one_elimination_gives_the_quotient_below_its_cutoff():
+    # the pivots below degree N of the rows at cutoff N + 1 are those of the
+    # rows at cutoff N, so one elimination gives both quotient dimensions
+    from stabctab.germ import _quotient_dims
+
+    rng = random.Random(1234)
+    for _ in range(20):
+        g, _ = quasihomogeneous_germ(rng)
+        for gens in ([g.poly.derivative(0), g.poly.derivative(1)], [g.poly]):
+            dims = [_quotient_dims(gens, n) for n in range(2, 12)]
+            assert [d for _, d in dims[:-1]] == [d for d, _ in dims[1:]]
 
 
 def test_beyond_corpus_germs():

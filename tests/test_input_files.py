@@ -51,10 +51,7 @@ def run_on(path, text: bytes, argv):
     path.write_bytes(text)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main([str(path) if a == "FILE" else a for a in argv])
-        except SystemExit as exc:
-            code = exc.code
+        code = main([str(path) if a == "FILE" else a for a in argv])
     return code, out.getvalue(), err.getvalue()
 
 

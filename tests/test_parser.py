@@ -86,12 +86,8 @@ def test_order_defaults_come_from_the_environment(monkeypatch):
         "arabic-indic-integer", "format-choice", "surface-choice",
         "missing-required", "missing-two", "switch-value"])
 def test_usage_errors_exit_2_with_one_line(capsys, argv, err):
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == err + "\n"
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", err + "\n")
 
 
 def shown_flags(name):
@@ -100,9 +96,7 @@ def shown_flags(name):
 
 @pytest.mark.parametrize("argv", [["--help"], ["-h"], ["-h", "frob"]])
 def test_top_level_help(capsys, argv):
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 0
+    assert main(argv) == 0
     captured = capsys.readouterr()
     assert captured.err == ""
     assert captured.out.startswith("usage: stabctab SUBCOMMAND [FLAGS]\n")
@@ -113,9 +107,7 @@ def test_top_level_help(capsys, argv):
 @pytest.mark.parametrize("name", list(COMMANDS))
 def test_subcommand_help_lists_every_flag(capsys, name):
     for argv in ([name, "--help"], [name, "--format", "json", "-h", "--frob"]):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 0
+        assert main(argv) == 0
         captured = capsys.readouterr()
         assert captured.err == ""
         usage, *rest = captured.out.splitlines()
@@ -127,8 +119,7 @@ def test_subcommand_help_lists_every_flag(capsys, name):
 
 def test_help_shows_the_default_order(capsys, monkeypatch):
     monkeypatch.setenv("STABCTAB_MAX_ORDER", "9")  # ignored
-    with pytest.raises(SystemExit):
-        main(["perverse", "--help"])
+    assert main(["perverse", "--help"]) == 0
     out = capsys.readouterr().out
     assert "(default: 12)" in out and "--b1 B1" in out and "(required)" in out
 
@@ -170,28 +161,21 @@ def argvs(draw):
     return argv
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=400)
-@given(argvs())
-def test_any_argv_returns_or_exits_0_or_2(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            main(argv)
-        except SystemExit as exc:
-            assert exc.code in (0, 2), (argv, err.getvalue())
-            if exc.code == 2:
-                assert out.getvalue() == "" and err.getvalue().count("\n") == 1
-
-
 def outcome(argv):
     """(exit code, stdout, stderr) of main(argv)."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
+        code = main(argv)
     return code, out.getvalue(), err.getvalue()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(argvs())
+def test_any_argv_returns_or_exits_0_or_2(argv):
+    code, out, err = outcome(argv)
+    assert code in (0, 2), (argv, err)
+    if code == 2:
+        assert out == "" and err.count("\n") == 1
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)
