@@ -1,7 +1,7 @@
 """Equivalence sweeps: fixed grids of command-line calls, each hashed to one digest.
 
 Usage: ``PYTHONPATH=src python bench/sweep.py GRID [GRID ...]``, GRID one of
-``tables``, ``germ``, ``decompose`` and ``bounds``.  Each call runs
+``tables``, ``germ``, ``random-germ``, ``decompose`` and ``bounds``.  Each call runs
 ``stabctab.cli.main`` in-process, on whichever ``stabctab`` is first on the
 path, and takes the exit status it returns; for each grid the script
 prints the grid, its call count and one sha256 over the (argv, exit code,
@@ -17,6 +17,16 @@ the random draws are seeded.
   each without and with its branch file, as TSV and as JSON.  Branch files
   are written to a temporary working directory and named relative to it,
   since a JSON record holds the path it was given.
+* ``random-germ``: sixty quasi-homogeneous germs drawn from
+  ``random.Random(12)``: weights wx, wy in 1..4 and a degree d, lcm(wx,
+  wy) times 2..6; x^(d/wx) and y^(d/wy), and each other monomial of
+  weighted degree d with probability 1/2, coefficients in -3..3 (one
+  germ is not isolated, sixteen have mu above the cap), without branches;
+  then the ordinary m-fold points, the products of y - i*x for i = 1..m,
+  for m in 2..9, each with its lines ``t ; i*t`` as branches, and the
+  curved ones, the products of y - i*x - x^2 - i*x^3, for m in 2..4, each
+  with its branches ``t ; i*t + t^2 + i*t^3``.  Each as TSV and as JSON;
+  the branch files are written to the working directory, as for ``germ``.
 * ``decompose``: ``bielliptic-rank2`` at every beta in -1..12 x -1..12, at
   (40,40), (60,25) and (200,200) (a JSON record of 79,801 pairs, written
   in several batches), and at a box too large, a beta of the wrong length
@@ -33,15 +43,16 @@ the random draws are seeded.
   of the subcommand's handler and of the bounds it calls, each as TSV and
   as JSON.
 
-Digests (CPython 3.11; 25 s for all four on a 2-vCPU Xeon), the same at
-the revision that made ``main`` return every exit status and at its
-parent, where ``main`` raised SystemExit for exits 2 and 3 and a copy of
-this script caught it:
+Digests (CPython 3.11; about 25 s for ``tables``, ``germ``, ``decompose``
+and ``bounds`` together, and 21 s for ``random-germ``, on a 2-vCPU Xeon),
+the same at the revision that capped the work of an elimination in
+``germ`` and at its parent:
 
-    tables     14784 calls  d420e71be84b291f47970e1b928ca5b5b56350599e4b68ed8c1ea02068ae0299
-    germ         184 calls  c54044cd94f491e838ea9cd97dc7e72af82056efcb863114dced40b0568174c4
-    decompose    736 calls  8ebd1899a10f36123340d33c8f0927cc87d699f7fce2f3d0aca5192233c9466a
-    bounds      1448 calls  d291e022c5cdf5ee997cc7131fb71ee9c143639fb8657b09cd5df23b65a50a2d
+    tables       14784 calls  d420e71be84b291f47970e1b928ca5b5b56350599e4b68ed8c1ea02068ae0299
+    germ           184 calls  c54044cd94f491e838ea9cd97dc7e72af82056efcb863114dced40b0568174c4
+    random-germ    142 calls  6b22ff76628ac63b8647eb187c1cb76fa0c67fb536d076fc46a53d851d3e81ab
+    decompose      738 calls  6d6e604f215eea0088c714cdef7f891741ed9570e6ba0a7c010c75882800f543
+    bounds        1448 calls  d291e022c5cdf5ee997cc7131fb71ee9c143639fb8657b09cd5df23b65a50a2d
 """
 
 from __future__ import annotations
@@ -51,6 +62,7 @@ import hashlib
 import io
 import itertools
 import json
+import math
 import operator
 import os
 import random
@@ -104,6 +116,59 @@ def germ_calls():
         for extra in ((), ("--branches", path)):
             for fmt in FORMATS:
                 yield ("germ", "--poly", poly, *extra, "--format", fmt)
+
+
+def poly_text(terms):
+    """The text of {(a, b): integer coefficient of x^a*y^b}, in the grammar
+    of ``--poly``."""
+    text = ""
+    for (a, b), c in sorted(terms.items()):
+        if c:
+            factors = [v if e == 1 else f"{v}^{e}" for v, e in (("x", a), ("y", b)) if e]
+            if abs(c) != 1 or not factors:
+                factors.insert(0, str(abs(c)))
+            text += (" - " if c < 0 else " + ") + "*".join(factors)
+    return text[3:] if text.startswith(" + ") else "-" + text[3:]
+
+
+def product(factors):
+    """The product of polynomials in x, y, each {(a, b): integer coefficient}."""
+    out = {(0, 0): 1}
+    for factor in factors:
+        acc = {}
+        for (a1, b1), c1 in out.items():
+            for (a2, b2), c2 in factor.items():
+                acc[(a1 + a2, b1 + b2)] = acc.get((a1 + a2, b1 + b2), 0) + c1 * c2
+        out = acc
+    return out
+
+
+def random_germ_calls():
+    """Calls on drawn quasi-homogeneous germs and on m-fold points; the
+    caller's working directory receives the branch files."""
+    rng = random.Random(12)
+    for _ in range(60):
+        wx, wy = rng.randint(1, 4), rng.randint(1, 4)
+        d = math.lcm(wx, wy) * rng.randint(2, 6)
+        terms = {(a, (d - a * wx) // wy): rng.randint(-3, 3) for a in range(1, d // wx)
+                 if (d - a * wx) % wy == 0 and rng.random() < 0.5}
+        terms[(d // wx, 0)] = rng.choice((1, 2, 3))
+        terms[(0, d // wy)] = rng.choice((-3, -2, -1, 1, 2, 3))
+        for fmt in FORMATS:
+            yield ("germ", "--poly", poly_text(terms), "--format", fmt)
+    points = [(f"ordinary{m}", [{(0, 1): 1, (1, 0): -i} for i in range(1, m + 1)],
+               [("t", f"{i}*t") for i in range(1, m + 1)]) for m in range(2, 10)]
+    points += [(f"curved{m}", [{(0, 1): 1, (1, 0): -i, (2, 0): -1, (3, 0): -i}
+                               for i in range(1, m + 1)],
+                [("t", f"{i}*t + t^2 + {i}*t^3") for i in range(1, m + 1)])
+               for m in range(2, 5)]
+    for name, factors, branches in points:
+        path = f"{name}.br"
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(f"{x} ; {y}\n" for x, y in branches)
+        for fmt in FORMATS:
+            yield ("germ", "--poly", poly_text(product(factors)), "--branches", path,
+                   "--format", fmt)
 
 
 def run(argv):
@@ -246,8 +311,8 @@ def bounds_calls():
             yield (*call, "--format", fmt)
 
 
-GRIDS = {"tables": tables_calls, "germ": germ_calls, "decompose": decompose_calls,
-         "bounds": bounds_calls}
+GRIDS = {"tables": tables_calls, "germ": germ_calls, "random-germ": random_germ_calls,
+         "decompose": decompose_calls, "bounds": bounds_calls}
 
 
 def cli(argv):

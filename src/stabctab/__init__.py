@@ -39,7 +39,6 @@ _HOMES = {
     "delta": "germ",
     "load_corpus": "germ",
     "milnor": "germ",
-    "milnor_formula_check": "germ",
     "tjurina": "germ",
     "BiellipticParams": "codim",
     "DivisorClass": "nslattice",

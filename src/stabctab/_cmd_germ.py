@@ -14,7 +14,7 @@ def cmd_germ(args) -> tuple:
     if args.branches:
         provenance += "; delta from the normalization cokernel of the branch parametrizations"
         branches = germ_mod.parse_branch_file(read_text(args.branches))
-        results["delta"] = germ_mod._delta(g, branches, results["mu"])
+        results["delta"] = germ_mod.delta(g, branches, results["mu"])
         results["r"] = germ_mod.branch_count(branches)
         ok = results["mu"] == 2 * results["delta"] - results["r"] + 1
         results["milnor_formula"] = "OK" if ok else "FAIL"

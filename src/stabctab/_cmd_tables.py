@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from .errors import BadInput
 from .genfunc import (
     SurfaceTopology,
     _table_order,
@@ -17,9 +16,6 @@ def _surface(args):
 
 
 def cmd_stable_betti(args) -> tuple:
-    # the library reads max_k < 0 as an empty table; the order flags share one rule
-    if args.max_k < 0:
-        raise BadInput("truncation order must be nonnegative")
     values = list(enumerate(stable_betti_numbers(_surface(args), args.max_k)))
     record = {
         "parameters": {"b1": args.b1, "b2": args.b2, "max_k": args.max_k},

@@ -254,7 +254,7 @@ class Parser:
         for flag, spec in flags.items():
             cap = spec.get("cap")
             if cap is not None and values.get(flag, cap) > cap:
-                raise _usage(f"stabctab: {flag} {values[flag]} exceeds the cap of {cap}")
+                raise _usage(f"{where}: {flag} {values[flag]} exceeds the cap of {cap}")
         return SimpleNamespace(subcommand=name, **{
             _dest(f, spec): values[f] if f in values else _default(spec)
             for f, spec in flags.items()

@@ -168,7 +168,8 @@ def _euler_transform(log_derivative: list[dict[int, int]], order: int,
 
 def _product(factors, order: int, top: int) -> list[list[int]]:
     """The product of the factors modulo s^(order+1) and x^(top+1), as rows
-    F_n[x-exponent]: top is the highest x-degree the caller reads."""
+    F_n[x-exponent]: top is the highest x-degree the caller reads.  Every
+    table is built here, so this is where a negative order is refused."""
     if order < 0:
         raise BadInput("truncation order must be nonnegative")
     return _euler_transform(_log_derivative(factors, order), order, top)
@@ -249,9 +250,8 @@ def _stable_betti_series(surface: SurfaceTopology, order: int) -> list[int]:
 
 
 def stable_betti_numbers(surface: SurfaceTopology, max_k: int) -> list[int]:
-    """Stable Betti numbers b_0..b_max_k (none for max_k < 0), read from
-    one product series."""
-    series = _stable_betti_series(surface, max(max_k, 0))
+    """Stable Betti numbers b_0..b_max_k, read from one product series."""
+    series = _stable_betti_series(surface, max_k)
     return [
         _as_betti(series[k], f"stable Betti number b_{k}") for k in range(max_k + 1)
     ]
@@ -259,8 +259,6 @@ def stable_betti_numbers(surface: SurfaceTopology, max_k: int) -> list[int]:
 
 def stable_betti(surface: SurfaceTopology, k: int) -> int:
     """Coefficient of q^k in the stable Betti product series."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
     return stable_betti_numbers(surface, k)[k]
 
 
@@ -360,7 +358,5 @@ def stable_betti_from_perverse(surface: SurfaceTopology, k: int) -> int:
     Equals stable_betti(surface, k): evaluating H(q, t) at t = q turns
     the table's k-th anti-diagonal into the k-th stable Betti number.
     """
-    if k < 0:
-        raise ValueError("k must be nonnegative")
     table = stable_perverse_table(surface, k)
     return sum(table.entry(i, k - i) for i in range(k + 1))

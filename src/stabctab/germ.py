@@ -8,8 +8,8 @@ For a polynomial germ f vanishing at the origin of the (x, y) plane:
   from explicit branch parametrizations,
 * the branch count r,
 
-together with the cross-check mu = 2*delta - r + 1 for reduced germs
-with an isolated singularity.
+which satisfy Milnor's formula mu = 2*delta - r + 1 for reduced germs
+with an isolated singularity; the germ subcommand checks it.
 
 The quotient dimensions are obtained by exact linear algebra: the
 dimension d_N of the quotient modulo the ideal plus the N-th power of
@@ -23,6 +23,7 @@ corpus), never computed: Newton-Puiseux expansion is out of scope.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from fractions import Fraction
 
 from ._record import HashableRecord, Record, content_lines, parse_int, read_data, read_text
@@ -59,6 +60,16 @@ MAX_COMPOSED_DEGREE = 1024
 #: at the cap takes at most about 3 s, whatever the size of the
 #: coefficients.
 MAX_COMPOSITION_WORK = 2_000_000
+
+#: Cap on the updates of one elimination (``_pivot_columns``, for mu, tau
+#: and delta): subtracting a pivot row of n entries counts n - 1, each
+#: weighted (1 + a // 1024) * (1 + b // 1024), a and b the bits (numerator
+#: and denominator) of the multiplier and of the row's largest entry.  The
+#: 9-fold point y^9 - ... - 362880*x^9 with its lines as branches needs
+#: 298,242 for delta, and mu and tau below their cap at most 70,000;
+#: the curved 5-fold point needs 717,024, and larger ones ran for minutes.
+#: At about 7 us an update (2-vCPU Xeon, CPython 3.11) the cap is ~3 s.
+MAX_ELIMINATION_WORK = 400_000
 
 
 class CurveGerm(HashableRecord):
@@ -108,30 +119,39 @@ class BranchSet(HashableRecord):
 # --- exact linear algebra ----------------------------------------------------
 
 
-def _pivot_columns(rows: list[dict[int, Fraction]]) -> list[int]:
+def _pivot_columns(rows: Iterable[dict[int, Fraction]]) -> list[int]:
     """The pivot columns of a sparse row list, by elimination on leading
     columns, each lead the row's lowest column; their number is the rank
-    over Q."""
-    pivots: dict[int, dict[int, Fraction]] = {}
+    over Q.  BadInput once the updates, counted and weighted as
+    MAX_ELIMINATION_WORK says, pass that cap."""
+    # each pivot row is kept without its lead, which is 1, and with the
+    # weight of its largest entry
+    pivots: dict[int, tuple[dict[int, Fraction], int]] = {}
+    updates = 0
     for row in rows:
         work = dict(row)
         while work:
             lead = min(work)
-            piv = pivots.get(lead)
-            if piv is None:
-                c = work[lead]
-                pivots[lead] = {k: v / c for k, v in work.items()}
-                break
             c = work.pop(lead)
-            for k, v in piv.items():
-                if k == lead:
-                    continue
-                nv = work.get(k, Fraction(0)) - c * v
+            pivot = pivots.get(lead)
+            if pivot is None:
+                tail = {k: v / c for k, v in work.items()}
+                pivots[lead] = tail, 1 + max(map(_bits, tail.values()), default=0) // 1024
+                break
+            tail, size = pivot
+            updates += len(tail) * (1 + _bits(c) // 1024) * size
+            if updates > MAX_ELIMINATION_WORK:
+                raise BadInput(f"elimination exceeds the cap of {MAX_ELIMINATION_WORK} "
+                               "weighted coefficient updates")
+            for k, v in tail.items():
+                nv = work.pop(k, 0) - c * v
                 if nv:
                     work[k] = nv
-                elif k in work:
-                    del work[k]
     return list(pivots)
+
+
+def _bits(c: Fraction) -> int:
+    return c.numerator.bit_length() + c.denominator.bit_length()
 
 
 def _monomial_index(cutoff: int) -> dict[tuple[int, int], int]:
@@ -293,51 +313,46 @@ def _validate_branches(germ: CurveGerm, branches: BranchSet, mu: int) -> None:
             )
 
 
-def _delta_candidate(germ_branches, r: int, t_trunc: int) -> int:
-    """r*T minus the rank of all monomial images truncated at t-degree T."""
-    rows: list[dict[int, Fraction]] = []
+def _monomial_images(branches, t_trunc: int):
+    """The nonzero rows of the images of x^a*y^b, a + b <= T, truncated at
+    t-degree T, branch i's t^k at column i*T + k, one by one, so that an
+    elimination stopped at its cap builds no more.  The image of x^a*y^b
+    is that of x^a*y^(b-1) times y(t), and neither x(t) nor y(t) has a
+    constant term, so once a row is 0 so is every later row of its a."""
+    x_images = [Poly(1, {(0,): 1})] * len(branches)
     for a in range(t_trunc + 1):
-        for b in range(t_trunc + 1 - a):
-            row: dict[int, Fraction] = {}
-            for i, (xpows, ypows) in enumerate(germ_branches):
-                # a table ends before its first power that is 0
-                if a < len(xpows) and b < len(ypows):
-                    for (k,), c in xpows[a].mul(ypows[b], t_trunc).terms.items():
-                        row[i * t_trunc + k] = c
-            if row:
-                rows.append(row)
-    return r * t_trunc - len(_pivot_columns(rows))
+        images = x_images
+        for _ in range(t_trunc + 1 - a):
+            row = {i * t_trunc + k: c
+                   for i, image in enumerate(images) for (k,), c in image.terms.items()}
+            if not row:
+                break
+            yield row
+            images = [image.mul(yt, t_trunc) for image, (_, yt) in zip(images, branches)]
+        x_images = [image.mul(xt, t_trunc) for image, (xt, _) in zip(x_images, branches)]
 
 
-def delta(germ: CurveGerm, branches: BranchSet) -> int:
+def delta(germ: CurveGerm, branches: BranchSet, mu: int | None = None) -> int:
     """Delta invariant: codimension of the germ's ring in its normalization.
 
     The branch images of all monomials are truncated at the conductor
     bound T = 2*mu + 2 and the cokernel dimension is read off as
     r*T - rank, in one round.  At that T the value is exact: every
-    branch conductor exponent is at most 2*delta and delta <= mu.
+    branch conductor exponent is at most 2*delta and delta <= mu.  mu is
+    milnor(germ), computed here unless the caller passes it.
 
     Raises BadInput when no branches are supplied, when a
     parametrization does not satisfy the germ equation to the declared
-    precision, when that precision is below the conductor bound, and on
-    a cokernel dimension above mu, which only inconsistent branch data
-    gives.
+    precision, when that precision is below the conductor bound, when
+    the elimination exceeds MAX_ELIMINATION_WORK, and on a cokernel
+    dimension above mu, which only inconsistent branch data gives.
     """
-    return _delta(germ, branches, None)
-
-
-def _delta(germ: CurveGerm, branches: BranchSet, mu: int | None) -> int:
-    """delta, given mu = milnor(germ) when the caller has it already."""
     r = branch_count(branches)
     if mu is None:
         mu = milnor(germ)
     _validate_branches(germ, branches, mu)
     t_trunc = 2 * mu + 2
-    pows = [
-        (xt.powers(t_trunc, t_trunc), yt.powers(t_trunc, t_trunc))
-        for xt, yt in branches.branches
-    ]
-    cand = _delta_candidate(pows, r, t_trunc)
+    cand = r * t_trunc - len(_pivot_columns(_monomial_images(branches.branches, t_trunc)))
     # cand > mu means the branch data is bad, e.g. a reparametrized
     # duplicate, and no larger T can mend it
     if cand > mu:
@@ -346,12 +361,6 @@ def _delta(germ: CurveGerm, branches: BranchSet, mu: int | None) -> int:
             f"mu = {mu} past the conductor bound; the branch data is inconsistent"
         )
     return cand
-
-
-def milnor_formula_check(germ: CurveGerm, branches: BranchSet) -> bool:
-    """True iff mu = 2*delta - r + 1 for this germ and branch data."""
-    mu = milnor(germ)
-    return mu == 2 * _delta(germ, branches, mu) - branch_count(branches) + 1
 
 
 # --- corpus ------------------------------------------------------------------

@@ -49,8 +49,6 @@ class RelHilbBettiTower(Record):
 
     def value(self, ell: int, m: int) -> int:
         """b_m of the ell-point relative Hilbert scheme; 0 off the grid."""
-        if m < 0:
-            return 0
         return self.values.get((ell, m), 0)
 
 
@@ -62,8 +60,6 @@ def build_tower(surface: SurfaceTopology, order: int) -> RelHilbBettiTower:
     read from one point-counting series G at w-order ``order``, built up to
     z-degree ``order``, the highest it reads.
     """
-    if order < 0:
-        raise ValueError("order must be nonnegative")
     g = _goettsche_rows(surface, order, order)
     values: dict[tuple[int, int], int] = {}
     for ell in range(order + 1):

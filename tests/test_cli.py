@@ -169,15 +169,21 @@ def test_germ_branches_at_the_conductor_bound(capsys, tmp_path):
 
 
 def test_germ_with_branches_computes_mu_once(capsys, tmp_path, monkeypatch):
+    # and delta once, by the library's public route, handed that mu
     from stabctab import germ
 
-    calls, milnor = [], germ.milnor
+    calls, milnor, delta, delta_calls = [], germ.milnor, germ.delta, []
 
     def counting_milnor(g):
         calls.append(g)
         return milnor(g)
 
+    def counting_delta(*args):
+        delta_calls.append(args)
+        return delta(*args)
+
     monkeypatch.setattr(germ, "milnor", counting_milnor)
+    monkeypatch.setattr(germ, "delta", counting_delta)
     branch_file = tmp_path / "a11.br"
     branch_file.write_text("t ; t^6\nt ; -t^6\n")
     code, record = run_json(capsys, "germ", "--poly", "y^2 - x^12", "--branches",
@@ -185,6 +191,7 @@ def test_germ_with_branches_computes_mu_once(capsys, tmp_path, monkeypatch):
     assert code == 0
     assert record["results"]["milnor_formula"] == "OK"
     assert len(calls) == 1
+    assert len(delta_calls) == 1
 
 
 def test_germ_missing_branch_file_is_usage_error(capsys, tmp_path):
@@ -1144,11 +1151,11 @@ def test_order_flags_at_their_cap_run(capsys, argv, last_row):
 
 @pytest.mark.parametrize("argv, err", [
     (("perverse", "--b1", "0", "--b2", "1", "--max-order", "65", "--oracle"),
-     "stabctab: --max-order 65 exceeds the cap of 64\n"),
+     "stabctab perverse: --max-order 65 exceeds the cap of 64\n"),
     (("identity", "--b1", "0", "--b2", "1", "--order", "65"),
-     "stabctab: --order 65 exceeds the cap of 64\n"),
+     "stabctab identity: --order 65 exceeds the cap of 64\n"),
     (("stable-betti", "--b1", "0", "--b2", "1", "--max-k", "385"),
-     "stabctab: --max-k 385 exceeds the cap of 384\n"),
+     "stabctab stable-betti: --max-k 385 exceeds the cap of 384\n"),
 ], ids=["perverse", "identity", "stable-betti"])
 def test_order_flags_above_their_cap_exit_2(capsys, argv, err):
     assert main(list(argv)) == 2
@@ -1210,9 +1217,9 @@ def test_env_default_order_cap(capsys, monkeypatch):
     monkeypatch.setenv("STABCTAB_MAX_ORDER", "1")
     for argv, err in [
         (("identity", "--b1", "0", "--b2", "1", "--order", "65"),
-         "stabctab: --order 65 exceeds the cap of 64\n"),
+         "stabctab identity: --order 65 exceeds the cap of 64\n"),
         (("stable-betti", "--b1", "0", "--b2", "1", "--max-k", "385"),
-         "stabctab: --max-k 385 exceeds the cap of 384\n"),
+         "stabctab stable-betti: --max-k 385 exceeds the cap of 384\n"),
     ]:
         assert main(list(argv)) == 2
         assert capsys.readouterr() == ("", err)

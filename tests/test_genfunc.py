@@ -3,7 +3,7 @@
 import pytest
 
 from stabctab import genfunc
-from stabctab.errors import InternalIdentityFailure
+from stabctab.errors import BadInput, InternalIdentityFailure
 from stabctab.genfunc import (
     BIELLIPTIC,
     ENRIQUES,
@@ -72,8 +72,9 @@ def test_library_builds_at_the_order_asked(monkeypatch):
     assert hilb_betti(ENRIQUES, 3, 2) == 11
     assert stable_betti(ENRIQUES, 2) == 11
     assert stable_betti_from_perverse(ENRIQUES, 4) == 78
-    assert stable_betti_numbers(ENRIQUES, -1) == []
-    assert orders == [3, 2, 4, 0]
+    with pytest.raises(BadInput, match="truncation order must be nonnegative"):
+        stable_betti_numbers(ENRIQUES, -1)
+    assert orders == [3, 2, 4, -1]
 
 
 def test_stable_betti_examples():
@@ -81,7 +82,8 @@ def test_stable_betti_examples():
     assert stable_betti(BIELLIPTIC, 1) == 2
     assert stable_betti(B1_FOUR, 0) == 1
     assert stable_betti_numbers(ENRIQUES, 4) == [1, 0, 11, 0, 78]
-    assert stable_betti_numbers(ENRIQUES, -1) == []
+    with pytest.raises(BadInput, match="truncation order must be nonnegative"):
+        stable_betti_numbers(ENRIQUES, -1)
 
 
 def test_stable_perverse_series_enriques():

@@ -1,6 +1,7 @@
 """Singularity invariants: pinned small germs, the ADE corpus, properties."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -12,7 +13,6 @@ from stabctab.germ import (
     delta,
     load_corpus,
     milnor,
-    milnor_formula_check,
     parse_branch_file,
     tjurina,
 )
@@ -82,6 +82,45 @@ def test_quotient_that_stops_above_the_cap_is_bad_input(g, mu):
         tjurina(g)
 
 
+def curved_point(m):
+    """The curved m-fold point, the product of y - i*x - x^2 - i*x^3 for
+    i = 1..m, with its m exact branches t ; i*t + t^2 + i*t^3."""
+    f = Poly.parse("1", ("x", "y"))
+    for i in range(1, m + 1):
+        f = f.mul(Poly.parse(f"y - {i}*x - x^2 - {i}*x^3", ("x", "y")))
+    return CurveGerm(f), branches([("t", f"{i}*t + t^2 + {i}*t^3") for i in range(1, m + 1)])
+
+
+def test_elimination_work_is_capped(monkeypatch):
+    # delta of the curved 4-fold point eliminates in 54,537 weighted
+    # updates; the 7-fold point, far below the caps on mu and on the
+    # composition, ran for minutes before the elimination had a cap
+    from stabctab import germ as germ_mod
+
+    g, bset = curved_point(4)
+    mu = milnor(g)
+    monkeypatch.setattr(germ_mod, "MAX_ELIMINATION_WORK", 54_537)
+    assert delta(g, bset, mu) == 6
+    monkeypatch.setattr(germ_mod, "MAX_ELIMINATION_WORK", 54_536)
+    with pytest.raises(BadInput, match="^elimination exceeds the cap of 54536 weighted "
+                                       "coefficient updates$"):
+        delta(g, bset, mu)
+
+
+def test_large_coefficients_weigh_on_the_elimination_cap(monkeypatch):
+    # the multiplier 2^2000 has 2,002 bits with its denominator, so each
+    # of the two updates it makes weighs 1 + 2002 // 1024 = 2
+    from stabctab import germ as germ_mod
+
+    one = Fraction(1)
+    rows = [{0: one, 1: one, 2: one}, {0: Fraction(2**2000), 1: one}]
+    monkeypatch.setattr(germ_mod, "MAX_ELIMINATION_WORK", 4)
+    assert germ_mod._pivot_columns(rows) == [0, 1]
+    monkeypatch.setattr(germ_mod, "MAX_ELIMINATION_WORK", 3)
+    with pytest.raises(BadInput, match="^elimination exceeds the cap of 3 "):
+        germ_mod._pivot_columns(rows)
+
+
 def test_delta_small_germs():
     assert delta(NODE, NODE_BRANCHES) == 1
     assert delta(CUSP, CUSP_BRANCHES) == 1
@@ -97,13 +136,13 @@ def test_branch_count():
 
 
 def test_milnor_formula_examples():
-    assert milnor_formula_check(NODE, NODE_BRANCHES)       # 1 = 2*1 - 2 + 1
-    assert milnor_formula_check(CUSP, CUSP_BRANCHES)       # 2 = 2*1 - 1 + 1
+    assert milnor(NODE) == 2 * delta(NODE, NODE_BRANCHES) - branch_count(NODE_BRANCHES) + 1
+    assert milnor(CUSP) == 2 * delta(CUSP, CUSP_BRANCHES) - branch_count(CUSP_BRANCHES) + 1
     triple = germ("x^3 - x*y^2")
     triple_branches = branches([("0", "t"), ("t", "t"), ("t", "-t")])
     assert milnor(triple) == 4
     assert delta(triple, triple_branches) == 3
-    assert milnor_formula_check(triple, triple_branches)   # 4 = 2*3 - 3 + 1
+    assert milnor(triple) == 2 * delta(triple, triple_branches) - branch_count(triple_branches) + 1
 
 
 def test_invalid_branch():
@@ -138,16 +177,20 @@ def test_bad_branch_data_fails_at_the_conductor_bound(monkeypatch):
     from stabctab import germ as germ_mod
 
     rounds = []
-    candidate = germ_mod._delta_candidate
+    pivot_columns = germ_mod._pivot_columns
 
-    def counting_candidate(germ_branches, r, t_trunc):
-        rounds.append(t_trunc)
-        return candidate(germ_branches, r, t_trunc)
+    def counting_pivot_columns(rows):
+        # the first row, the image of 1, is 1 at column i*T of each branch i
+        rows = list(rows)
+        rounds.append(sorted(rows[0])[1])
+        return pivot_columns(rows)
 
-    monkeypatch.setattr(germ_mod, "_delta_candidate", counting_candidate)
+    g = germ("y - x^2")
+    mu = milnor(g)
+    monkeypatch.setattr(germ_mod, "_pivot_columns", counting_pivot_columns)
     bset = parse_branch_file("truncation: 560\nt ; t^2\nt^2 ; t^4\n")
     with pytest.raises(BadInput, match="mu = 0"):
-        delta(germ("y - x^2"), bset)
+        delta(g, bset, mu)
     assert rounds == [2]
 
 
@@ -306,7 +349,7 @@ def test_beyond_corpus_germs():
         assert milnor(g) == mu_exp
         assert delta(g, bset) == delta_exp
         assert branch_count(bset) == r_exp
-        assert milnor_formula_check(g, bset)
+        assert milnor(g) == 2 * delta(g, bset) - branch_count(bset) + 1
         assert tjurina(g) <= milnor(g)
 
 
@@ -353,7 +396,8 @@ def test_composition_work_bounds_what_substitute_does(monkeypatch):
 def test_incomplete_branch_data_fails_formula():
     # three of the four lines through an ordinary quadruple point
     g = germ("x^3*y - x*y^3")
-    assert not milnor_formula_check(g, branches([("0", "t"), ("t", "0"), ("t", "t")]))
+    bset = branches([("0", "t"), ("t", "0"), ("t", "t")])
+    assert milnor(g) != 2 * delta(g, bset) - branch_count(bset) + 1
 
 
 def test_parse_branch_file():
