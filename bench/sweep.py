@@ -1,11 +1,11 @@
 """Equivalence sweeps: fixed grids of command-line calls, each hashed to one digest.
 
 Usage: ``PYTHONPATH=src python bench/sweep.py GRID [GRID ...]``, GRID one of
-``tables``, ``germ``, ``random-germ``, ``decompose`` and ``bounds``.  Each call runs
-``stabctab.cli.main`` in-process, on whichever ``stabctab`` is first on the
-path, and takes the exit status it returns; for each grid the script
-prints the grid, its call count and one sha256 over the (argv, exit code,
-stdout, stderr) of its calls in order.  A refactor that claims unchanged
+``tables``, ``germ``, ``random-germ``, ``decompose``, ``bounds`` and
+``usage``.  Each call runs ``stabctab.cli.main`` in-process, on whichever
+``stabctab`` is first on the path, and takes the exit status it returns;
+for each grid the script prints the grid, its call count and one sha256
+over the (argv, exit code, stdout, stderr) of its calls in order.  A refactor that claims unchanged
 records runs the grids at the parent and at the change (point PYTHONPATH
 at each checkout's ``src``) and gives both digests.  Every call is fixed;
 the random draws are seeded.
@@ -42,17 +42,27 @@ the random draws are seeded.
   --d`` over a grid of a, b, lambda, mu, gamma and d, then every rejection
   of the subcommand's handler and of the bounds it calls, each as TSV and
   as JSON.
+* ``usage``: the parser's help and usage errors.  Top level: ``-h``,
+  ``--help``, no argument, an unknown subcommand, ``-h`` before one, and a
+  flag first.  For each subcommand, a call that runs (``RUNS``), then:
+  ``-h`` and ``--help`` first, after that call, and after an unknown flag
+  and after a stray argument; that call without each required flag in
+  turn, with an unknown flag, a stray argument and ``--format=xml``; each
+  flag of ``stabctab.cli.COMMANDS`` added at the end without its value;
+  each integer flag with ``ten``, ``1_0`` and its cap plus one; each
+  choice flag with ``none``; each switch with ``=x``.
 
 Digests (CPython 3.11; about 25 s for ``tables``, ``germ``, ``decompose``
-and ``bounds`` together, and 21 s for ``random-germ``, on a 2-vCPU Xeon),
-the same at the revision that capped the work of an elimination in
-``germ`` and at its parent:
+and ``bounds`` together, 21 s for ``random-germ`` and under 1 s for
+``usage``, on a 2-vCPU Xeon), the same at the revision that made every
+usage error BadInput and at its parent:
 
     tables       14784 calls  d420e71be84b291f47970e1b928ca5b5b56350599e4b68ed8c1ea02068ae0299
     germ           184 calls  c54044cd94f491e838ea9cd97dc7e72af82056efcb863114dced40b0568174c4
     random-germ    142 calls  6b22ff76628ac63b8647eb187c1cb76fa0c67fb536d076fc46a53d851d3e81ab
     decompose      738 calls  6d6e604f215eea0088c714cdef7f891741ed9570e6ba0a7c010c75882800f543
     bounds        1448 calls  d291e022c5cdf5ee997cc7131fb71ee9c143639fb8657b09cd5df23b65a50a2d
+    usage          175 calls  6c71afc1ed81cb468017e9886111d313100df760d31dda03bf1002bf1843f3df
 """
 
 from __future__ import annotations
@@ -71,7 +81,7 @@ import tempfile
 from fractions import Fraction
 from importlib import resources
 
-from stabctab.cli import main
+from stabctab.cli import COMMANDS, main
 
 FORMATS = ("tsv", "json")
 SURFACES = [(b1, b2) for b1 in (0, 2, 4) for b2 in range(1, 23)]
@@ -311,8 +321,49 @@ def bounds_calls():
             yield (*call, "--format", fmt)
 
 
+#: A call of each subcommand that runs, as (flag, value) pairs (None for a
+#: switch); the usage grid varies one flag of it at a time.
+RUNS = {
+    "stable-betti": [("--b1", "0"), ("--b2", "1"), ("--max-k", "2")],
+    "perverse": [("--b1", "0"), ("--b2", "1"), ("--max-order", "2"), ("--oracle", None)],
+    "identity": [("--b1", "0"), ("--b2", "1"), ("--order", "2")],
+    "germ": [("--poly", "x*y")],
+    "bounds": [("--surface", "enriques"), ("--beta-sq", "10"), ("--d", "2")],
+    "decompose": [("--lattice", "bielliptic-rank2"), ("--beta", "2,2")],
+}
+
+
+def usage_calls():
+    """Calls of the parser's help and of each of its usage errors, the
+    flags and their caps and choices read from ``stabctab.cli.COMMANDS``."""
+    def call(name, pairs):
+        return (name, *(token for pair in pairs for token in pair if token is not None))
+
+    yield from (("-h",), ("--help",), (), ("frob",), ("-h", "frob"), ("--b1", "0"))
+    for name, pairs in RUNS.items():
+        base = call(name, pairs)
+        yield base
+        for help_flag in ("-h", "--help"):
+            yield from ((name, help_flag), (*base, help_flag), (name, "--frob", help_flag),
+                        (name, "stray", help_flag))
+        for left_out, _ in pairs:
+            if COMMANDS[name][2][left_out].get("required"):
+                yield call(name, [pair for pair in pairs if pair[0] != left_out])
+        yield from ((*base, "--frob", "1"), (*base, "stray"), (*base, "--format=xml"))
+        for flag, spec in COMMANDS[name][2].items():
+            if spec.get("switch"):
+                yield (*base, f"{flag}=x")
+                continue
+            yield (*base, flag)
+            if spec.get("type") is int:
+                for value in ("ten", "1_0", str(spec["cap"] + 1)):
+                    yield (*base, flag, value)
+            if "choices" in spec:
+                yield (*base, flag, "none")
+
+
 GRIDS = {"tables": tables_calls, "germ": germ_calls, "random-germ": random_germ_calls,
-         "decompose": decompose_calls, "bounds": bounds_calls}
+         "decompose": decompose_calls, "bounds": bounds_calls, "usage": usage_calls}
 
 
 def cli(argv):

@@ -107,6 +107,13 @@ def parse_int(text: str) -> int:
 #: ends, say) is read no further than one character past it.
 MAX_FILE_CHARS = 2**20
 
+#: Largest integer argument of ``bounds``: each of its integer flags, and
+#: the numerator and denominator of lambda and mu (``codim``), so that
+#: every case bound, at most a product of seven arguments (d^2 a b gamma
+#: and the numerators and denominators of lambda and mu), stays under
+#: Python's 4,300 digits of int-to-str.
+MAX_ARGUMENT = 10**600
+
 
 def read_text(path: str) -> str:
     """The UTF-8 text of the file at path; a file that cannot be opened,

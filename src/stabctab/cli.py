@@ -8,8 +8,8 @@ produce byte-identical output.  Exit codes:
 * 2 the input was rejected: a usage error (below), or a flag value,
   polynomial, branch file, lattice file or class beta that is not
   admissible, or a named file that cannot be read.  The layer that reads
-  the input raises ``errors.BadInput``, and stderr gets one line,
-  ``stabctab <subcommand>: <message>``;
+  the input, the parser for a usage error, raises ``errors.BadInput``,
+  and stderr gets one line, ``stabctab <subcommand>: <message>``;
 * 3 any other failure, for instance a coefficient that must be an exact
   nonnegative integer was not, or the Betti tower the library built for
   ``perverse --oracle`` is inconsistent: always a bug, never bad input.
@@ -35,9 +35,10 @@ and writes nothing: the record's ``parameters``, ``results`` and
 TSV rows, is any iterable of tuples, which ``main`` reads once.  ``main``
 alone turns values into text: it adds ``command`` and writes the record
 as JSON, a Fraction or a QuadSurd by its str, or each row with a cell as
-its str and a list cell as JSON.  It alone maps an exception to its
-exit status, the parser's SystemExit for help or a usage error among
-them; the handlers catch nothing.  A call's output depends only on its
+its str and a list cell as JSON; the help, which the parser returns, it
+writes the same way.  It alone maps an outcome to its exit status, in
+one place: BadInput 2, a closed stdout 141, any other exception 3; the
+parser and the handlers catch nothing.  A call's output depends only on its
 argv and the files it names: no environment variable is read, and an
 order flag that is not given takes its default, 12.
 
@@ -98,7 +99,7 @@ import sys
 from importlib import import_module
 from types import SimpleNamespace
 
-from ._record import parse_int
+from ._record import MAX_ARGUMENT, parse_int
 from .errors import BadInput
 
 #: Default truncation order of the order flags (--max-k, --max-order,
@@ -107,19 +108,10 @@ from .errors import BadInput
 DEFAULT_ORDER = 12
 
 
-def _usage(msg: str, code: int = 2) -> "SystemExit":
-    """Write msg to stderr as one line; the SystemExit that exits with code."""
-    sys.stderr.write(" ".join(msg.splitlines()) + "\n")
-    return SystemExit(code)
-
-
-#: Caps of the integer flags that are not orders (see the module
-#: docstring).  At --b1 = --b2 = 10^12 the largest value printed, a stable
-#: Betti number at --max-k 384, has 3,781 digits; a bounds value is at most
-#: a product of seven arguments (d^2 a b gamma and the numerators and
-#: denominators of lambda and mu, which codim.MAX_ARGUMENT bounds alike).
+#: Cap of --b1 and --b2 (see the module docstring): at --b1 = --b2 = 10^12
+#: the largest value printed, a stable Betti number at --max-k 384, has
+#: 3,781 digits.  The integer flags of bounds take _record.MAX_ARGUMENT.
 _SURFACE_CAP = 10**12
-_BOUNDS_CAP = 10**600
 
 _SURFACE = {
     "--b1": {"type": int, "required": True, "cap": _SURFACE_CAP,
@@ -168,19 +160,19 @@ COMMANDS = {
     "bounds": ("codimension bounds and thresholds", "_cmd_lattice", {
         "--surface": {"choices": ("enriques", "bielliptic"), "required": True,
                       "help": "surface type"},
-        "--beta-sq": {"type": int, "cap": _BOUNDS_CAP,
+        "--beta-sq": {"type": int, "cap": MAX_ARGUMENT,
                       "help": "self-intersection beta^2 (enriques)"},
-        "--a": {"type": int, "cap": _BOUNDS_CAP,
+        "--a": {"type": int, "cap": MAX_ARGUMENT,
                 "help": "coefficient a of beta = a*lambda*A + b*mu*B (bielliptic)"},
-        "--b": {"type": int, "cap": _BOUNDS_CAP, "help": "coefficient b of beta (bielliptic)"},
+        "--b": {"type": int, "cap": MAX_ARGUMENT, "help": "coefficient b of beta (bielliptic)"},
         "--lambda": {"dest": "lam", "help": "rational scale lambda of A (bielliptic)"},
         "--mu": {"help": "rational scale mu of B (bielliptic)"},
-        "--gamma": {"type": int, "cap": _BOUNDS_CAP,
+        "--gamma": {"type": int, "cap": MAX_ARGUMENT,
                     "help": "intersection number A.B (bielliptic)"},
-        "--d": {"type": int, "cap": _BOUNDS_CAP, "help": "the codimension bounds in |d*beta|"},
-        "--i": {"type": int, "cap": _BOUNDS_CAP,
+        "--d": {"type": int, "cap": MAX_ARGUMENT, "help": "the codimension bounds in |d*beta|"},
+        "--i": {"type": int, "cap": MAX_ARGUMENT,
                 "help": "with --j: the threshold d0 of entry (i, j) (enriques)"},
-        "--j": {"type": int, "cap": _BOUNDS_CAP, "help": "with --i: see --i"},
+        "--j": {"type": int, "cap": MAX_ARGUMENT, "help": "with --i: see --i"},
         "--generic": {"switch": True,
                       "help": "generic Enriques surface: drop the rigid-curve cases"},
         **_FORMAT,
@@ -209,52 +201,52 @@ class Parser:
     """Reads argv by COMMANDS: a subcommand, then flags in any order, each
     as ``--flag value`` or ``--flag=value``; the last repeat wins."""
 
-    def parse_args(self, argv=None) -> SimpleNamespace:
-        argv = sys.argv[1:] if argv is None else list(argv)
+    def parse_args(self, argv) -> SimpleNamespace | str:
+        """The values of argv, or for -h/--help the help text; a usage error
+        is BadInput, its message without the ``stabctab ...: `` prefix."""
+        argv = list(argv)
         if argv[:1] in (["-h"], ["--help"]):
-            self._print_help(None)
+            return self.format_help(None)
         if not argv or argv[0] not in COMMANDS:
             what = f"unknown subcommand {argv[0]!r}" if argv else "missing subcommand"
-            raise _usage(f"stabctab: {what}; choose from {', '.join(COMMANDS)}")
+            raise BadInput(f"{what}; choose from {', '.join(COMMANDS)}")
         name, *rest = argv
-        where = f"stabctab {name}"
         flags = COMMANDS[name][2]
         values = {}
         tokens = iter(rest)
         for token in tokens:
             if token in ("-h", "--help"):
-                self._print_help(name)
+                return self.format_help(name)
             flag, eq, value = token.partition("=")
             spec = flags.get(flag)
             if spec is None:
                 what = "unknown flag" if token.startswith("-") else "unexpected argument"
-                raise _usage(f"{where}: {what} {token!r}")
+                raise BadInput(f"{what} {token!r}")
             if spec.get("switch"):
                 if eq:
-                    raise _usage(f"{where}: {flag} takes no value")
+                    raise BadInput(f"{flag} takes no value")
                 values[flag] = True
                 continue
             if not eq:
                 value = next(tokens, None)
                 if value is None:
-                    raise _usage(f"{where}: {flag} needs a value")
+                    raise BadInput(f"{flag} needs a value")
             if spec.get("type") is int:
                 try:
                     value = parse_int(value)
                 except BadInput:
-                    raise _usage(f"{where}: {flag} needs an integer, got {value!r}")
+                    raise BadInput(f"{flag} needs an integer, got {value!r}") from None
             choices = spec.get("choices")
             if choices and value not in choices:
-                raise _usage(f"{where}: {flag} must be one of {', '.join(choices)}, "
-                             f"got {value!r}")
+                raise BadInput(f"{flag} must be one of {', '.join(choices)}, got {value!r}")
             values[flag] = value
         missing = [f for f, spec in flags.items() if spec.get("required") and f not in values]
         if missing:
-            raise _usage(f"{where}: missing required {', '.join(missing)}")
+            raise BadInput(f"missing required {', '.join(missing)}")
         for flag, spec in flags.items():
             cap = spec.get("cap")
             if cap is not None and values.get(flag, cap) > cap:
-                raise _usage(f"{where}: {flag} {values[flag]} exceeds the cap of {cap}")
+                raise BadInput(f"{flag} {values[flag]} exceeds the cap of {cap}")
         return SimpleNamespace(subcommand=name, **{
             _dest(f, spec): values[f] if f in values else _default(spec)
             for f, spec in flags.items()
@@ -293,11 +285,6 @@ class Parser:
             *(f"  {shown:<{width}}  {note}".rstrip() for shown, note in rows),
         ]) + "\n"
 
-    def _print_help(self, name) -> None:
-        sys.stdout.write(self.format_help(name))
-        sys.stdout.flush()
-        raise SystemExit(0)
-
 
 def build_parser() -> Parser:
     """The parser of the command line."""
@@ -323,35 +310,42 @@ def _cell(value) -> str:
 
 
 def main(argv=None) -> int:
+    where = "stabctab"  # the prefix of a rejection
     try:
+        argv = sys.argv[1:] if argv is None else list(argv)
+        if argv and argv[0] in COMMANDS:
+            where = f"stabctab {argv[0]}"
         args = build_parser().parse_args(argv)
-        home = import_module(f".{COMMANDS[args.subcommand][1]}", __package__)
-        status, record, rows = getattr(home, "cmd_" + args.subcommand.replace("-", "_"))(args)
-        if args.format == "json":
-            import json
-            from itertools import islice
-
-            chunks = json.JSONEncoder(sort_keys=True, indent=2, default=_exact_text).iterencode(
-                {"command": args.subcommand, **record})
-            # batches of chunks: a large record is never held as one string
-            sys.stdout.writelines(iter(lambda: "".join(islice(chunks, 65536)), ""))
-            sys.stdout.write("\n")
+        if isinstance(args, str):
+            status, text = 0, [args]  # the help
         else:
-            sys.stdout.writelines("\t".join(map(_cell, row)) + "\n" for row in rows)
+            home = import_module(f".{COMMANDS[args.subcommand][1]}", __package__)
+            status, record, rows = getattr(home, "cmd_" + args.subcommand.replace("-", "_"))(args)
+            if args.format == "json":
+                import json
+                from itertools import chain, islice
+
+                encoder = json.JSONEncoder(sort_keys=True, indent=2, default=_exact_text)
+                chunks = encoder.iterencode({"command": args.subcommand, **record})
+                # batches of chunks: a large record is never held as one string
+                text = chain(iter(lambda: "".join(islice(chunks, 65536)), ""), "\n")
+            else:
+                text = ("\t".join(map(_cell, row)) + "\n" for row in rows)
+        sys.stdout.writelines(text)
         sys.stdout.flush()
-    except SystemExit as exc:
-        # help (0) or a usage error (2), written by the parser
-        return exc.code
     except BrokenPipeError:
         # the reader closed stdout: send what is left, and the final flush
         # at exit, to devnull, and exit as a process killed by SIGPIPE would
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
     except BadInput as exc:
-        return _usage(f"stabctab {args.subcommand}: {exc}").code
+        status, message = 2, f"{where}: {exc}"
     except Exception as exc:
         # not bad input, so a fault of this package, whatever the input
-        return _usage(f"stabctab: internal error: {type(exc).__name__}: {exc}", 3).code
+        status, message = 3, f"stabctab: internal error: {type(exc).__name__}: {exc}"
+    else:
+        return status
+    sys.stderr.write(" ".join(message.splitlines()) + "\n")
     return status
 
 

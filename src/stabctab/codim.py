@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 
-from ._record import HashableRecord
+from ._record import MAX_ARGUMENT, HashableRecord
 from .errors import BadInput
 
 __all__ = [
@@ -177,12 +177,6 @@ def _ceil_sqrt(p: int, q: int) -> int:
 
 
 # --- bielliptic-side formulas -------------------------------------------------
-
-
-#: Largest numerator or denominator of lambda and mu: the cap of the
-#: integer flags of ``bounds``, so that every case bound, at most a product
-#: of seven arguments, stays under Python's 4,300 digits of int-to-str.
-MAX_ARGUMENT = 10**600
 
 
 class BiellipticParams(HashableRecord):

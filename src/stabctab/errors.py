@@ -1,10 +1,11 @@
 """Exception hierarchy shared by all stabctab modules.
 
-``BadInput`` is the one class for rejected outside input: a flag value,
-a polynomial, a branch file, a lattice file or a class beta that is not
-admissible, or a named file that cannot be read.  It is a ValueError, so
-callers that catch ValueError still catch it, and the command line exits
-2 on it and 3 on any other exception.  Its message says what was
+``BadInput`` is the one class for rejected outside input: a usage error
+of the command line (the parser raises it), a flag value, a polynomial, a
+branch file, a lattice file or a class beta that is not admissible, or a
+named file that cannot be read.  It is a ValueError, so callers that
+catch ValueError still catch it, and the command line exits 2 on it and
+3 on any other exception.  Its message says what was
 rejected; it has no subclasses.  The other classes (the series errors,
 InternalIdentityFailure, InconsistentTower) mark a broken invariant or a
 misuse, not bad input, and so does a plain ValueError raised on a value

@@ -119,11 +119,12 @@ class BranchSet(HashableRecord):
 # --- exact linear algebra ----------------------------------------------------
 
 
-def _pivot_columns(rows: Iterable[dict[int, Fraction]]) -> list[int]:
+def _pivot_columns(rows: Iterable[dict[int, Fraction]], invariant: str) -> list[int]:
     """The pivot columns of a sparse row list, by elimination on leading
     columns, each lead the row's lowest column; their number is the rank
-    over Q.  BadInput once the updates, counted and weighted as
-    MAX_ELIMINATION_WORK says, pass that cap."""
+    over Q.  BadInput, naming the invariant the rows are for, once the
+    updates, counted and weighted as MAX_ELIMINATION_WORK says, pass that
+    cap."""
     # each pivot row is kept without its lead, which is 1, and with the
     # weight of its largest entry
     pivots: dict[int, tuple[dict[int, Fraction], int]] = {}
@@ -141,8 +142,8 @@ def _pivot_columns(rows: Iterable[dict[int, Fraction]]) -> list[int]:
             tail, size = pivot
             updates += len(tail) * (1 + _bits(c) // 1024) * size
             if updates > MAX_ELIMINATION_WORK:
-                raise BadInput(f"elimination exceeds the cap of {MAX_ELIMINATION_WORK} "
-                               "weighted coefficient updates")
+                raise BadInput(f"elimination for {invariant} exceeds the cap of "
+                               f"{MAX_ELIMINATION_WORK} weighted coefficient updates")
             for k, v in tail.items():
                 nv = work.pop(k, 0) - c * v
                 if nv:
@@ -162,7 +163,7 @@ def _monomial_index(cutoff: int) -> dict[tuple[int, int], int]:
     return idx
 
 
-def _quotient_dims(gens: list[Poly], cutoff: int) -> tuple[int, int]:
+def _quotient_dims(gens: list[Poly], cutoff: int, invariant: str) -> tuple[int, int]:
     """dim of C[x,y] / (ideal(gens) + m^N), supported at the origin, at
     N = cutoff - 1 and at N = cutoff, from one elimination.
 
@@ -180,16 +181,16 @@ def _quotient_dims(gens: list[Poly], cutoff: int) -> tuple[int, int]:
             if ma + mb + low < cutoff:
                 rows.append({idx[(ga + ma, gb + mb)]: c for (ga, gb), c in g.terms.items()
                              if ga + gb + ma + mb < cutoff})
-    pivots = _pivot_columns(rows)
+    pivots = _pivot_columns(rows, invariant)
     below = (cutoff - 1) * cutoff // 2  # the monomials of degree < cutoff - 1
     return below - sum(1 for c in pivots if c < below), len(idx) - len(pivots)
 
 
-def _stable_local_dim(gens: list[Poly]) -> int:
+def _stable_local_dim(gens: list[Poly], invariant: str) -> int:
     gens = [g for g in gens if g]
     cutoff = 2
     while cutoff <= MAX_IDEAL_POWER:
-        d_here, d_next = _quotient_dims(gens, cutoff + 1)
+        d_here, d_next = _quotient_dims(gens, cutoff + 1, invariant)
         if d_here == d_next:
             if d_here > MAX_IDEAL_POWER:
                 raise BadInput(f"quotient dimension {d_here} exceeds the cap of "
@@ -209,12 +210,13 @@ def _stable_local_dim(gens: list[Poly]) -> int:
 def milnor(germ: CurveGerm) -> int:
     """Milnor number mu; 0 at a smooth point, BadInput if the Jacobian
     quotient is infinite-dimensional or mu exceeds MAX_IDEAL_POWER."""
-    return _stable_local_dim([germ.poly.derivative(0), germ.poly.derivative(1)])
+    return _stable_local_dim([germ.poly.derivative(0), germ.poly.derivative(1)], "mu")
 
 
 def tjurina(germ: CurveGerm) -> int:
     """Tjurina number tau = dim of the quotient by (f, f_x, f_y)."""
-    return _stable_local_dim([germ.poly, germ.poly.derivative(0), germ.poly.derivative(1)])
+    return _stable_local_dim([germ.poly, germ.poly.derivative(0), germ.poly.derivative(1)],
+                             "tau")
 
 
 def branch_count(branches: BranchSet) -> int:
@@ -305,7 +307,7 @@ def _validate_branches(germ: CurveGerm, branches: BranchSet, mu: int) -> None:
         if work > MAX_COMPOSITION_WORK:
             raise BadInput(f"branch {k} composes with the germ in up to {work} term "
                            f"operations, above the cap of {MAX_COMPOSITION_WORK}")
-        composed = f.substitute((xt, yt), None if t0 is None else t0 + 1)
+        composed = f.substitute((xt, yt), degree + 1)
         if composed:
             raise BadInput(
                 f"branch {k} does not lie on the germ "
@@ -352,7 +354,8 @@ def delta(germ: CurveGerm, branches: BranchSet, mu: int | None = None) -> int:
         mu = milnor(germ)
     _validate_branches(germ, branches, mu)
     t_trunc = 2 * mu + 2
-    cand = r * t_trunc - len(_pivot_columns(_monomial_images(branches.branches, t_trunc)))
+    cand = r * t_trunc - len(_pivot_columns(_monomial_images(branches.branches, t_trunc),
+                                            "delta"))
     # cand > mu means the branch data is bad, e.g. a reparametrized
     # duplicate, and no larger T can mend it
     if cand > mu:

@@ -102,9 +102,14 @@ def test_elimination_work_is_capped(monkeypatch):
     monkeypatch.setattr(germ_mod, "MAX_ELIMINATION_WORK", 54_537)
     assert delta(g, bset, mu) == 6
     monkeypatch.setattr(germ_mod, "MAX_ELIMINATION_WORK", 54_536)
-    with pytest.raises(BadInput, match="^elimination exceeds the cap of 54536 weighted "
-                                       "coefficient updates$"):
+    with pytest.raises(BadInput, match="^elimination for delta exceeds the cap of 54536 "
+                                       "weighted coefficient updates$"):
         delta(g, bset, mu)
+    # the message names the invariant whose elimination met the cap
+    monkeypatch.setattr(germ_mod, "MAX_ELIMINATION_WORK", 0)
+    for invariant, compute in (("mu", milnor), ("tau", tjurina)):
+        with pytest.raises(BadInput, match=f"^elimination for {invariant} exceeds the cap "):
+            compute(g)
 
 
 def test_large_coefficients_weigh_on_the_elimination_cap(monkeypatch):
@@ -115,10 +120,10 @@ def test_large_coefficients_weigh_on_the_elimination_cap(monkeypatch):
     one = Fraction(1)
     rows = [{0: one, 1: one, 2: one}, {0: Fraction(2**2000), 1: one}]
     monkeypatch.setattr(germ_mod, "MAX_ELIMINATION_WORK", 4)
-    assert germ_mod._pivot_columns(rows) == [0, 1]
+    assert germ_mod._pivot_columns(rows, "mu") == [0, 1]
     monkeypatch.setattr(germ_mod, "MAX_ELIMINATION_WORK", 3)
-    with pytest.raises(BadInput, match="^elimination exceeds the cap of 3 "):
-        germ_mod._pivot_columns(rows)
+    with pytest.raises(BadInput, match="^elimination for mu exceeds the cap of 3 "):
+        germ_mod._pivot_columns(rows, "mu")
 
 
 def test_delta_small_germs():
@@ -179,11 +184,11 @@ def test_bad_branch_data_fails_at_the_conductor_bound(monkeypatch):
     rounds = []
     pivot_columns = germ_mod._pivot_columns
 
-    def counting_pivot_columns(rows):
+    def counting_pivot_columns(rows, invariant):
         # the first row, the image of 1, is 1 at column i*T of each branch i
         rows = list(rows)
         rounds.append(sorted(rows[0])[1])
-        return pivot_columns(rows)
+        return pivot_columns(rows, invariant)
 
     g = germ("y - x^2")
     mu = milnor(g)
@@ -330,7 +335,7 @@ def test_one_elimination_gives_the_quotient_below_its_cutoff():
     for _ in range(20):
         g, _ = quasihomogeneous_germ(rng)
         for gens in ([g.poly.derivative(0), g.poly.derivative(1)], [g.poly]):
-            dims = [_quotient_dims(gens, n) for n in range(2, 12)]
+            dims = [_quotient_dims(gens, n, "mu") for n in range(2, 12)]
             assert [d for _, d in dims[:-1]] == [d for d, _ in dims[1:]]
 
 

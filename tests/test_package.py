@@ -299,3 +299,19 @@ def test_rejected_input_has_one_class():
     from stabctab.errors import BadInput
 
     assert BadInput.__subclasses__() == []
+
+
+def test_no_module_reads_the_environment():
+    # a call depends only on its argv and the files it names:
+    # STABCTAB_MAX_ORDER, which once set the default orders, is gone, and no
+    # module reads os.environ or os.getenv in its place
+    import ast
+    from pathlib import Path
+
+    for path in sorted(Path(stabctab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = {getattr(node, "attr", None) or getattr(node, "id", None)
+                 for node in ast.walk(tree)}
+        names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                  for alias in node.names}
+        assert not names & {"environ", "environb", "getenv", "getenvb"}, path.name

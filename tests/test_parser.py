@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stabctab.cli import COMMANDS, build_parser, main
+from stabctab.errors import BadInput
 
 
 def parsed(argv):
@@ -44,21 +45,13 @@ def test_parsed_values(argv, values):
     assert parsed(argv) == {"subcommand": argv[0], **values}
 
 
-def test_order_defaults_come_from_the_environment(monkeypatch):
-    # they do not: STABCTAB_MAX_ORDER, which once set them, is exported
-    # here to show that it changes nothing
-    monkeypatch.setenv("STABCTAB_MAX_ORDER", "7")
-    assert parsed(["stable-betti", "--b1", "0", "--b2", "1"])["max_k"] == 12
-    assert parsed(["perverse", "--b1", "0", "--b2", "1"])["max_order"] == 12
-    assert parsed(["identity", "--b1", "0", "--b2", "1"])["order"] == 12
-    assert parsed(["identity", "--b1", "0", "--b2", "1", "--order", "3"])["order"] == 3
-
-
 @pytest.mark.parametrize("argv, err", [
     ([], "stabctab: missing subcommand; choose from "
          "stable-betti, perverse, identity, germ, bounds, decompose"),
     (["frob", "--b1", "0"], "stabctab: unknown subcommand 'frob'; choose from "
                             "stable-betti, perverse, identity, germ, bounds, decompose"),
+    (["no-such-command"], "stabctab: unknown subcommand 'no-such-command'; choose from "
+                          "stable-betti, perverse, identity, germ, bounds, decompose"),
     (["--b1", "0"], "stabctab: unknown subcommand '--b1'; choose from "
                     "stable-betti, perverse, identity, germ, bounds, decompose"),
     (["stable-betti", "--b1", "0", "--b2", "1", "--max"],
@@ -78,16 +71,29 @@ def test_order_defaults_come_from_the_environment(monkeypatch):
     (["bounds", "--surface=k3"],
      "stabctab bounds: --surface must be one of enriques, bielliptic, got 'k3'"),
     (["perverse", "--b1", "0"], "stabctab perverse: missing required --b2"),
+    (["stable-betti", "--b1", "0"], "stabctab stable-betti: missing required --b2"),
     (["decompose"], "stabctab decompose: missing required --lattice, --beta"),
     (["perverse", "--b1", "0", "--b2", "1", "--oracle=yes"],
      "stabctab perverse: --oracle takes no value"),
-], ids=["no-subcommand", "unknown-subcommand", "flag-first", "unknown-flag", "hidden-elsewhere",
-        "stray-argument", "missing-value", "non-integer", "underscore-integer",
-        "arabic-indic-integer", "format-choice", "surface-choice",
-        "missing-required", "missing-two", "switch-value"])
+    # the caps are checked after every other usage error
+    (["perverse", "--b1", "0", "--b2", "1", "--max-order", "65", "--oracle"],
+     "stabctab perverse: --max-order 65 exceeds the cap of 64"),
+    (["identity", "--b1", "0", "--b2", "1", "--order", "65"],
+     "stabctab identity: --order 65 exceeds the cap of 64"),
+    (["stable-betti", "--b1", "0", "--b2", "1", "--max-k", "385"],
+     "stabctab stable-betti: --max-k 385 exceeds the cap of 384"),
+], ids=["no-subcommand", "unknown-subcommand", "no-such-command", "flag-first", "unknown-flag",
+        "hidden-elsewhere", "stray-argument", "missing-value", "non-integer",
+        "underscore-integer", "arabic-indic-integer", "format-choice", "surface-choice",
+        "missing-required", "stable-betti-missing-required", "missing-two", "switch-value",
+        "max-order-above-cap", "order-above-cap", "max-k-above-cap"])
 def test_usage_errors_exit_2_with_one_line(capsys, argv, err):
     assert main(argv) == 2
     assert capsys.readouterr() == ("", err + "\n")
+    # the parser raises the message, and main adds the "stabctab ...: " prefix
+    with pytest.raises(BadInput) as info:
+        build_parser().parse_args(argv)
+    assert err.partition(": ")[2] == str(info.value)
 
 
 def shown_flags(name):
@@ -99,6 +105,8 @@ def test_top_level_help(capsys, argv):
     assert main(argv) == 0
     captured = capsys.readouterr()
     assert captured.err == ""
+    # the parser returns the help, and main writes it
+    assert build_parser().parse_args(argv) == captured.out
     assert captured.out.startswith("usage: stabctab SUBCOMMAND [FLAGS]\n")
     for name, (about, _, _) in COMMANDS.items():
         assert f"  {name}  " in captured.out and about in captured.out
@@ -117,8 +125,7 @@ def test_subcommand_help_lists_every_flag(capsys, name):
         assert "--perturb" not in captured.out
 
 
-def test_help_shows_the_default_order(capsys, monkeypatch):
-    monkeypatch.setenv("STABCTAB_MAX_ORDER", "9")  # ignored
+def test_help_shows_the_default_order(capsys):
     assert main(["perverse", "--help"]) == 0
     out = capsys.readouterr().out
     assert "(default: 12)" in out and "--b1 B1" in out and "(required)" in out
@@ -176,15 +183,3 @@ def test_any_argv_returns_or_exits_0_or_2(argv):
     assert code in (0, 2), (argv, err)
     if code == 2:
         assert out == "" and err.count("\n") == 1
-
-
-@settings(derandomize=True, database=None, deadline=None, max_examples=150)
-@given(argvs(), st.sampled_from(["frog", "-1", "65", "3"]))
-def test_any_argv_ignores_the_old_order_variable(argv, value):
-    # STABCTAB_MAX_ORDER once set the default order; no value of it may
-    # change a call
-    with pytest.MonkeyPatch.context() as mp:
-        mp.delenv("STABCTAB_MAX_ORDER", raising=False)
-        unset = outcome(argv)
-        mp.setenv("STABCTAB_MAX_ORDER", value)
-        assert outcome(argv) == unset, argv
