@@ -1122,6 +1122,15 @@ def test_inconsistent_tower_exits_3(capsys, monkeypatch):
     assert err.startswith("stabctab: internal error: ") and err.count("\n") == 1
 
 
+def test_env_override_of_default_order(capsys, monkeypatch):
+    # STABCTAB_MAX_ORDER once overrode the default order; it is ignored
+    for value in ("3", "frog"):
+        monkeypatch.setenv("STABCTAB_MAX_ORDER", value)
+        code, out = run(capsys, "stable-betti", "--b1", "0", "--b2", "10")
+        assert code == 0
+        assert len(tsv_rows(out)) == 1 + 13  # header + k = 0..12
+
+
 @pytest.mark.parametrize("argv, last_row", [
     (("perverse", "--b1", "0", "--b2", "1", "--max-order", "64"), ["64", "0", "1"]),
     (("identity", "--b1", "0", "--b2", "1", "--order", "64"), ["status", "PASS"]),
@@ -1174,4 +1183,24 @@ def test_records_at_the_integer_caps_print(capsys, argv):
         code, out = run(capsys, *argv, "--format", fmt)
         assert code == (1 if "--perturb" in argv else 0)
         assert out
+
+
+def test_env_default_order_cap(capsys, monkeypatch):
+    # the caps are the flags' own, whatever STABCTAB_MAX_ORDER holds
+    monkeypatch.setenv("STABCTAB_MAX_ORDER", "65")
+    code, out = run(capsys, "stable-betti", "--b1", "0", "--b2", "1")
+    assert code == 0
+    assert len(tsv_rows(out)) == 1 + 13  # header + k = 0..12
+    code, out = run(capsys, "stable-betti", "--b1", "0", "--b2", "1", "--max-k", "384")
+    assert code == 0
+    assert len(tsv_rows(out)) == 1 + 385  # header + k = 0..384
+    monkeypatch.setenv("STABCTAB_MAX_ORDER", "1")
+    for argv, err in [
+        (("identity", "--b1", "0", "--b2", "1", "--order", "65"),
+         "stabctab identity: --order 65 exceeds the cap of 64\n"),
+        (("stable-betti", "--b1", "0", "--b2", "1", "--max-k", "385"),
+         "stabctab stable-betti: --max-k 385 exceeds the cap of 384\n"),
+    ]:
+        assert main(list(argv)) == 2
+        assert capsys.readouterr() == ("", err)
 

@@ -45,6 +45,16 @@ def test_parsed_values(argv, values):
     assert parsed(argv) == {"subcommand": argv[0], **values}
 
 
+def test_order_defaults_come_from_the_environment(monkeypatch):
+    # they do not: STABCTAB_MAX_ORDER, which once set them, is exported
+    # here to show that it changes nothing
+    monkeypatch.setenv("STABCTAB_MAX_ORDER", "7")
+    assert parsed(["stable-betti", "--b1", "0", "--b2", "1"])["max_k"] == 12
+    assert parsed(["perverse", "--b1", "0", "--b2", "1"])["max_order"] == 12
+    assert parsed(["identity", "--b1", "0", "--b2", "1"])["order"] == 12
+    assert parsed(["identity", "--b1", "0", "--b2", "1", "--order", "3"])["order"] == 3
+
+
 @pytest.mark.parametrize("argv, err", [
     ([], "stabctab: missing subcommand; choose from "
          "stable-betti, perverse, identity, germ, bounds, decompose"),
@@ -183,3 +193,15 @@ def test_any_argv_returns_or_exits_0_or_2(argv):
     assert code in (0, 2), (argv, err)
     if code == 2:
         assert out == "" and err.count("\n") == 1
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(argvs(), st.sampled_from(["frog", "-1", "65", "3"]))
+def test_any_argv_ignores_the_old_order_variable(argv, value):
+    # STABCTAB_MAX_ORDER once set the default order; no value of it may
+    # change a call
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delenv("STABCTAB_MAX_ORDER", raising=False)
+        unset = outcome(argv)
+        mp.setenv("STABCTAB_MAX_ORDER", value)
+        assert outcome(argv) == unset, argv
