@@ -1,14 +1,15 @@
 """Equivalence sweeps: fixed grids of command-line calls, each hashed to one digest.
 
 Usage: ``PYTHONPATH=src python bench/sweep.py GRID [GRID ...]``, GRID one of
-``tables``, ``germ``, ``random-germ``, ``decompose``, ``bounds`` and
-``usage``.  Each call runs ``stabctab.cli.main`` in-process, on whichever
-``stabctab`` is first on the path, and takes the exit status it returns;
-for each grid the script prints the grid, its call count and one sha256
-over the (argv, exit code, stdout, stderr) of its calls in order.  A refactor that claims unchanged
-records runs the grids at the parent and at the change (point PYTHONPATH
-at each checkout's ``src``) and gives both digests.  Every call is fixed;
-the random draws are seeded.
+``tables``, ``germ``, ``random-germ``, ``decompose``, ``bounds``,
+``usage`` and ``mutants``.  Each call runs ``stabctab.cli.main``
+in-process, on whichever ``stabctab`` is first on the path, and takes the
+exit status it returns; for each grid the script prints the grid, its
+call count and one sha256 over the (argv, exit code, stdout, stderr) of
+its calls in order.  A refactor that claims unchanged records runs the
+grids at the parent and at the change (point PYTHONPATH at each
+checkout's ``src``) and gives both digests.  Every call is fixed; the
+random draws are seeded.
 
 * ``tables``: ``perverse --oracle``, ``identity`` and ``identity --perturb``
   at orders 0..20, then ``stable-betti --max-k 0..48``, each at
@@ -51,11 +52,21 @@ the random draws are seeded.
   flag of ``stabctab.cli.COMMANDS`` added at the end without its value;
   each integer flag with ``ten``, ``1_0`` and its cap plus one; each
   choice flag with ``none``; each switch with ``=x``.
+* ``mutants``: 20,000 mutants of each of three shipped files, each read by
+  one call: ``bielliptic-rank2.lat`` by ``decompose --beta 1,1``,
+  ``enriques-u-e8.lat`` by ``decompose --beta 1,2,0,1,-1,0,0,0,0,0`` and
+  ``tacnode.br`` by ``germ --poly "y^2 - x^4" --branches``, drawn from
+  ``random.Random(30)``, ``(31)`` and ``(32)``.  A mutant has one to three
+  edits of a line, those of ``tests/test_input_files.py``: insert, delete
+  or replace a byte of ``BYTES``, or drop or duplicate the line.  Each is
+  written to the working directory as ``mutant.lat`` or ``mutant.br`` and
+  read once, as TSV.  Through the branch files the grid also fuzzes the
+  term grammar.
 
 Digests (CPython 3.11; about 25 s for ``tables``, ``germ``, ``decompose``
-and ``bounds`` together, 21 s for ``random-germ`` and under 1 s for
-``usage``, on a 2-vCPU Xeon), the same at the revision that made every
-usage error BadInput and at its parent:
+and ``bounds`` together, 21 s for ``random-germ``, under 1 s for
+``usage`` and 32 s for ``mutants``, on a 2-vCPU Xeon), the same at the
+revision that added ``mutants`` and at its parent:
 
     tables       14784 calls  d420e71be84b291f47970e1b928ca5b5b56350599e4b68ed8c1ea02068ae0299
     germ           184 calls  c54044cd94f491e838ea9cd97dc7e72af82056efcb863114dced40b0568174c4
@@ -63,6 +74,7 @@ usage error BadInput and at its parent:
     decompose      738 calls  6d6e604f215eea0088c714cdef7f891741ed9570e6ba0a7c010c75882800f543
     bounds        1448 calls  d291e022c5cdf5ee997cc7131fb71ee9c143639fb8657b09cd5df23b65a50a2d
     usage          175 calls  6c71afc1ed81cb468017e9886111d313100df760d31dda03bf1002bf1843f3df
+    mutants      60000 calls  83fe1bb5519117702d12e2cc134f1beb332462d619d2a88d44e07eeebb4b9153
 """
 
 from __future__ import annotations
@@ -362,8 +374,61 @@ def usage_calls():
                 yield (*base, flag, "none")
 
 
+#: Bytes a mutant inserts or puts in place of one, those of
+#: ``tests/test_input_files.py``: the grammars' own characters, spaces and
+#: line breaks, and a few that are not ASCII.
+BYTES = b"0123456789 -+/*^;:#\n\r\ttxy,=rankgmps_\xc3\xa9\xff\x00"
+
+#: Mutants of each shipped file, as many as make the grid take about 30 s.
+MUTANTS_PER_FILE = 20000
+
+#: For each shipped file: the seed of its mutants and the call that reads
+#: one (FILE stands for its path).
+MUTANTS = {
+    "lattices/bielliptic-rank2.lat": (30, ("decompose", "--lattice", "FILE", "--beta", "1,1")),
+    "lattices/enriques-u-e8.lat":
+        (31, ("decompose", "--lattice", "FILE", "--beta", "1,2,0,1,-1,0,0,0,0,0")),
+    "branches/tacnode.br": (32, ("germ", "--poly", "y^2 - x^4", "--branches", "FILE")),
+}
+
+
+def mutant(rng, text):
+    """text with one to three edits of a line, each as the tests draw it:
+    insert, delete or replace a byte of the line, or drop or duplicate it."""
+    for _ in range(rng.randint(1, 3)):
+        lines = text.splitlines(keepends=True) or [b""]
+        k = rng.randrange(len(lines))
+        line = lines[k]
+        kind = rng.choice(("insert", "delete", "replace", "drop", "duplicate"))
+        if kind in ("drop", "duplicate"):
+            lines[k:k + 1] = [] if kind == "drop" else [line] * 2
+        else:
+            i = rng.randint(0, len(line))
+            byte = bytes([rng.choice(BYTES)])
+            if kind == "insert":
+                lines[k] = line[:i] + byte + line[i:]
+            elif i < len(line):
+                lines[k] = line[:i] + (b"" if kind == "delete" else byte) + line[i + 1:]
+        text = b"".join(lines)
+    return text
+
+
+def mutants_calls():
+    """Calls on seeded mutants of the shipped lattice and branch files; the
+    caller's working directory receives the mutants."""
+    for name, (seed, argv) in MUTANTS.items():
+        rng = random.Random(seed)
+        shipped = resources.files("stabctab").joinpath(f"data/{name}").read_bytes()
+        path = "mutant" + os.path.splitext(name)[1]
+        for _ in range(MUTANTS_PER_FILE):
+            with open(path, "wb") as fh:
+                fh.write(mutant(rng, shipped))
+            yield tuple(path if token == "FILE" else token for token in argv)
+
+
 GRIDS = {"tables": tables_calls, "germ": germ_calls, "random-germ": random_germ_calls,
-         "decompose": decompose_calls, "bounds": bounds_calls, "usage": usage_calls}
+         "decompose": decompose_calls, "bounds": bounds_calls, "usage": usage_calls,
+         "mutants": mutants_calls}
 
 
 def cli(argv):

@@ -137,8 +137,12 @@ def content_lines(text: str) -> list[str]:
             if line]
 
 
-def read_data(name: str) -> str:
-    """The UTF-8 text of the package's file ``data/<name>``; a missing one
-    is a fault of the package, not of the input, and raises its OSError."""
+def read_data(name: str, parse):
+    """parse applied to the UTF-8 text of the package's file ``data/<name>``.
+    A shipped file is not input: a missing one raises its OSError, and one
+    that parse rejects as BadInput raises ValueError, naming the file."""
     with open(os.path.join(DATA_DIR, name), encoding="utf-8") as fh:
-        return fh.read()
+        try:
+            return parse(fh.read())
+        except BadInput as exc:
+            raise ValueError(f"shipped file data/{name}: {exc}") from None

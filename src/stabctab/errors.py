@@ -9,7 +9,7 @@ catch ValueError still catch it, and the command line exits 2 on it and
 rejected; it has no subclasses.  The other classes (the series errors,
 InternalIdentityFailure, InconsistentTower) mark a broken invariant or a
 misuse, not bad input, and so does a plain ValueError raised on a value
-the library computed itself.
+the library computed itself or on a data file it ships.
 """
 
 

@@ -63,10 +63,10 @@ from .errors import BadInput, InternalIdentityFailure
 class SurfaceTopology(HashableRecord):
     """Topological input of the generating functions.
 
-    b1 and b2 are the first and second Betti numbers of the surface;
-    chi_o is the holomorphic Euler characteristic, carried along for the
-    lattice-side dimension formulas.  b1 must be even (the surface is
-    compact Kaehler); other values raise BadInput.  Hashable.
+    b1 and b2 are the first and second Betti numbers of the surface; chi_o,
+    the holomorphic Euler characteristic, is a field of the value that no
+    formula reads (acceptance criterion 1 passes it positionally).  b1 must
+    be even (the surface is compact Kaehler), or BadInput.  Hashable.
     """
 
     def __init__(self, b1: int, b2: int, chi_o: int):

@@ -417,9 +417,10 @@ def load_corpus(path=None) -> list[CorpusRecord]:
     the fields mu, tau, delta, r, each a JSON integer: not a float, a bool
     or a string).  A file that cannot be read or is not UTF-8, a record
     that is not such an object, and a key repeated in any object of a
-    record are BadInput; the message of a malformed record names its line
-    and what is wrong.  Only the decoding of a line is caught: any other
-    exception is a fault of this package and propagates.
+    record are BadInput, and ValueError in the shipped corpus, which is not
+    input; the message of a malformed record names its line and what is
+    wrong.  Only the decoding of a line is caught: any other exception is
+    a fault of this package and propagates.
     """
     import json
 
@@ -431,21 +432,23 @@ def load_corpus(path=None) -> list[CorpusRecord]:
             obj[key] = value
         return obj
 
-    text = read_data("ade_corpus.jsonl") if path is None else read_text(path)
-    records = []
-    for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            # an integer too long for Python to read is BadInput from parse_int
-            obj = json.loads(line, object_pairs_hook=unique_keys, parse_int=parse_int)
-            records.append(_corpus_record(obj))
-        except json.JSONDecodeError as exc:
-            raise BadInput(f"corpus line {lineno}: JSONDecodeError: {exc}") from None
-        except BadInput as exc:
-            raise BadInput(f"corpus line {lineno}: {exc}") from None
-    return records
+    def parse(text):
+        records = []
+        for lineno, line in enumerate(text.splitlines(), 1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            try:
+                # an integer too long for Python to read is BadInput from parse_int
+                obj = json.loads(line, object_pairs_hook=unique_keys, parse_int=parse_int)
+                records.append(_corpus_record(obj))
+            except json.JSONDecodeError as exc:
+                raise BadInput(f"corpus line {lineno}: JSONDecodeError: {exc}") from None
+            except BadInput as exc:
+                raise BadInput(f"corpus line {lineno}: {exc}") from None
+        return records
+
+    return read_data("ade_corpus.jsonl", parse) if path is None else parse(read_text(path))
 
 
 def parse_branch_file(text: str) -> BranchSet:

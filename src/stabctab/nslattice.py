@@ -315,11 +315,11 @@ def parse_lattice(text: str) -> LatticeModel:
 
 
 def load_lattice(source: str) -> LatticeModel:
-    """Load a lattice from a preset name (read by
-    :func:`stabctab._record.read_data`) or a file path (read by
-    :func:`stabctab._record.read_text`)."""
+    """Load a lattice from a preset name (read by :func:`stabctab._record.read_data`:
+    one that does not parse is a ValueError, a fault of the package) or a
+    file path (read by :func:`stabctab._record.read_text`: BadInput)."""
     if source in PRESET_LATTICES:
-        return parse_lattice(read_data(f"lattices/{source}.lat"))
+        return read_data(f"lattices/{source}.lat", parse_lattice)
     return parse_lattice(read_text(source))
 
 

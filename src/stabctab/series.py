@@ -69,7 +69,6 @@ class TruncatedBiSeries(Poly):
         return self.terms.get((a, b), Fraction(0))
 
     constant_term = Poly.constant
-    min_total_degree = Poly.low_degree
 
     def _same_ring(self, other) -> bool:
         """Whether other is a series; OrderMismatch if of another order."""

@@ -7,6 +7,7 @@ from importlib import resources
 import pytest
 
 from stabctab.cli import main
+from stabctab.errors import BadInput
 
 
 def run(capsys, *argv):
@@ -881,8 +882,12 @@ def _broken_table(surface, order):
     # is broken, whatever the call
     ("_record", "DATA_DIR", "no-such-data-directory",
      ("decompose", "--lattice", "bielliptic-rank2", "--beta", "2,2"), "FileNotFoundError"),
+    # nor is one that does not parse: its parser's BadInput exits 3, not 2
+    ("nslattice", "parse_lattice", _raise(BadInput),
+     ("decompose", "--lattice", "bielliptic-rank2", "--beta", "2,2"),
+     "ValueError: shipped file data/lattices/bielliptic-rank2.lat"),
 ], ids=["genfunc-value", "perverse-table", "germ-zero-division", "nslattice-type",
-        "codim-value", "missing-data-file"])
+        "codim-value", "missing-data-file", "malformed-data-file"])
 def test_stray_exception_exits_3(capsys, monkeypatch, module, name, stray, argv, exc_type):
     from importlib import import_module
 

@@ -162,14 +162,6 @@ def test_perverse_anti_diagonals_sum_to_stable_betti():
             assert stable_betti_from_perverse(surface, k) == stable_betti(surface, k)
 
 
-def test_stabilization_range():
-    for surface in (ENRIQUES, BIELLIPTIC):
-        for k in range(9):
-            expected = stable_betti(surface, k)
-            for n in range(k, 11):
-                assert hilb_betti(surface, n, k) == expected
-
-
 def test_odd_vanishing_for_b1_zero():
     for surface in (ENRIQUES, SMALL_B2):
         for k in range(1, 13, 2):
@@ -213,15 +205,6 @@ def _goettsche_partition_dp(b1, b2, max_n):
     return table
 
 
-def test_goettsche_against_partition_dp():
-    for surface in (ENRIQUES, BIELLIPTIC, SMALL_B2):
-        dp = _goettsche_partition_dp(surface.b1, surface.b2, 5)
-        g = goettsche_series(surface, 5)
-        for n in range(6):
-            for k in range(4 * n + 1):
-                assert dp.get((k, n), 0) == g.get((k, n), 0), (surface, k, n)
-
-
 def test_kernel_matches_product_oracle_and_partition_dp():
     """The Euler-transform kernel against the factor-by-factor expansion
     (G, H, stable Betti) and the integer DP (G), at every order 0..12."""
@@ -236,7 +219,7 @@ def test_kernel_matches_product_oracle_and_partition_dp():
             assert g == {k: c for k, c in g_ref.items() if k[1] <= order}, (surface, order)
             assert g == {k: c for k, c in dp.items() if k[1] <= order and c}, (surface, order)
             h = stable_perverse_series(surface, order)
-            assert h == TruncatedBiSeries(order, h_ref.terms), (surface, order)
+            assert h == TruncatedBiSeries(order, h_ref), (surface, order)
             assert _stable_betti_series(surface, order) == betti_ref[: order + 1]
 
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from stabctab import _record
 from stabctab.errors import BadInput
 from stabctab.germ import (
     BranchSet,
@@ -199,19 +200,17 @@ def test_bad_branch_data_fails_at_the_conductor_bound(monkeypatch):
     assert rounds == [2]
 
 
-def test_corpus_expected_values():
-    corpus = load_corpus()
-    assert {r.name for r in corpus} == {"A1", "A2", "A3", "A4", "D4", "D5", "E6"}
-    for rec in corpus:
-        mu = milnor(rec.germ)
-        tau = tjurina(rec.germ)
-        dlt = delta(rec.germ, rec.branches)
-        r = branch_count(rec.branches)
-        assert mu == rec.expected["mu"], rec.name
-        assert tau == rec.expected["tau"], rec.name
-        assert dlt == rec.expected["delta"], rec.name
-        assert r == rec.expected["r"], rec.name
-        assert mu == 2 * dlt - r + 1, rec.name
+def test_malformed_shipped_corpus_is_not_bad_input(tmp_path, monkeypatch):
+    # the same text is BadInput in a file the caller names, and a fault of
+    # the package in the corpus it ships
+    (tmp_path / "ade_corpus.jsonl").write_text('{"name": "A1"}\n', encoding="utf-8")
+    with pytest.raises(BadInput, match="corpus line 1"):
+        load_corpus(tmp_path / "ade_corpus.jsonl")
+    monkeypatch.setattr(_record, "DATA_DIR", str(tmp_path))
+    with pytest.raises(ValueError) as info:
+        load_corpus()
+    assert type(info.value) is ValueError
+    assert str(info.value).startswith("shipped file data/ade_corpus.jsonl: corpus line 1: ")
 
 
 def test_corpus_file_that_cannot_be_read_is_bad_input(tmp_path):

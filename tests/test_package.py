@@ -315,3 +315,15 @@ def test_no_module_reads_the_environment():
         names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                   for alias in node.names}
         assert not names & {"environ", "environb", "getenv", "getenvb"}, path.name
+
+
+def test_every_source_parses_as_python_3_10():
+    # pyproject asks for Python 3.10 or later, and the suite may run on a
+    # later one only: no module or test may use newer grammar, such as except*
+    import ast
+    from pathlib import Path
+
+    paths = [*Path(stabctab.__file__).parent.rglob("*.py"), *Path(__file__).parent.rglob("*.py")]
+    assert len(paths) > 20
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
