@@ -43,7 +43,6 @@ _HOMES = {
     "BiellipticParams": "codim",
     "DivisorClass": "nslattice",
     "LatticeModel": "nslattice",
-    "arithmetic_genus": "codim",
     "bielliptic_chi": "codim",
     "bielliptic_codim_bound": "codim",
     "decompose": "nslattice",

@@ -5,8 +5,8 @@ start-up than most of them spend computing.  These two plain bases give
 the package's value classes, the exact ring ``poly.Poly`` and its
 ``series.TruncatedBiSeries`` among them, what callers use of a frozen
 dataclass.  Every layer loads this module, so the readers of outside
-input that the polynomial, branch-file, corpus, lattice-file and bounds
-parsers share live here too: ``parse_rational``, ``parse_int``,
+input that the polynomial, branch-file, lattice-file and bounds parsers
+share live here too: ``parse_rational``, ``parse_int``,
 ``read_text`` and ``content_lines``.  Each reports what it rejects as
 BadInput, with the message of the exception it replaces.  An integer, in
 every reader of outside input and in the command line's integer flags,
@@ -14,7 +14,8 @@ is an optional sign and ASCII digits, ``[+-]?[0-9]+``: not ``int``'s
 wider grammar, which takes underscores and the digits of other scripts,
 and one predicate, ``is_integer``, decides it without ``re``.  The
 package's own data files, the preset lattices and the ADE corpus, are
-read by ``read_data`` as plain files in DATA_DIR, next to this module.
+not input: ``read_data`` reads them as plain files in DATA_DIR, next to
+this module.
 """
 
 import os

@@ -11,9 +11,8 @@ not load the lattice model.  Two groups of operations:
   threshold d0(beta^2, i, j) on Enriques surfaces and the translation
   N = 2*ceil(codim) - 2.
 
-* small exact helpers: linear-system dimensions on an Enriques surface,
-  chi of a bielliptic divisor class, arithmetic genus when the
-  canonical class is numerically trivial.
+* small exact helpers: linear-system dimensions on an Enriques surface
+  and chi of a bielliptic divisor class.
 
 Square roots are kept exact (:mod:`stabctab.surd`, imported only by
 the two case-term functions that take them); no floating point.  A
@@ -35,7 +34,6 @@ from .errors import BadInput
 
 __all__ = [
     "BiellipticParams",
-    "arithmetic_genus",
     "bielliptic_chi",
     "bielliptic_codim_bound",
     "bielliptic_codim_terms",
@@ -54,31 +52,14 @@ __all__ = [
 # --- Enriques-side formulas ---------------------------------------------------
 
 
-def enriques_dim_ls(dsq: int, k: int | None = None, with_ks: bool = False) -> int:
-    """Dimension of the linear system of a nonzero nef effective divisor
-    on an Enriques surface.
-
-    For dsq > 0 (necessarily even) the dimension is dsq/2.  For dsq = 0
-    the divisor is k times a primitive isotropic class, possibly shifted
-    by the canonical class: pass k and with_ks and get floor(k/2) or
-    floor((k-1)/2) respectively.
-    """
-    if dsq < 0:
-        raise BadInput("a nef divisor has nonnegative self-intersection")
-    if dsq > 0:
-        if dsq % 2:
-            raise BadInput(f"odd self-intersection {dsq} is impossible in an even lattice")
-        return dsq // 2
-    if k is None or k < 1:
-        raise BadInput("the square-zero case needs the multiple k >= 1")
-    return (k - 1) // 2 if with_ks else k // 2
-
-
-def arithmetic_genus(beta_sq: int) -> int:
-    """Arithmetic genus beta^2/2 + 1 (numerically trivial canonical class)."""
-    if beta_sq % 2:
-        raise BadInput(f"odd self-intersection {beta_sq} is impossible in an even lattice")
-    return beta_sq // 2 + 1
+def enriques_dim_ls(dsq: int) -> int:
+    """Dimension dsq/2 of the linear system of a nef effective divisor of
+    square dsq > 0 (necessarily even) on an Enriques surface."""
+    if dsq <= 0:
+        raise BadInput("the linear-system dimension needs a positive self-intersection")
+    if dsq % 2:
+        raise BadInput(f"odd self-intersection {dsq} is impossible in an even lattice")
+    return dsq // 2
 
 
 def _check_beta_sq(beta_sq: int) -> None:

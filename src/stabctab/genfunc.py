@@ -223,12 +223,11 @@ def _as_betti(c: int, what: str) -> int:
 def hilb_betti(surface: SurfaceTopology, n: int, k: int) -> int:
     """k-th Betti number of the n-point Hilbert scheme of the surface.
 
-    Returns 0 for k > 4n (outside the cohomological range; not an error).
+    Returns 0 for k > 4n (outside the cohomological range; not an error):
+    G_n has z-degree at most 4n, so its row holds no such term.
     """
     if n < 0 or k < 0:
         raise ValueError("n and k must be nonnegative")
-    if k > 4 * n:
-        return 0
     rows = _goettsche_rows(surface, n, k)
     return _as_betti(_at(rows, n, k), f"b_{k} of the {n}-point Hilbert scheme")
 
@@ -309,8 +308,8 @@ def stable_perverse_table(surface: SurfaceTopology, order: int) -> PerverseTable
 
 
 def _table_order(key: tuple[int, int]) -> tuple:
-    """Sort key of a table key (i, j): by total degree i + |j|, then by key."""
-    return key[0] + abs(key[1]), key
+    """Sort key of a table key (i, j): by total degree i + j, then by key."""
+    return key[0] + key[1], key
 
 
 def _first_difference(left: dict, right: dict):
@@ -333,9 +332,10 @@ def remark_identity_mismatch(
     coefficient at row i, index n, and (1 - w)(1 - z^2 w) G, graded by w,
     at row n, index i.  Returns None if the sides agree, else
     ((n, i - n), lhs, rhs): the key q^n t^(i-n) of the first difference in
-    order of total degree, and the integer coefficients of the two sides
-    there.  With perturb=True the left side is deliberately shifted by +1
-    in its constant term (negative-control hook).
+    order of total degree, which is the z-degree i, and the integer
+    coefficients of the two sides there.  With perturb=True the left side
+    is deliberately shifted by +1 in its constant term (negative-control
+    hook).
     """
     lhs_rows = _product(_perverse_factors(surface, order) + [(-1, 0, 2, 1)], order, order)
     rhs_rows = _product(_goettsche_factors(surface, order) + [(-1, 0, 1, 1), (-1, 2, 1, 1)],

@@ -150,6 +150,16 @@ def test_remark_identity_catches_dropped_b1_factor(monkeypatch):
         assert remark_identity_mismatch(surface, 4) is None, surface
 
 
+def test_first_difference_orders_by_total_degree():
+    # the identity's key q^n t^(i-n) has negative j when n > i; total
+    # degree i + j is then the z-degree i, so (2, -1) at z-degree 1 comes
+    # before (0, 2) at z-degree 2
+    left = {(2, -1): 1, (0, 2): 1, (1, 0): 4}
+    right = {(1, 0): 4}
+    assert genfunc._first_difference(left, right) == ((2, -1), 1, 0)
+    assert genfunc._first_difference(right, right) is None
+
+
 def test_stable_betti_from_perverse():
     assert stable_betti_from_perverse(ENRIQUES, 2) == 11 == stable_betti(ENRIQUES, 2)
     assert stable_betti_from_perverse(ENRIQUES, 0) == 1

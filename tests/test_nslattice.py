@@ -11,7 +11,6 @@ from stabctab.errors import BadInput
 from stabctab.nslattice import (
     BiellipticParams,
     LatticeModel,
-    arithmetic_genus,
     bielliptic_chi,
     bielliptic_codim_bound,
     bielliptic_codim_terms,
@@ -313,6 +312,15 @@ def test_rank_is_capped():
         LatticeModel(rank, one, (1,) * rank, one, (1,) * (rank - 1))
 
 
+def test_enumeration_cap_lies_between_two_boxes(bielliptic_model):
+    # the box of (447, 447) holds 4,999,696 points, under the cap of
+    # 5,000,000, and is scanned; that of (448, 448) holds 5,022,081 and is
+    # refused before any point is visited
+    assert len(decompose(bielliptic_model, (447, 447))) == 399_172
+    with pytest.raises(BadInput, match="^decomposition enumeration region is too large$"):
+        decompose(bielliptic_model, (448, 448))
+
+
 def test_parse_lattice_rejects_garbage():
     with pytest.raises(ValueError):
         parse_lattice("rank 2\nwhatever 1 2\n")
@@ -322,10 +330,10 @@ def test_parse_lattice_rejects_garbage():
 
 def test_enriques_dim_ls():
     assert enriques_dim_ls(10) == 5
-    assert enriques_dim_ls(0, k=3) == 1
-    assert enriques_dim_ls(0, k=3, with_ks=True) == 1
-    assert enriques_dim_ls(0, k=4) == 2
-    assert enriques_dim_ls(0, k=4, with_ks=True) == 1
+    assert enriques_dim_ls(2) == 1
+    for dsq in (0, -2):
+        with pytest.raises(BadInput, match="needs a positive self-intersection"):
+            enriques_dim_ls(dsq)
     with pytest.raises(BadInput, match="odd self-intersection 7"):
         enriques_dim_ls(7)
 
@@ -427,8 +435,9 @@ def test_enriques_d0_equals_the_sqrt_rational_route():
 
 
 def test_ceil_sqrt_equals_the_sqrt_rational_route():
-    # the square-root terms of d0 never exceed its other terms for even
-    # beta^2 >= 2, so they are checked on their own
+    # the square-root terms of d0 decide it only at beta^2 = 2, where the
+    # second one gives d0 = 3 at (i, j) = (1, 1) and (0, 2), so they are
+    # checked on their own
     from stabctab.codim import _ceil_sqrt
 
     for q in range(1, 41):
@@ -448,25 +457,18 @@ def test_enriques_d0_monotone():
 
 def test_enriques_d0_dominates_stable_hypotheses():
     """Past d0 the (generic-surface) codimension bound certifies the
-    perverse range and the dimension condition holds."""
-    for beta_sq in (2, 10):
-        for i in range(5):
-            for j in range(5):
+    perverse range and the dimension condition 2 dim >= 3i + j holds, dim
+    the linear-system dimension of d*beta.  Only soundness is asserted: a
+    smaller d often meets both too, since d0 also carries the terms 2 and
+    i + 1, which come from other hypotheses."""
+    for beta_sq in range(2, 31, 2):
+        for i in range(16):
+            for j in range(16):
                 d0 = enriques_d0(beta_sq, i, j)
                 for d in range(d0, d0 + 6):
                     bound = enriques_codim_bound(beta_sq, d, generic=True)
                     assert n_lower_bound(bound) >= i + j, (beta_sq, i, j, d)
-                    assert d * d * beta_sq >= 3 * i + j
-
-
-def test_arithmetic_genus():
-    assert arithmetic_genus(10) == 6
-    assert arithmetic_genus(0) == 1
-    with pytest.raises(BadInput, match="odd self-intersection 7"):
-        arithmetic_genus(7)
-    # dim |beta| + p_a = beta^2 + chi(O) with chi(O) = 1 on an Enriques surface
-    for beta_sq in range(2, 21, 2):
-        assert enriques_dim_ls(beta_sq) + arithmetic_genus(beta_sq) == beta_sq + 1
+                    assert 2 * enriques_dim_ls(d * d * beta_sq) >= 3 * i + j, (beta_sq, i, j, d)
 
 
 def test_surd_arithmetic():
