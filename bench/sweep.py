@@ -1,15 +1,17 @@
-"""Equivalence sweeps: fixed grids of command-line calls, each hashed to one digest.
+"""Equivalence sweeps: fixed grids of calls, each hashed to one digest.
 
 Usage: ``PYTHONPATH=src python bench/sweep.py GRID [GRID ...]``, GRID one of
 ``tables``, ``germ``, ``random-germ``, ``decompose``, ``bounds``,
-``usage`` and ``mutants``.  Each call runs ``stabctab.cli.main``
-in-process, on whichever ``stabctab`` is first on the path, and takes the
-exit status it returns; for each grid the script prints the grid, its
-call count and one sha256 over the (argv, exit code, stdout, stderr) of
-its calls in order.  A refactor that claims unchanged records runs the
-grids at the parent and at the change (point PYTHONPATH at each
-checkout's ``src``) and gives both digests.  Every call is fixed; the
-random draws are seeded.
+``usage``, ``mutants`` and ``parse``.  Each call runs
+``stabctab.cli.main`` in-process, on whichever ``stabctab`` is first on
+the path, and takes the exit status it returns; for each grid the script
+prints the grid, its call count and one sha256 over the (argv, exit
+code, stdout, stderr) of its calls in order.  A refactor that claims
+unchanged records runs the grids at the parent and at the change (point
+PYTHONPATH at each checkout's ``src``) and gives both digests.  Every
+call is fixed; the random draws are seeded, and the random lattices, the
+file edits and the grammar's alphabet come from ``tests/draws.py``, as
+in the tests.
 
 * ``tables``: ``perverse --oracle``, ``identity`` and ``identity --perturb``
   at orders 0..20, then ``stable-betti --max-k 0..48``, each at
@@ -36,8 +38,9 @@ random draws are seeded.
   exist; then twelve rank-2 and eight
   rank-3 lattice files drawn from ``random.Random(2)`` and
   ``random.Random(3)``, each at six classes that pair positively with its
-  ample witness and one that may not.  Each as TSV and as JSON; the files
-  are written to the working directory, as for ``germ``.
+  ample witness and one that may not (``draws.gram_schmidt_lattice``).
+  Each as TSV and as JSON; the files are written to the working
+  directory, as for ``germ``.
 * ``bounds``: ``--surface enriques --d`` (with and without ``--generic``)
   and ``--i --j`` over even beta^2 in 2..20, and ``--surface bielliptic
   --d`` over a grid of a, b, lambda, mu, gamma and d, then every rejection
@@ -57,16 +60,22 @@ random draws are seeded.
   ``enriques-u-e8.lat`` by ``decompose --beta 1,2,0,1,-1,0,0,0,0,0`` and
   ``tacnode.br`` by ``germ --poly "y^2 - x^4" --branches``, drawn from
   ``random.Random(30)``, ``(31)`` and ``(32)``.  A mutant has one to three
-  edits of a line, those of ``tests/test_input_files.py``: insert, delete
-  or replace a byte of ``BYTES``, or drop or duplicate the line.  Each is
+  edits of a line, by ``draws.edit_lines``: insert, delete or replace a
+  byte of ``draws.BYTES``, or drop or duplicate the line.  Each is
   written to the working directory as ``mutant.lat`` or ``mutant.br`` and
   read once, as TSV.  Through the branch files the grid also fuzzes the
   term grammar.
+* ``parse``: 200,000 strings of length 0..24 over ``draws.GRAMMAR``, drawn
+  from ``random.Random(11)``, each read by ``parse_polynomial(s, ("x",
+  "y"))`` with no command line; the digest covers each string with its
+  sorted terms, or with its error's class and message.
 
 Digests (CPython 3.11; about 25 s for ``tables``, ``germ``, ``decompose``
 and ``bounds`` together, 21 s for ``random-germ``, under 1 s for
-``usage`` and 32 s for ``mutants``, on a 2-vCPU Xeon), the same at the
-revision that added ``mutants`` and at its parent:
+``usage``, 32 s for ``mutants`` and 4 s for ``parse``, on a 2-vCPU
+Xeon), the same at the revision that added ``mutants`` and at its parent,
+and again when the draws moved to ``tests/draws.py``; ``parse`` is the
+same at the revision that added it and at its parent:
 
     tables       14784 calls  d420e71be84b291f47970e1b928ca5b5b56350599e4b68ed8c1ea02068ae0299
     germ           184 calls  c54044cd94f491e838ea9cd97dc7e72af82056efcb863114dced40b0568174c4
@@ -75,6 +84,7 @@ revision that added ``mutants`` and at its parent:
     bounds        1448 calls  d291e022c5cdf5ee997cc7131fb71ee9c143639fb8657b09cd5df23b65a50a2d
     usage          175 calls  6c71afc1ed81cb468017e9886111d313100df760d31dda03bf1002bf1843f3df
     mutants      60000 calls  83fe1bb5519117702d12e2cc134f1beb332462d619d2a88d44e07eeebb4b9153
+    parse       200000 calls  34a7d6f18cd0adcac5b292f343620b411c1bb633254c961bd2e2741071dad875
 """
 
 from __future__ import annotations
@@ -90,10 +100,13 @@ import os
 import random
 import sys
 import tempfile
-from fractions import Fraction
 from importlib import resources
 
 from stabctab.cli import COMMANDS, main
+from stabctab.poly import parse_polynomial
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tests"))
+from draws import GRAMMAR, edit_lines, gram_schmidt_lattice  # noqa: E402
 
 FORMATS = ("tsv", "json")
 SURFACES = [(b1, b2) for b1 in (0, 2, 4) for b2 in range(1, 23)]
@@ -201,49 +214,25 @@ def run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def sweep(calls):
-    """The number of calls and the sha256 over their (argv, code, stdout, stderr)."""
+def sweep(calls, read=run):
+    """The number of calls and the sha256 over each call with what read
+    gives for it: by default its (argv, code, stdout, stderr)."""
     digest = hashlib.sha256()
     count = 0
     for argv in calls:
-        digest.update(json.dumps([argv, *run(argv)]).encode() + b"\n")
+        digest.update(json.dumps([argv, *read(argv)]).encode() + b"\n")
         count += 1
     return count, digest.hexdigest()
 
 
 def random_lattice(rng, rank):
-    """A lattice file of the given rank and the pairing of its ample witness
-    with each unit vector, or None when the draw fails: a symmetric gram of
-    entries in -4..4, the witness and D1 its first small vector of positive
-    square, D2, ... from Gram-Schmidt on the unit vectors, each test integer
-    the least that makes its test class ample."""
-    gram = [[0] * rank for _ in range(rank)]
-    for i in range(rank):
-        for j in range(i, rank):
-            gram[i][j] = gram[j][i] = rng.randint(-4, 4)
-
-    def ip(u, v):
-        return sum(u[i] * gram[i][j] * v[j] for i in range(rank) for j in range(rank))
-
-    small = sorted(itertools.product(range(-2, 3), repeat=rank),
-                   key=lambda v: (sum(map(abs, v)), v))
-    d1 = next((v for v in small if ip(v, v) > 0), None)
-    if d1 is None:
+    """A lattice file of the given rank, drawn by ``draws.gram_schmidt_lattice``,
+    and the pairing of its ample witness with each unit vector, or None
+    when the draw fails."""
+    drawn = gram_schmidt_lattice(rng, rank)
+    if drawn is None:
         return None
-    basis = [tuple(map(Fraction, d1))]
-    for k in range(rank):
-        v = tuple(Fraction(int(i == k)) for i in range(rank))
-        for w in basis:
-            scale = ip(v, w) / ip(w, w)
-            v = tuple(x - scale * y for x, y in zip(v, w))
-        if any(v) and len(basis) < rank:
-            if ip(v, v) >= 0:
-                return None
-            basis.append(v)
-    if len(basis) != rank:
-        return None
-    tests = [next(n for n in itertools.count(1) if n * n * ip(d1, d1) + ip(v, v) > 0)
-             for v in basis[1:]]
+    gram, d1, basis, tests = drawn
     text = "\n".join([f"rank {rank}", "gram", *(" ".join(map(str, row)) for row in gram),
                       "ample_witness " + " ".join(map(str, d1)), "ortho_basis",
                       *(" ".join(map(str, v)) for v in basis),
@@ -374,11 +363,6 @@ def usage_calls():
                 yield (*base, flag, "none")
 
 
-#: Bytes a mutant inserts or puts in place of one, those of
-#: ``tests/test_input_files.py``: the grammars' own characters, spaces and
-#: line breaks, and a few that are not ASCII.
-BYTES = b"0123456789 -+/*^;:#\n\r\ttxy,=rankgmps_\xc3\xa9\xff\x00"
-
 #: Mutants of each shipped file, as many as make the grid take about 30 s.
 MUTANTS_PER_FILE = 20000
 
@@ -392,27 +376,6 @@ MUTANTS = {
 }
 
 
-def mutant(rng, text):
-    """text with one to three edits of a line, each as the tests draw it:
-    insert, delete or replace a byte of the line, or drop or duplicate it."""
-    for _ in range(rng.randint(1, 3)):
-        lines = text.splitlines(keepends=True) or [b""]
-        k = rng.randrange(len(lines))
-        line = lines[k]
-        kind = rng.choice(("insert", "delete", "replace", "drop", "duplicate"))
-        if kind in ("drop", "duplicate"):
-            lines[k:k + 1] = [] if kind == "drop" else [line] * 2
-        else:
-            i = rng.randint(0, len(line))
-            byte = bytes([rng.choice(BYTES)])
-            if kind == "insert":
-                lines[k] = line[:i] + byte + line[i:]
-            elif i < len(line):
-                lines[k] = line[:i] + (b"" if kind == "delete" else byte) + line[i + 1:]
-        text = b"".join(lines)
-    return text
-
-
 def mutants_calls():
     """Calls on seeded mutants of the shipped lattice and branch files; the
     caller's working directory receives the mutants."""
@@ -422,13 +385,33 @@ def mutants_calls():
         path = "mutant" + os.path.splitext(name)[1]
         for _ in range(MUTANTS_PER_FILE):
             with open(path, "wb") as fh:
-                fh.write(mutant(rng, shipped))
+                fh.write(edit_lines(shipped, rng.randint, rng.choice))
             yield tuple(path if token == "FILE" else token for token in argv)
+
+
+def parse_texts():
+    """Strings of length 0..24 over ``draws.GRAMMAR``, from ``random.Random(11)``."""
+    rng = random.Random(11)
+    for _ in range(200_000):
+        yield "".join(rng.choice(GRAMMAR) for _ in range(rng.randint(0, 24)))
+
+
+def read_polynomial(text):
+    """parse_polynomial(text, ("x", "y"))'s sorted terms, or its error's class
+    and message."""
+    try:
+        terms = parse_polynomial(text, ("x", "y"))
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+    return [sorted((key, str(c)) for key, c in terms.items())]
 
 
 GRIDS = {"tables": tables_calls, "germ": germ_calls, "random-germ": random_germ_calls,
          "decompose": decompose_calls, "bounds": bounds_calls, "usage": usage_calls,
-         "mutants": mutants_calls}
+         "mutants": mutants_calls, "parse": parse_texts}
+
+#: How a grid's items are read when they are not command lines.
+READERS = {"parse": read_polynomial}
 
 
 def cli(argv):
@@ -440,7 +423,7 @@ def cli(argv):
         with tempfile.TemporaryDirectory() as scratch:
             os.chdir(scratch)
             try:
-                count, digest = sweep(GRIDS[name]())
+                count, digest = sweep(GRIDS[name](), READERS.get(name, run))
             finally:
                 os.chdir(home)
         print(f"{name}\t{count}\t{digest}", flush=True)

@@ -90,8 +90,6 @@ def cmd_decompose(args) -> tuple:
 
     model = nslattice.load_lattice(args.lattice)
     beta = tuple(map(parse_int, args.beta.split(",")))
-    if len(beta) != model.rank:
-        raise BadInput(f"beta has {len(beta)} coordinates, lattice has rank {model.rank}")
     pairs = nslattice.decompose(model, beta)
     rows = chain([("theta1", "theta2")],
                  ((",".join(map(str, t1)), ",".join(map(str, t2))) for t1, t2 in pairs))

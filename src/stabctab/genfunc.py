@@ -175,13 +175,6 @@ def _product(factors, order: int, top: int) -> list[list[int]]:
     return _euler_transform(_log_derivative(factors, order), order, top)
 
 
-def _at(rows: list[list[int]], r: int, c: int) -> int:
-    """rows[r][c], read as 0 outside the rows."""
-    if 0 <= r < len(rows) and 0 <= c < len(rows[r]):
-        return rows[r][c]
-    return 0
-
-
 def _goettsche_factors(surface: SurfaceTopology, order: int) -> list[Factor]:
     """Factors of G graded by w, carrying z."""
     b1, b2 = surface.b1, surface.b2
@@ -210,8 +203,13 @@ def goettsche_series(surface: SurfaceTopology, order: int) -> dict[tuple[int, in
 
 
 def _goettsche_rows(surface: SurfaceTopology, order: int, top: int) -> list[list[int]]:
-    """G's rows G_n[z-exponent] for w-degree n <= order, up to z-degree top."""
-    return _product(_goettsche_factors(surface, order), order, top)
+    """G's rows G_n[z-exponent] for w-degree n <= order, padded with zeros to
+    z-degree top; each entry is a Betti number, checked by :func:`_as_betti`."""
+    return [
+        [_as_betti(c, f"b_{i} of the {n}-point Hilbert scheme") for i, c in enumerate(row)]
+        + [0] * (top + 1 - len(row))
+        for n, row in enumerate(_product(_goettsche_factors(surface, order), order, top))
+    ]
 
 
 def _as_betti(c: int, what: str) -> int:
@@ -228,8 +226,7 @@ def hilb_betti(surface: SurfaceTopology, n: int, k: int) -> int:
     """
     if n < 0 or k < 0:
         raise ValueError("n and k must be nonnegative")
-    rows = _goettsche_rows(surface, n, k)
-    return _as_betti(_at(rows, n, k), f"b_{k} of the {n}-point Hilbert scheme")
+    return _goettsche_rows(surface, n, k)[n][k]
 
 
 def _stable_betti_series(surface: SurfaceTopology, order: int) -> list[int]:

@@ -208,9 +208,11 @@ def decompose(model: LatticeModel, beta) -> list[tuple[DivisorClass, DivisorClas
     interval, and the intersection of these intervals with the box is
     emitted whole.
 
-    Raises BadInput when beta pairs non-positively with the ample witness
-    or when the box is refused.
+    Raises BadInput when beta is not of the model's rank or pairs non-
+    positively with the ample witness, or when the box is refused.
     """
+    if len(beta) != model.rank:
+        raise BadInput(f"beta has {len(beta)} coordinates, lattice has rank {model.rank}")
     beta = tuple(int(c) for c in beta)
     if sum(map(operator.mul, model._witness_row, beta)) <= 0:
         raise BadInput("class pairs non-positively with the ample witness")

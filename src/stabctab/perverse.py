@@ -25,14 +25,7 @@ from __future__ import annotations
 
 from ._record import Record
 from .errors import InconsistentTower
-from .genfunc import (
-    PerverseTable,
-    SurfaceTopology,
-    _as_betti,
-    _at,
-    _first_difference,
-    _goettsche_rows,
-)
+from .genfunc import PerverseTable, SurfaceTopology, _first_difference, _goettsche_rows
 
 
 class RelHilbBettiTower(Record):
@@ -64,8 +57,7 @@ def build_tower(surface: SurfaceTopology, order: int) -> RelHilbBettiTower:
     values: dict[tuple[int, int], int] = {}
     for ell in range(order + 1):
         for m in range(order + 1):
-            betti = _as_betti(_at(g, ell, m), f"b_{m} of the {ell}-point Hilbert scheme")
-            values[(ell, m)] = betti + values.get((ell, m - 2), 0)
+            values[(ell, m)] = g[ell][m] + values.get((ell, m - 2), 0)
     return RelHilbBettiTower(surface, order, values)
 
 

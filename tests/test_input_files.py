@@ -13,33 +13,14 @@ from hypothesis import strategies as st
 
 from stabctab.cli import main
 
-#: Bytes to insert or put in place of one: the grammars' own characters,
-#: spaces and line breaks, and a few that are not ASCII (0xc3 and 0xa9
-#: spell 'é' only together, 0xff is never UTF-8).
-BYTES = st.sampled_from(b"0123456789 -+/*^;:#\n\r\ttxy,=rankgmps_\xc3\xa9\xff\x00")
-
+from draws import edit_lines
 
 @st.composite
 def mutations(draw, text: bytes) -> bytes:
-    """text with one to three edits of a line: insert, delete or replace
-    a byte in it, drop or duplicate it.  A line, not a byte, is drawn
-    first, so that the short data lines are hit as often as comments."""
-    for _ in range(draw(st.integers(1, 3))):
-        lines = text.splitlines(keepends=True) or [b""]
-        k = draw(st.integers(0, len(lines) - 1))
-        line = lines[k]
-        kind = draw(st.sampled_from(["insert", "delete", "replace", "drop", "duplicate"]))
-        if kind in ("drop", "duplicate"):
-            lines[k:k + 1] = [] if kind == "drop" else [line] * 2
-        else:
-            i = draw(st.integers(0, len(line)))
-            byte = bytes([draw(BYTES)])
-            if kind == "insert":
-                lines[k] = line[:i] + byte + line[i:]
-            elif i < len(line):
-                lines[k] = line[:i] + (b"" if kind == "delete" else byte) + line[i + 1:]
-        text = b"".join(lines)
-    return text
+    """text with one to three edits of a line, those of ``draws.edit_lines``,
+    drawn by hypothesis."""
+    return edit_lines(text, lambda lo, hi: draw(st.integers(lo, hi)),
+                      lambda seq: draw(st.sampled_from(seq)))
 
 
 def shipped(name: str) -> bytes:

@@ -27,6 +27,8 @@ from stabctab.nslattice import (
 )
 from stabctab.surd import QuadSurd, sqrt_rational
 
+from draws import gram_schmidt_lattice
+
 
 @pytest.fixture(scope="module")
 def bielliptic_model():
@@ -63,22 +65,6 @@ def brute_force_pairs(model, beta, box=20):
     return sorted(pairs)
 
 
-def test_preset_decompose_11(bielliptic_model):
-    pairs = decompose(bielliptic_model, (1, 1))
-    assert pairs == [((0, 1), (1, 0)), ((1, 0), (0, 1))]
-    assert pairs == brute_force_pairs(bielliptic_model, (1, 1))
-
-
-def test_preset_decompose_22(bielliptic_model):
-    pairs = decompose(bielliptic_model, (2, 2))
-    assert len(pairs) == 7
-    thetas = {p[0] for p in pairs}
-    assert thetas == {
-        (s, t) for s in range(3) for t in range(3)
-    } - {(0, 0), (2, 2)}
-    assert pairs == brute_force_pairs(bielliptic_model, (2, 2))
-
-
 def test_preset_decompose_minimal_empty(bielliptic_model):
     assert decompose(bielliptic_model, (1, 0)) == []
 
@@ -94,6 +80,13 @@ def test_decompose_posts(bielliptic_model):
 def test_not_effective_candidate(bielliptic_model):
     with pytest.raises(BadInput, match="pairs non-positively with the ample witness"):
         decompose(bielliptic_model, (-1, -1))
+
+
+def test_beta_not_of_the_rank_is_bad_input(bielliptic_model):
+    for beta in ((2, 2, 5), (2,)):
+        with pytest.raises(BadInput, match=f"^beta has {len(beta)} coordinates, "
+                                           "lattice has rank 2$"):
+            decompose(bielliptic_model, beta)
 
 
 def random_rank2_model(rng):
@@ -167,46 +160,11 @@ def test_decompose_at_the_smallest_splittable_form_value():
 
 def random_gram_schmidt_model(rng, rank):
     """Random signature-(1, rank-1) lattice whose D2, ... come from
-    Gram-Schmidt against a small ample D1, so they have rational entries."""
+    Gram-Schmidt against a small ample D1 and have a rational entry."""
     while True:
-        entries = iter([rng.randint(-4, 4) for _ in range(rank * (rank + 1) // 2)])
-        gram = [[0] * rank for _ in range(rank)]
-        for i in range(rank):
-            for j in range(i, rank):
-                gram[i][j] = gram[j][i] = next(entries)
-        gram = tuple(map(tuple, gram))
-
-        def ip(u, v):
-            return sum(u[i] * gram[i][j] * v[j] for i in range(rank) for j in range(rank))
-
-        small = sorted(
-            itertools.product(range(-2, 3), repeat=rank),
-            key=lambda v: (sum(map(abs, v)), v),
-        )
-        d1 = next((v for v in small if ip(v, v) > 0), None)
-        if d1 is None:
-            continue
-        basis = [tuple(map(Fraction, d1))]
-        for k in range(rank):
-            v = tuple(Fraction(int(i == k)) for i in range(rank))
-            for w in basis:
-                scale = ip(v, w) / ip(w, w)
-                v = tuple(x - scale * y for x, y in zip(v, w))
-            if any(v) and len(basis) < rank:
-                if ip(v, v) >= 0:
-                    break
-                basis.append(v)
-        if len(basis) != rank or any(ip(v, v) >= 0 for v in basis[1:]):
-            continue
-        if all(x.denominator == 1 for v in basis[1:] for x in v):
-            continue
-        tests = []
-        for v in basis[1:]:
-            n = 1
-            while n * n * ip(d1, d1) + ip(v, v) <= 0:
-                n += 1
-            tests.append(n)
-        return LatticeModel(rank, gram, d1, tuple(basis), tuple(tests))
+        drawn = gram_schmidt_lattice(rng, rank)
+        if drawn is not None and any(x.denominator != 1 for v in drawn[2][1:] for x in v):
+            return LatticeModel(rank, *drawn)
 
 
 def test_random_rank3_enumeration_oracle():

@@ -7,11 +7,13 @@ from hypothesis import strategies as st
 
 from stabctab.poly import Poly, parse_polynomial
 
+from draws import GRAMMAR
+
 #: deterministic runs and no example database on disk; each test bounds
 #: its own example count to keep the suite fast
 PROPERTY = settings(derandomize=True, database=None, deadline=None)
 
-GRAMMAR_TEXT = st.text(alphabet="xyzt0123456789/^*+- −\t", max_size=24)
+GRAMMAR_TEXT = st.text(alphabet=GRAMMAR, max_size=24)
 
 
 @settings(PROPERTY, max_examples=300)
