@@ -10,8 +10,8 @@ code, stdout, stderr) of its calls in order.  A refactor that claims
 unchanged records runs the grids at the parent and at the change (point
 PYTHONPATH at each checkout's ``src``) and gives both digests.  Every
 call is fixed; the random draws are seeded, and the random lattices, the
-file edits and the grammar's alphabet come from ``tests/draws.py``, as
-in the tests.
+file edits, the grammar's alphabet and the m-fold points come from
+``tests/draws.py``, as in the tests.
 
 * ``tables``: ``perverse --oracle``, ``identity`` and ``identity --perturb``
   at orders 0..20, then ``stable-betti --max-k 0..48``, each at
@@ -28,7 +28,8 @@ in the tests.
   then the ordinary m-fold points, the products of y - i*x for i = 1..m,
   for m in 2..9, each with its lines ``t ; i*t`` as branches, and the
   curved ones, the products of y - i*x - x^2 - i*x^3, for m in 2..4, each
-  with its branches ``t ; i*t + t^2 + i*t^3``.  Each as TSV and as JSON;
+  with its branches ``t ; i*t + t^2 + i*t^3`` (``draws.ordinary_point``
+  and ``draws.curved_point``, as in the tests).  Each as TSV and as JSON;
   the branch files are written to the working directory, as for ``germ``.
 * ``decompose``: ``bielliptic-rank2`` at every beta in -1..12 x -1..12, at
   (40,40), (60,25) and (200,200) (a JSON record of 79,801 pairs, written
@@ -106,7 +107,8 @@ from stabctab.cli import COMMANDS, main
 from stabctab.poly import parse_polynomial
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tests"))
-from draws import GRAMMAR, edit_lines, gram_schmidt_lattice  # noqa: E402
+from draws import (  # noqa: E402
+    GRAMMAR, curved_point, edit_lines, gram_schmidt_lattice, ordinary_point)
 
 FORMATS = ("tsv", "json")
 SURFACES = [(b1, b2) for b1 in (0, 2, 4) for b2 in range(1, 23)]
@@ -166,18 +168,6 @@ def poly_text(terms):
     return text[3:] if text.startswith(" + ") else "-" + text[3:]
 
 
-def product(factors):
-    """The product of polynomials in x, y, each {(a, b): integer coefficient}."""
-    out = {(0, 0): 1}
-    for factor in factors:
-        acc = {}
-        for (a1, b1), c1 in out.items():
-            for (a2, b2), c2 in factor.items():
-                acc[(a1 + a2, b1 + b2)] = acc.get((a1 + a2, b1 + b2), 0) + c1 * c2
-        out = acc
-    return out
-
-
 def random_germ_calls():
     """Calls on drawn quasi-homogeneous germs and on m-fold points; the
     caller's working directory receives the branch files."""
@@ -191,19 +181,14 @@ def random_germ_calls():
         terms[(0, d // wy)] = rng.choice((-3, -2, -1, 1, 2, 3))
         for fmt in FORMATS:
             yield ("germ", "--poly", poly_text(terms), "--format", fmt)
-    points = [(f"ordinary{m}", [{(0, 1): 1, (1, 0): -i} for i in range(1, m + 1)],
-               [("t", f"{i}*t") for i in range(1, m + 1)]) for m in range(2, 10)]
-    points += [(f"curved{m}", [{(0, 1): 1, (1, 0): -i, (2, 0): -1, (3, 0): -i}
-                               for i in range(1, m + 1)],
-                [("t", f"{i}*t + t^2 + {i}*t^3") for i in range(1, m + 1)])
-               for m in range(2, 5)]
-    for name, factors, branches in points:
+    points = [(f"ordinary{m}", *ordinary_point(m)) for m in range(2, 10)]
+    points += [(f"curved{m}", *curved_point(m)) for m in range(2, 5)]
+    for name, terms, branches in points:
         path = f"{name}.br"
         with open(path, "w", encoding="utf-8") as fh:
             fh.writelines(f"{x} ; {y}\n" for x, y in branches)
         for fmt in FORMATS:
-            yield ("germ", "--poly", poly_text(product(factors)), "--branches", path,
-                   "--format", fmt)
+            yield ("germ", "--poly", poly_text(terms), "--branches", path, "--format", fmt)
 
 
 def run(argv):

@@ -77,10 +77,10 @@ dispatch load no computation module (only ``_record``, whose
 ``locale`` or ``re``, and each handler lives with the others of its layer
 (``_cmd_tables``, ``_cmd_germ``, ``_cmd_lattice``), so that a call
 compiles only those (a checkout run without cached bytecode compiles
-every module it imports on every call).  ``stable-betti`` and
-``identity`` load ``genfunc`` alone, ``perverse`` adds ``perverse``,
-``germ`` loads ``poly`` and ``germ`` (and ``re``, for the term grammar),
-``decompose`` loads ``nslattice``, which reads a preset by
+every module it imports on every call).  ``stable-betti``, ``identity``
+and ``perverse`` load ``genfunc`` alone, only ``perverse --oracle`` adds
+``perverse``, ``germ`` loads ``poly`` and ``germ`` (and ``re``, for the
+term grammar), ``decompose`` loads ``nslattice``, which reads a preset by
 ``_record.read_data`` as a plain file, without ``importlib.resources``,
 and ``bounds`` loads ``codim``; only ``bounds --d`` adds ``surd``.
 
@@ -252,7 +252,7 @@ class Parser:
             for f, spec in flags.items()
         })
 
-    def format_help(self, name=None) -> str:
+    def format_help(self, name) -> str:
         """The help of the command line (name None) or of one subcommand."""
         if name is None:
             width = max(map(len, COMMANDS))

@@ -67,7 +67,7 @@ def _check_beta_sq(beta_sq: int) -> None:
         raise BadInput("beta^2 must be a positive even integer for an ample class")
 
 
-def enriques_codim_terms(beta_sq: int, d: int, generic: bool = False):
+def enriques_codim_terms(beta_sq: int, d: int, generic: bool):
     """The per-case lower bounds, labelled, as exact values.
 
     Cases 1.1-1.3 split both summands by the signs of their squares;

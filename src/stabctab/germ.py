@@ -265,8 +265,8 @@ class _Span:
                      self.n + other.n, max(self.num + other.den, other.num + self.den) + 1,
                      self.den + other.den)
 
-    def mul(self, other: "_Span", cutoff: int | None = None) -> "_Span":
-        hi = self.hi + other.hi if cutoff is None else min(self.hi + other.hi, cutoff - 1)
+    def mul(self, other: "_Span", cutoff: int) -> "_Span":
+        hi = min(self.hi + other.hi, cutoff - 1)
         # each coefficient sums at most min(|p|, |q|) products
         out = _Span(self.work, self.lo + other.lo, hi, self.n * other.n,
                     self.num + other.num + min(self.n, other.n).bit_length(),

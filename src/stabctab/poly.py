@@ -5,9 +5,9 @@ germs in (x, y) and, as its subclass ``series.TruncatedBiSeries``, the
 power series in (q, t): its terms map exponent tuples, one entry per
 variable, to nonzero ``Fraction`` coefficients; an ``int`` coefficient
 is converted, and any other (a float) is a TypeError.  A Poly is an
-immutable ``_record.Record``.  Truncation (``cutoff``) always keeps the
-terms of total degree below the cutoff; in one variable that is the
-exponent itself.
+immutable ``_record.Record``.  Every product is truncated: its
+``cutoff`` keeps the terms of total degree below it; in one variable
+that is the exponent itself.
 
 The accepted input grammar is deliberately small: a polynomial is a
 '+'/'-' separated list of terms, each term ``c*x^a*y^b`` where the
@@ -151,8 +151,8 @@ class Poly(Record):
         d = math.lcm(*(c.denominator for c in self.terms.values()))
         return d, {k: c.numerator * (d // c.denominator) for k, c in self.terms.items()}
 
-    def mul(self, other: "Poly", cutoff: int | None = None) -> "Poly":
-        """Product, keeping terms of total degree < cutoff (all if None).
+    def mul(self, other: "Poly", cutoff: int) -> "Poly":
+        """Product, keeping terms of total degree < cutoff.
 
         The pairs are multiplied as integers, over the least common
         denominator of each side, and each sum is divided back once.
@@ -161,9 +161,9 @@ class Poly(Record):
         right = [(k, sum(k), c) for k, c in right.items()]
         out: dict[tuple[int, ...], int] = {}
         for k1, c1 in left.items():
-            room = None if cutoff is None else cutoff - sum(k1)
+            room = cutoff - sum(k1)
             for k2, deg, c2 in right:
-                if room is not None and deg >= room:
+                if deg >= room:
                     continue
                 k = tuple(map(add, k1, k2))
                 out[k] = out.get(k, 0) + c1 * c2
@@ -176,7 +176,7 @@ class Poly(Record):
             for k, c in self.terms.items() if k[i]
         })
 
-    def powers(self, n: int, cutoff: int | None = None) -> list["Poly"]:
+    def powers(self, n: int, cutoff: int) -> list["Poly"]:
         """[1, self, ..., self^n], each truncated at total degree cutoff, ended
         before its first power that is 0, since every higher one is 0 as well."""
         out = [self._like({(0,) * self.nvars: 1})]
@@ -187,7 +187,7 @@ class Poly(Record):
             out.append(power)
         return out
 
-    def substitute(self, images: tuple["Poly", ...], cutoff: int | None = None) -> "Poly":
+    def substitute(self, images: tuple["Poly", ...], cutoff: int) -> "Poly":
         """self(images[0], ..., images[nvars - 1]), truncated at total degree cutoff.
 
         The images share one ring, whose number of variables the result takes.
@@ -196,8 +196,8 @@ class Poly(Record):
         and the sum so far is multiplied by one power of y's image per such
         exponent, so the products formed do not grow with the number of
         terms.  The tables of powers come from ``powers``, so a term or a
-        power of y past the end of a table is 0.  With a cutoff, an image
-        without constant term reaches 0 by the power cutoff, so the cost
+        power of y past the end of a table is 0.  An image without
+        constant term reaches 0 by the power cutoff, so the cost
         follows the cutoff and not the exponents of self.  Constants and
         zeros are built by the images' ``_like``, so ``germ._composition_work``
         runs this on stand-ins of the images to bound its work.

@@ -1,6 +1,7 @@
 """Seeded draws of the tests and of ``bench/sweep.py``: random lattices,
-edited input files and the polynomial grammar's alphabet.  Stdlib only,
-like the sweep; each caller keeps its own seed and draw order."""
+edited input files and the polynomial grammar's alphabet, and the two
+families of m-fold points.  Stdlib only, like the sweep; each caller
+keeps its own seed and draw order."""
 
 from __future__ import annotations
 
@@ -75,3 +76,31 @@ def edit_lines(text: bytes, integer, choice) -> bytes:
                 lines[k] = line[:i] + (b"" if kind == "delete" else byte) + line[i + 1:]
         text = b"".join(lines)
     return text
+
+
+def product(factors):
+    """The product of polynomials in x, y, each {(a, b): integer coefficient}."""
+    out = {(0, 0): 1}
+    for factor in factors:
+        acc = {}
+        for (a1, b1), c1 in out.items():
+            for (a2, b2), c2 in factor.items():
+                acc[(a1 + a2, b1 + b2)] = acc.get((a1 + a2, b1 + b2), 0) + c1 * c2
+        out = acc
+    return out
+
+
+def ordinary_point(m, c=1):
+    """The ordinary m-fold point, the product of the lines y = i*c*x for
+    i = 1..m, as {(a, b): integer coefficient of x^a*y^b}, with its lines
+    ``t ; i*c*t`` as branches."""
+    return (product({(0, 1): 1, (1, 0): -i * c} for i in range(1, m + 1)),
+            [("t", f"{i * c}*t") for i in range(1, m + 1)])
+
+
+def curved_point(m):
+    """The curved m-fold point, the product of y - i*x - x^2 - i*x^3 for
+    i = 1..m, as ``ordinary_point`` gives it, with its m exact branches
+    ``t ; i*t + t^2 + i*t^3``."""
+    return (product({(0, 1): 1, (1, 0): -i, (2, 0): -1, (3, 0): -i} for i in range(1, m + 1)),
+            [("t", f"{i}*t + t^2 + {i}*t^3") for i in range(1, m + 1)])

@@ -360,6 +360,18 @@ def test_composition_work_is_capped_before_it_is_done(tmp_path):
     assert proc.stderr.count("\n") == 1
 
 
+def test_composition_work_counts_no_degree_past_the_cutoff(capsys, tmp_path):
+    # the powers of x(t) up to x(t)^300, cut past t^40 as the branch is
+    # declared, bound the work at 16,224 operations; a bound whose degrees
+    # ran past the cutoff would count 122,979,608 and refuse the branch
+    path = tmp_path / "dense.br"
+    path.write_text("truncation: 40\n" + " + ".join(f"t^{k}" for k in range(2, 41))
+                    + " ; t^3\n")
+    code = main(["germ", "--poly", "y^2 - x^3 + x^300", "--branches", str(path)])
+    assert (code, capsys.readouterr().err) == (
+        2, "stabctab germ: branch 0 does not lie on the germ (residual order 7)\n")
+
+
 def test_large_coefficients_count_toward_the_work_cap(tmp_path):
     # README's y^32 - x^3 + x^32 on c*t + ... + c*t^32 twice, c of 400
     # digits: as many term operations as with c = 1, each on numbers of up

@@ -19,6 +19,8 @@ from stabctab.germ import (
 )
 from stabctab.poly import Poly
 
+from draws import curved_point, ordinary_point
+
 
 def germ(s):
     return CurveGerm.from_string(s)
@@ -48,18 +50,16 @@ def test_non_isolated():
         milnor(germ("x^2 + 2*x*y + y^2"))
 
 
-def ordinary_point(m, c=1):
-    """The ordinary m-fold point, the product of the lines y = i*c*x for i = 1..m."""
-    f = Poly.parse("1", ("x", "y"))
-    for i in range(1, m + 1):
-        f = f.mul(Poly.parse(f"y - {i * c}*x", ("x", "y")))
-    return CurveGerm(f)
+def point(drawn):
+    """The germ and the branches of an m-fold point of ``draws``."""
+    terms, lines = drawn
+    return CurveGerm(Poly(2, terms)), branches(lines)
 
 
 @pytest.mark.parametrize("g, mu", [
     (germ("x^6 + y^14"), 65),
     (germ("x^33 + y^33"), 1024),
-    (ordinary_point(14), 169),
+    (point(ordinary_point(14))[0], 169),
 ], ids=["x^6+y^14", "x^33+y^33", "14-fold-point"])
 def test_quotient_that_stops_above_the_cap_is_bad_input(g, mu):
     # each quotient stops growing below m^64, at a dimension above the cap
@@ -70,22 +70,13 @@ def test_quotient_that_stops_above_the_cap_is_bad_input(g, mu):
         tjurina(g)
 
 
-def curved_point(m):
-    """The curved m-fold point, the product of y - i*x - x^2 - i*x^3 for
-    i = 1..m, with its m exact branches t ; i*t + t^2 + i*t^3."""
-    f = Poly.parse("1", ("x", "y"))
-    for i in range(1, m + 1):
-        f = f.mul(Poly.parse(f"y - {i}*x - x^2 - {i}*x^3", ("x", "y")))
-    return CurveGerm(f), branches([("t", f"{i}*t + t^2 + {i}*t^3") for i in range(1, m + 1)])
-
-
 def test_elimination_work_is_capped(monkeypatch):
     # delta of the curved 4-fold point eliminates in 54,537 weighted
     # updates; the 7-fold point, far below the caps on mu and on the
     # composition, ran for minutes before the elimination had a cap
     from stabctab import germ as germ_mod
 
-    g, bset = curved_point(4)
+    g, bset = point(curved_point(4))
     mu = milnor(g)
     monkeypatch.setattr(germ_mod, "MAX_ELIMINATION_WORK", 54_537)
     assert delta(g, bset, mu) == 6
@@ -105,15 +96,10 @@ def test_elimination_cap_lies_between_two_ordinary_points():
     # counts 307,779 weighted updates at c = 10^300 + 1 and 508,141 at
     # c = 10^500 + 1: the cap of 400,000 takes the first and refuses the
     # second, where a cap twice as large would take both
-    def lines(c):
-        return branches([("t", f"{i * c}*t") for i in range(1, 7)])
-
-    c = 10**300 + 1
-    assert delta(ordinary_point(6, c), lines(c), 25) == 15
-    c = 10**500 + 1
+    assert delta(*point(ordinary_point(6, 10**300 + 1)), 25) == 15
     with pytest.raises(BadInput, match="^elimination for delta exceeds the cap of "
                                        "400000 weighted coefficient updates$"):
-        delta(ordinary_point(6, c), lines(c), 25)
+        delta(*point(ordinary_point(6, 10**500 + 1)), 25)
 
 
 def test_large_coefficients_weigh_on_the_elimination_cap(monkeypatch):
@@ -229,11 +215,14 @@ def test_linear_change_invariance():
     for rec in load_corpus():
         mu = milnor(rec.germ)
         tau = tjurina(rec.germ)
+        # a linear change keeps the total degree, so a cutoff above the
+        # germ's keeps every term
+        cutoff = max(map(sum, rec.germ.poly.terms)) + 1
         for _ in range(10):
             m = rand_unimodular(rng)
             u = Poly(2, {(1, 0): m[0], (0, 1): m[1]})
             v = Poly(2, {(1, 0): m[2], (0, 1): m[3]})
-            changed = CurveGerm(rec.germ.poly.substitute((u, v)))
+            changed = CurveGerm(rec.germ.poly.substitute((u, v), cutoff))
             assert milnor(changed) == mu, (rec.name, m)
             assert tjurina(changed) == tau, (rec.name, m)
 
@@ -303,7 +292,7 @@ def test_composition_work_bounds_what_substitute_does(monkeypatch):
     done = [0]
     mul, add = Poly.mul, Poly.__add__
 
-    def counting_mul(self, other, cutoff=None):
+    def counting_mul(self, other, cutoff):
         done[0] += len(self.terms) * len(other.terms)
         return mul(self, other, cutoff)
 
@@ -329,7 +318,7 @@ def test_composition_work_bounds_what_substitute_does(monkeypatch):
         monkeypatch.setattr(Poly, "mul", counting_mul)
         monkeypatch.setattr(Poly, "__add__", counting_add)
         done[0] = 0
-        f.substitute((xt, yt), None if t0 is None else t0 + 1)
+        f.substitute((xt, yt), top + 1)
         monkeypatch.undo()
         assert done[0] <= _composition_work(f, xt, yt, top), (f, xt, yt, t0)
 

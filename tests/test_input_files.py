@@ -51,17 +51,14 @@ def scratch(tmp_path_factory):
     return tmp_path_factory.mktemp("mutants") / "input"
 
 
-PROPERTY = settings(derandomize=True, database=None, deadline=None)
-
-
-@settings(PROPERTY, max_examples=300)
+@settings(max_examples=300)
 @given(text=mutations(shipped("lattices/bielliptic-rank2.lat")))
 def test_mutated_lattice_file_decomposes_or_exits_2(scratch, text):
     code, out, err = run_on(scratch, text, ["decompose", "--lattice", "FILE", "--beta", "1,1"])
     check_outcome(code, out, err, "decompose")
 
 
-@settings(PROPERTY, max_examples=150)
+@settings(max_examples=150)
 @given(text=mutations(shipped("branches/tacnode.br")))
 def test_mutated_branch_file_checks_or_exits_2(scratch, text):
     code, out, err = run_on(scratch, text,

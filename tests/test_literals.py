@@ -7,7 +7,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stabctab._record import is_integer, parse_int, parse_rational
@@ -55,11 +55,21 @@ def old_parse_rational(text):
     return Fraction(int(num), int(den or 1))
 
 
+def test_property_tests_draw_the_same_examples_and_keep_none():
+    # the profile of conftest.py: no example database, no deadline, and
+    # the same draws on every run, so a fault one run catches every run does
+    assert settings.default.derandomize
+    assert settings.default.database is None
+    assert settings.default.deadline is None
+
+
+@settings(max_examples=300)
 @given(LITERALS)
 def test_parse_int_reads_the_old_grammar(text):
     assert outcome(parse_int, text) == old_parse_int(text)
 
 
+@settings(max_examples=300)
 @given(LITERALS)
 def test_parse_rational_reads_the_old_grammar(text):
     assert outcome(parse_rational, text) == old_parse_rational(text)

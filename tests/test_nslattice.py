@@ -303,7 +303,7 @@ def test_bielliptic_chi():
 
 
 def test_enriques_codim_bound_examples():
-    terms = enriques_codim_terms(10, 10)
+    terms = enriques_codim_terms(10, 10, False)
     bound = enriques_codim_bound(10, 10)
     assert bound == 5
     assert governing_cases(terms, bound) == ["2.1"]

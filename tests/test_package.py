@@ -223,6 +223,7 @@ LATTICE = CLI | {"stabctab._cmd_lattice"}
     (("identity", "--b1", "0", "--b2", "10", "--order", "4"), 0, TABLES),
     (("perverse", "--b1", "0", "--b2", "10", "--max-order", "4", "--oracle"), 0,
      TABLES | {"stabctab.perverse"}),
+    (("perverse", "--b1", "0", "--b2", "10", "--max-order", "4"), 0, TABLES),
     (("perverse", "--b1", "0", "--b2", "10", "--max-order", "65", "--oracle"), 2,
      CLI),
     (("germ", "--poly", "y^2 - x^3", "--branches", "{cusp}"), 0,
@@ -234,8 +235,8 @@ LATTICE = CLI | {"stabctab._cmd_lattice"}
     (("decompose", "--lattice", "bielliptic-rank2", "--beta", "2,2"), 0,
      LATTICE | {"stabctab.nslattice"}),
     (("--help",), 0, CLI),
-], ids=["import", "load-corpus", "stable-betti", "identity", "perverse", "perverse-above-cap",
-        "germ", "bounds", "bounds-d0", "decompose", "help"])
+], ids=["import", "load-corpus", "stable-betti", "identity", "perverse",
+        "perverse-without-oracle", "perverse-above-cap", "germ", "bounds", "bounds-d0", "decompose", "help"])
 def test_each_subcommand_imports_only_its_layer(tmp_path, argv, code, loaded):
     # a fresh interpreter per case, without site hooks, which may import
     # modules of their own

@@ -186,7 +186,7 @@ def outcome(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@settings(max_examples=400)
 @given(argvs())
 def test_any_argv_returns_or_exits_0_or_2(argv):
     code, out, err = outcome(argv)
@@ -195,7 +195,7 @@ def test_any_argv_returns_or_exits_0_or_2(argv):
         assert out == "" and err.count("\n") == 1
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@settings(max_examples=150)
 @given(argvs(), st.sampled_from(["frog", "-1", "65", "3"]))
 def test_any_argv_ignores_the_old_order_variable(argv, value):
     # STABCTAB_MAX_ORDER once set the default order; no value of it may
