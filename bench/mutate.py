@@ -27,7 +27,12 @@ fails the whole tier-1 suite (the three factor rows fail acceptance 1).
 A 23rd row, ``span-ignores-the-cutoff``, lets the composition bound's
 degrees run past the cutoff; it passed every other tier-1 test and grid,
 and its named test alone fails the whole suite.  All 23 rows are killed
-(about 90 s in all, on the same host).
+(about 90 s in all, on the same host).  A 24th row,
+``stable-betti-drops-one-minus-qt``, drops the (1 - qt) factor from the
+stable Betti series, which reads H's factors with t = q; acceptance 2
+(G's rows) and the product reference kill it.  The three mirrored-factor
+rows of H now change every stable Betti record as well.  All 24 rows are
+killed (about 100 s in all, on the same host).
 
 Two rows are killed only by a restatement: ``d0-drops-i-plus-1`` and
 ``d0-second-root-plus-4`` fail no test but
@@ -51,6 +56,7 @@ ROOT = Path(__file__).resolve().parent.parent
 D0_SURDS = "tests/test_nslattice.py::test_enriques_d0_equals_the_sqrt_rational_route"
 KERNEL = "tests/test_genfunc.py::test_kernel_matches_product_oracle_and_partition_dp"
 SYMMETRY = "tests/test_genfunc.py::test_perverse_series_is_symmetric_once_b1_is_cleared"
+STABILIZATION = "tests/test_acceptance.py::test_acceptance_2_stabilization_identity"
 
 #: (name, file, old text, new text, killing tests, reason or None).
 ROWS = [
@@ -93,7 +99,8 @@ ROWS = [
     ("oracle-stable-betti-factor-sign", "tests/product_oracle.py",
      "((2 * m, 0), -1, -(b2 + 1))", "((2 * m, 0), 1, -(b2 + 1))", [KERNEL], None),
     # each changes the power of one factor of H whose q <-> t mirror is
-    # another factor; the first spares (1 + q)^b1, which has no mirror
+    # another factor; the first spares (1 + q)^b1, which has no mirror.
+    # The stable Betti series reads H's factors, so each also changes it
     ("h-factor-qm-tm-1-power", "src/stabctab/genfunc.py",
      "(1, m, 2 * m - 1, b1)", "(1, m, 2 * m - 1, b1 + (m > 1))", [SYMMETRY], None),
     ("h-factor-qm+1-tm-1-power", "src/stabctab/genfunc.py",
@@ -122,6 +129,11 @@ ROWS = [
     ("span-ignores-the-cutoff", "src/stabctab/germ.py",
      "hi = min(self.hi + other.hi, cutoff - 1)", "hi = self.hi + other.hi",
      ["tests/test_cli.py::test_composition_work_counts_no_degree_past_the_cutoff"], None),
+    # H(q, q) without H's (1 - qt) factor: G's rows and the product
+    # reference, each independent of H's factor list, both see it
+    ("stable-betti-drops-one-minus-qt", "src/stabctab/genfunc.py",
+     "in _perverse_factors(surface, order)]", "in _perverse_factors(surface, order)[1:]]",
+     [STABILIZATION, KERNEL], None),
 ]
 
 

@@ -6,12 +6,14 @@ Usage: ``PYTHONPATH=src python bench/sweep.py GRID [GRID ...]``, GRID one of
 ``stabctab.cli.main`` in-process, on whichever ``stabctab`` is first on
 the path, and takes the exit status it returns; for each grid the script
 prints the grid, its call count and one sha256 over the (argv, exit
-code, stdout, stderr) of its calls in order.  A refactor that claims
-unchanged records runs the grids at the parent and at the change (point
-PYTHONPATH at each checkout's ``src``) and gives both digests.  Every
-call is fixed; the random draws are seeded, and the random lattices, the
-file edits, the grammar's alphabet and the m-fold points come from
-``tests/draws.py``, as in the tests.
+code, stdout, stderr) of its calls in order.  A call that exits 3 is a
+fault of the package, never a record to pin: after the digests, the
+script names the first such call with its stderr and exits 1.  A
+refactor that claims unchanged records runs the grids at the parent and
+at the change (point PYTHONPATH at each checkout's ``src``) and gives
+both digests.  Every call is fixed; the random draws are seeded, and
+the random lattices, the file edits, the grammar's alphabet and the
+m-fold points come from ``tests/draws.py``, as in the tests.
 
 * ``tables``: ``perverse --oracle``, ``identity`` and ``identity --perturb``
   at orders 0..20, then ``stable-betti --max-k 0..48``, each at
@@ -76,7 +78,11 @@ and ``bounds`` together, 21 s for ``random-germ``, under 1 s for
 ``usage``, 32 s for ``mutants`` and 4 s for ``parse``, on a 2-vCPU
 Xeon), the same at the revision that added ``mutants`` and at its parent,
 and again when the draws moved to ``tests/draws.py``; ``parse`` is the
-same at the revision that added it and at its parent:
+same at the revision that added it and at its parent.  ``mutants`` moved
+(from 83fe1bb5...) when the lattice reader began to refuse text after
+``gram`` or ``ortho_basis`` on the keyword line: four of its 40,000
+lattice mutants carry a first gram row merged onto that line, and each
+still exits 2, with the new message:
 
     tables       14784 calls  d420e71be84b291f47970e1b928ca5b5b56350599e4b68ed8c1ea02068ae0299
     germ           184 calls  c54044cd94f491e838ea9cd97dc7e72af82056efcb863114dced40b0568174c4
@@ -84,7 +90,7 @@ same at the revision that added it and at its parent:
     decompose      738 calls  6d6e604f215eea0088c714cdef7f891741ed9570e6ba0a7c010c75882800f543
     bounds        1448 calls  d291e022c5cdf5ee997cc7131fb71ee9c143639fb8657b09cd5df23b65a50a2d
     usage          175 calls  6c71afc1ed81cb468017e9886111d313100df760d31dda03bf1002bf1843f3df
-    mutants      60000 calls  83fe1bb5519117702d12e2cc134f1beb332462d619d2a88d44e07eeebb4b9153
+    mutants      60000 calls  a5873460013b30fb8be195f9b2191c2b12d6125a237d84575fd43baf5bf195b9
     parse       200000 calls  34a7d6f18cd0adcac5b292f343620b411c1bb633254c961bd2e2741071dad875
 """
 
@@ -99,6 +105,7 @@ import math
 import operator
 import os
 import random
+import shlex
 import sys
 import tempfile
 from importlib import resources
@@ -200,14 +207,20 @@ def run(argv):
 
 
 def sweep(calls, read=run):
-    """The number of calls and the sha256 over each call with what read
-    gives for it: by default its (argv, code, stdout, stderr)."""
+    """The number of calls, the sha256 over each call with what read gives
+    for it (by default its (argv, code, stdout, stderr)), and the first
+    command line that exited 3, a fault of the package, with its stderr;
+    None when no call did or the items are not command lines."""
     digest = hashlib.sha256()
     count = 0
+    fault = None
     for argv in calls:
-        digest.update(json.dumps([argv, *read(argv)]).encode() + b"\n")
+        result = read(argv)
+        digest.update(json.dumps([argv, *result]).encode() + b"\n")
         count += 1
-    return count, digest.hexdigest()
+        if fault is None and read is run and result[0] == 3:
+            fault = argv, result[2]
+    return count, digest.hexdigest(), fault
 
 
 def random_lattice(rng, rank):
@@ -404,14 +417,21 @@ def cli(argv):
         sys.stderr.write(f"usage: sweep.py GRID [GRID ...], GRID in {', '.join(GRIDS)}\n")
         return 2
     home = os.getcwd()
+    faults = []
     for name in argv:
         with tempfile.TemporaryDirectory() as scratch:
             os.chdir(scratch)
             try:
-                count, digest = sweep(GRIDS[name](), READERS.get(name, run))
+                count, digest, fault = sweep(GRIDS[name](), READERS.get(name, run))
             finally:
                 os.chdir(home)
         print(f"{name}\t{count}\t{digest}", flush=True)
+        if fault:
+            faults.append(fault)
+    if faults:
+        call, stderr = faults[0]
+        sys.stderr.write(f"sweep.py: {shlex.join(call)} exited 3: {stderr.strip()}\n")
+        return 1
     return 0
 
 

@@ -1,6 +1,6 @@
 r"""Generating functions for stable Betti and perverse Hodge numbers.
 
-Everything here is driven by two infinite products attached to a surface
+Every table here is read off two infinite products attached to a surface
 with first Betti number b1 and second Betti number b2:
 
 * the point-counting series G(z, w) whose z^i w^n coefficient is the
@@ -16,15 +16,15 @@ with first Betti number b1 and second Betti number b2:
 
   whose q^i t^j coefficient is the stable perverse Hodge number n^{i,j}.
 
-The stable Betti numbers are the coefficients of H(q,q), equivalently of
+The stable Betti numbers are the coefficients of H(q,q), expanded from
+H's own factors with t = q.  The two series are linked by the change of
+variables z = t, w = q/t:
 
-      prod_{m>=1} (1+q^(2m-1))^b1 (1+q^(2m+1))^b1
-      / [(1-q^(2m))^(b2+1) (1-q^(2m+2))],
+      H(q,t)/(1-qt) = G(t, q/t) * (1 - q/t) / (1 - t^2).
 
-and the two series are linked by the change of variables z = t, w = q/t:
-H(q,t)/(1-qt) = G(t, q/t) * (1 - q/t) / (1 - t^2).  That identity is the
-main internal cross-check (:func:`check_remark_identity`).  It is checked
-with denominators cleared and q = zw, t = z substituted:
+That identity is the main internal cross-check
+(:func:`check_remark_identity`).  It is checked with denominators
+cleared and q = zw, t = z substituted:
 
       H(zw, z) * (1 - z^2) = (1 - w) * (1 - z^2 w) * G(z, w)
 
@@ -35,12 +35,13 @@ compares their integer coefficients, with no inverse and no rational
 arithmetic.  A mismatch is reported at the key q^n t^(i-n) that z^i w^n
 came from, with the integer coefficients of the two sides there.
 
-All three products (Goettsche, Math. Ann. 286, 1990) are expanded by one
+Both products (Goettsche, Math. Ann. 286, 1990) are expanded by one
 integer kernel.  Each is a product of factors (1 + sign * x^a * s^g)^e
 with integer e, graded by a variable s (w for G; total degree for H,
 carrying x = q with t-exponent equal to the degree minus a, the (1-qt)
-prefactor being one more factor; q for the stable Betti series, with no
-x).  Its logarithmic derivative s F'/F is the series L with
+prefactor being one more factor; H(q,q) is H's factor list with every a
+set to 0, graded by q with no x).  The logarithmic derivative s F'/F of
+such a product F is the series L with
 
       L_n = sum_{j*g = n} e * g * (-1)^(j+1) * sign^j * x^(a*j),
 
@@ -230,18 +231,9 @@ def hilb_betti(surface: SurfaceTopology, n: int, k: int) -> int:
 
 
 def _stable_betti_series(surface: SurfaceTopology, order: int) -> list[int]:
-    """Coefficients of q^0..q^order of the stable Betti product, graded by q."""
-    b1, b2 = surface.b1, surface.b2
-    factors = [
-        factor
-        for m in range(1, order + 1)
-        for factor in (
-            (1, 0, 2 * m - 1, b1),
-            (1, 0, 2 * m + 1, b1),
-            (-1, 0, 2 * m, -(b2 + 1)),
-            (-1, 0, 2 * m + 2, -1),
-        )
-    ]
+    """Coefficients of q^0..q^order of H(q, q): H's factors, graded by total
+    degree, with the carried exponent of each set to 0 (t = q)."""
+    factors = [(sign, 0, g, e) for sign, _, g, e in _perverse_factors(surface, order)]
     return [row[0] for row in _product(factors, order, 0)]
 
 

@@ -274,9 +274,10 @@ def parse_lattice(text: str) -> LatticeModel:
     the line.  Keywords:
 
     * ``rank N``, with N at most MAX_RANK
-    * ``gram`` followed by N lines of N integers
+    * ``gram`` alone on its line, followed by N lines of N integers
     * ``ample_witness`` plus N integers on the same line
-    * ``ortho_basis`` followed by N lines of N rationals (``p/q`` or integers)
+    * ``ortho_basis`` alone on its line, followed by N lines of N rationals
+      (``p/q`` or integers)
     * ``ample_tests`` plus N-1 integers on the same line
 
     Each keyword is the name of the :class:`LatticeModel` argument it
@@ -293,6 +294,9 @@ def parse_lattice(text: str) -> LatticeModel:
             fields[word] = parse_int(rest)
             _check_rank(fields[word])
         elif word in ("gram", "ortho_basis"):
+            if rest:
+                raise BadInput(f"lattice file keyword {word!r} takes its rows on the "
+                               f"lines below it")
             if "rank" not in fields:
                 raise BadInput(f"rank must come before {word}")
             parse = parse_int if word == "gram" else parse_rational

@@ -71,7 +71,8 @@ def perverse_oracle(surface: SurfaceTopology, order: int) -> dict[Key, int]:
 
 
 def stable_betti_oracle(surface: SurfaceTopology, order: int) -> list[int]:
-    """Coefficients of q^0..q^order of the stable Betti product."""
+    """Coefficients of q^0..q^order of the stable Betti product, written out
+    on its own: the package reads it from H's factors at t = q."""
     b1, b2 = surface.b1, surface.b2
     factors = []
     for m in range(1, order + 1):

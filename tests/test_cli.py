@@ -602,6 +602,12 @@ INVALID_LATTICES = {
     # a block cut short by a keyword line is reported as short
     "short-gram": (_lattice(gram="0 2"), "gram has 1 of 2 rows before 'ample_witness'"),
     "short-basis": (_lattice(basis="1 1"), "ortho_basis has 1 of 2 rows before 'ample_tests'"),
+    # a block keyword's line holds the keyword alone
+    "text-after-gram": (_lattice().replace("gram\n", "gram 7\n"),
+                        "lattice file keyword 'gram' takes its rows on the lines below it"),
+    "text-after-basis": (_lattice().replace("ortho_basis\n", "ortho_basis junk\n"),
+                         "lattice file keyword 'ortho_basis' takes its rows on the lines "
+                         "below it"),
 }
 
 

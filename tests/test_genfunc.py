@@ -157,6 +157,9 @@ def test_stable_betti_from_perverse():
 
 
 def test_perverse_anti_diagonals_sum_to_stable_betti():
+    # both sides expand H's factor list graded by total degree, once
+    # carrying the q-exponent and once without it (t = q): this checks
+    # the kernel's two readings of H
     for surface in (ENRIQUES, BIELLIPTIC, SMALL_B2):
         for k in range(11):
             assert stable_betti_from_perverse(surface, k) == stable_betti(surface, k)
