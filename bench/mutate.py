@@ -32,7 +32,10 @@ and its named test alone fails the whole suite.  All 23 rows are killed
 stable Betti series, which reads H's factors with t = q; acceptance 2
 (G's rows) and the product reference kill it.  The three mirrored-factor
 rows of H now change every stable Betti record as well.  All 24 rows are
-killed (about 100 s in all, on the same host).
+killed (about 100 s in all, on the same host).  A 25th row,
+``germ-empty-branch-path-is-no-flag``, reads ``--branches ""`` as no
+flag again, so that the call drops delta and exits 0; the named row of
+the rejected-input test kills it.  All 25 rows are killed.
 
 Two rows are killed only by a restatement: ``d0-drops-i-plus-1`` and
 ``d0-second-root-plus-4`` fail no test but
@@ -134,6 +137,11 @@ ROWS = [
     ("stable-betti-drops-one-minus-qt", "src/stabctab/genfunc.py",
      "in _perverse_factors(surface, order)]", "in _perverse_factors(surface, order)[1:]]",
      [STABILIZATION, KERNEL], None),
+    # an empty branch path read as no --branches: the call drops delta
+    # and exits 0 instead of 2
+    ("germ-empty-branch-path-is-no-flag", "src/stabctab/germ.py",
+     "if args.branches is not None:", "if args.branches:",
+     ["tests/test_cli.py::test_rejected_input_names_its_subcommand[empty-branch-path]"], None),
 ]
 
 

@@ -57,7 +57,10 @@ m-fold points come from ``tests/draws.py``, as in the tests.
   turn, with an unknown flag, a stray argument and ``--format=xml``; each
   flag of ``stabctab.cli.COMMANDS`` added at the end without its value;
   each integer flag with ``ten``, ``1_0`` and its cap plus one; each
-  choice flag with ``none``; each switch with ``=x``.
+  choice flag with ``none``; each switch with ``=x``.  Then, appended,
+  that call of each subcommand with each of its string flags given an
+  empty value (``--poly``, ``--branches``, ``--lambda``, ``--mu``,
+  ``--lattice`` and ``--beta``).
 * ``mutants``: 20,000 mutants of each of three shipped files, each read by
   one call: ``bielliptic-rank2.lat`` by ``decompose --beta 1,1``,
   ``enriques-u-e8.lat`` by ``decompose --beta 1,2,0,1,-1,0,0,0,0,0`` and
@@ -82,14 +85,18 @@ same at the revision that added it and at its parent.  ``mutants`` moved
 (from 83fe1bb5...) when the lattice reader began to refuse text after
 ``gram`` or ``ortho_basis`` on the keyword line: four of its 40,000
 lattice mutants carry a first gram row merged onto that line, and each
-still exits 2, with the new message:
+still exits 2, with the new message.  ``usage`` moved (from
+6c71afc1...) when it gained its six empty-value calls; its first 175
+calls still give the old digest, and at the parent revision the 181
+differ only in ``germ --branches ""``, which exited 0 there, reading an
+empty path as no flag, and exits 2 here:
 
     tables       14784 calls  d420e71be84b291f47970e1b928ca5b5b56350599e4b68ed8c1ea02068ae0299
     germ           184 calls  c54044cd94f491e838ea9cd97dc7e72af82056efcb863114dced40b0568174c4
     random-germ    142 calls  6b22ff76628ac63b8647eb187c1cb76fa0c67fb536d076fc46a53d851d3e81ab
     decompose      738 calls  6d6e604f215eea0088c714cdef7f891741ed9570e6ba0a7c010c75882800f543
     bounds        1448 calls  d291e022c5cdf5ee997cc7131fb71ee9c143639fb8657b09cd5df23b65a50a2d
-    usage          175 calls  6c71afc1ed81cb468017e9886111d313100df760d31dda03bf1002bf1843f3df
+    usage          181 calls  7888a8e7370f49a5e6c2a90e9e819ed582d6b5f536d6b8a4f01721ed2a3b0614
     mutants      60000 calls  a5873460013b30fb8be195f9b2191c2b12d6125a237d84575fd43baf5bf195b9
     parse       200000 calls  34a7d6f18cd0adcac5b292f343620b411c1bb633254c961bd2e2741071dad875
 """
@@ -359,6 +366,12 @@ def usage_calls():
                     yield (*base, flag, value)
             if "choices" in spec:
                 yield (*base, flag, "none")
+    # appended, so that the calls above keep their digest: an empty value
+    # is a value, never a flag left out
+    for name, pairs in RUNS.items():
+        for flag, spec in COMMANDS[name][2].items():
+            if not {"type", "switch", "choices"} & spec.keys():
+                yield (*call(name, pairs), flag, "")
 
 
 #: Mutants of each shipped file, as many as make the grid take about 30 s.

@@ -74,15 +74,16 @@ any size.
 Each subcommand imports only the layer it runs: the parser and the
 dispatch load no computation module (only ``_record``, whose
 ``parse_int`` reads the integer flags), nor ``argparse``, ``gettext``,
-``locale`` or ``re``, and each handler lives with the others of its layer
-(``_cmd_tables``, ``_cmd_germ``, ``_cmd_lattice``), so that a call
-compiles only those (a checkout run without cached bytecode compiles
-every module it imports on every call).  ``stable-betti``, ``identity``
-and ``perverse`` load ``genfunc`` alone, only ``perverse --oracle`` adds
-``perverse``, ``germ`` loads ``poly`` and ``germ`` (and ``re``, for the
-term grammar), ``decompose`` loads ``nslattice``, which reads a preset by
+``locale`` or ``re``, and each handler lives in the module of the layer
+it runs, so that a call compiles that layer and no other (a checkout run
+without cached bytecode compiles every module it imports on every call).
+``stable-betti``, ``identity`` and ``perverse`` run from ``genfunc`` and
+load it alone, only ``perverse --oracle`` adds ``perverse``; ``germ``
+runs from ``germ`` and loads ``poly`` with it (and ``re``, for the term
+grammar); ``decompose`` runs from ``nslattice``, which reads a preset by
 ``_record.read_data`` as a plain file, without ``importlib.resources``,
-and ``bounds`` loads ``codim``; only ``bounds --d`` adds ``surd``.
+and loads no ``codim``; ``bounds`` runs from ``codim`` and loads no
+``nslattice``; only ``bounds --d`` adds ``surd``.
 
 ``identity`` checks H(zw, z)(1 - z^2) = (1 - w)(1 - z^2 w) G(z, w), the
 change of variables z = t, w = q/t with denominators cleared; a
@@ -123,41 +124,40 @@ _FORMAT = {"--format": {"choices": ("tsv", "json"), "default": "tsv",
                         "help": "TSV rows or one JSON record"}}
 
 #: Subcommand -> (help, home, flags).  The handler is the function
-#: cmd_<subcommand> of the module stabctab.<home>, imported only when the
-#: subcommand runs, so that a call compiles the handlers of its layer
-#: alone.  Each flag maps to its spec:
+#: cmd_<subcommand> of stabctab.<home>, the module of the layer it runs,
+#: imported only when the subcommand runs.  Each flag maps to its spec:
 #: "type" int (str when absent), or "switch", a flag without a value that
 #: sets True; "required", or a "default" (None when absent); "cap", the
 #: largest value of an int flag; "choices"; "help"; "dest" when the
 #: attribute is not named after the flag; "hidden" for a flag that
 #: --help leaves out.
 COMMANDS = {
-    "stable-betti": ("table of stable Betti numbers", "_cmd_tables", {
+    "stable-betti": ("table of stable Betti numbers", "genfunc", {
         **_SURFACE,
         "--max-k": {"type": int, "default": DEFAULT_ORDER, "cap": 384,
                     "help": "largest k of the table"},
         **_FORMAT,
     }),
-    "perverse": ("table of stable perverse numbers", "_cmd_tables", {
+    "perverse": ("table of stable perverse numbers", "genfunc", {
         **_SURFACE,
         "--max-order": {"type": int, "default": DEFAULT_ORDER, "cap": 64,
                         "help": "truncation order of the table"},
         "--oracle": {"switch": True, "help": "cross-check against the Betti-tower recursion"},
         **_FORMAT,
     }),
-    "identity": ("verify the change-of-variables identity", "_cmd_tables", {
+    "identity": ("verify the change-of-variables identity", "genfunc", {
         **_SURFACE,
         "--order": {"type": int, "default": DEFAULT_ORDER, "cap": 64,
                     "help": "truncation order of the check"},
         "--perturb": {"switch": True, "hidden": True},
         **_FORMAT,
     }),
-    "germ": ("plane-curve singularity invariants", "_cmd_germ", {
+    "germ": ("plane-curve singularity invariants", "germ", {
         "--poly": {"required": True, "help": "polynomial in x and y"},
         "--branches": {"help": "branch file: 'x(t) ; y(t)' per line"},
         **_FORMAT,
     }),
-    "bounds": ("codimension bounds and thresholds", "_cmd_lattice", {
+    "bounds": ("codimension bounds and thresholds", "codim", {
         "--surface": {"choices": ("enriques", "bielliptic"), "required": True,
                       "help": "surface type"},
         "--beta-sq": {"type": int, "cap": MAX_ARGUMENT,
@@ -177,7 +177,7 @@ COMMANDS = {
                       "help": "generic Enriques surface: drop the rigid-curve cases"},
         **_FORMAT,
     }),
-    "decompose": ("candidate divisor-class splittings", "_cmd_lattice", {
+    "decompose": ("candidate divisor-class splittings", "nslattice", {
         "--lattice": {"required": True,
                       "help": "preset name (bielliptic-rank2, enriques-u-e8) or file path"},
         "--beta": {"required": True, "help": "comma-separated integer coordinates"},

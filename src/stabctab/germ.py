@@ -18,7 +18,8 @@ d_N = d_{N+1} the Nakayama lemma forces m^N into the ideal, so d_N is
 the true local dimension.  No standard bases, no floating point.
 
 Branch parametrizations are supplied (by the caller or the shipped
-corpus), never computed: Newton-Puiseux expansion is out of scope.
+corpus), never computed: Newton-Puiseux expansion is out of scope.  The
+``germ`` subcommand's handler, :func:`cmd_germ`, lives at the end.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from fractions import Fraction
 
-from ._record import HashableRecord, Record, content_lines, parse_int, read_data
+from ._record import HashableRecord, Record, content_lines, parse_int, read_data, read_text
 from .errors import BadInput
 from .poly import Poly
 
@@ -421,3 +422,28 @@ def parse_branch_file(text: str) -> BranchSet:
         xs, ys = line.split(";", 1)
         pairs.append((xs.strip(), ys.strip()))
     return BranchSet.from_strings(pairs, truncation)
+
+
+# --- the germ subcommand ------------------------------------------------------
+
+
+def cmd_germ(args) -> tuple:
+    g = CurveGerm.from_string(args.poly)
+    results: dict = {"mu": milnor(g), "tau": tjurina(g)}
+    status = 0
+    provenance = "local quotient-algebra dimensions"
+    if args.branches is not None:
+        provenance += "; delta from the normalization cokernel of the branch parametrizations"
+        branches = parse_branch_file(read_text(args.branches))
+        results["delta"] = delta(g, branches, results["mu"])
+        results["r"] = branch_count(branches)
+        ok = results["mu"] == 2 * results["delta"] - results["r"] + 1
+        results["milnor_formula"] = "OK" if ok else "FAIL"
+        if not ok:
+            status = 1
+    record = {
+        "parameters": {"poly": args.poly, "branches": args.branches or ""},
+        "results": results,
+        "provenance": provenance,
+    }
+    return status, record, results.items()

@@ -15,9 +15,11 @@ inequalities as one integer interval per prefix.  ``ip`` and
 ``test_classes`` stay in Fraction arithmetic, as an independent route
 for checks.  No floating point.
 
-The codimension bounds, the threshold d0 and the linear-system helpers
-live in :mod:`stabctab.codim`, so that ``decompose`` does not load them;
-their public names stay importable from here (module ``__getattr__``).
+The ``decompose`` subcommand's handler, :func:`cmd_decompose`, lives
+here.  The codimension bounds, the threshold d0, the linear-system
+helpers and the ``bounds`` handler live in :mod:`stabctab.codim`, so
+that ``decompose`` does not load them; the public names of the first
+three stay importable from here (module ``__getattr__``).
 """
 
 from __future__ import annotations
@@ -327,6 +329,25 @@ def load_lattice(source: str) -> LatticeModel:
     if source in PRESET_LATTICES:
         return read_data(f"lattices/{source}.lat", parse_lattice)
     return parse_lattice(read_text(source))
+
+
+# --- the decompose subcommand -------------------------------------------------
+
+
+def cmd_decompose(args) -> tuple:
+    model = load_lattice(args.lattice)
+    beta = tuple(map(parse_int, args.beta.split(",")))
+    pairs = decompose(model, beta)
+    rows = itertools.chain([("theta1", "theta2")],
+                           ((",".join(map(str, t1)), ",".join(map(str, t2))) for t1, t2 in pairs))
+    record = {
+        "parameters": {"lattice": args.lattice, "beta": args.beta},
+        "results": {"count": len(pairs), "pairs": pairs},
+        "provenance": "candidate splittings passing every declared "
+                      "ample-positivity test, enumerated from exact bounds "
+                      "in orthogonal coordinates",
+    }
+    return 0, record, rows
 
 
 def __getattr__(name: str):

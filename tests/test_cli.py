@@ -824,11 +824,11 @@ def test_handlers_return_the_record_and_write_nothing(capsys, name):
 
 
 def test_value_json_cannot_write_exits_3(capsys, monkeypatch):
-    from stabctab import _cmd_germ
+    from stabctab import germ
 
     # only a Fraction or a QuadSurd is written by its str
     record = {"parameters": {}, "results": {"mu": object()}, "provenance": ""}
-    monkeypatch.setattr(_cmd_germ, "cmd_germ", lambda args: (0, record, []))
+    monkeypatch.setattr(germ, "cmd_germ", lambda args: (0, record, []))
     assert main(["germ", "--poly", "x*y", "--format", "json"]) == 3
     assert capsys.readouterr() == ("", "stabctab: internal error: TypeError: "
                                        "Object of type object is not JSON serializable\n")
@@ -887,7 +887,7 @@ def _broken_table(surface, order):
 @pytest.mark.parametrize("module, name, stray, argv, exc_type", [
     ("genfunc", "_log_derivative", _raise(ValueError),
      ("stable-betti", "--b1", "0", "--b2", "10", "--max-k", "4"), "ValueError"),
-    ("_cmd_tables", "stable_perverse_table", _broken_table,
+    ("genfunc", "stable_perverse_table", _broken_table,
      ("perverse", "--b1", "0", "--b2", "10", "--max-order", "4"), "ValueError"),
     ("germ", "milnor", _raise(ZeroDivisionError),
      ("germ", "--poly", "y^2 - x^3"), "ZeroDivisionError"),
@@ -1012,6 +1012,10 @@ def _int_error(text):
       for name, flag in (("identity", "--order"), ("perverse", "--max-order"),
                          ("stable-betti", "--max-k"))),
     (("germ", "--poly", "y^2 - z^3"), None, "stabctab germ: unknown factor 'z^3' in term 'z^3'\n"),
+    # an empty path names no file, as for --lattice: it is not a call
+    # without --branches
+    (("germ", "--poly", "y^2 - x^3", "--branches", ""), None,
+     "stabctab germ: [Errno 2] No such file or directory: ''\n"),
 ], ids=["truncation-literal", "no-branches", "not-utf-8", "bounds-d-zero", "odd-beta-sq",
         "odd-b1", "decimal-lambda", "exponent-in-lattice-file", "bielliptic-generic",
         "bielliptic-beta-sq", "enriques-a", "enriques-ij-generic", "i-without-j",
@@ -1021,7 +1025,7 @@ def _int_error(text):
         "exponent-arabic-indic", "truncation-underscore", "ample-tests-arabic-indic",
         "no-mode", "bielliptic-missing-flags", "test-square-too-long-to-print",
         "beta-wrong-length", "second-truncation", "trailing-truncation", "negative-order",
-        "negative-max-order", "negative-max-k", "poly-unknown-variable"])
+        "negative-max-order", "negative-max-k", "poly-unknown-variable", "empty-branch-path"])
 def test_rejected_input_names_its_subcommand(capsys, tmp_path, argv, file_bytes, err):
     path = tmp_path / "input.txt"
     if file_bytes is not None:
@@ -1145,15 +1149,6 @@ def test_inconsistent_tower_exits_3(capsys, monkeypatch):
     assert err.startswith("stabctab: internal error: ") and err.count("\n") == 1
 
 
-def test_env_override_of_default_order(capsys, monkeypatch):
-    # STABCTAB_MAX_ORDER once overrode the default order; it is ignored
-    for value in ("3", "frog"):
-        monkeypatch.setenv("STABCTAB_MAX_ORDER", value)
-        code, out = run(capsys, "stable-betti", "--b1", "0", "--b2", "10")
-        assert code == 0
-        assert len(tsv_rows(out)) == 1 + 13  # header + k = 0..12
-
-
 @pytest.mark.parametrize("argv, last_row", [
     (("perverse", "--b1", "0", "--b2", "1", "--max-order", "64"), ["64", "0", "1"]),
     (("identity", "--b1", "0", "--b2", "1", "--order", "64"), ["status", "PASS"]),
@@ -1206,24 +1201,3 @@ def test_records_at_the_integer_caps_print(capsys, argv):
         code, out = run(capsys, *argv, "--format", fmt)
         assert code == (1 if "--perturb" in argv else 0)
         assert out
-
-
-def test_env_default_order_cap(capsys, monkeypatch):
-    # the caps are the flags' own, whatever STABCTAB_MAX_ORDER holds
-    monkeypatch.setenv("STABCTAB_MAX_ORDER", "65")
-    code, out = run(capsys, "stable-betti", "--b1", "0", "--b2", "1")
-    assert code == 0
-    assert len(tsv_rows(out)) == 1 + 13  # header + k = 0..12
-    code, out = run(capsys, "stable-betti", "--b1", "0", "--b2", "1", "--max-k", "384")
-    assert code == 0
-    assert len(tsv_rows(out)) == 1 + 385  # header + k = 0..384
-    monkeypatch.setenv("STABCTAB_MAX_ORDER", "1")
-    for argv, err in [
-        (("identity", "--b1", "0", "--b2", "1", "--order", "65"),
-         "stabctab identity: --order 65 exceeds the cap of 64\n"),
-        (("stable-betti", "--b1", "0", "--b2", "1", "--max-k", "385"),
-         "stabctab stable-betti: --max-k 385 exceeds the cap of 384\n"),
-    ]:
-        assert main(list(argv)) == 2
-        assert capsys.readouterr() == ("", err)
-

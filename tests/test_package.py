@@ -211,8 +211,7 @@ PRINT_MODULES = "print(*sorted(sys.modules), file=sys.stderr)"
 
 #: the command line reads its integer flags with the readers of _record
 CLI = {"stabctab", "stabctab.cli", "stabctab.errors", "stabctab._record"}
-TABLES = CLI | {"stabctab._cmd_tables", "stabctab.genfunc"}
-LATTICE = CLI | {"stabctab._cmd_lattice"}
+TABLES = CLI | {"stabctab.genfunc"}
 
 
 @pytest.mark.parametrize("argv, code, loaded", [
@@ -227,13 +226,13 @@ LATTICE = CLI | {"stabctab._cmd_lattice"}
     (("perverse", "--b1", "0", "--b2", "10", "--max-order", "65", "--oracle"), 2,
      CLI),
     (("germ", "--poly", "y^2 - x^3", "--branches", "{cusp}"), 0,
-     CLI | {"stabctab._cmd_germ", "stabctab.germ", "stabctab.poly"}),
+     CLI | {"stabctab.germ", "stabctab.poly"}),
     (("bounds", "--surface", "enriques", "--beta-sq", "10", "--d", "10"), 0,
-     LATTICE | {"stabctab.codim", "stabctab.surd"}),
+     CLI | {"stabctab.codim", "stabctab.surd"}),
     (("bounds", "--surface", "enriques", "--beta-sq", "10", "--i", "2", "--j", "3"), 0,
-     LATTICE | {"stabctab.codim"}),
+     CLI | {"stabctab.codim"}),
     (("decompose", "--lattice", "bielliptic-rank2", "--beta", "2,2"), 0,
-     LATTICE | {"stabctab.nslattice"}),
+     CLI | {"stabctab.nslattice"}),
     (("--help",), 0, CLI),
 ], ids=["import", "load-corpus", "stable-betti", "identity", "perverse",
         "perverse-without-oracle", "perverse-above-cap", "germ", "bounds", "bounds-d0", "decompose", "help"])

@@ -39,20 +39,12 @@ def parsed(argv):
     (["stable-betti", "--b1", "0", "--b1", "2", "--b2", "1", "--format", "json",
       "--format=tsv", "--b2=3"],
      {"b1": 2, "b2": 3, "max_k": 12, "format": "tsv"}),
+    (["identity", "--b1", "0", "--b2", "1"],
+     {"b1": 0, "b2": 1, "order": 12, "perturb": False, "format": "tsv"}),
 ], ids=["stable-betti", "perverse", "identity", "germ", "germ-empty", "bounds-enriques",
-        "bounds-bielliptic", "decompose", "last-repeat-wins"])
+        "bounds-bielliptic", "decompose", "last-repeat-wins", "identity-default-order"])
 def test_parsed_values(argv, values):
     assert parsed(argv) == {"subcommand": argv[0], **values}
-
-
-def test_order_defaults_come_from_the_environment(monkeypatch):
-    # they do not: STABCTAB_MAX_ORDER, which once set them, is exported
-    # here to show that it changes nothing
-    monkeypatch.setenv("STABCTAB_MAX_ORDER", "7")
-    assert parsed(["stable-betti", "--b1", "0", "--b2", "1"])["max_k"] == 12
-    assert parsed(["perverse", "--b1", "0", "--b2", "1"])["max_order"] == 12
-    assert parsed(["identity", "--b1", "0", "--b2", "1"])["order"] == 12
-    assert parsed(["identity", "--b1", "0", "--b2", "1", "--order", "3"])["order"] == 3
 
 
 @pytest.mark.parametrize("argv, err", [
