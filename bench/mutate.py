@@ -35,7 +35,12 @@ rows of H now change every stable Betti record as well.  All 24 rows are
 killed (about 100 s in all, on the same host).  A 25th row,
 ``germ-empty-branch-path-is-no-flag``, reads ``--branches ""`` as no
 flag again, so that the call drops delta and exits 0; the named row of
-the rejected-input test kills it.  All 25 rows are killed.
+the rejected-input test kills it.  All 25 rows are killed.  Rows 26 to
+28 restore the readers' older whitespace rules, a lattice line split at
+its first space only and a polynomial that drops only spaces and tabs;
+each is killed by its named test, and all 28 rows are killed.  The row
+``span-ignores-the-cutoff`` names ``poly.py``, where the composition
+bound now lives.
 
 Two rows are killed only by a restatement: ``d0-drops-i-plus-1`` and
 ``d0-second-root-plus-4`` fail no test but
@@ -129,7 +134,7 @@ ROWS = [
      '("+", "-")', '("-",)',
      ["tests/test_literals.py::test_the_readers_agree_with_the_old_grammar_on_the_named_cases"],
      None),
-    ("span-ignores-the-cutoff", "src/stabctab/germ.py",
+    ("span-ignores-the-cutoff", "src/stabctab/poly.py",
      "hi = min(self.hi + other.hi, cutoff - 1)", "hi = self.hi + other.hi",
      ["tests/test_cli.py::test_composition_work_counts_no_degree_past_the_cutoff"], None),
     # H(q, q) without H's (1 - qt) factor: G's rows and the product
@@ -142,6 +147,20 @@ ROWS = [
     ("germ-empty-branch-path-is-no-flag", "src/stabctab/germ.py",
      "if args.branches is not None:", "if args.branches:",
      ["tests/test_cli.py::test_rejected_input_names_its_subcommand[empty-branch-path]"], None),
+    # each restores an older whitespace rule of a reader: a lattice line
+    # split at a space only, a polynomial that drops only spaces and tabs
+    ("lattice-keyword-at-space-only", "src/stabctab/nslattice.py",
+     "        word = line.split(maxsplit=1)[0]\n        rest = line[len(word) + 1:]\n",
+     '        word, _, rest = line.partition(" ")\n',
+     ["tests/test_input_files.py::test_a_tab_separates_lattice_words_as_a_space_does"],
+     None),
+    ("lattice-row-word-at-space-only", "src/stabctab/nslattice.py",
+     "first = row.split(maxsplit=1)[0]", 'first = row.partition(" ")[0]',
+     ["tests/test_cli.py::test_invalid_lattice_file_exits_2_as_pinned[short-gram-tab]"], None),
+    ("poly-drops-space-and-tab-only", "src/stabctab/poly.py",
+     "s = s.translate(_CANONICAL)",
+     's = s.replace("\\u2212", "-").replace(" ", "").replace("\\t", "")',
+     ["tests/test_poly.py::test_ascii_whitespace_is_ignored_and_no_other_space"], None),
 ]
 
 

@@ -25,7 +25,6 @@ _HOMES = {
     "goettsche_series": "genfunc",
     "hilb_betti": "genfunc",
     "stable_betti": "genfunc",
-    "stable_betti_from_perverse": "genfunc",
     "stable_betti_numbers": "genfunc",
     "stable_perverse_series": "genfunc",
     "stable_perverse_table": "genfunc",

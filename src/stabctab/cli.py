@@ -35,7 +35,8 @@ and writes nothing: the record's ``parameters``, ``results`` and
 TSV rows, is any iterable of tuples, which ``main`` reads once.  ``main``
 alone turns values into text: it adds ``command`` and writes the record
 as JSON, a Fraction or a QuadSurd by its str, or each row with a cell as
-its str and a list cell as JSON; the help, which the parser returns, it
+its str, a tuple cell (a class of ``decompose``) as its items joined by
+',' and a list cell as JSON; the help, which the parser returns, it
 writes the same way.  It alone maps an outcome to its exit status, in
 one place: BadInput 2, a closed stdout 141, any other exception 3; the
 parser and the handlers catch nothing.  A call's output depends only on its
@@ -301,7 +302,10 @@ def _exact_text(value) -> str:
 
 
 def _cell(value) -> str:
-    """A TSV cell: str(value), but a list as JSON (``json`` loads only then)."""
+    """A TSV cell: str(value), but a tuple as its items' str joined by ','
+    and a list as JSON (``json`` loads only then)."""
+    if isinstance(value, tuple):
+        return ",".join(map(str, value))
     if isinstance(value, list):
         import json
 

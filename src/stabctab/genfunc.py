@@ -344,16 +344,6 @@ def check_remark_identity(surface: SurfaceTopology, order: int) -> bool:
     return remark_identity_mismatch(surface, order) is None
 
 
-def stable_betti_from_perverse(surface: SurfaceTopology, k: int) -> int:
-    """Anti-diagonal sum sum_i n^{i, k-i} of the perverse table.
-
-    Equals stable_betti(surface, k): evaluating H(q, t) at t = q turns
-    the table's k-th anti-diagonal into the k-th stable Betti number.
-    """
-    table = stable_perverse_table(surface, k)
-    return sum(table.entry(i, k - i) for i in range(k + 1))
-
-
 # --- the table subcommands: stable-betti, perverse and identity ---------------
 
 

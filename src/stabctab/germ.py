@@ -19,7 +19,9 @@ the true local dimension.  No standard bases, no floating point.
 
 Branch parametrizations are supplied (by the caller or the shipped
 corpus), never computed: Newton-Puiseux expansion is out of scope.  The
-``germ`` subcommand's handler, :func:`cmd_germ`, lives at the end.
+weight of an operation in both work caps (``poly.weight``) and the bound
+of a composition (``Poly.substitute_work``) live in :mod:`stabctab.poly`.
+The ``germ`` subcommand's handler, :func:`cmd_germ`, lives at the end.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from fractions import Fraction
 
 from ._record import HashableRecord, Record, content_lines, parse_int, read_data, read_text
 from .errors import BadInput
-from .poly import Poly
+from .poly import Poly, weight
 
 #: Cap on mu and tau, and on the power of the maximal ideal at which their
 #: quotients must stop growing: an ideal of colength d contains m^d, so
@@ -47,24 +49,20 @@ MAX_IDEAL_POWER = 64
 #: degree is BadInput.
 MAX_COMPOSED_DEGREE = 1024
 
-#: Cap on the term operations of composing a germ with one branch, as
-#: ``_composition_work`` bounds them before any is done: a product p*q
-#: counts its |p|*|q| term pairs and the terms it builds, a sum p + q its
-#: |p| + |q| terms, and each such operation on coefficients of a and b
-#: bits counts (1 + a // 1024) * (1 + b // 1024) times, a and b being
-#: bounds on the bits of each side's integer numerators and common
-#: denominator.  Below the degree cap a dense branch can still ask for
-#: billions, and so can large coefficients: on the README's branch
-#: c*t + ... + c*t^32 of y^32 - x^3 + x^32, c of 100 digits needs 7.8
-#: million; a larger bound than the cap is BadInput.  At 0.7 to 1.7
-#: million operations a second (2-vCPU Xeon, CPython 3.11), a composition
-#: at the cap takes at most about 3 s, whatever the size of the
-#: coefficients.
+#: Cap on the weighted term operations of composing a germ with one
+#: branch, as ``Poly.substitute_work`` counts and bounds them, beside the
+#: products it models, before any is done.  Below the degree cap a dense
+#: branch can still ask for billions, and so can large coefficients: on
+#: the README's branch c*t + ... + c*t^32 of y^32 - x^3 + x^32, c of 100
+#: digits needs 7.8 million; a larger bound than the cap is BadInput.  At
+#: 0.7 to 1.7 million operations a second (2-vCPU Xeon, CPython 3.11), a
+#: composition at the cap takes at most about 3 s, whatever the size of
+#: the coefficients.
 MAX_COMPOSITION_WORK = 2_000_000
 
 #: Cap on the updates of one elimination (``_pivot_columns``, for mu, tau
 #: and delta): subtracting a pivot row of n entries counts n - 1, each
-#: weighted (1 + a // 1024) * (1 + b // 1024), a and b the bits (numerator
+#: weighted ``poly.weight(a) * poly.weight(b)``, a and b the bits (numerator
 #: and denominator) of the multiplier and of the row's largest entry.  The
 #: 9-fold point y^9 - ... - 362880*x^9 with its lines as branches needs
 #: 298,242 for delta, and mu and tau below their cap at most 70,000;
@@ -138,10 +136,10 @@ def _pivot_columns(rows: Iterable[dict[int, Fraction]], invariant: str) -> list[
             pivot = pivots.get(lead)
             if pivot is None:
                 tail = {k: v / c for k, v in work.items()}
-                pivots[lead] = tail, 1 + max(map(_bits, tail.values()), default=0) // 1024
+                pivots[lead] = tail, weight(max(map(_bits, tail.values()), default=0))
                 break
             tail, size = pivot
-            updates += len(tail) * (1 + _bits(c) // 1024) * size
+            updates += len(tail) * weight(_bits(c)) * size
             if updates > MAX_ELIMINATION_WORK:
                 raise BadInput(f"elimination for {invariant} exceeds the cap of "
                                f"{MAX_ELIMINATION_WORK} weighted coefficient updates")
@@ -227,68 +225,6 @@ def branch_count(branches: BranchSet) -> int:
     return len(branches.branches)
 
 
-class _Span:
-    """A polynomial in t as ``_composition_work`` sees it: at most n terms,
-    of t-degrees lo..hi, whose integer numerators over one common
-    denominator (as ``Poly.mul`` forms them) have at most num bits and that
-    denominator at most den bits.  ``Poly.substitute`` runs on spans as on
-    polynomials, and each product and sum adds its operations, weighted as
-    MAX_COMPOSITION_WORK says, to the count work[0] that the spans of one
-    run share."""
-
-    nvars = 1
-    powers = Poly.powers
-
-    def __init__(self, work: list[int], lo: int, hi: int, n: int, num: int, den: int):
-        self.work, self.lo, self.hi = work, lo, hi
-        self.n, self.num, self.den = max(min(n, hi - lo + 1), 0), num, den
-
-    def _like(self, terms: dict) -> "_Span":
-        d, nums = Poly(1, terms)._numerators()
-        return _Span(self.work, min((e for (e,) in nums), default=0),
-                     max((e for (e,) in nums), default=-1), len(nums),
-                     max((abs(c).bit_length() for c in nums.values()), default=0),
-                     (d - 1).bit_length())
-
-    def __bool__(self) -> bool:
-        return self.n > 0
-
-    def _count(self, other: "_Span", terms: int) -> None:
-        size = (1 + (self.num + self.den) // 1024) * (1 + (other.num + other.den) // 1024)
-        self.work[0] += terms * size
-
-    def __add__(self, other: "_Span") -> "_Span":
-        self._count(other, self.n + other.n)
-        if not (self and other):
-            return self if self else other
-        # p/d1 + q/d2 = (p*d2 + q*d1)/(d1*d2), at worst
-        return _Span(self.work, min(self.lo, other.lo), max(self.hi, other.hi),
-                     self.n + other.n, max(self.num + other.den, other.num + self.den) + 1,
-                     self.den + other.den)
-
-    def mul(self, other: "_Span", cutoff: int) -> "_Span":
-        hi = min(self.hi + other.hi, cutoff - 1)
-        # each coefficient sums at most min(|p|, |q|) products
-        out = _Span(self.work, self.lo + other.lo, hi, self.n * other.n,
-                    self.num + other.num + min(self.n, other.n).bit_length(),
-                    self.den + other.den)
-        # every pair is multiplied, and every term of the product built
-        self._count(other, self.n * other.n + out.n)
-        return out
-
-
-def _composition_work(f: Poly, xt: Poly, yt: Poly, top: int) -> int:
-    """An upper bound on the term operations of ``f.substitute((xt, yt),
-    cutoff)`` that keeps no t-degree above top, weighted as
-    MAX_COMPOSITION_WORK says: substitute itself, run on the spans of the
-    images.  A span bounds every size its polynomial can reach, so each
-    count is at least the true one."""
-    work = [0]
-    zero = _Span(work, 0, -1, 0, 0, 0)
-    f.substitute((zero._like(xt.terms), zero._like(yt.terms)), top + 1)
-    return work[0]
-
-
 def _validate_branches(germ: CurveGerm, branches: BranchSet, mu: int) -> None:
     t0 = branches.declared_truncation
     if t0 is not None and t0 < 2 * mu + 2:
@@ -304,7 +240,7 @@ def _validate_branches(germ: CurveGerm, branches: BranchSet, mu: int) -> None:
         if degree > MAX_COMPOSED_DEGREE:
             raise BadInput(f"branch {k} composes with the germ to t-degree "
                            f"{degree}, above the cap of {MAX_COMPOSED_DEGREE}")
-        work = _composition_work(f, xt, yt, degree)
+        work = f.substitute_work((xt, yt), degree + 1)
         if work > MAX_COMPOSITION_WORK:
             raise BadInput(f"branch {k} composes with the germ in up to {work} term "
                            f"operations, above the cap of {MAX_COMPOSITION_WORK}")

@@ -273,7 +273,8 @@ def parse_lattice(text: str) -> LatticeModel:
     """Parse the lattice file format.
 
     Line-oriented plain text; '#' starts a comment that runs to the end of
-    the line.  Keywords:
+    the line, and whitespace (``str.split``'s, a tab as a space) separates
+    the words of a line, a keyword's among them.  Keywords:
 
     * ``rank N``, with N at most MAX_RANK
     * ``gram`` alone on its line, followed by N lines of N integers
@@ -289,7 +290,8 @@ def parse_lattice(text: str) -> LatticeModel:
     lines = iter(content_lines(text))
     fields = {}
     for line in lines:
-        word, _, rest = line.partition(" ")
+        word = line.split(maxsplit=1)[0]
+        rest = line[len(word) + 1:]
         if word in fields:
             raise BadInput(f"lattice file keyword {word!r} is repeated")
         if word == "rank":
@@ -307,7 +309,7 @@ def parse_lattice(text: str) -> LatticeModel:
                 row = next(lines, None)
                 if row is None:
                     raise BadInput("unexpected end of lattice file")
-                first = row.partition(" ")[0]
+                first = row.split(maxsplit=1)[0]
                 if first in _KEYWORDS:
                     raise BadInput(f"{word} has {len(rows)} of {fields['rank']} rows "
                                    f"before {first!r}")
@@ -338,8 +340,7 @@ def cmd_decompose(args) -> tuple:
     model = load_lattice(args.lattice)
     beta = tuple(map(parse_int, args.beta.split(",")))
     pairs = decompose(model, beta)
-    rows = itertools.chain([("theta1", "theta2")],
-                           ((",".join(map(str, t1)), ",".join(map(str, t2))) for t1, t2 in pairs))
+    rows = itertools.chain([("theta1", "theta2")], pairs)
     record = {
         "parameters": {"lattice": args.lattice, "beta": args.beta},
         "results": {"count": len(pairs), "pairs": pairs},

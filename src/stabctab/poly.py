@@ -7,14 +7,16 @@ variable, to nonzero ``Fraction`` coefficients; an ``int`` coefficient
 is converted, and any other (a float) is a TypeError.  A Poly is an
 immutable ``_record.Record``.  Every product is truncated: its
 ``cutoff`` keeps the terms of total degree below it; in one variable
-that is the exponent itself.
+that is the exponent itself.  Beside the products, ``weight`` and
+``Poly.substitute_work`` give ``germ``'s work caps their cost model.
 
 The accepted input grammar is deliberately small: a polynomial is a
 '+'/'-' separated list of terms, each term ``c*x^a*y^b`` where the
 rational coefficient ``c`` ("p/q" with q >= 1, or an integer) and either
-variable part may be omitted.  Whitespace is ignored, '*' between
-factors is optional, exponents are nonnegative integers, every integer
-is ASCII digits, and the Unicode minus sign is accepted alongside '-'.
+variable part may be omitted.  ASCII whitespace is ignored, no other
+space is, '*' between factors is optional, exponents are nonnegative
+integers, every integer is ASCII digits, and the Unicode minus sign is
+accepted alongside '-'.
 """
 
 from __future__ import annotations
@@ -33,9 +35,12 @@ _FACTOR = re.compile(r"([0-9]+/[0-9]+|[0-9]+|[a-zA-Z](?:\^[0-9]+)?)")
 #: A term: its run of signs, odd in '-' for a negative term, and its body.
 _TERM = re.compile(r"([+-]*)([^+-]+)")
 
+#: Before a split: ASCII whitespace is dropped and the Unicode minus read as '-'.
+_CANONICAL = {ord("\u2212"): "-", **dict.fromkeys(map(ord, " \t\n\r\v\f"))}
+
 
 def _split_terms(s: str) -> list[tuple[int, str]]:
-    s = s.replace("\u2212", "-").replace(" ", "").replace("\t", "")
+    s = s.translate(_CANONICAL)
     if not s:
         raise BadInput("empty polynomial string")
     if s[-1] in "+-":
@@ -199,8 +204,7 @@ class Poly(Record):
         power of y past the end of a table is 0.  An image without
         constant term reaches 0 by the power cutoff, so the cost
         follows the cutoff and not the exponents of self.  Constants and
-        zeros are built by the images' ``_like``, so ``germ._composition_work``
-        runs this on stand-ins of the images to bound its work.
+        zeros come from the images' ``_like``, so ``substitute_work`` runs this on spans.
         """
         if len(images) != self.nvars:
             raise ValueError(f"need {self.nvars} images, got {len(images)}")
@@ -223,3 +227,67 @@ class Poly(Record):
             acc = acc + groups[e]
             acc = acc.mul(ypows[gap], cutoff) if gap < len(ypows) else last._like({})
         return acc
+
+    def substitute_work(self, images: tuple["Poly", ...], cutoff: int) -> int:
+        """An upper bound, found before any is done, on the term operations of
+        ``self.substitute(images, cutoff)``, images in one variable: a product
+        p*q counts its |p|*|q| term pairs and the terms it builds, a sum p + q
+        its |p| + |q| terms, each weighted weight(a) * weight(b) for bounds a, b
+        on the bits of each side's integer numerators and common denominator.
+        It is ``substitute`` run on the spans of the images."""
+        zero = _Span([0], 0, -1, 0, 0, 0)
+        self.substitute(tuple(zero._like(img.terms) for img in images), cutoff)
+        return zero.work[0]
+
+
+def weight(bits: int) -> int:
+    """How much one operation on numbers of ``bits`` bits counts in a work
+    cap: 1, plus 1 per full 1,024 bits."""
+    return 1 + bits // 1024
+
+
+class _Span:
+    """A polynomial in t as ``Poly.substitute_work`` sees it: at most n
+    terms, of t-degrees lo..hi, whose integer numerators over one common
+    denominator (as ``Poly.mul`` forms them) have at most num bits and that
+    denominator at most den bits.  Each product and sum of spans adds its
+    weighted operations to work[0], shared by the spans of one run."""
+
+    nvars = 1
+    powers = Poly.powers
+
+    def __init__(self, work: list[int], lo: int, hi: int, n: int, num: int, den: int):
+        self.work, self.lo, self.hi = work, lo, hi
+        self.n, self.num, self.den = max(min(n, hi - lo + 1), 0), num, den
+
+    def _like(self, terms: dict) -> "_Span":
+        d, nums = Poly(1, terms)._numerators()
+        return _Span(self.work, min((e for (e,) in nums), default=0),
+                     max((e for (e,) in nums), default=-1), len(nums),
+                     max((abs(c).bit_length() for c in nums.values()), default=0),
+                     (d - 1).bit_length())
+
+    def __bool__(self) -> bool:
+        return self.n > 0
+
+    def _count(self, other: "_Span", terms: int) -> None:
+        self.work[0] += terms * weight(self.num + self.den) * weight(other.num + other.den)
+
+    def __add__(self, other: "_Span") -> "_Span":
+        self._count(other, self.n + other.n)
+        if not (self and other):
+            return self if self else other
+        # p/d1 + q/d2 = (p*d2 + q*d1)/(d1*d2), at worst
+        return _Span(self.work, min(self.lo, other.lo), max(self.hi, other.hi),
+                     self.n + other.n, max(self.num + other.den, other.num + self.den) + 1,
+                     self.den + other.den)
+
+    def mul(self, other: "_Span", cutoff: int) -> "_Span":
+        hi = min(self.hi + other.hi, cutoff - 1)
+        # each coefficient sums at most min(|p|, |q|) products
+        out = _Span(self.work, self.lo + other.lo, hi, self.n * other.n,
+                    self.num + other.num + min(self.n, other.n).bit_length(),
+                    self.den + other.den)
+        # every pair is multiplied, and every term of the product built
+        self._count(other, self.n * other.n + out.n)
+        return out

@@ -602,6 +602,9 @@ INVALID_LATTICES = {
     # a block cut short by a keyword line is reported as short
     "short-gram": (_lattice(gram="0 2"), "gram has 1 of 2 rows before 'ample_witness'"),
     "short-basis": (_lattice(basis="1 1"), "ortho_basis has 1 of 2 rows before 'ample_tests'"),
+    # a row's first word ends at a tab as at a space
+    "short-gram-tab": (_lattice(gram="0 2").replace("ample_witness ", "ample_witness\t"),
+                       "gram has 1 of 2 rows before 'ample_witness'"),
     # a block keyword's line holds the keyword alone
     "text-after-gram": (_lattice().replace("gram\n", "gram 7\n"),
                         "lattice file keyword 'gram' takes its rows on the lines below it"),
@@ -812,12 +815,13 @@ def test_handlers_return_the_record_and_write_nothing(capsys, name):
         assert isinstance(results["codim_bound"], Fraction)
         assert any(isinstance(v, QuadSurd) for _, v in results["case_bounds"])
     # main alone renders: it adds the command and writes the record with
-    # each exact value as its str, or each row with a cell as its str and a
-    # list cell as JSON
+    # each exact value as its str, or each row with a cell as its str, a
+    # tuple cell as its items joined by ',' and a list cell as JSON
     assert run_json(capsys, name, *SMALL_CALLS[name]) == (
         0, rendered({"command": name, **record}))
     tsv = "".join(
-        "\t".join(json.dumps(rendered(c)) if isinstance(c, list) else str(c) for c in row)
+        "\t".join(json.dumps(rendered(c)) if isinstance(c, list)
+                  else ",".join(map(str, c)) if isinstance(c, tuple) else str(c) for c in row)
         + "\n" for row in rows
     )
     assert run(capsys, name, *SMALL_CALLS[name]) == (0, tsv)

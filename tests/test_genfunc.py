@@ -17,7 +17,6 @@ from stabctab.genfunc import (
     hilb_betti,
     remark_identity_mismatch,
     stable_betti,
-    stable_betti_from_perverse,
     stable_betti_numbers,
     stable_perverse_series,
     stable_perverse_table,
@@ -72,7 +71,8 @@ def test_library_builds_at_the_order_asked(monkeypatch):
     monkeypatch.setattr(genfunc, "_product", recording_product)
     assert hilb_betti(ENRIQUES, 3, 2) == 11
     assert stable_betti(ENRIQUES, 2) == 11
-    assert stable_betti_from_perverse(ENRIQUES, 4) == 78
+    table = stable_perverse_table(ENRIQUES, 4)
+    assert sum(table.entry(i, 4 - i) for i in range(5)) == 78
     with pytest.raises(BadInput, match="truncation order must be nonnegative"):
         stable_betti_numbers(ENRIQUES, -1)
     assert orders == [3, 2, 4, -1]
@@ -150,19 +150,14 @@ def test_first_difference_orders_by_total_degree():
     assert genfunc._first_difference(right, right) is None
 
 
-def test_stable_betti_from_perverse():
-    assert stable_betti_from_perverse(ENRIQUES, 2) == 11 == stable_betti(ENRIQUES, 2)
-    assert stable_betti_from_perverse(ENRIQUES, 0) == 1
-    assert stable_betti_from_perverse(BIELLIPTIC, 1) == 2
-
-
 def test_perverse_anti_diagonals_sum_to_stable_betti():
     # both sides expand H's factor list graded by total degree, once
     # carrying the q-exponent and once without it (t = q): this checks
     # the kernel's two readings of H
     for surface in (ENRIQUES, BIELLIPTIC, SMALL_B2):
         for k in range(11):
-            assert stable_betti_from_perverse(surface, k) == stable_betti(surface, k)
+            table = stable_perverse_table(surface, k)
+            assert sum(table.entry(i, k - i) for i in range(k + 1)) == stable_betti(surface, k)
 
 
 def test_odd_vanishing_for_b1_zero():

@@ -284,11 +284,9 @@ def test_beyond_corpus_germs():
 
 
 def test_composition_work_bounds_what_substitute_does(monkeypatch):
-    """_composition_work is at least the term pairs that Poly.substitute
+    """Poly.substitute_work is at least the term pairs that Poly.substitute
     multiplies plus the terms its sums add, on random germs and branches,
     exact and truncated."""
-    from stabctab.germ import _composition_work
-
     done = [0]
     mul, add = Poly.mul, Poly.__add__
 
@@ -320,7 +318,7 @@ def test_composition_work_bounds_what_substitute_does(monkeypatch):
         done[0] = 0
         f.substitute((xt, yt), top + 1)
         monkeypatch.undo()
-        assert done[0] <= _composition_work(f, xt, yt, top), (f, xt, yt, t0)
+        assert done[0] <= f.substitute_work((xt, yt), top + 1), (f, xt, yt, t0)
 
 
 def test_incomplete_branch_data_fails_formula():

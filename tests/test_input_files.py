@@ -77,6 +77,16 @@ def test_readme_lattice_example_loads(tmp_path):
     assert len(out.splitlines()) == 1 + 7
 
 
+def test_a_tab_separates_lattice_words_as_a_space_does(tmp_path):
+    # keyword lines included: 'rank\t2' and 'ample_witness\t1 1' read as
+    # with a space
+    text = shipped("lattices/bielliptic-rank2.lat")
+    argv = ["decompose", "--lattice", "FILE", "--beta", "2,2"]
+    spaced = run_on(tmp_path / "spaces.lat", text, argv)
+    assert b"rank 2" in text and spaced[0] == 0 and len(spaced[1].splitlines()) == 1 + 7
+    assert run_on(tmp_path / "tabs.lat", text.replace(b" ", b"\t"), argv) == spaced
+
+
 def test_comment_runs_to_the_end_of_a_branch_line(tmp_path):
     text = b"# the tacnode\nt ; t^2  # upper\nt ; -t^2#lower\n"
     code, out, err = run_on(tmp_path / "tacnode.br", text,
