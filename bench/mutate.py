@@ -16,31 +16,10 @@ test failure, or if a row without a reason survives.  Stdlib only and
 offline, outside tier-1, like ``bench/sweep.py``; the checkout itself is
 never written.
 
-Result at the revision that added it (CPython 3.11, 2-vCPU Xeon, 28 s in
-all): the unmutated tests pass, and each of the 14 rows is killed; none
-carries a reason.  Each row was also run against the whole tier-1 suite
-there, and each failed it.  Eight rows were added later: the three
-mirrored factors of H and five hand-run mutations of the readers, the
-parser, ``poly`` and ``decompose``.  All 22 rows are killed (94 s in
-all, on the same host), none carries a reason, and each new row also
-fails the whole tier-1 suite (the three factor rows fail acceptance 1).
-A 23rd row, ``span-ignores-the-cutoff``, lets the composition bound's
-degrees run past the cutoff; it passed every other tier-1 test and grid,
-and its named test alone fails the whole suite.  All 23 rows are killed
-(about 90 s in all, on the same host).  A 24th row,
-``stable-betti-drops-one-minus-qt``, drops the (1 - qt) factor from the
-stable Betti series, which reads H's factors with t = q; acceptance 2
-(G's rows) and the product reference kill it.  The three mirrored-factor
-rows of H now change every stable Betti record as well.  All 24 rows are
-killed (about 100 s in all, on the same host).  A 25th row,
-``germ-empty-branch-path-is-no-flag``, reads ``--branches ""`` as no
-flag again, so that the call drops delta and exits 0; the named row of
-the rejected-input test kills it.  All 25 rows are killed.  Rows 26 to
-28 restore the readers' older whitespace rules, a lattice line split at
-its first space only and a polynomial that drops only spaces and tabs;
-each is killed by its named test, and all 28 rows are killed.  The row
-``span-ignores-the-cutoff`` names ``poly.py``, where the composition
-bound now lives.
+Result (CPython 3.11, 2-vCPU Xeon, about 80 s in all): the
+unmutated tests pass, and each of the 31 rows is killed; none carries a
+reason.  Every named test is a tier-1 test, so each row also fails the
+whole tier-1 suite.  CHANGES.md records when each row was added and why.
 
 Two rows are killed only by a restatement: ``d0-drops-i-plus-1`` and
 ``d0-second-root-plus-4`` fail no test but
@@ -65,6 +44,8 @@ D0_SURDS = "tests/test_nslattice.py::test_enriques_d0_equals_the_sqrt_rational_r
 KERNEL = "tests/test_genfunc.py::test_kernel_matches_product_oracle_and_partition_dp"
 SYMMETRY = "tests/test_genfunc.py::test_perverse_series_is_symmetric_once_b1_is_cleared"
 STABILIZATION = "tests/test_acceptance.py::test_acceptance_2_stabilization_identity"
+WHITESPACE = ("tests/test_input_files.py::"
+              "test_whitespace_is_what_str_split_splits_on_in_every_reader")
 
 #: (name, file, old text, new text, killing tests, reason or None).
 ROWS = [
@@ -148,7 +129,8 @@ ROWS = [
      "if args.branches is not None:", "if args.branches:",
      ["tests/test_cli.py::test_rejected_input_names_its_subcommand[empty-branch-path]"], None),
     # each restores an older whitespace rule of a reader: a lattice line
-    # split at a space only, a polynomial that drops only spaces and tabs
+    # split at a space only, a polynomial that drops the six ASCII
+    # whitespace characters only
     ("lattice-keyword-at-space-only", "src/stabctab/nslattice.py",
      "        word = line.split(maxsplit=1)[0]\n        rest = line[len(word) + 1:]\n",
      '        word, _, rest = line.partition(" ")\n',
@@ -157,10 +139,23 @@ ROWS = [
     ("lattice-row-word-at-space-only", "src/stabctab/nslattice.py",
      "first = row.split(maxsplit=1)[0]", 'first = row.partition(" ")[0]',
      ["tests/test_cli.py::test_invalid_lattice_file_exits_2_as_pinned[short-gram-tab]"], None),
-    ("poly-drops-space-and-tab-only", "src/stabctab/poly.py",
-     "s = s.translate(_CANONICAL)",
-     's = s.replace("\\u2212", "-").replace(" ", "").replace("\\t", "")',
-     ["tests/test_poly.py::test_ascii_whitespace_is_ignored_and_no_other_space"], None),
+    ("poly-drops-ascii-whitespace-only", "src/stabctab/poly.py",
+     's = "".join(s.split()).replace("\\u2212", "-")',
+     's = s.translate({0x2212: "-", **dict.fromkeys(map(ord, " \\t\\n\\r\\v\\f"))})',
+     [WHITESPACE], None),
+    ("conductor-bound-minus-1", "src/stabctab/germ.py",
+     "t_trunc = 2 * mu + 2", "t_trunc = 2 * mu + 1",
+     ["tests/test_germ.py::test_truncation_too_small"], None),
+    # an empty branch set admitted: the germ call reads delta 0 and r 0,
+    # and exits 1 on Milnor's formula instead of 2
+    ("branch-set-may-be-empty", "src/stabctab/germ.py",
+     '        if not branches:\n            raise BadInput("a germ has at least one branch")\n',
+     "", ["tests/test_cli.py::test_rejected_input_names_its_subcommand[no-branches]"], None),
+    ("parser-echoes-a-too-long-integer", "src/stabctab/cli.py",
+     'f"has more digits than Python reads; its cap is {spec[\'cap\']}"',
+     'f"needs an integer, got {value!r}"',
+     ["tests/test_parser.py::test_usage_errors_exit_2_with_one_line[integer-too-long-to-read]"],
+     None),
 ]
 
 

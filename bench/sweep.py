@@ -79,21 +79,8 @@ m-fold points come from ``tests/draws.py``, as in the tests.
 Digests (CPython 3.11; about 25 s for ``tables``, ``germ``, ``decompose``
 and ``bounds`` together, 21 s for ``random-germ``, under 1 s for
 ``usage``, 32 s for ``mutants`` and 4 s for ``parse``, on a 2-vCPU
-Xeon), the same at the revision that added ``mutants`` and at its parent,
-and again when the draws moved to ``tests/draws.py``; ``parse`` is the
-same at the revision that added it and at its parent.  ``mutants`` moved
-(from 83fe1bb5...) when the lattice reader began to refuse text after
-``gram`` or ``ortho_basis`` on the keyword line: four of its 40,000
-lattice mutants carry a first gram row merged onto that line, and each
-still exits 2, with the new message.  ``usage`` moved (from
-6c71afc1...) when it gained its six empty-value calls; its first 175
-calls still give the old digest, and at the parent revision the 181
-differ only in ``germ --branches ""``, which exited 0 there, reading an
-empty path as no flag, and exits 2 here.  ``mutants`` moved again (from
-a5873460...) when a tab began to end a lattice line's first word, as a
-space does: 94 of its 40,000 lattice mutants hold a tab in or after a
-keyword, and each still exits 2, most naming the word before the tab
-(``gr`` for ``gr<TAB>am``), seven reading past it to a later check:
+Xeon).  CHANGES.md records each revision at which a digest moved, and
+which calls moved it:
 
     tables       14784 calls  d420e71be84b291f47970e1b928ca5b5b56350599e4b68ed8c1ea02068ae0299
     germ           184 calls  c54044cd94f491e838ea9cd97dc7e72af82056efcb863114dced40b0568174c4

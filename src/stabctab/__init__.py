@@ -50,7 +50,6 @@ _HOMES = {
     "enriques_dim_ls": "codim",
     "load_lattice": "nslattice",
     "n_lower_bound": "codim",
-    "DEFAULT_ORDER": "cli",
 }
 
 __all__ = sorted(_HOMES)

@@ -132,8 +132,8 @@ def read_text(path: str) -> str:
 
 def content_lines(text: str) -> list[str]:
     """The lines of a lattice or branch file, each stripped of its '#'
-    comment, which runs to the end of the line, and of surrounding spaces;
-    a line left empty is dropped."""
+    comment, which runs to the end of the line, and of surrounding
+    whitespace (``str.strip``'s); a line left empty is dropped."""
     return [line for line in (raw.partition("#")[0].strip() for raw in text.splitlines())
             if line]
 

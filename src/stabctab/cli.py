@@ -65,12 +65,13 @@ before any computation: ``--max-order`` and ``--order`` at 64 and
 ``bounds`` at 10^600, so that no value a record or a message prints has
 more digits than Python turns into a string (4,300); ``bounds`` bounds
 the numerator and the denominator of ``--lambda`` and ``--mu`` alike.
-A value above its cap exits 2 with one line on stderr.  The codimension
-bounds of ``bounds --d`` take exact square roots by trial division and
-cap their radicand at 10^12 (``surd.MAX_RADICAND``); a larger one exits
-2 with one line on stderr as well.  The threshold of ``bounds --i --j``
-needs only ceilings of square roots, which it takes by ``math.isqrt`` at
-any size.
+A value above its cap exits 2 with one line on stderr, and so does one
+of more digits than Python reads, naming the flag and its cap and not
+the value.  The codimension bounds of ``bounds --d`` take exact square
+roots by trial division and cap their radicand at 10^12
+(``surd.MAX_RADICAND``); a larger one exits 2 with one line on stderr
+as well.  The threshold of ``bounds --i --j`` needs only ceilings of
+square roots, which it takes by ``math.isqrt`` at any size.
 
 Each subcommand imports only the layer it runs: the parser and the
 dispatch load no computation module (only ``_record``, whose
@@ -101,7 +102,7 @@ import sys
 from importlib import import_module
 from types import SimpleNamespace
 
-from ._record import MAX_ARGUMENT, parse_int
+from ._record import MAX_ARGUMENT, is_integer, parse_int
 from .errors import BadInput
 
 #: Default truncation order of the order flags (--max-k, --max-order,
@@ -236,7 +237,9 @@ class Parser:
                 try:
                     value = parse_int(value)
                 except BadInput:
-                    raise BadInput(f"{flag} needs an integer, got {value!r}") from None
+                    what = (f"has more digits than Python reads; its cap is {spec['cap']}"
+                            if is_integer(value.strip()) else f"needs an integer, got {value!r}")
+                    raise BadInput(f"{flag} {what}") from None
             choices = spec.get("choices")
             if choices and value not in choices:
                 raise BadInput(f"{flag} must be one of {', '.join(choices)}, got {value!r}")

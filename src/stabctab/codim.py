@@ -1,11 +1,11 @@
 r"""Codimension bounds for non-integral curves on Enriques and bielliptic
 surfaces.
 
-These lived in :mod:`stabctab.nslattice`, which still exports their
-public names; apart, ``decompose`` does not load them and ``bounds`` does
-not load the lattice model.  The ``bounds`` subcommand's handler,
-:func:`cmd_bounds`, lives here, with the formulas it reads.  Two groups
-of operations:
+:mod:`stabctab.nslattice` re-exports their public names, which callers,
+the acceptance suite among them, import from there; kept apart,
+``decompose`` does not load them and ``bounds`` no lattice model.  The
+``bounds`` subcommand's handler, :func:`cmd_bounds`, lives here, with
+the formulas it reads.  Two groups of operations:
 
 * codimension lower bounds for the locus of non-integral curves in the
   linear system of d*beta on Enriques and bielliptic surfaces, as the
@@ -284,7 +284,7 @@ def cmd_bounds(args) -> tuple:
         params["beta_sq"] = args.beta_sq
         if want_d:
             params["d"] = args.d
-            params["generic"] = bool(args.generic)
+            params["generic"] = args.generic
             terms = enriques_codim_terms(args.beta_sq, args.d, args.generic)
             bound = enriques_minimum(terms)
             provenance = (

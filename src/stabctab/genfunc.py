@@ -386,7 +386,7 @@ def cmd_perverse(args) -> tuple:
             status = 1
     record = {
         "parameters": {"b1": args.b1, "b2": args.b2, "max_order": args.max_order,
-                       "oracle": bool(args.oracle)},
+                       "oracle": args.oracle},
         "results": results,
         "provenance": "stable perverse numbers: coefficients of the product "
                       "series H(q, t)" + (
@@ -411,7 +411,7 @@ def cmd_identity(args) -> tuple:
         status = 1
     record = {
         "parameters": {"b1": args.b1, "b2": args.b2, "order": args.order,
-                       "perturb": bool(args.perturb)},
+                       "perturb": args.perturb},
         "results": results,
         "provenance": "change of variables z = t, w = q/t linking the "
                       "point-counting series to H(q, t)/(1 - qt)",

@@ -105,6 +105,8 @@ class BranchSet(HashableRecord):
             raise BadInput("duplicate branch parametrization")
         if declared_truncation is not None and declared_truncation < 1:
             raise BadInput("declared truncation must be positive")
+        if not branches:
+            raise BadInput("a germ has at least one branch")
         super().__init__(branches=branches, declared_truncation=declared_truncation)
 
     @classmethod
@@ -219,16 +221,14 @@ def tjurina(germ: CurveGerm) -> int:
 
 
 def branch_count(branches: BranchSet) -> int:
-    """Number of branches; raises BadInput when there are none."""
-    if not branches.branches:
-        raise BadInput("a germ has at least one branch")
+    """Number of branches, at least one."""
     return len(branches.branches)
 
 
-def _validate_branches(germ: CurveGerm, branches: BranchSet, mu: int) -> None:
+def _validate_branches(germ: CurveGerm, branches: BranchSet, t_trunc: int) -> None:
     t0 = branches.declared_truncation
-    if t0 is not None and t0 < 2 * mu + 2:
-        raise BadInput(f"declared truncation {t0} is below the conductor bound {2 * mu + 2}")
+    if t0 is not None and t0 < t_trunc:
+        raise BadInput(f"declared truncation {t0} is below the conductor bound {t_trunc}")
     for k, (xt, yt) in enumerate(branches.branches):
         # a term with a positive exponent on an image that is 0 composes to 0
         f = Poly(2, {key: c for key, c in germ.poly.terms.items()
@@ -280,19 +280,17 @@ def delta(germ: CurveGerm, branches: BranchSet, mu: int | None = None) -> int:
     branch conductor exponent is at most 2*delta and delta <= mu.  mu is
     milnor(germ), computed here unless the caller passes it.
 
-    Raises BadInput when no branches are supplied, when a
-    parametrization does not satisfy the germ equation to the declared
-    precision, when that precision is below the conductor bound, when
-    the elimination exceeds MAX_ELIMINATION_WORK, and on a cokernel
-    dimension above mu, which only inconsistent branch data gives.
+    Raises BadInput when a parametrization does not satisfy the germ equation
+    to the declared precision, when that precision is below the conductor
+    bound, when the elimination exceeds MAX_ELIMINATION_WORK, and on a
+    cokernel dimension above mu, which only inconsistent branch data gives.
     """
-    r = branch_count(branches)
     if mu is None:
         mu = milnor(germ)
-    _validate_branches(germ, branches, mu)
     t_trunc = 2 * mu + 2
-    cand = r * t_trunc - len(_pivot_columns(_monomial_images(branches.branches, t_trunc),
-                                            "delta"))
+    _validate_branches(germ, branches, t_trunc)
+    rank = len(_pivot_columns(_monomial_images(branches.branches, t_trunc), "delta"))
+    cand = branch_count(branches) * t_trunc - rank
     # cand > mu means the branch data is bad, e.g. a reparametrized
     # duplicate, and no larger T can mend it
     if cand > mu:
@@ -351,12 +349,11 @@ def parse_branch_file(text: str) -> BranchSet:
     truncation: int | None = None
     if lines and lines[0].lower().startswith("truncation:"):
         truncation = parse_int(lines.pop(0).split(":", 1)[1])
-    pairs: list[tuple[str, str]] = []
+    pairs: list[list[str]] = []
     for line in lines:
         if ";" not in line:
             raise BadInput(f"branch line {line!r} is not 'x(t) ; y(t)'")
-        xs, ys = line.split(";", 1)
-        pairs.append((xs.strip(), ys.strip()))
+        pairs.append(line.split(";", 1))
     return BranchSet.from_strings(pairs, truncation)
 
 

@@ -352,7 +352,8 @@ def cmd_decompose(args) -> tuple:
 
 
 def __getattr__(name: str):
-    """The public names of :mod:`stabctab.codim`, which lived here."""
+    """The public names of :mod:`stabctab.codim`, which callers, the
+    acceptance suite among them, import from here."""
     from . import codim
 
     if name in codim.__all__:

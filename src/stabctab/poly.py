@@ -13,10 +13,10 @@ that is the exponent itself.  Beside the products, ``weight`` and
 The accepted input grammar is deliberately small: a polynomial is a
 '+'/'-' separated list of terms, each term ``c*x^a*y^b`` where the
 rational coefficient ``c`` ("p/q" with q >= 1, or an integer) and either
-variable part may be omitted.  ASCII whitespace is ignored, no other
-space is, '*' between factors is optional, exponents are nonnegative
-integers, every integer is ASCII digits, and the Unicode minus sign is
-accepted alongside '-'.
+variable part may be omitted.  Whitespace, what ``str.split`` splits
+on, is ignored, as in every reader of outside input; '*' between
+factors is optional, exponents are nonnegative integers, every integer
+is ASCII digits, and the Unicode minus sign is accepted alongside '-'.
 """
 
 from __future__ import annotations
@@ -35,12 +35,10 @@ _FACTOR = re.compile(r"([0-9]+/[0-9]+|[0-9]+|[a-zA-Z](?:\^[0-9]+)?)")
 #: A term: its run of signs, odd in '-' for a negative term, and its body.
 _TERM = re.compile(r"([+-]*)([^+-]+)")
 
-#: Before a split: ASCII whitespace is dropped and the Unicode minus read as '-'.
-_CANONICAL = {ord("\u2212"): "-", **dict.fromkeys(map(ord, " \t\n\r\v\f"))}
-
 
 def _split_terms(s: str) -> list[tuple[int, str]]:
-    s = s.translate(_CANONICAL)
+    # whitespace is dropped and the Unicode minus read as '-'
+    s = "".join(s.split()).replace("\u2212", "-")
     if not s:
         raise BadInput("empty polynomial string")
     if s[-1] in "+-":

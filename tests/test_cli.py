@@ -1020,6 +1020,11 @@ def _int_error(text):
     # without --branches
     (("germ", "--poly", "y^2 - x^3", "--branches", ""), None,
      "stabctab germ: [Errno 2] No such file or directory: ''\n"),
+    # an integer of a file with more digits than Python reads
+    (("decompose", "--lattice", "FILE", "--beta", "1,1"), b"rank " + b"9" * 5000 + b"\n",
+     f"stabctab decompose: {_int_error('9' * 5000)}\n"),
+    (TACNODE, b"truncation: " + b"9" * 5000 + b"\nt ; t^2\nt ; -t^2\n",
+     f"stabctab germ: {_int_error(' ' + '9' * 5000)}\n"),
 ], ids=["truncation-literal", "no-branches", "not-utf-8", "bounds-d-zero", "odd-beta-sq",
         "odd-b1", "decimal-lambda", "exponent-in-lattice-file", "bielliptic-generic",
         "bielliptic-beta-sq", "enriques-a", "enriques-ij-generic", "i-without-j",
@@ -1029,7 +1034,8 @@ def _int_error(text):
         "exponent-arabic-indic", "truncation-underscore", "ample-tests-arabic-indic",
         "no-mode", "bielliptic-missing-flags", "test-square-too-long-to-print",
         "beta-wrong-length", "second-truncation", "trailing-truncation", "negative-order",
-        "negative-max-order", "negative-max-k", "poly-unknown-variable", "empty-branch-path"])
+        "negative-max-order", "negative-max-k", "poly-unknown-variable", "empty-branch-path",
+        "rank-too-long-for-int", "truncation-too-long-for-int"])
 def test_rejected_input_names_its_subcommand(capsys, tmp_path, argv, file_bytes, err):
     path = tmp_path / "input.txt"
     if file_bytes is not None:

@@ -58,6 +58,8 @@ def test_hilb_betti_examples():
         for n in range(6):
             assert hilb_betti(surface, n, 0) == 1
     assert hilb_betti(ENRIQUES, 1, 5) == 0  # beyond cohomological range
+    with pytest.raises(ValueError, match="^n and k must be nonnegative$"):
+        hilb_betti(ENRIQUES, 1, -1)
 
 
 def test_library_builds_at_the_order_asked(monkeypatch):

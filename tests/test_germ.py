@@ -122,8 +122,9 @@ def test_branch_count():
     assert branch_count(NODE_BRANCHES) == 2
     assert branch_count(CUSP_BRANCHES) == 1
     assert branch_count(TACNODE_BRANCHES) == 2
+    # a branch set has at least one branch
     with pytest.raises(BadInput, match="a germ has at least one branch"):
-        branch_count(BranchSet(()))
+        BranchSet(())
 
 
 def test_invalid_branch():

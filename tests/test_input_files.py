@@ -1,6 +1,7 @@
 """Properties of the lattice-file and branch-file readers: a shipped file
 with a few characters or lines changed is read, or rejected as bad input
-(exit 2, one stderr line naming the subcommand), never failed on."""
+(exit 2, one stderr line naming the subcommand), never failed on; and
+the one whitespace rule of every reader of outside text."""
 
 import contextlib
 import io
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stabctab.cli import main
+from stabctab.poly import parse_polynomial
 
 from draws import edit_lines
 
@@ -92,3 +94,26 @@ def test_comment_runs_to_the_end_of_a_branch_line(tmp_path):
     code, out, err = run_on(tmp_path / "tacnode.br", text,
                             ["germ", "--poly", "y^2 - x^4", "--branches", "FILE"])
     assert (code, out, err) == (0, "mu\t3\ntau\t3\ndelta\t2\nr\t2\nmilnor_formula\tOK\n", "")
+
+
+def test_whitespace_is_what_str_split_splits_on_in_every_reader(tmp_path):
+    # in the term grammar: the six ASCII characters, a line break among
+    # them (as in --poly $'x*y\n'), and U+00A0 and U+3000
+    for space in " \t\n\r\v\f\u00a0\u3000":
+        assert parse_polynomial(f"{space}x{space}*y -{space}3{space}", ("x", "y")) == {
+            (1, 1): 1, (0, 0): -3}
+    # U+00A0 and U+3000 read as a space in a lattice row, at the edge of a
+    # branch-file field, inside a term of a branch file and of --poly
+    decompose = ["decompose", "--lattice", "FILE", "--beta", "2,2"]
+    lattice = shipped("lattices/bielliptic-rank2.lat")
+    expected = run_on(tmp_path / "spaces.lat", lattice, decompose)
+    assert expected[0] == 0 and len(expected[1].splitlines()) == 1 + 7
+    assert b"\n0 2\n" in lattice
+    tacnode = (0, "mu\t3\ntau\t3\ndelta\t2\nr\t2\nmilnor_formula\tOK\n", "")
+    for space in "\u00a0\u3000":
+        rows = lattice.replace(b"\n0 2\n", f"\n0{space}2\n".encode())
+        assert run_on(tmp_path / "rows.lat", rows, decompose) == expected
+        branches = f"t{space};{space}t^2{space}\nt ; -t{space}^2\n".encode()
+        poly = f"y^2 -{space}x{space}^4"
+        assert run_on(tmp_path / "tacnode.br", branches,
+                      ["germ", "--poly", poly, "--branches", "FILE"]) == tacnode

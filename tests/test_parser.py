@@ -68,6 +68,10 @@ def test_parsed_values(argv, values):
      "stabctab stable-betti: --b2 needs an integer, got '1_0'"),
     (["stable-betti", "--b1", "0", "--b2", "\u0661"],
      "stabctab stable-betti: --b2 needs an integer, got '\u0661'"),
+    # an integer, but of more digits than Python reads: not echoed
+    (["stable-betti", "--b1", "0", "--b2", "9" * 5000],
+     "stabctab stable-betti: --b2 has more digits than Python reads; "
+     "its cap is 1000000000000"),
     (["decompose", "--lattice", "x", "--beta", "1", "--format", "xml"],
      "stabctab decompose: --format must be one of tsv, json, got 'xml'"),
     (["bounds", "--surface=k3"],
@@ -86,8 +90,9 @@ def test_parsed_values(argv, values):
      "stabctab stable-betti: --max-k 385 exceeds the cap of 384"),
 ], ids=["no-subcommand", "unknown-subcommand", "no-such-command", "flag-first", "unknown-flag",
         "hidden-elsewhere", "stray-argument", "missing-value", "non-integer",
-        "underscore-integer", "arabic-indic-integer", "format-choice", "surface-choice",
-        "missing-required", "stable-betti-missing-required", "missing-two", "switch-value",
+        "underscore-integer", "arabic-indic-integer", "integer-too-long-to-read",
+        "format-choice", "surface-choice", "missing-required", "stable-betti-missing-required",
+        "missing-two", "switch-value",
         "max-order-above-cap", "order-above-cap", "max-k-above-cap"])
 def test_usage_errors_exit_2_with_one_line(capsys, argv, err):
     assert main(argv) == 2

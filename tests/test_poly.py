@@ -2,11 +2,9 @@
 
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stabctab.errors import BadInput
 from stabctab.poly import Poly, parse_polynomial
 
 from draws import GRAMMAR
@@ -58,16 +56,6 @@ def sparse_polys(draw):
 def test_rendered_poly_parses_back_equal(poly_and_variables, style):
     poly, variables = poly_and_variables
     assert Poly.parse(render(poly, variables, style), variables) == poly
-
-
-def test_ascii_whitespace_is_ignored_and_no_other_space():
-    # a line break among them, as in --poly $'x*y\n'
-    for space in " \t\n\r\v\f":
-        assert parse_polynomial(f"{space}x{space}*y -{space}3{space}", ("x", "y")) == {
-            (1, 1): 1, (0, 0): -3}
-    for space in "\u00a0\u2003\u3000":
-        with pytest.raises(BadInput, match="^cannot parse term "):
-            parse_polynomial(f"x{space}*y", ("x", "y"))
 
 
 def test_substitution_skips_the_powers_that_vanish():
