@@ -16,10 +16,14 @@ test failure, or if a row without a reason survives.  Stdlib only and
 offline, outside tier-1, like ``bench/sweep.py``; the checkout itself is
 never written.
 
-Result (CPython 3.11, 2-vCPU Xeon, about 80 s in all): the
+Result (CPython 3.11, 2-vCPU Xeon, about 45 s in all): the
 unmutated tests pass, and each of the 31 rows is killed; none carries a
 reason.  Every named test is a tier-1 test, so each row also fails the
-whole tier-1 suite.  CHANGES.md records when each row was added and why.
+whole tier-1 suite.  A named test that draws random inputs draws them
+from a ``random.Random`` seeded in the test, by ``tests/draws.py`` or a
+helper of its module, so a row is killed by the same examples on every
+run and every install.  CHANGES.md records when each row was added and
+why.
 
 Two rows are killed only by a restatement: ``d0-drops-i-plus-1`` and
 ``d0-second-root-plus-4`` fail no test but
@@ -108,9 +112,8 @@ ROWS = [
     ("parser-first-repeat-wins", "src/stabctab/cli.py",
      "values[flag] = value", "values.setdefault(flag, value)",
      ["tests/test_cli.py::test_rejected_input_names_its_subcommand[zero-gamma]"], None),
-    # under the profile of tests/conftest.py the two property tests of
-    # test_literals.py draw the same examples on every run, and both kill
-    # this row too; the named cases kill it without a draw
+    # the two seeded property tests of test_literals.py kill this row too;
+    # the named cases kill it without a draw
     ("is-integer-without-plus", "src/stabctab/_record.py",
      '("+", "-")', '("-",)',
      ["tests/test_literals.py::test_the_readers_agree_with_the_old_grammar_on_the_named_cases"],
@@ -161,7 +164,7 @@ ROWS = [
 
 def copy_checkout(dest: Path) -> Path:
     """A copy of the checkout at dest/checkout, without .git and caches."""
-    ignore = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis")
+    ignore = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache")
     return Path(shutil.copytree(ROOT, dest / "checkout", ignore=ignore))
 
 

@@ -12,16 +12,20 @@ script names the first such call with its stderr and exits 1.  A
 refactor that claims unchanged records runs the grids at the parent and
 at the change (point PYTHONPATH at each checkout's ``src``) and gives
 both digests.  Every call is fixed; the random draws are seeded, and
-the random lattices, the file edits, the grammar's alphabet and the
-m-fold points come from ``tests/draws.py``, as in the tests.
+the random lattices, the file edits, the grammar's strings and the
+m-fold points come from ``tests/draws.py``, the functions the tests draw
+from.
 
 * ``tables``: ``perverse --oracle``, ``identity`` and ``identity --perturb``
   at orders 0..20, then ``stable-betti --max-k 0..48``, each at
   b1 in {0, 2, 4}, b2 in 1..22, as TSV and as JSON.
 * ``germ``: the shipped ADE corpus, then A_k = y^2 - x^(k+1) for k in 1..39,
-  each without and with its branch file, as TSV and as JSON.  Branch files
-  are written to a temporary working directory and named relative to it,
-  since a JSON record holds the path it was given.
+  each without and with its branch file, as TSV and as JSON; then, appended,
+  each A_k with its branch file declaring ``truncation: 2k+2``, the
+  conductor bound (it runs), and ``truncation: 2k+1`` (exit 2, below the
+  bound), as TSV and as JSON.  Branch files are written to a temporary
+  working directory and named relative to it, since a JSON record holds
+  the path it was given.
 * ``random-germ``: sixty quasi-homogeneous germs drawn from
   ``random.Random(12)``: weights wx, wy in 1..4 and a degree d, lcm(wx,
   wy) times 2..6; x^(d/wx) and y^(d/wy), and each other monomial of
@@ -65,14 +69,16 @@ m-fold points come from ``tests/draws.py``, as in the tests.
   one call: ``bielliptic-rank2.lat`` by ``decompose --beta 1,1``,
   ``enriques-u-e8.lat`` by ``decompose --beta 1,2,0,1,-1,0,0,0,0,0`` and
   ``tacnode.br`` by ``germ --poly "y^2 - x^4" --branches``, drawn from
-  ``random.Random(30)``, ``(31)`` and ``(32)``.  A mutant has one to three
-  edits of a line, by ``draws.edit_lines``: insert, delete or replace a
-  byte of ``draws.BYTES``, or drop or duplicate the line.  Each is
+  ``random.Random(30)``, ``(31)`` and ``(32)`` by ``draws.edit_lines``, as
+  the mutated-file tests draw theirs.  A mutant has one to three edits
+  of a line: insert, delete or replace a byte of ``draws.BYTES``, or
+  drop or duplicate the line.  Each is
   written to the working directory as ``mutant.lat`` or ``mutant.br`` and
   read once, as TSV.  Through the branch files the grid also fuzzes the
   term grammar.
 * ``parse``: 200,000 strings of length 0..24 over ``draws.GRAMMAR``, drawn
-  from ``random.Random(11)``, each read by ``parse_polynomial(s, ("x",
+  from ``random.Random(11)`` by ``draws.grammar_text``, as the grammar
+  test draws its 300, each read by ``parse_polynomial(s, ("x",
   "y"))`` with no command line; the digest covers each string with its
   sorted terms, or with its error's class and message.
 
@@ -83,7 +89,7 @@ Xeon).  CHANGES.md records each revision at which a digest moved, and
 which calls moved it:
 
     tables       14784 calls  d420e71be84b291f47970e1b928ca5b5b56350599e4b68ed8c1ea02068ae0299
-    germ           184 calls  c54044cd94f491e838ea9cd97dc7e72af82056efcb863114dced40b0568174c4
+    germ           340 calls  b3be76b4d29ce293a36b40f3136e6c4053bf8aa2b6278fa856e689712fb69a50
     random-germ    142 calls  6b22ff76628ac63b8647eb187c1cb76fa0c67fb536d076fc46a53d851d3e81ab
     decompose      738 calls  6d6e604f215eea0088c714cdef7f891741ed9570e6ba0a7c010c75882800f543
     bounds        1448 calls  d291e022c5cdf5ee997cc7131fb71ee9c143639fb8657b09cd5df23b65a50a2d
@@ -113,7 +119,7 @@ from stabctab.poly import parse_polynomial
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tests"))
 from draws import (  # noqa: E402
-    GRAMMAR, curved_point, edit_lines, gram_schmidt_lattice, ordinary_point)
+    curved_point, edit_lines, gram_schmidt_lattice, grammar_text, ordinary_point)
 
 FORMATS = ("tsv", "json")
 SURFACES = [(b1, b2) for b1 in (0, 2, 4) for b2 in range(1, 23)]
@@ -158,6 +164,17 @@ def germ_calls():
         for extra in ((), ("--branches", path)):
             for fmt in FORMATS:
                 yield ("germ", "--poly", poly, *extra, "--format", fmt)
+    # appended, so that the calls above keep their digest: each A_k's
+    # branches declared at its conductor bound 2k + 2, which runs, and one
+    # below it, which is refused
+    for k in range(1, 40):
+        for truncation in (2 * k + 2, 2 * k + 1):
+            path = f"A_{k}-truncation-{truncation}.br"
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(f"truncation: {truncation}\n")
+                fh.writelines(f"{x} ; {y}\n" for x, y in a_k_branches(k))
+            for fmt in FORMATS:
+                yield ("germ", "--poly", f"y^2 - x^{k + 1}", "--branches", path, "--format", fmt)
 
 
 def poly_text(terms):
@@ -387,15 +404,16 @@ def mutants_calls():
         path = "mutant" + os.path.splitext(name)[1]
         for _ in range(MUTANTS_PER_FILE):
             with open(path, "wb") as fh:
-                fh.write(edit_lines(shipped, rng.randint, rng.choice))
+                fh.write(edit_lines(shipped, rng))
             yield tuple(path if token == "FILE" else token for token in argv)
 
 
 def parse_texts():
-    """Strings of length 0..24 over ``draws.GRAMMAR``, from ``random.Random(11)``."""
+    """Strings of length 0..24 over ``draws.GRAMMAR``, by ``draws.grammar_text``
+    from ``random.Random(11)``."""
     rng = random.Random(11)
     for _ in range(200_000):
-        yield "".join(rng.choice(GRAMMAR) for _ in range(rng.randint(0, 24)))
+        yield grammar_text(rng)
 
 
 def read_polynomial(text):

@@ -168,22 +168,27 @@ class BiellipticParams(HashableRecord):
 
     lambda and mu are the rational scales making lambda*A, mu*B an
     integral basis; their values depend on the surface type and are
-    caller input, each with numerator and denominator at most MAX_ARGUMENT.
-    chi of the class is a*b*lambda*mu*gamma and must be an integer.
+    caller input, each an int or a Fraction (another type, a float say,
+    is a TypeError) with numerator and denominator at most MAX_ARGUMENT.
+    a, b and gamma are ints, not bools.  chi of the class is
+    a*b*lambda*mu*gamma and must be an integer.
     """
 
     def __init__(self, a: int, b: int, lam: Fraction, mu: Fraction, gamma: int):
         from fractions import Fraction
 
+        for scale in (lam, mu):
+            if not isinstance(scale, (int, Fraction)):
+                raise TypeError(f"lambda and mu must be rational, got {type(scale).__name__}")
         lam, mu = Fraction(lam), Fraction(mu)
-        if a < 1 or b < 1:
+        if type(a) is not int or type(b) is not int or a < 1 or b < 1:
             raise BadInput("a and b must be positive integers")
         if lam <= 0 or mu <= 0:
             raise BadInput("lambda and mu must be positive")
         if max(lam.numerator, lam.denominator, mu.numerator, mu.denominator) > MAX_ARGUMENT:
             raise BadInput("lambda and mu must have numerator and denominator at most "
                            f"{MAX_ARGUMENT}")
-        if gamma < 1:
+        if type(gamma) is not int or gamma < 1:
             raise BadInput("gamma must be a positive integer")
         chi = a * b * lam * mu * gamma
         if chi.denominator != 1:

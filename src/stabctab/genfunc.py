@@ -69,14 +69,15 @@ class SurfaceTopology(HashableRecord):
 
     b1 and b2 are the first and second Betti numbers of the surface; chi_o,
     the holomorphic Euler characteristic, is a field of the value that no
-    formula reads (acceptance criterion 1 passes it positionally).  b1 must
-    be even (the surface is compact Kaehler), or BadInput.  Hashable.
+    formula reads (acceptance criterion 1 passes it positionally).  b1 and
+    b2 are ints (not bools), b1 even (the surface is compact Kaehler), or
+    BadInput.  Hashable.
     """
 
     def __init__(self, b1: int, b2: int, chi_o: int):
-        if b1 < 0 or b1 % 2 != 0:
+        if type(b1) is not int or b1 < 0 or b1 % 2 != 0:
             raise BadInput(f"b1 must be a nonnegative even integer, got {b1}")
-        if b2 < 1:
+        if type(b2) is not int or b2 < 1:
             raise BadInput(f"b2 must be a positive integer, got {b2}")
         super().__init__(b1=b1, b2=b2, chi_o=chi_o)
 

@@ -210,12 +210,15 @@ def decompose(model: LatticeModel, beta) -> list[tuple[DivisorClass, DivisorClas
     interval, and the intersection of these intervals with the box is
     emitted whole.
 
-    Raises BadInput when beta is not of the model's rank or pairs non-
-    positively with the ample witness, or when the box is refused.
+    Raises BadInput when beta is not of the model's rank, has a coordinate
+    that is not an int (a bool included), or pairs non-positively with the
+    ample witness, or when the box is refused.
     """
     if len(beta) != model.rank:
         raise BadInput(f"beta has {len(beta)} coordinates, lattice has rank {model.rank}")
-    beta = tuple(int(c) for c in beta)
+    for c in beta:
+        if type(c) is not int:
+            raise BadInput(f"beta coordinate {c!r} is not an integer")
     if sum(map(operator.mul, model._witness_row, beta)) <= 0:
         raise BadInput("class pairs non-positively with the ample witness")
     forms = model.test_forms()

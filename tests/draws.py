@@ -1,7 +1,10 @@
-"""Seeded draws of the tests and of ``bench/sweep.py``: random lattices,
-edited input files and the polynomial grammar's alphabet, and the two
-families of m-fold points.  Stdlib only, like the sweep; each caller
-keeps its own seed and draw order."""
+"""Seeded draws of the tests and of ``bench/sweep.py``, the suite's one
+source of random inputs: random lattices, edited input files, text over
+an alphabet (the polynomial grammar's among them), and the two families
+of m-fold points.  Each draw takes a ``random.Random`` that its caller
+seeds, so a test or a grid draws the same inputs on every run and every
+install; where a test and a grid draw the same kind of input, both call
+the same function here.  Stdlib only, like the sweep."""
 
 from __future__ import annotations
 
@@ -48,34 +51,45 @@ def gram_schmidt_lattice(rng, rank):
 #: variables z and t, a Unicode minus, a space and a tab.
 GRAMMAR = "xyzt0123456789/^*+- −\t"
 
+
+def text(rng, alphabet, max_size: int) -> str:
+    """A string over alphabet of length 0..max_size: the length is drawn
+    first, then each character."""
+    return "".join(rng.choice(alphabet) for _ in range(rng.randint(0, max_size)))
+
+
+def grammar_text(rng) -> str:
+    """A string of length 0..24 over ``GRAMMAR``."""
+    return text(rng, GRAMMAR, 24)
+
+
 #: Bytes an edit inserts or puts in place of one: the grammars' own
 #: characters, spaces and line breaks, and a few that are not ASCII (0xc3
 #: and 0xa9 spell 'é' only together, 0xff is never UTF-8).
 BYTES = b"0123456789 -+/*^;:#\n\r\ttxy,=rankgmps_\xc3\xa9\xff\x00"
 
 
-def edit_lines(text: bytes, integer, choice) -> bytes:
-    """text with one to three edits of a line: insert, delete or replace a
-    byte of ``BYTES`` in it, drop or duplicate it.  The draws are
-    integer(lo, hi) and choice(seq), as ``random.Random``'s randint and
-    choice.  A line, not a byte, is drawn first, so that the short data
-    lines are hit as often as comments."""
-    for _ in range(integer(1, 3)):
-        lines = text.splitlines(keepends=True) or [b""]
-        k = integer(0, len(lines) - 1)
+def edit_lines(data: bytes, rng) -> bytes:
+    """data with one to three edits of a line: insert, delete or replace a
+    byte of ``BYTES`` in it, drop or duplicate it.  A line, not a byte, is
+    drawn first, so that the short data lines are hit as often as
+    comments."""
+    for _ in range(rng.randint(1, 3)):
+        lines = data.splitlines(keepends=True) or [b""]
+        k = rng.randint(0, len(lines) - 1)
         line = lines[k]
-        kind = choice(("insert", "delete", "replace", "drop", "duplicate"))
+        kind = rng.choice(("insert", "delete", "replace", "drop", "duplicate"))
         if kind in ("drop", "duplicate"):
             lines[k:k + 1] = [] if kind == "drop" else [line] * 2
         else:
-            i = integer(0, len(line))
-            byte = bytes([choice(BYTES)])
+            i = rng.randint(0, len(line))
+            byte = bytes([rng.choice(BYTES)])
             if kind == "insert":
                 lines[k] = line[:i] + byte + line[i:]
             elif i < len(line):
                 lines[k] = line[:i] + (b"" if kind == "delete" else byte) + line[i + 1:]
-        text = b"".join(lines)
-    return text
+        data = b"".join(lines)
+    return data
 
 
 def product(factors):

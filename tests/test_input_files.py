@@ -5,24 +5,14 @@ the one whitespace rule of every reader of outside text."""
 
 import contextlib
 import io
+import random
 from importlib import resources
 from pathlib import Path
-
-import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from stabctab.cli import main
 from stabctab.poly import parse_polynomial
 
 from draws import edit_lines
-
-@st.composite
-def mutations(draw, text: bytes) -> bytes:
-    """text with one to three edits of a line, those of ``draws.edit_lines``,
-    drawn by hypothesis."""
-    return edit_lines(text, lambda lo, hi: draw(st.integers(lo, hi)),
-                      lambda seq: draw(st.sampled_from(seq)))
 
 
 def shipped(name: str) -> bytes:
@@ -38,34 +28,37 @@ def run_on(path, text: bytes, argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def check_outcome(code, out, err, subcommand):
-    assert code in (0, 1, 2), err
+def check_outcome(code, out, err, subcommand, text):
+    """Exit 0 or 1 with stderr empty, or exit 2 with one stderr line that
+    names the subcommand and stdout empty; text, the input, is reported
+    with a failure."""
+    assert code in (0, 1, 2), (text, err)
     if code == 2:
-        assert out == ""
-        assert err.startswith(f"stabctab {subcommand}: ")
-        assert err.count("\n") == 1 and len(err.splitlines()) == 1, err
+        assert out == "", text
+        assert err.startswith(f"stabctab {subcommand}: "), (text, err)
+        assert err.count("\n") == 1 and len(err.splitlines()) == 1, (text, err)
     else:
-        assert err == ""
+        assert err == "", text
 
 
-@pytest.fixture(scope="module")
-def scratch(tmp_path_factory):
-    return tmp_path_factory.mktemp("mutants") / "input"
+def test_mutated_lattice_file_decomposes_or_exits_2(tmp_path):
+    rng = random.Random(48)
+    shipped_text = shipped("lattices/bielliptic-rank2.lat")
+    for _ in range(300):
+        text = edit_lines(shipped_text, rng)
+        code, out, err = run_on(tmp_path / "mutant.lat", text,
+                                ["decompose", "--lattice", "FILE", "--beta", "1,1"])
+        check_outcome(code, out, err, "decompose", text)
 
 
-@settings(max_examples=300)
-@given(text=mutations(shipped("lattices/bielliptic-rank2.lat")))
-def test_mutated_lattice_file_decomposes_or_exits_2(scratch, text):
-    code, out, err = run_on(scratch, text, ["decompose", "--lattice", "FILE", "--beta", "1,1"])
-    check_outcome(code, out, err, "decompose")
-
-
-@settings(max_examples=150)
-@given(text=mutations(shipped("branches/tacnode.br")))
-def test_mutated_branch_file_checks_or_exits_2(scratch, text):
-    code, out, err = run_on(scratch, text,
-                            ["germ", "--poly", "y^2 - x^4", "--branches", "FILE"])
-    check_outcome(code, out, err, "germ")
+def test_mutated_branch_file_checks_or_exits_2(tmp_path):
+    rng = random.Random(49)
+    shipped_text = shipped("branches/tacnode.br")
+    for _ in range(150):
+        text = edit_lines(shipped_text, rng)
+        code, out, err = run_on(tmp_path / "mutant.br", text,
+                                ["germ", "--poly", "y^2 - x^4", "--branches", "FILE"])
+        check_outcome(code, out, err, "germ", text)
 
 
 def test_readme_lattice_example_loads(tmp_path):

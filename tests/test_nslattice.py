@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -87,6 +88,16 @@ def test_beta_not_of_the_rank_is_bad_input(bielliptic_model):
         with pytest.raises(BadInput, match=f"^beta has {len(beta)} coordinates, "
                                            "lattice has rank 2$"):
             decompose(bielliptic_model, beta)
+
+
+@pytest.mark.parametrize("beta, shown", [
+    ((2.7, 2), "2.7"), ((Fraction(5, 2), 2), "Fraction(5, 2)"), (("2", True), "'2'"),
+    ((2, True), "True"), ((2.0, 2), "2.0"),
+], ids=["float", "fraction", "string", "bool", "integral-float"])
+def test_beta_not_made_of_ints_is_bad_input(bielliptic_model, beta, shown):
+    # int() would truncate each: (2.7, 2) and (5/2, 2) would read as (2, 2)
+    with pytest.raises(BadInput, match=rf"^beta coordinate {re.escape(shown)} is not an integer$"):
+        decompose(bielliptic_model, beta)
 
 
 def random_rank2_model(rng):
@@ -328,10 +339,22 @@ def test_bielliptic_codim_bound_examples():
 
 
 def test_bielliptic_params_validation():
-    with pytest.raises(ValueError):
-        BiellipticParams(1, 1, Fraction(1, 2), Fraction(1), 3)  # chi = 3/2
-    with pytest.raises(ValueError):
-        BiellipticParams(0, 1, Fraction(1), Fraction(1), 2)
+    for args, error, message in [
+        ((1, 1, Fraction(1, 2), Fraction(1), 3), BadInput, "chi = 3/2 must be an integer"),
+        ((0, 1, Fraction(1), Fraction(1), 2), BadInput, "a and b must be positive integers"),
+        # a float or a string as a scale, and a float or a bool as a count:
+        # Fraction(0.1) is a 55-bit fraction, and a = 1.5 would fail later,
+        # in the codimension bound
+        ((1, 1, 0.1, 10, 2), TypeError, "lambda and mu must be rational, got float"),
+        ((1, 1, 1, "1/2", 2), TypeError, "lambda and mu must be rational, got str"),
+        ((1.5, 2, 1, 1, 2), BadInput, "a and b must be positive integers"),
+        ((1, 2.0, 1, 1, 2), BadInput, "a and b must be positive integers"),
+        ((True, 1, 1, 1, 2), BadInput, "a and b must be positive integers"),
+        ((1, 1, 1, 1, 2.0), BadInput, "gamma must be a positive integer"),
+    ]:
+        with pytest.raises(error) as info:
+            BiellipticParams(*args)
+        assert type(info.value) is error and str(info.value) == message, args
 
 
 def random_bielliptic_params(rng):

@@ -22,6 +22,7 @@ def test_record_classes_behave_as_pinned():
     import pickle
 
     from stabctab import PerverseTable, RelHilbBettiTower, SurfaceTopology
+    from stabctab.errors import BadInput
 
     s = SurfaceTopology(b1=0, b2=10, chi_o=1)
     assert repr(s) == "SurfaceTopology(b1=0, b2=10, chi_o=1)"
@@ -30,10 +31,16 @@ def test_record_classes_behave_as_pinned():
     assert s != SurfaceTopology(0, 10, 0) and s != (0, 10, 1)
     assert hash(s) == hash(SurfaceTopology(0, 10, 1)) == hash((0, 10, 1))
     assert len({s, stabctab.ENRIQUES, stabctab.BIELLIPTIC}) == 2
+    # a float or a bool is no Betti number: b1 = 2.0 would give float
+    # Betti numbers, and b2 = 2.5 would fail in the kernel as a bug
     for args, message in (((1, 10, 0), "b1 must be a nonnegative even integer, got 1"),
                           ((-2, 10, 0), "b1 must be a nonnegative even integer, got -2"),
-                          ((0, 0, 0), "b2 must be a positive integer, got 0")):
-        with pytest.raises(ValueError) as exc:
+                          ((0, 0, 0), "b2 must be a positive integer, got 0"),
+                          ((2.0, 2, 0), "b1 must be a nonnegative even integer, got 2.0"),
+                          ((0, 2.5, 0), "b2 must be a positive integer, got 2.5"),
+                          ((0, 10.0, 1), "b2 must be a positive integer, got 10.0"),
+                          ((0, True, 0), "b2 must be a positive integer, got True")):
+        with pytest.raises(BadInput) as exc:
             SurfaceTopology(*args)
         assert str(exc.value) == message
 

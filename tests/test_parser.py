@@ -3,13 +3,14 @@ property over arbitrary argv."""
 
 import contextlib
 import io
+import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from stabctab.cli import COMMANDS, build_parser, main
 from stabctab.errors import BadInput
+
+from draws import GRAMMAR, text
 
 
 def parsed(argv):
@@ -138,12 +139,24 @@ def test_help_shows_the_default_order(capsys):
     assert "(default: 12)" in out and "--b1 B1" in out and "(required)" in out
 
 
-VALUES = st.one_of(
-    st.integers(-3, 12).map(str),
-    st.sampled_from(["tsv", "json", "enriques", "bielliptic", "bielliptic-rank2", "1,1", "3,2",
-                     "-1,3", "y^2 - x^3", "x*y", "0", "1/2", "1/0", "", "=", "-", "--"]),
-    st.text(max_size=4),
-)
+#: Named flag values: choices, lattices, classes, polynomials, rationals
+#: and bare punctuation.
+WORDS = ["tsv", "json", "enriques", "bielliptic", "bielliptic-rank2", "1,1", "3,2", "-1,3",
+         "y^2 - x^3", "x*y", "0", "1/2", "1/0", "", "=", "-", "--"]
+
+#: The characters of a short junk value: the polynomial grammar's, the
+#: separators of a flag and a class, a letter that is not ASCII, a
+#: no-break space and NUL.
+JUNK = GRAMMAR + "=,\u00e9\u00a0\x00"
+
+
+def value(rng) -> str:
+    """A flag value: an integer in -3..12, a named word, or up to 4
+    characters of ``JUNK``, each a third of the time."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return str(rng.randint(-3, 12))
+    return rng.choice(WORDS) if kind == 1 else text(rng, JUNK, 4)
 
 
 #: A call of each subcommand that runs, for argvs to start from.
@@ -157,22 +170,22 @@ RUNS = {
 }
 
 
-@st.composite
-def argvs(draw):
-    """A subcommand with flags that make it run (or junk), then flags of
-    that subcommand (or junk) with a value in both forms or bare, and
-    stray values."""
-    name = draw(st.sampled_from([*COMMANDS, "frob", "", "-h", "--help", "--b1"]))
-    argv = [name, *RUNS.get(name, [])]
-    flags = st.sampled_from([*COMMANDS.get(name, COMMANDS["bounds"])[2], "-h", "--frob"])
-    for kind in draw(st.lists(st.sampled_from("ppppjjjjbs"), max_size=4)):
+def argv(rng) -> list:
+    """A subcommand with flags that make it run (or junk), then up to four
+    flags of that subcommand (or junk) with a value in both forms or bare,
+    and stray values."""
+    name = rng.choice([*COMMANDS, "frob", "", "-h", "--help", "--b1"])
+    out = [name, *RUNS.get(name, [])]
+    flags = [*COMMANDS.get(name, COMMANDS["bounds"])[2], "-h", "--frob"]
+    for _ in range(rng.randint(0, 4)):
+        kind = rng.choice("ppppjjjjbs")
         if kind == "p":
-            argv += [draw(flags), draw(VALUES)]
+            out += [rng.choice(flags), value(rng)]
         elif kind == "j":
-            argv.append(f"{draw(flags)}={draw(VALUES)}")
+            out.append(f"{rng.choice(flags)}={value(rng)}")
         else:
-            argv.append(draw(flags if kind == "b" else VALUES))
-    return argv
+            out.append(rng.choice(flags) if kind == "b" else value(rng))
+    return out
 
 
 def outcome(argv):
@@ -183,22 +196,29 @@ def outcome(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-@settings(max_examples=400)
-@given(argvs())
-def test_any_argv_returns_or_exits_0_or_2(argv):
-    code, out, err = outcome(argv)
-    assert code in (0, 2), (argv, err)
-    if code == 2:
-        assert out == "" and err.count("\n") == 1
+def test_any_argv_returns_or_exits_0_or_2():
+    rng = random.Random(44)
+    for _ in range(400):
+        call = argv(rng)
+        code, out, err = outcome(call)
+        # the one verification a drawn call can fail is the identity that
+        # the hidden --perturb breaks on purpose: exit 1, stderr empty
+        perturbed = call[0] == "identity" and "--perturb" in call
+        assert code in ((0, 1, 2) if perturbed else (0, 2)), (call, err)
+        if code == 1:
+            assert err == "" and "FAIL" in out, call
+        if code == 2:
+            assert out == "" and err.count("\n") == 1, (call, err)
 
 
-@settings(max_examples=150)
-@given(argvs(), st.sampled_from(["frog", "-1", "65", "3"]))
-def test_any_argv_ignores_the_old_order_variable(argv, value):
+def test_any_argv_ignores_the_old_order_variable():
     # STABCTAB_MAX_ORDER once set the default order; no value of it may
     # change a call
+    rng = random.Random(45)
     with pytest.MonkeyPatch.context() as mp:
-        mp.delenv("STABCTAB_MAX_ORDER", raising=False)
-        unset = outcome(argv)
-        mp.setenv("STABCTAB_MAX_ORDER", value)
-        assert outcome(argv) == unset, argv
+        for _ in range(150):
+            call = argv(rng)
+            mp.delenv("STABCTAB_MAX_ORDER", raising=False)
+            unset = outcome(call)
+            mp.setenv("STABCTAB_MAX_ORDER", rng.choice(["frog", "-1", "65", "3"]))
+            assert outcome(call) == unset, call

@@ -1,27 +1,25 @@
-"""The polynomial grammar and the sparse Poly class, as properties."""
+"""The polynomial grammar and the sparse Poly class, as properties over
+seeded draws."""
 
+import random
 from fractions import Fraction
-
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from stabctab.poly import Poly, parse_polynomial
 
-from draws import GRAMMAR
-
-GRAMMAR_TEXT = st.text(alphabet=GRAMMAR, max_size=24)
+from draws import grammar_text
 
 
-@settings(max_examples=300)
-@given(GRAMMAR_TEXT)
-def test_any_grammar_text_parses_or_is_a_value_error(text):
-    for variables in (("x", "y"), ("t",)):
-        try:
-            parsed = parse_polynomial(text, variables)
-        except ValueError:
-            continue
-        assert all(len(k) == len(variables) and min(k) >= 0 for k in parsed)
-        assert all(type(c) is Fraction and c for c in parsed.values())
+def test_any_grammar_text_parses_or_is_a_value_error():
+    rng = random.Random(40)
+    for _ in range(300):
+        text = grammar_text(rng)
+        for variables in (("x", "y"), ("t",)):
+            try:
+                parsed = parse_polynomial(text, variables)
+            except ValueError:
+                continue
+            assert all(len(k) == len(variables) and min(k) >= 0 for k in parsed), text
+            assert all(type(c) is Fraction and c for c in parsed.values()), text
 
 
 def render(poly: Poly, variables, style) -> str:
@@ -39,23 +37,30 @@ def render(poly: Poly, variables, style) -> str:
     return "".join(out)
 
 
-@st.composite
-def sparse_polys(draw):
-    variables = draw(st.sampled_from([("t",), ("x", "y")]))
-    coefficients = st.builds(
-        Fraction, st.integers(-50, 50), st.integers(1, 12)
-    ).filter(bool)
-    keys = st.tuples(*[st.integers(0, 9)] * len(variables))
-    terms = draw(st.dictionaries(keys, coefficients, max_size=6))
-    return Poly(len(variables), terms), variables
+#: The two rings of the draws, by their variables.
+RINGS = (("t",), ("x", "y"))
+
+#: The numerators of drawn coefficients, -50..50 without 0.
+NUMERATORS = [n for n in range(-50, 51) if n]
 
 
-@settings(max_examples=100)
-@given(sparse_polys(), st.tuples(st.booleans(), st.sampled_from(["", " ", "\t"]),
-                                 st.sampled_from(["-", "−"])))
-def test_rendered_poly_parses_back_equal(poly_and_variables, style):
-    poly, variables = poly_and_variables
-    assert Poly.parse(render(poly, variables, style), variables) == poly
+def sparse_poly(rng, variables) -> Poly:
+    """A Poly in variables of at most 6 terms (fewer when a key repeats),
+    exponents 0..9 and coefficients n/d with n in +-1..50, d in 1..12."""
+    return Poly(len(variables), {
+        tuple(rng.randint(0, 9) for _ in variables):
+            Fraction(rng.choice(NUMERATORS), rng.randint(1, 12))
+        for _ in range(rng.randint(0, 6))})
+
+
+def test_rendered_poly_parses_back_equal():
+    rng = random.Random(41)
+    for _ in range(100):
+        variables = rng.choice(RINGS)
+        poly = sparse_poly(rng, variables)
+        style = (rng.random() < 0.5, rng.choice(["", " ", "\t"]), rng.choice(["-", "−"]))
+        text = render(poly, variables, style)
+        assert Poly.parse(text, variables) == poly, text
 
 
 def test_substitution_skips_the_powers_that_vanish():
@@ -85,31 +90,33 @@ def naive_mul(f: Poly, g: Poly, cutoff) -> dict:
     return {k: c for k, c in out.items() if c}
 
 
-@settings(max_examples=100)
-@given(sparse_polys(), sparse_polys(), st.sampled_from([ABOVE_EVERY_DEGREE, 3, 9]))
-def test_product_matches_the_pairwise_product(left, right, cutoff):
-    (f, _), (g, _) = left, right
-    if f.nvars == g.nvars:
-        assert f.mul(g, cutoff).terms == naive_mul(f, g, cutoff)
+def test_product_matches_the_pairwise_product():
+    # both factors in one ring, so that every draw is checked
+    rng = random.Random(42)
+    for _ in range(100):
+        variables = rng.choice(RINGS)
+        f, g = sparse_poly(rng, variables), sparse_poly(rng, variables)
+        cutoff = rng.choice([ABOVE_EVERY_DEGREE, 3, 9])
+        assert f.mul(g, cutoff).terms == naive_mul(f, g, cutoff), (f, g, cutoff)
 
 
-@settings(max_examples=40)
-@given(sparse_polys(), st.lists(sparse_polys(), min_size=2, max_size=2),
-       st.sampled_from([ABOVE_EVERY_DEGREE, 4, 12]))
-def test_substitution_matches_term_by_term(poly_and_variables, images, cutoff):
+def test_substitution_matches_term_by_term():
     # Horner's rule in the last variable forms the same sum as composing
-    # each term on its own
-    f, _ = poly_and_variables
-    images = [img for img, _ in images]
-    if len({img.nvars for img in images}) != 1:
-        return
-    images = [Poly(img.nvars, {k: c for k, c in img.terms.items() if sum(k)})
-              for img in images][:f.nvars]
-    want = Poly(images[0].nvars)
-    for key, c in f.terms.items():
-        term = Poly(images[0].nvars, {(0,) * images[0].nvars: c})
-        for img, e in zip(images, key):
-            for _ in range(e):
-                term = Poly(term.nvars, naive_mul(term, img, cutoff))
-        want = want + term
-    assert f.substitute(tuple(images), cutoff) == want
+    # each term on its own; the images share one ring, so that every draw
+    # is checked
+    rng = random.Random(43)
+    for _ in range(40):
+        f = sparse_poly(rng, rng.choice(RINGS))
+        ring = rng.choice(RINGS)
+        images = [sparse_poly(rng, ring) for _ in range(f.nvars)]
+        cutoff = rng.choice([ABOVE_EVERY_DEGREE, 4, 12])
+        images = [Poly(img.nvars, {k: c for k, c in img.terms.items() if sum(k)})
+                  for img in images]
+        want = Poly(len(ring))
+        for key, c in f.terms.items():
+            term = Poly(len(ring), {(0,) * len(ring): c})
+            for img, e in zip(images, key):
+                for _ in range(e):
+                    term = Poly(term.nvars, naive_mul(term, img, cutoff))
+            want = want + term
+        assert f.substitute(tuple(images), cutoff) == want, (f, images, cutoff)
