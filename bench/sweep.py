@@ -3,8 +3,9 @@
 Usage: ``PYTHONPATH=src python bench/sweep.py GRID [GRID ...]``, GRID one of
 ``tables``, ``germ``, ``random-germ``, ``decompose``, ``bounds``,
 ``usage``, ``mutants`` and ``parse``.  Each call runs
-``stabctab.cli.main`` in-process, on whichever ``stabctab`` is first on
-the path, and takes the exit status it returns; for each grid the script
+``stabctab.cli.main`` in-process (``run`` of ``tests/draws.py``, as the
+tests do), on whichever ``stabctab`` is first on the path, and takes the
+exit status it returns; for each grid the script
 prints the grid, its call count and one sha256 over the (argv, exit
 code, stdout, stderr) of its calls in order.  A call that exits 3 is a
 fault of the package, never a record to pin: after the digests, the
@@ -100,9 +101,7 @@ which calls moved it:
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
-import io
 import itertools
 import json
 import math
@@ -114,12 +113,12 @@ import sys
 import tempfile
 from importlib import resources
 
-from stabctab.cli import COMMANDS, main
+from stabctab.cli import COMMANDS
 from stabctab.poly import parse_polynomial
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tests"))
 from draws import (  # noqa: E402
-    curved_point, edit_lines, gram_schmidt_lattice, grammar_text, ordinary_point)
+    curved_point, edit_lines, gram_schmidt_lattice, grammar_text, ordinary_point, run)
 
 FORMATS = ("tsv", "json")
 SURFACES = [(b1, b2) for b1 in (0, 2, 4) for b2 in range(1, 23)]
@@ -211,14 +210,6 @@ def random_germ_calls():
             fh.writelines(f"{x} ; {y}\n" for x, y in branches)
         for fmt in FORMATS:
             yield ("germ", "--poly", poly_text(terms), "--branches", path, "--format", fmt)
-
-
-def run(argv):
-    """main(argv)'s exit code, stdout and stderr."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(list(argv))
-    return code, out.getvalue(), err.getvalue()
 
 
 def sweep(calls, read=run):

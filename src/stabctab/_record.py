@@ -6,16 +6,18 @@ the package's value classes, the exact ring ``poly.Poly`` and its
 ``series.TruncatedBiSeries`` among them, what callers use of a frozen
 dataclass.  Every layer loads this module, so the readers of outside
 input that the polynomial, branch-file, lattice-file and bounds parsers
-share live here too: ``parse_rational``, ``parse_int``,
-``read_text`` and ``content_lines``.  Each reports what it rejects as
-BadInput, with the message of the exception it replaces.  An integer, in
-every reader of outside input and in the command line's integer flags,
-is an optional sign and ASCII digits, ``[+-]?[0-9]+``: not ``int``'s
-wider grammar, which takes underscores and the digits of other scripts,
-and one predicate, ``is_integer``, decides it without ``re``.  The
-package's own data files, the preset lattices and the ADE corpus, are
-not input: ``read_data`` reads them as plain files in DATA_DIR, next to
-this module.
+share live here too: ``parse_rational``, ``parse_int``, ``read_text``
+and ``content_lines``.  Each reports what it rejects as BadInput, with
+the message of the exception it replaces.  An integer, in every reader
+of outside input and in the command line's integer flags, is an optional
+sign and ASCII digits, ``[+-]?[0-9]+``: not ``int``'s wider grammar,
+which takes underscores and the digits of other scripts, and one
+predicate, ``is_integer``, decides it without ``re``.  A number a caller
+passes is exact by one rule, beside it, that every public entry applies:
+``is_int`` (an int, not a bool or a float) or ``is_rational`` (that or a
+Fraction).  The package's own data files, the preset lattices and the
+ADE corpus, are not input: ``read_data`` reads them as plain files in
+DATA_DIR, next to this module.
 """
 
 import os
@@ -73,6 +75,17 @@ def is_integer(text: str) -> bool:
     """Whether text is an optional sign and ASCII digits, ``[+-]?[0-9]+``."""
     digits = text[1:] if text[:1] in ("+", "-") else text
     return digits.isascii() and digits.isdigit()
+
+
+def is_int(v) -> bool:
+    """Whether v is an int: a bool, or a float equal to an integer, is not."""
+    return type(v) is int
+
+
+def is_rational(v) -> bool:
+    """Whether v is an int, as :func:`is_int` says, or a Fraction."""
+    import fractions  # here, so that a table call loads no fractions
+    return is_int(v) or isinstance(v, fractions.Fraction)
 
 
 def parse_rational(text: str):

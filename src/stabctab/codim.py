@@ -16,22 +16,22 @@ the formulas it reads.  Two groups of operations:
 * small exact helpers: linear-system dimensions on an Enriques surface
   and chi of a bielliptic divisor class.
 
-Square roots are kept exact (:mod:`stabctab.surd`, imported only by
-the two case-term functions that take them); no floating point.  A
-radicand above ``surd.MAX_RADICAND`` (10^12), such as 2*beta^2 for
-beta^2 above 5 * 10^11, raises BadInput instead of running a
-trial division of unbounded length.  The threshold d0 needs only
-ceilings of square roots, which ``math.isqrt`` gives at any size, and
-is pure ``int``: ``fractions`` too is imported only by the functions
-that build a Fraction.  An argument outside a formula's domain raises
-BadInput.
+Square roots are kept exact (:mod:`stabctab.surd`, imported only by the
+functions that take or read them); no floating point.  A radicand above
+``surd.MAX_RADICAND`` (10^12), such as 2*beta^2 for beta^2 above 5 *
+10^11, raises BadInput instead of running a trial division of unbounded
+length.  The threshold d0 needs only ceilings of square roots, which
+``math.isqrt`` gives at any size, and is pure ``int``: ``fractions`` too
+is imported only by the functions that build a Fraction.  An argument
+outside a formula's domain raises BadInput, one of the wrong type
+(``_record.is_int``) a TypeError unless that BadInput asks for an integer.
 """
 
 from __future__ import annotations
 
 import math
 
-from ._record import MAX_ARGUMENT, HashableRecord, parse_rational
+from ._record import MAX_ARGUMENT, HashableRecord, is_int, is_rational, parse_rational
 from .errors import BadInput
 
 __all__ = [
@@ -57,6 +57,8 @@ __all__ = [
 def enriques_dim_ls(dsq: int) -> int:
     """Dimension dsq/2 of the linear system of a nef effective divisor of
     square dsq > 0 (necessarily even) on an Enriques surface."""
+    if not is_int(dsq):
+        raise TypeError(f"dsq must be an integer, got {type(dsq).__name__}")
     if dsq <= 0:
         raise BadInput("the linear-system dimension needs a positive self-intersection")
     if dsq % 2:
@@ -65,7 +67,7 @@ def enriques_dim_ls(dsq: int) -> int:
 
 
 def _check_beta_sq(beta_sq: int) -> None:
-    if beta_sq < 2 or beta_sq % 2:
+    if not is_int(beta_sq) or beta_sq < 2 or beta_sq % 2:
         raise BadInput("beta^2 must be a positive even integer for an ample class")
 
 
@@ -83,7 +85,7 @@ def enriques_codim_terms(beta_sq: int, d: int, generic: bool):
     from .surd import sqrt_rational
 
     _check_beta_sq(beta_sq)
-    if d < 1:
+    if not is_int(d) or d < 1:
         raise BadInput("d must be a positive integer")
     half = Fraction(1, 2)
     terms = [
@@ -128,6 +130,9 @@ def governing_cases(terms, bound) -> list[str]:
 
 def n_lower_bound(codim_bound) -> int:
     """N = 2*ceil(codim) - 2, floored at -2 (vacuous below that)."""
+    from .surd import QuadSurd
+    if not (is_rational(codim_bound) or isinstance(codim_bound, QuadSurd)):
+        raise TypeError("codim_bound must be an int, a Fraction or a QuadSurd")
     return max(2 * math.ceil(codim_bound) - 2, -2)
 
 
@@ -139,6 +144,8 @@ def enriques_d0(beta_sq: int, i: int, j: int) -> int:
     holds, so the stable table applies at the entry (i, j).
     """
     _check_beta_sq(beta_sq)
+    if not (is_int(i) and is_int(j)):
+        raise TypeError("i and j must be integers")
     if i < 0 or j < 0:
         raise BadInput("i and j must be nonnegative")
     terms = [
@@ -178,17 +185,17 @@ class BiellipticParams(HashableRecord):
         from fractions import Fraction
 
         for scale in (lam, mu):
-            if not isinstance(scale, (int, Fraction)):
+            if not is_rational(scale):
                 raise TypeError(f"lambda and mu must be rational, got {type(scale).__name__}")
         lam, mu = Fraction(lam), Fraction(mu)
-        if type(a) is not int or type(b) is not int or a < 1 or b < 1:
+        if not (is_int(a) and is_int(b)) or a < 1 or b < 1:
             raise BadInput("a and b must be positive integers")
         if lam <= 0 or mu <= 0:
             raise BadInput("lambda and mu must be positive")
         if max(lam.numerator, lam.denominator, mu.numerator, mu.denominator) > MAX_ARGUMENT:
             raise BadInput("lambda and mu must have numerator and denominator at most "
                            f"{MAX_ARGUMENT}")
-        if type(gamma) is not int or gamma < 1:
+        if not is_int(gamma) or gamma < 1:
             raise BadInput("gamma must be a positive integer")
         chi = a * b * lam * mu * gamma
         if chi.denominator != 1:
@@ -203,6 +210,8 @@ def bielliptic_chi(s, t, gamma: int) -> Fraction:
     """chi of a divisor class s*A + t*B on a bielliptic surface: s*t*gamma."""
     from fractions import Fraction
 
+    if not (is_rational(s) and is_rational(t) and is_int(gamma)):
+        raise TypeError("s and t must be rational and gamma an integer")
     return Fraction(s) * Fraction(t) * gamma
 
 
@@ -232,7 +241,7 @@ def bielliptic_codim_terms(params: BiellipticParams, d: int):
     """
     from .surd import sqrt_rational
 
-    if d < 1:
+    if not is_int(d) or d < 1:
         raise BadInput("d must be a positive integer")
     a, b, lam, mu, gamma = params.a, params.b, params.lam, params.mu, params.gamma
     case1 = d * sqrt_rational(params.beta_sq()) - 1

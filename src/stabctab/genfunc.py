@@ -60,7 +60,7 @@ and ``identity``, live at the end of this module.
 
 from __future__ import annotations
 
-from ._record import HashableRecord, Record
+from ._record import HashableRecord, Record, is_int
 from .errors import BadInput, InternalIdentityFailure
 
 
@@ -71,14 +71,16 @@ class SurfaceTopology(HashableRecord):
     the holomorphic Euler characteristic, is a field of the value that no
     formula reads (acceptance criterion 1 passes it positionally).  b1 and
     b2 are ints (not bools), b1 even (the surface is compact Kaehler), or
-    BadInput.  Hashable.
+    BadInput; chi_o is an int or a TypeError.  Hashable.
     """
 
     def __init__(self, b1: int, b2: int, chi_o: int):
-        if type(b1) is not int or b1 < 0 or b1 % 2 != 0:
+        if not is_int(b1) or b1 < 0 or b1 % 2 != 0:
             raise BadInput(f"b1 must be a nonnegative even integer, got {b1}")
-        if type(b2) is not int or b2 < 1:
+        if not is_int(b2) or b2 < 1:
             raise BadInput(f"b2 must be a positive integer, got {b2}")
+        if not is_int(chi_o):
+            raise TypeError(f"chi_o must be an integer, got {type(chi_o).__name__}")
         super().__init__(b1=b1, b2=b2, chi_o=chi_o)
 
 
@@ -92,16 +94,18 @@ BIELLIPTIC = SurfaceTopology(2, 2, 0)
 class PerverseTable(Record):
     """Finite table (i, j) -> n^{i,j} of perverse Hodge numbers, i+j <= order.
 
-    Entries are nonnegative integers; zero entries are not stored.  The
-    i = 0 row always lies in {0, 1}.
+    Entries are nonnegative integers (ValueError), the order and keys ints
+    (TypeError); zero entries are not stored.  The i = 0 row lies in {0, 1}.
     """
 
     def __init__(self, order: int, entries: dict[tuple[int, int], int] | None = None):
+        if not is_int(order) or not all(is_int(i) and is_int(j) for i, j in entries or {}):
+            raise TypeError("the order and the keys of entries must be integers")
         clean: dict[tuple[int, int], int] = {}
         for (i, j), v in (entries or {}).items():
             if i < 0 or j < 0 or i + j > order:
                 raise ValueError(f"entry ({i}, {j}) outside the table range")
-            if not isinstance(v, int) or v < 0:
+            if not is_int(v) or v < 0:
                 raise ValueError(f"entry ({i}, {j}) = {v!r} is not a nonnegative integer")
             if i == 0 and v > 1:
                 raise ValueError(f"base-row entry (0, {j}) = {v} exceeds 1")
@@ -173,8 +177,10 @@ def _euler_transform(log_derivative: list[dict[int, int]], order: int,
 
 def _product(factors, order: int, top: int) -> list[list[int]]:
     """The product of the factors modulo s^(order+1) and x^(top+1), as rows
-    F_n[x-exponent]: top is the highest x-degree the caller reads.  Every
-    table is built here, so this is where a negative order is refused."""
+    F_n[x-exponent], top the highest x-degree read.  Every table is built
+    here: an order or top not an int is a TypeError, a negative order BadInput."""
+    if not (is_int(order) and is_int(top)):
+        raise TypeError("order and top must be integers")
     if order < 0:
         raise BadInput("truncation order must be nonnegative")
     return _euler_transform(_log_derivative(factors, order), order, top)
@@ -211,15 +217,15 @@ def _goettsche_rows(surface: SurfaceTopology, order: int, top: int) -> list[list
     """G's rows G_n[z-exponent] for w-degree n <= order, padded with zeros to
     z-degree top; each entry is a Betti number, checked by :func:`_as_betti`."""
     return [
-        [_as_betti(c, f"b_{i} of the {n}-point Hilbert scheme") for i, c in enumerate(row)]
+        [_as_betti(c, "b_{} of the {}-point Hilbert scheme", i, n) for i, c in enumerate(row)]
         + [0] * (top + 1 - len(row))
         for n, row in enumerate(_product(_goettsche_factors(surface, order), order, top))
     ]
 
 
-def _as_betti(c: int, what: str) -> int:
+def _as_betti(c: int, what: str, *at) -> int:
     if c < 0:
-        raise InternalIdentityFailure(f"{what} = {c} is not a nonnegative integer")
+        raise InternalIdentityFailure(f"{what.format(*at)} = {c} is not a nonnegative integer")
     return c
 
 
@@ -245,7 +251,7 @@ def stable_betti_numbers(surface: SurfaceTopology, max_k: int) -> list[int]:
     """Stable Betti numbers b_0..b_max_k, read from one product series."""
     series = _stable_betti_series(surface, max_k)
     return [
-        _as_betti(series[k], f"stable Betti number b_{k}") for k in range(max_k + 1)
+        _as_betti(series[k], "stable Betti number b_{}", k) for k in range(max_k + 1)
     ]
 
 
@@ -295,7 +301,7 @@ def stable_perverse_table(surface: SurfaceTopology, order: int) -> PerverseTable
     input.
     """
     return PerverseTable(order, {
-        (i, j): _as_betti(c, f"table entry ({i}, {j})")
+        (i, j): _as_betti(c, "table entry ({}, {})", i, j)
         for (i, j), c in _perverse_coefficients(surface, order).items()
     })
 

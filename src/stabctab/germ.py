@@ -29,7 +29,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from fractions import Fraction
 
-from ._record import HashableRecord, Record, content_lines, parse_int, read_data, read_text
+from ._record import HashableRecord, Record, content_lines, is_int, parse_int, read_data, read_text
 from .errors import BadInput
 from .poly import Poly, weight
 
@@ -90,8 +90,8 @@ class BranchSet(HashableRecord):
     """Branch parametrizations (x_i(t), y_i(t)) of a germ.
 
     declared_truncation is the t-exponent up to which the
-    parametrizations are exact; None means they are exact polynomial
-    parametrizations (the composed polynomial must vanish identically).
+    parametrizations are exact, an int or a TypeError; None means they are
+    exact polynomial parametrizations (the composed one must vanish).
     """
 
     def __init__(self, branches: tuple[tuple[Poly, Poly], ...],
@@ -103,6 +103,8 @@ class BranchSet(HashableRecord):
                 raise BadInput("branch must not be identically zero")
         if len(set(branches)) != len(branches):
             raise BadInput("duplicate branch parametrization")
+        if declared_truncation is not None and not is_int(declared_truncation):
+            raise TypeError("declared_truncation must be an integer or None")
         if declared_truncation is not None and declared_truncation < 1:
             raise BadInput("declared truncation must be positive")
         if not branches:

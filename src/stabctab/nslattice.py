@@ -29,7 +29,8 @@ import math
 import operator
 from fractions import Fraction
 
-from ._record import HashableRecord, content_lines, parse_int, parse_rational, read_data, read_text
+from ._record import (HashableRecord, content_lines, is_int, is_rational, parse_int,
+                      parse_rational, read_data, read_text)
 from .errors import BadInput
 
 Vector = tuple[Fraction, ...]
@@ -74,15 +75,15 @@ class LatticeModel(HashableRecord):
     integer vector H with H.H > 0; ortho_basis rational vectors D_1,
     ..., D_rho with D_1 ample and D_i.D_j = 0 for i != j; ample_tests
     the integers n_l (one per l >= 2) for which both n_l D_1 + D_l and
-    n_l D_1 - D_l are declared ample.  Signature (1, rho-1) on the
-    orthogonal basis is checked at load; a model that fails a check
-    raises BadInput.  A degenerate gram always fails one: rho pairwise
-    orthogonal vectors with nonzero squares form a basis B with B.gram.B^T
-    diagonal and nonsingular, so det(gram) != 0.
+    n_l D_1 - D_l are declared ample: a TypeError if not of those types.
+    Signature (1, rho-1) on the orthogonal basis is checked at load; a
+    model that fails a check raises BadInput.  A degenerate gram always
+    fails one: rho pairwise orthogonal vectors with nonzero squares form a
+    basis B with B.gram.B^T diagonal and nonsingular, so det(gram) != 0.
 
     The model checks itself in integers: with L the least common
-    multiple of all denominators of the basis, E_k = L*D_k is integral,
-    and so is the row R_k = E_k.gram, computed once here.  Then
+    multiple of all denominators of the basis, E_k = L*D_k is an integer
+    vector, and so is the row R_k = E_k.gram, computed once here.  Then
     L^2 D_i.D_j = R_i.E_j, and every square, orthogonality and
     test-class square is decided by its sign.  L, the rows R and the
     bounding-box weights of :func:`decompose` are kept with the model
@@ -96,6 +97,9 @@ class LatticeModel(HashableRecord):
         if rho < 1:
             raise BadInput("rank must be at least 1")
         _check_rank(rho)
+        if not (all(map(is_int, (rank, *itertools.chain(*gram), *ample_witness, *ample_tests)))
+                and all(map(is_rational, itertools.chain(*ortho_basis)))):
+            raise TypeError("rank, gram, ample_witness, ample_tests: ints; ortho_basis: rationals")
         if len(gram) != rho or any(len(r) != rho for r in gram):
             raise BadInput("gram matrix has wrong shape")
         for i in range(rho):
@@ -217,7 +221,7 @@ def decompose(model: LatticeModel, beta) -> list[tuple[DivisorClass, DivisorClas
     if len(beta) != model.rank:
         raise BadInput(f"beta has {len(beta)} coordinates, lattice has rank {model.rank}")
     for c in beta:
-        if type(c) is not int:
+        if not is_int(c):
             raise BadInput(f"beta coordinate {c!r} is not an integer")
     if sum(map(operator.mul, model._witness_row, beta)) <= 0:
         raise BadInput("class pairs non-positively with the ample witness")

@@ -26,7 +26,7 @@ import re
 from fractions import Fraction
 from operator import add
 
-from ._record import Record, parse_int, parse_rational
+from ._record import Record, is_int, is_rational, parse_int, parse_rational
 from .errors import BadInput
 
 #: A factor of a term: a coefficient p/q or digits, or a variable v or v^n.
@@ -84,15 +84,14 @@ def parse_polynomial(s: str, variables: tuple[str, ...]) -> dict[tuple[int, ...]
 def _checked_terms(nvars: int, terms: dict) -> dict[tuple[int, ...], Fraction]:
     """terms without its zero coefficients, each kept as a Fraction.
 
-    A key that is not ``nvars`` nonnegative exponents is a ValueError, and
-    a coefficient that is not an int or a Fraction (a float, say) is a
-    TypeError.
+    A key that is not ``nvars`` nonnegative ints (``_record.is_int``) is a
+    ValueError, a coefficient not rational (``is_rational``) a TypeError.
     """
     out = {}
     for k, c in terms.items():
-        if len(k) != nvars or min(k) < 0:
+        if len(k) != nvars or not all(map(is_int, k)) or min(k) < 0:
             raise ValueError(f"exponent keys must be {nvars} nonnegative integers, got {k}")
-        if not isinstance(c, (int, Fraction)):
+        if not is_rational(c):
             raise TypeError(f"coefficient must be rational, got {type(c).__name__}")
         if c:
             out[k] = c if isinstance(c, Fraction) else Fraction(c)

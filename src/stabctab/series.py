@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ._record import Record
+from ._record import Record, is_int
 from .errors import NotInvertible, OrderMismatch, OutOfOrder
 from .poly import Poly, _checked_terms
 
@@ -33,13 +33,15 @@ Key = tuple[int, int]
 class TruncatedBiSeries(Poly):
     """Bivariate power series in (q, t) modulo total degree > order.
 
-    Terms beyond the order are dropped at construction, after the keys
-    and coefficients are checked.  Every operation returns a new series;
-    two series are equal iff their orders and term maps are, and a
-    series never equals a Poly.
+    The order is an int (else a TypeError); terms beyond it are dropped
+    when built, after the keys and coefficients are checked.  Every
+    operation returns a new series; two are equal iff their orders and
+    term maps are, and a series never equals a Poly.
     """
 
     def __init__(self, order: int, terms: dict[Key, Fraction | int] | None = None):
+        if not is_int(order):
+            raise TypeError("order must be an integer")
         if order < 0:
             raise ValueError("truncation order must be nonnegative")
         terms = _checked_terms(2, terms or {})

@@ -4,12 +4,26 @@ an alphabet (the polynomial grammar's among them), and the two families
 of m-fold points.  Each draw takes a ``random.Random`` that its caller
 seeds, so a test or a grid draws the same inputs on every run and every
 install; where a test and a grid draw the same kind of input, both call
-the same function here.  Stdlib only, like the sweep."""
+the same function here.  So does the one in-process runner of the
+command line, ``run``, which both use.  Stdlib and stabctab only, like
+the sweep."""
 
 from __future__ import annotations
 
+import contextlib
+import io
 import itertools
 from fractions import Fraction
+
+from stabctab.cli import main
+
+
+def run(argv):
+    """(exit code, stdout, stderr) of ``stabctab.cli.main(argv)``, run in-process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
 
 
 def gram_schmidt_lattice(rng, rank):

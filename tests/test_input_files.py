@@ -3,16 +3,13 @@ with a few characters or lines changed is read, or rejected as bad input
 (exit 2, one stderr line naming the subcommand), never failed on; and
 the one whitespace rule of every reader of outside text."""
 
-import contextlib
-import io
 import random
 from importlib import resources
 from pathlib import Path
 
-from stabctab.cli import main
 from stabctab.poly import parse_polynomial
 
-from draws import edit_lines
+from draws import edit_lines, run
 
 
 def shipped(name: str) -> bytes:
@@ -22,10 +19,7 @@ def shipped(name: str) -> bytes:
 def run_on(path, text: bytes, argv):
     """Exit code, stdout and stderr of main(argv) with text in the file at path."""
     path.write_bytes(text)
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main([str(path) if a == "FILE" else a for a in argv])
-    return code, out.getvalue(), err.getvalue()
+    return run([str(path) if a == "FILE" else a for a in argv])
 
 
 def check_outcome(code, out, err, subcommand, text):

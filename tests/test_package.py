@@ -3,6 +3,8 @@
 import pytest
 
 import stabctab
+from stabctab import codim, genfunc, germ, nslattice, perverse, poly, series
+from stabctab.errors import BadInput
 
 
 def test_every_exported_name_resolves():
@@ -31,15 +33,11 @@ def test_record_classes_behave_as_pinned():
     assert s != SurfaceTopology(0, 10, 0) and s != (0, 10, 1)
     assert hash(s) == hash(SurfaceTopology(0, 10, 1)) == hash((0, 10, 1))
     assert len({s, stabctab.ENRIQUES, stabctab.BIELLIPTIC}) == 2
-    # a float or a bool is no Betti number: b1 = 2.0 would give float
-    # Betti numbers, and b2 = 2.5 would fail in the kernel as a bug
+    # a float or a bool is no Betti number (more in EXACT_ENTRIES below)
     for args, message in (((1, 10, 0), "b1 must be a nonnegative even integer, got 1"),
                           ((-2, 10, 0), "b1 must be a nonnegative even integer, got -2"),
                           ((0, 0, 0), "b2 must be a positive integer, got 0"),
-                          ((2.0, 2, 0), "b1 must be a nonnegative even integer, got 2.0"),
-                          ((0, 2.5, 0), "b2 must be a positive integer, got 2.5"),
-                          ((0, 10.0, 1), "b2 must be a positive integer, got 10.0"),
-                          ((0, True, 0), "b2 must be a positive integer, got True")):
+                          ((0, 10.0, 1), "b2 must be a positive integer, got 10.0")):
         with pytest.raises(BadInput) as exc:
             SurfaceTopology(*args)
         assert str(exc.value) == message
@@ -199,6 +197,129 @@ def test_ring_record_classes_behave_as_pinned():
                  lambda: TruncatedBiSeries(1, {(3, -1): 1})):
         with pytest.raises(ValueError, match="exponent keys must be"):
             make()
+
+
+#: Numbers that are not exact where an int or a rational is asked: a
+#: float, a float equal to an integer, a bool and a str.
+NOT_EXACT = (2.5, 2.0, True, "2")
+
+#: The fields of the preset bielliptic-rank2 lattice but its rank.
+GRAM, WITNESS, BASIS, TESTS = ((0, 2), (2, 0)), (1, 1), ((1, 1), (1, -1)), (2,)
+
+SCALES = "lambda and mu must be rational, got {t}"
+CHI = "s and t must be rational and gamma an integer"
+LATTICE_TYPES = "rank, gram, ample_witness, ample_tests: ints; ortho_basis: rationals"
+
+#: (entry-parameter, the entry called with v in that parameter, the class
+#: it raises, its message or None): every public entry that takes a count,
+#: an order, an exponent or a rational.  A message is formatted with v, its
+#: repr r and its type's name t.  The tables' message is None: a float or
+#: a str order fails range() or + before the check of genfunc._product.
+EXACT_ENTRIES = [
+    ("SurfaceTopology-b1", lambda v: genfunc.SurfaceTopology(v, 2, 0), BadInput,
+     "b1 must be a nonnegative even integer, got {v}"),
+    ("SurfaceTopology-b2", lambda v: genfunc.SurfaceTopology(0, v, 0), BadInput,
+     "b2 must be a positive integer, got {v}"),
+    ("SurfaceTopology-chi_o", lambda v: genfunc.SurfaceTopology(0, 2, v), TypeError,
+     "chi_o must be an integer, got {t}"),
+    ("PerverseTable-order", lambda v: genfunc.PerverseTable(v), TypeError,
+     "the order and the keys of entries must be integers"),
+    ("PerverseTable-keys", lambda v: genfunc.PerverseTable(2, {(1, v): 1}), TypeError,
+     "the order and the keys of entries must be integers"),
+    ("PerverseTable-entries", lambda v: genfunc.PerverseTable(2, {(1, 1): v}), ValueError,
+     "entry (1, 1) = {r} is not a nonnegative integer"),
+    ("goettsche_series-order", lambda v: genfunc.goettsche_series(genfunc.ENRIQUES, v),
+     TypeError, None),
+    ("hilb_betti-n", lambda v: genfunc.hilb_betti(genfunc.ENRIQUES, v, 2), TypeError, None),
+    ("hilb_betti-k", lambda v: genfunc.hilb_betti(genfunc.ENRIQUES, 2, v), TypeError, None),
+    ("stable_betti-k", lambda v: genfunc.stable_betti(genfunc.ENRIQUES, v), TypeError, None),
+    ("stable_betti_numbers-max_k",
+     lambda v: genfunc.stable_betti_numbers(genfunc.ENRIQUES, v), TypeError, None),
+    ("stable_perverse_series-order",
+     lambda v: genfunc.stable_perverse_series(genfunc.ENRIQUES, v), TypeError, None),
+    ("stable_perverse_table-order",
+     lambda v: genfunc.stable_perverse_table(genfunc.ENRIQUES, v), TypeError, None),
+    ("check_remark_identity-order",
+     lambda v: genfunc.check_remark_identity(genfunc.ENRIQUES, v), TypeError, None),
+    ("build_tower-order", lambda v: perverse.build_tower(genfunc.ENRIQUES, v), TypeError, None),
+    ("enriques_dim_ls-dsq", lambda v: codim.enriques_dim_ls(v), TypeError,
+     "dsq must be an integer, got {t}"),
+    ("enriques_codim_terms-beta_sq", lambda v: codim.enriques_codim_terms(v, 2, False),
+     BadInput, "beta^2 must be a positive even integer for an ample class"),
+    ("enriques_codim_terms-d", lambda v: codim.enriques_codim_terms(10, v, False),
+     BadInput, "d must be a positive integer"),
+    ("enriques_codim_bound-d", lambda v: codim.enriques_codim_bound(10, v), BadInput,
+     "d must be a positive integer"),
+    ("enriques_d0-beta_sq", lambda v: codim.enriques_d0(v, 2, 3), BadInput,
+     "beta^2 must be a positive even integer for an ample class"),
+    ("enriques_d0-i", lambda v: codim.enriques_d0(10, v, 3), TypeError,
+     "i and j must be integers"),
+    ("enriques_d0-j", lambda v: codim.enriques_d0(10, 2, v), TypeError,
+     "i and j must be integers"),
+    ("n_lower_bound-codim_bound", lambda v: codim.n_lower_bound(v), TypeError,
+     "codim_bound must be an int, a Fraction or a QuadSurd"),
+    ("BiellipticParams-a", lambda v: codim.BiellipticParams(v, 1, 1, 1, 2), BadInput,
+     "a and b must be positive integers"),
+    ("BiellipticParams-b", lambda v: codim.BiellipticParams(1, v, 1, 1, 2), BadInput,
+     "a and b must be positive integers"),
+    ("BiellipticParams-lam", lambda v: codim.BiellipticParams(1, 1, v, 1, 2), TypeError, SCALES),
+    ("BiellipticParams-mu", lambda v: codim.BiellipticParams(1, 1, 1, v, 2), TypeError, SCALES),
+    ("BiellipticParams-gamma", lambda v: codim.BiellipticParams(1, 1, 1, 1, v), BadInput,
+     "gamma must be a positive integer"),
+    ("bielliptic_chi-s", lambda v: codim.bielliptic_chi(v, 1, 2), TypeError, CHI),
+    ("bielliptic_chi-t", lambda v: codim.bielliptic_chi(1, v, 2), TypeError, CHI),
+    ("bielliptic_chi-gamma", lambda v: codim.bielliptic_chi(1, 1, v), TypeError, CHI),
+    ("bielliptic_codim_terms-d",
+     lambda v: codim.bielliptic_codim_terms(codim.BiellipticParams(1, 1, 1, 1, 2), v),
+     BadInput, "d must be a positive integer"),
+    ("bielliptic_codim_bound-d",
+     lambda v: codim.bielliptic_codim_bound(codim.BiellipticParams(1, 1, 1, 1, 2), v),
+     BadInput, "d must be a positive integer"),
+    # a str rank fails the comparison rank < 1 before the check
+    ("LatticeModel-rank", lambda v: nslattice.LatticeModel(v, GRAM, WITNESS, BASIS, TESTS),
+     TypeError, None),
+    ("LatticeModel-gram",
+     lambda v: nslattice.LatticeModel(2, ((v, 2), (2, 0)), WITNESS, BASIS, TESTS),
+     TypeError, LATTICE_TYPES),
+    ("LatticeModel-ample_witness",
+     lambda v: nslattice.LatticeModel(2, GRAM, (1, v), BASIS, TESTS), TypeError, LATTICE_TYPES),
+    ("LatticeModel-ortho_basis",
+     lambda v: nslattice.LatticeModel(2, GRAM, WITNESS, ((v, 1), (1, -1)), TESTS),
+     TypeError, LATTICE_TYPES),
+    ("LatticeModel-ample_tests",
+     lambda v: nslattice.LatticeModel(2, GRAM, WITNESS, BASIS, (v,)), TypeError, LATTICE_TYPES),
+    ("decompose-beta",
+     lambda v: nslattice.decompose(nslattice.load_lattice("bielliptic-rank2"), (v, 2)),
+     BadInput, "beta coordinate {r} is not an integer"),
+    ("BranchSet-declared_truncation",
+     lambda v: germ.BranchSet.from_strings([("t^2", "t^3")], v), TypeError,
+     "declared_truncation must be an integer or None"),
+    ("Poly-exponent", lambda v: poly.Poly(1, {(v,): 1}), ValueError,
+     "exponent keys must be 1 nonnegative integers, got ({r},)"),
+    ("Poly-coefficient", lambda v: poly.Poly(1, {(1,): v}), TypeError,
+     "coefficient must be rational, got {t}"),
+    ("TruncatedBiSeries-order", lambda v: series.TruncatedBiSeries(v), TypeError,
+     "order must be an integer"),
+    ("TruncatedBiSeries-coefficient", lambda v: series.TruncatedBiSeries(2, {(1, 0): v}),
+     TypeError, "coefficient must be rational, got {t}"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", [entry[1:] for entry in EXACT_ENTRIES],
+                         ids=[entry[0] for entry in EXACT_ENTRIES])
+def test_every_entry_refuses_a_number_that_is_not_exact(call, error, message):
+    # the one rule of _record: an int is an int, not a bool or a float equal
+    # to one, and a rational is that or a Fraction; so no entry returns a
+    # float, or builds a value that holds a bool
+    for v in NOT_EXACT:
+        try:
+            result = call(v)
+        except error as exc:
+            assert type(exc) is error, (v, exc)
+            if message is not None:
+                assert str(exc) == message.format(v=v, r=repr(v), t=type(v).__name__), v
+        else:
+            pytest.fail(f"returned {result!r} for {v!r}")
 
 
 #: Runs the command line as ``python -m stabctab`` does and prints

@@ -1,8 +1,6 @@
 """The command-line parser: parsed values, usage errors, help, and a
 property over arbitrary argv."""
 
-import contextlib
-import io
 import random
 
 import pytest
@@ -10,7 +8,7 @@ import pytest
 from stabctab.cli import COMMANDS, build_parser, main
 from stabctab.errors import BadInput
 
-from draws import GRAMMAR, text
+from draws import GRAMMAR, run, text
 
 
 def parsed(argv):
@@ -188,19 +186,11 @@ def argv(rng) -> list:
     return out
 
 
-def outcome(argv):
-    """(exit code, stdout, stderr) of main(argv)."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    return code, out.getvalue(), err.getvalue()
-
-
 def test_any_argv_returns_or_exits_0_or_2():
     rng = random.Random(44)
     for _ in range(400):
         call = argv(rng)
-        code, out, err = outcome(call)
+        code, out, err = run(call)
         # the one verification a drawn call can fail is the identity that
         # the hidden --perturb breaks on purpose: exit 1, stderr empty
         perturbed = call[0] == "identity" and "--perturb" in call
@@ -219,6 +209,6 @@ def test_any_argv_ignores_the_old_order_variable():
         for _ in range(150):
             call = argv(rng)
             mp.delenv("STABCTAB_MAX_ORDER", raising=False)
-            unset = outcome(call)
+            unset = run(call)
             mp.setenv("STABCTAB_MAX_ORDER", rng.choice(["frog", "-1", "65", "3"]))
-            assert outcome(call) == unset, call
+            assert run(call) == unset, call
