@@ -118,7 +118,8 @@ from stabctab.poly import parse_polynomial
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tests"))
 from draws import (  # noqa: E402
-    curved_point, edit_lines, gram_schmidt_lattice, grammar_text, ordinary_point, run)
+    curved_point, edit_lines, gram_schmidt_lattice, grammar_text, lattice_text, ordinary_point,
+    run)
 
 FORMATS = ("tsv", "json")
 SURFACES = [(b1, b2) for b1 in (0, 2, 4) for b2 in range(1, 23)]
@@ -237,11 +238,8 @@ def random_lattice(rng, rank):
     if drawn is None:
         return None
     gram, d1, basis, tests = drawn
-    text = "\n".join([f"rank {rank}", "gram", *(" ".join(map(str, row)) for row in gram),
-                      "ample_witness " + " ".join(map(str, d1)), "ortho_basis",
-                      *(" ".join(map(str, v)) for v in basis),
-                      "ample_tests " + " ".join(map(str, tests))]) + "\n"
-    return text, [sum(d1[i] * gram[i][j] for i in range(rank)) for j in range(rank)]
+    return (lattice_text(gram, d1, basis, tests),
+            [sum(d1[i] * gram[i][j] for i in range(rank)) for j in range(rank)])
 
 
 def decompose_calls():

@@ -71,6 +71,11 @@ def _check_beta_sq(beta_sq: int) -> None:
         raise BadInput("beta^2 must be a positive even integer for an ample class")
 
 
+def _check_d(d: int) -> None:
+    if not is_int(d) or d < 1:
+        raise BadInput("d must be a positive integer")
+
+
 def enriques_codim_terms(beta_sq: int, d: int, generic: bool):
     """The per-case lower bounds, labelled, as exact values.
 
@@ -85,8 +90,7 @@ def enriques_codim_terms(beta_sq: int, d: int, generic: bool):
     from .surd import sqrt_rational
 
     _check_beta_sq(beta_sq)
-    if not is_int(d) or d < 1:
-        raise BadInput("d must be a positive integer")
+    _check_d(d)
     half = Fraction(1, 2)
     terms = [
         ("1.1", d * sqrt_rational(2 * beta_sq) - 2),
@@ -217,6 +221,7 @@ def bielliptic_chi(s, t, gamma: int) -> Fraction:
 
 def bielliptic_dim_ls(params: BiellipticParams, d: int) -> Fraction:
     """dim of the linear system of d*beta: chi - 1 = d^2 a b lambda mu gamma - 1."""
+    _check_d(d)
     return bielliptic_chi(d * params.a * params.lam, d * params.b * params.mu, params.gamma) - 1
 
 
@@ -241,8 +246,7 @@ def bielliptic_codim_terms(params: BiellipticParams, d: int):
     """
     from .surd import sqrt_rational
 
-    if not is_int(d) or d < 1:
-        raise BadInput("d must be a positive integer")
+    _check_d(d)
     a, b, lam, mu, gamma = params.a, params.b, params.lam, params.mu, params.gamma
     case1 = d * sqrt_rational(params.beta_sq()) - 1
     mixed = min(

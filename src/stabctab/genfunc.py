@@ -178,16 +178,22 @@ def _euler_transform(log_derivative: list[dict[int, int]], order: int,
 def _product(factors, order: int, top: int) -> list[list[int]]:
     """The product of the factors modulo s^(order+1) and x^(top+1), as rows
     F_n[x-exponent], top the highest x-degree read.  Every table is built
-    here: an order or top not an int is a TypeError, a negative order BadInput."""
-    if not (is_int(order) and is_int(top)):
-        raise TypeError("order and top must be integers")
+    here, and its order is read first by its factor list: both check it with
+    :func:`_check_sizes` (not an int, a TypeError); a negative order is BadInput."""
+    _check_sizes(order, top)
     if order < 0:
         raise BadInput("truncation order must be nonnegative")
     return _euler_transform(_log_derivative(factors, order), order, top)
 
 
+def _check_sizes(*sizes) -> None:
+    if not all(map(is_int, sizes)):
+        raise TypeError("order and top must be integers")
+
+
 def _goettsche_factors(surface: SurfaceTopology, order: int) -> list[Factor]:
     """Factors of G graded by w, carrying z."""
+    _check_sizes(order)
     b1, b2 = surface.b1, surface.b2
     return [
         factor
@@ -232,12 +238,14 @@ def _as_betti(c: int, what: str, *at) -> int:
 def hilb_betti(surface: SurfaceTopology, n: int, k: int) -> int:
     """k-th Betti number of the n-point Hilbert scheme of the surface.
 
-    Returns 0 for k > 4n (outside the cohomological range; not an error):
-    G_n has z-degree at most 4n, so its row holds no such term.
+    Returns 0 for k > 4n, outside the cohomological range, without building
+    G, whose row G_n has z-degree at most 4n.  n and k, G's size, are read here.
     """
+    if not (is_int(n) and is_int(k)):
+        raise TypeError("n and k must be integers")
     if n < 0 or k < 0:
         raise ValueError("n and k must be nonnegative")
-    return _goettsche_rows(surface, n, k)[n][k]
+    return _goettsche_rows(surface, n, k)[n][k] if k <= 4 * n else 0
 
 
 def _stable_betti_series(surface: SurfaceTopology, order: int) -> list[int]:
@@ -265,6 +273,7 @@ def _perverse_factors(surface: SurfaceTopology, order: int) -> list[Factor]:
 
     The t-exponent of a key is its total degree minus its q-exponent.
     """
+    _check_sizes(order)
     b1, b2 = surface.b1, surface.b2
     return [(-1, 1, 2, 1)] + [
         factor

@@ -51,6 +51,8 @@ MAX_RANK = 32
 
 
 def _check_rank(rank: int) -> None:
+    if not is_int(rank):
+        raise TypeError("rank must be an integer")
     if rank > MAX_RANK:
         raise BadInput(f"lattice rank {rank} is above the cap of {MAX_RANK}")
 
@@ -93,24 +95,23 @@ class LatticeModel(HashableRecord):
     def __init__(self, rank: int, gram: tuple[tuple[int, ...], ...],
                  ample_witness: tuple[int, ...], ortho_basis: tuple[Vector, ...],
                  ample_tests: tuple[int, ...]):
-        rho = rank
-        if rho < 1:
+        _check_rank(rank)
+        if rank < 1:
             raise BadInput("rank must be at least 1")
-        _check_rank(rho)
         if not (all(map(is_int, (rank, *itertools.chain(*gram), *ample_witness, *ample_tests)))
                 and all(map(is_rational, itertools.chain(*ortho_basis)))):
             raise TypeError("rank, gram, ample_witness, ample_tests: ints; ortho_basis: rationals")
-        if len(gram) != rho or any(len(r) != rho for r in gram):
+        if len(gram) != rank or any(len(r) != rank for r in gram):
             raise BadInput("gram matrix has wrong shape")
-        for i in range(rho):
-            for j in range(rho):
+        for i in range(rank):
+            for j in range(rank):
                 if gram[i][j] != gram[j][i]:
                     raise BadInput("gram matrix is not symmetric")
-        if len(ample_witness) != rho:
+        if len(ample_witness) != rank:
             raise BadInput("ample witness has wrong length")
-        if len(ortho_basis) != rho or any(len(v) != rho for v in ortho_basis):
+        if len(ortho_basis) != rank or any(len(v) != rank for v in ortho_basis):
             raise BadInput("orthogonal basis has wrong shape")
-        if len(ample_tests) != max(rho - 1, 0):
+        if len(ample_tests) != max(rank - 1, 0):
             raise BadInput("expected one ample test integer per basis vector past the first")
         scale = math.lcm(*(x.denominator for v in ortho_basis for x in v))
         scaled = [tuple(x.numerator * (scale // x.denominator) for x in v) for v in ortho_basis]
@@ -120,8 +121,8 @@ class LatticeModel(HashableRecord):
         positives = sum(1 for s in squares if s > 0)
         if squares[0] <= 0 or positives != 1 or any(s >= 0 for s in squares[1:]):
             raise BadInput("orthogonal basis must have exactly one positive square, first")
-        for i in range(rho):
-            for j in range(i + 1, rho):
+        for i in range(rank):
+            for j in range(i + 1, rank):
                 if sum(map(operator.mul, rows[i], scaled[j])) != 0:
                     raise BadInput(f"basis vectors {i + 1} and {j + 1} are not orthogonal")
         witness_row = _times_gram(gram, ample_witness)

@@ -159,6 +159,8 @@ class Poly(Record):
         The pairs are multiplied as integers, over the least common
         denominator of each side, and each sum is divided back once.
         """
+        if not is_int(cutoff):
+            raise TypeError("cutoff must be an integer")
         (d1, left), (d2, right) = self._numerators(), other._numerators()
         right = [(k, sum(k), c) for k, c in right.items()]
         out: dict[tuple[int, ...], int] = {}
@@ -181,6 +183,8 @@ class Poly(Record):
     def powers(self, n: int, cutoff: int) -> list["Poly"]:
         """[1, self, ..., self^n], each truncated at total degree cutoff, ended
         before its first power that is 0, since every higher one is 0 as well."""
+        if not is_int(n):
+            raise TypeError("n must be an integer")
         out = [self._like({(0,) * self.nvars: 1})]
         for _ in range(n):
             power = out[-1].mul(self, cutoff)

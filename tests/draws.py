@@ -4,17 +4,24 @@ an alphabet (the polynomial grammar's among them), and the two families
 of m-fold points.  Each draw takes a ``random.Random`` that its caller
 seeds, so a test or a grid draws the same inputs on every run and every
 install; where a test and a grid draw the same kind of input, both call
-the same function here.  So does the one in-process runner of the
-command line, ``run``, which both use.  Stdlib and stabctab only, like
-the sweep."""
+the same function here, and so they write a lattice file, with
+``lattice_text``.  The command line's two runners live here too: ``run``,
+in-process, which both use, and ``run_fresh``, in a fresh interpreter
+whose environment, ``fresh_env``, puts the imported package on its path.
+Stdlib and stabctab only, like the sweep."""
 
 from __future__ import annotations
 
 import contextlib
 import io
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import stabctab
 from stabctab.cli import main
 
 
@@ -24,6 +31,27 @@ def run(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(list(argv))
     return code, out.getvalue(), err.getvalue()
+
+
+def fresh_env() -> dict:
+    """os.environ with PYTHONPATH at the imported stabctab, for a fresh interpreter."""
+    return dict(os.environ, PYTHONPATH=str(Path(stabctab.__file__).resolve().parent.parent))
+
+
+def run_fresh(*argv, timeout, text=True, preexec_fn=None, options=("-m", "stabctab")):
+    """The completed process of ``python *options *argv``, ``python -m stabctab *argv`` by
+    default, in a fresh interpreter with ``fresh_env``, killed after timeout seconds;
+    preexec_fn runs in the child first, and the output is bytes if text is false."""
+    return subprocess.run([sys.executable, *options, *argv], capture_output=True, text=text,
+                          env=fresh_env(), timeout=timeout, preexec_fn=preexec_fn)
+
+
+def lattice_text(gram, witness, basis, tests) -> str:
+    """The text of a lattice file with these fields, each number as its str."""
+    return "\n".join([f"rank {len(gram)}", "gram", *(" ".join(map(str, row)) for row in gram),
+                      "ample_witness " + " ".join(map(str, witness)), "ortho_basis",
+                      *(" ".join(map(str, v)) for v in basis),
+                      "ample_tests " + " ".join(map(str, tests))]) + "\n"
 
 
 def gram_schmidt_lattice(rng, rank):

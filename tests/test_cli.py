@@ -9,93 +9,64 @@ import pytest
 from stabctab.cli import main
 from stabctab.errors import BadInput
 
-
-def run(capsys, *argv):
-    code = main(list(argv))
-    out = capsys.readouterr().out
-    return code, out
-
-
-def run_json(capsys, *argv):
-    code, out = run(capsys, *argv, "--format", "json")
-    return code, json.loads(out)
-
-
-def run_fresh(*argv, timeout, text=True, preexec_fn=None):
-    """The completed process of ``python -m stabctab *argv``, run in a fresh
-    interpreter that is killed after timeout seconds (preexec_fn, if given,
-    runs in the child before it starts); its output as str, or as bytes when
-    text is false."""
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import stabctab
-
-    src = str(Path(stabctab.__file__).resolve().parent.parent)
-    return subprocess.run([sys.executable, "-m", "stabctab", *argv], capture_output=True,
-                          text=text, env=dict(os.environ, PYTHONPATH=src), timeout=timeout,
-                          preexec_fn=preexec_fn)
+from draws import fresh_env, lattice_text, run, run_fresh
 
 
 def tsv_rows(out):
     return [line.split("\t") for line in out.strip().splitlines()]
 
 
-def test_stable_betti_enriques(capsys):
-    code, out = run(capsys, "stable-betti", "--b1", "0", "--b2", "10", "--max-k", "4")
+def test_stable_betti_enriques():
+    code, out, _ = run(["stable-betti", "--b1", "0", "--b2", "10", "--max-k", "4"])
     assert code == 0
     rows = tsv_rows(out)
     assert rows[0] == ["k", "b_k"]
     assert [r[1] for r in rows[1:]] == ["1", "0", "11", "0", "78"]
 
 
-def test_stable_betti_k0(capsys):
-    code, out = run(capsys, "stable-betti", "--b1", "0", "--b2", "10", "--max-k", "0")
+def test_stable_betti_k0():
+    code, out, _ = run(["stable-betti", "--b1", "0", "--b2", "10", "--max-k", "0"])
     assert code == 0
     assert tsv_rows(out)[1] == ["0", "1"]
 
 
-def test_stable_betti_bielliptic(capsys):
-    _, out = run(capsys, "stable-betti", "--b1", "2", "--b2", "2", "--max-k", "2")
+def test_stable_betti_bielliptic():
+    _, out, _ = run(["stable-betti", "--b1", "2", "--b2", "2", "--max-k", "2"])
     assert [r[1] for r in tsv_rows(out)[1:]] == ["1", "2", "4"]
 
 
-def test_perverse_table(capsys):
-    code, record = run_json(
-        capsys, "perverse", "--b1", "0", "--b2", "10", "--max-order", "2"
-    )
+def test_perverse_table():
+    code, out, _ = run(["perverse", "--b1", "0", "--b2", "10", "--max-order", "2",
+                        "--format", "json"])
+    record = json.loads(out)
     assert code == 0
     assert record["results"]["table"] == [[0, 0, 1], [0, 2, 1], [1, 1, 9], [2, 0, 1]]
 
 
-def test_perverse_order_zero(capsys):
-    _, record = run_json(capsys, "perverse", "--b1", "2", "--b2", "2", "--max-order", "0")
+def test_perverse_order_zero():
+    _, out, _ = run(["perverse", "--b1", "2", "--b2", "2", "--max-order", "0", "--format", "json"])
+    record = json.loads(out)
     assert record["results"]["table"] == [[0, 0, 1]]
 
 
-def test_perverse_oracle_agrees(capsys):
-    code, out = run(
-        capsys, "perverse", "--b1", "0", "--b2", "10", "--max-order", "10", "--oracle"
-    )
+def test_perverse_oracle_agrees():
+    code, out, _ = run(["perverse", "--b1", "0", "--b2", "10", "--max-order", "10", "--oracle"])
     assert code == 0
     assert "AGREE" in out
 
 
-def test_perverse_oracle_disagreement_exits_1(capsys, monkeypatch):
+def test_perverse_oracle_disagreement_exits_1(monkeypatch):
     from stabctab import perverse
 
     monkeypatch.setattr(
         perverse, "first_oracle_mismatch", lambda s, k: ((1, 1), 8, 9)
     )
-    code, out = run(capsys, "perverse", "--b1", "0", "--b2", "10",
-                    "--max-order", "2", "--oracle")
+    code, out, _ = run(["perverse", "--b1", "0", "--b2", "10", "--max-order", "2", "--oracle"])
     assert code == 1
     assert "DISAGREE" in out and "(1,1)" in out
 
 
-def test_perverse_oracle_builds_each_series_once(capsys, monkeypatch):
+def test_perverse_oracle_builds_each_series_once(monkeypatch):
     from stabctab import genfunc
 
     calls = []
@@ -106,70 +77,67 @@ def test_perverse_oracle_builds_each_series_once(capsys, monkeypatch):
         return product(factors, order, top)
 
     monkeypatch.setattr(genfunc, "_product", counting_product)
-    code, _ = run(capsys, "perverse", "--b1", "0", "--b2", "10",
-                  "--max-order", "12", "--oracle")
+    code, _, _ = run(["perverse", "--b1", "0", "--b2", "10", "--max-order", "12", "--oracle"])
     assert code == 0
     surface = genfunc.ENRIQUES
     assert calls == [(genfunc._perverse_factors(surface, 12), 12),
                      (genfunc._goettsche_factors(surface, 12), 12)]
 
 
-def test_identity_pass(capsys):
-    code, out = run(capsys, "identity", "--b1", "0", "--b2", "10", "--order", "12")
+def test_identity_pass():
+    code, out, _ = run(["identity", "--b1", "0", "--b2", "10", "--order", "12"])
     assert code == 0
     assert tsv_rows(out)[0] == ["status", "PASS"]
 
 
-def test_identity_order_zero(capsys):
-    code, out = run(capsys, "identity", "--b1", "4", "--b2", "6", "--order", "0")
+def test_identity_order_zero():
+    code, out, _ = run(["identity", "--b1", "4", "--b2", "6", "--order", "0"])
     assert code == 0
     assert "PASS" in out
 
 
-def test_identity_perturbed_fails(capsys):
-    code, out = run(
-        capsys, "identity", "--b1", "0", "--b2", "10", "--order", "6", "--perturb"
-    )
+def test_identity_perturbed_fails():
+    code, out, _ = run(["identity", "--b1", "0", "--b2", "10", "--order", "6", "--perturb"])
     assert code == 1
     assert "FAIL" in out and "q^0 t^0" in out
 
 
-def test_germ_cusp(capsys):
-    code, out = run(capsys, "germ", "--poly", "y^2 - x^3")
+def test_germ_cusp():
+    code, out, _ = run(["germ", "--poly", "y^2 - x^3"])
     assert code == 0
     assert tsv_rows(out) == [["mu", "2"], ["tau", "2"]]
 
 
-def test_germ_smooth(capsys):
-    _, out = run(capsys, "germ", "--poly", "x")
+def test_germ_smooth():
+    _, out, _ = run(["germ", "--poly", "x"])
     assert tsv_rows(out)[0] == ["mu", "0"]
 
 
-def test_germ_with_branches(capsys, tmp_path):
+def test_germ_with_branches(tmp_path):
     branch_file = tmp_path / "tacnode.br"
     branch_file.write_text(
         resources.files("stabctab").joinpath("data/branches/tacnode.br").read_text()
     )
-    code, record = run_json(
-        capsys, "germ", "--poly", "y^2 - x^4", "--branches", str(branch_file)
-    )
+    code, out, _ = run(["germ", "--poly", "y^2 - x^4", "--branches", str(branch_file),
+                        "--format", "json"])
+    record = json.loads(out)
     assert code == 0
     assert record["results"] == {
         "mu": 3, "tau": 3, "delta": 2, "r": 2, "milnor_formula": "OK",
     }
 
 
-def test_germ_branches_at_the_conductor_bound(capsys, tmp_path):
+def test_germ_branches_at_the_conductor_bound(tmp_path):
     # truncation 6 is the cusp's conductor bound 2*mu + 2: enough precision
     branch_file = tmp_path / "cusp.br"
     branch_file.write_text("truncation: 6\nt^2 ; t^3\n")
-    code, out = run(capsys, "germ", "--poly", "y^2 - x^3", "--branches", str(branch_file))
+    code, out, _ = run(["germ", "--poly", "y^2 - x^3", "--branches", str(branch_file)])
     assert code == 0
     assert tsv_rows(out) == [["mu", "2"], ["tau", "2"], ["delta", "1"], ["r", "1"],
                              ["milnor_formula", "OK"]]
 
 
-def test_germ_with_branches_computes_mu_once(capsys, tmp_path, monkeypatch):
+def test_germ_with_branches_computes_mu_once(tmp_path, monkeypatch):
     # and delta once, by the library's public route, handed that mu
     from stabctab import germ
 
@@ -187,35 +155,33 @@ def test_germ_with_branches_computes_mu_once(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(germ, "delta", counting_delta)
     branch_file = tmp_path / "a11.br"
     branch_file.write_text("t ; t^6\nt ; -t^6\n")
-    code, record = run_json(capsys, "germ", "--poly", "y^2 - x^12", "--branches",
-                            str(branch_file))
+    code, out, _ = run(["germ", "--poly", "y^2 - x^12", "--branches", str(branch_file),
+                        "--format", "json"])
+    record = json.loads(out)
     assert code == 0
     assert record["results"]["milnor_formula"] == "OK"
     assert len(calls) == 1
     assert len(delta_calls) == 1
 
 
-def test_germ_missing_branch_file_is_usage_error(capsys, tmp_path):
+def test_germ_missing_branch_file_is_usage_error(tmp_path):
     path = tmp_path / "absent.br"
-    assert main(["germ", "--poly", "y^2 - x^3", "--branches", str(path)]) == 2
-    assert capsys.readouterr() == (
-        "", f"stabctab germ: [Errno 2] No such file or directory: '{path}'\n")
+    assert run(["germ", "--poly", "y^2 - x^3", "--branches", str(path)]) == (
+        2, "", f"stabctab germ: [Errno 2] No such file or directory: '{path}'\n")
 
 
-def test_germ_milnor_cap_boundary(capsys):
+def test_germ_milnor_cap_boundary():
     # A_64 has mu = 64, the largest the maximal-ideal power cap certifies
-    code, out = run(capsys, "germ", "--poly", "y^2 - x^65")
+    code, out, _ = run(["germ", "--poly", "y^2 - x^65"])
     assert code == 0
     assert tsv_rows(out) == [["mu", "64"], ["tau", "64"]]
-    assert main(["germ", "--poly", "y^2 - x^66"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.count("\n") == 1
-    assert "non-isolated" in captured.err and "cap of 64" in captured.err
+    code, out, err = run(["germ", "--poly", "y^2 - x^66"])
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1
+    assert "non-isolated" in err and "cap of 64" in err
     # a quotient that stops growing above the cap is refused, not printed
-    assert main(["germ", "--poly", "x^6 + y^14"]) == 2
-    assert capsys.readouterr() == (
-        "", "stabctab germ: quotient dimension 65 exceeds the cap of 64 on mu and tau\n")
+    assert run(["germ", "--poly", "x^6 + y^14"]) == (
+        2, "", "stabctab germ: quotient dimension 65 exceeds the cap of 64 on mu and tau\n")
 
 
 BIELLIPTIC_BOUNDS = ("bounds", "--surface", "bielliptic", "--a", "1", "--b", "1",
@@ -233,29 +199,27 @@ ZERO_DENOMINATOR_LATTICE = (
     (BIELLIPTIC_BOUNDS + ("--lambda", "1/0", "--mu", "1"), None),
     (BIELLIPTIC_BOUNDS + ("--lambda", "1", "--mu", "1/0"), None),
 ], ids=["poly", "branch-file", "lattice-file", "lambda", "mu"])
-def test_zero_denominator_is_usage_error(capsys, tmp_path, argv, file_text):
+def test_zero_denominator_is_usage_error(tmp_path, argv, file_text):
     path = tmp_path / "input.txt"
     if file_text is not None:
         path.write_text(file_text)
-    assert main([str(path) if a == "FILE" else a for a in argv]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.count("\n") == 1 and "zero denominator" in captured.err
+    code, out, err = run([str(path) if a == "FILE" else a for a in argv])
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and "zero denominator" in err
 
 
-def test_bounds_enriques_d0(capsys):
-    code, record = run_json(
-        capsys, "bounds", "--surface", "enriques", "--beta-sq", "10", "--i", "2", "--j", "3"
-    )
+def test_bounds_enriques_d0():
+    code, out, _ = run(["bounds", "--surface", "enriques", "--beta-sq", "10", "--i", "2", "--j",
+                        "3", "--format", "json"])
+    record = json.loads(out)
     assert code == 0
     assert record["results"]["d0"] == 4
 
 
-def test_bounds_bielliptic(capsys):
-    code, record = run_json(
-        capsys, "bounds", "--surface", "bielliptic", "--a", "1", "--b", "1",
-        "--lambda", "1", "--mu", "1", "--gamma", "2", "--d", "3",
-    )
+def test_bounds_bielliptic():
+    code, out, _ = run(["bounds", "--surface", "bielliptic", "--a", "1", "--b", "1", "--lambda",
+                        "1", "--mu", "1", "--gamma", "2", "--d", "3", "--format", "json"])
+    record = json.loads(out)
     assert code == 0
     results = record["results"]
     assert results["codim_bound"] == "5"
@@ -263,19 +227,19 @@ def test_bounds_bielliptic(capsys):
     assert results["governing_case"] == "1 or 2 (tie)"
 
 
-def test_bounds_enriques_small(capsys):
-    code, record = run_json(
-        capsys, "bounds", "--surface", "enriques", "--beta-sq", "2", "--d", "1"
-    )
+def test_bounds_enriques_small():
+    code, out, _ = run(["bounds", "--surface", "enriques", "--beta-sq", "2", "--d", "1",
+                        "--format", "json"])
+    record = json.loads(out)
     assert code == 0
     assert record["results"]["codim_bound"] == "1/2"
     assert record["results"]["n_bound"] == 0
 
 
-def test_bounds_enriques_cases(capsys):
-    _, record = run_json(
-        capsys, "bounds", "--surface", "enriques", "--beta-sq", "10", "--d", "10"
-    )
+def test_bounds_enriques_cases():
+    _, out, _ = run(["bounds", "--surface", "enriques", "--beta-sq", "10", "--d", "10",
+                     "--format", "json"])
+    record = json.loads(out)
     assert record["results"]["codim_bound"] == "5"
     assert record["results"]["governing_case"] == "2.1"
     assert ["1.1", "-2+20*sqrt(5)"] in record["results"]["case_bounds"]
@@ -360,15 +324,15 @@ def test_composition_work_is_capped_before_it_is_done(tmp_path):
     assert proc.stderr.count("\n") == 1
 
 
-def test_composition_work_counts_no_degree_past_the_cutoff(capsys, tmp_path):
+def test_composition_work_counts_no_degree_past_the_cutoff(tmp_path):
     # the powers of x(t) up to x(t)^300, cut past t^40 as the branch is
     # declared, bound the work at 16,224 operations; a bound whose degrees
     # ran past the cutoff would count 122,979,608 and refuse the branch
     path = tmp_path / "dense.br"
     path.write_text("truncation: 40\n" + " + ".join(f"t^{k}" for k in range(2, 41))
                     + " ; t^3\n")
-    code = main(["germ", "--poly", "y^2 - x^3 + x^300", "--branches", str(path)])
-    assert (code, capsys.readouterr().err) == (
+    code, _, err = run(["germ", "--poly", "y^2 - x^3 + x^300", "--branches", str(path)])
+    assert (code, err) == (
         2, "stabctab germ: branch 0 does not lie on the germ (residual order 7)\n")
 
 
@@ -396,11 +360,11 @@ def test_large_coefficients_count_toward_the_work_cap(tmp_path):
      "stabctab germ: branch 0 composes with the germ to t-degree 1025, above the cap of 1024\n"),
     ("y - x^1024", "t ; t^1024\n", ""),
 ], ids=["above-the-cap", "truncation-above-the-cap", "at-the-cap"])
-def test_composed_degree_cap(capsys, tmp_path, poly, branch_file, err):
+def test_composed_degree_cap(tmp_path, poly, branch_file, err):
     path = tmp_path / "branch.br"
     path.write_text(branch_file)
-    code = main(["germ", "--poly", poly, "--branches", str(path)])
-    assert (code, capsys.readouterr().err) == (2 if err else 0, err)
+    code, _, stderr = run(["germ", "--poly", poly, "--branches", str(path)])
+    assert (code, stderr) == (2 if err else 0, err)
 
 
 def run_dense_lattice(path, rank, entry):
@@ -410,12 +374,8 @@ def run_dense_lattice(path, rank, entry):
     for i in range(rank):
         for j in range(i, rank):
             gram[i][j] = gram[j][i] = entry()
-    path.write_text("\n".join([
-        f"rank {rank}", "gram", *(" ".join(map(str, row)) for row in gram),
-        "ample_witness " + " ".join(["1"] + ["0"] * (rank - 1)), "ortho_basis",
-        *(" ".join("1" if i == j else "0" for j in range(rank)) for i in range(rank)),
-        "ample_tests " + " ".join(["1"] * (rank - 1)),
-    ]) + "\n")
+    identity = [[int(i == j) for j in range(rank)] for i in range(rank)]
+    path.write_text(lattice_text(gram, identity[0], identity, [1] * (rank - 1)))
     return run_fresh("decompose", "--lattice", str(path), "--beta", ",".join(["1"] * rank),
                      timeout=2)
 
@@ -444,15 +404,16 @@ def test_large_gram_entries_are_checked_at_once(tmp_path):
                            "positive square, first\n")
 
 
-def test_germ_provenance_names_delta_only_with_branches(capsys, tmp_path):
-    code, out = run(capsys, "germ", "--poly", "y^2 - x^3", "--format", "json")
+def test_germ_provenance_names_delta_only_with_branches(tmp_path):
+    code, out, _ = run(["germ", "--poly", "y^2 - x^3", "--format", "json"])
     assert code == 0
     # neither the results nor the provenance mention delta
     assert "delta" not in out
     assert json.loads(out)["provenance"] == "local quotient-algebra dimensions"
     path = tmp_path / "cusp.br"
     path.write_text("t^2 ; t^3\n")
-    _, record = run_json(capsys, "germ", "--poly", "y^2 - x^3", "--branches", str(path))
+    _, out, _ = run(["germ", "--poly", "y^2 - x^3", "--branches", str(path), "--format", "json"])
+    record = json.loads(out)
     assert record["provenance"] == ("local quotient-algebra dimensions; delta from the "
                                     "normalization cokernel of the branch parametrizations")
 
@@ -470,26 +431,28 @@ def test_germ_provenance_names_delta_only_with_branches(capsys, tmp_path):
       "--gamma", "2", "--d", "3"),
      "three-case codimension bounds in the fiber-class basis of a bielliptic surface"),
 ], ids=["enriques-d", "enriques-d-generic", "enriques-i-j", "bielliptic"])
-def test_bounds_provenance_names_what_ran(capsys, argv, provenance):
-    code, record = run_json(capsys, "bounds", *argv)
+def test_bounds_provenance_names_what_ran(argv, provenance):
+    code, out, _ = run(["bounds", *argv, "--format", "json"])
+    record = json.loads(out)
     assert code == 0
     assert record["provenance"] == provenance
 
 
-def test_bounds_radicand_at_the_cap_runs(capsys):
+def test_bounds_radicand_at_the_cap_runs():
     # 2 * beta^2 = 10^12 is the largest radicand taken apart
-    code, record = run_json(
-        capsys, "bounds", "--surface", "enriques", "--beta-sq", "500000000000", "--d", "1")
+    code, out, _ = run(["bounds", "--surface", "enriques", "--beta-sq", "500000000000", "--d", "1",
+                        "--format", "json"])
+    record = json.loads(out)
     assert code == 0
     assert ["1.1", "999998"] in record["results"]["case_bounds"]
 
 
-def test_bounds_d0_above_the_radicand_cap(capsys):
+def test_bounds_d0_above_the_radicand_cap():
     # d0 takes ceilings of square roots by math.isqrt, so the radicand cap
     # of the --d bounds does not apply: 2 * beta^2 here is above it
-    code, record = run_json(
-        capsys, "bounds", "--surface", "enriques", "--beta-sq", "499999999946",
-        "--i", "3", "--j", "4")
+    code, out, _ = run(["bounds", "--surface", "enriques", "--beta-sq", "499999999946", "--i", "3",
+                        "--j", "4", "--format", "json"])
+    record = json.loads(out)
     assert code == 0
     assert record["results"] == {"d0": 5}
 
@@ -500,32 +463,32 @@ def test_bounds_d0_above_the_radicand_cap(capsys):
     ("--surface", "bielliptic", "--a", "1", "--b", "2", "--lambda", "1", "--mu", "3/2",
      "--gamma", "2", "--d", "2"),
 ], ids=["enriques", "enriques-generic", "bielliptic"])
-def test_bounds_takes_each_radicand_apart_once(capsys, monkeypatch, argv):
+def test_bounds_takes_each_radicand_apart_once(monkeypatch, argv):
     from stabctab import surd
 
     calls = []
     split = surd._squarefree_split
     monkeypatch.setattr(surd, "_squarefree_split", lambda n: calls.append(n) or split(n))
-    code, _ = run(capsys, "bounds", *argv)
+    code, _, _ = run(["bounds", *argv])
     assert code == 0
     assert len(calls) == 1, calls
 
 
-def test_decompose_preset(capsys):
-    code, out = run(capsys, "decompose", "--lattice", "bielliptic-rank2", "--beta", "1,1")
+def test_decompose_preset():
+    code, out, _ = run(["decompose", "--lattice", "bielliptic-rank2", "--beta", "1,1"])
     assert code == 0
     assert tsv_rows(out) == [["theta1", "theta2"], ["0,1", "1,0"], ["1,0", "0,1"]]
 
 
-def test_decompose_seven_pairs(capsys):
-    _, record = run_json(
-        capsys, "decompose", "--lattice", "bielliptic-rank2", "--beta", "2,2"
-    )
+def test_decompose_seven_pairs():
+    _, out, _ = run(["decompose", "--lattice", "bielliptic-rank2", "--beta", "2,2",
+                     "--format", "json"])
+    record = json.loads(out)
     assert record["results"]["count"] == 7
 
 
-def test_decompose_minimal_empty(capsys):
-    code, out = run(capsys, "decompose", "--lattice", "bielliptic-rank2", "--beta", "1,0")
+def test_decompose_minimal_empty():
+    code, out, _ = run(["decompose", "--lattice", "bielliptic-rank2", "--beta", "1,0"])
     assert code == 0
     assert tsv_rows(out) == [["theta1", "theta2"]]
 
@@ -539,10 +502,10 @@ HALF_TEST_FORM_LATTICE = (
 )
 
 
-def test_decompose_small_test_form_value_is_empty(capsys, tmp_path):
+def test_decompose_small_test_form_value_is_empty(tmp_path):
     path = tmp_path / "half.lat"
     path.write_text(HALF_TEST_FORM_LATTICE)
-    code, out = run(capsys, "decompose", "--lattice", str(path), "--beta", "400,1599")
+    code, out, _ = run(["decompose", "--lattice", str(path), "--beta", "400,1599"])
     assert code == 0
     assert tsv_rows(out) == [["theta1", "theta2"]]
 
@@ -615,12 +578,12 @@ INVALID_LATTICES = {
 
 
 @pytest.mark.parametrize("name", sorted(INVALID_LATTICES))
-def test_invalid_lattice_file_exits_2_as_pinned(capsys, tmp_path, name):
+def test_invalid_lattice_file_exits_2_as_pinned(tmp_path, name):
     text, message = INVALID_LATTICES[name]
     path = tmp_path / "model.lat"
     path.write_text(text)
-    assert main(["decompose", "--lattice", str(path), "--beta", "1,1"]) == 2
-    assert capsys.readouterr() == ("", f"stabctab decompose: {message}\n")
+    assert run(["decompose", "--lattice", str(path), "--beta", "1,1"]) == (
+        2, "", f"stabctab decompose: {message}\n")
 
 
 @pytest.mark.parametrize("lattice, beta, message", [
@@ -628,9 +591,9 @@ def test_invalid_lattice_file_exits_2_as_pinned(capsys, tmp_path, name):
     ("bielliptic-rank2", "3000,3000", "decomposition enumeration region is too large"),
     ("bielliptic-rank2", "-1,-1", "class pairs non-positively with the ample witness"),
 ], ids=["enriques-box-cap", "bielliptic-box-cap", "not-effective"])
-def test_decompose_refusals_as_pinned(capsys, lattice, beta, message):
-    assert main(["decompose", "--lattice", lattice, "--beta=" + beta]) == 2
-    assert capsys.readouterr() == ("", f"stabctab decompose: {message}\n")
+def test_decompose_refusals_as_pinned(lattice, beta, message):
+    assert run(["decompose", "--lattice", lattice, "--beta=" + beta]) == (
+        2, "", f"stabctab decompose: {message}\n")
 
 
 #: One call per exit code of a completed record: 0, 1 and 2.
@@ -644,7 +607,7 @@ EXIT_CALLS = {
 @pytest.mark.parametrize("argv", [
     EXIT_CALLS[0], EXIT_CALLS[2], ("stable-betti", "--b1", "0"),
 ], ids=["success", "bad-input", "usage"])
-def test_main_leaves_the_collector_unfrozen(capsys, argv):
+def test_main_leaves_the_collector_unfrozen(argv):
     # only the process entry point freezes; in-process callers keep a
     # normal collector
     import gc
@@ -708,20 +671,14 @@ def test_entry_point_prints_what_main_prints(capsysbinary, tmp_path, name):
     (("perverse", "--help"), None),
 ], ids=["mid-record", "before-record", "help", "subcommand-help"])
 def test_closed_stdout_exits_141_quietly(argv, first_line):
-    import os
     import subprocess
     import sys
-    from pathlib import Path
 
-    import stabctab
-
-    src = str(Path(stabctab.__file__).resolve().parent.parent)
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env = {k: v for k, v in fresh_env().items() if k != "PYTHONUNBUFFERED"}
     for unbuffered in ({}, {"PYTHONUNBUFFERED": "1"}):
         # leaving the with block closes both pipes and reaps the child
         with subprocess.Popen([sys.executable, "-m", "stabctab", *argv], stdout=subprocess.PIPE,
-                              stderr=subprocess.PIPE,
-                              env={**env, "PYTHONPATH": src, **unbuffered}) as proc:
+                              stderr=subprocess.PIPE, env={**env, **unbuffered}) as proc:
             try:
                 if first_line is not None:
                     assert proc.stdout.readline() == first_line
@@ -733,7 +690,7 @@ def test_closed_stdout_exits_141_quietly(argv, first_line):
         assert err == b"", unbuffered
 
 
-def test_json_records_validate_against_schema(capsys):
+def test_json_records_validate_against_schema():
     jsonschema = pytest.importorskip("jsonschema")
     schema = json.loads(
         resources.files("stabctab").joinpath("data/output.schema.json").read_text()
@@ -747,18 +704,19 @@ def test_json_records_validate_against_schema(capsys):
         ("decompose", "--lattice", "bielliptic-rank2", "--beta", "2,2"),
     ]
     for argv in invocations:
-        _, record = run_json(capsys, *argv)
+        _, out, _ = run([*argv, "--format", "json"])
+        record = json.loads(out)
         jsonschema.validate(record, schema)
 
 
-def test_byte_determinism(capsys):
+def test_byte_determinism():
     argv = ("perverse", "--b1", "0", "--b2", "10", "--max-order", "6", "--format", "json")
-    _, first = run(capsys, *argv)
-    _, second = run(capsys, *argv)
+    _, first, _ = run(argv)
+    _, second, _ = run(argv)
     assert first == second
     argv = ("bounds", "--surface", "enriques", "--beta-sq", "10", "--d", "10")
-    _, first = run(capsys, *argv)
-    _, second = run(capsys, *argv)
+    _, first, _ = run(argv)
+    _, second, _ = run(argv)
     assert first == second
 
 
@@ -817,38 +775,37 @@ def test_handlers_return_the_record_and_write_nothing(capsys, name):
     # main alone renders: it adds the command and writes the record with
     # each exact value as its str, or each row with a cell as its str, a
     # tuple cell as its items joined by ',' and a list cell as JSON
-    assert run_json(capsys, name, *SMALL_CALLS[name]) == (
-        0, rendered({"command": name, **record}))
+    code, out, _ = run([name, *SMALL_CALLS[name], "--format", "json"])
+    assert (code, json.loads(out)) == (0, rendered({"command": name, **record}))
     tsv = "".join(
         "\t".join(json.dumps(rendered(c)) if isinstance(c, list)
                   else ",".join(map(str, c)) if isinstance(c, tuple) else str(c) for c in row)
         + "\n" for row in rows
     )
-    assert run(capsys, name, *SMALL_CALLS[name]) == (0, tsv)
+    assert run([name, *SMALL_CALLS[name]])[:2] == (0, tsv)
 
 
-def test_value_json_cannot_write_exits_3(capsys, monkeypatch):
+def test_value_json_cannot_write_exits_3(monkeypatch):
     from stabctab import germ
 
     # only a Fraction or a QuadSurd is written by its str
     record = {"parameters": {}, "results": {"mu": object()}, "provenance": ""}
     monkeypatch.setattr(germ, "cmd_germ", lambda args: (0, record, []))
-    assert main(["germ", "--poly", "x*y", "--format", "json"]) == 3
-    assert capsys.readouterr() == ("", "stabctab: internal error: TypeError: "
-                                       "Object of type object is not JSON serializable\n")
+    assert run(["germ", "--poly", "x*y", "--format", "json"]) == (
+        3, "", "stabctab: internal error: TypeError: "
+        "Object of type object is not JSON serializable\n")
 
 
 @pytest.mark.parametrize("argv", [
     ("decompose", "--lattice", "FILE", "--beta", "1,1"),
     ("germ", "--poly", "y^2 - x^3", "--branches", "FILE"),
 ], ids=["lattice-file", "branch-file"])
-def test_file_longer_than_the_cap_exits_2(capsys, tmp_path, argv):
+def test_file_longer_than_the_cap_exits_2(tmp_path, argv):
     # a comment line one character longer than the cap of 2^20
     path = tmp_path / "long.txt"
     path.write_text("#" * (2**20 + 1))
-    assert main([str(path) if a == "FILE" else a for a in argv]) == 2
-    assert capsys.readouterr() == (
-        "", f"stabctab {argv[0]}: {path}: file longer than 1048576 characters\n")
+    assert run([str(path) if a == "FILE" else a for a in argv]) == (
+        2, "", f"stabctab {argv[0]}: {path}: file longer than 1048576 characters\n")
     # a file that never ends, read in a fresh interpreter whose address space
     # is capped, is read no further than the cap
     import resource
@@ -863,16 +820,15 @@ def test_file_longer_than_the_cap_exits_2(capsys, tmp_path, argv):
         f"stabctab {argv[0]}: /dev/zero: file longer than 1048576 characters\n")
 
 
-def test_internal_failure_exits_3(capsys, monkeypatch):
+def test_internal_failure_exits_3(monkeypatch):
     from stabctab import genfunc
 
     # an L that is no integer series' log-derivative trips the kernel's guard
     monkeypatch.setattr(
         genfunc, "_log_derivative", lambda factors, order: [{}, {}, {0: 1}] + [{}] * (order - 2)
     )
-    assert main(["stable-betti", "--b1", "0", "--b2", "10", "--max-k", "4"]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("stabctab: internal error: ") and err.count("\n") == 1
+    code, _, err = run(["stable-betti", "--b1", "0", "--b2", "10", "--max-k", "4"])
+    assert code == 3 and err.startswith("stabctab: internal error: ") and err.count("\n") == 1
 
 
 def _raise(exc_type):
@@ -910,15 +866,13 @@ def _broken_table(surface, order):
      "ValueError: shipped file data/lattices/bielliptic-rank2.lat"),
 ], ids=["genfunc-value", "perverse-table", "germ-zero-division", "nslattice-type",
         "codim-value", "missing-data-file", "malformed-data-file"])
-def test_stray_exception_exits_3(capsys, monkeypatch, module, name, stray, argv, exc_type):
+def test_stray_exception_exits_3(monkeypatch, module, name, stray, argv, exc_type):
     from importlib import import_module
 
     monkeypatch.setattr(import_module(f"stabctab.{module}"), name, stray)
-    assert main(list(argv)) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith(f"stabctab: internal error: {exc_type}: ")
-    assert captured.err.count("\n") == 1
+    code, out, err = run(argv)
+    assert (code, out) == (3, "")
+    assert err.startswith(f"stabctab: internal error: {exc_type}: ") and err.count("\n") == 1
 
 
 TACNODE = ("germ", "--poly", "y^2 - x^4", "--branches", "FILE")
@@ -1036,12 +990,11 @@ def _int_error(text):
         "beta-wrong-length", "second-truncation", "trailing-truncation", "negative-order",
         "negative-max-order", "negative-max-k", "poly-unknown-variable", "empty-branch-path",
         "rank-too-long-for-int", "truncation-too-long-for-int"])
-def test_rejected_input_names_its_subcommand(capsys, tmp_path, argv, file_bytes, err):
+def test_rejected_input_names_its_subcommand(tmp_path, argv, file_bytes, err):
     path = tmp_path / "input.txt"
     if file_bytes is not None:
         path.write_bytes(file_bytes)
-    assert main([str(path) if a == "FILE" else a for a in argv]) == 2
-    assert capsys.readouterr() == ("", err)
+    assert run([str(path) if a == "FILE" else a for a in argv]) == (2, "", err)
 
 
 #: sha256 of stdout, recorded with the factor-by-factor product expansion
@@ -1104,12 +1057,12 @@ RANK3_RATIONAL_LATTICE = (
 )
 
 
-def test_pinned_stdout_digests(capsys, tmp_path, monkeypatch):
+def test_pinned_stdout_digests(tmp_path, monkeypatch):
     (tmp_path / "rank3.lat").write_text(RANK3_RATIONAL_LATTICE)
     monkeypatch.chdir(tmp_path)
     for argv, tsv_sha, json_sha in PINNED_STDOUT_SHA256:
         for fmt, want in (("tsv", tsv_sha), ("json", json_sha)):
-            code, out = run(capsys, *argv, "--format", fmt)
+            code, out, _ = run([*argv, "--format", fmt])
             assert code == 0, (argv, fmt)
             assert hashlib.sha256(out.encode()).hexdigest() == want, (argv, fmt)
 
@@ -1122,10 +1075,10 @@ PINNED_TACNODE_TSV_SHA256 = (
 )
 
 
-def test_pinned_germ_branches_digest(capsys):
+def test_pinned_germ_branches_digest():
     path = resources.files("stabctab").joinpath("data/branches/tacnode.br")
     with resources.as_file(path) as branch_file:
-        code, out = run(capsys, "germ", "--poly", "y^2 - x^4", "--branches", str(branch_file))
+        code, out, _ = run(["germ", "--poly", "y^2 - x^4", "--branches", str(branch_file)])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_TACNODE_TSV_SHA256
 
@@ -1140,23 +1093,22 @@ PINNED_PERTURB_SHA256 = (
 )
 
 
-def test_pinned_perturb_digests(capsys):
+def test_pinned_perturb_digests():
     argv, tsv_sha, json_sha = PINNED_PERTURB_SHA256
     for fmt, want in (("tsv", tsv_sha), ("json", json_sha)):
-        code, out = run(capsys, *argv, "--format", fmt)
+        code, out, _ = run([*argv, "--format", fmt])
         assert code == 1, fmt
         assert hashlib.sha256(out.encode()).hexdigest() == want, fmt
 
 
-def test_inconsistent_tower_exits_3(capsys, monkeypatch):
+def test_inconsistent_tower_exits_3(monkeypatch):
     from stabctab import perverse
 
     # a tower whose base row holds 2, which no surface produces
     monkeypatch.setattr(perverse, "build_tower",
                         lambda s, k: perverse.RelHilbBettiTower(s, k, {(0, 0): 2}))
-    assert main(["perverse", "--b1", "0", "--b2", "10", "--max-order", "2", "--oracle"]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("stabctab: internal error: ") and err.count("\n") == 1
+    code, _, err = run(["perverse", "--b1", "0", "--b2", "10", "--max-order", "2", "--oracle"])
+    assert code == 3 and err.startswith("stabctab: internal error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv, last_row", [
@@ -1164,8 +1116,8 @@ def test_inconsistent_tower_exits_3(capsys, monkeypatch):
     (("identity", "--b1", "0", "--b2", "1", "--order", "64"), ["status", "PASS"]),
     (("stable-betti", "--b1", "0", "--b2", "1", "--max-k", "384"), ["384", "2396527873254065426956"]),
 ], ids=["perverse", "identity", "stable-betti"])
-def test_order_flags_at_their_cap_run(capsys, argv, last_row):
-    code, out = run(capsys, *argv)
+def test_order_flags_at_their_cap_run(argv, last_row):
+    code, out, _ = run(argv)
     assert code == 0
     assert tsv_rows(out)[-1] == last_row
 
@@ -1182,13 +1134,12 @@ SURFACE_CAP, BOUNDS_CAP = str(10**12), str(10**600)
     ("bounds", "--surface", "enriques", "--beta-sq", "8" * 4300, "--d", "1"),
 ], ids=["stable-betti-b2", "perverse-b2", "enriques-d", "bielliptic-lambda-mu",
         "enriques-beta-sq"])
-def test_integers_too_large_to_print_exit_2(capsys, argv):
+def test_integers_too_large_to_print_exit_2(argv):
     # Python prints no int of more than 4,300 digits: these values, or a
     # value built from them, once exited 3 when the record was written
-    assert main(list(argv)) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.count("\n") == 1 and "internal error" not in captured.err
+    code, out, err = run(argv)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and "internal error" not in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -1202,12 +1153,12 @@ def test_integers_too_large_to_print_exit_2(capsys, argv):
      "--lambda", "1/" + BOUNDS_CAP, "--mu", "1/" + BOUNDS_CAP, "--gamma", "2",
      "--d", BOUNDS_CAP),
 ], ids=["stable-betti", "perverse", "identity", "enriques-d", "enriques-d0", "bielliptic"])
-def test_records_at_the_integer_caps_print(capsys, argv):
+def test_records_at_the_integer_caps_print(argv):
     from stabctab import codim
     from stabctab.cli import COMMANDS
 
     assert COMMANDS["bounds"][2]["--d"]["cap"] == codim.MAX_ARGUMENT == int(BOUNDS_CAP)
     for fmt in ("tsv", "json"):
-        code, out = run(capsys, *argv, "--format", fmt)
+        code, out, _ = run([*argv, "--format", fmt])
         assert code == (1 if "--perturb" in argv else 0)
         assert out

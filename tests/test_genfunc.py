@@ -21,19 +21,13 @@ from stabctab.genfunc import (
     stable_perverse_series,
     stable_perverse_table,
 )
+from stabctab.perverse import build_tower
 from stabctab.series import TruncatedBiSeries
 
 from product_oracle import goettsche_oracle, perverse_oracle, stable_betti_oracle
 
 SMALL_B2 = SurfaceTopology(0, 1, 0)
 B1_FOUR = SurfaceTopology(4, 6, 0)
-
-
-def test_surface_validation():
-    with pytest.raises(ValueError):
-        SurfaceTopology(1, 10, 0)  # odd b1
-    with pytest.raises(ValueError):
-        SurfaceTopology(0, 0, 0)  # empty H^2
 
 
 def test_goettsche_low_coefficients():
@@ -78,6 +72,25 @@ def test_library_builds_at_the_order_asked(monkeypatch):
     with pytest.raises(BadInput, match="truncation order must be nonnegative"):
         stable_betti_numbers(ENRIQUES, -1)
     assert orders == [3, 2, 4, -1]
+
+
+def test_library_builds_to_the_degree_it_reads(monkeypatch):
+    # G_n holds no z-degree past 4n, so hilb_betti builds nothing for a k
+    # above it (a k of 10**7 once padded every row of G to 10**7 + 1 entries)
+    tops = []
+    product = genfunc._product
+
+    def recording_product(factors, order, top):
+        tops.append(top)
+        return product(factors, order, top)
+
+    monkeypatch.setattr(genfunc, "_product", recording_product)
+    assert hilb_betti(ENRIQUES, 3, 2) == 11
+    assert hilb_betti(ENRIQUES, 2, 100) == 0
+    for table, order in ((goettsche_series, 2), (stable_betti, 2), (stable_perverse_table, 4),
+                         (build_tower, 3), (remark_identity_mismatch, 3)):
+        table(ENRIQUES, order)
+    assert tops == [2, 8, 0, 4, 3, 3, 3]
 
 
 def test_stable_betti_examples():

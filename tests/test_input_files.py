@@ -57,7 +57,7 @@ def test_mutated_branch_file_checks_or_exits_2(tmp_path):
 
 def test_readme_lattice_example_loads(tmp_path):
     # its '#' comments run to the end of their lines
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     example = readme.split("**Lattice model**", 1)[1].split("```")[1]
     assert "ample_tests 2   # one integer" in example
     code, out, err = run_on(tmp_path / "example.lat", example.encode(),

@@ -6,6 +6,9 @@ import stabctab
 from stabctab import codim, genfunc, germ, nslattice, perverse, poly, series
 from stabctab.errors import BadInput
 
+from draws import run_fresh
+from test_cli import EXIT_CALLS
+
 
 def test_every_exported_name_resolves():
     missing = [name for name in stabctab.__all__ if not hasattr(stabctab, name)]
@@ -210,11 +213,22 @@ SCALES = "lambda and mu must be rational, got {t}"
 CHI = "s and t must be rational and gamma an integer"
 LATTICE_TYPES = "rank, gram, ample_witness, ample_tests: ints; ortho_basis: rationals"
 
+D = "d must be a positive integer"
+HILB = "n and k must be integers"
+#: the kernel's message: each table's factor list checks its order with it
+#: before range() reads the order
+SIZES = "order and top must be integers"
+
+#: The Enriques surface, bielliptic parameters, the cusp with its branch,
+#: as delta takes them, and the polynomial t.
+E, P = genfunc.ENRIQUES, codim.BiellipticParams(1, 1, 1, 1, 2)
+CUSP = (germ.CurveGerm.from_string("y^2 - x^3"), germ.BranchSet.from_strings([("t^2", "t^3")]))
+T = poly.Poly(1, {(1,): 1})
+
 #: (entry-parameter, the entry called with v in that parameter, the class
-#: it raises, its message or None): every public entry that takes a count,
-#: an order, an exponent or a rational.  A message is formatted with v, its
-#: repr r and its type's name t.  The tables' message is None: a float or
-#: a str order fails range() or + before the check of genfunc._product.
+#: it raises, its message): every public entry that takes a count, an
+#: order, an exponent or a rational.  A message is formatted with v, its
+#: repr r and its type's name t.
 EXACT_ENTRIES = [
     ("SurfaceTopology-b1", lambda v: genfunc.SurfaceTopology(v, 2, 0), BadInput,
      "b1 must be a nonnegative even integer, got {v}"),
@@ -228,28 +242,24 @@ EXACT_ENTRIES = [
      "the order and the keys of entries must be integers"),
     ("PerverseTable-entries", lambda v: genfunc.PerverseTable(2, {(1, 1): v}), ValueError,
      "entry (1, 1) = {r} is not a nonnegative integer"),
-    ("goettsche_series-order", lambda v: genfunc.goettsche_series(genfunc.ENRIQUES, v),
-     TypeError, None),
-    ("hilb_betti-n", lambda v: genfunc.hilb_betti(genfunc.ENRIQUES, v, 2), TypeError, None),
-    ("hilb_betti-k", lambda v: genfunc.hilb_betti(genfunc.ENRIQUES, 2, v), TypeError, None),
-    ("stable_betti-k", lambda v: genfunc.stable_betti(genfunc.ENRIQUES, v), TypeError, None),
-    ("stable_betti_numbers-max_k",
-     lambda v: genfunc.stable_betti_numbers(genfunc.ENRIQUES, v), TypeError, None),
-    ("stable_perverse_series-order",
-     lambda v: genfunc.stable_perverse_series(genfunc.ENRIQUES, v), TypeError, None),
-    ("stable_perverse_table-order",
-     lambda v: genfunc.stable_perverse_table(genfunc.ENRIQUES, v), TypeError, None),
-    ("check_remark_identity-order",
-     lambda v: genfunc.check_remark_identity(genfunc.ENRIQUES, v), TypeError, None),
-    ("build_tower-order", lambda v: perverse.build_tower(genfunc.ENRIQUES, v), TypeError, None),
+    ("goettsche_series-order", lambda v: genfunc.goettsche_series(E, v), TypeError, SIZES),
+    ("hilb_betti-n", lambda v: genfunc.hilb_betti(E, v, 2), TypeError, HILB),
+    ("hilb_betti-k", lambda v: genfunc.hilb_betti(E, 2, v), TypeError, HILB),
+    ("stable_betti-k", lambda v: genfunc.stable_betti(E, v), TypeError, SIZES),
+    ("stable_betti_numbers-max_k", lambda v: genfunc.stable_betti_numbers(E, v), TypeError, SIZES),
+    ("stable_perverse_series-order", lambda v: genfunc.stable_perverse_series(E, v),
+     TypeError, SIZES),
+    ("stable_perverse_table-order", lambda v: genfunc.stable_perverse_table(E, v),
+     TypeError, SIZES),
+    ("check_remark_identity-order", lambda v: genfunc.check_remark_identity(E, v),
+     TypeError, SIZES),
+    ("build_tower-order", lambda v: perverse.build_tower(E, v), TypeError, SIZES),
     ("enriques_dim_ls-dsq", lambda v: codim.enriques_dim_ls(v), TypeError,
      "dsq must be an integer, got {t}"),
     ("enriques_codim_terms-beta_sq", lambda v: codim.enriques_codim_terms(v, 2, False),
      BadInput, "beta^2 must be a positive even integer for an ample class"),
-    ("enriques_codim_terms-d", lambda v: codim.enriques_codim_terms(10, v, False),
-     BadInput, "d must be a positive integer"),
-    ("enriques_codim_bound-d", lambda v: codim.enriques_codim_bound(10, v), BadInput,
-     "d must be a positive integer"),
+    ("enriques_codim_terms-d", lambda v: codim.enriques_codim_terms(10, v, False), BadInput, D),
+    ("enriques_codim_bound-d", lambda v: codim.enriques_codim_bound(10, v), BadInput, D),
     ("enriques_d0-beta_sq", lambda v: codim.enriques_d0(v, 2, 3), BadInput,
      "beta^2 must be a positive even integer for an ample class"),
     ("enriques_d0-i", lambda v: codim.enriques_d0(10, v, 3), TypeError,
@@ -269,15 +279,11 @@ EXACT_ENTRIES = [
     ("bielliptic_chi-s", lambda v: codim.bielliptic_chi(v, 1, 2), TypeError, CHI),
     ("bielliptic_chi-t", lambda v: codim.bielliptic_chi(1, v, 2), TypeError, CHI),
     ("bielliptic_chi-gamma", lambda v: codim.bielliptic_chi(1, 1, v), TypeError, CHI),
-    ("bielliptic_codim_terms-d",
-     lambda v: codim.bielliptic_codim_terms(codim.BiellipticParams(1, 1, 1, 1, 2), v),
-     BadInput, "d must be a positive integer"),
-    ("bielliptic_codim_bound-d",
-     lambda v: codim.bielliptic_codim_bound(codim.BiellipticParams(1, 1, 1, 1, 2), v),
-     BadInput, "d must be a positive integer"),
-    # a str rank fails the comparison rank < 1 before the check
+    ("bielliptic_dim_ls-d", lambda v: codim.bielliptic_dim_ls(P, v), BadInput, D),
+    ("bielliptic_codim_terms-d", lambda v: codim.bielliptic_codim_terms(P, v), BadInput, D),
+    ("bielliptic_codim_bound-d", lambda v: codim.bielliptic_codim_bound(P, v), BadInput, D),
     ("LatticeModel-rank", lambda v: nslattice.LatticeModel(v, GRAM, WITNESS, BASIS, TESTS),
-     TypeError, None),
+     TypeError, "rank must be an integer"),
     ("LatticeModel-gram",
      lambda v: nslattice.LatticeModel(2, ((v, 2), (2, 0)), WITNESS, BASIS, TESTS),
      TypeError, LATTICE_TYPES),
@@ -291,6 +297,7 @@ EXACT_ENTRIES = [
     ("decompose-beta",
      lambda v: nslattice.decompose(nslattice.load_lattice("bielliptic-rank2"), (v, 2)),
      BadInput, "beta coordinate {r} is not an integer"),
+    ("delta-mu", lambda v: germ.delta(*CUSP, mu=v), TypeError, "mu must be an integer or None"),
     ("BranchSet-declared_truncation",
      lambda v: germ.BranchSet.from_strings([("t^2", "t^3")], v), TypeError,
      "declared_truncation must be an integer or None"),
@@ -298,6 +305,10 @@ EXACT_ENTRIES = [
      "exponent keys must be 1 nonnegative integers, got ({r},)"),
     ("Poly-coefficient", lambda v: poly.Poly(1, {(1,): v}), TypeError,
      "coefficient must be rational, got {t}"),
+    ("Poly-mul-cutoff", lambda v: T.mul(T, v), TypeError, "cutoff must be an integer"),
+    ("Poly-powers-n", lambda v: T.powers(v, 4), TypeError, "n must be an integer"),
+    ("Poly-substitute-cutoff", lambda v: CUSP[0].poly.substitute(CUSP[1].branches[0], v),
+     TypeError, "cutoff must be an integer"),
     ("TruncatedBiSeries-order", lambda v: series.TruncatedBiSeries(v), TypeError,
      "order must be an integer"),
     ("TruncatedBiSeries-coefficient", lambda v: series.TruncatedBiSeries(2, {(1, 0): v}),
@@ -316,8 +327,7 @@ def test_every_entry_refuses_a_number_that_is_not_exact(call, error, message):
             result = call(v)
         except error as exc:
             assert type(exc) is error, (v, exc)
-            if message is not None:
-                assert str(exc) == message.format(v=v, r=repr(v), t=type(v).__name__), v
+            assert str(exc) == message.format(v=v, r=repr(v), t=type(v).__name__), v
         else:
             pytest.fail(f"returned {result!r} for {v!r}")
 
@@ -367,20 +377,10 @@ TABLES = CLI | {"stabctab.genfunc"}
 def test_each_subcommand_imports_only_its_layer(tmp_path, argv, code, loaded):
     # a fresh interpreter per case, without site hooks, which may import
     # modules of their own
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
     cusp = tmp_path / "cusp.br"
     cusp.write_text("t^2 ; t^3\n")
-    src = str(Path(stabctab.__file__).resolve().parent.parent)
-    if argv[0] == "-c":
-        cmd = list(argv)
-    else:
-        cmd = ["-c", PROBE, *(arg.format(cusp=cusp) for arg in argv)]
-    proc = subprocess.run([sys.executable, "-S", *cmd], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    cmd = argv if argv[0] == "-c" else ("-c", PROBE, *(arg.format(cusp=cusp) for arg in argv))
+    proc = run_fresh(*cmd, options=("-S",), timeout=60)
     assert proc.returncode == code, proc.stderr
     modules = set(proc.stderr.splitlines()[-1].split())
     assert {m for m in modules if m.split(".")[0] == "stabctab"} == loaded
@@ -401,22 +401,12 @@ def test_each_subcommand_imports_only_its_layer(tmp_path, argv, code, loaded):
         assert not modules & {"importlib.resources", "pathlib", "zipfile"}
 
 
-@pytest.mark.parametrize("argv, code", [
-    (("stable-betti", "--b1", "0", "--b2", "10", "--max-k", "4"), 0),
-    (("identity", "--b1", "0", "--b2", "10", "--order", "4", "--perturb"), 1),
-    (("decompose", "--lattice", "bielliptic-rank2", "--beta", "1,2,3"), 2),
-], ids=["success", "verification-failure", "bad-input"])
-def test_entry_point_freezes_the_collector_before_atexit(argv, code):
+@pytest.mark.parametrize("code", sorted(EXIT_CALLS),
+                         ids=["success", "verification-failure", "bad-input"])
+def test_entry_point_freezes_the_collector_before_atexit(code):
     # the exit-time collections skip what is frozen, and atexit still runs
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    src = str(Path(stabctab.__file__).resolve().parent.parent)
     probe = PROBE_AT_EXIT.format(report="'frozen', gc.get_freeze_count() > 0")
-    proc = subprocess.run([sys.executable, "-S", "-c", probe, *argv], capture_output=True,
-                          text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    proc = run_fresh("-c", probe, *EXIT_CALLS[code], options=("-S",), timeout=60)
     assert proc.returncode == code, proc.stderr
     assert proc.stderr.splitlines()[-1] == "frozen True"
 

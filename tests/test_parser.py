@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from stabctab.cli import COMMANDS, build_parser, main
+from stabctab.cli import COMMANDS, build_parser
 from stabctab.errors import BadInput
 
 from draws import GRAMMAR, run, text
@@ -93,9 +93,8 @@ def test_parsed_values(argv, values):
         "format-choice", "surface-choice", "missing-required", "stable-betti-missing-required",
         "missing-two", "switch-value",
         "max-order-above-cap", "order-above-cap", "max-k-above-cap"])
-def test_usage_errors_exit_2_with_one_line(capsys, argv, err):
-    assert main(argv) == 2
-    assert capsys.readouterr() == ("", err + "\n")
+def test_usage_errors_exit_2_with_one_line(argv, err):
+    assert run(argv) == (2, "", err + "\n")
     # the parser raises the message, and main adds the "stabctab ...: " prefix
     with pytest.raises(BadInput) as info:
         build_parser().parse_args(argv)
@@ -107,33 +106,31 @@ def shown_flags(name):
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["-h"], ["-h", "frob"]])
-def test_top_level_help(capsys, argv):
-    assert main(argv) == 0
-    captured = capsys.readouterr()
-    assert captured.err == ""
+def test_top_level_help(argv):
+    code, out, err = run(argv)
+    assert (code, err) == (0, "")
     # the parser returns the help, and main writes it
-    assert build_parser().parse_args(argv) == captured.out
-    assert captured.out.startswith("usage: stabctab SUBCOMMAND [FLAGS]\n")
+    assert build_parser().parse_args(argv) == out
+    assert out.startswith("usage: stabctab SUBCOMMAND [FLAGS]\n")
     for name, (about, _, _) in COMMANDS.items():
-        assert f"  {name}  " in captured.out and about in captured.out
+        assert f"  {name}  " in out and about in out
 
 
 @pytest.mark.parametrize("name", list(COMMANDS))
-def test_subcommand_help_lists_every_flag(capsys, name):
+def test_subcommand_help_lists_every_flag(name):
     for argv in ([name, "--help"], [name, "--format", "json", "-h", "--frob"]):
-        assert main(argv) == 0
-        captured = capsys.readouterr()
-        assert captured.err == ""
-        usage, *rest = captured.out.splitlines()
+        code, out, err = run(argv)
+        assert (code, err) == (0, "")
+        usage, *rest = out.splitlines()
         assert usage.startswith(f"usage: stabctab {name} ")
         listed = [line.split()[0] for line in rest if line.startswith("  --")]
         assert listed == shown_flags(name)
-        assert "--perturb" not in captured.out
+        assert "--perturb" not in out
 
 
-def test_help_shows_the_default_order(capsys):
-    assert main(["perverse", "--help"]) == 0
-    out = capsys.readouterr().out
+def test_help_shows_the_default_order():
+    code, out, _ = run(["perverse", "--help"])
+    assert code == 0
     assert "(default: 12)" in out and "--b1 B1" in out and "(required)" in out
 
 
