@@ -26,12 +26,12 @@ The ``germ`` subcommand's handler, :func:`cmd_germ`, lives at the end.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable
-from fractions import Fraction
 
 from ._record import HashableRecord, Record, content_lines, is_int, parse_int, read_data, read_text
 from .errors import BadInput
-from .poly import Poly, weight
+from .poly import Poly, int_product, weight
 
 #: Cap on mu and tau, and on the power of the maximal ideal at which their
 #: quotients must stop growing: an ideal of colength d contains m^d, so
@@ -61,14 +61,13 @@ MAX_COMPOSED_DEGREE = 1024
 MAX_COMPOSITION_WORK = 2_000_000
 
 #: Cap on the updates of one elimination (``_pivot_columns``, for mu, tau
-#: and delta): subtracting a pivot row of n entries counts n - 1, each
-#: weighted ``poly.weight(a) * poly.weight(b)``, a and b the bits (numerator
-#: and denominator) of the multiplier and of the row's largest entry.  The
-#: 9-fold point y^9 - ... - 362880*x^9 with its lines as branches needs
-#: 298,242 for delta, and mu and tau below their cap at most 70,000;
-#: the curved 5-fold point needs 717,024, and larger ones ran for minutes.
-#: At about 7 us an update (2-vCPU Xeon, CPython 3.11) the cap is ~3 s.
-MAX_ELIMINATION_WORK = 400_000
+#: and delta), each weighted by ``poly.weight``: a reduction by a pivot row
+#: of n entries counts n * (weight(p) + weight(c)) * weight(b), p and c the
+#: bits of its two multipliers and b those of the row's largest entry, and
+#: a new pivot row n * weight(b)^2.  Delta of the 9-fold point y^9 - ... -
+#: 362880*x^9 on its lines needs 731,618; at 0.3 to 1.7 us an update (2-vCPU
+#: Xeon, CPython 3.11), an elimination at the cap takes under about 3 s.
+MAX_ELIMINATION_WORK = 1_600_000
 
 
 class CurveGerm(HashableRecord):
@@ -122,68 +121,61 @@ class BranchSet(HashableRecord):
 # --- exact linear algebra ----------------------------------------------------
 
 
-def _pivot_columns(rows: Iterable[dict[int, Fraction]], invariant: str) -> list[int]:
-    """The pivot columns of a sparse row list, by elimination on leading
-    columns, each lead the row's lowest column; their number is the rank
-    over Q.  BadInput, naming the invariant the rows are for, once the
-    updates, counted and weighted as MAX_ELIMINATION_WORK says, pass that
-    cap."""
-    # each pivot row is kept without its lead, which is 1, and with the
-    # weight of its largest entry
-    pivots: dict[int, tuple[dict[int, Fraction], int]] = {}
+def _pivot_columns(rows: Iterable[dict[int, int]], invariant: str) -> list[int]:
+    """The pivot columns of a sparse integer row list, by fraction-free
+    elimination on leading columns, each lead the row's lowest column;
+    their number is the rank over Q.  A row w is reduced by the pivot row v
+    of its lead as (p/g)*w - (c/g)*v, p and c their leads, g = gcd(p, c);
+    a row that meets no pivot is divided by its content and becomes one,
+    kept with the weight of its largest entry.  BadInput, naming the
+    invariant, once the updates pass MAX_ELIMINATION_WORK."""
+    pivots: dict[int, tuple[dict[int, int], int]] = {}
     updates = 0
     for row in rows:
         work = dict(row)
         while work:
             lead = min(work)
-            c = work.pop(lead)
-            pivot = pivots.get(lead)
-            if pivot is None:
-                tail = {k: v / c for k, v in work.items()}
-                pivots[lead] = tail, weight(max(map(_bits, tail.values()), default=0))
-                break
-            tail, size = pivot
-            updates += len(tail) * weight(_bits(c)) * size
+            if lead in pivots:
+                pivot, size = pivots[lead]
+                g = math.gcd(pivot[lead], work[lead])
+                p, c = pivot[lead] // g, work[lead] // g
+                updates += len(pivot) * (weight(p.bit_length()) + weight(c.bit_length())) * size
+                work = {k: p * v for k, v in work.items()}
+                for k, v in pivot.items():
+                    nv = work.pop(k, 0) - c * v
+                    if nv:
+                        work[k] = nv
+            else:
+                g = math.gcd(*work.values())
+                pivot = {k: v // g for k, v in work.items()}
+                size = weight(max(map(int.bit_length, pivot.values())))
+                pivots[lead], work = (pivot, size), {}
+                updates += len(pivot) * size * size
             if updates > MAX_ELIMINATION_WORK:
                 raise BadInput(f"elimination for {invariant} exceeds the cap of "
                                f"{MAX_ELIMINATION_WORK} weighted coefficient updates")
-            for k, v in tail.items():
-                nv = work.pop(k, 0) - c * v
-                if nv:
-                    work[k] = nv
     return list(pivots)
 
 
-def _bits(c: Fraction) -> int:
-    return c.numerator.bit_length() + c.denominator.bit_length()
-
-
 def _monomial_index(cutoff: int) -> dict[tuple[int, int], int]:
-    idx: dict[tuple[int, int], int] = {}
-    for d in range(cutoff):
-        for a in range(d, -1, -1):
-            idx[(a, d - a)] = len(idx)
-    return idx
+    pairs = ((a, d - a) for d in range(cutoff) for a in range(d, -1, -1))
+    return {pair: i for i, pair in enumerate(pairs)}
 
 
 def _quotient_dims(gens: list[Poly], cutoff: int, invariant: str) -> tuple[int, int]:
     """dim of C[x,y] / (ideal(gens) + m^N), supported at the origin, at
     N = cutoff - 1 and at N = cutoff, from one elimination.
 
-    No generator is 0, and a monomial shift sends distinct terms to
-    distinct monomials, so each row is the shifted generator, truncated.
+    No generator is 0, and a monomial shift sends distinct terms to distinct
+    monomials, so each row is the shifted generator's numerators, truncated.
     The rows at N = cutoff - 1 are these truncated below degree N; as the
     columns are ordered by degree and each lead is a row's lowest column,
     their rank is the number of pivots below degree N.
     """
     idx = _monomial_index(cutoff)
-    rows: list[dict[int, Fraction]] = []
-    for g in gens:
-        low = g.low_degree()
-        for ma, mb in idx:
-            if ma + mb + low < cutoff:
-                rows.append({idx[(ga + ma, gb + mb)]: c for (ga, gb), c in g.terms.items()
-                             if ga + gb + ma + mb < cutoff})
+    ints = [(g.low_degree(), g._numerators()[1]) for g in gens]
+    rows = ({idx[(a + ma, b + mb)]: c for (a, b), c in terms.items() if a + b + ma + mb < cutoff}
+            for low, terms in ints for ma, mb in idx if ma + mb + low < cutoff)
     pivots = _pivot_columns(rows, invariant)
     below = (cutoff - 1) * cutoff // 2  # the monomials of degree < cutoff - 1
     return below - sum(1 for c in pivots if c < below), len(idx) - len(pivots)
@@ -257,20 +249,25 @@ def _validate_branches(germ: CurveGerm, branches: BranchSet, t_trunc: int) -> No
 def _monomial_images(branches, t_trunc: int):
     """The nonzero rows of the images of x^a*y^b, a + b <= T, truncated at
     t-degree T, branch i's t^k at column i*T + k, one by one, so that an
-    elimination stopped at its cap builds no more.  The image of x^a*y^b
-    is that of x^a*y^(b-1) times y(t), and neither x(t) nor y(t) has a
-    constant term, so once a row is 0 so is every later row of its a."""
-    x_images = [Poly(1, {(0,): 1})] * len(branches)
+    elimination stopped at its cap builds no more.  Branch i is taken at t =
+    s*u, s the lcm of its denominators, so t^k's coefficient c becomes c*s^k,
+    an integer: column i*T + k is scaled, and the rank kept.  Row x^a*y^b is
+    row x^a*y^(b-1) times y(t); neither image has a constant term, so once a
+    row is 0 so is every later row of its a."""
+    scales = [math.lcm(*(c.denominator for p in b for c in p.terms.values())) for b in branches]
+    ints = [[{k: c.numerator * s**k[0] // c.denominator for k, c in p.terms.items()}
+             for p in b] for s, b in zip(scales, branches)]
+    x_images = [{(0,): 1}] * len(ints)
     for a in range(t_trunc + 1):
         images = x_images
         for _ in range(t_trunc + 1 - a):
             row = {i * t_trunc + k: c
-                   for i, image in enumerate(images) for (k,), c in image.terms.items()}
+                   for i, image in enumerate(images) for (k,), c in image.items()}
             if not row:
                 break
             yield row
-            images = [image.mul(yt, t_trunc) for image, (_, yt) in zip(images, branches)]
-        x_images = [image.mul(xt, t_trunc) for image, (xt, _) in zip(x_images, branches)]
+            images = [int_product(image, yt, t_trunc) for image, (_, yt) in zip(images, ints)]
+        x_images = [int_product(image, xt, t_trunc) for image, (xt, _) in zip(x_images, ints)]
 
 
 def delta(germ: CurveGerm, branches: BranchSet, mu: int | None = None) -> int:

@@ -7,8 +7,9 @@ variable, to nonzero ``Fraction`` coefficients; an ``int`` coefficient
 is converted, and any other (a float) is a TypeError.  A Poly is an
 immutable ``_record.Record``.  Every product is truncated: its
 ``cutoff`` keeps the terms of total degree below it; in one variable
-that is the exponent itself.  Beside the products, ``weight`` and
-``Poly.substitute_work`` give ``germ``'s work caps their cost model.
+that is the exponent itself.  ``int_product`` forms them on integers, for
+``Poly.mul`` and ``germ``; ``weight`` and ``Poly.substitute_work`` give
+``germ``'s work caps their cost model.
 
 The accepted input grammar is deliberately small: a polynomial is a
 '+'/'-' separated list of terms, each term ``c*x^a*y^b`` where the
@@ -154,24 +155,13 @@ class Poly(Record):
         return d, {k: c.numerator * (d // c.denominator) for k, c in self.terms.items()}
 
     def mul(self, other: "Poly", cutoff: int) -> "Poly":
-        """Product, keeping terms of total degree < cutoff.
-
-        The pairs are multiplied as integers, over the least common
-        denominator of each side, and each sum is divided back once.
-        """
+        """Product, keeping terms of total degree < cutoff: ``int_product`` of
+        the two sides over their least common denominators, divided back once."""
         if not is_int(cutoff):
             raise TypeError("cutoff must be an integer")
         (d1, left), (d2, right) = self._numerators(), other._numerators()
-        right = [(k, sum(k), c) for k, c in right.items()]
-        out: dict[tuple[int, ...], int] = {}
-        for k1, c1 in left.items():
-            room = cutoff - sum(k1)
-            for k2, deg, c2 in right:
-                if deg >= room:
-                    continue
-                k = tuple(map(add, k1, k2))
-                out[k] = out.get(k, 0) + c1 * c2
-        return self._like({k: Fraction(c, d1 * d2) for k, c in out.items() if c})
+        return self._like({k: Fraction(c, d1 * d2)
+                           for k, c in int_product(left, right, cutoff).items()})
 
     def derivative(self, i: int) -> "Poly":
         """Partial derivative in the i-th variable."""
@@ -236,9 +226,24 @@ class Poly(Record):
         its |p| + |q| terms, each weighted weight(a) * weight(b) for bounds a, b
         on the bits of each side's integer numerators and common denominator.
         It is ``substitute`` run on the spans of the images."""
+        if not is_int(cutoff):
+            raise TypeError("cutoff must be an integer")
         zero = _Span([0], 0, -1, 0, 0, 0)
         self.substitute(tuple(zero._like(img.terms) for img in images), cutoff)
         return zero.work[0]
+
+
+def int_product(left: dict, right: dict, cutoff: int) -> dict[tuple[int, ...], int]:
+    """The nonzero terms of degree < cutoff of the product of two {exponent: int} maps."""
+    right = [(k, sum(k), c) for k, c in right.items()]
+    out: dict[tuple[int, ...], int] = {}
+    for k1, c1 in left.items():
+        room = cutoff - sum(k1)
+        for k2, deg, c2 in right:
+            if deg < room:
+                k = tuple(map(add, k1, k2))
+                out[k] = out.get(k, 0) + c1 * c2
+    return {k: c for k, c in out.items() if c}
 
 
 def weight(bits: int) -> int:

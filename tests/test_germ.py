@@ -1,7 +1,6 @@
 """Singularity invariants: pinned small germs, the ADE corpus, properties."""
 
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -71,17 +70,17 @@ def test_quotient_that_stops_above_the_cap_is_bad_input(g, mu):
 
 
 def test_elimination_work_is_capped(monkeypatch):
-    # delta of the curved 4-fold point eliminates in 54,537 weighted
+    # delta of the curved 4-fold point eliminates in 119,139 weighted
     # updates; the 7-fold point, far below the caps on mu and on the
     # composition, ran for minutes before the elimination had a cap
     from stabctab import germ as germ_mod
 
     g, bset = point(curved_point(4))
     mu = milnor(g)
-    monkeypatch.setattr(germ_mod, "MAX_ELIMINATION_WORK", 54_537)
+    monkeypatch.setattr(germ_mod, "MAX_ELIMINATION_WORK", 119_139)
     assert delta(g, bset, mu) == 6
-    monkeypatch.setattr(germ_mod, "MAX_ELIMINATION_WORK", 54_536)
-    with pytest.raises(BadInput, match="^elimination for delta exceeds the cap of 54536 "
+    monkeypatch.setattr(germ_mod, "MAX_ELIMINATION_WORK", 119_138)
+    with pytest.raises(BadInput, match="^elimination for delta exceeds the cap of 119138 "
                                        "weighted coefficient updates$"):
         delta(g, bset, mu)
     # the message names the invariant whose elimination met the cap
@@ -92,30 +91,29 @@ def test_elimination_work_is_capped(monkeypatch):
 
 
 def test_elimination_cap_lies_between_two_ordinary_points():
-    # delta of the ordinary 6-fold point (mu = 25) with lines y = i*c*x
-    # counts 307,779 weighted updates at c = 10^300 + 1 and 508,141 at
-    # c = 10^500 + 1: the cap of 400,000 takes the first and refuses the
+    # delta of the ordinary 9-fold point (mu = 64) with lines y = i*c*x
+    # counts 731,618 weighted updates at c = 1 and 1,833,449 at
+    # c = 10^25 + 1: the cap of 1,600,000 takes the first and refuses the
     # second, where a cap twice as large would take both
-    assert delta(*point(ordinary_point(6, 10**300 + 1)), 25) == 15
+    assert delta(*point(ordinary_point(9)), 64) == 36
     with pytest.raises(BadInput, match="^elimination for delta exceeds the cap of "
-                                       "400000 weighted coefficient updates$"):
-        delta(*point(ordinary_point(6, 10**500 + 1)), 25)
+                                       "1600000 weighted coefficient updates$"):
+        delta(*point(ordinary_point(9, 10**25 + 1)), 64)
 
 
 def test_large_coefficients_weigh_on_the_elimination_cap(monkeypatch):
-    # the multipliers 2^2000 and 1/2^2000 each have 2,002 bits, numerator
-    # and denominator together, so each of the two updates one makes
-    # weighs 1 + 2002 // 1024 = 2
+    # the multiplier 2^2000 has 2,001 bits and weighs 1 + 2001 // 1024 = 2:
+    # the first row becomes a pivot in 3 updates, the second is reduced by
+    # it in 3 * (1 + 2) = 9, and what is left, two entries of up to 2,001
+    # bits, becomes a pivot in 2 * 2 * 2 = 8, so 20 in all
     from stabctab import germ as germ_mod
 
-    one = Fraction(1)
-    for multiplier in (Fraction(2**2000), Fraction(1, 2**2000)):
-        rows = [{0: one, 1: one, 2: one}, {0: multiplier, 1: one}]
-        monkeypatch.setattr(germ_mod, "MAX_ELIMINATION_WORK", 4)
-        assert germ_mod._pivot_columns(rows, "mu") == [0, 1]
-        monkeypatch.setattr(germ_mod, "MAX_ELIMINATION_WORK", 3)
-        with pytest.raises(BadInput, match="^elimination for mu exceeds the cap of 3 "):
-            germ_mod._pivot_columns(rows, "mu")
+    rows = [{0: 1, 1: 1, 2: 1}, {0: 2**2000, 1: 1}]
+    monkeypatch.setattr(germ_mod, "MAX_ELIMINATION_WORK", 20)
+    assert germ_mod._pivot_columns(rows, "mu") == [0, 1]
+    monkeypatch.setattr(germ_mod, "MAX_ELIMINATION_WORK", 19)
+    with pytest.raises(BadInput, match="^elimination for mu exceeds the cap of 19 "):
+        germ_mod._pivot_columns(rows, "mu")
 
 
 def test_branch_count():
@@ -273,6 +271,10 @@ def test_beyond_corpus_germs():
         ("x^3 + y^5", [("-t^5", "t^3")], 8, 4, 1),
         ("x^3*y - x*y^3", [("0", "t"), ("t", "0"), ("t", "t"), ("t", "-t")], 9, 6, 4),
         ("x*y^2 - x^5", [("0", "t"), ("t", "t^2"), ("t", "-t^2")], 6, 4, 3),
+        # rational branches: delta takes the second at t = 2u, so that
+        # t^k's coefficient c becomes c*2^k; its images scaled by 2 give 2
+        ("y^2 - 2*x^2*y - 1/2*x^3*y + x^4 + 1/2*x^5", [("t", "t^2"), ("t", "t^2 + 1/2*t^3")],
+         5, 3, 2),
     ]
     for poly, brs, mu_exp, delta_exp, r_exp in cases:
         g = germ(poly)

@@ -309,6 +309,9 @@ EXACT_ENTRIES = [
     ("Poly-powers-n", lambda v: T.powers(v, 4), TypeError, "n must be an integer"),
     ("Poly-substitute-cutoff", lambda v: CUSP[0].poly.substitute(CUSP[1].branches[0], v),
      TypeError, "cutoff must be an integer"),
+    ("Poly-substitute_work-cutoff",
+     lambda v: CUSP[0].poly.substitute_work(CUSP[1].branches[0], v), TypeError,
+     "cutoff must be an integer"),
     ("TruncatedBiSeries-order", lambda v: series.TruncatedBiSeries(v), TypeError,
      "order must be an integer"),
     ("TruncatedBiSeries-coefficient", lambda v: series.TruncatedBiSeries(2, {(1, 0): v}),
