@@ -17,7 +17,7 @@ offline, outside tier-1, like ``bench/sweep.py``; the checkout itself is
 never written.
 
 Result (CPython 3.11, 2-vCPU Xeon, about 60 s in all): the
-unmutated tests pass, and each of the 44 rows is killed; none carries a
+unmutated tests pass, and each of the 45 rows is killed; none carries a
 reason.  Every named test is a tier-1 test, so each row also fails the
 whole tier-1 suite.  A named test that draws random inputs draws them
 from a ``random.Random`` seeded in the test, by ``tests/draws.py`` or a
@@ -183,6 +183,8 @@ ROWS = [
      [f"{EXACT}[LatticeModel-rank]"], None),
     ("delta-mu-unchecked", "src/stabctab/germ.py", "elif not is_int(mu):", "elif False:",
      [f"{EXACT}[delta-mu]"], None),
+    ("delta-takes-a-negative-mu", "src/stabctab/germ.py", "elif mu < 0:", "elif False:",
+     ["tests/test_germ.py::test_delta_refuses_a_negative_mu"], None),
     ("bielliptic-dim-ls-d-unchecked", "src/stabctab/codim.py", "_check_d(d)\n    return", "return",
      [f"{EXACT}[bielliptic_dim_ls-d]"], None),
     ("poly-mul-cutoff-unchecked", POLY, 'once."""\n        if not is_int(cutoff):',

@@ -56,7 +56,7 @@ from.
   as JSON.
 * ``usage``: the parser's help and usage errors.  Top level: ``-h``,
   ``--help``, no argument, an unknown subcommand, ``-h`` before one, and a
-  flag first.  For each subcommand, a call that runs (``RUNS``), then:
+  flag first.  For each subcommand, ``draws.RUNS``'s call, then:
   ``-h`` and ``--help`` first, after that call, and after an unknown flag
   and after a stray argument; that call without each required flag in
   turn, with an unknown flag, a stray argument and ``--format=xml``; each
@@ -118,8 +118,8 @@ from stabctab.poly import parse_polynomial
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tests"))
 from draws import (  # noqa: E402
-    curved_point, edit_lines, gram_schmidt_lattice, grammar_text, lattice_text, ordinary_point,
-    run)
+    RUNS, command, curved_point, edit_lines, gram_schmidt_lattice, grammar_text, lattice_text,
+    ordinary_point, run)
 
 FORMATS = ("tsv", "json")
 SURFACES = [(b1, b2) for b1 in (0, 2, 4) for b2 in range(1, 23)]
@@ -324,34 +324,19 @@ def bounds_calls():
             yield (*call, "--format", fmt)
 
 
-#: A call of each subcommand that runs, as (flag, value) pairs (None for a
-#: switch); the usage grid varies one flag of it at a time.
-RUNS = {
-    "stable-betti": [("--b1", "0"), ("--b2", "1"), ("--max-k", "2")],
-    "perverse": [("--b1", "0"), ("--b2", "1"), ("--max-order", "2"), ("--oracle", None)],
-    "identity": [("--b1", "0"), ("--b2", "1"), ("--order", "2")],
-    "germ": [("--poly", "x*y")],
-    "bounds": [("--surface", "enriques"), ("--beta-sq", "10"), ("--d", "2")],
-    "decompose": [("--lattice", "bielliptic-rank2"), ("--beta", "2,2")],
-}
-
-
 def usage_calls():
     """Calls of the parser's help and of each of its usage errors, the
     flags and their caps and choices read from ``stabctab.cli.COMMANDS``."""
-    def call(name, pairs):
-        return (name, *(token for pair in pairs for token in pair if token is not None))
-
     yield from (("-h",), ("--help",), (), ("frob",), ("-h", "frob"), ("--b1", "0"))
     for name, pairs in RUNS.items():
-        base = call(name, pairs)
+        base = command(name, pairs)
         yield base
         for help_flag in ("-h", "--help"):
             yield from ((name, help_flag), (*base, help_flag), (name, "--frob", help_flag),
                         (name, "stray", help_flag))
         for left_out, _ in pairs:
             if COMMANDS[name][2][left_out].get("required"):
-                yield call(name, [pair for pair in pairs if pair[0] != left_out])
+                yield command(name, [pair for pair in pairs if pair[0] != left_out])
         yield from ((*base, "--frob", "1"), (*base, "stray"), (*base, "--format=xml"))
         for flag, spec in COMMANDS[name][2].items():
             if spec.get("switch"):
@@ -368,7 +353,7 @@ def usage_calls():
     for name, pairs in RUNS.items():
         for flag, spec in COMMANDS[name][2].items():
             if not {"type", "switch", "choices"} & spec.keys():
-                yield (*call(name, pairs), flag, "")
+                yield (*command(name, pairs), flag, "")
 
 
 #: Mutants of each shipped file, as many as make the grid take about 30 s.

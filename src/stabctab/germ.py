@@ -288,6 +288,8 @@ def delta(germ: CurveGerm, branches: BranchSet, mu: int | None = None) -> int:
         mu = milnor(germ)
     elif not is_int(mu):
         raise TypeError("mu must be an integer or None")
+    elif mu < 0:
+        raise ValueError("mu must be nonnegative")
     t_trunc = 2 * mu + 2
     _validate_branches(germ, branches, t_trunc)
     rank = len(_pivot_columns(_monomial_images(branches.branches, t_trunc), "delta"))

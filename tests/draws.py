@@ -5,7 +5,8 @@ of m-fold points.  Each draw takes a ``random.Random`` that its caller
 seeds, so a test or a grid draws the same inputs on every run and every
 install; where a test and a grid draw the same kind of input, both call
 the same function here, and so they write a lattice file, with
-``lattice_text``.  The command line's two runners live here too: ``run``,
+``lattice_text``, and they start from the same call of each subcommand,
+``RUNS``.  The command line's two runners live here too: ``run``,
 in-process, which both use, and ``run_fresh``, in a fresh interpreter
 whose environment, ``fresh_env``, puts the imported package on its path.
 Stdlib and stabctab only, like the sweep."""
@@ -44,6 +45,25 @@ def run_fresh(*argv, timeout, text=True, preexec_fn=None, options=("-m", "stabct
     preexec_fn runs in the child first, and the output is bytes if text is false."""
     return subprocess.run([sys.executable, *options, *argv], capture_output=True, text=text,
                           env=fresh_env(), timeout=timeout, preexec_fn=preexec_fn)
+
+
+#: A call of each subcommand that runs, as (flag, value) pairs, the value
+#: None for a switch: the handler contract and the argv property start
+#: from it, and ``bench/sweep.py``'s usage grid varies one flag at a time.
+RUNS = {
+    "stable-betti": [("--b1", "0"), ("--b2", "1"), ("--max-k", "2")],
+    "perverse": [("--b1", "0"), ("--b2", "1"), ("--max-order", "2"), ("--oracle", None)],
+    "identity": [("--b1", "0"), ("--b2", "1"), ("--order", "2")],
+    "germ": [("--poly", "x*y")],
+    "bounds": [("--surface", "enriques"), ("--beta-sq", "10"), ("--d", "2")],
+    "decompose": [("--lattice", "bielliptic-rank2"), ("--beta", "2,2")],
+}
+
+
+def command(name, pairs=None) -> list:
+    """The argv of subcommand name with (flag, value) pairs, ``RUNS[name]`` by default."""
+    pairs = RUNS[name] if pairs is None else pairs
+    return [name, *(token for pair in pairs for token in pair if token is not None)]
 
 
 def lattice_text(gram, witness, basis, tests) -> str:

@@ -145,6 +145,14 @@ def test_approximate_branch_supported():
     assert delta(CUSP, b) == 1
 
 
+def test_delta_refuses_a_negative_mu():
+    # mu = 0 is the mu of a smooth germ; no germ has a negative one
+    b = branches([("t^2", "t^3")])
+    for mu in (-1, -5):
+        with pytest.raises(ValueError, match="^mu must be nonnegative$"):
+            delta(CUSP, b, mu)
+
+
 def test_truncation_too_small():
     with pytest.raises(BadInput, match="truncation 4 is below the conductor bound 6"):
         delta(CUSP, branches([("t^2", "t^3 + t^12")], 4))

@@ -7,7 +7,7 @@ from stabctab import codim, genfunc, germ, nslattice, perverse, poly, series
 from stabctab.errors import BadInput
 
 from draws import run_fresh
-from test_cli import EXIT_CALLS
+from test_cli import rows
 
 
 def test_every_exported_name_resolves():
@@ -404,13 +404,14 @@ def test_each_subcommand_imports_only_its_layer(tmp_path, argv, code, loaded):
         assert not modules & {"importlib.resources", "pathlib", "zipfile"}
 
 
-@pytest.mark.parametrize("code", sorted(EXIT_CALLS),
+@pytest.mark.parametrize("call", rows("stable-betti-enriques", "identity-perturbed",
+                                      "rejected:beta-wrong-length"),
                          ids=["success", "verification-failure", "bad-input"])
-def test_entry_point_freezes_the_collector_before_atexit(code):
+def test_entry_point_freezes_the_collector_before_atexit(call):
     # the exit-time collections skip what is frozen, and atexit still runs
     probe = PROBE_AT_EXIT.format(report="'frozen', gc.get_freeze_count() > 0")
-    proc = run_fresh("-c", probe, *EXIT_CALLS[code], options=("-S",), timeout=60)
-    assert proc.returncode == code, proc.stderr
+    proc = run_fresh("-c", probe, *call.argv, options=("-S",), timeout=60)
+    assert proc.returncode == call.code, proc.stderr
     assert proc.stderr.splitlines()[-1] == "frozen True"
 
 

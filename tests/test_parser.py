@@ -8,11 +8,8 @@ import pytest
 from stabctab.cli import COMMANDS, build_parser
 from stabctab.errors import BadInput
 
-from draws import GRAMMAR, run, text
-
-
-def parsed(argv):
-    return vars(build_parser().parse_args(argv))
+from draws import GRAMMAR, RUNS, command, run, text
+from test_cli import check, each
 
 
 @pytest.mark.parametrize("argv, values", [
@@ -43,66 +40,16 @@ def parsed(argv):
 ], ids=["stable-betti", "perverse", "identity", "germ", "germ-empty", "bounds-enriques",
         "bounds-bielliptic", "decompose", "last-repeat-wins", "identity-default-order"])
 def test_parsed_values(argv, values):
-    assert parsed(argv) == {"subcommand": argv[0], **values}
+    assert vars(build_parser().parse_args(argv)) == {"subcommand": argv[0], **values}
 
 
-@pytest.mark.parametrize("argv, err", [
-    ([], "stabctab: missing subcommand; choose from "
-         "stable-betti, perverse, identity, germ, bounds, decompose"),
-    (["frob", "--b1", "0"], "stabctab: unknown subcommand 'frob'; choose from "
-                            "stable-betti, perverse, identity, germ, bounds, decompose"),
-    (["no-such-command"], "stabctab: unknown subcommand 'no-such-command'; choose from "
-                          "stable-betti, perverse, identity, germ, bounds, decompose"),
-    (["--b1", "0"], "stabctab: unknown subcommand '--b1'; choose from "
-                    "stable-betti, perverse, identity, germ, bounds, decompose"),
-    (["stable-betti", "--b1", "0", "--b2", "1", "--max"],
-     "stabctab stable-betti: unknown flag '--max'"),
-    (["perverse", "--b1", "0", "--b2", "1", "--perturb"],
-     "stabctab perverse: unknown flag '--perturb'"),
-    (["germ", "--poly", "x", "y"], "stabctab germ: unexpected argument 'y'"),
-    (["identity", "--b1", "0", "--b2", "1", "--order"], "stabctab identity: --order needs a value"),
-    (["stable-betti", "--b1", "0", "--b2", "ten"],
-     "stabctab stable-betti: --b2 needs an integer, got 'ten'"),
-    (["stable-betti", "--b1", "0", "--b2", "1_0"],
-     "stabctab stable-betti: --b2 needs an integer, got '1_0'"),
-    (["stable-betti", "--b1", "0", "--b2", "\u0661"],
-     "stabctab stable-betti: --b2 needs an integer, got '\u0661'"),
-    # an integer, but of more digits than Python reads: not echoed
-    (["stable-betti", "--b1", "0", "--b2", "9" * 5000],
-     "stabctab stable-betti: --b2 has more digits than Python reads; "
-     "its cap is 1000000000000"),
-    (["decompose", "--lattice", "x", "--beta", "1", "--format", "xml"],
-     "stabctab decompose: --format must be one of tsv, json, got 'xml'"),
-    (["bounds", "--surface=k3"],
-     "stabctab bounds: --surface must be one of enriques, bielliptic, got 'k3'"),
-    (["perverse", "--b1", "0"], "stabctab perverse: missing required --b2"),
-    (["stable-betti", "--b1", "0"], "stabctab stable-betti: missing required --b2"),
-    (["decompose"], "stabctab decompose: missing required --lattice, --beta"),
-    (["perverse", "--b1", "0", "--b2", "1", "--oracle=yes"],
-     "stabctab perverse: --oracle takes no value"),
-    # the caps are checked after every other usage error
-    (["perverse", "--b1", "0", "--b2", "1", "--max-order", "65", "--oracle"],
-     "stabctab perverse: --max-order 65 exceeds the cap of 64"),
-    (["identity", "--b1", "0", "--b2", "1", "--order", "65"],
-     "stabctab identity: --order 65 exceeds the cap of 64"),
-    (["stable-betti", "--b1", "0", "--b2", "1", "--max-k", "385"],
-     "stabctab stable-betti: --max-k 385 exceeds the cap of 384"),
-], ids=["no-subcommand", "unknown-subcommand", "no-such-command", "flag-first", "unknown-flag",
-        "hidden-elsewhere", "stray-argument", "missing-value", "non-integer",
-        "underscore-integer", "arabic-indic-integer", "integer-too-long-to-read",
-        "format-choice", "surface-choice", "missing-required", "stable-betti-missing-required",
-        "missing-two", "switch-value",
-        "max-order-above-cap", "order-above-cap", "max-k-above-cap"])
-def test_usage_errors_exit_2_with_one_line(argv, err):
-    assert run(argv) == (2, "", err + "\n")
+@each("usage")
+def test_usage_errors_exit_2_with_one_line(call, tmp_path, monkeypatch):
+    check(call, tmp_path, monkeypatch)
     # the parser raises the message, and main adds the "stabctab ...: " prefix
     with pytest.raises(BadInput) as info:
-        build_parser().parse_args(argv)
-    assert err.partition(": ")[2] == str(info.value)
-
-
-def shown_flags(name):
-    return [f for f, spec in COMMANDS[name][2].items() if not spec.get("hidden")]
+        build_parser().parse_args(call.argv)
+    assert call.err.partition(": ")[2] == f"{info.value}\n"
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["-h"], ["-h", "frob"]])
@@ -124,7 +71,7 @@ def test_subcommand_help_lists_every_flag(name):
         usage, *rest = out.splitlines()
         assert usage.startswith(f"usage: stabctab {name} ")
         listed = [line.split()[0] for line in rest if line.startswith("  --")]
-        assert listed == shown_flags(name)
+        assert listed == [f for f, spec in COMMANDS[name][2].items() if not spec.get("hidden")]
         assert "--perturb" not in out
 
 
@@ -154,23 +101,12 @@ def value(rng) -> str:
     return rng.choice(WORDS) if kind == 1 else text(rng, JUNK, 4)
 
 
-#: A call of each subcommand that runs, for argvs to start from.
-RUNS = {
-    "stable-betti": ["--b1", "0", "--b2", "1"],
-    "perverse": ["--b1", "0", "--b2", "1"],
-    "identity": ["--b1", "0", "--b2", "1"],
-    "germ": ["--poly", "x*y"],
-    "bounds": ["--surface", "enriques", "--beta-sq", "10", "--d", "2"],
-    "decompose": ["--lattice", "bielliptic-rank2", "--beta", "2,2"],
-}
-
-
 def argv(rng) -> list:
     """A subcommand with flags that make it run (or junk), then up to four
     flags of that subcommand (or junk) with a value in both forms or bare,
     and stray values."""
     name = rng.choice([*COMMANDS, "frob", "", "-h", "--help", "--b1"])
-    out = [name, *RUNS.get(name, [])]
+    out = command(name) if name in RUNS else [name]
     flags = [*COMMANDS.get(name, COMMANDS["bounds"])[2], "-h", "--frob"]
     for _ in range(rng.randint(0, 4)):
         kind = rng.choice("ppppjjjjbs")
