@@ -17,7 +17,7 @@ offline, outside tier-1, like ``bench/sweep.py``; the checkout itself is
 never written.
 
 Result (CPython 3.11, 2-vCPU Xeon, about 60 s in all): the
-unmutated tests pass, and each of the 45 rows is killed; none carries a
+unmutated tests pass, and each of the 49 rows is killed; none carries a
 reason.  Every named test is a tier-1 test, so each row also fails the
 whole tier-1 suite.  A named test that draws random inputs draws them
 from a ``random.Random`` seeded in the test, by ``tests/draws.py`` or a
@@ -193,6 +193,18 @@ ROWS = [
      'images."""\n        if False:', [f"{EXACT}[Poly-substitute_work-cutoff]"], None),
     ("poly-powers-n-unchecked", POLY, "if not is_int(n):", "if False:",
      [f"{EXACT}[Poly-powers-n]"], None),
+    # each drops a check that a tower, a table or a table of powers makes of
+    # its count: a float or a bool is kept, a negative count gives an empty result
+    ("tower-unchecked", "src/stabctab/perverse.py",
+     'raise TypeError("the order, the keys and the values of a tower must be integers")',
+     "pass", [f"{EXACT}[RelHilbBettiTower-values]"], None),
+    ("tower-takes-a-negative-order", "src/stabctab/perverse.py", "if order < 0:", "if False:",
+     ["tests/test_perverse.py::test_tower_refuses_a_negative_order"], None),
+    ("table-takes-a-negative-order", GENFUNC,
+     'must be integers")\n        if order < 0:', 'must be integers")\n        if False:',
+     ["tests/test_genfunc.py::test_perverse_table_refuses_a_negative_order"], None),
+    ("powers-take-a-negative-n", POLY, "if n < 0:", "if False:",
+     ["tests/test_poly.py::test_powers_refuses_a_negative_n"], None),
     # hilb_betti pads each row of G to z-degree k again, past the 4n of its last term
     ("hilb-betti-builds-to-k", GENFUNC, "[n][k] if k <= 4 * n else 0", "[n][k]",
      ["tests/test_genfunc.py::test_library_builds_to_the_degree_it_reads"], None),

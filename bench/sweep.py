@@ -1,21 +1,23 @@
 """Equivalence sweeps: fixed grids of calls, each hashed to one digest.
 
-Usage: ``PYTHONPATH=src python bench/sweep.py GRID [GRID ...]``, GRID one of
+Usage: ``python bench/sweep.py GRID [GRID ...]``, GRID one of
 ``tables``, ``germ``, ``random-germ``, ``decompose``, ``bounds``,
 ``usage``, ``mutants`` and ``parse``.  Each call runs
 ``stabctab.cli.main`` in-process (``run`` of ``tests/draws.py``, as the
-tests do), on whichever ``stabctab`` is first on the path, and takes the
+tests do), on whichever ``stabctab`` is first on the path (the installed
+one, or a checkout's with PYTHONPATH at its ``src``), and takes the
 exit status it returns; for each grid the script
 prints the grid, its call count and one sha256 over the (argv, exit
-code, stdout, stderr) of its calls in order.  A call that exits 3 is a
-fault of the package, never a record to pin: after the digests, the
-script names the first such call with its stderr and exits 1.  A
-refactor that claims unchanged records runs the grids at the parent and
-at the change (point PYTHONPATH at each checkout's ``src``) and gives
-both digests.  Every call is fixed; the random draws are seeded, and
-the random lattices, the file edits, the grammar's strings and the
-m-fold points come from ``tests/draws.py``, the functions the tests draw
-from.
+code, stdout, stderr) of its calls in order.  After the digests, the
+script exits 1 with one stderr line per grid whose count or digest is
+not the one pinned in ``DIGESTS``, and one naming the first call that
+exited 3, a fault of the package, never a record to pin, with its
+stderr.  A refactor that claims unchanged records runs the grids at the
+parent and at the change (point PYTHONPATH at each checkout's ``src``)
+and gives both digests.  Every call is fixed; the random draws are
+seeded, and the random lattices, the file edits, the grammar's strings
+and the m-fold points come from ``tests/draws.py``, the functions the
+tests draw from.
 
 * ``tables``: ``perverse --oracle``, ``identity`` and ``identity --perturb``
   at orders 0..20, then ``stable-betti --max-k 0..48``, each at
@@ -83,20 +85,11 @@ from.
   "y"))`` with no command line; the digest covers each string with its
   sorted terms, or with its error's class and message.
 
-Digests (CPython 3.11; about 25 s for ``tables``, ``germ``, ``decompose``
-and ``bounds`` together, 21 s for ``random-germ``, under 1 s for
-``usage``, 32 s for ``mutants`` and 4 s for ``parse``, on a 2-vCPU
-Xeon).  CHANGES.md records each revision at which a digest moved, and
-which calls moved it:
-
-    tables       14784 calls  d420e71be84b291f47970e1b928ca5b5b56350599e4b68ed8c1ea02068ae0299
-    germ           340 calls  b3be76b4d29ce293a36b40f3136e6c4053bf8aa2b6278fa856e689712fb69a50
-    random-germ    142 calls  6b22ff76628ac63b8647eb187c1cb76fa0c67fb536d076fc46a53d851d3e81ab
-    decompose      738 calls  6d6e604f215eea0088c714cdef7f891741ed9570e6ba0a7c010c75882800f543
-    bounds        1448 calls  d291e022c5cdf5ee997cc7131fb71ee9c143639fb8657b09cd5df23b65a50a2d
-    usage          181 calls  7888a8e7370f49a5e6c2a90e9e819ed582d6b5f536d6b8a4f01721ed2a3b0614
-    mutants      60000 calls  b0ecc71e0b050af4f7076430645fb1b2a72bf20ba7754da4b7bbb8df1145e666
-    parse       200000 calls  34a7d6f18cd0adcac5b292f343620b411c1bb633254c961bd2e2741071dad875
+The digests were taken on CPython 3.11.  The grids take about 25 s for
+``tables``, ``germ``, ``decompose`` and ``bounds`` together, 21 s for
+``random-germ``, under 1 s for ``usage``, 32 s for ``mutants`` and 4 s
+for ``parse``, on a 2-vCPU Xeon.  CHANGES.md records each revision at
+which a digest moved, and which calls moved it.
 """
 
 from __future__ import annotations
@@ -400,6 +393,18 @@ def read_polynomial(text):
     return [sorted((key, str(c)) for key, c in terms.items())]
 
 
+#: Each grid's pinned (call count, digest), taken on CPython 3.11.
+DIGESTS = {
+    "tables": (14784, "d420e71be84b291f47970e1b928ca5b5b56350599e4b68ed8c1ea02068ae0299"),
+    "germ": (340, "b3be76b4d29ce293a36b40f3136e6c4053bf8aa2b6278fa856e689712fb69a50"),
+    "random-germ": (142, "6b22ff76628ac63b8647eb187c1cb76fa0c67fb536d076fc46a53d851d3e81ab"),
+    "decompose": (738, "6d6e604f215eea0088c714cdef7f891741ed9570e6ba0a7c010c75882800f543"),
+    "bounds": (1448, "d291e022c5cdf5ee997cc7131fb71ee9c143639fb8657b09cd5df23b65a50a2d"),
+    "usage": (181, "7888a8e7370f49a5e6c2a90e9e819ed582d6b5f536d6b8a4f01721ed2a3b0614"),
+    "mutants": (60000, "b0ecc71e0b050af4f7076430645fb1b2a72bf20ba7754da4b7bbb8df1145e666"),
+    "parse": (200000, "34a7d6f18cd0adcac5b292f343620b411c1bb633254c961bd2e2741071dad875"),
+}
+
 GRIDS = {"tables": tables_calls, "germ": germ_calls, "random-germ": random_germ_calls,
          "decompose": decompose_calls, "bounds": bounds_calls, "usage": usage_calls,
          "mutants": mutants_calls, "parse": parse_texts}
@@ -413,22 +418,24 @@ def cli(argv):
         sys.stderr.write(f"usage: sweep.py GRID [GRID ...], GRID in {', '.join(GRIDS)}\n")
         return 2
     home = os.getcwd()
-    faults = []
+    errors, fault = [], None
     for name in argv:
         with tempfile.TemporaryDirectory() as scratch:
             os.chdir(scratch)
             try:
-                count, digest, fault = sweep(GRIDS[name](), READERS.get(name, run))
+                count, digest, grid_fault = sweep(GRIDS[name](), READERS.get(name, run))
             finally:
                 os.chdir(home)
         print(f"{name}\t{count}\t{digest}", flush=True)
-        if fault:
-            faults.append(fault)
-    if faults:
-        call, stderr = faults[0]
-        sys.stderr.write(f"sweep.py: {shlex.join(call)} exited 3: {stderr.strip()}\n")
-        return 1
-    return 0
+        if (count, digest) != DIGESTS[name]:
+            errors.append(f"sweep.py: {name} gave {count} calls and {digest}, "
+                          "pinned {} calls and {}\n".format(*DIGESTS[name]))
+        fault = fault or grid_fault
+    if fault:
+        call, stderr = fault
+        errors.append(f"sweep.py: {shlex.join(call)} exited 3: {stderr.strip()}\n")
+    sys.stderr.writelines(errors)
+    return 1 if errors else 0
 
 
 if __name__ == "__main__":

@@ -94,8 +94,6 @@ coefficient and gives the integer coefficients of the two sides there
 (rendered as strings in JSON).
 """
 
-from __future__ import annotations
-
 import gc
 import os
 import sys

@@ -22,12 +22,11 @@ functions that take or read them); no floating point.  A radicand above
 10^11, raises BadInput instead of running a trial division of unbounded
 length.  The threshold d0 needs only ceilings of square roots, which
 ``math.isqrt`` gives at any size, and is pure ``int``: ``fractions`` too
-is imported only by the functions that build a Fraction.  An argument
+is imported only by the functions that build a Fraction, and the
+annotations that name it are strings.  An argument
 outside a formula's domain raises BadInput, one of the wrong type
 (``_record.is_int``) a TypeError unless that BadInput asks for an integer.
 """
-
-from __future__ import annotations
 
 import math
 
@@ -185,7 +184,7 @@ class BiellipticParams(HashableRecord):
     a*b*lambda*mu*gamma and must be an integer.
     """
 
-    def __init__(self, a: int, b: int, lam: Fraction, mu: Fraction, gamma: int):
+    def __init__(self, a: int, b: int, lam: "Fraction", mu: "Fraction", gamma: int):
         from fractions import Fraction
 
         for scale in (lam, mu):
@@ -206,11 +205,11 @@ class BiellipticParams(HashableRecord):
             raise BadInput(f"chi = {chi} must be an integer")
         super().__init__(a=a, b=b, lam=lam, mu=mu, gamma=gamma)
 
-    def beta_sq(self) -> Fraction:
+    def beta_sq(self) -> "Fraction":
         return 2 * self.a * self.b * self.lam * self.mu * self.gamma
 
 
-def bielliptic_chi(s, t, gamma: int) -> Fraction:
+def bielliptic_chi(s, t, gamma: int) -> "Fraction":
     """chi of a divisor class s*A + t*B on a bielliptic surface: s*t*gamma."""
     from fractions import Fraction
 
@@ -219,13 +218,13 @@ def bielliptic_chi(s, t, gamma: int) -> Fraction:
     return Fraction(s) * Fraction(t) * gamma
 
 
-def bielliptic_dim_ls(params: BiellipticParams, d: int) -> Fraction:
+def bielliptic_dim_ls(params: BiellipticParams, d: int) -> "Fraction":
     """dim of the linear system of d*beta: chi - 1 = d^2 a b lambda mu gamma - 1."""
     _check_d(d)
     return bielliptic_chi(d * params.a * params.lam, d * params.b * params.mu, params.gamma) - 1
 
 
-def _mixed_case_bound(da_side: Fraction, coeff: Fraction, top: int):
+def _mixed_case_bound(da_side: "Fraction", coeff: "Fraction", top: int):
     """min over k in [1, max(1, top)] of k*coeff*(da_side - 1) + 1."""
     lo, hi = 1, max(1, top)
     vals = [k * coeff * (da_side - 1) + 1 for k in (lo, hi)]

@@ -58,8 +58,6 @@ The handlers of the table subcommands, ``stable-betti``, ``perverse``
 and ``identity``, live at the end of this module.
 """
 
-from __future__ import annotations
-
 from ._record import HashableRecord, Record, is_int
 from .errors import BadInput, InternalIdentityFailure
 
@@ -95,12 +93,15 @@ class PerverseTable(Record):
     """Finite table (i, j) -> n^{i,j} of perverse Hodge numbers, i+j <= order.
 
     Entries are nonnegative integers (ValueError), the order and keys ints
-    (TypeError); zero entries are not stored.  The i = 0 row lies in {0, 1}.
+    (TypeError) and the order nonnegative (ValueError); zero entries are
+    not stored.  The i = 0 row lies in {0, 1}.
     """
 
     def __init__(self, order: int, entries: dict[tuple[int, int], int] | None = None):
         if not is_int(order) or not all(is_int(i) and is_int(j) for i, j in entries or {}):
             raise TypeError("the order and the keys of entries must be integers")
+        if order < 0:
+            raise ValueError("order must be nonnegative")
         clean: dict[tuple[int, int], int] = {}
         for (i, j), v in (entries or {}).items():
             if i < 0 or j < 0 or i + j > order:

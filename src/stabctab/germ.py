@@ -24,8 +24,6 @@ of a composition (``Poly.substitute_work``) live in :mod:`stabctab.poly`.
 The ``germ`` subcommand's handler, :func:`cmd_germ`, lives at the end.
 """
 
-from __future__ import annotations
-
 import math
 from collections.abc import Iterable
 

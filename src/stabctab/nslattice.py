@@ -22,8 +22,6 @@ that ``decompose`` does not load them; the public names of the first
 three stay importable from here (module ``__getattr__``).
 """
 
-from __future__ import annotations
-
 import itertools
 import math
 import operator

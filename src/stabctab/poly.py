@@ -20,8 +20,6 @@ factors is optional, exponents are nonnegative integers, every integer
 is ASCII digits, and the Unicode minus sign is accepted alongside '-'.
 """
 
-from __future__ import annotations
-
 import math
 import re
 from fractions import Fraction
@@ -172,9 +170,12 @@ class Poly(Record):
 
     def powers(self, n: int, cutoff: int) -> list["Poly"]:
         """[1, self, ..., self^n], each truncated at total degree cutoff, ended
-        before its first power that is 0, since every higher one is 0 as well."""
+        before its first power that is 0, since every higher one is 0 as well;
+        n is a nonnegative int."""
         if not is_int(n):
             raise TypeError("n must be an integer")
+        if n < 0:
+            raise ValueError("n must be nonnegative")
         out = [self._like({(0,) * self.nvars: 1})]
         for _ in range(n):
             power = out[-1].mul(self, cutoff)

@@ -19,8 +19,6 @@ ring that ``stable_perverse_series`` returns H in, with sums, products,
 inverses and truncated coefficient access.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 
 from ._record import Record, is_int

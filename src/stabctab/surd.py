@@ -17,8 +17,6 @@ of p*q, so its cost grows as sqrt(p*q); MAX_RADICAND caps p*q, and a
 larger one raises BadInput before any division.
 """
 
-from __future__ import annotations
-
 import math
 from fractions import Fraction
 

@@ -8,7 +8,8 @@ the same function here, and so they write a lattice file, with
 ``lattice_text``, and they start from the same call of each subcommand,
 ``RUNS``.  The command line's two runners live here too: ``run``,
 in-process, which both use, and ``run_fresh``, in a fresh interpreter
-whose environment, ``fresh_env``, puts the imported package on its path.
+whose environment, ``fresh_env``, puts the imported package on its path;
+each first writes the files a call reads to the working directory.
 Stdlib and stabctab only, like the sweep."""
 
 from __future__ import annotations
@@ -26,8 +27,16 @@ import stabctab
 from stabctab.cli import main
 
 
-def run(argv):
-    """(exit code, stdout, stderr) of ``stabctab.cli.main(argv)``, run in-process."""
+def write_files(files):
+    """Write each {name: text or bytes} of files to the working directory."""
+    for name, data in files.items():
+        Path(name).write_bytes(data if isinstance(data, bytes) else data.encode())
+
+
+def run(argv, files={}):
+    """(exit code, stdout, stderr) of ``stabctab.cli.main(argv)``, run in-process,
+    with files, {name: text or bytes}, written to the working directory first."""
+    write_files(files)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(list(argv))
@@ -39,10 +48,13 @@ def fresh_env() -> dict:
     return dict(os.environ, PYTHONPATH=str(Path(stabctab.__file__).resolve().parent.parent))
 
 
-def run_fresh(*argv, timeout, text=True, preexec_fn=None, options=("-m", "stabctab")):
+def run_fresh(*argv, timeout, text=True, preexec_fn=None, options=("-m", "stabctab"),
+              files={}):
     """The completed process of ``python *options *argv``, ``python -m stabctab *argv`` by
     default, in a fresh interpreter with ``fresh_env``, killed after timeout seconds;
+    files are written to the working directory first, as ``run`` writes them,
     preexec_fn runs in the child first, and the output is bytes if text is false."""
+    write_files(files)
     return subprocess.run([sys.executable, *options, *argv], capture_output=True, text=text,
                           env=fresh_env(), timeout=timeout, preexec_fn=preexec_fn)
 

@@ -147,6 +147,9 @@ CALLS = [
     # truncation 6 is the cusp's conductor bound 2*mu + 2: enough precision
     Call("germ-conductor-bound", CUSP, 0, "mu\t2\ntau\t2\ndelta\t1\nr\t1\nmilnor_formula\tOK\n",
          "", {"cusp.br": "truncation: 6\nt^2 ; t^3\n"}),
+    # a '#' comment runs to the end of its line, after a space or not
+    Call("branch-comments", TACNODE, 0, "mu\t3\ntau\t3\ndelta\t2\nr\t2\nmilnor_formula\tOK\n", "",
+         {"tacnode.br": "# the tacnode\nt ; t^2  # upper\nt ; -t^2#lower\n"}),
     Call("germ-missing-branch-file", "germ --poly 'y^2 - x^3' --branches absent.br", 2, "",
          "stabctab germ: [Errno 2] No such file or directory: 'absent.br'\n"),
     # A_64 has mu = 64, the largest the maximal-ideal power cap certifies
@@ -565,12 +568,10 @@ def check(call, tmp_path, monkeypatch, timeout=None):
     given a timeout, in a fresh interpreter killed after that many seconds,
     and compare its whole (exit code, stdout, stderr) with the row."""
     monkeypatch.chdir(tmp_path)
-    for name, data in call.files.items():
-        (tmp_path / name).write_bytes(data if isinstance(data, bytes) else data.encode())
     if timeout is None:
-        code, out, err = run(call.argv)
+        code, out, err = run(call.argv, call.files)
     else:
-        proc = run_fresh(*call.argv, timeout=timeout)
+        proc = run_fresh(*call.argv, timeout=timeout, files=call.files)
         code, out, err = proc.returncode, proc.stdout, proc.stderr
     if call.out.startswith("sha256:"):
         out = "sha256:" + hashlib.sha256(out.encode()).hexdigest()
@@ -705,15 +706,15 @@ def test_germ_with_branches_computes_mu_once(tmp_path, monkeypatch):
     assert len(delta_calls) == 1
 
 
-def test_germ_provenance_names_delta_only_with_branches(tmp_path):
+def test_germ_provenance_names_delta_only_with_branches(tmp_path, monkeypatch):
     code, out, _ = run(["germ", "--poly", "y^2 - x^3", "--format", "json"])
     assert code == 0
     # neither the results nor the provenance mention delta
     assert "delta" not in out
     assert json.loads(out)["provenance"] == "local quotient-algebra dimensions"
-    path = tmp_path / "cusp.br"
-    path.write_text("t^2 ; t^3\n")
-    _, out, _ = run(["germ", "--poly", "y^2 - x^3", "--branches", str(path), "--format", "json"])
+    monkeypatch.chdir(tmp_path)
+    _, out, _ = run(["germ", "--poly", "y^2 - x^3", "--branches", "cusp.br", "--format", "json"],
+                    {"cusp.br": "t^2 ; t^3\n"})
     record = json.loads(out)
     assert record["provenance"] == ("local quotient-algebra dimensions; delta from the "
                                     "normalization cokernel of the branch parametrizations")
@@ -1008,3 +1009,25 @@ def test_records_at_the_integer_caps_print(line):
         code, out, _ = run([*shlex.split(line), "--format", fmt])
         assert code == (1 if "--perturb" in line else 0)
         assert out
+
+
+def test_sweep_checks_its_own_digests(monkeypatch, capsys):
+    # bench/sweep.py of this checkout, on the stabctab the suite imports: its
+    # usage grid gives the pinned count and digest, and one that is not
+    # pinned exits 1 with one stderr line naming the grid
+    import importlib.util
+    import sys
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "bench" / "sweep.py"
+    spec = importlib.util.spec_from_file_location("sweep", path)
+    sweep = importlib.util.module_from_spec(spec)
+    # the sweep puts tests/ on the path as it is imported
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec.loader.exec_module(sweep)
+    assert sweep.cli(["usage"]) == 0
+    assert capsys.readouterr() == ("usage\t181\t{}\n".format(sweep.DIGESTS["usage"][1]), "")
+    monkeypatch.setitem(sweep.DIGESTS, "usage", (181, "0" * 64))
+    assert sweep.cli(["usage"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("sweep.py: usage gave 181 calls and "), err

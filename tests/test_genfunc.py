@@ -131,6 +131,14 @@ def test_perverse_table_type_invariants():
         PerverseTable(2, {(2, 1): 1})  # outside i + j <= order
 
 
+def test_perverse_table_refuses_a_negative_order():
+    # an order is a count of rows; order 0 is the table of one entry
+    assert PerverseTable(0, {(0, 0): 1}).entries == {(0, 0): 1}
+    for order in (-1, -2):
+        with pytest.raises(ValueError, match="^order must be nonnegative$"):
+            PerverseTable(order)
+
+
 def test_remark_identity_perturbed_control():
     mismatch = remark_identity_mismatch(ENRIQUES, 6, perturb=True)
     assert mismatch is not None

@@ -214,6 +214,7 @@ CHI = "s and t must be rational and gamma an integer"
 LATTICE_TYPES = "rank, gram, ample_witness, ample_tests: ints; ortho_basis: rationals"
 
 D = "d must be a positive integer"
+TOWER = "the order, the keys and the values of a tower must be integers"
 HILB = "n and k must be integers"
 #: the kernel's message: each table's factor list checks its order with it
 #: before range() reads the order
@@ -254,6 +255,11 @@ EXACT_ENTRIES = [
     ("check_remark_identity-order", lambda v: genfunc.check_remark_identity(E, v),
      TypeError, SIZES),
     ("build_tower-order", lambda v: perverse.build_tower(E, v), TypeError, SIZES),
+    ("RelHilbBettiTower-order", lambda v: perverse.RelHilbBettiTower(E, v), TypeError, TOWER),
+    ("RelHilbBettiTower-keys", lambda v: perverse.RelHilbBettiTower(E, 2, {(1, v): 1}),
+     TypeError, TOWER),
+    ("RelHilbBettiTower-values", lambda v: perverse.RelHilbBettiTower(E, 2, {(1, 1): v}),
+     TypeError, TOWER),
     ("enriques_dim_ls-dsq", lambda v: codim.enriques_dim_ls(v), TypeError,
      "dsq must be an integer, got {t}"),
     ("enriques_codim_terms-beta_sq", lambda v: codim.enriques_codim_terms(v, 2, False),
@@ -366,7 +372,7 @@ TABLES = CLI | {"stabctab.genfunc"}
     (("perverse", "--b1", "0", "--b2", "10", "--max-order", "4"), 0, TABLES),
     (("perverse", "--b1", "0", "--b2", "10", "--max-order", "65", "--oracle"), 2,
      CLI),
-    (("germ", "--poly", "y^2 - x^3", "--branches", "{cusp}"), 0,
+    (("germ", "--poly", "y^2 - x^3", "--branches", "cusp.br"), 0,
      CLI | {"stabctab.germ", "stabctab.poly"}),
     (("bounds", "--surface", "enriques", "--beta-sq", "10", "--d", "10"), 0,
      CLI | {"stabctab.codim", "stabctab.surd"}),
@@ -377,17 +383,18 @@ TABLES = CLI | {"stabctab.genfunc"}
     (("--help",), 0, CLI),
 ], ids=["import", "load-corpus", "stable-betti", "identity", "perverse",
         "perverse-without-oracle", "perverse-above-cap", "germ", "bounds", "bounds-d0", "decompose", "help"])
-def test_each_subcommand_imports_only_its_layer(tmp_path, argv, code, loaded):
+def test_each_subcommand_imports_only_its_layer(tmp_path, monkeypatch, argv, code, loaded):
     # a fresh interpreter per case, without site hooks, which may import
     # modules of their own
-    cusp = tmp_path / "cusp.br"
-    cusp.write_text("t^2 ; t^3\n")
-    cmd = argv if argv[0] == "-c" else ("-c", PROBE, *(arg.format(cusp=cusp) for arg in argv))
-    proc = run_fresh(*cmd, options=("-S",), timeout=60)
+    monkeypatch.chdir(tmp_path)
+    cmd = argv if argv[0] == "-c" else ("-c", PROBE, *argv)
+    proc = run_fresh(*cmd, options=("-S",), timeout=60, files={"cusp.br": "t^2 ; t^3\n"})
     assert proc.returncode == code, proc.stderr
     modules = set(proc.stderr.splitlines()[-1].split())
     assert {m for m in modules if m.split(".")[0] == "stabctab"} == loaded
-    assert not modules & {"dataclasses", "inspect", "argparse", "gettext", "locale"}
+    # annotations are evaluated as written, so no module needs __future__
+    assert not modules & {"dataclasses", "inspect", "argparse", "gettext", "locale",
+                          "__future__"}
     if argv[0] in ("stable-betti", "identity", "perverse"):
         assert "fractions" not in modules
     if "--i" in argv:

@@ -97,3 +97,13 @@ def test_inconsistent_tower_bad_base_row():
     values[(0, 2)] = 5
     with pytest.raises(InconsistentTower):
         solve_perverse(RelHilbBettiTower(ENRIQUES, 4, values))
+
+
+def test_tower_refuses_a_negative_order():
+    # a negative value is no count the tower refuses: solve_perverse
+    # reports it as a tower that no surface gives
+    for order in (-1, -3):
+        with pytest.raises(ValueError, match="^order must be nonnegative$"):
+            RelHilbBettiTower(ENRIQUES, order)
+    with pytest.raises(InconsistentTower):
+        solve_perverse(RelHilbBettiTower(ENRIQUES, 0, {(0, 0): -1}))

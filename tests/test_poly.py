@@ -4,6 +4,8 @@ seeded draws."""
 import random
 from fractions import Fraction
 
+import pytest
+
 from stabctab.poly import Poly, parse_polynomial
 
 from draws import grammar_text
@@ -120,3 +122,12 @@ def test_substitution_matches_term_by_term():
                     term = Poly(term.nvars, naive_mul(term, img, cutoff))
             want = want + term
         assert f.substitute(tuple(images), cutoff) == want, (f, images, cutoff)
+
+
+def test_powers_refuses_a_negative_n():
+    # n = 0 gives the table [1] alone
+    t = Poly(1, {(1,): 1})
+    assert t.powers(0, 4) == [Poly(1, {(0,): 1})]
+    for n in (-1, -4):
+        with pytest.raises(ValueError, match="^n must be nonnegative$"):
+            t.powers(n, 4)
