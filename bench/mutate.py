@@ -17,7 +17,7 @@ offline, outside tier-1, like ``bench/sweep.py``; the checkout itself is
 never written.
 
 Result (CPython 3.11, 2-vCPU Xeon, about 60 s in all): the
-unmutated tests pass, and each of the 49 rows is killed; none carries a
+unmutated tests pass, and each of the 53 rows is killed; none carries a
 reason.  Every named test is a tier-1 test, so each row also fails the
 whole tier-1 suite.  A named test that draws random inputs draws them
 from a ``random.Random`` seeded in the test, by ``tests/draws.py`` or a
@@ -153,7 +153,7 @@ ROWS = [
      [WHITESPACE], None),
     ("conductor-bound-minus-1", "src/stabctab/germ.py",
      "t_trunc = 2 * mu + 2", "t_trunc = 2 * mu + 1",
-     ["tests/test_germ.py::test_truncation_too_small"], None),
+     [f"{EXACT}[delta-truncation-below-conductor]"], None),
     # an empty branch set admitted: the germ call reads delta 0 and r 0,
     # and exits 1 on Milnor's formula instead of 2
     ("branch-set-may-be-empty", "src/stabctab/germ.py",
@@ -184,7 +184,7 @@ ROWS = [
     ("delta-mu-unchecked", "src/stabctab/germ.py", "elif not is_int(mu):", "elif False:",
      [f"{EXACT}[delta-mu]"], None),
     ("delta-takes-a-negative-mu", "src/stabctab/germ.py", "elif mu < 0:", "elif False:",
-     ["tests/test_germ.py::test_delta_refuses_a_negative_mu"], None),
+     [f"{EXACT}[delta-mu-negative]"], None),
     ("bielliptic-dim-ls-d-unchecked", "src/stabctab/codim.py", "_check_d(d)\n    return", "return",
      [f"{EXACT}[bielliptic_dim_ls-d]"], None),
     ("poly-mul-cutoff-unchecked", POLY, 'once."""\n        if not is_int(cutoff):',
@@ -199,12 +199,29 @@ ROWS = [
      'raise TypeError("the order, the keys and the values of a tower must be integers")',
      "pass", [f"{EXACT}[RelHilbBettiTower-values]"], None),
     ("tower-takes-a-negative-order", "src/stabctab/perverse.py", "if order < 0:", "if False:",
-     ["tests/test_perverse.py::test_tower_refuses_a_negative_order"], None),
+     [f"{EXACT}[RelHilbBettiTower-order-negative]"], None),
     ("table-takes-a-negative-order", GENFUNC,
      'must be integers")\n        if order < 0:', 'must be integers")\n        if False:',
-     ["tests/test_genfunc.py::test_perverse_table_refuses_a_negative_order"], None),
+     [f"{EXACT}[PerverseTable-order-negative]"], None),
     ("powers-take-a-negative-n", POLY, "if n < 0:", "if False:",
-     ["tests/test_poly.py::test_powers_refuses_a_negative_n"], None),
+     [f"{EXACT}[Poly-powers-n-negative]"], None),
+    # each restores an older check of a table's or a tower's keys: a key
+    # that is not a pair fails in the unpacking, with Python's message, and
+    # the tower keeps a key off its grid that solve_perverse never reads
+    ("table-key-shape-unchecked", GENFUNC, "all(map(is_int_pair, entries or {}))",
+     "all(is_int(i) and is_int(j) for i, j in entries or {})",
+     [f"{EXACT}[PerverseTable-key-shape]"], None),
+    ("tower-key-shape-unchecked", "src/stabctab/perverse.py",
+     "is_int_pair(key) and is_int(b)\n                                      for key, b in",
+     "is_int(ell) and is_int(m) and is_int(b)\n"
+     "                                      for (ell, m), b in",
+     [f"{EXACT}[RelHilbBettiTower-key-shape]"], None),
+    ("tower-keeps-keys-off-its-grid", "src/stabctab/perverse.py",
+     "if not (0 <= ell <= order and 0 <= m <= order):", "if False:",
+     [f"{EXACT}[RelHilbBettiTower-key-range]"], None),
+    # decompose reads only beta's first coordinate: (2, True) would pass
+    ("beta-checks-one-coordinate", "src/stabctab/nslattice.py",
+     "for c in beta:", "for c in beta[:1]:", [f"{EXACT}[decompose-beta-second]"], None),
     # hilb_betti pads each row of G to z-degree k again, past the 4n of its last term
     ("hilb-betti-builds-to-k", GENFUNC, "[n][k] if k <= 4 * n else 0", "[n][k]",
      ["tests/test_genfunc.py::test_library_builds_to_the_degree_it_reads"], None),

@@ -15,9 +15,10 @@ which takes underscores and the digits of other scripts, and one
 predicate, ``is_integer``, decides it without ``re``.  A number a caller
 passes is exact by one rule, beside it, that every public entry applies:
 ``is_int`` (an int, not a bool or a float) or ``is_rational`` (that or a
-Fraction).  The package's own data files, the preset lattices and the
-ADE corpus, are not input: ``read_data`` reads them as plain files in
-DATA_DIR, next to this module.
+Fraction); a table's key is a tuple of two such ints, ``is_int_pair``.
+The package's own data files, the preset lattices and the ADE corpus,
+are not input: ``read_data`` reads them as plain files in DATA_DIR, next
+to this module.
 """
 
 import os
@@ -82,6 +83,11 @@ def is_int(v) -> bool:
     return type(v) is int
 
 
+def is_int_pair(key) -> bool:
+    """Whether key is a tuple (i, j) of two ints, as a table's keys are."""
+    return isinstance(key, tuple) and len(key) == 2 and is_int(key[0]) and is_int(key[1])
+
+
 def is_rational(v) -> bool:
     """Whether v is an int, as :func:`is_int` says, or a Fraction."""
     import fractions  # here, so that a table call loads no fractions
@@ -144,9 +150,10 @@ def read_text(path: str) -> str:
 
 
 def content_lines(text: str) -> list[str]:
-    """The lines of a lattice or branch file, each stripped of its '#'
-    comment, which runs to the end of the line, and of surrounding
-    whitespace (``str.strip``'s); a line left empty is dropped."""
+    """The lines of a lattice or branch file or of the ADE corpus, each
+    stripped of its '#' comment, which runs to the end of the line, and of
+    surrounding whitespace (``str.strip``'s); a line left empty is dropped.
+    So no field of a corpus record may hold a '#'."""
     return [line for line in (raw.partition("#")[0].strip() for raw in text.splitlines())
             if line]
 

@@ -58,7 +58,7 @@ The handlers of the table subcommands, ``stable-betti``, ``perverse``
 and ``identity``, live at the end of this module.
 """
 
-from ._record import HashableRecord, Record, is_int
+from ._record import HashableRecord, Record, is_int, is_int_pair
 from .errors import BadInput, InternalIdentityFailure
 
 
@@ -92,13 +92,13 @@ BIELLIPTIC = SurfaceTopology(2, 2, 0)
 class PerverseTable(Record):
     """Finite table (i, j) -> n^{i,j} of perverse Hodge numbers, i+j <= order.
 
-    Entries are nonnegative integers (ValueError), the order and keys ints
-    (TypeError) and the order nonnegative (ValueError); zero entries are
-    not stored.  The i = 0 row lies in {0, 1}.
+    Entries are nonnegative integers (ValueError), the order an int and
+    each key a tuple of two ints (TypeError), and the order nonnegative
+    (ValueError); zero entries are not stored.  The i = 0 row lies in {0, 1}.
     """
 
     def __init__(self, order: int, entries: dict[tuple[int, int], int] | None = None):
-        if not is_int(order) or not all(is_int(i) and is_int(j) for i, j in entries or {}):
+        if not is_int(order) or not all(map(is_int_pair, entries or {})):
             raise TypeError("the order and the keys of entries must be integers")
         if order < 0:
             raise ValueError("order must be nonnegative")

@@ -317,21 +317,20 @@ def load_corpus() -> list[CorpusRecord]:
     """The shipped ADE corpus, ``data/ade_corpus.jsonl``: one JSON object
     per line with the fields ``name``, ``poly`` (a polynomial in x, y),
     ``branches`` ([x(t), y(t)] pairs) and ``expected`` (mu, tau, delta,
-    r); a blank line or one that starts with '#' is skipped.  The corpus
-    is shipped data, not input: one that does not parse is a fault of the
-    package, never BadInput.
+    r).  Comments and blank lines are dropped as in a branch or lattice
+    file, by ``content_lines``: '#' starts a comment that runs to the end
+    of the line.  The corpus is shipped data, not input: one that does not
+    parse is a fault of the package, never BadInput.
     """
     import json
 
     def parse(text):
         records = []
-        for line in text.splitlines():
-            line = line.strip()
-            if line and not line.startswith("#"):
-                obj = json.loads(line)
-                records.append(CorpusRecord(
-                    name=obj["name"], germ=CurveGerm.from_string(obj["poly"]),
-                    branches=BranchSet.from_strings(obj["branches"]), expected=obj["expected"]))
+        for line in content_lines(text):
+            obj = json.loads(line)
+            records.append(CorpusRecord(
+                name=obj["name"], germ=CurveGerm.from_string(obj["poly"]),
+                branches=BranchSet.from_strings(obj["branches"]), expected=obj["expected"]))
         return records
 
     return read_data("ade_corpus.jsonl", parse)

@@ -21,7 +21,7 @@ at tower rows above the current i, and serves as an independent oracle
 against coefficient extraction from the product series H(q, t).
 """
 
-from ._record import Record, is_int
+from ._record import Record, is_int, is_int_pair
 from .errors import InconsistentTower
 from .genfunc import PerverseTable, SurfaceTopology, _first_difference, _goettsche_rows
 
@@ -31,19 +31,23 @@ class RelHilbBettiTower(Record):
 
     values maps (l, m) to b_m for 0 <= l <= order and 0 <= m <= order.
     Row l = 0 is the base of the induction: 1 for even m, 0 for odd m.
-    The order, the keys and the values are ints (TypeError), the order
-    nonnegative (ValueError); a value that no surface gives, a negative
-    one say, is for ``solve_perverse`` to report.
+    The order and the values are ints and each key a tuple of two ints
+    (TypeError), the order nonnegative and each key on the grid
+    (ValueError); a value that no surface gives, a negative one say, is
+    for ``solve_perverse`` to report.
     """
 
     def __init__(self, surface: SurfaceTopology, order: int,
                  values: dict[tuple[int, int], int] | None = None):
         values = {} if values is None else values
-        if not (is_int(order) and all(is_int(ell) and is_int(m) and is_int(b)
-                                      for (ell, m), b in values.items())):
+        if not (is_int(order) and all(is_int_pair(key) and is_int(b)
+                                      for key, b in values.items())):
             raise TypeError("the order, the keys and the values of a tower must be integers")
         if order < 0:
             raise ValueError("order must be nonnegative")
+        for ell, m in values:
+            if not (0 <= ell <= order and 0 <= m <= order):
+                raise ValueError(f"key ({ell}, {m}) outside the tower range")
         super().__init__(surface=surface, order=order, values=values)
 
     def value(self, ell: int, m: int) -> int:

@@ -125,6 +125,13 @@ CALLS = [
     # the table to order 10, then "oracle\tAGREE\t"
     Call("perverse-oracle-agrees", "perverse --b1 0 --b2 10 --max-order 10 --oracle", 0,
          "sha256:ce8d76df0f37ca82db854de324ae40aac2f2601eb629eed54c9bb9e1f8402afb"),
+    # with first_oracle_mismatch stubbed to report (1, 1) as 8 != 9, as
+    # test_perverse_oracle_disagreement_exits_1 does: the table, then the
+    # difference, in JSON {"i": 1, "j": 1, "recursion": 8, "series": 9}
+    Call("oracle-disagrees:tsv", "perverse --b1 0 --b2 10 --max-order 2 --oracle", 1,
+         "i\tj\tn\n0\t0\t1\n0\t2\t1\n1\t1\t9\n2\t0\t1\noracle\tDISAGREE\t(1,1) 8!=9\n"),
+    Call("oracle-disagrees:json", "perverse --b1 0 --b2 10 --max-order 2 --oracle --format json",
+         1, "sha256:7c4507f732105974dfbd2e27096c6680b71af66e24f4fb14cdd862060316138d"),
     Call("identity-pass", "identity --b1 0 --b2 10 --order 12", 0, "status\tPASS\n"),
     Call("identity-order-zero", "identity --b1 4 --b2 6 --order 0", 0, "status\tPASS\n"),
     Call("identity-perturbed", "identity --b1 0 --b2 10 --order 6 --perturb", 1,
@@ -659,13 +666,12 @@ test_order_flags_at_their_cap_run = pinned_each("order-cap")
 test_pinned_stdout_digests = pinned("digest")
 
 
-def test_perverse_oracle_disagreement_exits_1(monkeypatch):
+def test_perverse_oracle_disagreement_exits_1(tmp_path, monkeypatch):
     from stabctab import perverse
 
     monkeypatch.setattr(perverse, "first_oracle_mismatch", lambda s, k: ((1, 1), 8, 9))
-    code, out, _ = run(["perverse", "--b1", "0", "--b2", "10", "--max-order", "2", "--oracle"])
-    assert code == 1
-    assert "DISAGREE" in out and "(1,1)" in out
+    for call in rows("oracle-disagrees"):
+        check(call, tmp_path, monkeypatch)
 
 
 def test_perverse_oracle_builds_each_series_once(tmp_path, monkeypatch):

@@ -19,6 +19,7 @@ from stabctab.germ import (
 from stabctab.poly import Poly
 
 from draws import curved_point, ordinary_point
+from test_package import refused
 
 
 def germ(s):
@@ -29,7 +30,6 @@ def branches(pairs, t0=None):
     return BranchSet.from_strings(pairs, t0)
 
 
-NODE = germ("x*y")
 CUSP = germ("y^2 - x^3")
 
 NODE_BRANCHES = branches([("t", "0"), ("0", "t")])
@@ -120,42 +120,12 @@ def test_branch_count():
     assert branch_count(NODE_BRANCHES) == 2
     assert branch_count(CUSP_BRANCHES) == 1
     assert branch_count(TACNODE_BRANCHES) == 2
-    # a branch set has at least one branch
-    with pytest.raises(BadInput, match="a germ has at least one branch"):
-        BranchSet(())
-
-
-def test_invalid_branch():
-    with pytest.raises(BadInput, match=r"branch 0 does not lie on the germ"):
-        delta(NODE, branches([("t", "t")]))
-
-
-def test_branch_set_validation():
-    with pytest.raises(ValueError):
-        BranchSet.from_strings([("t", "1 + t")])  # misses the origin
-    with pytest.raises(ValueError):
-        BranchSet.from_strings([("t", "0"), ("t", "0")])  # duplicate
-    with pytest.raises(ValueError):
-        BranchSet.from_strings([("0", "0")])
 
 
 def test_approximate_branch_supported():
     # exact up to t^10; the tail beyond the declared precision is garbage
     b = branches([("t^2", "t^3 + t^12")], 10)
     assert delta(CUSP, b) == 1
-
-
-def test_delta_refuses_a_negative_mu():
-    # mu = 0 is the mu of a smooth germ; no germ has a negative one
-    b = branches([("t^2", "t^3")])
-    for mu in (-1, -5):
-        with pytest.raises(ValueError, match="^mu must be nonnegative$"):
-            delta(CUSP, b, mu)
-
-
-def test_truncation_too_small():
-    with pytest.raises(BadInput, match="truncation 4 is below the conductor bound 6"):
-        delta(CUSP, branches([("t^2", "t^3 + t^12")], 4))
 
 
 def test_bad_branch_data_fails_at_the_conductor_bound(monkeypatch):
@@ -344,17 +314,12 @@ def test_parse_branch_file():
     assert branch_count(b) == 2
     b2 = parse_branch_file("truncation: 12\nt^2 ; t^3 + t^14\n")
     assert b2.declared_truncation == 12
-    with pytest.raises(ValueError):
-        parse_branch_file("t, t^2\n")
-    # truncation: is read on the first line only
-    with pytest.raises(BadInput, match="branch line 'TRUNCATION: 12' is not 'x"):
-        parse_branch_file("truncation: 12\nTRUNCATION: 12\nt^2 ; t^3\n")
-    with pytest.raises(BadInput, match="branch line 'truncation: 12' is not 'x"):
-        parse_branch_file("t^2 ; t^3\ntruncation: 12\n")
 
 
-def test_germ_validation():
-    with pytest.raises(ValueError):
-        CurveGerm.from_string("1 + x")  # does not vanish at the origin
-    with pytest.raises(ValueError):
-        CurveGerm.from_string("x - x")  # zero polynomial
+# node ids of tests whose checks are now rows of test_package.REFUSALS
+test_invalid_branch = refused("delta-branch-off-germ")
+test_branch_set_validation = refused(
+    "BranchSet-off-origin", "BranchSet-duplicate", "BranchSet-zero")
+test_delta_refuses_a_negative_mu = refused("delta-mu-negative")
+test_truncation_too_small = refused("delta-truncation-below-conductor")
+test_germ_validation = refused("CurveGerm-off-origin", "CurveGerm-zero")

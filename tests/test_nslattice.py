@@ -3,7 +3,6 @@
 import itertools
 import math
 import random
-import re
 from fractions import Fraction
 
 import pytest
@@ -24,11 +23,11 @@ from stabctab.nslattice import (
     governing_cases,
     load_lattice,
     n_lower_bound,
-    parse_lattice,
 )
 from stabctab.surd import QuadSurd, sqrt_rational
 
 from draws import gram_schmidt_lattice
+from test_package import BY_ID, check_refusal, refused
 
 
 @pytest.fixture(scope="module")
@@ -76,28 +75,6 @@ def test_decompose_posts(bielliptic_model):
         assert tuple(a + b for a, b in zip(t1, t2)) == (3, 2)
         for v in (t1, t2):
             assert all(bielliptic_model.ip(t, v) > 0 for t in tests)
-
-
-def test_not_effective_candidate(bielliptic_model):
-    with pytest.raises(BadInput, match="pairs non-positively with the ample witness"):
-        decompose(bielliptic_model, (-1, -1))
-
-
-def test_beta_not_of_the_rank_is_bad_input(bielliptic_model):
-    for beta in ((2, 2, 5), (2,)):
-        with pytest.raises(BadInput, match=f"^beta has {len(beta)} coordinates, "
-                                           "lattice has rank 2$"):
-            decompose(bielliptic_model, beta)
-
-
-@pytest.mark.parametrize("beta, shown", [
-    ((2.7, 2), "2.7"), ((Fraction(5, 2), 2), "Fraction(5, 2)"), (("2", True), "'2'"),
-    ((2, True), "True"), ((2.0, 2), "2.0"),
-], ids=["float", "fraction", "string", "bool", "integral-float"])
-def test_beta_not_made_of_ints_is_bad_input(bielliptic_model, beta, shown):
-    # int() would truncate each: (2.7, 2) and (5/2, 2) would read as (2, 2)
-    with pytest.raises(BadInput, match=rf"^beta coordinate {re.escape(shown)} is not an integer$"):
-        decompose(bielliptic_model, beta)
 
 
 def random_rank2_model(rng):
@@ -250,37 +227,6 @@ def test_rank10_preset_loads_and_validates():
     assert decompose(model, (1,) + (0,) * 9) == []
 
 
-def test_model_validation_errors():
-    with pytest.raises(BadInput, match="exactly one positive square, first"):
-        LatticeModel(
-            2,
-            ((2, 0), (0, 2)),
-            (1, 0),
-            ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))),
-            (1,),
-        )
-    # a degenerate gram fails the basis checks
-    with pytest.raises(BadInput, match="exactly one positive square, first"):
-        LatticeModel(
-            2,
-            ((1, 1), (1, 1)),
-            (1, 0),
-            ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))),
-            (1,),
-        )
-
-
-def test_rank_is_capped():
-    from stabctab.nslattice import MAX_RANK
-
-    rank = MAX_RANK + 1
-    with pytest.raises(BadInput, match=f"lattice rank {rank} is above the cap of {MAX_RANK}"):
-        parse_lattice(f"rank {rank}\n")
-    one = tuple(tuple(Fraction(int(i == j)) for j in range(rank)) for i in range(rank))
-    with pytest.raises(BadInput, match=f"lattice rank {rank} is above the cap of {MAX_RANK}"):
-        LatticeModel(rank, one, (1,) * rank, one, (1,) * (rank - 1))
-
-
 def test_enumeration_cap_lies_between_two_boxes(bielliptic_model):
     # the box of (447, 447) holds 4,999,696 points, under the cap of
     # 5,000,000, and is scanned; that of (448, 448) holds 5,022,081 and is
@@ -290,21 +236,9 @@ def test_enumeration_cap_lies_between_two_boxes(bielliptic_model):
         decompose(bielliptic_model, (448, 448))
 
 
-def test_parse_lattice_rejects_garbage():
-    with pytest.raises(ValueError):
-        parse_lattice("rank 2\nwhatever 1 2\n")
-    with pytest.raises(ValueError):
-        parse_lattice("rank 2\ngram\n0 2\n2 0\n")  # missing fields
-
-
 def test_enriques_dim_ls():
     assert enriques_dim_ls(10) == 5
     assert enriques_dim_ls(2) == 1
-    for dsq in (0, -2):
-        with pytest.raises(BadInput, match="needs a positive self-intersection"):
-            enriques_dim_ls(dsq)
-    with pytest.raises(BadInput, match="odd self-intersection 7"):
-        enriques_dim_ls(7)
 
 
 def test_bielliptic_chi():
@@ -336,22 +270,6 @@ def test_bielliptic_codim_bound_examples():
     assert n_lower_bound(bound) == 8
     assert bielliptic_codim_bound(params, 1) == -2  # vacuous, reported as-is
     assert bielliptic_dim_ls(params, 3) == 17
-
-
-def test_bielliptic_params_validation():
-    for args, error, message in [
-        ((1, 1, Fraction(1, 2), Fraction(1), 3), BadInput, "chi = 3/2 must be an integer"),
-        ((0, 1, Fraction(1), Fraction(1), 2), BadInput, "a and b must be positive integers"),
-        # a float or a string as a scale, and a float as a count:
-        # Fraction(0.1) is a 55-bit fraction, and a = 1.5 would fail later,
-        # in the codimension bound (test_package.py's EXACT_ENTRIES has more)
-        ((1, 1, 0.1, 10, 2), TypeError, "lambda and mu must be rational, got float"),
-        ((1, 1, 1, "1/2", 2), TypeError, "lambda and mu must be rational, got str"),
-        ((1.5, 2, 1, 1, 2), BadInput, "a and b must be positive integers"),
-    ]:
-        with pytest.raises(error) as info:
-            BiellipticParams(*args)
-        assert type(info.value) is error and str(info.value) == message, args
 
 
 def random_bielliptic_params(rng):
@@ -516,3 +434,23 @@ def test_surd_order_matches_float():
             op(sqrt_rational(2), sqrt_rational(3))
         with pytest.raises(TypeError):
             op(sqrt_rational(2), 1.5)
+
+
+# node ids of tests whose checks are now rows of test_package.REFUSALS
+test_not_effective_candidate = refused("decompose-not-effective")
+test_beta_not_of_the_rank_is_bad_input = refused("decompose-beta-length")
+test_model_validation_errors = refused("LatticeModel-signature")
+test_rank_is_capped = refused("parse_lattice-rank-cap", "LatticeModel-rank-cap")
+test_parse_lattice_rejects_garbage = refused(
+    "parse_lattice-keyword", "parse_lattice-missing-field")
+test_bielliptic_params_validation = refused(
+    "BiellipticParams-chi", "BiellipticParams-a-range", "BiellipticParams-a",
+    "BiellipticParams-lam", "BiellipticParams-mu")
+
+
+# node ids of a test whose five betas are now in these rows
+@pytest.mark.parametrize("row", ["decompose-beta", "decompose-beta-fraction", "decompose-beta",
+                                 "decompose-beta-second", "decompose-beta"],
+                         ids=["float", "fraction", "string", "bool", "integral-float"])
+def test_beta_not_made_of_ints_is_bad_input(row):
+    check_refusal(BY_ID[row])

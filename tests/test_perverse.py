@@ -1,7 +1,5 @@
 """The Betti-tower recursion and its agreement with coefficient extraction."""
 
-import pytest
-
 from stabctab.errors import InconsistentTower
 from stabctab.genfunc import BIELLIPTIC, ENRIQUES, PerverseTable, stable_perverse_table
 from stabctab.perverse import (
@@ -10,6 +8,8 @@ from stabctab.perverse import (
     first_oracle_mismatch,
     solve_perverse,
 )
+
+from test_package import refused
 
 
 def test_tower_values():
@@ -83,27 +83,7 @@ def test_triangular_dependence():
         assert perturbed != reference
 
 
-def test_inconsistent_tower_negative_entry():
-    tower = build_tower(ENRIQUES, 4)
-    values = dict(tower.values)
-    values[(1, 2)] = 0  # forces a negative shell at i = 1
-    with pytest.raises(InconsistentTower):
-        solve_perverse(RelHilbBettiTower(ENRIQUES, 4, values))
-
-
-def test_inconsistent_tower_bad_base_row():
-    tower = build_tower(ENRIQUES, 4)
-    values = dict(tower.values)
-    values[(0, 2)] = 5
-    with pytest.raises(InconsistentTower):
-        solve_perverse(RelHilbBettiTower(ENRIQUES, 4, values))
-
-
-def test_tower_refuses_a_negative_order():
-    # a negative value is no count the tower refuses: solve_perverse
-    # reports it as a tower that no surface gives
-    for order in (-1, -3):
-        with pytest.raises(ValueError, match="^order must be nonnegative$"):
-            RelHilbBettiTower(ENRIQUES, order)
-    with pytest.raises(InconsistentTower):
-        solve_perverse(RelHilbBettiTower(ENRIQUES, 0, {(0, 0): -1}))
+# node ids of tests whose checks are now rows of test_package.REFUSALS
+test_inconsistent_tower_negative_entry = refused("solve_perverse-negative-entry")
+test_inconsistent_tower_bad_base_row = refused("solve_perverse-base-row")
+test_tower_refuses_a_negative_order = refused("RelHilbBettiTower-order-negative")

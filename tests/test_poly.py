@@ -4,11 +4,10 @@ seeded draws."""
 import random
 from fractions import Fraction
 
-import pytest
-
 from stabctab.poly import Poly, parse_polynomial
 
 from draws import grammar_text
+from test_package import refused
 
 
 def test_any_grammar_text_parses_or_is_a_value_error():
@@ -124,10 +123,5 @@ def test_substitution_matches_term_by_term():
         assert f.substitute(tuple(images), cutoff) == want, (f, images, cutoff)
 
 
-def test_powers_refuses_a_negative_n():
-    # n = 0 gives the table [1] alone
-    t = Poly(1, {(1,): 1})
-    assert t.powers(0, 4) == [Poly(1, {(0,): 1})]
-    for n in (-1, -4):
-        with pytest.raises(ValueError, match="^n must be nonnegative$"):
-            t.powers(n, 4)
+# node ids of tests whose checks are now rows of test_package.REFUSALS
+test_powers_refuses_a_negative_n = refused("Poly-powers-n-negative")
