@@ -145,6 +145,8 @@ class Poly(Record):
         return self + other.scale(-1)
 
     def scale(self, c) -> "Poly":
+        if not is_rational(c):
+            raise TypeError(f"coefficient must be rational, got {type(c).__name__}")
         return self._like({k: c * v for k, v in self.terms.items()})
 
     def _numerators(self) -> tuple[int, dict[tuple[int, ...], int]]:

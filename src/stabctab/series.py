@@ -85,9 +85,8 @@ class TruncatedBiSeries(Poly):
         return super().__sub__(other) if self._same_ring(other) else NotImplemented
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return self.mul(other, self.order + 1) if self._same_ring(other) else NotImplemented
+        """The product with a series of this order, else with a rational."""
+        return self.mul(other, self.order + 1) if self._same_ring(other) else self.scale(other)
 
     __rmul__ = __mul__
 

@@ -20,8 +20,10 @@ from draws import RUNS, command, fresh_env, lattice_text, run, run_fresh
 class Call(NamedTuple):
     """A pinned call: its id, its command line as a POSIX shell splits it,
     its exit code, its stdout (the text, or ``sha256:`` and the digest of a
-    long record), its exact stderr, and the files it reads, {name: text or
-    bytes}, written to the working directory it runs in."""
+    long record), its exact stderr, the files it reads, {name: text or
+    bytes}, written to the working directory it runs in, and, for a call
+    that guards a time bound, the seconds after which a fresh interpreter
+    running it is killed (None: it runs in-process)."""
 
     id: str
     line: str
@@ -29,6 +31,7 @@ class Call(NamedTuple):
     out: str = ""
     err: str = ""
     files: dict = {}
+    timeout: float | None = None
 
     @property
     def argv(self):
@@ -177,56 +180,59 @@ CALLS = [
     # each below in a fresh interpreter, killed after a timeout: trial
     # division of these radicands, uncapped, takes seconds to hours
     Call("radicand:enriques-huge", "bounds --surface enriques --beta-sq 2000000000000000014 --d 1",
-         2, "", "stabctab bounds: radicand 4000000000000000028 exceeds the cap of 1000000000000\n"),
+         2, "", "stabctab bounds: radicand 4000000000000000028 exceeds the cap of 1000000000000\n",
+         timeout=20),
     Call("radicand:enriques-above-cap", "bounds --surface enriques --beta-sq 500000000002 --d 1",
-         2, "", "stabctab bounds: radicand 1000000000004 exceeds the cap of 1000000000000\n"),
+         2, "", "stabctab bounds: radicand 1000000000004 exceeds the cap of 1000000000000\n",
+         timeout=20),
     Call("radicand:bielliptic-lambda", "bounds --surface bielliptic --a 1 --b 1 --lambda "
          "1000000000039/3 --mu 3 --gamma 1 --d 1", 2, "",
-         "stabctab bounds: radicand 2000000000078 exceeds the cap of 1000000000000\n"),
+         "stabctab bounds: radicand 2000000000078 exceeds the cap of 1000000000000\n", timeout=20),
     # Fraction reads this literal as 10^-10000000, which takes seconds to build
     Call("exponent-literal", "bounds --surface bielliptic --a 1 --b 1 --lambda 1e-10000000 --mu 1 "
          "--gamma 2 --d 1", 2, "", "stabctab bounds: Invalid literal for Fraction: "
-         "'1e-10000000'\n"),
+         "'1e-10000000'\n", timeout=1),
     # powers of x(t) built up to the exponent take minutes and gigabytes;
     # each term has a factor whose image is 0, so both compositions are 0,
     # exact or truncated
     Call("huge-exponent:truncated", "germ --poly 'x*y + x^100000000*y' --branches axes.br", 0,
-         AXES_RECORD, "", {"axes.br": "truncation: 4\nt ; 0\n0 ; t\n"}),
+         AXES_RECORD, "", {"axes.br": "truncation: 4\nt ; 0\n0 ; t\n"}, timeout=1),
     Call("huge-exponent:exact", "germ --poly 'x*y + x^100000000*y' --branches axes.br", 0,
-         AXES_RECORD, "", {"axes.br": "t ; 0\n0 ; t\n"}),
+         AXES_RECORD, "", {"axes.br": "t ; 0\n0 ; t\n"}, timeout=1),
     # x^128*y composes to 0 on both branches: no power of x(t) is formed
     Call("zero-image", "germ --poly 'x*y + x^128*y' --branches axes.br", 0, AXES_RECORD, "",
-         {"axes.br": " + ".join(f"t^{k}" for k in range(1, 9)) + " ; 0\n0 ; t\n"}),
+         {"axes.br": " + ".join(f"t^{k}" for k in range(1, 9)) + " ; 0\n0 ; t\n"}, timeout=1),
     # 171 terms of t-degree at most 850 each, a product apiece when composed
     # term by term; Horner's rule in y forms one product by a power of y(t)
     # per exponent of y
     Call("many-terms", f"germ --poly '{MANY_TERMS}' --branches branch.br", 2, "",
          "stabctab germ: branch 0 does not lie on the germ (residual order 2)\n",
-         {"branch.br": "t + t^2 + t^3 + t^4 ; t + t^3 + t^5\n"}),
+         {"branch.br": "t + t^2 + t^3 + t^4 ; t + t^3 + t^5\n"}, timeout=2),
     # below the degree cap: x(t)^1 .. x(t)^1000 of a dense branch, each
     # truncated past t^1024, would take about half a billion term pairs
     Call("dense-branch", "germ --poly 'y^2 - x^3 + x^1000' --branches dense.br", 2, "",
          "stabctab germ: branch 0 composes with the germ in up to 2221688576 term operations, "
          "above the cap of 2000000\n", {"dense.br": "truncation: 1024\n" + " + ".join(
-             f"t^{k}" for k in range(1, 1025)) + " ; t^3\n"}),
+             f"t^{k}" for k in range(1, 1025)) + " ; t^3\n"}, timeout=2),
     # README's y^32 - x^3 + x^32 on c*t + ... + c*t^32 twice, c of 400
     # digits: as many term operations as with c = 1, each on numbers of up
     # to 13,000 digits; it ran for over a minute before they were counted
     Call("large-coefficients", "germ --poly 'y^32 - x^3 + x^32' --branches big.br", 2, "",
          "stabctab germ: branch 0 composes with the germ in up to 60732131 term operations, "
-         "above the cap of 2000000\n", {"big.br": f"{BIG_IMAGE} ; {BIG_IMAGE}\n"}),
+         "above the cap of 2000000\n", {"big.br": f"{BIG_IMAGE} ; {BIG_IMAGE}\n"}, timeout=2),
     # in a fresh interpreter with a timeout: a dense symmetric gram of rank
     # 250, under the file-size cap, took seconds of determinant and basis
     # checks before it was rejected
     Call("dense-rank-250", f"decompose --lattice dense.lat --beta {','.join(['1'] * 250)}", 2, "",
          "stabctab decompose: lattice rank 250 is above the cap of 32\n",
-         {"dense.lat": dense_lattice(250, 5, lambda rng: rng.randint(-999, 999))}),
+         {"dense.lat": dense_lattice(250, 5, lambda rng: rng.randint(-999, 999))}, timeout=2),
     # rank 32 with 900-digit entries (925 kB, under the file-size cap): a
     # determinant of the gram took 25-30 s before the basis check failed
     Call("large-gram-entries", f"decompose --lattice digits.lat --beta {','.join(['1'] * 32)}", 2,
          "", "stabctab decompose: orthogonal basis must have exactly one positive square, "
          "first\n", {"digits.lat": dense_lattice(
-             32, 32, lambda rng: rng.randrange(10**899, 10**900) * rng.choice((-1, 1)))}),
+             32, 32, lambda rng: rng.randrange(10**899, 10**900) * rng.choice((-1, 1)))},
+         timeout=2),
     Call("degree-cap:above-the-cap", "germ --poly 'y - x^1025' --branches branch.br", 2, "",
          "stabctab germ: branch 0 composes with the germ to t-degree 1025, above the cap of "
          "1024\n", {"branch.br": "t ; t^1025\n"}),
@@ -570,15 +576,15 @@ def rows(*names):
     return [call for group in found for call in group]
 
 
-def check(call, tmp_path, monkeypatch, timeout=None):
+def check(call, tmp_path, monkeypatch):
     """Run call in tmp_path, with its files written there, in-process or,
-    given a timeout, in a fresh interpreter killed after that many seconds,
-    and compare its whole (exit code, stdout, stderr) with the row."""
+    if it has a timeout, in a fresh interpreter killed after that many
+    seconds, and compare its whole (exit code, stdout, stderr) with the row."""
     monkeypatch.chdir(tmp_path)
-    if timeout is None:
+    if call.timeout is None:
         code, out, err = run(call.argv, call.files)
     else:
-        proc = run_fresh(*call.argv, timeout=timeout, files=call.files)
+        proc = run_fresh(*call.argv, timeout=call.timeout, files=call.files)
         code, out, err = proc.returncode, proc.stdout, proc.stderr
     if call.out.startswith("sha256:"):
         out = "sha256:" + hashlib.sha256(out.encode()).hexdigest()
@@ -593,21 +599,21 @@ def each(*names):
                                    ids=[call.id.partition(":")[2] or call.id for call in calls])
 
 
-def pinned(*names, timeout=None):
+def pinned(*names):
     """A test that checks the rows named, in one node."""
     calls = rows(*names)
 
     def test(tmp_path, monkeypatch):
         for call in calls:
-            check(call, tmp_path, monkeypatch, timeout)
+            check(call, tmp_path, monkeypatch)
     return test
 
 
-def pinned_each(*names, timeout=None):
+def pinned_each(*names):
     """A test that checks the rows named, one node each."""
     @each(*names)
     def test(call, tmp_path, monkeypatch):
-        check(call, tmp_path, monkeypatch, timeout)
+        check(call, tmp_path, monkeypatch)
     return test
 
 
@@ -617,8 +623,9 @@ def test_call_ids_are_unique():
     assert sorted({i for i in ids if ids.count(i) > 1}) == []
 
 
-# Each test below checks rows of CALLS and nothing more; its name is the
-# node id under which bench/mutate.py and CHANGES.md cite those calls.
+# Each test below checks rows of CALLS and nothing more.  Its name is a
+# node id that bench/mutate.py, CHANGES.md and earlier tier-1 runs cite,
+# so it stays, though each row could be a node of one parametrized test.
 test_stable_betti_enriques = pinned("stable-betti-enriques")
 test_stable_betti_k0 = pinned("stable-betti-k0")
 test_stable_betti_bielliptic = pinned("stable-betti-bielliptic")
@@ -637,15 +644,15 @@ test_germ_branches_at_the_conductor_bound = pinned("germ-conductor-bound")
 test_germ_missing_branch_file_is_usage_error = pinned("germ-missing-branch-file")
 test_germ_milnor_cap_boundary = pinned("mu-at-the-cap", "mu-non-isolated", "mu-above-the-cap")
 test_composition_work_counts_no_degree_past_the_cutoff = pinned("work-within-the-cutoff")
-test_bounds_radicand_above_the_cap_exits_2 = pinned_each("radicand", timeout=20)
-test_exponent_literal_is_rejected_at_once = pinned("exponent-literal", timeout=1)
-test_huge_exponent_composes_with_branches_at_once = pinned_each("huge-exponent", timeout=1)
-test_term_with_a_zero_image_builds_no_powers = pinned("zero-image", timeout=1)
-test_composition_work_does_not_grow_with_the_terms = pinned("many-terms", timeout=2)
-test_composition_work_is_capped_before_it_is_done = pinned("dense-branch", timeout=2)
-test_large_coefficients_count_toward_the_work_cap = pinned("large-coefficients", timeout=2)
-test_lattice_rank_is_capped_before_the_gram_is_read = pinned("dense-rank-250", timeout=2)
-test_large_gram_entries_are_checked_at_once = pinned("large-gram-entries", timeout=2)
+test_bounds_radicand_above_the_cap_exits_2 = pinned_each("radicand")
+test_exponent_literal_is_rejected_at_once = pinned("exponent-literal")
+test_huge_exponent_composes_with_branches_at_once = pinned_each("huge-exponent")
+test_term_with_a_zero_image_builds_no_powers = pinned("zero-image")
+test_composition_work_does_not_grow_with_the_terms = pinned("many-terms")
+test_composition_work_is_capped_before_it_is_done = pinned("dense-branch")
+test_large_coefficients_count_toward_the_work_cap = pinned("large-coefficients")
+test_lattice_rank_is_capped_before_the_gram_is_read = pinned("dense-rank-250")
+test_large_gram_entries_are_checked_at_once = pinned("large-gram-entries")
 test_composed_degree_cap = pinned_each("degree-cap")
 test_zero_denominator_is_usage_error = pinned_each("zero-denominator")
 test_bounds_enriques_d0 = pinned("bounds-enriques-d0")
@@ -797,7 +804,7 @@ FRESH = {
 @pytest.mark.parametrize("call", rows(*FRESH.values()), ids=list(FRESH))
 def test_entry_point_prints_what_main_prints(tmp_path, monkeypatch, call):
     check(call, tmp_path, monkeypatch)
-    check(call, tmp_path, monkeypatch, timeout=5)
+    check(call._replace(timeout=5), tmp_path, monkeypatch)
 
 
 @pytest.mark.parametrize("argv, first_line", [
@@ -1017,23 +1024,44 @@ def test_records_at_the_integer_caps_print(line):
         assert out
 
 
+def bench_script(name):
+    """bench/<name>.py of this checkout, imported as a module."""
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
+
+
 def test_sweep_checks_its_own_digests(monkeypatch, capsys):
     # bench/sweep.py of this checkout, on the stabctab the suite imports: its
     # usage grid gives the pinned count and digest, and one that is not
     # pinned exits 1 with one stderr line naming the grid
-    import importlib.util
     import sys
-    from pathlib import Path
 
-    path = Path(__file__).resolve().parents[1] / "bench" / "sweep.py"
-    spec = importlib.util.spec_from_file_location("sweep", path)
-    sweep = importlib.util.module_from_spec(spec)
     # the sweep puts tests/ on the path as it is imported
     monkeypatch.setattr(sys, "path", list(sys.path))
-    spec.loader.exec_module(sweep)
+    sweep = bench_script("sweep")
     assert sweep.cli(["usage"]) == 0
     assert capsys.readouterr() == ("usage\t181\t{}\n".format(sweep.DIGESTS["usage"][1]), "")
     monkeypatch.setitem(sweep.DIGESTS, "usage", (181, "0" * 64))
     assert sweep.cli(["usage"]) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("sweep.py: usage gave 181 calls and "), err
+
+
+def test_every_mutation_killer_is_a_node_of_the_suite():
+    # bench/mutate.py names the tests that kill its mutants by node id, row
+    # ids included; pytest, run as the script runs it, collects each of them
+    # from this checkout, or exits 4 naming one that it does not find
+    import subprocess
+    import sys
+
+    mutate = bench_script("mutate")
+    proc = subprocess.run([sys.executable, "-m", "pytest", "--collect-only", "-q", "-p",
+                           "no:cacheprovider", *mutate.KILLERS], cwd=mutate.ROOT,
+                          env=fresh_env(), capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

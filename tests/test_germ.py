@@ -116,6 +116,22 @@ def test_large_coefficients_weigh_on_the_elimination_cap(monkeypatch):
         germ_mod._pivot_columns(rows, "mu")
 
 
+def test_a_pivot_row_weighs_as_its_largest_entry(monkeypatch):
+    # the first row, entries of 1 and 2,001 bits, becomes a pivot of weight
+    # 2 in 2 * 2 * 2 = 8 updates; the second is reduced by it in
+    # 2 * (1 + 1) * 2 = 8, and what is left, {1: -2^2000, 2: 1}, becomes a
+    # pivot of weight 2 in 8 more, so 24 in all; weighed as its smallest
+    # entry, each pivot would weigh 1, and the three steps 2 + 4 + 2 = 8
+    from stabctab import germ as germ_mod
+
+    rows = [{0: 1, 1: 2**2000}, {0: 1, 2: 1}]
+    monkeypatch.setattr(germ_mod, "MAX_ELIMINATION_WORK", 24)
+    assert germ_mod._pivot_columns(rows, "mu") == [0, 1]
+    monkeypatch.setattr(germ_mod, "MAX_ELIMINATION_WORK", 23)
+    with pytest.raises(BadInput, match="^elimination for mu exceeds the cap of 23 "):
+        germ_mod._pivot_columns(rows, "mu")
+
+
 def test_branch_count():
     assert branch_count(NODE_BRANCHES) == 2
     assert branch_count(CUSP_BRANCHES) == 1

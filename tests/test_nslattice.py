@@ -227,13 +227,22 @@ def test_rank10_preset_loads_and_validates():
     assert decompose(model, (1,) + (0,) * 9) == []
 
 
-def test_enumeration_cap_lies_between_two_boxes(bielliptic_model):
-    # the box of (447, 447) holds 4,999,696 points, under the cap of
-    # 5,000,000, and is scanned; that of (448, 448) holds 5,022,081 and is
-    # refused before any point is visited
-    assert len(decompose(bielliptic_model, (447, 447))) == 399_172
-    with pytest.raises(BadInput, match="^decomposition enumeration region is too large$"):
+def test_enumeration_cap_lies_between_two_boxes(bielliptic_model, monkeypatch):
+    # the box of (448, 448) holds 5,022,081 points, over the cap of
+    # 5,000,000, and is refused before any point is visited; that of
+    # (447, 447) holds 4,999,696, under it: a cap of exactly that volume
+    # scans it, and one point less refuses it
+    from stabctab import nslattice
+
+    too_large = "^decomposition enumeration region is too large$"
+    with pytest.raises(BadInput, match=too_large):
         decompose(bielliptic_model, (448, 448))
+    assert nslattice.ENUMERATION_CAP >= 4_999_696
+    monkeypatch.setattr(nslattice, "ENUMERATION_CAP", 4_999_696)
+    assert len(decompose(bielliptic_model, (447, 447))) == 399_172
+    monkeypatch.setattr(nslattice, "ENUMERATION_CAP", 4_999_695)
+    with pytest.raises(BadInput, match=too_large):
+        decompose(bielliptic_model, (447, 447))
 
 
 def test_enriques_dim_ls():

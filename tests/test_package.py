@@ -332,7 +332,7 @@ REFUSALS = [Refusal(*row) for row in [
     ("decompose-beta-length", lambda v: nslattice.decompose(LATTICE, (2,) * v), BadInput,
      "beta has {v} coordinates, lattice has rank 2", (3, 1)),
     ("decompose-not-effective", lambda v: nslattice.decompose(LATTICE, v), BadInput,
-     "class pairs non-positively with the ample witness", ((-1, -1),)),
+     "class pairs non-positively with the ample witness", ((-1, -1), (1, -1), (0, 0))),
     ("CurveGerm-off-origin", germ.CurveGerm.from_string, BadInput,
      "germ must vanish at the origin", ("1 + x",)),
     ("CurveGerm-zero", germ.CurveGerm.from_string, BadInput,
@@ -363,7 +363,7 @@ REFUSALS = [Refusal(*row) for row in [
     ("Poly-exponent-keys", lambda v: poly.Poly(2, {v: 0}), ValueError, EXPONENTS,
      ((1,), (0, -1))),
     ("Poly-coefficient", lambda v: poly.Poly(1, {(1,): v}), TypeError, FLOAT),
-    ("Poly-scale", T.scale, TypeError, FLOAT, (0.5,)),
+    ("Poly-scale", T.scale, TypeError, FLOAT),
     ("Poly-mul-cutoff", lambda v: T.mul(T, v), TypeError, CUTOFF),
     ("Poly-powers-n", lambda v: T.powers(v, 4), TypeError, "n must be an integer"),
     ("Poly-powers-n-negative", lambda v: T.powers(v, 4), ValueError, "n must be nonnegative",
@@ -382,6 +382,9 @@ REFUSALS = [Refusal(*row) for row in [
      ValueError, EXPONENTS, ((1, -1), (1, -2), (0, -1), (-1, 2), (3, -1))),
     ("TruncatedBiSeries-add-order-mismatch", lambda v: ONE(3) + ONE(v), OrderMismatch,
      "orders differ: 3 != {v}", (4,)),
+    # a product with a series is a product of series or a scaling, on either side
+    ("TruncatedBiSeries-mul", lambda v: SERIES * v, TypeError, FLOAT),
+    ("TruncatedBiSeries-rmul", lambda v: v * SERIES, TypeError, FLOAT),
     ("TruncatedBiSeries-inverse", lambda v: series.TruncatedBiSeries(4, {v: 1}).inverse(),
      NotInvertible, "series has zero constant term", ((1, 0),)),
     ("TruncatedBiSeries-coeff-beyond-order", lambda v: ONE(4).coeff(*v), OutOfOrder,
