@@ -16,8 +16,8 @@ test failure, or if a row without a reason survives.  Stdlib only and
 offline, outside tier-1, like ``bench/sweep.py``; the checkout itself is
 never written.
 
-Result (CPython 3.11.7, 2-vCPU Xeon, 59 s in all): the unmutated tests
-pass, and each of the 59 rows is killed; none carries a reason.  Every
+Result (CPython 3.11.7, 2-vCPU Xeon, 75 s in all): the unmutated tests
+pass, and each of the 79 rows is killed; none carries a reason.  Every
 named test is a tier-1 test, so each row also fails the whole tier-1
 suite, and a tier-1 test checks that pytest collects each name in
 ``KILLERS``, row ids included.  A named test that draws random inputs
@@ -54,6 +54,7 @@ WHITESPACE = ("tests/test_input_files.py::"
 EXACT = "tests/test_package.py::test_every_entry_refuses_a_number_that_is_not_exact"
 BOX_CAP = "tests/test_nslattice.py::test_enumeration_cap_lies_between_two_boxes"
 GENFUNC, POLY = "src/stabctab/genfunc.py", "src/stabctab/poly.py"
+SERIES, SURD = "src/stabctab/series.py", "src/stabctab/surd.py"
 
 #: (name, file, old text, new text, killing tests, reason or None).
 ROWS = [
@@ -245,6 +246,63 @@ ROWS = [
     ("pivot-weighs-its-smallest-entry", "src/stabctab/germ.py",
      "size = weight(max(map(int.bit_length", "size = weight(min(map(int.bit_length",
      ["tests/test_germ.py::test_a_pivot_row_weighs_as_its_largest_entry"], None),
+    # each lets a surd's scalar be any int or Fraction again: a bool is read as 1
+    ("surd-add-takes-a-bool", SURD,
+     "if is_rational(other):\n            return _surd(self.rat + Fraction(other)",
+     "if isinstance(other, (int, Fraction)):\n            return _surd(self.rat + Fraction(other)",
+     [f"{EXACT}[QuadSurd-add]"], None),
+    ("surd-sub-takes-a-bool", SURD, "if is_rational(other):\n            return self + (-",
+     "if isinstance(other, (int, Fraction)):\n            return self + (-",
+     [f"{EXACT}[QuadSurd-sub]"], None),
+    ("surd-mul-takes-a-bool", SURD, "if is_rational(other):\n            c = Fraction(other)",
+     "if isinstance(other, (int, Fraction)):\n            c = Fraction(other)",
+     [f"{EXACT}[QuadSurd-mul]"], None),
+    ("surd-order-takes-a-bool", SURD,
+     "if is_rational(other):\n            a, b = self.rat - other",
+     "if isinstance(other, (int, Fraction)):\n            a, b = self.rat - other",
+     [f"{EXACT}[QuadSurd-lt]"], None),
+    # each lets a sum, difference or product take a value of another ring:
+    # a series, an int or a Poly in other variables
+    ("poly-add-takes-any-operand", POLY,
+     "if not self._same_ring(other):\n            return NotImplemented\n        out = dict",
+     "out = dict", [f"{EXACT}[Poly-add]"], None),
+    ("poly-sub-takes-any-operand", POLY,
+     "other.scale(-1) if self._same_ring(other) else NotImplemented", "other.scale(-1)",
+     [f"{EXACT}[Poly-sub]"], None),
+    ("poly-mul-takes-any-ring", POLY,
+     'if not self._same_ring(other):\n            raise TypeError(f"mul needs',
+     'if False:\n            raise TypeError(f"mul needs', [f"{EXACT}[Poly-mul]"], None),
+    ("same-ring-ignores-nvars", POLY,
+     "other.__class__ is self.__class__ and other.nvars == self.nvars",
+     "other.__class__ is self.__class__", [f"{EXACT}[Poly-mul]"], None),
+    ("series-ring-is-any-poly", SERIES, "if not super()._same_ring(other):",
+     "if not isinstance(other, Poly):", [f"{EXACT}[TruncatedBiSeries-add]"], None),
+    # each drops the check of an index or a vector: a bool, a float or a
+    # vector of the wrong length reads a value
+    ("derivative-index-unchecked", POLY, 'if not is_int(i):\n            raise TypeError("i must',
+     'if False:\n            raise TypeError("i must', [f"{EXACT}[Poly-derivative]"], None),
+    ("derivative-index-range-unchecked", POLY, "if not 0 <= i < self.nvars:", "if False:",
+     [f"{EXACT}[Poly-derivative-range]"], None),
+    ("coeff-unchecked", SERIES, "if not (is_int(a) and is_int(b)):", "if False:",
+     [f"{EXACT}[TruncatedBiSeries-coeff]"], None),
+    ("entry-unchecked", GENFUNC, "if not (is_int(i) and is_int(j)):", "if False:",
+     [f"{EXACT}[PerverseTable-entry]"], None),
+    ("tower-value-unchecked", "src/stabctab/perverse.py", "if not (is_int(ell) and is_int(m)):",
+     "if False:", [f"{EXACT}[RelHilbBettiTower-value]"], None),
+    ("ip-coordinates-unchecked", "src/stabctab/nslattice.py", "if not all(map(is_rational, w)):", "if False:",
+     [f"{EXACT}[LatticeModel-ip]"], None),
+    ("ip-length-unchecked", "src/stabctab/nslattice.py", "if len(w) != self.rank:", "if False:",
+     [f"{EXACT}[LatticeModel-ip-length]"], None),
+    # each drops a statement that only these checks run
+    ("series-takes-a-negative-order", SERIES, "if order < 0:", "if False:",
+     [f"{EXACT}[TruncatedBiSeries-order-negative]"], None),
+    ("substitute-takes-any-number-of-images", POLY, "if len(images) != self.nvars:", "if False:",
+     [f"{EXACT}[Poly-substitute-images]"], None),
+    ("betti-takes-a-negative-count", GENFUNC, "    if c < 0:\n        raise InternalIdentity",
+     "    if False:\n        raise InternalIdentity",
+     ["tests/test_genfunc.py::test_a_negative_betti_number_is_an_internal_failure"], None),
+    ("surd-times-0-is-a-surd", SURD, "if c == 0:", "if False:",
+     ["tests/test_nslattice.py::test_surd_arithmetic"], None),
 ]
 
 #: Every test that ROWS names, once; a tier-1 test checks that the suite

@@ -22,8 +22,10 @@ tests draw from.
 * ``tables``: ``perverse --oracle``, ``identity`` and ``identity --perturb``
   at orders 0..20, then ``stable-betti --max-k 0..48``, each at
   b1 in {0, 2, 4}, b2 in 1..22, as TSV and as JSON.
-* ``germ``: the shipped ADE corpus, then A_k = y^2 - x^(k+1) for k in 1..39,
-  each without and with its branch file, as TSV and as JSON; then, appended,
+* ``germ``: the shipped ADE corpus, its records read by the package's
+  own comment rule (``_record.content_lines``), then A_k = y^2 - x^(k+1)
+  for k in 1..39, each without and with its branch file, as TSV and as
+  JSON; then, appended,
   each A_k with its branch file declaring ``truncation: 2k+2``, the
   conductor bound (it runs), and ``truncation: 2k+1`` (exit 2, below the
   bound), as TSV and as JSON.  Branch files are written to a temporary
@@ -106,6 +108,7 @@ import sys
 import tempfile
 from importlib import resources
 
+from stabctab._record import content_lines
 from stabctab.cli import COMMANDS
 from stabctab.poly import parse_polynomial
 
@@ -147,8 +150,7 @@ def germ_calls():
     receives the branch files."""
     corpus = resources.files("stabctab").joinpath("data/ade_corpus.jsonl").read_text()
     germs = [(r["name"], r["poly"], r["branches"])
-             for r in map(json.loads, (line for line in corpus.splitlines()
-                                       if line and not line.startswith("#")))]
+             for r in map(json.loads, content_lines(corpus))]
     germs += [(f"A_{k}", f"y^2 - x^{k + 1}", a_k_branches(k)) for k in range(1, 40)]
     for name, poly, branches in germs:
         path = f"{name}.br"

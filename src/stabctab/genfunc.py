@@ -115,6 +115,9 @@ class PerverseTable(Record):
         super().__init__(order=order, entries=clean)
 
     def entry(self, i: int, j: int) -> int:
+        """n^{i,j}, for ints i and j; 0 off the table."""
+        if not (is_int(i) and is_int(j)):
+            raise TypeError("i and j must be integers")
         return self.entries.get((i, j), 0)
 
 

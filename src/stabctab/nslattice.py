@@ -142,7 +142,12 @@ class LatticeModel(HashableRecord):
                          _box=_box_weights(scaled, squares, ample_tests))
 
     def ip(self, u, v) -> Fraction:
-        """Intersection pairing of two coordinate vectors."""
+        """Intersection pairing of two coordinate vectors of rank rationals."""
+        for w in (u, v):
+            if not all(map(is_rational, w)):
+                raise TypeError("coordinates of u and v must be rational")
+            if len(w) != self.rank:
+                raise ValueError(f"vector has {len(w)} coordinates, lattice has rank {self.rank}")
         return _dot(self.gram, u, v)
 
     def test_classes(self) -> list[Vector]:

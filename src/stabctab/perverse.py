@@ -51,7 +51,10 @@ class RelHilbBettiTower(Record):
         super().__init__(surface=surface, order=order, values=values)
 
     def value(self, ell: int, m: int) -> int:
-        """b_m of the ell-point relative Hilbert scheme; 0 off the grid."""
+        """b_m of the ell-point relative Hilbert scheme, for ints ell and m; 0
+        off the grid."""
+        if not (is_int(ell) and is_int(m)):
+            raise TypeError("ell and m must be integers")
         return self.values.get((ell, m), 0)
 
 

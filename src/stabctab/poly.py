@@ -5,7 +5,12 @@ germs in (x, y) and, as its subclass ``series.TruncatedBiSeries``, the
 power series in (q, t): its terms map exponent tuples, one entry per
 variable, to nonzero ``Fraction`` coefficients; an ``int`` coefficient
 is converted, and any other (a float) is a TypeError.  A Poly is an
-immutable ``_record.Record``.  Every product is truncated: its
+immutable ``_record.Record``.  A sum, difference or product takes a
+value of its own ring alone, as ``Poly._same_ring`` decides: the same
+class, as ``Record.__eq__`` asks, in the same number of variables; any
+other operand, a series or an int say, is a TypeError.  A variable's
+index, as ``derivative`` takes it, is an int (``_record.is_int``) in
+range(nvars).  Every product is truncated: its
 ``cutoff`` keeps the terms of total degree below it; in one variable
 that is the exponent itself.  ``int_product`` forms them on integers, for
 ``Poly.mul`` and ``germ``; ``weight`` and ``Poly.substitute_work`` give
@@ -104,8 +109,9 @@ class Poly(Record):
     Fractions.  The number of variables is stored, not read off the
     keys, so the zero polynomial still knows its ring.  A Poly is an
     immutable Record that hashes by its terms; sums, multiples and
-    products are built by ``_like``, which a subclass overrides to keep
-    its own ring.
+    products are built by ``_like``, and sums, differences and products
+    take the operands that ``_same_ring`` admits: a subclass overrides
+    both to keep its own ring.
     """
 
     def __init__(self, nvars: int, terms: dict[tuple[int, ...], Fraction] | None = None):
@@ -135,14 +141,20 @@ class Poly(Record):
         """Smallest total degree of a term (None for 0)."""
         return min((sum(k) for k in self.terms), default=None)
 
+    def _same_ring(self, other) -> bool:
+        """Whether other has exactly this class, as ``Record.__eq__`` asks, and nvars."""
+        return other.__class__ is self.__class__ and other.nvars == self.nvars
+
     def __add__(self, other: "Poly") -> "Poly":
+        if not self._same_ring(other):
+            return NotImplemented
         out = dict(self.terms)
         for k, c in other.terms.items():
             out[k] = out.get(k, Fraction(0)) + c
         return self._like(out)
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + other.scale(-1)
+        return self + other.scale(-1) if self._same_ring(other) else NotImplemented
 
     def scale(self, c) -> "Poly":
         if not is_rational(c):
@@ -159,12 +171,18 @@ class Poly(Record):
         the two sides over their least common denominators, divided back once."""
         if not is_int(cutoff):
             raise TypeError("cutoff must be an integer")
+        if not self._same_ring(other):
+            raise TypeError(f"mul needs a {type(self).__name__} in {self.nvars} variables")
         (d1, left), (d2, right) = self._numerators(), other._numerators()
         return self._like({k: Fraction(c, d1 * d2)
                            for k, c in int_product(left, right, cutoff).items()})
 
     def derivative(self, i: int) -> "Poly":
-        """Partial derivative in the i-th variable."""
+        """Partial derivative in the i-th variable, i an int in range(nvars)."""
+        if not is_int(i):
+            raise TypeError("i must be an integer")
+        if not 0 <= i < self.nvars:
+            raise ValueError(f"i must lie in range({self.nvars}), got {i}")
         return Poly(self.nvars, {
             k[:i] + (k[i] - 1,) + k[i + 1:]: k[i] * c
             for k, c in self.terms.items() if k[i]

@@ -4,7 +4,10 @@ r"""Exact truncated bivariate series arithmetic.
 rational coefficients (``fractions.Fraction``; no floating point
 anywhere), kept modulo total degree a + b > K.  It is a two-variable
 :class:`~stabctab.poly.Poly` with an ``order`` field, so it shares that
-class's sums, products and validation, and like every Record it is
+class's sums, products, validation and operand rule (a sum, difference
+or product takes a series alone, of the same order, else OrderMismatch;
+a product also takes an ``is_rational`` scalar; any other operand, a
+Poly among them, is a TypeError), and like every Record it is
 immutable, picklable and copyable.  Both exponents are nonnegative, so
 total degree is additive, truncation is a genuine ring quotient, and
 all ring laws hold exactly.
@@ -16,7 +19,8 @@ change-of-variables identity in its cleared-denominator form
 H(zw, z)(1 - z^2) = (1 - w)(1 - z^2 w) G(z, w) on those rows directly,
 with no series of this class involved.  This class is the exact series
 ring that ``stable_perverse_series`` returns H in, with sums, products,
-inverses and truncated coefficient access.
+inverses and truncated coefficient access at int exponents
+(``_record.is_int``).
 """
 
 from fractions import Fraction
@@ -61,7 +65,10 @@ class TruncatedBiSeries(Poly):
         return cls(order, {(0, 0): 1})
 
     def coeff(self, a: int, b: int) -> Fraction:
-        """Coefficient of q^a t^b; raises OutOfOrder beyond the truncation."""
+        """Coefficient of q^a t^b, for ints a and b; raises OutOfOrder beyond
+        the truncation, and is 0 at a negative exponent."""
+        if not (is_int(a) and is_int(b)):
+            raise TypeError("a and b must be integers")
         if a + b > self.order:
             raise OutOfOrder(
                 f"coefficient of q^{a} t^{b} lies beyond order {self.order}"
@@ -71,18 +78,13 @@ class TruncatedBiSeries(Poly):
     constant_term = Poly.constant
 
     def _same_ring(self, other) -> bool:
-        """Whether other is a series; OrderMismatch if of another order."""
-        if not isinstance(other, TruncatedBiSeries):
+        """Whether other is a series, as ``Poly._same_ring`` decides;
+        OrderMismatch if of another order."""
+        if not super()._same_ring(other):
             return False
         if self.order != other.order:
             raise OrderMismatch(f"orders differ: {self.order} != {other.order}")
         return True
-
-    def __add__(self, other):
-        return super().__add__(other) if self._same_ring(other) else NotImplemented
-
-    def __sub__(self, other):
-        return super().__sub__(other) if self._same_ring(other) else NotImplemented
 
     def __mul__(self, other):
         """The product with a series of this order, else with a rational."""

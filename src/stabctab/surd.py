@@ -6,10 +6,11 @@ floating point anywhere.  Every order is the sign of a difference
 a + b*sqrt(n), found by squaring; floor is closed form through
 math.isqrt, and ceil is floor + 1, since the value is never an integer.
 QuadSurd speaks Python's numeric protocol: <, <=, > and >= against an
-int, a Fraction or a surd with the same radicand (any other operand is
-a TypeError), math.floor and math.ceil, min and max over mixed lists
-with int and Fraction (whose comparisons reflect to it), and str.  It
-adds and subtracts rationals and multiplies by them, and has no unary
+int, not a bool, a Fraction or a surd with the same radicand (any other
+operand is a TypeError), math.floor and math.ceil, min and max over
+mixed lists with int and Fraction (whose comparisons reflect to it),
+and str.  It adds and subtracts rationals and multiplies by them, each
+an ``_record.is_rational`` one (so never a bool), and has no unary
 minus: write -1 * x.
 
 The square root of p/q (in lowest terms) is taken apart by trial division
@@ -20,7 +21,7 @@ larger one raises BadInput before any division.
 import math
 from fractions import Fraction
 
-from ._record import HashableRecord, Record
+from ._record import HashableRecord, Record, is_rational
 from .errors import BadInput
 
 #: Largest radicand (numerator times denominator of the rational under the
@@ -77,19 +78,19 @@ class QuadSurd(HashableRecord):
         super().__init__(rat=rat, coef=coef, radicand=radicand)
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if is_rational(other):
             return _surd(self.rat + Fraction(other), self.coef, self.radicand)
         return NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if is_rational(other):
             return self + (-Fraction(other))
         return NotImplemented
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if is_rational(other):
             c = Fraction(other)
             if c == 0:
                 return Fraction(0)
@@ -100,8 +101,8 @@ class QuadSurd(HashableRecord):
 
     def _sign_of_difference(self, other) -> int:
         """The sign of self - other = a + b*sqrt(n), decided by squaring;
-        other is an int, a Fraction or a surd with the same radicand."""
-        if isinstance(other, (int, Fraction)):
+        other is an is_rational one or a surd with the same radicand."""
+        if is_rational(other):
             a, b = self.rat - other, self.coef
         elif isinstance(other, QuadSurd) and other.radicand == self.radicand:
             a, b = self.rat - other.rat, self.coef - other.coef

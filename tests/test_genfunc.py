@@ -231,6 +231,20 @@ def test_kernel_rejects_non_log_derivative():
         _euler_transform([{}, {}, {0: 1}], 2, 0)
 
 
+def test_a_negative_betti_number_is_an_internal_failure(monkeypatch):
+    # a kernel that gave a negative count, stubbed as
+    # test_perverse_oracle_disagreement_exits_1 stubs its callee: reading
+    # its rows as Betti numbers is a broken invariant, never bad input
+    monkeypatch.setattr(genfunc, "_product", lambda factors, order, top: [[1], [-1]])
+    for call, message in (
+        (lambda: stable_betti_numbers(ENRIQUES, 1), "stable Betti number b_1"),
+        (lambda: hilb_betti(ENRIQUES, 1, 0), "b_0 of the 1-point Hilbert scheme"),
+    ):
+        with pytest.raises(InternalIdentityFailure) as info:
+            call()
+        assert str(info.value) == f"{message} = -1 is not a nonnegative integer"
+
+
 def test_rows_cut_at_top_are_the_full_rows_cut():
     # every x-exponent is nonnegative, so cutting at x^top drops only the
     # coefficients above it, whatever the order and the top

@@ -389,6 +389,9 @@ def test_surd_arithmetic():
     assert math.ceil(-1 * two) == -1
     assert (-1 * two).__floor__() == -2
     assert math.ceil(QuadSurd(Fraction(1, 3), Fraction(-5), 7)) == -12
+    # a product with 0 is the rational 0, not a surd of coefficient 0
+    assert [type(x) for x in (two * 0, 0 * two, two * Fraction(0))] == [Fraction] * 3
+    assert two * 0 == 0
 
 
 def test_surd_floor_matches_float():

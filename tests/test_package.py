@@ -169,18 +169,24 @@ BETA = "beta coordinate {r} is not an integer"
 CUTOFF = "cutoff must be an integer"
 FLOAT = "coefficient must be rational, got {t}"
 EXPONENTS = "exponent keys must be 2 nonnegative integers, got {v}"
+#: Python's own message for an operand that neither side takes.
+OPERAND = "unsupported operand type(s) for {op}: '{left}' and '{{t}}'"
 
 #: Keys of a table or a tower that are not a pair: Python would unpack the
 #: first, and the two others, with its own messages.
 KEY_SHAPES = (5, (1,), (1, 2, 3))
 
 #: The Enriques surface, bielliptic parameters, the cusp with its branch,
-#: as delta takes them, the polynomial t, the series 1 of a given order
-#: and the values of the Enriques tower of order 4.
+#: as delta takes them, the polynomials t and x in (x, y), the series 1 of
+#: a given order, the values of the Enriques tower of order 4, the Enriques
+#: table of order 2, written out so that no fault of the tables stops the
+#: collection of this module, and the surd sqrt(2).
 E, P = genfunc.ENRIQUES, codim.BiellipticParams(1, 1, 1, 1, 2)
 CUSP = (germ.CurveGerm.from_string("y^2 - x^3"), germ.BranchSet.from_strings([("t^2", "t^3")]))
-T, ONE = poly.Poly(1, {(1,): 1}), series.TruncatedBiSeries.one
+T, X, ONE = poly.Poly(1, {(1,): 1}), poly.Poly(2, {(1, 0): 1}), series.TruncatedBiSeries.one
 TOWER4 = perverse.build_tower(E, 4).values
+TABLE2 = genfunc.PerverseTable(2, {(0, 0): 1, (0, 2): 1, (1, 1): 9, (2, 0): 1})
+ROOT2 = surd.sqrt_rational(2)
 
 #: A series and a corpus record, the records whose classes define no
 #: __hash__, and (record, field) pairs that cover every Record class.
@@ -229,6 +235,8 @@ REFUSALS = [Refusal(*row) for row in [
      "entry (1, 1) = {r} is not a nonnegative integer", (-1, 1.0)),
     ("PerverseTable-base-row", lambda v: genfunc.PerverseTable(2, {(0, 1): v}), ValueError,
      "base-row entry (0, 1) = {v} exceeds 1", (2,)),
+    # an index is an int, though an int off the table reads 0
+    ("PerverseTable-entry", lambda v: TABLE2.entry(v, 1), TypeError, IJ),
     ("goettsche_series-order", lambda v: genfunc.goettsche_series(E, v), TypeError, SIZES),
     ("hilb_betti-n", lambda v: genfunc.hilb_betti(E, v, 2), TypeError, HILB),
     ("hilb_betti-k", lambda v: genfunc.hilb_betti(E, 2, v), TypeError, HILB),
@@ -256,6 +264,8 @@ REFUSALS = [Refusal(*row) for row in [
      ValueError, "key {v} outside the tower range", ((5, 5), (2, 0), (0, -1))),
     ("RelHilbBettiTower-values", lambda v: perverse.RelHilbBettiTower(E, 2, {(1, 1): v}),
      TypeError, TOWER),
+    ("RelHilbBettiTower-value", lambda v: perverse.RelHilbBettiTower(E, 4, TOWER4).value(v, 0),
+     TypeError, "ell and m must be integers"),
     # a tower that no surface gives is solve_perverse's to report
     ("solve_perverse-base-row", lambda v: perverse.solve_perverse(
         perverse.RelHilbBettiTower(E, 4, {**TOWER4, (0, 2): v})), InconsistentTower,
@@ -299,6 +309,15 @@ REFUSALS = [Refusal(*row) for row in [
      "radicand must be squarefree", (8,)),
     ("QuadSurd-coefficient", lambda v: surd.QuadSurd(1, v, 5), ValueError,
      "coefficient zero: use a plain Fraction", (0,)),
+    # a surd's scalars are is_rational ones: a bool is not 1; a str, which
+    # multiplies by repetition, is left out of the product
+    ("QuadSurd-add", lambda v: ROOT2 + v, TypeError, OPERAND.format(op="+", left="QuadSurd")),
+    ("QuadSurd-sub", lambda v: ROOT2 - v, TypeError, OPERAND.format(op="-", left="QuadSurd")),
+    ("QuadSurd-mul", lambda v: ROOT2 * v, TypeError, OPERAND.format(op="*", left="QuadSurd"),
+     (2.5, 2.0, True)),
+    ("QuadSurd-lt", lambda v: ROOT2 < v, TypeError, "cannot compare 0+1*sqrt(2) with {r}"),
+    # min compares v < ROOT2, which Python reflects to ROOT2 > v
+    ("QuadSurd-min", lambda v: min(ROOT2, v), TypeError, "cannot compare 0+1*sqrt(2) with {r}"),
     ("LatticeModel-rank", lambda v: nslattice.LatticeModel(v, GRAM, WITNESS, BASIS, TESTS),
      TypeError, "rank must be an integer"),
     # the rank is capped before the gram is read
@@ -318,6 +337,11 @@ REFUSALS = [Refusal(*row) for row in [
      TypeError, LATTICE_TYPES),
     ("LatticeModel-ample_tests",
      lambda v: nslattice.LatticeModel(2, GRAM, WITNESS, BASIS, (v,)), TypeError, LATTICE_TYPES),
+    ("LatticeModel-ip", lambda v: LATTICE.ip((1, v), (1, 1)), TypeError,
+     "coordinates of u and v must be rational"),
+    # a vector of the wrong length, on either side, would pair its prefix
+    ("LatticeModel-ip-length", lambda v: LATTICE.ip(*v), ValueError,
+     "vector has 1 coordinates, lattice has rank 2", (((1,), (1, 1)), ((1, 1), (1,)))),
     ("parse_lattice-rank-cap", lambda v: nslattice.parse_lattice(f"rank {v}\n"), BadInput, CAP,
      (33,)),
     ("parse_lattice-keyword", lambda v: nslattice.parse_lattice(f"rank 2\n{v} 1 2\n"), BadInput,
@@ -372,7 +396,22 @@ REFUSALS = [Refusal(*row) for row in [
      TypeError, CUTOFF),
     ("Poly-substitute_work-cutoff",
      lambda v: CUSP[0].poly.substitute_work(CUSP[1].branches[0], v), TypeError, CUTOFF),
+    ("Poly-substitute-images", lambda v: CUSP[0].poly.substitute(v, 6), ValueError,
+     "need 2 images, got 1", ((T,),)),
+    ("Poly-derivative", X.derivative, TypeError, "i must be an integer"),
+    ("Poly-derivative-range", X.derivative, ValueError, "i must lie in range(2), got {v}",
+     (2, -1)),
+    # a sum, difference or product takes a value of its own ring alone: the
+    # same class, as == asks, in the same number of variables
+    ("Poly-add", lambda v: X + v, TypeError, OPERAND.format(op="+", left="Poly"),
+     (ONE(2), T, 1, 2.5)),
+    ("Poly-sub", lambda v: X - v, TypeError, OPERAND.format(op="-", left="Poly"),
+     (ONE(2), T, 1, 2.5)),
+    ("Poly-mul", lambda v: T.mul(v, 3), TypeError, "mul needs a Poly in 1 variables",
+     (X, ONE(2), 1)),
     ("TruncatedBiSeries-order", series.TruncatedBiSeries, TypeError, "order must be an integer"),
+    ("TruncatedBiSeries-order-negative", series.TruncatedBiSeries, ValueError,
+     "truncation order must be nonnegative", (-1,)),
     ("TruncatedBiSeries-coefficient", lambda v: series.TruncatedBiSeries(2, {(1, 0): v}),
      TypeError, FLOAT),
     ("TruncatedBiSeries-coefficient-beyond-order",
@@ -382,6 +421,10 @@ REFUSALS = [Refusal(*row) for row in [
      ValueError, EXPONENTS, ((1, -1), (1, -2), (0, -1), (-1, 2), (3, -1))),
     ("TruncatedBiSeries-add-order-mismatch", lambda v: ONE(3) + ONE(v), OrderMismatch,
      "orders differ: 3 != {v}", (4,)),
+    ("TruncatedBiSeries-add", lambda v: SERIES + v, TypeError,
+     OPERAND.format(op="+", left="TruncatedBiSeries"), (X, 1, 2.5)),
+    ("TruncatedBiSeries-mul-ring", lambda v: SERIES.mul(v, 3), TypeError,
+     "mul needs a TruncatedBiSeries in 2 variables", (X,)),
     # a product with a series is a product of series or a scaling, on either side
     ("TruncatedBiSeries-mul", lambda v: SERIES * v, TypeError, FLOAT),
     ("TruncatedBiSeries-rmul", lambda v: v * SERIES, TypeError, FLOAT),
@@ -389,6 +432,8 @@ REFUSALS = [Refusal(*row) for row in [
      NotInvertible, "series has zero constant term", ((1, 0),)),
     ("TruncatedBiSeries-coeff-beyond-order", lambda v: ONE(4).coeff(*v), OutOfOrder,
      "coefficient of q^3 t^2 lies beyond order 4", ((3, 2),)),
+    ("TruncatedBiSeries-coeff", lambda v: SERIES.coeff(v, 0), TypeError,
+     "a and b must be integers"),
     # a record is immutable, and unhashable unless its class defines __hash__
     ("Record-setattr", lambda v: setattr(*v, 0), AttributeError,
      "cannot assign to field {v[1]!r}", FIELDS),
